@@ -31,20 +31,8 @@ from .indices import (
     wiener_plus,
     wiener_weighted,
 )
-from .theta import (
-    EdgePartition,
-    PartitionError,
-    format_classes,
-    quotient,
-    theta_star_classes,
-    trusted_partition,
-    validate_coarser,
-)
-from .cut_method import (
-    wiener_double_block_values,
-    wiener_weighted_block_values,
-)
-from .hamming import gutman_lower_bound, is_partial_hamming, weighted_wiener_lower_bound
+from .theta import PartitionError, format_classes, quotient, theta_star_classes
+from .cut_method import CutEngine, index_terms
 from .phenylene import (
     BenzenoidPlacement,
     Phenylene,
@@ -205,35 +193,21 @@ def _int_arg(value, what) -> int:
         raise UsageError(f"--n must be an integer for family {what!r}") from None
 
 
-def _theta_partition(g: Graph) -> EdgePartition:
-    classes = theta_star_classes(g)
-    return validate_coarser(g, classes.classes, classes)
-
-
-def _structural_partition(ph: Phenylene) -> EdgePartition:
-    blocks = [np.flatnonzero(ph.edge_class == c).tolist() for c in (1, 2, 3, 4)]
-    return trusted_partition(ph.graph, [b for b in blocks if b])
+# Indices the closed-form route reports; cuts report every index.
+HAMMING_INDICES = ("wiener", "degree_distance", "gutman", "wiener_weighted")
 
 
 def _compute_report(loaded: LoadedInput, method: str) -> Report:
     g = loaded.graph
-    if method == "auto":
-        if loaded.phenylene is not None:
-            method = "trees"
-        elif is_partial_hamming(g):
-            method = "hamming"
-        else:
-            method = "cuts"
-    start = time.perf_counter()
+    if method == "auto" and loaded.phenylene is not None:
+        method = "trees"
     indices: dict[str, Weight] = {}
     breakdown: list[dict[str, Any]] = []
-    ones = (1,) * g.n
-    degs = degree_vector(g)
-    if g.n == 1:  # every index is an empty sum
+    if g.n == 1 and method == "reduce":  # zero degrees are no weights; every sum is empty
         indices = {"wiener": 0, "degree_distance": 0, "gutman": 0}
         if loaded.a is not None:
             indices.update(wiener_weighted=0, wiener_plus=0, wiener_double=0)
-        return Report(loaded.descriptor, 1, 0, method, indices, [], 0.0)
+        return Report(loaded.descriptor, 1, 0, method, indices, [])
 
     if method == "oracle":
         indices["wiener"] = wiener(g)
@@ -245,29 +219,25 @@ def _compute_report(loaded: LoadedInput, method: str) -> Report:
             indices["wiener_double"] = wiener_double(
                 DoubleWeightedGraph(g, loaded.a, loaded.b)
             )
-    elif method == "cuts":
-        part = _theta_partition(g)
-        w_blocks = wiener_weighted_block_values(g, ones, part)
-        dd_blocks = wiener_double_block_values(DoubleWeightedGraph(g, degs, ones), part)
-        gut_blocks = wiener_weighted_block_values(g, degs, part)
-        indices["wiener"] = sum(w_blocks)
-        indices["degree_distance"] = sum(dd_blocks)
-        indices["gutman"] = sum(gut_blocks)
-        for i, (wv, dv, gv) in enumerate(zip(w_blocks, dd_blocks, gut_blocks)):
+    elif method in ("auto", "cuts", "hamming"):
+        # One theta* run and one quotient per class serve detection and
+        # every index; hamming is cuts restricted to partial Hamming graphs.
+        engine = CutEngine(g)
+        if method == "auto":
+            method = "hamming" if engine.partial_hamming else "cuts"
+        elif method == "hamming" and not engine.partial_hamming:
+            raise MethodNotApplicable(
+                "method 'hamming' needs a partial Hamming graph; detection failed "
+                "(some theta*-class quotient is not complete)"
+            )
+        terms = index_terms(g, loaded.a, loaded.b)
+        if method == "hamming":
+            terms = {k: t for k, t in terms.items() if k in HAMMING_INDICES}
+        blocks = engine.block_values(list(terms.values()))
+        indices = {name: sum(row[k] for row in blocks) for k, name in enumerate(terms)}
+        for i, (edges, row) in enumerate(zip(engine.partition.blocks, blocks)):
             breakdown.append(
-                {"block": i, "edges": len(part.blocks[i]), "W": wv, "DD": dv, "Gut": gv}
-            )
-        if loaded.a is not None:
-            indices["wiener_weighted"] = sum(
-                wiener_weighted_block_values(g, loaded.a, part)
-            )
-            indices["wiener_plus"] = sum(
-                wiener_double_block_values(DoubleWeightedGraph(g, loaded.a, ones), part)
-            )
-            indices["wiener_double"] = sum(
-                wiener_double_block_values(
-                    DoubleWeightedGraph(g, loaded.a, loaded.b), part
-                )
+                {"block": i, "edges": len(edges), "W": row[0], "DD": row[1], "Gut": row[2]}
             )
     elif method == "trees":
         if loaded.phenylene is None:
@@ -291,22 +261,9 @@ def _compute_report(loaded: LoadedInput, method: str) -> Report:
                     "W_single": gut_vals[i - 1],
                 }
             )
-    elif method == "hamming":
-        if not is_partial_hamming(g):
-            raise MethodNotApplicable(
-                "method 'hamming' needs a partial Hamming graph; detection failed "
-                "(some theta*-class quotient is not complete)"
-            )
-        indices["wiener"] = weighted_wiener_lower_bound(g, ones)
-        indices["degree_distance"] = sum(
-            wiener_double_block_values(
-                DoubleWeightedGraph(g, degs, ones), _theta_partition(g)
-            )
-        )
-        indices["gutman"] = gutman_lower_bound(g)
-        if loaded.a is not None:
-            indices["wiener_weighted"] = weighted_wiener_lower_bound(g, loaded.a)
     elif method == "reduce":
+        ones = (1,) * g.n
+        degs = degree_vector(g)
         wg, w_corr, _ = reduce_fully_single(WeightedGraph(g, ones))
         indices["wiener"] = wiener_weighted(wg.g, wg.w) + w_corr
         dwg, dd_corr, steps = reduce_fully(DoubleWeightedGraph(g, degs, ones))
@@ -331,9 +288,7 @@ def _compute_report(loaded: LoadedInput, method: str) -> Report:
             indices["wiener_double"] = wiener_double(bdwg) + corr
     else:
         raise UsageError(f"unknown method {method!r}")
-
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return Report(loaded.descriptor, g.n, g.m, method, indices, breakdown, elapsed)
+    return Report(loaded.descriptor, g.n, g.m, method, indices, breakdown)
 
 
 def _oracle_indices(loaded: LoadedInput) -> dict[str, Weight]:
@@ -351,8 +306,10 @@ def _oracle_indices(loaded: LoadedInput) -> dict[str, Weight]:
 
 
 def cmd_compute(args) -> int:
+    start = time.perf_counter()  # timing_ms covers loading, detection and every index
     loaded = _load_input(args)
     report = _compute_report(loaded, args.method)
+    report.timing_ms = (time.perf_counter() - start) * 1000.0
     if args.check:
         oracle = _oracle_indices(loaded)
         for key, value in report.indices.items():
@@ -437,11 +394,10 @@ def _verify_one(loaded: LoadedInput, args) -> int:
         print("trivial graph: all indices 0 [ok]")
         return EXIT_OK
     oracle = _oracle_indices(loaded)
-    part = _theta_partition(g)
-    degs = degree_vector(g)
-    ones = (1,) * g.n
-    dd_blocks = wiener_double_block_values(DoubleWeightedGraph(g, degs, ones), part)
-    gut_blocks = wiener_weighted_block_values(g, degs, part)
+    terms = index_terms(g)
+    blocks = CutEngine(g).block_values([terms["degree_distance"], terms["gutman"]])
+    dd_blocks = [dd for dd, _ in blocks]
+    gut_blocks = [gut for _, gut in blocks]
     rows = [
         ("degree_distance", oracle["degree_distance"], sum(dd_blocks), dd_blocks),
         ("gutman", oracle["gutman"], sum(gut_blocks), gut_blocks),
@@ -478,16 +434,9 @@ def _verify_random(args) -> int:
         g = random_connected_graph(n, m, seed)
         a = tuple(rng.randint(1, 9) for _ in range(n))
         b = tuple(rng.randint(1, 9) for _ in range(n))
-        part = _theta_partition(g)
-        dwg = DoubleWeightedGraph(g, a, b)
-        want = wiener_double(dwg)
-        got = sum(wiener_double_block_values(dwg, part))
+        want = wiener_double(DoubleWeightedGraph(g, a, b))
         dd_want = degree_distance(g)
-        dd_got = sum(
-            wiener_double_block_values(
-                DoubleWeightedGraph(g, degree_vector(g), (1,) * n), part
-            )
-        )
+        got, dd_got = CutEngine(g).values([(a, b), index_terms(g)["degree_distance"]])
         if want != got or dd_want != dd_got:
             print(
                 f"MISMATCH on n={n} m={m} seed={seed}: "
@@ -589,14 +538,13 @@ def cmd_generate(args) -> int:
 def cmd_hamming(args) -> int:
     loaded = _load_input(args)
     g = loaded.graph
-    classes = theta_star_classes(g)
-    verdict = is_partial_hamming(g, classes)
-    w = (1,) * g.n
-    bound = weighted_wiener_lower_bound(g, w, classes)
-    exact = wiener(g)
-    gut_bound = gutman_lower_bound(g, classes)
-    gut_exact = gutman(g)
-    sizes = [quotient(g, cls).graph.n for cls in classes.classes]
+    engine = CutEngine(g)
+    verdict = engine.partial_hamming
+    terms = index_terms(g)
+    wanted = [terms["wiener"], terms["gutman"]]
+    bound, gut_bound = engine.values(wanted, closed=True)
+    exact, gut_exact = engine.values(wanted)
+    sizes = [q.graph.n for q in engine.quotients]
     if args.json:
         payload = {
             "input": loaded.descriptor,
@@ -613,7 +561,7 @@ def cmd_hamming(args) -> int:
     else:
         print(f"input: {loaded.descriptor}  (n={g.n}, m={g.m})")
         print(f"partial Hamming: {'yes' if verdict else 'no'}")
-        print(f"theta*-classes: {len(classes.classes)}, quotient sizes {sizes}")
+        print(f"theta*-classes: {len(sizes)}, quotient sizes {sizes}")
         print(f"W  bound {bound}  exact {exact}  gap {exact - bound}")
         print(f"Gut bound {gut_bound}  exact {gut_exact}  gap {gut_exact - gut_bound}")
     return EXIT_OK

@@ -11,6 +11,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
+
 
 class GraphError(ValueError):
     """Invalid graph construction or an operation on an unsuitable graph."""
@@ -29,7 +33,7 @@ class Graph:
         adj:   per-vertex tuple of neighbours, sorted ascending
     """
 
-    __slots__ = ("n", "edges", "adj", "connected", "_edge_index")
+    __slots__ = ("n", "edges", "adj", "connected", "_edge_index", "_edge_array")
 
     def __init__(
         self,
@@ -65,6 +69,7 @@ class Graph:
             rows[v].append(u)
         self.adj = tuple(tuple(sorted(r)) for r in rows)
         self._edge_index = None
+        self._edge_array = None
         if validate:
             self.connected = _is_connected(n, self.adj)
             if require_connected and not self.connected:
@@ -82,6 +87,15 @@ class Graph:
         if self._edge_index is None:
             self._edge_index = {e: i for i, e in enumerate(self.edges)}
         return self._edge_index
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only m x 2 intp array, in edge order."""
+        if self._edge_array is None:
+            ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+            ends.flags.writeable = False
+            self._edge_array = ends
+        return self._edge_array
 
     def index_of_edge(self, u: int, v: int) -> int:
         e = (u, v) if u < v else (v, u)
@@ -150,6 +164,55 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(bfs_distances(g, s)) for s in range(g.n))
 
 
+def adjacency_matrix(g: Graph) -> csr_matrix:
+    """Symmetric boolean adjacency matrix in CSR form."""
+    e = g.edge_array
+    rows = np.concatenate((e[:, 0], e[:, 1]))
+    cols = np.concatenate((e[:, 1], e[:, 0]))
+    return csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(g.n, g.n))
+
+
+# Eccentricity of vertex 0 above which scipy's Dijkstra replaces the
+# all-sources frontier BFS.  Each frontier level costs one sparse-dense
+# product over all sources, so that search loses once the diameter (at most
+# twice this eccentricity) passes about 30 levels.  That crossover, measured
+# on random graphs, ladders and paths with n = 100 to 400 (2-core Xeon VM,
+# scipy 1.17), barely moved with n.
+_FRONTIER_ECCENTRICITY = 16
+
+
+def distance_matrix(g: Graph) -> np.ndarray:
+    """All-pairs hop distances as an n x n array.
+
+    Small-diameter graphs run a breadth-first search from every source at
+    once: each level multiplies the boolean CSR adjacency matrix by the
+    dense frontier matrix (boolean products are ORs, so no count can
+    overflow).  Long graphs run scipy's Dijkstra instead.  The dtype is the
+    narrowest signed integer type that holds n - 1, so differences of rows
+    stay exact.  Requires a connected graph; ``all_pairs_distances`` is the
+    pure-Python reference.
+    """
+    if not g.connected:
+        raise GraphError("distances are defined for connected graphs only")
+    n = g.n
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= n - 1)
+    adj = adjacency_matrix(g)
+    if shortest_path(adj, unweighted=True, indices=0).max() > _FRONTIER_ECCENTRICITY:
+        return shortest_path(adj, unweighted=True).astype(dtype)
+    dist = np.zeros((n, n), dtype=dtype)
+    seen = np.eye(n, dtype=bool)
+    frontier = seen.copy()
+    level = 0
+    while True:
+        level += 1
+        frontier = adj @ frontier
+        frontier &= ~seen
+        if not frontier.any():
+            return dist
+        dist[frontier] = level
+        seen |= frontier
+
+
 @dataclass(frozen=True)
 class Components:
     """Connected components of an edge-deleted graph.
@@ -164,16 +227,19 @@ class Components:
 
 
 def components_after_deletion(g: Graph, removed: Iterable[int]) -> Components:
-    """Components of ``g`` with the edges at indices ``removed`` deleted."""
-    removed = set(removed)
+    """Components of ``g`` with the edges at indices ``removed`` deleted.
+
+    A depth-first search over ``g.adj`` that skips the deleted edges; only
+    vertices incident to a deleted edge pay for filtering their neighbours.
+    """
+    cut: dict[int, set[int]] = {}
     for i in removed:
         if not (0 <= i < g.m):
             raise GraphError(f"unknown edge index {i}")
-    rows: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edges):
-        if i not in removed:
-            rows[u].append(v)
-            rows[v].append(u)
+        u, v = g.edges[i]
+        cut.setdefault(u, set()).add(v)
+        cut.setdefault(v, set()).add(u)
+    adj = g.adj
     comp = [-1] * g.n
     members = []
     for start in range(g.n):
@@ -185,12 +251,14 @@ def components_after_deletion(g: Graph, removed: Iterable[int]) -> Components:
         stack = [start]
         while stack:
             u = stack.pop()
-            for v in rows[u]:
-                if comp[v] < 0:
+            gone = cut.get(u)
+            for v in adj[u]:
+                if comp[v] < 0 and not (gone and v in gone):
                     comp[v] = cid
                     group.append(v)
                     stack.append(v)
-        members.append(tuple(sorted(group)))
+        group.sort()
+        members.append(tuple(group))
     return Components(tuple(comp), len(members), tuple(members))
 
 

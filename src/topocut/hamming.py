@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .cut_method import CutEngine
 from .graph import Graph, GraphError, degree_vector
-from .indices import Weight, check_weights, pairwise_product_sum
-from .theta import QuotientGraph, ThetaClasses, quotient, theta_star_classes
+from .indices import Weight, check_weights
+from .theta import QuotientGraph, ThetaClasses, theta_star_classes
 
 
 class NotPartialHammingError(ValueError):
@@ -40,7 +41,7 @@ def canonical_embedding(g: Graph, classes: ThetaClasses | None = None) -> Canoni
     """Embed g into the product of its theta*-class quotients."""
     if classes is None:
         classes = theta_star_classes(g)
-    quotients = tuple(quotient(g, cls) for cls in classes.classes)
+    quotients = CutEngine(g, classes=classes).quotients
     coordinates = tuple(
         tuple(q.component_of[u] for q in quotients) for u in range(g.n)
     )
@@ -49,13 +50,7 @@ def canonical_embedding(g: Graph, classes: ThetaClasses | None = None) -> Canoni
 
 def is_partial_hamming(g: Graph, classes: ThetaClasses | None = None) -> bool:
     """True iff every theta*-class quotient is a complete graph."""
-    if classes is None:
-        classes = theta_star_classes(g)
-    for cls in classes.classes:
-        q = quotient(g, cls).graph
-        if 2 * q.m != q.n * (q.n - 1):
-            return False
-    return True
+    return CutEngine(g, classes=classes).partial_hamming
 
 
 def weighted_wiener_lower_bound(
@@ -69,14 +64,7 @@ def weighted_wiener_lower_bound(
     check_weights(g, w)
     if not g.connected:
         raise GraphError("bound is defined for connected graphs only")
-    if classes is None:
-        classes = theta_star_classes(g)
-    total: Weight = 0
-    for cls in classes.classes:
-        q = quotient(g, cls)
-        comp_weights = [sum(w[x] for x in members) for members in q.members]
-        total += pairwise_product_sum(comp_weights)
-    return total
+    return CutEngine(g, classes=classes).values([(w, None)], closed=True)[0]
 
 
 def gutman_lower_bound(g: Graph, classes: ThetaClasses | None = None) -> int:
@@ -89,10 +77,12 @@ def gutman_lower_bound(g: Graph, classes: ThetaClasses | None = None) -> int:
 def gutman_exact_hamming(g: Graph) -> int:
     """Gutman index of a partial Hamming graph via the closed sum.
 
-    No all-pairs distances are computed; raises if the graph is not partial
-    Hamming (the closed sum would undercount).
+    Theta* still needs all-pairs distances, but no quotient distances are
+    computed: every class quotient is complete, so each block is a closed
+    pair sum.  Raises if the graph is not partial Hamming (the closed sum
+    would undercount).
     """
-    classes = theta_star_classes(g)
-    if not is_partial_hamming(g, classes):
+    engine = CutEngine(g)
+    if not engine.partial_hamming:
         raise NotPartialHammingError("graph is not a partial Hamming graph")
-    return gutman_lower_bound(g, classes)
+    return engine.values([(degree_vector(g), None)])[0]

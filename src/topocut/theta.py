@@ -14,12 +14,15 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
 from .graph import (
-    Components,
     Graph,
     GraphError,
-    all_pairs_distances,
     components_after_deletion,
+    distance_matrix,
 )
 
 
@@ -85,60 +88,71 @@ def theta_related(
     return d[u1][u2] + d[v1][v2] != d[u1][v2] + d[v1][u2]
 
 
-class _DisjointSet:
-    """Union-find over 0..n-1 with path halving and union by size."""
+def _first_seen_labels(labels: np.ndarray) -> np.ndarray:
+    """Relabel so that labels number their groups in order of first position."""
+    first = np.unique(labels, return_index=True)[1]
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[labels]
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
+def _groups(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Positions of each label 0, 1, ..., ascending within each group."""
+    members = np.argsort(labels, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(labels)).tolist()
+    return tuple(tuple(members[lo:hi]) for lo, hi in zip([0] + bounds, bounds))
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+
+# Entries of the relation test per block of tree edges, which bounds its
+# temporaries (a few bytes per entry) whatever the size of the graph.
+_RELATION_BLOCK = 1 << 16
 
 
 def theta_star_classes(
-    g: Graph, d: Sequence[Sequence[int]] | None = None
+    g: Graph, d: Sequence[Sequence[int]] | np.ndarray | None = None
 ) -> ThetaClasses:
-    """Theta*-classes via the pairwise theta test merged in a disjoint set.
+    """Theta*-classes by Feder's spanning-tree restriction of theta.
 
-    O(m^2) edge pairs; exact and adequate at the scales this library targets.
+    Theta* is the transitive closure of theta restricted to pairs with one
+    edge in a fixed spanning tree T (T. Feder, "Product graph
+    representations", J. Graph Theory 16, 1992).  With T a BFS tree, each
+    tree edge xy gives delta(w) = d(x,w) - d(y,w), and an edge uv is
+    theta-related to xy iff delta(u) != delta(v).  The test runs on whole
+    rows of the distance matrix: (n - 1) x m entries in all, in blocks of
+    tree edges.  After each block, ``connected_components`` merges its
+    relation pairs with the classes so far, each edge linked to the first
+    edge of its class, so the pairs of only one block are ever held.
+    ``d`` may be given as the distance matrix or its rows.
     """
     if not g.connected:
         raise GraphError("theta* is defined for connected graphs only")
-    if d is None:
-        d = all_pairs_distances(g)
     m = g.m
-    edges = g.edges
-    dsu = _DisjointSet(m)
-    for i in range(m):
-        u1, v1 = edges[i]
-        du1, dv1 = d[u1], d[v1]
-        for j in range(i + 1, m):
-            u2, v2 = edges[j]
-            if du1[u2] + dv1[v2] != du1[v2] + dv1[u2]:
-                dsu.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(dsu.find(i), []).append(i)
-    classes = tuple(sorted((tuple(v) for v in groups.values()), key=lambda c: c[0]))
-    class_of = [0] * m
-    for ci, cls in enumerate(classes):
-        for e in cls:
-            class_of[e] = ci
-    return ThetaClasses(classes, tuple(class_of))
+    if m == 0:
+        return ThetaClasses((), ())
+    d = distance_matrix(g) if d is None else np.asarray(d)
+    ends = g.edge_array
+    u, v = ends[:, 0], ends[:, 1]
+    # BFS tree from vertex 0: the first edge into each vertex from a vertex
+    # one step closer to the root.
+    du, dv = d[0, u], d[0, v]
+    down = np.flatnonzero(du != dv)
+    child = np.where(du[down] > dv[down], u[down], v[down])
+    tree = down[np.unique(child, return_index=True)[1]]
+    x, y = u[tree], v[tree]
+    edges = np.arange(m)
+    links = edges
+    step = max(1, _RELATION_BLOCK // m)
+    for lo in range(0, len(tree), step):
+        delta = d[x[lo:lo + step]] - d[y[lo:lo + step]]
+        i, j = np.nonzero(delta[:, u] != delta[:, v])
+        rows = np.concatenate((tree[lo + i], edges))
+        cols = np.concatenate((j, links))
+        relation = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(m, m))
+        labels = connected_components(relation, directed=False)[1]
+        links = np.unique(labels, return_index=True)[1][labels]
+    # classes numbered by their smallest edge index
+    class_of = _first_seen_labels(labels)
+    return ThetaClasses(_groups(class_of), tuple(class_of.tolist()))
 
 
 def validate_coarser(
@@ -208,26 +222,26 @@ def quotient(g: Graph, f: Iterable[int]) -> QuotientGraph:
     return QuotientGraph(qg, comp.component_of, comp.members)
 
 
-def class_deletion_components(g: Graph, classes: ThetaClasses) -> list[Components]:
-    """Components of g minus each theta*-class, in class order."""
-    return [components_after_deletion(g, cls) for cls in classes.classes]
+def is_partial_cube(
+    g: Graph,
+    classes: ThetaClasses | None = None,
+    d: np.ndarray | None = None,
+) -> bool:
+    """Bipartite and every theta*-class is pairwise theta-related.
 
-
-def is_partial_cube(g: Graph, classes: ThetaClasses | None = None) -> bool:
-    """Bipartite and every theta*-class is pairwise theta-related."""
+    ``d`` is the distance matrix when the caller already has it.
+    """
     if not _is_bipartite(g):
         return False
-    d = all_pairs_distances(g)
+    d = distance_matrix(g) if d is None else np.asarray(d)
     if classes is None:
         classes = theta_star_classes(g, d)
+    ends = g.edge_array
     for cls in classes.classes:
-        for x in range(len(cls)):
-            u1, v1 = g.edges[cls[x]]
-            du1, dv1 = d[u1], d[v1]
-            for y in range(x + 1, len(cls)):
-                u2, v2 = g.edges[cls[y]]
-                if du1[u2] + dv1[v2] == du1[v2] + dv1[u2]:
-                    return False
+        u, v = ends[list(cls)].T
+        delta = d[u] - d[v]
+        if not (delta[:, u] != delta[:, v]).all():
+            return False
     return True
 
 

@@ -1,9 +1,14 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given
+
+import topocut.theta as theta
 
 from topocut.graph import all_pairs_distances, components_after_deletion
 from topocut.theta import (
     PartitionError,
+    ThetaClasses,
     is_partial_cube,
     quotient,
     theta_related,
@@ -12,9 +17,13 @@ from topocut.theta import (
 )
 from topocut.families import (
     complete_bipartite_graph,
+    complete_graph,
     cycle_graph,
+    gen_house,
     hypercube_graph,
     path_graph,
+    random_connected_graph,
+    windmill_graph,
 )
 
 from strategies import connected_graphs, trees
@@ -96,9 +105,62 @@ def test_theta_reflexive_symmetric_forty_vertices():
             )
 
 
+def _theta_star_pairwise(g):
+    """Theta* by the pairwise O(m^2) test of every edge pair merged in a
+    union-find (the former implementation), numbered by smallest edge."""
+    d = all_pairs_distances(g)
+    parent = list(range(g.m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, (u1, v1) in enumerate(g.edges):
+        for j in range(i + 1, g.m):
+            u2, v2 = g.edges[j]
+            if d[u1][u2] + d[v1][v2] != d[u1][v2] + d[v1][u2]:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(g.m):
+        groups.setdefault(find(i), []).append(i)
+    classes = tuple(sorted((tuple(c) for c in groups.values()), key=lambda c: c[0]))
+    class_of = [0] * g.m
+    for ci, cls in enumerate(classes):
+        for e in cls:
+            class_of[e] = ci
+    return ThetaClasses(classes, tuple(class_of))
+
+
 @given(connected_graphs(min_n=2, max_n=10))
 def test_classes_match_independent_closure(g):
     assert theta_star_classes(g).classes == _theta_closure_oracle(g)
+
+
+@given(connected_graphs(min_n=1, max_n=14))
+def test_array_theta_star_equals_pairwise_loop(g):
+    assert theta_star_classes(g) == _theta_star_pairwise(g)
+    # one tree edge per block: the classes are merged across blocks
+    with mock.patch.object(theta, "_RELATION_BLOCK", 1):
+        assert theta_star_classes(g) == _theta_star_pairwise(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        hypercube_graph(5),
+        gen_house(30),
+        complete_graph(9),
+        windmill_graph(6),
+        random_connected_graph(80, 120, seed=8),
+        random_connected_graph(60, 150, seed=9),
+        random_connected_graph(120, 119, seed=10),
+        random_connected_graph(300, 450, seed=11),
+    ],
+)
+def test_array_theta_star_equals_pairwise_loop_larger(g):
+    assert theta_star_classes(g) == _theta_star_pairwise(g)
 
 
 @given(trees(min_n=2, max_n=12))
