@@ -7,6 +7,7 @@ applicable to the input, 4 verification mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -22,7 +23,7 @@ from .graph import Graph, GraphError, ParseError, degree_vector, format_edge_lis
 from .indices import (
     DoubleWeightedGraph,
     Weight,
-    WeightedGraph,
+    check_weights,
     degree_distance,
     gutman,
     parse_weights,
@@ -31,8 +32,8 @@ from .indices import (
     wiener_plus,
     wiener_weighted,
 )
-from .theta import PartitionError, format_classes, quotient, theta_star_classes
-from .cut_method import CutEngine, index_terms
+from .theta import PartitionError, format_classes, quotient, theta_star_classes, trusted_partition
+from .cut_method import CutEngine, Term, index_terms
 from .phenylene import (
     BenzenoidPlacement,
     Phenylene,
@@ -43,7 +44,7 @@ from .phenylene import (
     tree_wiener_double_linear,
     tree_wiener_linear,
 )
-from .reduction import reduce_fully, reduce_fully_single
+from .reduction import collapse_plan, reduce_fully
 from .families import gen_basic, gen_house, gen_phenylene_chain, phe6_placement
 
 EXIT_OK = 0
@@ -180,6 +181,8 @@ def _load_input(args) -> LoadedInput:
 def _attach_weights(loaded: LoadedInput, args) -> LoadedInput:
     if getattr(args, "weights", None):
         a, b = parse_weights(Path(args.weights).read_text(), loaded.graph.n)
+        check_weights(loaded.graph, a)  # every method needs positive weights
+        check_weights(loaded.graph, b)
         loaded.a, loaded.b = a, b
     return loaded
 
@@ -262,14 +265,20 @@ def _compute_report(loaded: LoadedInput, method: str) -> Report:
                 }
             )
     elif method == "reduce":
-        ones = (1,) * g.n
-        degs = degree_vector(g)
-        wg, w_corr, _ = reduce_fully_single(WeightedGraph(g, ones))
-        indices["wiener"] = wiener_weighted(wg.g, wg.w) + w_corr
-        dwg, dd_corr, steps = reduce_fully(DoubleWeightedGraph(g, degs, ones))
-        indices["degree_distance"] = wiener_double(dwg) + dd_corr
-        gg, gut_corr, _ = reduce_fully_single(WeightedGraph(g, degs))
-        indices["gutman"] = wiener_weighted(gg.g, gg.w) + gut_corr
+        # One collapse plan serves every weight pair; the reduced pairs share
+        # one distance matrix of the reduced graph.  DD's step log is the
+        # breakdown.
+        plan = collapse_plan(g)
+        terms = index_terms(g, loaded.a, loaded.b)
+        dd, _, steps = reduce_fully(DoubleWeightedGraph(g, *terms["degree_distance"]), plan)
+        reduced = [
+            (dd.a, dd.b, [s.correction for s in steps]) if name == "degree_distance"
+            else plan.apply(a, b)
+            for name, (a, b) in terms.items()
+        ]
+        values = _reduced_values(plan.graph, [(a, b) for a, b, _ in reduced])
+        for name, value, (_, _, corrections) in zip(terms, values, reduced):
+            indices[name] = value + sum(corrections)
         for step in steps:
             breakdown.append(
                 {
@@ -279,16 +288,26 @@ def _compute_report(loaded: LoadedInput, method: str) -> Report:
                     "correction": step.correction,
                 }
             )
-        if loaded.a is not None:
-            awg, corr, _ = reduce_fully_single(WeightedGraph(g, loaded.a))
-            indices["wiener_weighted"] = wiener_weighted(awg.g, awg.w) + corr
-            pdwg, corr, _ = reduce_fully(DoubleWeightedGraph(g, loaded.a, ones))
-            indices["wiener_plus"] = wiener_double(pdwg) + corr
-            bdwg, corr, _ = reduce_fully(DoubleWeightedGraph(g, loaded.a, loaded.b))
-            indices["wiener_double"] = wiener_double(bdwg) + corr
     else:
         raise UsageError(f"unknown method {method!r}")
     return Report(loaded.descriptor, g.n, g.m, method, indices, breakdown)
+
+
+def _reduced_values(g: Graph, terms: list[Term]) -> list[Weight]:
+    """Every term on a reduced graph: a cut engine over one block of all
+    edges, i.e. one distance matrix under the engine's exactness guard.
+
+    As in the oracle's sums, a term with a Fraction weight is a Fraction
+    even when integral (summed p/q weights can be whole numbers).
+    """
+    if g.n == 1:
+        return [0] * len(terms)
+    values = CutEngine(g, trusted_partition(g, [range(g.m)])).values(terms)
+    return [
+        Fraction(v) if any(isinstance(x, Fraction) for w in term if w is not None for x in w)
+        else v
+        for v, term in zip(values, terms)
+    ]
 
 
 def _oracle_indices(loaded: LoadedInput) -> dict[str, Weight]:
@@ -469,7 +488,7 @@ def cmd_reduce(args) -> int:
                 "running_total": running,
             }
         )
-    reduced_value = wiener_double(dwg)
+    (reduced_value,) = _reduced_values(dwg.g, [(dwg.a, dwg.b)])
     if args.json:
         payload = {
             "input": loaded.descriptor,
@@ -567,6 +586,7 @@ def cmd_hamming(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: building it costs milliseconds
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="topocut", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)

@@ -5,21 +5,20 @@ Vertices with the same open neighbourhood (R-classes) sit at mutual distance
 two; vertices with the same closed neighbourhood (S-classes) at distance one.
 Collapsing a class onto one representative with summed weights changes the
 double-weighted Wiener index by an explicitly computable correction, so
-large instances shrink without losing exactness.
+large instances shrink without losing exactness.  Which vertices collapse
+depends only on the graph: :func:`collapse_plan` finds them once, and
+:meth:`CollapsePlan.apply` maps any number of weight pairs through it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graph import Graph, GraphError
-from .indices import (
-    DoubleWeightedGraph,
-    Weight,
-    WeightedGraph,
-    pairwise_mixed_sum,
-    pairwise_product_sum,
-)
+from .indices import DoubleWeightedGraph, Weight, WeightedGraph
+from .indices import pairwise_mixed_sum, pairwise_product_sum
 
 
 @dataclass(frozen=True)
@@ -37,177 +36,175 @@ class ReductionStep:
     correction: Weight
 
 
-def r_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Equivalence classes of N(x) = N(y), ordered by smallest member."""
+# The neighbourhood that makes twins: open N(v) for R, closed N[v] for S.
+_KEY = {
+    "R": lambda g, v: g.adj[v],
+    "S": lambda g, v: tuple(sorted(g.adj[v] + (v,))),
+}
+
+
+def _classes(g: Graph, kind: str) -> tuple[tuple[int, ...], ...]:
+    key = _KEY[kind]
     groups: dict[tuple[int, ...], list[int]] = {}
     for v in range(g.n):
-        groups.setdefault(g.adj[v], []).append(v)
-    return tuple(sorted((tuple(vs) for vs in groups.values()), key=lambda c: c[0]))
+        groups.setdefault(key(g, v), []).append(v)
+    # a group enters the dict at its smallest member, so this is that order
+    return tuple(map(tuple, groups.values()))
+
+
+def r_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Equivalence classes of N(x) = N(y), ordered by smallest member."""
+    return _classes(g, "R")
 
 
 def s_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Equivalence classes of N[x] = N[y], ordered by smallest member."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for v in range(g.n):
-        key = tuple(sorted(g.adj[v] + (v,)))
-        groups.setdefault(key, []).append(v)
-    return tuple(sorted((tuple(vs) for vs in groups.values()), key=lambda c: c[0]))
+    return _classes(g, "S")
 
 
-def _class_of(classes: tuple[tuple[int, ...], ...], c: int) -> tuple[int, ...]:
-    for cls in classes:
-        if c in cls:
-            return cls
-    raise GraphError(f"vertex {c} out of range")
-
-
-def _collapse(g: Graph, members: tuple[int, ...], c: int) -> tuple[Graph, list[int]]:
-    """Remove members other than c; return the reindexed graph and old->new map."""
-    drop = set(members) - {c}
+def _collapse(g: Graph, drop: set[int]) -> tuple[Graph, tuple[int, ...]]:
+    """Delete ``drop``; return the reindexed graph and the kept old labels.
+    Each dropped vertex has a kept twin, so the graph stays connected; the
+    monotone reindexing keeps edges (min, max)-ordered."""
+    keep = tuple(v for v in range(g.n) if v not in drop)
     new_of = [-1] * g.n
-    keep = []
-    for v in range(g.n):
-        if v not in drop:
-            new_of[v] = len(keep)
-            keep.append(v)
-    edges = [
-        (new_of[u], new_of[v])
-        for u, v in g.edges
-        if new_of[u] >= 0 and new_of[v] >= 0
-    ]
-    g2 = Graph(len(keep), edges)  # collapsing a class keeps the graph connected
-    return g2, new_of
+    for i, v in enumerate(keep):
+        new_of[v] = i
+    edges = [(new_of[u], new_of[v]) for u, v in g.edges if min(new_of[u], new_of[v]) >= 0]
+    return Graph(len(keep), edges, validate=False), keep
 
 
-def reduce_once_r(
-    dwg: DoubleWeightedGraph, c: int
-) -> tuple[DoubleWeightedGraph, Weight]:
-    """Collapse the R-class of c; correction 2 sum (a_i b_j + a_j b_i) over pairs."""
-    members = _class_of(r_classes(dwg.g), c)
-    if len(members) == 1:
-        return dwg, 0
-    corr = 2 * pairwise_mixed_sum(
-        [dwg.a[x] for x in members], [dwg.b[x] for x in members]
-    )
-    return _collapsed_double(dwg, members, c), corr
+@dataclass(frozen=True)
+class CollapsePlan:
+    """The weight-free R/S collapse sequence of one graph.
+
+    ``graph`` is the fully reduced graph.  Each phase is (kind, classes,
+    keep): its nontrivial classes in the labels the phase started from,
+    representative first, and the labels it keeps.  ``steps`` is (kind,
+    members, representative) for every collapse, in the labels the graph had
+    just before that collapse.
+    """
+
+    graph: Graph
+    phases: tuple[tuple[str, tuple[tuple[int, ...], ...], tuple[int, ...]], ...]
+    steps: tuple[tuple[str, tuple[int, ...], int], ...]
+
+    def apply(
+        self, a: Sequence[Weight], b: Sequence[Weight] | None = None
+    ) -> tuple[tuple[Weight, ...], tuple[Weight, ...] | None, tuple[Weight, ...]]:
+        """Reduced weights of W(a, b), or of W*(a) when ``b`` is None, and
+        each step's correction: the input's index is the reduced one plus
+        the corrections.  A class collapses onto its first member, which
+        takes the member sums, and adds f sum (a_i b_j + a_j b_i) over member
+        pairs (f sum a_i a_j for W*), with f = 2 for R and 1 for S."""
+        corrections: list[Weight] = []
+        for kind, classes, keep in self.phases:
+            f = 2 if kind == "R" else 1  # the members' mutual distance
+            a, b = list(a), (None if b is None else list(b))
+            for cls in classes:  # disjoint: each reads phase-start weights
+                if b is None:  # W*(a) = W(a, a) / 2
+                    corr = pairwise_product_sum([a[x] for x in cls])
+                else:
+                    corr = pairwise_mixed_sum([a[x] for x in cls], [b[x] for x in cls])
+                    b[cls[0]] = sum(b[x] for x in cls)
+                corrections.append(f * corr)
+                a[cls[0]] = sum(a[x] for x in cls)
+            a = [a[v] for v in keep]
+            b = None if b is None else [b[v] for v in keep]
+        return tuple(a), (None if b is None else tuple(b)), tuple(corrections)
+
+    def log(self, corrections: Sequence[Weight]) -> tuple[ReductionStep, ...]:
+        """The step log with one weight pair's corrections."""
+        return tuple(ReductionStep(*step, c) for step, c in zip(self.steps, corrections))
 
 
-def reduce_once_s(
-    dwg: DoubleWeightedGraph, c: int
-) -> tuple[DoubleWeightedGraph, Weight]:
-    """Collapse the S-class of c; correction sum (a_i b_j + a_j b_i) over pairs."""
-    members = _class_of(s_classes(dwg.g), c)
-    if len(members) == 1:
-        return dwg, 0
-    corr = pairwise_mixed_sum(
-        [dwg.a[x] for x in members], [dwg.b[x] for x in members]
-    )
-    return _collapsed_double(dwg, members, c), corr
+def collapse_plan(g: Graph) -> CollapsePlan:
+    """Collapse R- then S-classes, alternating, to a fixed point.
 
-
-def reduce_once_r_single(wg: WeightedGraph, c: int) -> tuple[WeightedGraph, Weight]:
-    """Collapse the R-class of c; correction 2 sum w_i w_j over pairs."""
-    members = _class_of(r_classes(wg.g), c)
-    if len(members) == 1:
-        return wg, 0
-    corr = 2 * pairwise_product_sum([wg.w[x] for x in members])
-    return _collapsed_single(wg, members, c), corr
-
-
-def reduce_once_s_single(wg: WeightedGraph, c: int) -> tuple[WeightedGraph, Weight]:
-    """Collapse the S-class of c; correction sum w_i w_j over pairs."""
-    members = _class_of(s_classes(wg.g), c)
-    if len(members) == 1:
-        return wg, 0
-    corr = pairwise_product_sum([wg.w[x] for x in members])
-    return _collapsed_single(wg, members, c), corr
-
-
-def _collapsed_double(
-    dwg: DoubleWeightedGraph, members: tuple[int, ...], c: int
-) -> DoubleWeightedGraph:
-    g2, new_of = _collapse(dwg.g, members, c)
-    a = [0] * g2.n
-    b = [0] * g2.n
-    for v in range(dwg.g.n):
-        if new_of[v] >= 0:
-            a[new_of[v]] = dwg.a[v]
-            b[new_of[v]] = dwg.b[v]
-    a[new_of[c]] = sum(dwg.a[x] for x in members)
-    b[new_of[c]] = sum(dwg.b[x] for x in members)
-    return DoubleWeightedGraph(g2, tuple(a), tuple(b))
-
-
-def _collapsed_single(
-    wg: WeightedGraph, members: tuple[int, ...], c: int
-) -> WeightedGraph:
-    g2, new_of = _collapse(wg.g, members, c)
-    w = [0] * g2.n
-    for v in range(wg.g.n):
-        if new_of[v] >= 0:
-            w[new_of[v]] = wg.w[v]
-    w[new_of[c]] = sum(wg.w[x] for x in members)
-    return WeightedGraph(g2, tuple(w))
-
-
-def _first_nontrivial(classes: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
-    for cls in classes:
-        if len(cls) > 1:
-            return cls
-    return None
+    Each phase scans the classes of one kind once and collapses every
+    nontrivial class at once.  That is exact.  Take an R-class {c, x, ...}
+    and delete x: only vertices y in N(x) = N(c) lose a neighbour.  For y
+    and z with N(y) = N(z), x in N(y) iff c in N(y) iff x in N(z), so no
+    class splits.  Nor do two merge: if N(y) and N(z) differed only in x,
+    with x in N(y), then y in N(x) = N(c) puts c in N(y), hence in N(z),
+    and z in N(c) = N(x) puts x in N(z).  The same holds for S-classes with
+    N[.].  So one scan finds exactly the classes that a collapse-one-and-
+    rescan loop finds one at a time, in the same order (by smallest member),
+    and leaves its kind clean.  Phases stop once both kinds are clean.
+    """
+    if not g.connected:
+        raise GraphError("twin reductions need a connected graph")
+    phases, steps = [], []
+    kind, clean = "R", 0
+    while clean < 2:
+        scan = r_classes(g) if kind == "R" else s_classes(g)
+        classes = tuple(c for c in scan if len(c) > 1)
+        if classes:
+            dropped: list[int] = []  # this phase's drops so far, ascending
+            for cls in classes:
+                members = tuple(x - bisect_left(dropped, x) for x in cls)
+                steps.append((kind, members, members[0]))
+                for x in cls[1:]:
+                    insort(dropped, x)
+            g, keep = _collapse(g, set(dropped))
+            phases.append((kind, classes, keep))
+        clean = 1 if classes else clean + 1  # a phase leaves its own kind clean
+        kind = "S" if kind == "R" else "R"
+    return CollapsePlan(g, tuple(phases), tuple(steps))
 
 
 def reduce_fully(
-    dwg: DoubleWeightedGraph,
+    dwg: DoubleWeightedGraph, plan: CollapsePlan | None = None
 ) -> tuple[DoubleWeightedGraph, Weight, tuple[ReductionStep, ...]]:
-    """Collapse R- then S-classes to a fixed point.
+    """Collapse R- and S-classes to a fixed point (see :func:`collapse_plan`).
 
-    Classes are recomputed after every collapse since neighbourhoods change.
     Returns the reduced graph, the total correction, and the step log;
     the double-weighted Wiener index of the input equals that of the output
-    plus the total correction.
+    plus the total correction.  ``plan`` reuses a plan of ``dwg.g``.
     """
-    steps: list[ReductionStep] = []
-    total: Weight = 0
-    changed = True
-    while changed:
-        changed = False
-        for kind, classes_fn, reducer in (
-            ("R", r_classes, reduce_once_r),
-            ("S", s_classes, reduce_once_s),
-        ):
-            while True:
-                cls = _first_nontrivial(classes_fn(dwg.g))
-                if cls is None:
-                    break
-                rep = cls[0]
-                dwg, corr = reducer(dwg, rep)
-                steps.append(ReductionStep(kind, cls, rep, corr))
-                total += corr
-                changed = True
-    return dwg, total, tuple(steps)
+    if plan is None:
+        plan = collapse_plan(dwg.g)
+    a, b, corrections = plan.apply(dwg.a, dwg.b)
+    return DoubleWeightedGraph(plan.graph, a, b), sum(corrections), plan.log(corrections)
 
 
 def reduce_fully_single(
     wg: WeightedGraph,
 ) -> tuple[WeightedGraph, Weight, tuple[ReductionStep, ...]]:
-    """Single-weight analogue of :func:`reduce_fully`."""
-    steps: list[ReductionStep] = []
-    total: Weight = 0
-    changed = True
-    while changed:
-        changed = False
-        for kind, classes_fn, reducer in (
-            ("R", r_classes, reduce_once_r_single),
-            ("S", s_classes, reduce_once_s_single),
-        ):
-            while True:
-                cls = _first_nontrivial(classes_fn(wg.g))
-                if cls is None:
-                    break
-                rep = cls[0]
-                wg, corr = reducer(wg, rep)
-                steps.append(ReductionStep(kind, cls, rep, corr))
-                total += corr
-                changed = True
-    return wg, total, tuple(steps)
+    """Single-weight analogue of :func:`reduce_fully`, for W*(w)."""
+    plan = collapse_plan(wg.g)
+    w, _, corrections = plan.apply(wg.w)
+    return WeightedGraph(plan.graph, w), sum(corrections), plan.log(corrections)
+
+
+def _reduce_once(wgraph, c: int, kind: str):
+    g = wgraph.g
+    if not 0 <= c < g.n:
+        raise GraphError(f"vertex {c} out of range")
+    key = _KEY[kind]
+    mine = key(g, c)
+    twins = tuple(v for v in range(g.n) if v != c and key(g, v) == mine)
+    if not twins:
+        return wgraph, 0
+    reduced, keep = _collapse(g, set(twins))
+    plan = CollapsePlan(reduced, ((kind, ((c, *twins),), keep),), ((kind, (c, *twins), c),))
+    if isinstance(wgraph, WeightedGraph):
+        w, _, (corr,) = plan.apply(wgraph.w)
+        return WeightedGraph(reduced, w), corr
+    a, b, (corr,) = plan.apply(wgraph.a, wgraph.b)
+    return DoubleWeightedGraph(reduced, a, b), corr
+
+
+def reduce_once_r(wgraph, c: int):
+    """Collapse the R-class of c onto c (see :meth:`CollapsePlan.apply`)."""
+    return _reduce_once(wgraph, c, "R")
+
+
+def reduce_once_s(wgraph, c: int):
+    """Collapse the S-class of c onto c (see :meth:`CollapsePlan.apply`)."""
+    return _reduce_once(wgraph, c, "S")
+
+
+# On a WeightedGraph the same functions collapse W*(w).
+reduce_once_r_single = reduce_once_r
+reduce_once_s_single = reduce_once_s

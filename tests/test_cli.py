@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import topocut.cli as cli
 from topocut.cli import main
@@ -201,3 +207,50 @@ def test_check_mismatch_exit_4(tmp_path, capsys, monkeypatch):
     f.write_text(format_edge_list(cycle_graph(6)))
     code, _, err = run(capsys, "compute", str(f), "--method", "cuts", "--check")
     assert code == 4 and "MISMATCH" in err
+
+
+@pytest.mark.parametrize("weight", ["0", "-1"])
+@pytest.mark.parametrize("method", ["oracle", "cuts", "trees", "reduce", "hamming", "auto"])
+def test_non_positive_weights_rejected_by_every_method(tmp_path, capsys, method, weight):
+    f = tmp_path / "p3.edges"
+    f.write_text("3 2\n0 1\n1 2\n")
+    w = tmp_path / "w.txt"
+    w.write_text(f"0 {weight}\n1 1\n2 1\n")
+    code, out, err = run(capsys, "compute", str(f), "--weights", str(w), "--method", method)
+    assert code == 2, (method, out)
+    assert "must be positive" in err
+
+
+def test_parser_reused_after_usage_error_matches_fresh_process(tmp_path, capsys):
+    assert cli.make_parser() is cli.make_parser()
+    f = tmp_path / "c6.txt"
+    f.write_text(format_edge_list(cycle_graph(6)))
+    argv = ["compute", str(f), "--method", "reduce", "--json"]
+    code, _, err = run(capsys, "compute", str(f), "--method", "nope")
+    assert code == 1 and "usage error" in err
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "topocut.cli", *argv],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    here, there = json.loads(out), json.loads(fresh.stdout)
+    here.pop("timing_ms")
+    there.pop("timing_ms")
+    assert here == there
+
+
+def test_reduce_keeps_fraction_typing_of_whole_reduced_value(tmp_path, capsys):
+    # twins 0 and 4 carry 1/2 each; their representative's weights sum to 1
+    f = tmp_path / "t.edges"
+    f.write_text("0 1\n1 2\n2 3\n1 4\n")
+    w = tmp_path / "t.w"
+    w.write_text("0 1/2 1/2\n1 1\n2 1\n3 1\n4 1/2 1/2\n")
+    code, out, _ = run(capsys, "reduce", str(f), "--weights", str(w), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["reduced_n"] == 4
+    assert payload["reduced_wiener_double"] == "20"
+    assert payload["wiener_double"] == "21"

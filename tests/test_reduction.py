@@ -1,16 +1,25 @@
+import json
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topocut.graph import Graph, all_pairs_distances, build_graph
+import topocut.reduction as reduction
+from topocut.cli import main
+from topocut.graph import Graph, GraphError, all_pairs_distances, build_graph, format_edge_list
 from topocut.indices import (
     DoubleWeightedGraph,
     WeightedGraph,
+    pairwise_mixed_sum,
+    pairwise_product_sum,
     wiener_double,
     wiener_weighted,
 )
 from topocut.reduction import (
+    ReductionStep,
+    collapse_plan,
     r_classes,
     reduce_fully,
     reduce_fully_single,
@@ -231,3 +240,188 @@ def test_random_suite_conservation():
         # no nontrivial class remains at the fixed point
         assert all(len(c) == 1 for c in r_classes(reduced.g))
         assert all(len(c) == 1 for c in s_classes(reduced.g))
+
+
+# The per-step loop that the collapse plan replaced, kept as the reference:
+# scan the classes, collapse the first nontrivial one, rebuild and rescan.
+
+
+def _ref_classes(g, closed):
+    groups = {}
+    for v in range(g.n):
+        key = tuple(sorted(g.adj[v] + (v,))) if closed else g.adj[v]
+        groups.setdefault(key, []).append(v)
+    return tuple(sorted((tuple(vs) for vs in groups.values()), key=lambda c: c[0]))
+
+
+def _ref_collapse(g, members, c):
+    drop = set(members) - {c}
+    new_of = [-1] * g.n
+    keep = []
+    for v in range(g.n):
+        if v not in drop:
+            new_of[v] = len(keep)
+            keep.append(v)
+    edges = [
+        (new_of[u], new_of[v])
+        for u, v in g.edges
+        if new_of[u] >= 0 and new_of[v] >= 0
+    ]
+    return Graph(len(keep), edges), new_of
+
+
+def _ref_reduce_once(wg, members, c, factor):
+    """One collapse of the per-step loop: the class ``members`` onto c."""
+    g2, new_of = _ref_collapse(wg.g, members, c)
+    vectors = [wg.w] if isinstance(wg, WeightedGraph) else [wg.a, wg.b]
+    if len(vectors) == 1:
+        corr = factor * pairwise_product_sum([wg.w[x] for x in members])
+    else:
+        corr = factor * pairwise_mixed_sum(
+            [wg.a[x] for x in members], [wg.b[x] for x in members]
+        )
+    out = []
+    for vec in vectors:
+        w = [0] * g2.n
+        for v in range(wg.g.n):
+            if new_of[v] >= 0:
+                w[new_of[v]] = vec[v]
+        w[new_of[c]] = sum(vec[x] for x in members)
+        out.append(tuple(w))
+    reduced = WeightedGraph(g2, *out) if len(out) == 1 else DoubleWeightedGraph(g2, *out)
+    return reduced, corr
+
+
+def reference_reduce_fully(wg):
+    steps = []
+    total = 0
+    changed = True
+    while changed:
+        changed = False
+        for kind, closed, factor in (("R", False, 2), ("S", True, 1)):
+            while True:
+                cls = next((c for c in _ref_classes(wg.g, closed) if len(c) > 1), None)
+                if cls is None:
+                    break
+                rep = cls[0]
+                wg, corr = _ref_reduce_once(wg, cls, rep, factor)
+                steps.append(ReductionStep(kind, cls, rep, corr))
+                total += corr
+                changed = True
+    return wg, total, tuple(steps)
+
+
+def _typed(x):
+    """A value with its type, so 2 and Fraction(2) differ."""
+    if isinstance(x, (tuple, list)):
+        return tuple(_typed(y) for y in x)
+    if isinstance(x, ReductionStep):
+        return (x.kind, x.members, x.representative, _typed(x.correction))
+    return (type(x).__name__, x)
+
+
+# Vertex weights: small ints, p/q fractions, values near 2**53 and 2**63.
+WEIGHTS = {
+    "int": st.integers(1, 9),
+    "fraction": st.builds(Fraction, st.integers(1, 20), st.integers(1, 7)),
+    "near53": st.integers(2**53 - 50, 2**53 + 50),
+    "near63": st.integers(2**63 - 50, 2**63 + 50),
+}
+
+
+@st.composite
+def twin_graphs(draw):
+    """Connected graphs and their open or closed blow-ups."""
+    g = draw(connected_graphs(min_n=1, max_n=8))
+    if g.n == 1 or draw(st.booleans()):  # open copies of K1 are disconnected
+        return g
+    sizes = draw(st.lists(st.integers(1, 3), min_size=g.n, max_size=g.n))
+    return blowup(g, sizes, closed=draw(st.booleans()))
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTS))
+@given(data=st.data())
+def test_plan_matches_per_step_reference(kind, data):
+    g = data.draw(twin_graphs())
+    a = tuple(data.draw(WEIGHTS[kind]) for _ in range(g.n))
+    b = tuple(data.draw(WEIGHTS[kind]) for _ in range(g.n))
+    for wg, ours in (
+        (DoubleWeightedGraph(g, a, b), reduce_fully),
+        (WeightedGraph(g, a), reduce_fully_single),
+    ):
+        want_g, want_total, want_steps = reference_reduce_fully(wg)
+        got_g, got_total, got_steps = ours(wg)
+        assert _typed(got_steps) == _typed(want_steps)
+        assert _typed(got_total) == _typed(want_total)
+        assert (got_g.g.n, got_g.g.edges) == (want_g.g.n, want_g.g.edges)
+        assert got_g.g.adj == want_g.g.adj
+        weights = (lambda x: (x.w,)) if isinstance(wg, WeightedGraph) else (lambda x: (x.a, x.b))
+        assert _typed(weights(got_g)) == _typed(weights(want_g))
+
+
+def test_plan_runs_phases_until_both_kinds_are_clean():
+    # C4: R collapses each side, leaving P2, whose ends are S-twins
+    plan = collapse_plan(cycle_graph(4))
+    assert [kind for kind, _, _ in plan.phases] == ["R", "S"]
+    assert plan.graph.n == 1
+    # windmill: S collapses each blade's pair, leaving a star whose tips are
+    # R-twins; collapsing them leaves P2 again
+    g = windmill_graph(3)
+    plan = collapse_plan(g)
+    assert [kind for kind, _, _ in plan.phases] == ["S", "R", "S"]
+    ref_steps = reference_reduce_fully(DoubleWeightedGraph(g, (1,) * g.n, (1,) * g.n))[2]
+    assert plan.steps == tuple((s.kind, s.members, s.representative) for s in ref_steps)
+
+
+def test_plan_rejects_disconnected_graph():
+    with pytest.raises(GraphError):
+        collapse_plan(Graph(3, [(0, 1)], require_connected=False))
+
+
+def test_reduce_cost_is_per_phase_not_per_step(tmp_path, monkeypatch, capsys):
+    """One ``compute --method reduce`` scans classes and builds graphs a
+    bounded number of times per phase, however many classes collapse."""
+    base = random_connected_graph(120, 180, seed=5)
+    g = blowup(base, [2] * base.n)  # 120 open twin classes
+    plan = collapse_plan(g)
+    assert len(plan.steps) >= 100
+    f = tmp_path / "blow.edges"
+    f.write_text(format_edge_list(g))
+    counts = {"scans": 0, "graphs": 0}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(reduction, "r_classes", counting(reduction.r_classes, "scans"))
+    monkeypatch.setattr(reduction, "s_classes", counting(reduction.s_classes, "scans"))
+    monkeypatch.setattr(Graph, "__init__", counting(Graph.__init__, "graphs"))
+    assert main(["compute", str(f), "--method", "reduce", "--json"]) == 0
+    phases = len(plan.phases)
+    # at most two scans find nothing; graphs: parse, one per phase, the
+    # reduced graph's one-block quotient
+    assert counts["scans"] <= phases + 2
+    assert counts["graphs"] <= phases + 2
+    assert json.loads(capsys.readouterr().out)["breakdown"][0]["kind"] == "R"
+
+
+def test_reduce_with_fraction_weights_equals_oracle(tmp_path, capsys):
+    rng = random.Random(3)
+    base = random_connected_graph(9, 13, seed=11)
+    g = blowup(base, [rng.randint(1, 3) for _ in range(base.n)], closed=True)
+    f = tmp_path / "blow.edges"
+    f.write_text(format_edge_list(g))
+    w = tmp_path / "blow.weights"
+    w.write_text("".join(
+        f"{v} {Fraction(rng.randint(1, 20), rng.randint(1, 6))} "
+        f"{Fraction(rng.randint(1, 20), rng.randint(1, 6))}\n"
+        for v in range(g.n)
+    ))
+    reports = {}
+    for method in ("reduce", "oracle"):
+        assert main(["compute", str(f), "--weights", str(w), "--method", method, "--json"]) == 0
+        reports[method] = json.loads(capsys.readouterr().out)["indices"]
+    assert len(reports["reduce"]) == 6
+    assert reports["reduce"] == reports["oracle"]
