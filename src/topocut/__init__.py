@@ -44,6 +44,7 @@ from .indices import (
 )
 from .cut_method import (
     degree_distance_via_cuts,
+    distance_matrix_via_quotients,
     distance_via_quotients,
     partial_cube_double_wiener,
     wiener_double_via_cuts,

@@ -41,8 +41,6 @@ from .phenylene import (
     build_phenylene,
     parse_placement,
     quotient_trees,
-    tree_wiener_double_linear,
-    tree_wiener_linear,
 )
 from .reduction import collapse_plan, reduce_fully
 from .families import gen_basic, gen_house, gen_phenylene_chain, phe6_placement
@@ -69,12 +67,26 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class LoadedInput:
-    graph: Graph
+    """A loaded input; a phenylene's Graph is built only when ``graph`` is read."""
+
+    _graph: Graph | None
     descriptor: str
     placement: BenzenoidPlacement | None = None
     phenylene: Phenylene | None = None
     a: tuple[Weight, ...] | None = None
     b: tuple[Weight, ...] | None = None
+
+    @property
+    def graph(self) -> Graph:
+        return self.phenylene.graph if self.phenylene is not None else self._graph
+
+    @property
+    def n(self) -> int:
+        return self.phenylene.n if self.phenylene is not None else self._graph.n
+
+    @property
+    def m(self) -> int:
+        return self.phenylene.m if self.phenylene is not None else self._graph.m
 
 
 @dataclass
@@ -173,16 +185,14 @@ def _load_input(args) -> LoadedInput:
         text = Path(args.graph).read_text()
         return _attach_weights(LoadedInput(parse_edge_list(text), args.graph), args)
     ph = build_phenylene(placement)
-    return _attach_weights(
-        LoadedInput(ph.graph, descriptor, placement=placement, phenylene=ph), args
-    )
+    return _attach_weights(LoadedInput(None, descriptor, placement=placement, phenylene=ph), args)
 
 
 def _attach_weights(loaded: LoadedInput, args) -> LoadedInput:
     if getattr(args, "weights", None):
-        a, b = parse_weights(Path(args.weights).read_text(), loaded.graph.n)
-        check_weights(loaded.graph, a)  # every method needs positive weights
-        check_weights(loaded.graph, b)
+        a, b = parse_weights(Path(args.weights).read_text(), loaded.n)
+        check_weights(loaded, a)  # every method needs positive weights
+        check_weights(loaded, b)
         loaded.a, loaded.b = a, b
     return loaded
 
@@ -201,11 +211,25 @@ HAMMING_INDICES = ("wiener", "degree_distance", "gutman", "wiener_weighted")
 
 
 def _compute_report(loaded: LoadedInput, method: str) -> Report:
-    g = loaded.graph
     if method == "auto" and loaded.phenylene is not None:
         method = "trees"
     indices: dict[str, Weight] = {}
     breakdown: list[dict[str, Any]] = []
+    if method == "trees":
+        if loaded.phenylene is None:
+            raise MethodNotApplicable(
+                "method 'trees' needs a phenylene input (--cells or --family chain/phe6); "
+                "edge lists carry no hexagon structure"
+            )
+        trees = quotient_trees(loaded.phenylene)
+        sums = [t.split_sums() for t in trees]  # per tree: DD, Gut and W shares
+        indices["wiener"] = sum(w for _, _, w in sums)
+        indices["degree_distance"] = sum(dd for dd, _, _ in sums)
+        indices["gutman"] = sum(gut for _, gut, _ in sums)
+        for i, (t, (dd, gut, _)) in enumerate(zip(trees, sums), start=1):
+            breakdown.append({"tree": i, "vertices": t.n, "W_double": dd, "W_single": gut})
+        return Report(loaded.descriptor, loaded.n, loaded.m, method, indices, breakdown)
+    g = loaded.graph
     if g.n == 1 and method == "reduce":  # zero degrees are no weights; every sum is empty
         indices = {"wiener": 0, "degree_distance": 0, "gutman": 0}
         if loaded.a is not None:
@@ -242,28 +266,6 @@ def _compute_report(loaded: LoadedInput, method: str) -> Report:
             breakdown.append(
                 {"block": i, "edges": len(edges), "W": row[0], "DD": row[1], "Gut": row[2]}
             )
-    elif method == "trees":
-        if loaded.phenylene is None:
-            raise MethodNotApplicable(
-                "method 'trees' needs a phenylene input (--cells or --family chain/phe6); "
-                "edge lists carry no hexagon structure"
-            )
-        trees = quotient_trees(loaded.phenylene)
-        dd_vals = [tree_wiener_double_linear(t.tree, t.a, t.b) for t in trees]
-        gut_vals = [tree_wiener_linear(t.tree, t.a) for t in trees]
-        w_vals = [tree_wiener_linear(t.tree, t.b) for t in trees]
-        indices["wiener"] = sum(w_vals)
-        indices["degree_distance"] = sum(dd_vals)
-        indices["gutman"] = sum(gut_vals)
-        for i, t in enumerate(trees, start=1):
-            breakdown.append(
-                {
-                    "tree": i,
-                    "vertices": t.tree.n,
-                    "W_double": dd_vals[i - 1],
-                    "W_single": gut_vals[i - 1],
-                }
-            )
     elif method == "reduce":
         # One collapse plan serves every weight pair; the reduced pairs share
         # one distance matrix of the reduced graph.  DD's step log is the
@@ -295,19 +297,10 @@ def _compute_report(loaded: LoadedInput, method: str) -> Report:
 
 def _reduced_values(g: Graph, terms: list[Term]) -> list[Weight]:
     """Every term on a reduced graph: a cut engine over one block of all
-    edges, i.e. one distance matrix under the engine's exactness guard.
-
-    As in the oracle's sums, a term with a Fraction weight is a Fraction
-    even when integral (summed p/q weights can be whole numbers).
-    """
+    edges, i.e. one distance matrix under the engine's exactness guard."""
     if g.n == 1:
         return [0] * len(terms)
-    values = CutEngine(g, trusted_partition(g, [range(g.m)])).values(terms)
-    return [
-        Fraction(v) if any(isinstance(x, Fraction) for w in term if w is not None for x in w)
-        else v
-        for v, term in zip(values, terms)
-    ]
+    return CutEngine(g, trusted_partition(g, [range(g.m)])).values(terms)
 
 
 def _oracle_indices(loaded: LoadedInput) -> dict[str, Weight]:
@@ -422,9 +415,9 @@ def _verify_one(loaded: LoadedInput, args) -> int:
         ("gutman", oracle["gutman"], sum(gut_blocks), gut_blocks),
     ]
     if loaded.phenylene is not None:
-        trees = quotient_trees(loaded.phenylene)
-        dd_t = [tree_wiener_double_linear(t.tree, t.a, t.b) for t in trees]
-        gut_t = [tree_wiener_linear(t.tree, t.a) for t in trees]
+        sums = [t.split_sums() for t in quotient_trees(loaded.phenylene)]
+        dd_t = [dd for dd, _, _ in sums]
+        gut_t = [gut for _, gut, _ in sums]
         rows.append(("degree_distance(trees)", oracle["degree_distance"], sum(dd_t), dd_t))
         rows.append(("gutman(trees)", oracle["gutman"], sum(gut_t), gut_t))
     ok = True

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphError, all_pairs_distances, degree_vector, distance_matrix
+from .graph import Graph, GraphError, degree_vector, distance_matrix
 from .indices import (
     DoubleWeightedGraph,
     Weight,
@@ -79,12 +79,14 @@ def _check_partition(g: Graph, partition: EdgePartition) -> None:
         )
 
 
-def _scaled(w: Sequence[Weight]) -> tuple[list[int], int]:
-    """Integer weights w * L with L the LCM of the denominators, and L."""
-    scale = lcm(*(x.denominator for x in w if isinstance(x, Fraction)))
+def _scaled(w: Sequence[Weight]) -> tuple[list[int], int, bool]:
+    """Integer weights w * L with L the LCM of the denominators, L, and
+    whether some weight is a Fraction (even a whole-valued one)."""
+    denominators = [x.denominator for x in w if isinstance(x, Fraction)]
+    scale = lcm(*denominators)
     if scale == 1:
-        return [int(x) for x in w], 1
-    return [int(x * scale) for x in w], scale
+        return [int(x) for x in w], 1, bool(denominators)
+    return [int(x * scale) for x in w], scale, True
 
 
 class CutEngine:
@@ -131,7 +133,9 @@ class CutEngine:
         partial-Hamming lower bound instead of the exact value.
 
         Exact for int and Fraction weights: each weight vector is scaled to
-        integers by the LCM of its denominators and the result divided back;
+        integers by the LCM of its denominators and the result divided back,
+        a Fraction whenever some weight of the term is one, as in the
+        oracle's sums;
         numpy's int64 is used only under ``_INT64_LIMIT``, object arrays of
         Python ints otherwise, and every value leaves numpy by ``tolist``
         before it meets a weight.
@@ -142,7 +146,7 @@ class CutEngine:
             i = slots.setdefault(tuple(a), len(slots))
             j = i if b is None else slots.setdefault(tuple(b), len(slots))
             pairs.append((i, j, b is None))
-        scaled, scales = zip(*map(_scaled, slots))
+        scaled, scales, fractional = zip(*map(_scaled, slots))
         total = max(sum(map(abs, w)) for w in scaled)
         dtype = np.int64 if max(self.g.n - 1, 1) * total < _INT64_LIMIT else object
         weights = np.array(scaled, dtype=dtype).T
@@ -165,7 +169,7 @@ class CutEngine:
                 values = [sum(map(mul, cols[i], products[j])) for i, j, _ in pairs]
                 halves = [2 if half else 1 for _, _, half in pairs]
             out.append(tuple(
-                _exact_quotient(v, h, scales[i] * scales[j])
+                _exact_quotient(v, h, scales[i] * scales[j], fractional[i] or fractional[j])
                 for v, h, (i, j, _) in zip(values, halves, pairs)
             ))
         return out
@@ -178,12 +182,22 @@ class CutEngine:
         return totals
 
 
-def _exact_quotient(value: int, half: int, scale: int) -> Weight:
+def _exact_quotient(value: int, half: int, scale: int, fraction: bool) -> Weight:
     """value / (half * scale): an int for integer weights (x^T D x is even),
-    a Fraction when weights were scaled."""
-    if scale == 1:
+    a Fraction when some weight was a Fraction."""
+    if not fraction:
         return value // half
     return Fraction(value, half * scale)
+
+
+def distance_matrix_via_quotients(g: Graph, partition: EdgePartition) -> np.ndarray:
+    """All-pairs distances recovered as sums of quotient distances: each
+    block's quotient and its distance matrix are built once."""
+    total = np.zeros((g.n, g.n), dtype=np.int64)
+    for q in CutEngine(g, partition).quotients:
+        comp = np.array(q.component_of)
+        total += distance_matrix(q.graph)[np.ix_(comp, comp)]
+    return total
 
 
 def distance_via_quotients(
@@ -193,12 +207,7 @@ def distance_via_quotients(
     _check_partition(g, partition)
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError(f"vertex pair ({u}, {v}) out of range")
-    total = 0
-    for block in partition.blocks:
-        q = quotient(g, block)
-        dq = all_pairs_distances(q.graph)
-        total += dq[q.component_of[u]][q.component_of[v]]
-    return total
+    return int(distance_matrix_via_quotients(g, partition)[u, v])
 
 
 def wiener_weighted_block_values(

@@ -301,10 +301,11 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: duplicate edge {e}")
         seen.add(e)
         edges.append(e)
-    try:
-        return Graph(n, edges)
-    except GraphError as exc:
-        raise ParseError(str(exc)) from None
+    # the pairs are checked above; only connectivity is left to test
+    g = Graph(n, edges, validate=False)
+    if not _is_connected(n, g.adj):
+        raise ParseError("graph is disconnected")
+    return g
 
 
 def format_edge_list(g: Graph) -> str:

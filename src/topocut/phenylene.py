@@ -9,16 +9,24 @@ classes (1, 2, 3); the squares that separate adjacent hexagons of a
 phenylene contribute the connector class 4.  Each of the four classes is a
 union of theta*-classes, and the quotient by each class is a tree, which is
 what makes the O(n) route work.
+
+The phenylene route is array code from end to end: a placement is parsed
+into an (h, 2) array, validated by sorting and neighbour lookups, and built
+as edge arrays (vertex 6i+k is corner k of hexagon i).  The phenylene's
+``Graph`` is built only when something asks for it.  Each quotient tree is
+evaluated by one Euler-tour kernel, ``_tree_split_sums``, that yields the
+W(a,b), W*(a) and W*(b) split sums together in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .graph import Graph, ParseError, degree_vector
 from .indices import Weight, check_weights
@@ -41,23 +49,72 @@ class NotATreeError(ValueError):
     """A graph handed to a tree-only routine is not a tree."""
 
 
+def _cell_array(cells: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Cells as an (h, 2) int64 array, or an object array of Python ints
+    when some coordinate reaches 2^61 (so that no difference of two
+    coordinates can overflow int64)."""
+    try:
+        arr = np.array(cells, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return np.array(cells, dtype=object).reshape(-1, 2)
+    if arr.size and max(int(arr.max()), -int(arr.min())) >= 1 << 61:
+        return arr.astype(object)
+    return arr
+
+
+def _grid_axis(values: np.ndarray) -> np.ndarray:
+    """One axis of the cells on a compact int64 grid starting at 0.
+
+    Gaps wider than 2 close to 2.  Cells two or more apart on one axis
+    neither touch nor share a corner, and order along the axis is kept, so
+    sorting, adjacency and shared corners are those of the input.
+    """
+    lo = values.min()
+    if values.max() - lo <= 2 * len(values):
+        return (values - lo).astype(np.int64)
+    uniq, inverse = np.unique(values, return_inverse=True)
+    steps = np.minimum(np.diff(uniq), 2)
+    return np.concatenate(([0], np.cumsum(steps))).astype(np.int64)[inverse]
+
+
 @dataclass(frozen=True)
 class BenzenoidPlacement:
-    """A set of hexagon cells in axial coordinates, stored sorted."""
+    """A set of hexagon cells in axial coordinates, stored sorted.
+
+    ``grid`` holds the same cells, in the same order, on the compact grid
+    of ``_grid_axis``; the array routes work on it.
+    """
 
     cells: tuple[tuple[int, int], ...]
+    grid: np.ndarray = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.grid is None:
+            raw = _cell_array(self.cells)
+            grid = np.empty(raw.shape, dtype=np.int64)
+            if len(raw):
+                grid[:, 0], grid[:, 1] = _grid_axis(raw[:, 0]), _grid_axis(raw[:, 1])
+            object.__setattr__(self, "grid", grid)
 
     @classmethod
     def of(cls, cells: Iterable[tuple[int, int]]) -> "BenzenoidPlacement":
         if isinstance(cells, BenzenoidPlacement):
             return cells
-        out = sorted((int(q), int(r)) for q, r in cells)
-        if not out:
+        return cls._from_array(_cell_array([(int(q), int(r)) for q, r in cells]))
+
+    @classmethod
+    def _from_array(cls, raw: np.ndarray) -> "BenzenoidPlacement":
+        """Sort an (h, 2) cell array and reject an empty or repeated cell."""
+        if not len(raw):
             raise PlacementError("placement has no cells")
-        for i in range(1, len(out)):
-            if out[i] == out[i - 1]:
-                raise PlacementError(f"duplicate cell {out[i]}")
-        return cls(tuple(out))
+        q, r = _grid_axis(raw[:, 0]), _grid_axis(raw[:, 1])
+        order = np.lexsort((r, q))
+        raw, q, r = raw[order], q[order], r[order]
+        same = np.flatnonzero((q[1:] == q[:-1]) & (r[1:] == r[:-1]))
+        if same.size:
+            raise PlacementError(f"duplicate cell {tuple(raw[same[0] + 1].tolist())}")
+        cells = tuple(zip(raw[:, 0].tolist(), raw[:, 1].tolist()))
+        return cls(cells, np.column_stack((q, r)))
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -65,13 +122,39 @@ class BenzenoidPlacement:
 
 @dataclass(frozen=True, eq=False)
 class Benzenoid:
-    """A catacondensed benzenoid: lattice graph, edge directions, inner dual."""
+    """A catacondensed benzenoid: lattice graph, edge directions, inner dual.
 
-    graph: Graph
-    edge_direction: tuple[int, ...]  # 1..3 per edge, parallel to graph.edges
-    inner_dual: Graph  # one vertex per cell, in placement order
+    Vertices are numbered, and edges ordered, by first appearance in a scan
+    of the cells in placement order and of each cell's corners and edges in
+    order.  The arrays are the benzenoid; ``graph``, ``edge_direction``,
+    ``inner_dual`` and ``vertex_coords`` are built from them on first use.
+    """
+
     placement: BenzenoidPlacement
-    vertex_coords: tuple[tuple[int, int], ...]
+    _eu: np.ndarray
+    _ev: np.ndarray
+    _direction: np.ndarray  # 1..3 per edge
+    _dual: tuple[np.ndarray, np.ndarray]  # inner-dual edges (i, j), i < j
+    _first_corner: np.ndarray  # vertex -> its first occurrence 6 * cell + corner
+
+    @cached_property
+    def graph(self) -> Graph:
+        return Graph(len(self._first_corner), zip(self._eu.tolist(), self._ev.tolist()),
+                     validate=False)
+
+    @cached_property
+    def edge_direction(self) -> tuple[int, ...]:  # parallel to graph.edges
+        return tuple(self._direction.tolist())
+
+    @cached_property
+    def inner_dual(self) -> Graph:  # one vertex per cell, in placement order
+        di, dj = self._dual
+        return Graph(len(self.placement), zip(di.tolist(), dj.tolist()))
+
+    @cached_property
+    def vertex_coords(self) -> tuple[tuple[int, int], ...]:
+        cells = self.placement.cells
+        return tuple(_cell_corners(*cells[f // 6])[f % 6] for f in self._first_corner.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,15 +163,31 @@ class Phenylene:
 
     Vertex 6i+k is corner k of hexagon i.  ``edge_class`` holds 1..3 for
     hexagon edges (the direction of the corresponding benzenoid edge) and 4
-    for the connector edges of the separating squares.
+    for the connector edges of the separating squares.  ``_eu``, ``_ev``
+    are the edge ends in ``graph.edges`` order; ``graph`` is built on first
+    use only.  The connectors come last; ``_con_hexagon`` and
+    ``_con_corner`` (rows: lower and higher end) say where their ends sit.
     """
 
-    graph: Graph
     placement: BenzenoidPlacement
     edge_class: np.ndarray
     _eu: np.ndarray
     _ev: np.ndarray
     _degrees: np.ndarray
+    _con_hexagon: np.ndarray
+    _con_corner: np.ndarray
+
+    @cached_property
+    def graph(self) -> Graph:
+        return Graph(self.n, zip(self._eu.tolist(), self._ev.tolist()), validate=False)
+
+    @property
+    def n(self) -> int:
+        return 6 * len(self.placement)
+
+    @property
+    def m(self) -> int:
+        return len(self._eu)
 
     @property
     def hexagon_count(self) -> int:
@@ -106,59 +205,88 @@ def _cell_corners(q: int, r: int) -> list[tuple[int, int]]:
     return [(cx + dx, cy + dy) for dx, dy in CORNER_OFFSETS]
 
 
-def _inner_dual_edges(cells: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    index = {c: i for i, c in enumerate(cells)}
-    out = []
-    for i, (q, r) in enumerate(cells):
-        for dq, dr in NEIGHBOR_OFFSETS:
-            j = index.get((q + dq, r + dr))
-            if j is not None and j > i:
-                out.append((i, j))
-    return out
+def _neighbours(grid: np.ndarray) -> np.ndarray:
+    """(h, 6) index of the neighbour of each cell in each direction, -1 if
+    absent; a binary search over the sorted cells' encoded positions."""
+    q, r = grid[:, 0], grid[:, 1]
+    width = int(r.max()) + 3
+    keys = (q + 1) * width + (r + 1)
+    offsets = np.array([dq * width + dr for dq, dr in NEIGHBOR_OFFSETS], dtype=np.int64)
+    wanted = keys[:, None] + offsets
+    order = np.argsort(keys, kind="stable")  # the identity for sorted placements
+    found = np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)
+    return np.where(keys[order[found]] == wanted, order[found], -1)
 
 
-def _validated_dual(placement: BenzenoidPlacement) -> Graph:
+def _validated_dual(
+    placement: BenzenoidPlacement,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inner dual's edges (i, j, k) with i < j and j the neighbour of
+    cell i in direction k, ordered by (i, k).
+
+    Raises for a lattice vertex in three cells (naming the corner at which
+    a cell-by-cell, corner-by-corner scan first sees its third cell), a
+    disconnected system, or an inner dual that is not a tree.
+    """
     cells = placement.cells
     h = len(cells)
-    # internal lattice vertex: a corner in three cells
-    counts: dict[tuple[int, int], int] = {}
-    for q, r in cells:
-        for p in _cell_corners(q, r):
-            c = counts.get(p, 0) + 1
-            if c >= 3:
-                raise PlacementError(f"internal lattice vertex at {p}")
-            counts[p] = c
-    dual_edges = _inner_dual_edges(cells)
-    dual = Graph(h, dual_edges, require_connected=False)
-    if not dual.connected:
+    nbr = _neighbours(placement.grid)
+    # Corner k of cell i also lies in its neighbours k-1 and k; it is
+    # internal when both exist, and a scan first sees it in three cells at
+    # the cell of largest index.
+    left = np.roll(nbr, 1, axis=1)
+    cell = np.arange(h)[:, None]
+    third = (nbr >= 0) & (left >= 0) & (nbr < cell) & (left < cell)
+    if third.any():
+        i, k = divmod(int(np.flatnonzero(third.ravel())[0]), 6)
+        raise PlacementError(f"internal lattice vertex at {_cell_corners(*cells[i])[k]}")
+    di, dk = np.nonzero(nbr > cell)
+    dj = nbr[di, dk]
+    if _component_labels(h, di, dj)[0] != 1:
         raise PlacementError("cells do not form a connected system")
-    if len(dual_edges) != h - 1:
+    if di.size != h - 1:
         raise PlacementError("inner dual is not a tree")
-    return dual
+    return di, dj, dk
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number equal keys by the position of their first occurrence.
+
+    Returns the number of every key and, per number, that first position.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(order.size, dtype=np.int64)
+    number[order] = np.arange(order.size)
+    return number[inverse], first[order]
+
+
+_CORNER_DX = np.array([dx for dx, _ in CORNER_OFFSETS], dtype=np.int64)
+_CORNER_DY = np.array([dy for _, dy in CORNER_OFFSETS], dtype=np.int64)
 
 
 def build_benzenoid(cells: Iterable[tuple[int, int]]) -> Benzenoid:
     """Build the benzenoid graph of a catacondensed placement plus its inner dual."""
     placement = BenzenoidPlacement.of(cells)
-    dual = _validated_dual(placement)
-    coords: list[tuple[int, int]] = []
-    index_of: dict[tuple[int, int], int] = {}
-    edge_dir: dict[tuple[int, int], int] = {}
-    for q, r in placement.cells:
-        ids = []
-        for p in _cell_corners(q, r):
-            j = index_of.get(p)
-            if j is None:
-                j = len(coords)
-                index_of[p] = j
-                coords.append(p)
-            ids.append(j)
-        for k in range(6):
-            u, v = ids[k], ids[(k + 1) % 6]
-            e = (u, v) if u < v else (v, u)
-            edge_dir.setdefault(e, k % 3 + 1)
-    graph = Graph(len(coords), edge_dir.keys())
-    return Benzenoid(graph, tuple(edge_dir.values()), dual, placement, tuple(coords))
+    di, dj, _ = _validated_dual(placement)
+    q, r = placement.grid[:, 0], placement.grid[:, 1]
+    # the corner points on the compact grid, y shifted to start at 0
+    x = (3 * q)[:, None] + _CORNER_DX
+    y = (2 * r + q)[:, None] + _CORNER_DY + 1
+    vertex, first_corner = _first_appearance((x * (int(y.max()) + 1) + y).ravel())
+    ends = vertex.reshape(-1, 6)
+    u, v = ends.ravel(), np.roll(ends, -1, axis=1).ravel()  # edge k: corners k, k+1
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    _, first_edge = _first_appearance(lo * first_corner.size + hi)
+    return Benzenoid(
+        placement, lo[first_edge], hi[first_edge], first_edge % 3 + 1, (di, dj), first_corner
+    )
+
+
+# Hexagon i's six edges, in order: corners (k, k+1) for k < 5, then (0, 5).
+_HEX_U = np.array([0, 1, 2, 3, 4, 0], dtype=np.int64)
+_HEX_V = np.array([1, 2, 3, 4, 5, 5], dtype=np.int64)
+_HEX_CLASS = np.array([1, 2, 3, 1, 2, 3], dtype=np.int64)
 
 
 def build_phenylene(cells: Iterable[tuple[int, int]]) -> Phenylene:
@@ -166,32 +294,28 @@ def build_phenylene(cells: Iterable[tuple[int, int]]) -> Phenylene:
 
     Each hexagon gets its own six vertex copies; every shared benzenoid edge
     becomes a square via two connector edges between the copies of its
-    endpoints.
+    endpoints.  Edges come in order: the six edges of each hexagon, then
+    two connectors per inner-dual edge.
     """
     placement = BenzenoidPlacement.of(cells)
-    dual = _validated_dual(placement)
+    di, dj, dk = _validated_dual(placement)
     h = len(placement)
-    edges: list[tuple[int, int]] = []
-    ecls: list[int] = []
-    for i in range(h):
-        base = 6 * i
-        for k in range(5):
-            edges.append((base + k, base + k + 1))
-            ecls.append(k % 3 + 1)
-        edges.append((base, base + 5))
-        ecls.append(3)  # edge 5-0, direction 5 % 3 + 1
-    for i, j in dual.edges:
-        qi, ri = placement.cells[i]
-        qj, rj = placement.cells[j]
-        k = NEIGHBOR_OFFSETS.index((qj - qi, rj - ri))
-        edges.append((6 * i + k, 6 * j + (k + 4) % 6))
-        edges.append((6 * i + (k + 1) % 6, 6 * j + (k + 3) % 6))
-        ecls.extend((4, 4))
-    graph = Graph(6 * h, edges, validate=False)
-    arr = np.asarray(edges, dtype=np.int64)
-    eu, ev = arr[:, 0], arr[:, 1]
-    degs = np.bincount(np.concatenate((eu, ev)), minlength=6 * h).astype(np.int64)
-    return Phenylene(graph, placement, np.asarray(ecls, dtype=np.int64), eu, ev, degs)
+    base = 6 * np.arange(h, dtype=np.int64)[:, None]
+    # neighbour k's corners k+4 and k+3 meet this cell's corners k and k+1;
+    # row 0 holds the connectors' ends in cell i, row 1 those in cell j.
+    # int32 while every vertex number fits: the quotients read these arrays.
+    small = np.int32 if 6 * h < 1 << 31 else np.int64
+    con_hexagon = np.stack((np.repeat(di, 2), np.repeat(dj, 2))).astype(small)
+    con_corner = np.stack((
+        np.column_stack((dk, (dk + 1) % 6)).ravel(),
+        np.column_stack(((dk + 4) % 6, (dk + 3) % 6)).ravel(),
+    )).astype(small)
+    con_u, con_v = 6 * con_hexagon + con_corner
+    eu = np.concatenate(((base + _HEX_U).ravel(), con_u))
+    ev = np.concatenate(((base + _HEX_V).ravel(), con_v))
+    ecls = np.concatenate((np.tile(_HEX_CLASS, h), np.full(con_u.size, 4, dtype=np.int64)))
+    degs = np.bincount(np.concatenate((eu, ev)), minlength=6 * h)
+    return Phenylene(placement, ecls, eu, ev, degs, con_hexagon, con_corner)
 
 
 def squeeze_weights(
@@ -203,68 +327,283 @@ def squeeze_weights(
     the phenylene components that collapse onto each lattice vertex).  On the
     inner dual: w3 = 2 deg + 12 and w4 = 6 (per-hexagon totals).
     """
-    db = degree_vector(b)
-    dt = degree_vector(t)
-    w1 = tuple(4 * x - 6 for x in db)
-    w2 = tuple(x - 1 for x in db)
-    w3 = tuple(2 * x + 12 for x in dt)
-    w4 = (6,) * t.n
-    return w1, w2, w3, w4
+    degrees = (np.array(degree_vector(g), dtype=np.int64) for g in (b, t))
+    return tuple(tuple(w.tolist()) for w in _squeeze_arrays(*degrees))
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientTree:
-    """One double vertex-weighted quotient tree of a structural edge class."""
+def _squeeze_arrays(deg_b: np.ndarray, deg_t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The weights of ``squeeze_weights`` from the two degree arrays."""
+    return 4 * deg_b - 6, deg_b - 1, 2 * deg_t + 12, np.full(len(deg_t), 6, dtype=np.int64)
 
-    tree: Graph
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    component_of: np.ndarray  # original vertex -> tree vertex
+
+# --------------------------------------------------------------- tree kernel
+
+# The int64 kernel runs only while T * T stays below this, where T is the
+# larger of sum|a| and sum|b|: every subtree sum is then at most T and every
+# per-edge term at most 4 T^2 < 2^62 in absolute value.  Past it the kernel
+# runs on object arrays.
+_INT64_SQUARE_LIMIT = 1 << 60
+
+
+def _int64_bound(a: np.ndarray, b: np.ndarray) -> int | None:
+    """T = max(sum|a|, sum|b|) when the int64 kernel is safe, else None."""
+    if a.dtype != np.int64 or b.dtype != np.int64:
+        return None
+    peak = max(int(a.max()), -int(a.min()), int(b.max()), -int(b.min()))
+    if len(a) * peak >= 1 << 63:  # sum|w| itself could overflow
+        return None
+    total = max(int(np.abs(a).sum()), int(np.abs(b).sum()))
+    return total if total * total < _INT64_SQUARE_LIMIT else None
+
+
+def _exact_sum(terms: np.ndarray, bound: int) -> int:
+    """Exact sum of fewer than 2^31 int64 entries of absolute value at most
+    ``bound`` < 2^62.  When the plain sum could overflow, the high and the
+    low 31 bits of the entries are summed apart, and neither sum can."""
+    if len(terms) * bound < 1 << 63:
+        return int(terms.sum())
+    return (int(np.sum(terms >> 31)) << 31) + int(np.sum(terms & 0x7FFFFFFF))
+
+
+def _tree_split_sums(
+    ncomp: int, qu: np.ndarray, qv: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[Weight, Weight, Weight]:
+    """Split sums of the tree on vertices 0..ncomp-1 with edges (qu, qv).
+
+    Returns the sums over edges of a(S1) b(S2) + a(S2) b(S1), a(S1) a(S2)
+    and b(S1) b(S2), where S1, S2 are the two sides of the edge: W(a, b),
+    W*(a) and W*(b) of the tree, so a quotient tree's shares of DD, Gut and
+    W at once.
+
+    One Euler tour gives every subtree.  The 2(n-1) arcs are laid out in
+    CSR order by tail, each with its twin; the tour follows an arc u->v
+    with the arc after v->u in v's row, cyclically.  ``breadth_first_order``
+    walks that cycle from the root's first arc in O(n); a tour shorter than
+    2(n-1) arcs means the edges do not form a tree.  Of an edge's two arcs
+    the earlier goes down to a child, the down arcs in tour order list the
+    children in preorder, and a child's subtree is the next (rank of up arc
+    - rank of down arc + 1) / 2 preorder places, so one prefix sum over the
+    preorder gives every subtree sum.
+
+    Exact: int64 arrays only under ``_INT64_SQUARE_LIMIT``, object arrays of
+    Python ints or Fractions otherwise; no float is involved.
+    """
+    if ncomp == 1:
+        return 0, 0, 0
+    m = ncomp - 1
+    if qu.size != m:
+        raise NotATreeError(f"graph has {qu.size} edges on {ncomp} vertices, not a tree")
+    arcs = 2 * m  # arc x runs qu[x] -> qv[x] for x < m, and arc x + m back
+    idx = np.int32 if arcs < 1 << 31 else np.int64
+    tail = np.concatenate((qu, qv), dtype=idx)
+    counts = np.bincount(tail, minlength=ncomp)
+    if not counts.all():  # an isolated vertex
+        raise NotATreeError("graph is disconnected, not a tree")
+    order = np.argsort(tail, kind="stable").astype(idx)  # CSR position -> arc
+    where = np.empty(arcs, dtype=idx)  # arc -> CSR position
+    where[order] = np.arange(arcs, dtype=idx)
+    order += m  # now the twin arc of each position
+    order[order >= arcs] -= arcs
+    head = tail[order]
+    twin = where[order]
+    # the tour goes on at the position after the twin, cyclically in its row
+    ends = np.cumsum(counts)
+    succ = np.arange(1, arcs + 1, dtype=idx)
+    succ[ends - 1] = ends - counts
+    succ = succ[twin]
+    cycle = csr_matrix((np.ones(arcs), succ, np.arange(arcs + 1, dtype=idx)), shape=(arcs, arcs))
+    tour = breadth_first_order(cycle, 0, directed=True, return_predecessors=False)
+    if tour.size != arcs:
+        raise NotATreeError("graph is disconnected, not a tree")
+    rank = np.empty(arcs, dtype=idx)
+    rank[tour] = np.arange(arcs, dtype=idx)
+    later = rank[twin[tour]]
+    down = np.flatnonzero(later > np.arange(arcs, dtype=idx))  # preorder -> rank
+    child = head[tour[down]]
+    stop = np.arange(1, m + 1) + (later[down] - down - 1) // 2
+    bound = _int64_bound(a, b)
+    if bound is None:
+        a, b = a.astype(object), b.astype(object)
+    sums = []
+    for w in (a, b):
+        prefix = np.zeros(m + 1, dtype=w.dtype)
+        prefix[1:] = w[child]
+        np.cumsum(prefix, out=prefix)
+        sums.append(prefix[stop] - prefix[:-1])
+    sa, sb = sums
+    ta, tb = a.sum(), b.sum()
+    terms = (sa * (tb - sb) + (ta - sa) * sb, sa * (ta - sa), sb * (tb - sb))
+    if bound is None:
+        return tuple(t.sum() for t in terms)
+    return tuple(_exact_sum(t, 4 * bound * bound) for t in terms)
+
+
+def _weight_array(w: Sequence[Weight]) -> np.ndarray:
+    """Weights as int64 when all are integers that fit, else as objects."""
+    if all(isinstance(x, (int, np.integer)) for x in w):
+        try:
+            return np.array([int(x) for x in w], dtype=np.int64)
+        except OverflowError:
+            return np.array([int(x) for x in w], dtype=object)
+    return np.array(list(w), dtype=object)
+
+
+def _graph_split_sums(
+    tree: Graph, a: Sequence[Weight], b: Sequence[Weight]
+) -> tuple[Weight, Weight, Weight]:
+    """``_tree_split_sums`` of a tree given as a Graph with weight sequences."""
+    if tree.m != tree.n - 1:
+        raise NotATreeError(f"graph has {tree.m} edges on {tree.n} vertices, not a tree")
+    check_weights(tree, a)
+    check_weights(tree, b)
+    ends = tree.edge_array.astype(np.int64)
+    return _tree_split_sums(tree.n, ends[:, 0], ends[:, 1], _weight_array(a), _weight_array(b))
+
+
+def tree_wiener_double_linear(
+    tree: Graph, a: Sequence[Weight], b: Sequence[Weight]
+) -> Weight:
+    """Double-weighted Wiener index of a tree in O(n).
+
+    Every tree edge is its own theta-class, so the index is the sum over
+    edges of a(S1) b(S2) + a(S2) b(S1) for the two sides S1, S2 of the edge;
+    ``_tree_split_sums`` gives all splits from one Euler tour.
+    """
+    return _graph_split_sums(tree, a, b)[0]
+
+
+def tree_wiener_linear(tree: Graph, w: Sequence[Weight]) -> Weight:
+    """Product-weighted Wiener index of a tree: sum of w(S1) w(S2) over edges."""
+    return _graph_split_sums(tree, w, w)[1]
+
+
+# ------------------------------------------------------ structural quotients
 
 
 def _component_labels(
     n: int, eu: np.ndarray, ev: np.ndarray
 ) -> tuple[int, np.ndarray]:
-    """Connected-component labels, numbered by smallest contained vertex."""
+    """Connected-component labels (int64), numbered by smallest contained vertex."""
     if eu.size == 0:
         return n, np.arange(n, dtype=np.int64)
-    data = np.ones(eu.size, dtype=np.int8)
-    mat = coo_matrix((data, (eu, ev)), shape=(n, n))
-    ncomp, labels = connected_components(mat, directed=False)
-    _, first = np.unique(labels, return_index=True)
-    remap = np.empty(ncomp, dtype=np.int64)
-    remap[np.argsort(first)] = np.arange(ncomp, dtype=np.int64)
-    return int(ncomp), remap[labels]
+    idx = np.int32 if max(n, eu.size) < 1 << 31 else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(eu, minlength=n), out=indptr[1:])
+    indices = ev[np.argsort(eu, kind="stable")].astype(idx, copy=False)
+    graph = csr_matrix((np.ones(eu.size), indices, indptr), shape=(n, n))
+    ncomp, labels = connected_components(graph, directed=False)
+    # scipy numbers components in first-appearance order; renumber otherwise
+    if labels[0] != 0 or np.any(np.diff(np.maximum.accumulate(labels)) > 1):
+        _, first = np.unique(labels, return_index=True)
+        remap = np.empty(ncomp, dtype=np.int64)
+        remap[np.argsort(first)] = np.arange(ncomp, dtype=np.int64)
+        labels = remap[labels]
+    return int(ncomp), labels.astype(np.int64)  # int32 would wrap lo * ncomp + hi past 46341
 
 
-def _aggregate_int(labels: np.ndarray, ncomp: int, values: np.ndarray) -> np.ndarray:
-    # float64 accumulation is exact here: totals stay far below 2**53
-    return np.bincount(labels, weights=values, minlength=ncomp).astype(np.int64)
+def _quotient(
+    n: int,
+    keep_u: np.ndarray,
+    keep_v: np.ndarray,
+    cut_u: np.ndarray,
+    cut_v: np.ndarray,
+    blocks: Sequence[int] = (0,),
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Quotient by the edges (cut_u, cut_v) of the graph on n vertices that
+    also has the edges (keep_u, keep_v), checked to be one tree per block.
+
+    ``blocks`` are the first vertices of consecutive vertex blocks that no
+    edge leaves.  Components are numbered by smallest vertex, so each
+    block's components are consecutive.  Returns the component count of
+    every block, the component of every vertex and the quotient's edges
+    (qu < qv), sorted.
+    """
+    ncomp, labels = _component_labels(n, keep_u, keep_v)
+    cu, cv = labels[cut_u], labels[cut_v]
+    if np.any(cu == cv):
+        raise NotATreeError("edge class does not separate its components")
+    # a stable sort is adaptive: the codes come in nearly sorted
+    codes = np.sort(np.minimum(cu, cv) * ncomp + np.maximum(cu, cv), kind="stable")
+    codes = codes[np.flatnonzero(np.diff(codes, prepend=-1))]
+    qu, qv = codes // ncomp, codes % ncomp
+    firsts = labels[list(blocks)]
+    sizes = np.diff(firsts, append=ncomp).tolist()
+    for size, count in zip(sizes, np.diff(np.searchsorted(qu, firsts), append=qu.size)):
+        if count != size - 1:
+            raise NotATreeError(f"quotient has {count} edges on {size} components, not a tree")
+    return sizes, labels, qu, qv
 
 
-def _class_quotient_tree(
+def _component_sums(labels: np.ndarray, ncomp: int, w: np.ndarray) -> np.ndarray:
+    """Per-component totals of w in w's own dtype.  The structural weights
+    summed here are small multiples of degrees, far inside int64."""
+    out = np.zeros(ncomp, dtype=w.dtype)
+    np.add.at(out, labels, w)
+    return out
+
+
+def _class_split_sums(
     n: int,
     eu: np.ndarray,
     ev: np.ndarray,
     in_class: np.ndarray,
     a_vec: np.ndarray,
     b_vec: np.ndarray,
-) -> QuotientTree:
-    ncomp, labels = _component_labels(n, eu[~in_class], ev[~in_class])
-    a = _aggregate_int(labels, ncomp, a_vec)
-    b = _aggregate_int(labels, ncomp, b_vec)
-    cu, cv = labels[eu[in_class]], labels[ev[in_class]]
-    if np.any(cu == cv):
-        raise NotATreeError("edge class does not separate its components")
-    lo, hi = np.minimum(cu, cv), np.maximum(cu, cv)
-    codes = np.unique(lo * np.int64(ncomp) + hi)
-    qedges = list(zip((codes // ncomp).tolist(), (codes % ncomp).tolist()))
-    if len(qedges) != ncomp - 1:
-        raise NotATreeError(
-            f"quotient has {len(qedges)} edges on {ncomp} components, not a tree"
-        )
-    tree = Graph(ncomp, qedges, validate=False)
-    return QuotientTree(tree, tuple(a.tolist()), tuple(b.tolist()), labels)
+) -> tuple[Weight, Weight, Weight]:
+    """Split sums of one edge class's quotient tree, weighted by the
+    component totals of a_vec and b_vec."""
+    keep = ~in_class
+    (ncomp,), labels, qu, qv = _quotient(n, eu[keep], ev[keep], eu[in_class], ev[in_class])
+    a = _component_sums(labels, ncomp, a_vec)
+    b = _component_sums(labels, ncomp, b_vec)
+    return _tree_split_sums(ncomp, qu, qv, a, b)
+
+
+@dataclass(frozen=True, eq=False)
+class QuotientTree:
+    """One double vertex-weighted quotient tree of a structural edge class.
+
+    The tree is held in arrays: ``n`` vertices, the edges (``qu`` < ``qv``,
+    sorted) and the weights (``a_array``: component degree sums,
+    ``b_array``: component vertex counts).  ``tree``, ``a``, ``b`` and
+    ``component_of`` are built from them on first use.
+    """
+
+    n: int
+    qu: np.ndarray
+    qv: np.ndarray
+    a_array: np.ndarray
+    b_array: np.ndarray
+    node_labels: np.ndarray = field(repr=False)  # (hexagon, node) -> tree vertex
+    corner_node: np.ndarray = field(repr=False)  # corner -> node of its hexagon
+
+    @cached_property
+    def tree(self) -> Graph:
+        return Graph(self.n, zip(self.qu.tolist(), self.qv.tolist()), validate=False)
+
+    @cached_property
+    def a(self) -> tuple[int, ...]:
+        return tuple(self.a_array.tolist())
+
+    @cached_property
+    def b(self) -> tuple[int, ...]:
+        return tuple(self.b_array.tolist())
+
+    @cached_property
+    def component_of(self) -> np.ndarray:
+        """Original vertex -> tree vertex."""
+        return self.node_labels[:, self.corner_node].ravel()
+
+    def split_sums(self) -> tuple[Weight, Weight, Weight]:
+        """W(a, b), W*(a) and W*(b) of the tree: its shares of DD, Gut and W."""
+        return _tree_split_sums(self.n, self.qu, self.qv, self.a_array, self.b_array)
+
+
+# Cutting the two class-c edges of a hexagon (c = 1..3) leaves two paths of
+# three corners; _HALF[c][k] is the path of corner k, 0 for the one holding
+# corner 0.  The connector class cuts no hexagon.
+_HALF = {c: np.array([(k - c) % 6 < 3 for k in range(6)], dtype=np.int32) for c in (1, 2, 3)}
+_HALF[4] = np.zeros(6, dtype=np.int32)
 
 
 def quotient_trees(
@@ -275,160 +614,47 @@ def quotient_trees(
     Trees 1..3 quotient by the hexagon-edge direction classes, tree 4 by the
     connector class; tree 4 is isomorphic to the inner dual of the squeeze.
     Weights: a = component degree sums, b = component vertex counts.
+
+    The parts that a class leaves whole are contracted first: each half of
+    a hexagon for classes 1..3, each hexagon for class 4.  Only connectors
+    join these nodes.  The three direction classes are labelled in one
+    pass, side by side: class c's node 2h(c-1) + 2i + _HALF[c][k] holds
+    corner k of hexagon i.  Nodes are numbered in the order of their
+    smallest vertex, so the components are numbered as on the vertices.
     """
-    n = ph.graph.n
-    ones = np.ones(n, dtype=np.int64)
-    return tuple(
-        _class_quotient_tree(n, ph._eu, ph._ev, ph.edge_class == c, ph._degrees, ones)
-        for c in (1, 2, 3, 4)
+    h = ph.hexagon_count
+    hexagon, corner = ph._con_hexagon, ph._con_corner  # the connectors' ends
+    halves = np.concatenate(
+        [2 * h * (c - 1) + 2 * hexagon + _HALF[c][corner] for c in (1, 2, 3)], axis=1
     )
-
-
-def tree_wiener_double_linear(
-    tree: Graph, a: Sequence[Weight], b: Sequence[Weight]
-) -> Weight:
-    """Double-weighted Wiener index of a tree in one rooted traversal.
-
-    Every tree edge is its own theta-class, so the index is the sum over
-    edges of a(S1) b(S2) + a(S2) b(S1) for the two sides S1, S2 of the edge;
-    subtree prefix sums give all splits in O(n).
-    """
-    order, parent = _bfs_order(tree)
-    check_weights(tree, a)
-    check_weights(tree, b)
-    sa, sb = list(a), list(b)
-    ta, tb = sum(a), sum(b)
-    total: Weight = 0
-    for u in reversed(order[1:]):
-        au, bu = sa[u], sb[u]
-        p = parent[u]
-        sa[p] += au
-        sb[p] += bu
-        total += au * (tb - bu) + (ta - au) * bu
-    return total
-
-
-def tree_wiener_linear(tree: Graph, w: Sequence[Weight]) -> Weight:
-    """Product-weighted Wiener index of a tree: sum of w(S1) w(S2) over edges."""
-    order, parent = _bfs_order(tree)
-    check_weights(tree, w)
-    sw = list(w)
-    tw = sum(w)
-    total: Weight = 0
-    for u in reversed(order[1:]):
-        wu = sw[u]
-        sw[parent[u]] += wu
-        total += wu * (tw - wu)
-    return total
-
-
-def _bfs_order(tree: Graph) -> tuple[list[int], list[int]]:
-    n = tree.n
-    if tree.m != n - 1:
-        raise NotATreeError(f"graph has {tree.m} edges on {n} vertices, not a tree")
-    adj = tree.adj
-    parent = [0] * n
-    seen = bytearray(n)
-    seen[0] = 1
-    order = [0]
-    for u in order:  # grows while iterating
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                parent[v] = u
-                order.append(v)
-    if len(order) != n:
-        raise NotATreeError("graph is disconnected, not a tree")
-    return order, parent
-
-
-def _tree_adjacency(ncomp: int, qu: np.ndarray, qv: np.ndarray):
-    """CSR adjacency of the quotient tree, as plain lists for the traversal."""
-    src = np.concatenate((qu, qv))
-    dst = np.concatenate((qv, qu))
-    order = np.argsort(src, kind="stable")
-    counts = np.bincount(src, minlength=ncomp)
-    indptr = np.zeros(ncomp + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr.tolist(), dst[order].tolist()
-
-
-def _tree_order(ncomp: int, indptr, indices) -> tuple[list[int], list[int]]:
-    parent = [0] * ncomp
-    seen = bytearray(ncomp)
-    seen[0] = 1
-    order = [0]
-    for u in order:  # grows while iterating
-        for i in range(indptr[u], indptr[u + 1]):
-            v = indices[i]
-            if not seen[v]:
-                seen[v] = 1
-                parent[v] = u
-                order.append(v)
-    if len(order) != ncomp:
-        raise NotATreeError("quotient is disconnected, not a tree")
-    return order, parent
-
-
-def _tree_split_sums(order, parent, a_list, b_list) -> tuple[int, int]:
-    """Both weighted Wiener sums of a tree from one traversal.
-
-    Returns (sum of a(S1)b(S2)+a(S2)b(S1), sum of a(S1)a(S2)) over the edge
-    splits; accumulation in Python ints keeps the results exact at any size.
-    """
-    sa, sb = list(a_list), list(b_list)
-    ta, tb = sum(sa), sum(sb)
-    double_sum = 0
-    single_sum = 0
-    for u in reversed(order[1:]):
-        au, bu = sa[u], sb[u]
-        p = parent[u]
-        sa[p] += au
-        sb[p] += bu
-        double_sum += au * (tb - bu) + (ta - au) * bu
-        single_sum += au * (ta - au)
-    return double_sum, single_sum
-
-
-def _class_split_sums(
-    n: int,
-    eu: np.ndarray,
-    ev: np.ndarray,
-    in_class: np.ndarray,
-    a_vec: np.ndarray,
-    b_vec: np.ndarray,
-) -> tuple[int, int]:
-    """Tree split sums of one structural class without building Graph objects."""
-    ncomp, labels = _component_labels(n, eu[~in_class], ev[~in_class])
-    a = _aggregate_int(labels, ncomp, a_vec)
-    b = _aggregate_int(labels, ncomp, b_vec)
-    cu, cv = labels[eu[in_class]], labels[ev[in_class]]
-    if np.any(cu == cv):
-        raise NotATreeError("edge class does not separate its components")
-    lo, hi = np.minimum(cu, cv), np.maximum(cu, cv)
-    codes = np.unique(lo * np.int64(ncomp) + hi)
-    if codes.size != ncomp - 1:
-        raise NotATreeError(
-            f"quotient has {codes.size} edges on {ncomp} components, not a tree"
-        )
-    indptr, indices = _tree_adjacency(ncomp, codes // ncomp, codes % ncomp)
-    order, parent = _tree_order(ncomp, indptr, indices)
-    return _tree_split_sums(order, parent, a.tolist(), b.tolist())
+    pairs = 2 * np.arange(3 * h, dtype=hexagon.dtype)
+    sizes, labels, qu, qv = _quotient(
+        6 * h, halves[0], halves[1], pairs, pairs + 1, (0, 2 * h, 4 * h)
+    )
+    # class 4 leaves no edge between hexagons: each is its own component
+    (size4,), labels4, qu4, qv4 = _quotient(h, hexagon[0, :0], hexagon[1, :0], *hexagon)
+    # a node's degree sum: two per vertex from the hexagon edges, one per connector end
+    a = _component_sums(labels, sum(sizes), 6 + np.bincount(halves.ravel(), minlength=6 * h))
+    b = _component_sums(labels, sum(sizes), np.full(6 * h, 3, dtype=np.int64))
+    a4 = 12 + np.bincount(hexagon.ravel(), minlength=h)
+    trees = []
+    for c, first, size in zip((1, 2, 3), np.cumsum(sizes) - sizes, sizes):
+        edges = slice(*np.searchsorted(qu, [first, first + size]))
+        comps = slice(first, first + size)
+        nodes = labels[2 * h * (c - 1):2 * h * c].reshape(h, 2) - first
+        trees.append(QuotientTree(
+            size, qu[edges] - first, qv[edges] - first, a[comps], b[comps], nodes, _HALF[c]
+        ))
+    trees.append(QuotientTree(
+        size4, qu4, qv4, a4, np.full(h, 6, dtype=np.int64), labels4[:, None], _HALF[4]
+    ))
+    return tuple(trees)
 
 
 def dd_gut_via_trees(ph: Phenylene) -> tuple[int, int]:
     """Degree distance and Gutman index from the four quotient trees (O(n))."""
-    n = ph.graph.n
-    ones = np.ones(n, dtype=np.int64)
-    dd = 0
-    gut = 0
-    for c in (1, 2, 3, 4):
-        dd_c, gut_c = _class_split_sums(
-            n, ph._eu, ph._ev, ph.edge_class == c, ph._degrees, ones
-        )
-        dd += dd_c
-        gut += gut_c
-    return dd, gut
+    sums = [t.split_sums() for t in quotient_trees(ph)]
+    return sum(s[0] for s in sums), sum(s[1] for s in sums)
 
 
 def dd_gut_via_squeeze(cells: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -438,24 +664,38 @@ def dd_gut_via_squeeze(cells: Iterable[tuple[int, int]]) -> tuple[int, int]:
     benzenoid terms evaluated over its three direction-class quotient trees.
     """
     benz = build_benzenoid(cells)
-    b, t = benz.graph, benz.inner_dual
-    w1, w2, w3, w4 = squeeze_weights(b, t)
-    arr = np.asarray(b.edges, dtype=np.int64).reshape(-1, 2)
-    eu, ev = arr[:, 0], arr[:, 1]
-    ecls = np.asarray(benz.edge_direction, dtype=np.int64)
-    a_vec = np.asarray(w1, dtype=np.int64)
-    b_vec = np.asarray(w2, dtype=np.int64)
-    dd = tree_wiener_double_linear(t, w3, w4)
-    gut = tree_wiener_linear(t, w3)
+    n, h = len(benz._first_corner), len(benz.placement)
+    eu, ev = benz._eu, benz._ev
+    di, dj = benz._dual
+    w1, w2, w3, w4 = _squeeze_arrays(
+        np.bincount(np.concatenate((eu, ev)), minlength=n),
+        np.bincount(np.concatenate((di, dj)), minlength=h),
+    )
+    dd, gut, _ = _tree_split_sums(h, di, dj, w3, w4)
     for c in (1, 2, 3):
-        dd_c, gut_c = _class_split_sums(b.n, eu, ev, ecls == c, a_vec, b_vec)
+        dd_c, gut_c, _ = _class_split_sums(n, eu, ev, benz._direction == c, w1, w2)
         dd += dd_c
         gut += gut_c
     return dd, gut
 
 
 def parse_placement(text: str) -> BenzenoidPlacement:
-    """Parse the placement file format: one "q r" cell per line, '#' comments."""
+    """Parse the placement file format: one "q r" cell per line, '#' comments.
+
+    A file with two integers on every non-blank line is converted in one
+    pass; anything else, comments included, takes the line-by-line reader,
+    whose errors name the offending line.
+    """
+    if set(map(len, map(str.split, text.splitlines()))) <= {0, 2}:
+        try:
+            values = list(map(int, text.split()))
+        except ValueError:
+            pass
+        else:
+            try:
+                return BenzenoidPlacement._from_array(_cell_array(values))
+            except PlacementError as exc:
+                raise ParseError(str(exc)) from None
     cells = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

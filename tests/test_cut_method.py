@@ -5,6 +5,7 @@ from hypothesis import given
 
 from topocut.cut_method import (
     degree_distance_via_cuts,
+    distance_matrix_via_quotients,
     distance_via_quotients,
     partial_cube_double_wiener,
     wiener_double_via_cuts,
@@ -67,20 +68,23 @@ def test_distance_via_quotients_examples():
 
 @given(trees(min_n=2, max_n=10))
 def test_distance_via_quotients_on_trees(g):
-    part = finest(g)
-    d = all_pairs_distances(g)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            assert distance_via_quotients(g, part, u, v) == d[u][v]
+    # the whole matrix at once: every vertex pair is compared
+    d = distance_matrix_via_quotients(g, finest(g))
+    assert d.tolist() == [list(row) for row in all_pairs_distances(g)]
 
 
 @given(connected_graphs(min_n=2, max_n=10))
 def test_distance_decomposition_exhaustive(g):
-    d = all_pairs_distances(g)
+    want = [list(row) for row in all_pairs_distances(g)]
     for part in (finest(g), coarsest(g), merged(g, 5)):
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                assert distance_via_quotients(g, part, u, v) == d[u][v]
+        assert distance_matrix_via_quotients(g, part).tolist() == want
+
+
+def test_distance_via_quotients_is_the_matrix_entry():
+    g = cycle_graph(7)
+    part = merged(g, 3)
+    d = distance_matrix_via_quotients(g, part)
+    assert [distance_via_quotients(g, part, 2, v) for v in range(7)] == d[2].tolist()
 
 
 def test_wiener_weighted_via_cuts_c6():

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import topocut.cut_method as cut_method
 from topocut.cli import main
-from topocut.cut_method import CutEngine, index_terms
+from topocut.cut_method import CutEngine, index_terms, wiener_double_via_cuts
 from topocut.families import (
     complete_graph,
     cycle_graph,
@@ -24,7 +24,7 @@ from topocut.graph import (
     distance_matrix,
     format_edge_list,
 )
-from topocut.indices import _wiener_double, wiener_weighted
+from topocut.indices import DoubleWeightedGraph, _wiener_double, wiener_weighted
 from topocut.theta import is_partial_cube, theta_star_classes, validate_coarser
 
 from strategies import connected_graphs, trees
@@ -118,6 +118,21 @@ def test_fraction_results_keep_their_type():
     (value,) = CutEngine(g).values([(a, None)])
     assert value == wiener_weighted(g, a)
     assert isinstance(value, Fraction)
+
+
+def test_whole_valued_fractions_stay_fractions():
+    # every weight a whole-valued Fraction: the oracle sums Fractions, and
+    # so must the engine, though no denominator needs scaling
+    g = cycle_graph(5)
+    a = (Fraction(2),) * 5
+    want = _wiener_double(g, a, a)
+    assert want == Fraction(120) and isinstance(want, Fraction)
+    partition = validate_coarser(g, [range(g.m)])
+    for engine in (CutEngine(g), CutEngine(g, partition)):
+        double, single = engine.values([(a, a), (a, None)])
+        assert (double, single) == (want, wiener_weighted(g, a))
+        assert isinstance(double, Fraction) and isinstance(single, Fraction)
+    assert isinstance(wiener_double_via_cuts(DoubleWeightedGraph(g, a, a), partition), Fraction)
     (value,) = CutEngine(g).values([((1,) * 5, None)])
     assert value == 15 and type(value) is int
 

@@ -1,8 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, strategies as st
 
-from topocut.graph import build_graph, components_after_deletion, degree_vector
+import topocut.phenylene as phenylene_module
+from topocut import cli
+
+from topocut.graph import Graph, build_graph, components_after_deletion, degree_vector
 from topocut.indices import (
     DoubleWeightedGraph,
     degree_distance,
@@ -14,8 +19,16 @@ from topocut.theta import is_partial_cube, theta_star_classes, validate_coarser
 from topocut.phenylene import (
     BenzenoidPlacement,
     NotATreeError,
+    NEIGHBOR_OFFSETS,
     PlacementError,
+    _cell_corners,
+    _class_split_sums,
     _component_labels,
+    _int64_bound,
+    _quotient,
+    _tree_split_sums,
+    _validated_dual,
+    _weight_array,
     build_benzenoid,
     build_phenylene,
     dd_gut_via_squeeze,
@@ -283,3 +296,333 @@ def test_placement_parsing_round_trip():
     assert again == placement
     with pytest.raises(Exception, match="line 2"):
         parse_placement("0 0\n1\n")
+
+
+# ------------------------------------------------------------------
+# The array route against the loops it replaced, kept here as references.
+
+
+def reference_split_sums(n, edges, a, b):
+    """The former Python tree pass: BFS order and parents, then subtree
+    sums from the leaves up.  Returns W(a, b), W*(a), W*(b) of the tree."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [0] * n
+    seen = [False] * n
+    seen[0] = True
+    order = [0]
+    for u in order:
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                order.append(v)
+    sa, sb = list(a), list(b)
+    ta, tb = sum(a), sum(b)
+    double = single_a = single_b = 0
+    for u in reversed(order[1:]):
+        au, bu = sa[u], sb[u]
+        sa[parent[u]] += au
+        sb[parent[u]] += bu
+        double += au * (tb - bu) + (ta - au) * bu
+        single_a += au * (ta - au)
+        single_b += bu * (tb - bu)
+    return double, single_a, single_b
+
+
+def reference_placement(cells):
+    """The former dict-based validation: sorted cells, or the PlacementError."""
+    out = sorted((int(q), int(r)) for q, r in cells)
+    if not out:
+        raise PlacementError("placement has no cells")
+    for i in range(1, len(out)):
+        if out[i] == out[i - 1]:
+            raise PlacementError(f"duplicate cell {out[i]}")
+    counts = {}
+    for q, r in out:
+        for p in _cell_corners(q, r):
+            c = counts.get(p, 0) + 1
+            if c >= 3:
+                raise PlacementError(f"internal lattice vertex at {p}")
+            counts[p] = c
+    index = {c: i for i, c in enumerate(out)}
+    dual = []
+    for i, (q, r) in enumerate(out):
+        for dq, dr in NEIGHBOR_OFFSETS:
+            j = index.get((q + dq, r + dr))
+            if j is not None and j > i:
+                dual.append((i, j))
+    g = Graph(len(out), dual, require_connected=False)
+    if not g.connected:
+        raise PlacementError("cells do not form a connected system")
+    if len(dual) != len(out) - 1:
+        raise PlacementError("inner dual is not a tree")
+    return out, dual
+
+
+def reference_phenylene(cells):
+    """The former loop builder: edge tuples and edge classes."""
+    out, dual = reference_placement(cells)
+    edges, ecls = [], []
+    for i in range(len(out)):
+        base = 6 * i
+        for k in range(5):
+            edges.append((base + k, base + k + 1))
+            ecls.append(k % 3 + 1)
+        edges.append((base, base + 5))
+        ecls.append(3)
+    for i, j in dual:
+        (qi, ri), (qj, rj) = out[i], out[j]
+        k = NEIGHBOR_OFFSETS.index((qj - qi, rj - ri))
+        edges.append((6 * i + k, 6 * j + (k + 4) % 6))
+        edges.append((6 * i + (k + 1) % 6, 6 * j + (k + 3) % 6))
+        ecls.extend((4, 4))
+    return edges, ecls
+
+
+def reference_benzenoid(cells):
+    """The former dict-based benzenoid builder: vertex coordinates, edge
+    tuples and edge directions, numbered by first appearance."""
+    out, dual = reference_placement(cells)
+    coords, index_of, edge_dir = [], {}, {}
+    for q, r in out:
+        ids = []
+        for p in _cell_corners(q, r):
+            if p not in index_of:
+                index_of[p] = len(coords)
+                coords.append(p)
+            ids.append(index_of[p])
+        for k in range(6):
+            u, v = ids[k], ids[(k + 1) % 6]
+            edge_dir.setdefault((min(u, v), max(u, v)), k % 3 + 1)
+    return coords, list(edge_dir), list(edge_dir.values()), dual
+
+
+def reference_parse(text):
+    cells = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'q r', got {line!r}")
+        try:
+            cells.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected two integers") from None
+    return reference_placement(cells)[0]
+
+
+@st.composite
+def labelled_trees(draw, max_n=200):
+    """Paths, stars, caterpillars and random trees, relabelled at random,
+    with edges in random order and orientation."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["path", "star", "caterpillar", "random"]))
+    if kind == "path":
+        edges = [(v - 1, v) for v in range(1, n)]
+    elif kind == "star":
+        edges = [(0, v) for v in range(1, n)]
+    elif kind == "caterpillar":
+        spine = draw(st.integers(1, n))
+        edges = [(v - 1, v) for v in range(1, spine)]
+        edges += [(draw(st.integers(0, spine - 1)), v) for v in range(spine, n)]
+    else:
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    edges = [(perm[u], perm[v]) for u, v in edges]
+    edges = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)]
+
+
+TREE_WEIGHTS = {
+    "int": st.integers(1, 9),
+    "fraction": st.builds(Fraction, st.integers(1, 20), st.integers(1, 7)),
+    "near53": st.integers(2**53 - 50, 2**53 + 50),
+    "near63": st.integers(2**63 - 50, 2**63 + 50),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TREE_WEIGHTS))
+@given(tree=labelled_trees(), data=st.data())
+def test_tree_kernel_matches_reference_loop(kind, tree, data):
+    n, edges = tree
+    a = data.draw(st.lists(TREE_WEIGHTS[kind], min_size=n, max_size=n))
+    b = data.draw(st.lists(TREE_WEIGHTS[kind], min_size=n, max_size=n))
+    want = reference_split_sums(n, edges, a, b)
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    got = _tree_split_sums(n, ends[:, 0], ends[:, 1], _weight_array(a), _weight_array(b))
+    assert got == want
+    g = Graph(n, edges)
+    double = tree_wiener_double_linear(g, a, b)
+    single = tree_wiener_linear(g, a)
+    assert (double, single) == want[:2]
+    # a Fraction weight makes a Fraction sum, as in the loop
+    assert type(double) is type(want[0]) and type(single) is type(want[1])
+
+
+def test_int64_guard_boundary():
+    # T = max(sum|a|, sum|b|) must satisfy T * T < 2**60 for the int64 kernel
+    below = np.array([2**29 - 1, 2**29], dtype=np.int64)
+    at = np.array([2**29, 2**29], dtype=np.int64)
+    ones = np.ones(2, dtype=np.int64)
+    assert _int64_bound(below, ones) == 2**30 - 1
+    assert _int64_bound(at, ones) is None
+    assert _int64_bound(np.array([-(2**63), 1]), ones) is None  # sum|a| overflows
+    for w in (below, at):
+        assert _tree_split_sums(2, np.array([0]), np.array([1]), w, ones) == (
+            reference_split_sums(2, [(0, 1)], w.tolist(), [1, 1])
+        )
+
+
+def test_int64_kernel_sums_past_int64_exactly():
+    # a path of 1000 vertices with T just under 2**30: the int64 kernel runs,
+    # but its split sums pass 2**63, so the terms are added as two halves
+    n = 1000
+    a = [2**30 // n - 1] * n
+    b = [2**30 // n - 2] * n
+    edges = [(v - 1, v) for v in range(1, n)]
+    assert _int64_bound(np.array(a), np.array(b)) is not None
+    want = reference_split_sums(n, edges, a, b)
+    assert min(want) >= 2**63
+    ends = np.array(edges)
+    assert _tree_split_sums(n, ends[:, 0], ends[:, 1], np.array(a), np.array(b)) == want
+
+
+def test_tree_kernel_rejects_non_trees():
+    cases = [
+        (4, [0, 1, 0], [1, 2, 2], "disconnected"),  # a triangle and an isolated vertex
+        (6, [0, 2, 3, 4, 5], [1, 3, 4, 2, 2], "disconnected"),  # no isolated vertex: the tour
+        (3, [0], [1], "edges on"),
+    ]
+    for n, qu, qv, message in cases:
+        ones = np.ones(n, dtype=np.int64)
+        with pytest.raises(NotATreeError, match=message):
+            _tree_split_sums(n, np.array(qu), np.array(qv), ones, ones)
+
+
+def test_labels_past_int32_products():
+    # 50001 components: lo * ncomp + hi passes 2**31, so the int32 labels of
+    # connected_components must widen before the codes are formed
+    pairs = 50001
+    eu = np.concatenate((2 * np.arange(pairs), 2 * np.arange(pairs - 1) + 1))
+    ev = np.concatenate((2 * np.arange(pairs) + 1, 2 * np.arange(pairs - 1) + 2))
+    in_class = np.arange(eu.size) >= pairs
+    keep = ~in_class
+    (ncomp,), labels, qu, qv = _quotient(2 * pairs, eu[keep], ev[keep], eu[in_class], ev[in_class])
+    assert ncomp == pairs and ncomp * ncomp > 2**31
+    assert qu.tolist() == list(range(pairs - 1)) and qv.tolist() == list(range(1, pairs))
+    ones = np.ones(2 * pairs, dtype=np.int64)
+    # a path of 50001 components of two vertices each
+    k = np.arange(1, pairs, dtype=object)
+    w = int(np.sum(4 * k * (pairs - k)))
+    assert _class_split_sums(2 * pairs, eu, ev, in_class, ones, ones) == (2 * w, w, w)
+
+
+NB = NEIGHBOR_OFFSETS
+
+
+@st.composite
+def branched_placements(draw, max_h=25):
+    """Catacondensed placements grown one cell at a time: each new cell
+    touches exactly one placed cell."""
+    h = draw(st.integers(1, max_h))
+    cells = [(0, 0)]
+    occupied = {(0, 0)}
+    while len(cells) < h:
+        q, r = draw(st.sampled_from(cells))
+        dq, dr = draw(st.sampled_from(NB))
+        cell = (q + dq, r + dr)
+        if cell in occupied or sum((cell[0] + x, cell[1] + y) in occupied for x, y in NB) != 1:
+            continue
+        cells.append(cell)
+        occupied.add(cell)
+    return draw(st.permutations(cells))
+
+
+@st.composite
+def chain_placements_drawn(draw):
+    h, pattern = draw(kink_patterns(max_h=12))
+    try:
+        return list(gen_phenylene_chain(h, pattern).cells)
+    except PlacementError:
+        assume(False)
+
+
+@given(st.one_of(branched_placements(), chain_placements_drawn()))
+def test_array_builds_match_loop_builders(cells):
+    edges, ecls = reference_phenylene(cells)
+    ph = build_phenylene(cells)
+    assert list(zip(ph._eu.tolist(), ph._ev.tolist())) == edges
+    assert ph.edge_class.tolist() == ecls
+    assert ph.graph.edges == tuple(edges)
+    assert tuple(ph._degrees.tolist()) == degree_vector(ph.graph)
+    want = (degree_distance(ph.graph), gutman(ph.graph))
+    assert dd_gut_via_trees(ph) == want
+    coords, bedges, directions, dual = reference_benzenoid(cells)
+    benz = build_benzenoid(cells)
+    assert list(benz.vertex_coords) == coords
+    assert list(benz.graph.edges) == bedges
+    assert list(benz.edge_direction) == directions
+    assert list(benz.inner_dual.edges) == dual
+    assert dd_gut_via_squeeze(cells) == want
+
+
+@st.composite
+def cell_sets(draw):
+    """Small, often invalid, sets of cells, now and then split far apart."""
+    cells = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=8))
+    if cells and draw(st.booleans()):
+        far = draw(st.sampled_from([10**6, 2**62, -(10**30)]))
+        cells = [(q + far, r) if i % 2 else (q, r) for i, (q, r) in enumerate(cells)]
+    return cells
+
+
+@given(cell_sets())
+@example([(0, 0), (0, 1), (1, 0), (1, 1)])  # two internal vertices: (1, 1) is met first
+def test_placement_errors_match_loop_validation(cells):
+    try:
+        want = reference_placement(cells)
+    except PlacementError as exc:
+        with pytest.raises(PlacementError) as got:
+            _validated_dual(BenzenoidPlacement.of(cells))
+        assert str(got.value) == str(exc)
+        return
+    placement = BenzenoidPlacement.of(cells)
+    di, dj, _ = _validated_dual(placement)
+    assert (list(placement.cells), list(zip(di.tolist(), dj.tolist()))) == want
+
+
+@given(st.lists(st.sampled_from(["0 0", "1 0", "0 1", "2 -1", "7", "a b", "1 2 3", "", "  ",
+                                 "# note", "3 0", "-1 1", "0 0 # x"]), max_size=8))
+def test_placement_parsing_matches_line_reader(lines):
+    text = "\n".join(lines) + "\n"
+    try:
+        want = reference_parse(text)
+    except (ValueError, PlacementError) as exc:
+        with pytest.raises(ValueError) as got:
+            parse_placement(text)
+        assert str(got.value) == str(exc)
+        return
+    assert list(parse_placement(text).cells) == want
+
+
+KINKS = "A+LA-L" * 7
+
+
+def test_trees_route_builds_no_graph(monkeypatch, capsys):
+    ph = build_phenylene(gen_phenylene_chain(30, KINKS))
+    want = dd_gut_via_trees(ph)
+    assert "graph" not in vars(ph)
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the trees route built a Graph")
+
+    monkeypatch.setattr(phenylene_module, "Graph", no_graph)
+    assert cli.main(["compute", "--family", "chain", "--n", "30", "--kinks", KINKS]) == 0
+    out = capsys.readouterr().out
+    assert f"DD      = {want[0]}" in out and f"Gut     = {want[1]}" in out
