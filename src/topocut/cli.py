@@ -247,7 +247,7 @@ def _compute_report(loaded: LoadedInput, method: str) -> Report:
                 DoubleWeightedGraph(g, loaded.a, loaded.b)
             )
     elif method in ("auto", "cuts", "hamming"):
-        # One theta* run and one quotient per class serve detection and
+        # One theta* run and one contraction of its classes serve detection and
         # every index; hamming is cuts restricted to partial Hamming graphs.
         engine = CutEngine(g)
         if method == "auto":
@@ -556,7 +556,7 @@ def cmd_hamming(args) -> int:
     wanted = [terms["wiener"], terms["gutman"]]
     bound, gut_bound = engine.values(wanted, closed=True)
     exact, gut_exact = engine.values(wanted)
-    sizes = [q.graph.n for q in engine.quotients]
+    sizes = list(engine.sizes)
     if args.json:
         payload = {
             "input": loaded.descriptor,

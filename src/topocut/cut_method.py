@@ -7,32 +7,35 @@ Wiener variant decomposes into a sum of the same variant over the (small)
 quotient graphs with component-aggregated weights.
 
 Every index is a weight pair: W(a, b) = sum over ordered vertex pairs of
-a(u) b(v) d(u,v), and W*(a) = W(a, a) / 2.  :class:`CutEngine` builds the
-partition and each block's quotient once and evaluates every requested pair
-on each quotient in one pass.
+a(u) b(v) d(u,v), and W*(a) = W(a, a) / 2.  :class:`CutEngine` finds every
+block quotient at once by contracting the edge set in ceil(log2 k) halving
+levels of the k blocks, with no pass over the whole graph per block.  It
+sums the weights of every quotient through the same levels, evaluates the
+complete quotients in closed form all together and gives every other
+quotient one distance matrix.  Two guards keep it exact: the component sums
+and D B products run in int64 only while (n - 1) sum|w| < 2^62, and the
+closed sums' products only while sum|a| sum|b| < 2^62; past either, the
+arrays hold Python ints.  The ``QuotientGraph`` objects are built only on
+request (``CutEngine.quotients``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphError, degree_vector, distance_matrix
-from .indices import (
-    DoubleWeightedGraph,
-    Weight,
-    check_weights,
-    pairwise_mixed_sum,
-    pairwise_product_sum,
-)
+from .graph import Graph, GraphError, component_labels, degree_vector, distance_matrix
+from .indices import DoubleWeightedGraph, Weight, check_weights
 from .theta import (
     EdgePartition,
     NotPartialCubeError,
     PartitionError,
+    QuotientGraph,
     ThetaClasses,
     is_partial_cube,
     quotient,
@@ -90,10 +93,30 @@ def _scaled(w: Sequence[Weight]) -> tuple[list[int], int, bool]:
 
 
 class CutEngine:
-    """An edge partition of one graph with every block's quotient built once.
+    """An edge partition of one graph with every block quotient's shape
+    found by one contraction pass.
 
     Without ``partition`` the blocks are the theta*-classes: theta* runs
     once (or ``classes`` is used) and the partition is validated once.
+
+    The blocks are numbered 0..k-1 and contracted by halving the block range
+    in L = ceil(log2 k) levels.  Before level l every range R of blocks (the
+    block indices sharing their top l bits) has super-vertices: the
+    components of G with every edge outside R contracted.  Level l gives
+    each super-vertex two copies, one per child range of R, and contracts
+    each edge of R whose bit L-l-1 is b in copy 1-b, so one
+    ``component_labels`` call over the copies and all m edges yields every
+    child's super-vertices.  A connected range with |E_R| edges has at most
+    |E_R| + 1 super-vertices, so a level costs O(m + 2^l) and the pass
+    O(m log k).  The leaves' super-vertices are the components of G - F_i,
+    numbered by smallest original vertex, as in
+    :func:`~topocut.theta.quotient`.  Only the per-level label maps are
+    kept, never a k x n table.
+
+    ``sizes`` and ``complete`` give each quotient's vertex count and
+    whether it is complete.  ``quotients`` (built on first use with
+    :func:`~topocut.theta.quotient`) is for callers that want the
+    ``QuotientGraph`` objects; the indices never need them.
     """
 
     def __init__(
@@ -110,10 +133,49 @@ class CutEngine:
             _check_partition(g, partition)
         self.g = g
         self.partition = partition
-        self.quotients = tuple(quotient(g, block) for block in partition.blocks)
-        self.complete = tuple(
-            2 * q.graph.m == q.graph.n * (q.graph.n - 1) for q in self.quotients
-        )
+        k = len(partition.blocks)
+        block_of = np.empty(g.m, dtype=np.int64)
+        if k:
+            block_of[np.concatenate(partition.blocks)] = np.repeat(
+                np.arange(k), [len(b) for b in partition.blocks]
+            )
+        self._depth = depth = max(k - 1, 0).bit_length()  # ceil(log2 k)
+        eu, ev = (ends.astype(np.int64) for ends in g.edge_array.T)
+        ranges = np.zeros(g.n, dtype=np.int64)  # the block range of each super-vertex
+        self._maps = []  # per level: the child super-vertex of copy 2s + c
+        for level in range(depth):
+            bit = (block_of >> (depth - level - 1)) & 1
+            count, labels = component_labels(
+                2 * ranges.size, 2 * eu + 1 - bit, 2 * ev + 1 - bit
+            )
+            self._maps.append((count, labels))
+            eu, ev = labels[2 * eu + bit], labels[2 * ev + bit]
+            copies = np.arange(2 * ranges.size)
+            child_ranges = np.empty(count, dtype=np.int64)
+            child_ranges[labels] = 2 * ranges[copies >> 1] + (copies & 1)
+            ranges = child_ranges
+        # Within one range, super-vertices are numbered in the order of their
+        # smallest vertex: true of the original vertices, and kept by every
+        # level, as component_labels numbers each child by its smallest copy
+        # 2s + c.  So a stable sort by range lists every block's quotient
+        # vertices in quotient()'s order; ranges past k - 1 hold no block and
+        # sort last.
+        self._order = np.argsort(ranges, kind="stable")
+        self._position = np.empty(ranges.size, dtype=np.int64)
+        self._position[self._order] = np.arange(ranges.size)
+        sizes = np.bincount(ranges, minlength=k)[:k]
+        self._starts = np.concatenate(([0], np.cumsum(sizes)))
+        # quotient edges: unique (lo, hi) leaf positions without loops,
+        # sorted by block, then lo, then hi
+        lo, hi = self._position[eu], self._position[ev]
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        codes = np.unique((lo * ranges.size + hi)[lo != hi])
+        self._edge_lo, self._edge_hi = codes // ranges.size, codes % ranges.size
+        edge_block = ranges[self._order][self._edge_lo]
+        self._edge_starts = np.searchsorted(edge_block, np.arange(k + 1))
+        edge_counts = np.diff(self._edge_starts)
+        self.sizes = tuple(sizes.tolist())
+        self.complete = tuple((2 * edge_counts == sizes * (sizes - 1)).tolist())
 
     @property
     def partial_hamming(self) -> bool:
@@ -121,24 +183,57 @@ class CutEngine:
         exactly the partial Hamming graphs."""
         return all(self.complete)
 
+    @cached_property
+    def quotients(self) -> tuple[QuotientGraph, ...]:
+        """Every block's quotient graph, built on first use."""
+        return tuple(quotient(self.g, block) for block in self.partition.blocks)
+
+    def component_of(self, i: int) -> np.ndarray:
+        """The vertex of G/F_i that holds each vertex of G."""
+        vertex = np.arange(self.g.n)
+        for level, (_, labels) in enumerate(self._maps):
+            vertex = labels[2 * vertex + ((i >> (self._depth - level - 1)) & 1)]
+        return self._position[vertex] - self._starts[i]
+
+    def quotient_edges(self, i: int) -> np.ndarray:
+        """The edges (lo, hi) of G/F_i as an array of rows, sorted."""
+        span = slice(self._edge_starts[i], self._edge_starts[i + 1])
+        ends = np.stack((self._edge_lo[span], self._edge_hi[span]), axis=1)
+        return ends - self._starts[i]
+
+    def _leaf_sums(self, weights: np.ndarray) -> np.ndarray:
+        """Component sums of the weight columns on every quotient: the
+        weights replayed through the level maps, one row per quotient vertex
+        in block order."""
+        for count, labels in self._maps:
+            sums = np.zeros((count, weights.shape[1]), dtype=weights.dtype)
+            np.add.at(sums, labels[0::2], weights)
+            np.add.at(sums, labels[1::2], weights)
+            weights = sums
+        return weights[self._order[: self._starts[-1]]]
+
     def block_values(
         self, terms: Sequence[Term], *, closed: bool = False
     ) -> list[tuple[Weight, ...]]:
         """Per block, every term on the quotient with component-summed weights.
 
         A complete quotient (distance 1 between all components) takes the
-        closed pair sums; any other takes one distance matrix D, with
+        closed sums W(a, b) = T_a T_b - sum_c A_c B_c and
+        W*(a) = (T_a^2 - sum_c A_c^2) / 2, with T the weight totals and A, B
+        the component sums; the sums over c run for every complete block at
+        once.  Any other quotient takes one distance matrix D, with
         W(a, b) = sum_u A_u (D B)_u and one D B product per distinct B.
-        ``closed`` applies the pair sums to every quotient, which gives the
-        partial-Hamming lower bound instead of the exact value.
+        ``closed`` applies the closed sums to every quotient, which gives
+        the partial-Hamming lower bound instead of the exact value.
 
         Exact for int and Fraction weights: each weight vector is scaled to
         integers by the LCM of its denominators and the result divided back,
         a Fraction whenever some weight of the term is one, as in the
-        oracle's sums;
-        numpy's int64 is used only under ``_INT64_LIMIT``, object arrays of
-        Python ints otherwise, and every value leaves numpy by ``tolist``
-        before it meets a weight.
+        oracle's sums.  The component sums and D B run in int64 only under
+        ``_INT64_LIMIT``, the products A_c B_c only while
+        sum|a| sum|b| < ``_INT64_LIMIT``, each on object arrays of Python
+        ints otherwise; every value leaves numpy by ``tolist`` before it
+        meets a weight.
         """
         slots: dict[tuple[Weight, ...], int] = {}
         pairs = []
@@ -147,32 +242,49 @@ class CutEngine:
             j = i if b is None else slots.setdefault(tuple(b), len(slots))
             pairs.append((i, j, b is None))
         scaled, scales, fractional = zip(*map(_scaled, slots))
-        total = max(sum(map(abs, w)) for w in scaled)
-        dtype = np.int64 if max(self.g.n - 1, 1) * total < _INT64_LIMIT else object
-        weights = np.array(scaled, dtype=dtype).T
+        bounds = [sum(map(abs, w)) for w in scaled]
+        dtype = np.int64 if max(self.g.n - 1, 1) * max(bounds) < _INT64_LIMIT else object
+        agg = self._leaf_sums(np.array(scaled, dtype=dtype).T)
+        totals = [sum(w) for w in scaled]
+        sizes = np.array(self.sizes, dtype=np.int64)
+        chosen = np.ones(len(sizes), dtype=bool) if closed else np.array(self.complete, dtype=bool)
+        values: list[list[int]] = [[] for _ in sizes]
+        # closed sums over the chosen blocks at once, one segment per block
+        if chosen.any():
+            rows = agg[np.repeat(chosen, sizes)]
+            seams = np.cumsum(sizes[chosen]) - sizes[chosen]
+            blocks = np.flatnonzero(chosen).tolist()
+            for i, j, _ in pairs:
+                exact = _product_dtype(dtype, bounds[i], bounds[j])
+                a, b = (rows[:, c].astype(exact) for c in (i, j))
+                within = np.add.reduceat(a * b, seams).tolist()
+                for block, s in zip(blocks, within):
+                    values[block].append(totals[i] * totals[j] - s)
         rights = sorted({j for _, j, _ in pairs})
-        out = []
-        for q, complete in zip(self.quotients, self.complete):
-            agg = np.zeros((q.graph.n, len(scaled)), dtype=dtype)
-            np.add.at(agg, np.array(q.component_of), weights)
-            cols = agg.T.tolist()
-            if closed or complete:
-                values = [
-                    pairwise_product_sum(cols[i]) if half
-                    else pairwise_mixed_sum(cols[i], cols[j])
-                    for i, j, half in pairs
-                ]
-                halves = [1] * len(pairs)
+        for block in np.flatnonzero(~chosen).tolist():
+            part = agg[self._starts[block]:self._starts[block + 1]]
+            if self.sizes[block] == self.g.n:  # F_i = E: the quotient is G itself
+                qg = self.g
             else:
-                dist = distance_matrix(q.graph).astype(dtype)
-                products = dict(zip(rights, (dist @ agg[:, rights]).T.tolist()))
-                values = [sum(map(mul, cols[i], products[j])) for i, j, _ in pairs]
-                halves = [2 if half else 1 for _, _, half in pairs]
-            out.append(tuple(
-                _exact_quotient(v, h, scales[i] * scales[j], fractional[i] or fractional[j])
-                for v, h, (i, j, _) in zip(values, halves, pairs)
-            ))
-        return out
+                qg = Graph(
+                    self.sizes[block],
+                    map(tuple, self.quotient_edges(block).tolist()),
+                    require_connected=self.g.connected,
+                )
+            dist = distance_matrix(qg).astype(dtype)
+            products = dict(zip(rights, (dist @ part[:, rights]).T.tolist()))
+            cols = part.T.tolist()
+            values[block] = [sum(map(mul, cols[i], products[j])) for i, j, _ in pairs]
+        # W*(a) is W(a, a) / 2 in both kernels
+        return [
+            tuple(
+                _exact_quotient(
+                    v, 2 if half else 1, scales[i] * scales[j], fractional[i] or fractional[j]
+                )
+                for v, (i, j, half) in zip(row, pairs)
+            )
+            for row in values
+        ]
 
     def values(self, terms: Sequence[Term], *, closed: bool = False) -> list[Weight]:
         """Every term summed over the blocks."""
@@ -180,6 +292,12 @@ class CutEngine:
         for row in self.block_values(terms, closed=closed):
             totals = [t + v for t, v in zip(totals, row)]
         return totals
+
+
+def _product_dtype(dtype: type, bound_a: int, bound_b: int) -> type:
+    """int64 for the products A_c B_c and their sums while
+    sum|a| sum|b| < ``_INT64_LIMIT`` bounds them, else Python ints."""
+    return np.int64 if dtype is np.int64 and bound_a * bound_b < _INT64_LIMIT else object
 
 
 def _exact_quotient(value: int, half: int, scale: int, fraction: bool) -> Weight:

@@ -70,6 +70,10 @@ def random_connected_graph(n: int, m: int | None = None, seed: int = 0) -> Graph
         m = n - 1
     if not (n - 1 <= m <= n * (n - 1) // 2):
         raise GraphError(f"m={m} out of range for n={n}")
+    if m == n - 1:
+        # sampling 0 of the absent pairs draws nothing, so skipping their
+        # O(n^2) list leaves every seeded graph as it was
+        return Graph(n, tree)
     present = set(tree)
     non_edges = [e for e in combinations(range(n), 2) if e not in present]
     extra = rng.sample(non_edges, m - (n - 1))

@@ -26,9 +26,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import breadth_first_order
 
-from .graph import Graph, ParseError, degree_vector
+from .graph import Graph, ParseError, component_labels, degree_vector
 from .indices import Weight, check_weights
 
 # Corner k of a cell centred at (X, Y) is (X, Y) + CORNER_OFFSETS[k].
@@ -242,7 +242,7 @@ def _validated_dual(
         raise PlacementError(f"internal lattice vertex at {_cell_corners(*cells[i])[k]}")
     di, dk = np.nonzero(nbr > cell)
     dj = nbr[di, dk]
-    if _component_labels(h, di, dj)[0] != 1:
+    if component_labels(h, di, dj)[0] != 1:
         raise PlacementError("cells do not form a connected system")
     if di.size != h - 1:
         raise PlacementError("inner dual is not a tree")
@@ -480,27 +480,6 @@ def tree_wiener_linear(tree: Graph, w: Sequence[Weight]) -> Weight:
 # ------------------------------------------------------ structural quotients
 
 
-def _component_labels(
-    n: int, eu: np.ndarray, ev: np.ndarray
-) -> tuple[int, np.ndarray]:
-    """Connected-component labels (int64), numbered by smallest contained vertex."""
-    if eu.size == 0:
-        return n, np.arange(n, dtype=np.int64)
-    idx = np.int32 if max(n, eu.size) < 1 << 31 else np.int64
-    indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(np.bincount(eu, minlength=n), out=indptr[1:])
-    indices = ev[np.argsort(eu, kind="stable")].astype(idx, copy=False)
-    graph = csr_matrix((np.ones(eu.size), indices, indptr), shape=(n, n))
-    ncomp, labels = connected_components(graph, directed=False)
-    # scipy numbers components in first-appearance order; renumber otherwise
-    if labels[0] != 0 or np.any(np.diff(np.maximum.accumulate(labels)) > 1):
-        _, first = np.unique(labels, return_index=True)
-        remap = np.empty(ncomp, dtype=np.int64)
-        remap[np.argsort(first)] = np.arange(ncomp, dtype=np.int64)
-        labels = remap[labels]
-    return int(ncomp), labels.astype(np.int64)  # int32 would wrap lo * ncomp + hi past 46341
-
-
 def _quotient(
     n: int,
     keep_u: np.ndarray,
@@ -518,7 +497,7 @@ def _quotient(
     every block, the component of every vertex and the quotient's edges
     (qu < qv), sorted.
     """
-    ncomp, labels = _component_labels(n, keep_u, keep_v)
+    ncomp, labels = component_labels(n, keep_u, keep_v)
     cu, cv = labels[cut_u], labels[cut_v]
     if np.any(cu == cv):
         raise NotATreeError("edge class does not separate its components")

@@ -23,6 +23,7 @@ from .graph import (
     GraphError,
     components_after_deletion,
     distance_matrix,
+    first_seen_labels,
 )
 
 
@@ -88,14 +89,6 @@ def theta_related(
     return d[u1][u2] + d[v1][v2] != d[u1][v2] + d[v1][u2]
 
 
-def _first_seen_labels(labels: np.ndarray) -> np.ndarray:
-    """Relabel so that labels number their groups in order of first position."""
-    first = np.unique(labels, return_index=True)[1]
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[labels]
-
-
 def _groups(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Positions of each label 0, 1, ..., ascending within each group."""
     members = np.argsort(labels, kind="stable").tolist()
@@ -151,7 +144,7 @@ def theta_star_classes(
         labels = connected_components(relation, directed=False)[1]
         links = np.unique(labels, return_index=True)[1][labels]
     # classes numbered by their smallest edge index
-    class_of = _first_seen_labels(labels)
+    class_of = first_seen_labels(labels)
     return ThetaClasses(_groups(class_of), tuple(class_of.tolist()))
 
 

@@ -1,12 +1,15 @@
-"""The one-pass cut engine and its array kernels against the pure-Python oracle."""
+"""The cut engine's contraction and array kernels against the pure-Python references."""
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import topocut.cut_method as cut_method
+import topocut.graph as graph_module
+import topocut.theta as theta_module
 from topocut.cli import main
 from topocut.cut_method import CutEngine, index_terms, wiener_double_via_cuts
 from topocut.families import (
@@ -16,6 +19,7 @@ from topocut.families import (
     hypercube_graph,
     path_graph,
     random_connected_graph,
+    windmill_graph,
 )
 from topocut.graph import (
     Graph,
@@ -25,7 +29,7 @@ from topocut.graph import (
     format_edge_list,
 )
 from topocut.indices import DoubleWeightedGraph, _wiener_double, wiener_weighted
-from topocut.theta import is_partial_cube, theta_star_classes, validate_coarser
+from topocut.theta import is_partial_cube, quotient, theta_star_classes, validate_coarser
 
 from strategies import connected_graphs, trees
 
@@ -144,34 +148,186 @@ def test_closed_values_are_the_hamming_bound():
     assert engine.values([((1,) * 5, None)]) == [15]
 
 
-def test_compute_runs_theta_once_and_each_quotient_once(tmp_path, capsys, monkeypatch):
-    calls = {"theta": 0, "quotient": []}
-    real_theta, real_quotient = cut_method.theta_star_classes, cut_method.quotient
+def test_commands_run_theta_once_and_no_per_block_pass(tmp_path, capsys, monkeypatch):
+    # compute, verify and hamming build one engine: theta* once, no DFS per
+    # block, and at most ceil(log2 k) contraction labellings
+    calls = {"theta": 0, "labels": 0, "per_block": 0}
+    real_theta, real_labels = cut_method.theta_star_classes, cut_method.component_labels
 
     def theta(g, *args):
         calls["theta"] += 1
         return real_theta(g, *args)
 
-    def quotient(g, block):
-        calls["quotient"].append(tuple(block))
-        return real_quotient(g, block)
+    def labels(*args):
+        calls["labels"] += 1
+        return real_labels(*args)
+
+    def per_block(*args):
+        calls["per_block"] += 1
+        raise AssertionError("per-block pass over the whole graph")
 
     monkeypatch.setattr(cut_method, "theta_star_classes", theta)
-    monkeypatch.setattr(cut_method, "quotient", quotient)
+    monkeypatch.setattr(cut_method, "component_labels", labels)
+    monkeypatch.setattr(cut_method, "quotient", per_block)
+    monkeypatch.setattr(theta_module, "components_after_deletion", per_block)
     for g, method in ((hypercube_graph(4), "hamming"), (random_connected_graph(30, 50, 1), "cuts")):
-        calls["theta"], calls["quotient"] = 0, []
+        k = len(real_theta(g))
         f = tmp_path / "g.txt"
         f.write_text(format_edge_list(g))
-        assert main(["compute", str(f), "--json"]) == 0
-        assert f'"method": "{method}"' in capsys.readouterr().out
-        assert calls["theta"] == 1
-        assert len(calls["quotient"]) == len(set(calls["quotient"])) == len(real_theta(g))
+        for argv in (["compute", str(f), "--json"], ["compute", str(f)], ["verify", str(f)],
+                     ["hamming", str(f), "--json"]):
+            calls.update(theta=0, labels=0, per_block=0)
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            if argv[-1] == "--json" and argv[0] == "compute":
+                assert f'"method": "{method}"' in out
+            assert calls["theta"] == 1
+            assert calls["per_block"] == 0
+            assert 0 < calls["labels"] <= (k - 1).bit_length()
+
+
+# Block counts for the contraction: powers of two, which fill every range,
+# and one past them, which adds a level whose ranges are nearly all empty.
+BLOCK_COUNTS = (1, 2, 3, 4, 5, 8, 9, 16, 17)
+
+
+@st.composite
+def partitioned_graphs(draw):
+    """A family graph and either its theta*-classes or a random coarser
+    partition into k of BLOCK_COUNTS blocks."""
+    kind = draw(st.sampled_from(["tree", "odd_cycle", "cube", "product", "random"]))
+    if kind == "tree":
+        g = draw(trees(min_n=1, max_n=24))
+    elif kind == "odd_cycle":
+        g = cycle_graph(2 * draw(st.integers(1, 6)) + 1)
+    elif kind == "cube":
+        g = hypercube_graph(draw(st.integers(1, 5)))
+    elif kind == "product":
+        g = product_of_completes(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    else:
+        g = draw(connected_graphs(min_n=2, max_n=16))
+    classes = theta_star_classes(g).classes
+    counts = [k for k in BLOCK_COUNTS if k <= len(classes)]
+    if not counts or draw(st.booleans()):
+        return g, classes
+    k = draw(st.sampled_from(counts))
+    order = draw(st.permutations(range(len(classes))))
+    owners = list(range(k)) + [draw(st.integers(0, k - 1)) for _ in classes[k:]]
+    blocks = [[] for _ in range(k)]
+    for c, owner in zip(order, owners):
+        blocks[owner].extend(classes[c])
+    return g, blocks
+
+
+@settings(max_examples=150)
+@given(partitioned_graphs())
+def test_contraction_matches_quotient_dfs(case):
+    assert_contraction_matches_dfs(*case)
+
+
+@pytest.mark.parametrize("k", BLOCK_COUNTS)
+def test_contraction_block_counts(k):
+    # every count of BLOCK_COUNTS on a tree, a ladder, K3s sharing a vertex
+    # and a random graph, blocks dealt out round robin over the classes
+    graphs = (random_connected_graph(26, 25, seed=k), gen_house(20), windmill_graph(17),
+              random_connected_graph(40, 48, seed=3))
+    for g in graphs:
+        classes = theta_star_classes(g).classes
+        count = min(k, len(classes))
+        assert_contraction_matches_dfs(
+            g, [[e for c in classes[i::count] for e in c] for i in range(count)]
+        )
+
+
+def assert_contraction_matches_dfs(g, blocks):
+    engine = CutEngine(g, validate_coarser(g, blocks))
+    assert len(engine.sizes) == len(engine.complete) == len(blocks)
+    for i, block in enumerate(engine.partition.blocks):
+        q = quotient(g, block)  # the DFS reference
+        assert engine.sizes[i] == q.graph.n
+        assert tuple(engine.component_of(i).tolist()) == q.component_of
+        assert list(map(tuple, engine.quotient_edges(i).tolist())) == list(q.graph.edges)
+        assert engine.complete[i] == (2 * q.graph.m == q.graph.n * (q.graph.n - 1))
+    assert [(q.component_of, q.graph.edges) for q in engine.quotients] == [
+        (q.component_of, q.graph.edges) for q in map(partial(quotient, g), engine.partition.blocks)
+    ]
+
+
+def test_product_guard_boundary():
+    # the products A_c B_c run in int64 only while sum|a| sum|b| < 2**62
+    assert 2**31 * (2**31 - 1) < 2**62 == 2**31 * 2**31
+    assert cut_method._product_dtype(np.int64, 2**31, 2**31 - 1) is np.int64
+    assert cut_method._product_dtype(np.int64, 2**31, 2**31) is object
+    assert cut_method._product_dtype(np.int64, 2**31 + 1, 2**31) is object
+    assert cut_method._product_dtype(object, 1, 1) is object
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ((2**30, 2**30 - 1, 1), (2**30, 2**30 - 2, 1)),  # T_a T_b just under 2**62
+        ((2**30, 2**30, 1), (2**30, 2**30, 1)),  # just over
+        ((2**40, 2**40, 1), (2**41, 3, 2**39)),  # A_c B_c far past int64
+    ],
+)
+def test_closed_sums_across_the_product_guard(a, b):
+    g = path_graph(3)  # two K2 quotients, so both blocks take the closed sums
+    engine = CutEngine(g)
+    assert engine.partial_hamming
+    assert (sum(a) * sum(b) < 2**62) == (max(a) < 2**40 and a != b)
+    assert engine.values([(a, b), (a, None), (b, None)]) == [
+        _wiener_double(g, a, b),
+        wiener_weighted(g, a),
+        wiener_weighted(g, b),
+    ]
 
 
 @given(connected_graphs(min_n=1, max_n=14))
 def test_distance_matrix_matches_bfs_rows(g):
     d = distance_matrix(g)
     assert d.tolist() == [list(r) for r in all_pairs_distances(g)]
+
+
+def _count_dijkstra(monkeypatch) -> dict:
+    """Count the all-sources Dijkstra runs of ``distance_matrix``."""
+    runs = {"all": 0}
+    real = graph_module.shortest_path
+
+    def spy(adj, *args, **kwargs):
+        runs["all"] += kwargs.get("indices") is None
+        return real(adj, *args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "shortest_path", spy)
+    return runs
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+def test_distance_matrix_across_word_boundaries(n, monkeypatch):
+    runs = _count_dijkstra(monkeypatch)
+    for seed, m in enumerate((n - 1, n + 10, 3 * n)):
+        g = random_connected_graph(n, m, seed)
+        assert distance_matrix(g).tolist() == [list(r) for r in all_pairs_distances(g)]
+    assert runs["all"] == 0  # every one took the bit-packed BFS
+
+
+def broom(handle: int, bristles: int) -> Graph:
+    """A path 0..handle with ``bristles`` leaves on its second-last vertex:
+    vertex 0's eccentricity is ``handle``."""
+    edges = [(i, i + 1) for i in range(handle)]
+    edges += [(handle - 1, handle + 1 + j) for j in range(bristles)]
+    return Graph(handle + 1 + bristles, edges)
+
+
+@pytest.mark.parametrize("bristles", [0, 1, 60, 110])
+@pytest.mark.parametrize("past", [0, 1])
+def test_distance_matrix_at_the_eccentricity_switch(bristles, past, monkeypatch):
+    # vertex 0's eccentricity is the threshold itself (BFS) or one past it
+    # (Dijkstra); the bristles carry n across the 64-bit word boundaries
+    runs = _count_dijkstra(monkeypatch)
+    g = broom(graph_module._FRONTIER_ECCENTRICITY + past, bristles)
+    assert max(all_pairs_distances(g)[0]) == graph_module._FRONTIER_ECCENTRICITY + past
+    assert distance_matrix(g).tolist() == [list(r) for r in all_pairs_distances(g)]
+    assert runs["all"] == past
 
 
 @pytest.mark.parametrize(

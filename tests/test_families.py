@@ -1,6 +1,9 @@
+import random
+from itertools import combinations
+
 import pytest
 
-from topocut.graph import GraphError, components_after_deletion, degree_vector
+from topocut.graph import Graph, GraphError, components_after_deletion, degree_vector
 from topocut.theta import theta_star_classes
 from topocut.phenylene import PlacementError, build_benzenoid
 from topocut.families import (
@@ -57,6 +60,28 @@ def test_random_connected_deterministic():
     assert g1.connected and g1.m == 20
     with pytest.raises(GraphError):
         random_connected_graph(5, 20)
+
+
+def _random_connected_reference(n, m=None, seed=0):
+    """The generator before trees skipped the list of absent pairs."""
+    rng = random.Random(seed)
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    if m is None:
+        m = n - 1
+    present = set(tree)
+    non_edges = [e for e in combinations(range(n), 2) if e not in present]
+    extra = rng.sample(non_edges, m - (n - 1))
+    return Graph(n, tree + extra)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n, extra", [(1, 0), (2, 0), (9, 0), (40, 0), (9, 5), (40, 1), (40, 60)])
+def test_random_connected_matches_reference(seed, n, extra):
+    # trees skip the O(n^2) list of absent pairs; every seeded graph stays
+    want = _random_connected_reference(n, n - 1 + extra, seed)
+    assert random_connected_graph(n, n - 1 + extra, seed).edges == want.edges
+    if not extra:
+        assert random_connected_graph(n, seed=seed).edges == want.edges
 
 
 def test_house_counts_and_classes():

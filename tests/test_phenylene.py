@@ -7,7 +7,13 @@ from hypothesis import assume, example, given, strategies as st
 import topocut.phenylene as phenylene_module
 from topocut import cli
 
-from topocut.graph import Graph, build_graph, components_after_deletion, degree_vector
+from topocut.graph import (
+    Graph,
+    build_graph,
+    component_labels,
+    components_after_deletion,
+    degree_vector,
+)
 from topocut.indices import (
     DoubleWeightedGraph,
     degree_distance,
@@ -23,7 +29,6 @@ from topocut.phenylene import (
     PlacementError,
     _cell_corners,
     _class_split_sums,
-    _component_labels,
     _int64_bound,
     _quotient,
     _tree_split_sums,
@@ -274,7 +279,7 @@ def test_component_labels_match_pure_python():
     ph = build_phenylene(phe6_placement())
     for c in (1, 2, 3, 4):
         keep = ph.edge_class != c
-        _, labels = _component_labels(ph.graph.n, ph._eu[keep], ph._ev[keep])
+        _, labels = component_labels(ph.graph.n, ph._eu[keep], ph._ev[keep])
         comp = components_after_deletion(
             ph.graph, np.flatnonzero(~keep).tolist()
         )
