@@ -14,6 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -100,18 +101,23 @@ class Report:
     timing_ms: float = 0.0
 
     def to_json(self) -> str:
-        payload = {
-            "input": self.input,
-            "n": self.n,
-            "m": self.m,
-            "method": self.method,
-            "indices": {k: _num(v) for k, v in self.indices.items()},
-            "breakdown": [
-                {k: _num(v) for k, v in row.items()} for row in self.breakdown
-            ],
-            "timing_ms": self.timing_ms,
-        }
-        return json.dumps(payload, indent=2)
+        """The report as ``json.dumps(payload, indent=2)`` prints it, with the
+        payload's fixed schema written out directly: ``indent`` sends
+        ``json.dumps`` through the pure-Python encoder.  Strings go through
+        json's own ASCII encoder, ints and ``timing_ms`` through their
+        ``__repr__``, and Fractions print as strings."""
+        (indices,) = _json_objects([self.indices], "  ")
+        rows = _json_objects(self.breakdown, "    ")
+        breakdown = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+        return (
+            f'{{\n  "input": {_json_scalar(self.input)},\n'
+            f'  "n": {_json_scalar(self.n)},\n'
+            f'  "m": {_json_scalar(self.m)},\n'
+            f'  "method": {_json_scalar(self.method)},\n'
+            f'  "indices": {indices},\n'
+            f'  "breakdown": {breakdown},\n'
+            f'  "timing_ms": {float.__repr__(self.timing_ms)}\n}}'
+        )
 
     def to_text(self) -> str:
         lines = [
@@ -135,6 +141,34 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _json_scalar(v) -> str:
+    """One report value as JSON: a string, a Fraction (as a string) or an int."""
+    if type(v) is int:
+        return int.__repr__(v)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, Fraction):
+        return encode_basestring_ascii(str(v))
+    return int.__repr__(int(v))
+
+
+def _json_objects(objects: Sequence[dict[str, Any]], pad: str) -> list[str]:
+    """Flat dicts of report values as ``json.dumps`` indents them at
+    ``pad``; the dicts of one key sequence share one %-template."""
+    templates: dict[tuple[str, ...], str] = {}
+    out = []
+    for obj in objects:
+        keys = tuple(obj)
+        template = templates.get(keys)
+        if template is None:
+            fields = f",\n{pad}  ".join(
+                encode_basestring_ascii(k) + ": %s" for k in keys
+            )
+            template = templates[keys] = f"{{\n{pad}  {fields}\n{pad}}}" if keys else "{}"
+        out.append(template % tuple(map(_json_scalar, obj.values())))
+    return out
+
+
 def _num(v):
     if isinstance(v, Fraction):
         return str(v)
@@ -155,6 +189,8 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_input(args) -> LoadedInput:
+    """The one input source of ``args``, with the ``--weights`` file attached
+    whatever the source."""
     sources = [s for s in (args.graph, args.family, args.cells) if s]
     if len(sources) != 1:
         raise UsageError("give exactly one of: a graph file, --family, or --cells")
@@ -171,21 +207,21 @@ def _load_input(args) -> LoadedInput:
             placement = gen_phenylene_chain(_int_arg(args.n, "chain"), args.kinks)
             descriptor = f"family:chain(h={args.n}, kinks={args.kinks or 'linear'})"
         elif fam == "house":
-            g = gen_house(_int_arg(args.n, "house"))
-            return LoadedInput(g, f"family:house(n={args.n})")
+            loaded = LoadedInput(gen_house(_int_arg(args.n, "house")), f"family:house(n={args.n})")
         elif fam == "complete_bipartite" and args.n and "," in args.n:
             from .families import complete_bipartite_graph
 
             p, q = (int(x) for x in args.n.split(","))
-            return LoadedInput(complete_bipartite_graph(p, q), f"family:K_{p},{q}")
+            loaded = LoadedInput(complete_bipartite_graph(p, q), f"family:K_{p},{q}")
         else:
             g = gen_basic(fam, _int_arg(args.n, fam), seed=args.seed)
-            return LoadedInput(g, f"family:{fam}(n={args.n})")
+            loaded = LoadedInput(g, f"family:{fam}(n={args.n})")
     else:
-        text = Path(args.graph).read_text()
-        return _attach_weights(LoadedInput(parse_edge_list(text), args.graph), args)
-    ph = build_phenylene(placement)
-    return _attach_weights(LoadedInput(None, descriptor, placement=placement, phenylene=ph), args)
+        loaded = LoadedInput(parse_edge_list(Path(args.graph).read_text()), args.graph)
+    if placement is not None:
+        ph = build_phenylene(placement)
+        loaded = LoadedInput(None, descriptor, placement=placement, phenylene=ph)
+    return _attach_weights(loaded, args)
 
 
 def _attach_weights(loaded: LoadedInput, args) -> LoadedInput:

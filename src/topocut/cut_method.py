@@ -268,7 +268,7 @@ class CutEngine:
             else:
                 qg = Graph(
                     self.sizes[block],
-                    map(tuple, self.quotient_edges(block).tolist()),
+                    self.quotient_edges(block),
                     require_connected=self.g.connected,
                 )
             dist = distance_matrix(qg).astype(dtype)

@@ -158,7 +158,8 @@ def gen_phenylene_chain(h: int, kinks: str | None = None) -> BenzenoidPlacement:
 
 # Frozen six-hexagon reference system: inner dual is a five-vertex path with a
 # pendant hexagon on its second vertex.  Unique up to lattice symmetry given
-# the frozen quotient-tree index values (scripts/find_phe6.py re-derives it).
+# the frozen quotient-tree index values (tests/test_families.py::
+# test_phe6_is_the_one_isomer_with_the_frozen_tree_values re-derives it).
 PHE6_CELLS: tuple[tuple[int, int], ...] = (
     (0, 0),
     (0, 1),

@@ -1,15 +1,17 @@
-"""Core graph machinery: construction, BFS distances, component labellings.
+"""Core graph machinery: construction, BFS distances, component labellings,
+and the integer-table reader behind every input format.
 
-Vertices are dense integer indices 0..n-1.  Edges are unordered pairs stored
-as (min, max) tuples in input order.  Graphs are immutable after construction
-and safe to share between threads.
+Vertices are dense integer indices 0..n-1.  A graph is stored as its edge
+array, one (min, max) row per edge in input order; the ``edges`` and ``adj``
+tuples are built from it on first use.  Graphs are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -27,59 +29,81 @@ class ParseError(ValueError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1, connected by default.
 
+    The graph is its edge array: ``edge_array`` holds the m edges as rows
+    (u, v) with u < v, in input order.  ``edges``, ``adj`` and
+    ``edge_index`` are built from it on first use.  ``edges`` may be given
+    as an iterable of pairs or as an (m, 2) integer array.  Validation
+    runs on the arrays: range and self-loops elementwise, duplicates by
+    unique lo * n + hi codes, connectivity by ``component_labels``; the
+    error names the first offending edge in input order.
+
     Attributes:
-        n:     vertex count
-        edges: tuple of (u, v) pairs with u < v, in input order
-        adj:   per-vertex tuple of neighbours, sorted ascending
+        n:         vertex count
+        edges:     tuple of (u, v) pairs with u < v, in input order
+        adj:       per-vertex tuple of neighbours, sorted ascending
+        connected: whether the graph is connected
     """
 
-    __slots__ = ("n", "edges", "adj", "connected", "_edge_index", "_edge_array")
+    __slots__ = ("n", "connected", "_ends", "_edges", "_adj", "_edge_index")
 
     def __init__(
         self,
         n: int,
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] | np.ndarray,
         *,
         require_connected: bool = True,
         validate: bool = True,
     ):
         if n < 1:
             raise GraphError("graph needs at least one vertex")
-        if validate:
-            norm = []
-            seen = set()
-            for u, v in edges:
-                if u == v:
-                    raise GraphError(f"self-loop at vertex {u}")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-                e = (u, v) if u < v else (v, u)
-                if e in seen:
-                    raise GraphError(f"duplicate edge {e}")
-                seen.add(e)
-                norm.append(e)
-            self.edges = tuple(norm)
+        if isinstance(edges, np.ndarray):
+            ends = edges.reshape(-1, 2)
         else:
-            # caller guarantees simple, in-range, (min, max)-ordered, connected
-            self.edges = tuple(edges)
-        self.n = n
-        rows: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            rows[u].append(v)
-            rows[v].append(u)
-        self.adj = tuple(tuple(sorted(r)) for r in rows)
-        self._edge_index = None
-        self._edge_array = None
+            pairs = list(edges)
+            try:
+                ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            except OverflowError:  # such an edge is out of range; name it exactly
+                ends = np.array(pairs, dtype=object).reshape(-1, 2)
         if validate:
-            self.connected = _is_connected(n, self.adj)
+            ends = _checked_ends(n, ends)
+            # m < n - 1 edges cannot connect n vertices; the test then needs
+            # no per-vertex array, however large n is
+            self.connected = len(ends) >= n - 1 and component_labels(n, *ends.T)[0] == 1
             if require_connected and not self.connected:
                 raise GraphError("graph is disconnected")
         else:
+            # caller guarantees simple, in-range, (min, max)-ordered, connected
             self.connected = True
+        self.n = n
+        self._ends = np.array(ends, dtype=np.intp)
+        self._ends.flags.writeable = False
+        self._edges = self._adj = self._edge_index = None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._ends)
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only m x 2 intp array, in edge order."""
+        return self._ends
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        if self._edges is None:
+            self._edges = tuple(zip(*self._ends.T.tolist())) if self.m else ()
+        return self._edges
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        if self._adj is None:
+            n, tail = self.n, self._ends.ravel()
+            # codes tail * n + head sort by tail, then head; they are exact,
+            # as n tuples of neighbours fit in memory only for n far below 2^31
+            heads = (np.sort(tail * n + self._ends[:, ::-1].ravel()) % n).tolist()
+            bounds = np.cumsum(np.bincount(tail, minlength=n)).tolist()
+            self._adj = tuple(tuple(heads[lo:hi]) for lo, hi in zip([0] + bounds[:-1], bounds))
+        return self._adj
 
     @property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -87,15 +111,6 @@ class Graph:
         if self._edge_index is None:
             self._edge_index = {e: i for i, e in enumerate(self.edges)}
         return self._edge_index
-
-    @property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a read-only m x 2 intp array, in edge order."""
-        if self._edge_array is None:
-            ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-            ends.flags.writeable = False
-            self._edge_array = ends
-        return self._edge_array
 
     def index_of_edge(self, u: int, v: int) -> int:
         e = (u, v) if u < v else (v, u)
@@ -111,19 +126,30 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _is_connected(n: int, adj: Sequence[Sequence[int]]) -> bool:
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == n
+def _checked_ends(n: int, ends: np.ndarray) -> np.ndarray:
+    """The edges as (min, max) rows; raises GraphError for the first edge,
+    in input order, that is a self-loop, out of range or a repeat."""
+    u, v = ends[:, 0], ends[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
+    first = int(bad[0]) if bad.size else len(ends)
+    # the edges before the first bad one are in range: their codes lo * n + hi
+    # are unique per edge, and exact in int64 while n < 2^31
+    codes = (lo[:first] if n < 1 << 31 else lo[:first].astype(object)) * n + hi[:first]
+    ordered = np.sort(codes)
+    if (ordered[1:] == ordered[:-1]).any():
+        once = np.unique(codes, return_index=True)[1]  # each code's first edge
+        repeat = np.ones(first, dtype=bool)
+        repeat[once] = False
+        first = int(np.argmax(repeat))
+    if first == len(ends):
+        return np.column_stack((lo, hi))
+    a, b = int(u[first]), int(v[first])
+    if a == b:
+        raise GraphError(f"self-loop at vertex {a}")
+    if not (0 <= a < n and 0 <= b < n):
+        raise GraphError(f"edge ({a}, {b}) out of range for n={n}")
+    raise GraphError(f"duplicate edge {(min(a, b), max(a, b))}")
 
 
 def build_graph(
@@ -135,7 +161,7 @@ def build_graph(
 
 def degree_vector(g: Graph) -> tuple[int, ...]:
     """Per-vertex degrees; their sum is 2|E|."""
-    return tuple(len(r) for r in g.adj)
+    return tuple(np.bincount(g.edge_array.ravel(), minlength=g.n).tolist())
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -311,13 +337,97 @@ def components_after_deletion(g: Graph, removed: Iterable[int]) -> Components:
     return Components(tuple(comp), len(members), tuple(members))
 
 
+# Byte classes of the integer-table reader: 0 for a byte it leaves to the
+# line reader, then blank, line break, digit and sign.
+_BLANK, _BREAK, _DIGIT, _SIGN = 1, 2, 3, 4
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[[ord(" "), ord("\t")]] = _BLANK
+_BYTE_CLASS[[ord("\n"), ord("\r")]] = _BREAK  # str.splitlines breaks at both
+_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+_BYTE_CLASS[[ord("+"), ord("-")]] = _SIGN
+
+# The table reader takes values strictly inside +-2^60; a file with a larger
+# one goes to the line reader, whose Python ints are exact at any size.
+_TABLE_LIMIT = 1 << 60
+
+
+def read_int_table(text: str, widths: tuple[int, ...]) -> np.ndarray | None:
+    """The whitespace-separated integers of ``text`` as an int64 table, one
+    row per non-blank line, or None for a text the table cannot hold exactly.
+
+    Every non-blank line must hold the same number of tokens, one of
+    ``widths``, and every token must be an optionally signed run of ASCII
+    digits with a value strictly inside +-2^60: exactly the lines and values
+    that ``str.splitlines``, ``str.split`` and ``int`` read from the text.
+    Anything else (comments, other bytes, ``1_0``, a lone sign, a ragged
+    line, an empty text, a larger value) gives None, and the caller's line
+    reader reads the text and names the offending line.
+
+    A few passes over the bytes: one class lookup, token starts where a
+    digit or sign follows a blank or break, the token count of each line
+    from a search of the starts at the line breaks, and numpy's C reader
+    for the values, whose count and range are checked (it clamps a value
+    past int64 rather than failing).
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    kind = _BYTE_CLASS[np.frombuffer(data, dtype=np.uint8)]
+    if not kind.all():
+        return None
+    word = kind >= _DIGIT
+    start = word.copy()
+    start[1:] &= ~word[:-1]
+    starts = np.flatnonzero(start)
+    if not starts.size:
+        return None
+    signs = np.flatnonzero(kind == _SIGN)
+    if signs.size and (
+        not start[signs].all() or signs[-1] == kind.size - 1 or (kind[signs + 1] != _DIGIT).any()
+    ):
+        return None
+    line_ends = np.append(np.flatnonzero(kind == _BREAK), kind.size)
+    tokens = np.diff(np.searchsorted(starts, line_ends), prepend=0)
+    tokens = tokens[tokens > 0]
+    width = int(tokens[0])
+    if width not in widths or (tokens != width).any():
+        return None
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    if values.size != starts.size or values.min() <= -_TABLE_LIMIT or values.max() >= _TABLE_LIMIT:
+        return None
+    return values.reshape(-1, width)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
     Lines hold two whitespace-separated decimal vertex indices; lines starting
     with '#' are ignored.  An optional first line "n m" fixes the vertex count
     (it is treated as a header only when exactly m edge lines follow).
+
+    A text that ``read_int_table`` reads, and whose edges pass the array
+    checks of ``Graph``, is built from that table.  Any other text, and any
+    text with a fault, takes the line reader, whose ``ParseError`` names the
+    offending line.
     """
+    table = read_int_table(text, (2,))
+    if table is not None:
+        if table[0, 1] == len(table) - 1 and table[0, 0] >= 1:
+            n, ends = int(table[0, 0]), table[1:]
+        else:
+            n, ends = int(table.max()) + 1, table
+        try:
+            g = Graph(n, ends, require_connected=False)
+        except GraphError:
+            pass
+        else:
+            if g.connected:
+                return g
+    return _read_edge_lines(text)
+
+
+def _read_edge_lines(text: str) -> Graph:
+    """The line-by-line edge-list reader: every ``parse_edge_list`` error."""
     rows: list[tuple[int, int, int]] = []  # (lineno, a, b)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -350,9 +460,8 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: duplicate edge {e}")
         seen.add(e)
         edges.append(e)
-    # the pairs are checked above; only connectivity is left to test
-    g = Graph(n, edges, validate=False)
-    if not _is_connected(n, g.adj):
+    g = Graph(n, edges, require_connected=False)
+    if not g.connected:
         raise ParseError("graph is disconnected")
     return g
 

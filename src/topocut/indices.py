@@ -12,7 +12,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graph import Graph, GraphError, ParseError, all_pairs_distances, degree_vector
+import numpy as np
+
+from .graph import (
+    Graph,
+    GraphError,
+    ParseError,
+    all_pairs_distances,
+    degree_vector,
+    read_int_table,
+)
 
 Weight = int | Fraction
 
@@ -163,8 +172,26 @@ def parse_weight(token: str) -> Weight:
 def parse_weights(text: str, n: int) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
     """Parse the weights file format: one "v a [b]" line per vertex, b defaults to 1.
 
-    Every vertex 0..n-1 must appear exactly once.
+    Every vertex 0..n-1 must appear exactly once.  A text of integer lines
+    that ``read_int_table`` reads, naming every vertex once, is taken from
+    that table; any other text (fractions, decimals, comments, a fault)
+    takes the line reader, whose ``ParseError`` names the offending line.
     """
+    table = read_int_table(text, (2, 3))
+    if table is not None and len(table) == n:
+        vertex = table[:, 0]
+        # n lines that cover 0..n-1 name each vertex once
+        if vertex.min() >= 0 and vertex.max() < n and np.bincount(vertex, minlength=n).all():
+            a, b = np.empty(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+            a[vertex] = table[:, 1]
+            if table.shape[1] == 3:
+                b[vertex] = table[:, 2]
+            return tuple(a.tolist()), tuple(b.tolist())
+    return _read_weight_lines(text, n)
+
+
+def _read_weight_lines(text: str, n: int) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
+    """The line-by-line weights reader: every ``parse_weights`` error."""
     a: list[Weight | None] = [None] * n
     b: list[Weight] = [1] * n
     for lineno, raw in enumerate(text.splitlines(), start=1):

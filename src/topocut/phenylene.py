@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-from .graph import Graph, ParseError, component_labels, degree_vector
+from .graph import Graph, ParseError, component_labels, degree_vector, read_int_table
 from .indices import Weight, check_weights
 
 # Corner k of a cell centred at (X, Y) is (X, Y) + CORNER_OFFSETS[k].
@@ -77,24 +77,19 @@ def _grid_axis(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(steps))).astype(np.int64)[inverse]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BenzenoidPlacement:
     """A set of hexagon cells in axial coordinates, stored sorted.
 
-    ``grid`` holds the same cells, in the same order, on the compact grid
-    of ``_grid_axis``; the array routes work on it.
+    ``coords`` holds the cells as an (h, 2) array sorted by (q, r): int64,
+    or Python ints when some coordinate reaches 2^61.  ``grid`` holds the
+    same cells, in the same order, on the compact grid of ``_grid_axis``;
+    the array routes work on it.  ``cells``, the cells as a tuple of (q, r)
+    tuples, is built on first use; equality and hashing go by it.
     """
 
-    cells: tuple[tuple[int, int], ...]
-    grid: np.ndarray = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.grid is None:
-            raw = _cell_array(self.cells)
-            grid = np.empty(raw.shape, dtype=np.int64)
-            if len(raw):
-                grid[:, 0], grid[:, 1] = _grid_axis(raw[:, 0]), _grid_axis(raw[:, 1])
-            object.__setattr__(self, "grid", grid)
+    coords: np.ndarray
+    grid: np.ndarray
 
     @classmethod
     def of(cls, cells: Iterable[tuple[int, int]]) -> "BenzenoidPlacement":
@@ -113,11 +108,25 @@ class BenzenoidPlacement:
         same = np.flatnonzero((q[1:] == q[:-1]) & (r[1:] == r[:-1]))
         if same.size:
             raise PlacementError(f"duplicate cell {tuple(raw[same[0] + 1].tolist())}")
-        cells = tuple(zip(raw[:, 0].tolist(), raw[:, 1].tolist()))
-        return cls(cells, np.column_stack((q, r)))
+        return cls(raw, np.column_stack((q, r)))
+
+    @cached_property
+    def cells(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.coords[:, 0].tolist(), self.coords[:, 1].tolist()))
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.grid)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BenzenoidPlacement):
+            return NotImplemented
+        return self.cells == other.cells
+
+    def __hash__(self) -> int:
+        return hash(self.cells)
+
+    def __repr__(self) -> str:
+        return f"BenzenoidPlacement(cells={self.cells!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +148,7 @@ class Benzenoid:
 
     @cached_property
     def graph(self) -> Graph:
-        return Graph(len(self._first_corner), zip(self._eu.tolist(), self._ev.tolist()),
+        return Graph(len(self._first_corner), np.column_stack((self._eu, self._ev)),
                      validate=False)
 
     @cached_property
@@ -149,7 +158,7 @@ class Benzenoid:
     @cached_property
     def inner_dual(self) -> Graph:  # one vertex per cell, in placement order
         di, dj = self._dual
-        return Graph(len(self.placement), zip(di.tolist(), dj.tolist()))
+        return Graph(len(self.placement), np.column_stack((di, dj)))
 
     @cached_property
     def vertex_coords(self) -> tuple[tuple[int, int], ...]:
@@ -179,7 +188,7 @@ class Phenylene:
 
     @cached_property
     def graph(self) -> Graph:
-        return Graph(self.n, zip(self._eu.tolist(), self._ev.tolist()), validate=False)
+        return Graph(self.n, np.column_stack((self._eu, self._ev)), validate=False)
 
     @property
     def n(self) -> int:
@@ -228,8 +237,7 @@ def _validated_dual(
     a cell-by-cell, corner-by-corner scan first sees its third cell), a
     disconnected system, or an inner dual that is not a tree.
     """
-    cells = placement.cells
-    h = len(cells)
+    h = len(placement)
     nbr = _neighbours(placement.grid)
     # Corner k of cell i also lies in its neighbours k-1 and k; it is
     # internal when both exist, and a scan first sees it in three cells at
@@ -239,7 +247,9 @@ def _validated_dual(
     third = (nbr >= 0) & (left >= 0) & (nbr < cell) & (left < cell)
     if third.any():
         i, k = divmod(int(np.flatnonzero(third.ravel())[0]), 6)
-        raise PlacementError(f"internal lattice vertex at {_cell_corners(*cells[i])[k]}")
+        raise PlacementError(
+            f"internal lattice vertex at {_cell_corners(*placement.cells[i])[k]}"
+        )
     di, dk = np.nonzero(nbr > cell)
     dj = nbr[di, dk]
     if component_labels(h, di, dj)[0] != 1:
@@ -558,7 +568,7 @@ class QuotientTree:
 
     @cached_property
     def tree(self) -> Graph:
-        return Graph(self.n, zip(self.qu.tolist(), self.qv.tolist()), validate=False)
+        return Graph(self.n, np.column_stack((self.qu, self.qv)), validate=False)
 
     @cached_property
     def a(self) -> tuple[int, ...]:
@@ -661,20 +671,22 @@ def dd_gut_via_squeeze(cells: Iterable[tuple[int, int]]) -> tuple[int, int]:
 def parse_placement(text: str) -> BenzenoidPlacement:
     """Parse the placement file format: one "q r" cell per line, '#' comments.
 
-    A file with two integers on every non-blank line is converted in one
-    pass; anything else, comments included, takes the line-by-line reader,
-    whose errors name the offending line.
+    A text that ``read_int_table`` reads becomes the placement's cell array
+    directly; any other text takes the line reader, whose errors name the
+    offending line.  Both raise the placement's own faults (no cells, a
+    repeated cell) as ``ParseError``.
     """
-    if set(map(len, map(str.split, text.splitlines()))) <= {0, 2}:
-        try:
-            values = list(map(int, text.split()))
-        except ValueError:
-            pass
-        else:
-            try:
-                return BenzenoidPlacement._from_array(_cell_array(values))
-            except PlacementError as exc:
-                raise ParseError(str(exc)) from None
+    table = read_int_table(text, (2,))
+    try:
+        if table is not None:
+            return BenzenoidPlacement._from_array(table)
+        return BenzenoidPlacement.of(_read_cell_lines(text))
+    except PlacementError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _read_cell_lines(text: str) -> list[tuple[int, int]]:
+    """The line-by-line placement reader."""
     cells = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -687,10 +699,7 @@ def parse_placement(text: str) -> BenzenoidPlacement:
             cells.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ParseError(f"line {lineno}: expected two integers") from None
-    try:
-        return BenzenoidPlacement.of(cells)
-    except PlacementError as exc:
-        raise ParseError(str(exc)) from None
+    return cells
 
 
 def format_placement(placement: BenzenoidPlacement) -> str:

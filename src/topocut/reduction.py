@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .graph import Graph, GraphError
 from .indices import DoubleWeightedGraph, Weight, WeightedGraph
@@ -36,18 +38,19 @@ class ReductionStep:
     correction: Weight
 
 
-# The neighbourhood that makes twins: open N(v) for R, closed N[v] for S.
+# The neighbourhood that makes twins, from the adjacency tuples: open N(v)
+# for R, closed N[v] for S.
 _KEY = {
-    "R": lambda g, v: g.adj[v],
-    "S": lambda g, v: tuple(sorted(g.adj[v] + (v,))),
+    "R": lambda adj, v: adj[v],
+    "S": lambda adj, v: tuple(sorted(adj[v] + (v,))),
 }
 
 
 def _classes(g: Graph, kind: str) -> tuple[tuple[int, ...], ...]:
-    key = _KEY[kind]
+    key, adj = _KEY[kind], g.adj
     groups: dict[tuple[int, ...], list[int]] = {}
     for v in range(g.n):
-        groups.setdefault(key(g, v), []).append(v)
+        groups.setdefault(key(adj, v), []).append(v)
     # a group enters the dict at its smallest member, so this is that order
     return tuple(map(tuple, groups.values()))
 
@@ -62,15 +65,16 @@ def s_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
     return _classes(g, "S")
 
 
-def _collapse(g: Graph, drop: set[int]) -> tuple[Graph, tuple[int, ...]]:
+def _collapse(g: Graph, drop: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Delete ``drop``; return the reindexed graph and the kept old labels.
     Each dropped vertex has a kept twin, so the graph stays connected; the
     monotone reindexing keeps edges (min, max)-ordered."""
-    keep = tuple(v for v in range(g.n) if v not in drop)
-    new_of = [-1] * g.n
-    for i, v in enumerate(keep):
-        new_of[v] = i
-    edges = [(new_of[u], new_of[v]) for u, v in g.edges if min(new_of[u], new_of[v]) >= 0]
+    kept = np.ones(g.n, dtype=bool)
+    kept[list(drop)] = False
+    new_of = np.cumsum(kept) - 1
+    ends = g.edge_array
+    edges = new_of[ends[kept[ends].all(axis=1)]]
+    keep = tuple(np.flatnonzero(kept).tolist())
     return Graph(len(keep), edges, validate=False), keep
 
 
@@ -146,7 +150,7 @@ def collapse_plan(g: Graph) -> CollapsePlan:
                 steps.append((kind, members, members[0]))
                 for x in cls[1:]:
                     insort(dropped, x)
-            g, keep = _collapse(g, set(dropped))
+            g, keep = _collapse(g, dropped)
             phases.append((kind, classes, keep))
         clean = 1 if classes else clean + 1  # a phase leaves its own kind clean
         kind = "S" if kind == "R" else "R"
@@ -181,12 +185,12 @@ def _reduce_once(wgraph, c: int, kind: str):
     g = wgraph.g
     if not 0 <= c < g.n:
         raise GraphError(f"vertex {c} out of range")
-    key = _KEY[kind]
-    mine = key(g, c)
-    twins = tuple(v for v in range(g.n) if v != c and key(g, v) == mine)
+    key, adj = _KEY[kind], g.adj
+    mine = key(adj, c)
+    twins = tuple(v for v in range(g.n) if v != c and key(adj, v) == mine)
     if not twins:
         return wgraph, 0
-    reduced, keep = _collapse(g, set(twins))
+    reduced, keep = _collapse(g, twins)
     plan = CollapsePlan(reduced, ((kind, ((c, *twins),), keep),), ((kind, (c, *twins), c),))
     if isinstance(wgraph, WeightedGraph):
         w, _, (corr,) = plan.apply(wgraph.w)

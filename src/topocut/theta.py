@@ -23,7 +23,6 @@ from .graph import (
     GraphError,
     components_after_deletion,
     distance_matrix,
-    first_seen_labels,
 )
 
 
@@ -114,7 +113,9 @@ def theta_star_classes(
     rows of the distance matrix: (n - 1) x m entries in all, in blocks of
     tree edges.  After each block, ``connected_components`` merges its
     relation pairs with the classes so far, each edge linked to the first
-    edge of its class, so the pairs of only one block are ever held.
+    edge of its class, so the pairs of only one block are ever held.  Pairs
+    whose two edges already share a class are dropped first, and a block
+    left with none skips the merge.
     ``d`` may be given as the distance matrix or its rows.
     """
     if not g.connected:
@@ -138,13 +139,17 @@ def theta_star_classes(
     for lo in range(0, len(tree), step):
         delta = d[x[lo:lo + step]] - d[y[lo:lo + step]]
         i, j = np.nonzero(delta[:, u] != delta[:, v])
-        rows = np.concatenate((tree[lo + i], edges))
-        cols = np.concatenate((j, links))
+        # a pair whose edges already share a class merges nothing
+        unsettled = links[j] != links[tree[lo + i]]
+        if not unsettled.any():
+            continue
+        rows = np.concatenate((tree[lo + i[unsettled]], edges))
+        cols = np.concatenate((j[unsettled], links))
         relation = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(m, m))
         labels = connected_components(relation, directed=False)[1]
         links = np.unique(labels, return_index=True)[1][labels]
-    # classes numbered by their smallest edge index
-    class_of = first_seen_labels(labels)
+    # links names each edge's class by its smallest edge: classes numbered by it
+    class_of = np.unique(links, return_inverse=True)[1]
     return ThetaClasses(_groups(class_of), tuple(class_of.tolist()))
 
 
@@ -239,13 +244,14 @@ def is_partial_cube(
 
 
 def _is_bipartite(g: Graph) -> bool:
+    adj = g.adj
     colour = [-1] * g.n
     colour[0] = 0
     stack = [0]
     while stack:
         u = stack.pop()
         cu = colour[u]
-        for v in g.adj[u]:
+        for v in adj[u]:
             if colour[v] < 0:
                 colour[v] = 1 - cu
                 stack.append(v)

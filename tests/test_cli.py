@@ -2,8 +2,10 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import topocut.cli as cli
@@ -254,3 +256,123 @@ def test_reduce_keeps_fraction_typing_of_whole_reduced_value(tmp_path, capsys):
     assert payload["reduced_n"] == 4
     assert payload["reduced_wiener_double"] == "20"
     assert payload["wiener_double"] == "21"
+
+
+# ------------------------------------------------------------------
+# Report.to_json against json.dumps(payload, indent=2), kept as the reference.
+
+
+def reference_json(report):
+    payload = {
+        "input": report.input,
+        "n": report.n,
+        "m": report.m,
+        "method": report.method,
+        "indices": {k: cli._num(v) for k, v in report.indices.items()},
+        "breakdown": [{k: cli._num(v) for k, v in row.items()} for row in report.breakdown],
+        "timing_ms": report.timing_ms,
+    }
+    return json.dumps(payload, indent=2)
+
+
+def loaded_inputs(tmp_path):
+    """(loaded input, methods) pairs: plain, int-weighted and p/q-weighted
+    graphs, a partial Hamming graph and a phenylene."""
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 1\n1 2\n2 3\n3 0\n1 4\n4 5\n5 1\n5 6\n")  # twins 0, 2
+    ints = tmp_path / "int.w"
+    ints.write_text("".join(f"{v} {v + 1} {7 - v}\n" for v in range(7)))
+    fracs = tmp_path / "frac.w"
+    fracs.write_text("0 1/2 3\n1 2 5/3\n2 1/2 3\n3 4\n4 1.25\n5 7/7 2\n6 9 1/9\n")
+    huge = tmp_path / "huge.w"  # past int64 in every product
+    huge.write_text("".join(f"{v} {2**62 + v} {v + 1}\n" for v in range(8)))
+    general = ["oracle", "cuts", "reduce", "auto"]
+    out = []
+    for weights in (None, ints, fracs):
+        argv = [str(edges)] + (["--weights", str(weights)] if weights else [])
+        out.append((argv, general))
+    out.append((["--family", "house", "--n", "4"], general + ["hamming"]))
+    out.append((["--family", "hypercube", "--n", "3", "--weights", str(huge)], ["hamming"]))
+    phe6 = tmp_path / "phe6.w"
+    phe6.write_text("".join(f"{v} {v % 5 + 1}/{v % 3 + 1}\n" for v in range(36)))
+    for weights in ([], ["--weights", str(phe6)]):
+        out.append((["--family", "phe6", *weights], ["trees", "auto", "cuts"]))
+    parser = cli.make_parser()
+    return [
+        (cli._load_input(parser.parse_args(["compute", *argv])), methods)
+        for argv, methods in out
+    ]
+
+
+def test_json_writer_matches_json_dumps_on_every_method(tmp_path):
+    checked = set()
+    for loaded, methods in loaded_inputs(tmp_path):
+        for method in methods:
+            report = cli._compute_report(loaded, method)
+            report.timing_ms = 12.345678901234567
+            assert report.to_json() == reference_json(report), (loaded.descriptor, method)
+            checked.add(report.method)
+    assert checked == {"oracle", "cuts", "hamming", "reduce", "trees"}
+
+
+def test_json_writer_matches_json_dumps_on_awkward_values():
+    reports = [
+        cli.Report(
+            'in "q" \\ back, café ☃ tab\t\x01 %s {}', 3, 2, "cuts",
+            {"wiener": 2**64 + 1, "gutman": -(2**70), "wiener_double": Fraction(-7, 3)},
+            [
+                {"block": 0, "edges": 1, "W": Fraction(1, 2), "DD": 2**63, "Gut": 0},
+                {"block": 1, "edges": 2, "W": 1, "DD": Fraction(5, 1), "Gut": -3},
+                {"kind": "R", "class_size": 2, "representative": 0, "correction": 2**100},
+            ],
+            0.1,
+        ),
+        cli.Report("empty", 1, 0, "reduce", {"wiener": 0}, [], 0.0),
+        cli.Report("nothing", 1, 0, "oracle", {}, [{}], 1e-7),
+        cli.Report("np", 2, 1, "cuts", {"wiener": np.int64(1)}, [{"block": np.int32(0)}], 3.0),
+    ]
+    for report in reports:
+        assert report.to_json() == reference_json(report)
+
+
+# ------------------------------------------------------------------
+# --weights applies to every input source.
+
+WEIGHT_SOURCES = {
+    "file": (["@p5.edges"], 5),
+    "cells": (["--cells", "@two.cells"], 12),
+    "chain": (["--family", "chain", "--n", "2"], 12),
+    "phe6": (["--family", "phe6"], 36),
+    "house": (["--family", "house", "--n", "2"], 5),
+    "complete_bipartite": (["--family", "complete_bipartite", "--n", "2,3"], 5),
+    "basic": (["--family", "path", "--n", "5"], 5),
+}
+
+
+def source_argv(tmp_path, source):
+    (tmp_path / "p5.edges").write_text("0 1\n1 2\n2 3\n3 4\n")
+    (tmp_path / "two.cells").write_text("0 0\n1 0\n")
+    argv, n = WEIGHT_SOURCES[source]
+    return [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv], n
+
+
+@pytest.mark.parametrize("source", sorted(WEIGHT_SOURCES))
+def test_weights_apply_to_every_input_source(tmp_path, capsys, source):
+    argv, n = source_argv(tmp_path, source)
+    w = tmp_path / "w.txt"
+    w.write_text("".join(f"{v} {v % 3 + 1} {v % 2 + 1}\n" for v in range(n)))
+    code, out, err = run(capsys, "compute", *argv, "--weights", str(w), "--method", "cuts",
+                         "--check", "--json")
+    assert code == 0, err
+    indices = json.loads(out)["indices"]
+    assert {"wiener_weighted", "wiener_plus", "wiener_double"} <= set(indices)
+
+
+@pytest.mark.parametrize("source", sorted(WEIGHT_SOURCES))
+def test_bad_weights_file_exits_2_for_every_input_source(tmp_path, capsys, source):
+    argv, _ = source_argv(tmp_path, source)
+    bad = tmp_path / "bad.w"
+    bad.write_text("0 x\n")
+    code, out, err = run(capsys, "compute", *argv, "--weights", str(bad))
+    assert code == 2 and out == ""
+    assert "line 1: cannot parse weight 'x'" in err

@@ -139,3 +139,56 @@ def test_phe6_fixture_shape():
     assert len(placement) == 6
     dual = build_benzenoid(placement).inner_dual
     assert sorted(len(a) for a in dual.adj) == [1, 1, 1, 2, 2, 3]
+
+
+def _lattice_canonical(cells):
+    """The smallest translated, sorted image of a cell set under the twelve
+    symmetries of the hexagonal lattice (rotations by 60 degrees and a
+    mirror, in cube coordinates)."""
+    cubes = [(q, -q - r, r) for q, r in cells]
+    best = None
+    for mirror in (False, True):
+        image = [(x, z, y) for x, y, z in cubes] if mirror else cubes
+        for _ in range(6):
+            image = [(-z, -x, -y) for x, y, z in image]
+            q0, r0 = min(x for x, _, _ in image), min(z for _, _, z in image)
+            key = tuple(sorted((x - q0, z - r0) for x, _, z in image))
+            best = key if best is None or key < best else best
+    return best
+
+
+def test_phe6_is_the_one_isomer_with_the_frozen_tree_values():
+    """Provenance of PHE6_CELLS: of the catacondensed six-hexagon systems
+    whose inner dual is a five-vertex path with a pendant at its second
+    vertex, exactly one, up to lattice symmetry, gives the frozen per-tree
+    values: DD shares {5208, 2976, 4416} on the direction trees and 5784 on
+    the connector tree, Gut shares {6484, 3600, 5520} and 7252."""
+    from itertools import product
+
+    from topocut.families import PHE6_CELLS
+    from topocut.phenylene import NEIGHBOR_OFFSETS, build_phenylene, quotient_trees
+
+    step = NEIGHBOR_OFFSETS
+    seen, matches = set(), set()
+    # p1 - p2 - p3 - p4 - p5 with the pendant q on p2 (at the origin)
+    for d1, dq, d3, d4, d5 in product(range(6), repeat=5):
+        p3 = step[d3]
+        p4 = (p3[0] + step[d4][0], p3[1] + step[d4][1])
+        p5 = (p4[0] + step[d5][0], p4[1] + step[d5][1])
+        cells = [step[d1], step[dq], (0, 0), p3, p4, p5]
+        key = _lattice_canonical(cells)
+        if len(set(cells)) != 6 or key in seen:
+            continue
+        seen.add(key)
+        try:
+            # a valid system has exactly the five dual edges drawn, so its
+            # inner dual has the wanted shape
+            trees = quotient_trees(build_phenylene(cells))
+        except PlacementError:
+            continue
+        dd, gut, _ = zip(*(t.split_sums() for t in trees))
+        if (sorted(dd[:3]), dd[3], sorted(gut[:3]), gut[3]) == (
+            [2976, 4416, 5208], 5784, [3600, 5520, 6484], 7252
+        ):
+            matches.add(key)
+    assert matches == {_lattice_canonical(PHE6_CELLS)}

@@ -602,18 +602,29 @@ def test_placement_errors_match_loop_validation(cells):
     assert (list(placement.cells), list(zip(di.tolist(), dj.tolist()))) == want
 
 
-@given(st.lists(st.sampled_from(["0 0", "1 0", "0 1", "2 -1", "7", "a b", "1 2 3", "", "  ",
-                                 "# note", "3 0", "-1 1", "0 0 # x"]), max_size=8))
-def test_placement_parsing_matches_line_reader(lines):
-    text = "\n".join(lines) + "\n"
+PLACEMENT_LINES = [
+    "0 0", "1 0", "0 1", "2 -1", "7", "a b", "1 2 3", "", "  ", "# note", "3 0", "-1 1",
+    "0 0 # x", "+1 0", "0\t+1", " -0  1 ", "1_0 0", "\u0663 0", "0 1\x0c", "- 1", "1.5 0",
+    f"{2**60 - 1} 0", f"{2**60} 0", f"0 {-(2**60)}", f"0 {2**63}", f"{-(2**63) - 1} 0",
+    "99999999999999999999 1",
+]
+
+
+@given(st.lists(st.sampled_from(PLACEMENT_LINES), max_size=8), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_placement_parsing_matches_line_reader(lines, end):
+    text = end.join(lines) + end
+    # the reference also validates the placement, which parsing leaves to
+    # _validated_dual: compare the two steps together
     try:
         want = reference_parse(text)
     except (ValueError, PlacementError) as exc:
         with pytest.raises(ValueError) as got:
-            parse_placement(text)
+            _validated_dual(parse_placement(text))
         assert str(got.value) == str(exc)
         return
-    assert list(parse_placement(text).cells) == want
+    placement = parse_placement(text)
+    _validated_dual(placement)
+    assert list(placement.cells) == want
 
 
 KINKS = "A+LA-L" * 7

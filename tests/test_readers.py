@@ -1,0 +1,280 @@
+"""The array readers and the array-built Graph against the line-by-line
+readers and the per-edge validation loop they replaced, kept here as
+references: equal results, or a ParseError / GraphError with the identical
+message."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from topocut.graph import Graph, GraphError, ParseError, parse_edge_list, read_int_table
+from topocut.indices import parse_weights
+
+
+def reference_graph(n, edges, require_connected=True):
+    """Graph validation as a loop over the edges: (n, edges, adj, connected)."""
+    if n < 1:
+        raise GraphError("graph needs at least one vertex")
+    norm, seen = [], set()
+    for u, v in edges:
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise GraphError(f"duplicate edge {e}")
+        seen.add(e)
+        norm.append(e)
+    rows = [[] for _ in range(n)]
+    for u, v in norm:
+        rows[u].append(v)
+        rows[v].append(u)
+    adj = tuple(tuple(sorted(r)) for r in rows)
+    reached, stack = {0}, [0]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in reached:
+                reached.add(v)
+                stack.append(v)
+    connected = len(reached) == n
+    if require_connected and not connected:
+        raise GraphError("graph is disconnected")
+    return n, tuple(norm), adj, connected
+
+
+def reference_parse_edge_list(text):
+    """The line-by-line edge-list reader: (n, edges) or a ParseError."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected two integers, got {line!r}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: expected two integers, got {line!r}") from None
+        rows.append((lineno, a, b))
+    if not rows:
+        raise ParseError("no edges found")
+    first_line, first_a, first_b = rows[0]
+    if first_b == len(rows) - 1 and first_a >= 1:
+        n, pairs = first_a, rows[1:]
+    else:
+        n, pairs = max(max(a, b) for _, a, b in rows) + 1, rows
+    edges = []
+    seen = set()
+    for lineno, a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ParseError(f"line {lineno}: vertex out of range for n={n}")
+        if a == b:
+            raise ParseError(f"line {lineno}: self-loop at vertex {a}")
+        e = (a, b) if a < b else (b, a)
+        if e in seen:
+            raise ParseError(f"line {lineno}: duplicate edge {e}")
+        seen.add(e)
+        edges.append(e)
+    # fewer than n - 1 edges cannot connect n vertices (and n may be huge)
+    if len(edges) < n - 1 or not reference_graph(n, edges, require_connected=False)[3]:
+        raise ParseError("graph is disconnected")
+    return n, tuple(edges)
+
+
+def reference_parse_weight(token):
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"cannot parse weight {token!r}") from None
+    return int(value) if value.denominator == 1 else value
+
+
+def reference_parse_weights(text, n):
+    """The line-by-line weights reader."""
+    a = [None] * n
+    b = [1] * n
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ParseError(f"line {lineno}: expected 'v a [b]', got {line!r}")
+        try:
+            v = int(parts[0])
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad vertex index {parts[0]!r}") from None
+        if not (0 <= v < n):
+            raise ParseError(f"line {lineno}: vertex {v} out of range for n={n}")
+        if a[v] is not None:
+            raise ParseError(f"line {lineno}: vertex {v} given twice")
+        try:
+            a[v] = reference_parse_weight(parts[1])
+            if len(parts) == 3:
+                b[v] = reference_parse_weight(parts[2])
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    missing = [v for v, x in enumerate(a) if x is None]
+    if missing:
+        raise ParseError(f"missing weights for vertices {missing[:5]}")
+    return tuple(a), tuple(b)
+
+
+# Tokens at and around the table reader's limits and Python's int syntax.
+HAZARD_TOKENS = [
+    "+1", "-1", "-0", "+0", "007", "1_0", "x", "1.5", "3/2", "1/0", "0.25", "-", "+",
+    "--1", "1-2", "٣",  # an Arabic-Indic digit, which int() reads as 3
+    str(2**60 - 1), str(2**60), str(-(2**60) + 1), str(-(2**60)),
+    str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1),
+    "99999999999999999999", "-99999999999999999999",
+]
+SEPARATORS = [" ", "  ", "\t", " \t "]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+EXTRA_LINES = ["", "   ", "\t", "# comment", "#", "7", "1 2 3", "0 1 # x", "\x0c"]
+
+
+@st.composite
+def texts(draw, rows):
+    """Token rows, some tokens swapped for hazards and some odd lines
+    inserted, each now and then; joined by one drawn line ending and padded."""
+    rows = [list(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2)) if rows and draw(st.booleans()) else 0):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(HAZARD_TOKENS))
+    lines = [draw(st.sampled_from(SEPARATORS)).join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(EXTRA_LINES)))
+    end = draw(st.sampled_from(LINE_ENDS))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    return end.join(pad + ln + pad for ln in lines) + draw(st.sampled_from(["", end]))
+
+
+@st.composite
+def edge_texts(draw):
+    """A random connected graph's edge lines in random order and orientation,
+    now and then with a stray edge (a loop, repeat or far vertex), a header
+    that matches the line count or one that does not, and the hazards of
+    ``texts``."""
+    n = draw(st.integers(1, 7))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    stray = st.tuples(st.integers(0, n), st.integers(0, n))
+    edges += draw(st.lists(stray, max_size=2)) if draw(st.booleans()) else []
+    rows = [(str(u), str(v)) if draw(st.booleans()) else (str(v), str(u)) for u, v in edges]
+    rows = draw(st.permutations(rows))
+    header = draw(st.sampled_from(["none", "none", "matching", "other"]))
+    if header != "none":
+        m = len(rows) if header == "matching" else draw(st.integers(0, 9))
+        rows = [(str(draw(st.integers(0, n + 1))), str(m)), *rows]
+    return draw(texts(rows))
+
+
+def edge_outcome(parse, text):
+    try:
+        got = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return got if isinstance(got, tuple) else (got.n, got.edges)
+
+
+@given(edge_texts())
+@example("3 2\r\n0 1\r\n1 2\r\n")
+@example("3 2\n0 1\n1 2\n2 0\n")  # header-shaped first line that is an edge
+@example("# c\n3 2\n0 1\n1 2\n")
+@example("+0 +1\n1 2")
+@example("1_0 1\n")
+@example(" \t \n\n")
+@example("")
+@example(f"{2**63} 0\n")
+@example(f"0 1\n1 {2**60}\n")
+@example(f"0 1\n1 {2**60 - 1}\n")
+@example("4 3\n0 1\n1 2\n")
+@example("0 1\n1 2\n2 0\n3 4\n")  # disconnected with m = n - 1
+@example("5 4\n0 1\n1 2\n2 0\n3 4\n")
+def test_edge_list_reader_matches_line_reader(text):
+    want = edge_outcome(reference_parse_edge_list, text)
+    assert edge_outcome(parse_edge_list, text) == want
+    if want[0] != "error":
+        g = parse_edge_list(text)
+        assert g.adj == reference_graph(g.n, g.edges)[2]
+
+
+@st.composite
+def weight_texts(draw):
+    """One "v a [b]" row per vertex in random order, now and then a vertex
+    missing, repeated or out of range, with mixed widths and the hazards of
+    ``texts``."""
+    n = draw(st.integers(1, 5))
+    vertices = list(draw(st.permutations(range(n))))
+    if draw(st.booleans()):
+        vertices = draw(st.lists(st.integers(0, n), max_size=n + 1))
+    widths = st.just(draw(st.integers(1, 2))) if draw(st.booleans()) else st.integers(1, 2)
+    value = st.integers(1, 9).map(str)
+    rows = [(str(v), *(draw(value) for _ in range(draw(widths)))) for v in vertices]
+    return draw(texts(rows)), n
+
+
+def weight_outcome(parse, text, n):
+    try:
+        a, b = parse(text, n)
+    except ParseError as exc:
+        return "error", str(exc)
+    # equal values of equal types: 2 and Fraction(2) must not pass for each other
+    return [(type(x), x) for x in a], [(type(x), x) for x in b]
+
+
+@given(weight_texts())
+@example(("0 2\n1 3 4\n# c\n2 1/2\n", 3))
+@example(("1 5 6\r\n0 2 3\r\n", 2))
+@example(("0 1\n0 2\n", 2))
+@example(("0 1\n", 2))
+@example(("0 1 2\n1 3\n", 2))
+@example(("0 +4\n1 -0\n", 2))
+@example((f"0 {2**63}\n1 1\n", 2))
+@example((f"0 {2**60 - 1} {-(2**60) + 1}\n1 1 1\n", 2))
+@example(("0 1.5\n1 2/4\n", 2))
+def test_weights_reader_matches_line_reader(case):
+    text, n = case
+    assert weight_outcome(parse_weights, text, n) == weight_outcome(reference_parse_weights, text, n)
+
+
+@given(
+    st.integers(1, 7),
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(-1, 7), st.sampled_from([2**62, 2**64, -(2**70)])),
+            st.integers(-1, 7),
+        ),
+        max_size=10,
+    ),
+    st.booleans(),
+)
+@example(5, [(0, 1), (1, 2), (2, 0), (3, 4)], False)
+@example(5, [(0, 1), (1, 2), (2, 0), (3, 4)], True)
+def test_array_graph_matches_validation_loop(n, edges, require_connected):
+    try:
+        want = reference_graph(n, edges, require_connected)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as got:
+            Graph(n, edges, require_connected=require_connected)
+        assert str(got.value) == str(exc)
+        return
+    g = Graph(n, edges, require_connected=require_connected)
+    assert (g.n, g.edges, g.adj, g.connected) == want
+    assert Graph(n, g.edge_array, require_connected=require_connected).edges == g.edges
+
+
+def test_table_reader_hands_over_what_it_cannot_hold_exactly():
+    assert read_int_table("1 2\r\n\n+3 -4\r5\t6\n", (2,)).tolist() == [[1, 2], [3, -4], [5, 6]]
+    assert read_int_table(f"{2**60 - 1} {-(2**60) + 1}", (2,)).tolist() == [[2**60 - 1, -(2**60) + 1]]
+    for text in ["", " \n\t", "# c\n0 1", "1_0 1", "1 2\n3", "1 2 3\n4 5", "- 1", "1 -",
+                 "1-2 3", "--1 2", f"{2**60} 0", f"0 {-(2**60)}", f"{2**63} 0",
+                 "99999999999999999999 0", "٣ 1", "1\x0c2"]:
+        assert read_int_table(text, (2,)) is None, text
+    assert read_int_table("0 1 2\n3 4 5\n", (2, 3)).shape == (2, 3)
