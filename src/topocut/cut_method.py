@@ -7,16 +7,18 @@ Wiener variant decomposes into a sum of the same variant over the (small)
 quotient graphs with component-aggregated weights.
 
 Every index is a weight pair: W(a, b) = sum over ordered vertex pairs of
-a(u) b(v) d(u,v), and W*(a) = W(a, a) / 2.  :class:`CutEngine` finds every
-block quotient at once by contracting the edge set in ceil(log2 k) halving
-levels of the k blocks, with no pass over the whole graph per block.  It
-sums the weights of every quotient through the same levels, evaluates the
-complete quotients in closed form all together and gives every other
-quotient one distance matrix.  Two guards keep it exact: the component sums
-and D B products run in int64 only while (n - 1) sum|w| < 2^62, and the
-closed sums' products only while sum|a| sum|b| < 2^62; past either, the
-arrays hold Python ints.  The ``QuotientGraph`` objects are built only on
-request (``CutEngine.quotients``).
+a(u) b(v) d(u,v), and W*(a) = W(a, a) / 2.  :class:`CutEngine` takes each
+edge of a pendant tree as a K2 block with the subtree sums as its sides.
+It finds every other block quotient at once by contracting the 2-core's
+edges in ceil(log2 k) halving levels of its k blocks, with no pass over
+the whole graph per block.  It sums the weights of every quotient through
+the same levels, evaluates the complete quotients in closed form all
+together and gives every other quotient one distance matrix.  Two guards
+keep it exact: the component and subtree sums and D B products run in
+int64 only while (n - 1) sum|w| < 2^62, and the closed sums' products only
+while sum|a| sum|b| < 2^62; past either, the arrays hold Python ints.  The
+``QuotientGraph`` objects are built only on request
+(``CutEngine.quotients``).
 """
 
 from __future__ import annotations
@@ -97,7 +99,16 @@ class CutEngine:
     found by one contraction pass.
 
     Without ``partition`` the blocks are the theta*-classes: theta* runs
-    once (or ``classes`` is used) and the partition is validated once.
+    once, or ``classes`` is used and validated.  The pendant trees then
+    stay out of the contraction (``Graph.peel``).  Each of their edges is a
+    bridge and a class of its own, so its quotient is K2, with sides the
+    subtree below the edge and the rest.  The contraction runs on the
+    2-core's edges and classes only.  A pendant vertex lies in the same
+    component of G - F_i as its core vertex for every core block i, so a
+    core quotient's component sums are those of the core with each core
+    vertex carrying its hanging subtree.  Components stay numbered by the
+    smallest original vertex: the core vertices are ranked by the smallest
+    vertex of their subtrees.  A given ``partition`` is contracted whole.
 
     The blocks are numbered 0..k-1 and contracted by halving the block range
     in L = ceil(log2 k) levels.  Before level l every range R of blocks (the
@@ -125,10 +136,16 @@ class CutEngine:
         partition: EdgePartition | None = None,
         classes: ThetaClasses | None = None,
     ):
+        n, ends = g.n, g.edge_array
+        peel = None
         if partition is None:
             if classes is None:
                 classes = theta_star_classes(g)
-            partition = validate_coarser(g, classes.classes, classes)
+                partition = EdgePartition(classes.classes)
+            else:
+                partition = validate_coarser(g, classes.classes, classes)
+            # a bridge's quotient is K2 only in a connected graph
+            peel = g.peel if g.connected else None
         else:
             _check_partition(g, partition)
         self.g = g
@@ -139,9 +156,41 @@ class CutEngine:
             block_of[np.concatenate(partition.blocks)] = np.repeat(
                 np.arange(k), [len(b) for b in partition.blocks]
             )
-        self._depth = depth = max(k - 1, 0).bit_length()  # ceil(log2 k)
-        eu, ev = (ends.astype(np.int64) for ends in g.edge_array.T)
-        ranges = np.zeros(g.n, dtype=np.int64)  # the block range of each super-vertex
+        # A pendant block is one pendant edge alone, as in the theta*-classes;
+        # given classes that join a pendant edge to others are contracted whole.
+        pendant = np.zeros(k, dtype=bool)
+        self._fold: list[tuple[int, int]] = []  # (peeled vertex, parent), in peel order
+        if peel is not None and peel.order.size:
+            owner = block_of[peel.edge]
+            if (np.bincount(block_of, minlength=k)[owner] == 1).all():
+                pendant[owner] = True
+                self._fold = list(zip(peel.order.tolist(), peel.parent.tolist()))
+                self._pendant_vertex = peel.order[np.argsort(owner)]  # per pendant block
+        core_k = k - len(self._fold)
+        if self._fold:
+            # core blocks renumbered 0..core_k-1 in order; pendant blocks -1
+            self._core_block = np.where(pendant, -1, np.cumsum(~pendant) - 1)
+            # each vertex's core vertex, by pointer jumping up the trees
+            anchor = np.arange(n)
+            anchor[peel.order] = peel.parent
+            while (anchor[anchor] != anchor).any():
+                anchor = anchor[anchor]
+            # core vertices ranked by the smallest vertex of their subtrees
+            low = np.full(n, n)
+            np.minimum.at(low, anchor, np.arange(n))
+            self._core_vertices = peel.core[np.argsort(low[peel.core])]
+            rank = np.empty(n, dtype=np.int64)
+            rank[self._core_vertices] = np.arange(peel.core.size)
+            self._core_of = rank[anchor]
+            eu, ev = rank[ends[peel.core_edges]].T
+            block_of = self._core_block[block_of[peel.core_edges]]
+        else:
+            self._core_block = np.arange(k)
+            self._core_vertices = self._core_of = np.arange(n)
+            eu, ev = (e.astype(np.int64) for e in ends.T)
+        self._depth = depth = max(core_k - 1, 0).bit_length()  # ceil(log2 k)
+        # the block range of each super-vertex
+        ranges = np.zeros(self._core_vertices.size, dtype=np.int64)
         self._maps = []  # per level: the child super-vertex of copy 2s + c
         for level in range(depth):
             bit = (block_of >> (depth - level - 1)) & 1
@@ -155,16 +204,16 @@ class CutEngine:
             child_ranges[labels] = 2 * ranges[copies >> 1] + (copies & 1)
             ranges = child_ranges
         # Within one range, super-vertices are numbered in the order of their
-        # smallest vertex: true of the original vertices, and kept by every
+        # smallest vertex: true of the ranked core vertices, and kept by every
         # level, as component_labels numbers each child by its smallest copy
         # 2s + c.  So a stable sort by range lists every block's quotient
-        # vertices in quotient()'s order; ranges past k - 1 hold no block and
-        # sort last.
+        # vertices in quotient()'s order; ranges past the last core block
+        # hold no block and sort last.
         self._order = np.argsort(ranges, kind="stable")
         self._position = np.empty(ranges.size, dtype=np.int64)
         self._position[self._order] = np.arange(ranges.size)
-        sizes = np.bincount(ranges, minlength=k)[:k]
-        self._starts = np.concatenate(([0], np.cumsum(sizes)))
+        core_sizes = np.bincount(ranges, minlength=core_k)[:core_k]
+        self._starts = np.concatenate(([0], np.cumsum(core_sizes)))
         # quotient edges: unique (lo, hi) leaf positions without loops,
         # sorted by block, then lo, then hi
         lo, hi = self._position[eu], self._position[ev]
@@ -172,10 +221,20 @@ class CutEngine:
         codes = np.unique((lo * ranges.size + hi)[lo != hi])
         self._edge_lo, self._edge_hi = codes // ranges.size, codes % ranges.size
         edge_block = ranges[self._order][self._edge_lo]
-        self._edge_starts = np.searchsorted(edge_block, np.arange(k + 1))
+        self._edge_starts = np.searchsorted(edge_block, np.arange(core_k + 1))
         edge_counts = np.diff(self._edge_starts)
+        sizes = core_sizes
+        complete = 2 * edge_counts == core_sizes * (core_sizes - 1)
+        if self._fold:  # every pendant block's K2 in its place in block order
+            sizes = np.full(k, 2, dtype=np.int64)
+            sizes[~pendant] = core_sizes
+            core_complete, complete = complete, pendant.copy()
+            complete[~pendant] = core_complete
+            self._pendant_rows = np.repeat(pendant, sizes)
+        # rows of the leaf sums: every block's quotient vertices in block order
+        self._rows = np.concatenate(([0], np.cumsum(sizes)))
         self.sizes = tuple(sizes.tolist())
-        self.complete = tuple((2 * edge_counts == sizes * (sizes - 1)).tolist())
+        self.complete = tuple(complete.tolist())
 
     @property
     def partial_hamming(self) -> bool:
@@ -190,27 +249,57 @@ class CutEngine:
 
     def component_of(self, i: int) -> np.ndarray:
         """The vertex of G/F_i that holds each vertex of G."""
-        vertex = np.arange(self.g.n)
+        c = self._core_block[i]
+        if c < 0:  # a pendant edge: the two sides of the bridge
+            keep = np.arange(self.g.m) != self.partition.blocks[i][0]
+            return component_labels(self.g.n, *self.g.edge_array[keep].T)[1]
+        vertex = self._core_of
         for level, (_, labels) in enumerate(self._maps):
-            vertex = labels[2 * vertex + ((i >> (self._depth - level - 1)) & 1)]
-        return self._position[vertex] - self._starts[i]
+            vertex = labels[2 * vertex + ((c >> (self._depth - level - 1)) & 1)]
+        return self._position[vertex] - self._starts[c]
 
     def quotient_edges(self, i: int) -> np.ndarray:
         """The edges (lo, hi) of G/F_i as an array of rows, sorted."""
-        span = slice(self._edge_starts[i], self._edge_starts[i + 1])
+        c = self._core_block[i]
+        if c < 0:
+            return np.array([[0, 1]], dtype=np.int64)
+        span = slice(self._edge_starts[c], self._edge_starts[c + 1])
         ends = np.stack((self._edge_lo[span], self._edge_hi[span]), axis=1)
-        return ends - self._starts[i]
+        return ends - self._starts[c]
 
-    def _leaf_sums(self, weights: np.ndarray) -> np.ndarray:
-        """Component sums of the weight columns on every quotient: the
-        weights replayed through the level maps, one row per quotient vertex
-        in block order."""
+    def _leaf_sums(
+        self, columns: Sequence[list[int]], totals: list[int], dtype: type
+    ) -> np.ndarray:
+        """Component sums of the weight columns on every quotient, one row
+        per quotient vertex in block order.
+
+        Each column is first folded into the core along the peel order, so
+        every pendant vertex holds the sum S of its subtree and every core
+        vertex its own subtree's.  A pendant block's rows are S and T - S,
+        with T the column total.  The core weights are replayed through the
+        level maps.
+        """
+        if self._fold:
+            columns = [list(col) for col in columns]
+            for col in columns:
+                for v, p in self._fold:
+                    col[p] += col[v]
+        weights = np.array(columns, dtype=dtype).T
+        sums = weights[self._core_vertices]
         for count, labels in self._maps:
-            sums = np.zeros((count, weights.shape[1]), dtype=weights.dtype)
-            np.add.at(sums, labels[0::2], weights)
-            np.add.at(sums, labels[1::2], weights)
-            weights = sums
-        return weights[self._order[: self._starts[-1]]]
+            merged = np.zeros((count, sums.shape[1]), dtype=dtype)
+            np.add.at(merged, labels[0::2], sums)
+            np.add.at(merged, labels[1::2], sums)
+            sums = merged
+        sums = sums[self._order[: self._starts[-1]]]
+        if not self._fold:
+            return sums
+        rows = np.empty((self._rows[-1], len(columns)), dtype=dtype)
+        rows[~self._pendant_rows] = sums
+        below = weights[self._pendant_vertex]
+        above = np.array(totals, dtype=dtype) - below
+        rows[self._pendant_rows] = np.stack((below, above), axis=1).reshape(-1, len(columns))
+        return rows
 
     def block_values(
         self, terms: Sequence[Term], *, closed: bool = False
@@ -221,16 +310,19 @@ class CutEngine:
         closed sums W(a, b) = T_a T_b - sum_c A_c B_c and
         W*(a) = (T_a^2 - sum_c A_c^2) / 2, with T the weight totals and A, B
         the component sums; the sums over c run for every complete block at
-        once.  Any other quotient takes one distance matrix D, with
-        W(a, b) = sum_u A_u (D B)_u and one D B product per distinct B.
-        ``closed`` applies the closed sums to every quotient, which gives
-        the partial-Hamming lower bound instead of the exact value.
+        once.  A pendant edge's K2 has the sides S(v) and T - S(v), with S(v)
+        the sums over the subtree below it, so W(a, b) is
+        S_a(v) (T_b - S_b(v)) + (T_a - S_a(v)) S_b(v).  Any other quotient
+        takes one distance matrix D, with W(a, b) = sum_u A_u (D B)_u and one
+        D B product per distinct B.  ``closed`` applies the closed sums to
+        every quotient, which gives the partial-Hamming lower bound instead
+        of the exact value.
 
         Exact for int and Fraction weights: each weight vector is scaled to
         integers by the LCM of its denominators and the result divided back,
         a Fraction whenever some weight of the term is one, as in the
-        oracle's sums.  The component sums and D B run in int64 only under
-        ``_INT64_LIMIT``, the products A_c B_c only while
+        oracle's sums.  The component and subtree sums and D B run in int64
+        only under ``_INT64_LIMIT``, the products A_c B_c only while
         sum|a| sum|b| < ``_INT64_LIMIT``, each on object arrays of Python
         ints otherwise; every value leaves numpy by ``tolist`` before it
         meets a weight.
@@ -244,8 +336,8 @@ class CutEngine:
         scaled, scales, fractional = zip(*map(_scaled, slots))
         bounds = [sum(map(abs, w)) for w in scaled]
         dtype = np.int64 if max(self.g.n - 1, 1) * max(bounds) < _INT64_LIMIT else object
-        agg = self._leaf_sums(np.array(scaled, dtype=dtype).T)
         totals = [sum(w) for w in scaled]
+        agg = self._leaf_sums(scaled, totals, dtype)
         sizes = np.array(self.sizes, dtype=np.int64)
         chosen = np.ones(len(sizes), dtype=bool) if closed else np.array(self.complete, dtype=bool)
         values: list[list[int]] = [[] for _ in sizes]
@@ -262,14 +354,17 @@ class CutEngine:
                     values[block].append(totals[i] * totals[j] - s)
         rights = sorted({j for _, j, _ in pairs})
         for block in np.flatnonzero(~chosen).tolist():
-            part = agg[self._starts[block]:self._starts[block + 1]]
+            part = agg[self._rows[block]:self._rows[block + 1]]
             if self.sizes[block] == self.g.n:  # F_i = E: the quotient is G itself
                 qg = self.g
             else:
+                # the contraction's edges are unique, (lo, hi)-ordered and
+                # connect the quotient whenever G is connected
                 qg = Graph(
                     self.sizes[block],
                     self.quotient_edges(block),
-                    require_connected=self.g.connected,
+                    require_connected=False,
+                    validate=not self.g.connected,
                 )
             dist = distance_matrix(qg).astype(dtype)
             products = dict(zip(rights, (dist @ part[:, rights]).T.tolist()))

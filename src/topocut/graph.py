@@ -42,9 +42,10 @@ class Graph:
         edges:     tuple of (u, v) pairs with u < v, in input order
         adj:       per-vertex tuple of neighbours, sorted ascending
         connected: whether the graph is connected
+        peel:      the pendant trees and the 2-core, as a :class:`Peel`
     """
 
-    __slots__ = ("n", "connected", "_ends", "_edges", "_adj", "_edge_index")
+    __slots__ = ("n", "connected", "_ends", "_edges", "_adj", "_edge_index", "_peel")
 
     def __init__(
         self,
@@ -77,7 +78,7 @@ class Graph:
         self.n = n
         self._ends = np.array(ends, dtype=np.intp)
         self._ends.flags.writeable = False
-        self._edges = self._adj = self._edge_index = None
+        self._edges = self._adj = self._edge_index = self._peel = None
 
     @property
     def m(self) -> int:
@@ -111,6 +112,14 @@ class Graph:
         if self._edge_index is None:
             self._edge_index = {e: i for i, e in enumerate(self.edges)}
         return self._edge_index
+
+    @property
+    def peel(self) -> Peel:
+        """The pendant trees and the 2-core (:func:`pendant_peel`), built on
+        first use."""
+        if self._peel is None:
+            self._peel = pendant_peel(self.n, self._ends)
+        return self._peel
 
     def index_of_edge(self, u: int, v: int) -> int:
         e = (u, v) if u < v else (v, u)
@@ -150,6 +159,73 @@ def _checked_ends(n: int, ends: np.ndarray) -> np.ndarray:
     if not (0 <= a < n and 0 <= b < n):
         raise GraphError(f"edge ({a}, {b}) out of range for n={n}")
     raise GraphError(f"duplicate edge {(min(a, b), max(a, b))}")
+
+
+@dataclass(frozen=True)
+class Peel:
+    """The pendant trees of a graph, peeled off its 2-core.
+
+    ``order`` lists the peeled vertices, each before the vertex it hangs
+    from; ``parent[i]`` is that vertex for ``order[i]`` and ``edge[i]`` the
+    index of the edge between them.  ``core`` and ``core_edges`` hold the
+    ids, ascending, of the vertices and edges left.
+    """
+
+    order: np.ndarray
+    parent: np.ndarray
+    edge: np.ndarray
+    core: np.ndarray
+    core_edges: np.ndarray
+
+
+def pendant_peel(n: int, ends: np.ndarray) -> Peel:
+    """Remove degree-1 vertices until none is left, in O(n + m).
+
+    A leaf's one remaining edge is the xor of the ids of its remaining
+    edges, and the xor of that edge's ends with the leaf is its parent, so
+    the peel keeps two numbers per vertex and no adjacency list.  On a
+    connected graph what remains is the 2-core, or one vertex of a tree (its
+    last leaf has degree 0).  A graph with minimum degree 2 costs one
+    ``bincount`` and keeps every vertex and edge.
+    """
+    degree = np.bincount(ends.ravel(), minlength=n)
+    leaves = np.flatnonzero(degree == 1).tolist()
+    order: list[int] = []
+    parent: list[int] = []
+    edge: list[int] = []
+    if leaves:
+        ids = np.arange(len(ends))
+        incident = np.zeros(n, dtype=np.intp)
+        np.bitwise_xor.at(incident, ends[:, 0], ids)
+        np.bitwise_xor.at(incident, ends[:, 1], ids)
+        incident = incident.tolist()
+        other = (ends[:, 0] ^ ends[:, 1]).tolist()
+        degree = degree.tolist()
+        while leaves:
+            v = leaves.pop()
+            if degree[v] != 1:  # the last vertex of a tree
+                continue
+            e = incident[v]
+            p = other[e] ^ v
+            degree[v] = 0
+            degree[p] -= 1
+            incident[p] ^= e
+            order.append(v)
+            parent.append(p)
+            edge.append(e)
+            if degree[p] == 1:
+                leaves.append(p)
+    core = np.ones(n, dtype=bool)
+    core[order] = False
+    core_edges = np.ones(len(ends), dtype=bool)
+    core_edges[edge] = False
+    return Peel(
+        np.array(order, dtype=np.intp),
+        np.array(parent, dtype=np.intp),
+        np.array(edge, dtype=np.intp),
+        np.flatnonzero(core),
+        np.flatnonzero(core_edges),
+    )
 
 
 def build_graph(
@@ -204,7 +280,9 @@ def adjacency_matrix(g: Graph) -> csr_matrix:
 # ladders with n <= 57 the BFS is within 0.1 ms of Dijkstra up to
 # eccentricity 24 and falls behind past it (house of 200 rungs: 20 ms
 # against 7 ms); random trees with n = 1000 to 5000 (eccentricity 18 to 21)
-# run 5 to 10 times faster in the BFS.
+# ran 5 to 10 times faster in the BFS.  Trees do not reach this function
+# through theta* or the cut engine, which peel them to one vertex; the
+# graphs that do are 2-cores and the quotients of their classes.
 _FRONTIER_ECCENTRICITY = 24
 
 

@@ -103,7 +103,16 @@ _RELATION_BLOCK = 1 << 16
 def theta_star_classes(
     g: Graph, d: Sequence[Sequence[int]] | np.ndarray | None = None
 ) -> ThetaClasses:
-    """Theta*-classes by Feder's spanning-tree restriction of theta.
+    """Theta*-classes by Feder's spanning-tree restriction of theta, on the
+    2-core only.
+
+    Every edge of a pendant tree is a bridge, and a bridge is a theta*-class
+    of its own: Theta-related edges lie in one biconnected component
+    (W. Imrich and S. Klavzar, "Product Graphs", 2000).  So the pendant trees
+    are peeled first (``Graph.peel``), and theta* runs on the 2-core with
+    the core's own distance matrix, or ``d`` restricted to the core.  The
+    core is isometric, as no shortest path between two core vertices enters
+    a pendant tree.  A tree's core is one vertex, and it needs no distances.
 
     Theta* is the transitive closure of theta restricted to pairs with one
     edge in a fixed spanning tree T (T. Feder, "Product graph
@@ -116,15 +125,33 @@ def theta_star_classes(
     edge of its class, so the pairs of only one block are ever held.  Pairs
     whose two edges already share a class are dropped first, and a block
     left with none skips the merge.
-    ``d`` may be given as the distance matrix or its rows.
+    ``d`` may be given as the distance matrix of G or its rows.
     """
     if not g.connected:
         raise GraphError("theta* is defined for connected graphs only")
-    m = g.m
-    if m == 0:
-        return ThetaClasses((), ())
-    d = distance_matrix(g) if d is None else np.asarray(d)
-    ends = g.edge_array
+    links = np.arange(g.m)  # each edge's link to the smallest edge of its class
+    core, core_edges = g.peel.core, g.peel.core_edges
+    h = g
+    if core.size < g.n:
+        # core vertices renumbered in order, so every core edge stays (min, max)
+        local = np.empty(g.n, dtype=np.intp)
+        local[core] = np.arange(core.size)
+        h = Graph(core.size, local[g.edge_array[core_edges]], validate=False)
+        if d is not None:
+            d = np.asarray(d)[np.ix_(core, core)]
+    if h.m:
+        d = distance_matrix(h) if d is None else np.asarray(d)
+        links[core_edges] = core_edges[_feder_links(h.edge_array, d)]
+    # classes numbered by their smallest edge
+    class_of = np.unique(links, return_inverse=True)[1]
+    return ThetaClasses(_groups(class_of), tuple(class_of.tolist()))
+
+
+def _feder_links(ends: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Each edge's link to the smallest edge of its theta*-class, by
+    Feder's test on the distance matrix ``d`` of the connected graph with
+    edge rows ``ends``."""
+    m = len(ends)
     u, v = ends[:, 0], ends[:, 1]
     # BFS tree from vertex 0: the first edge into each vertex from a vertex
     # one step closer to the root.
@@ -148,9 +175,7 @@ def theta_star_classes(
         relation = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(m, m))
         labels = connected_components(relation, directed=False)[1]
         links = np.unique(labels, return_index=True)[1][labels]
-    # links names each edge's class by its smallest edge: classes numbered by it
-    class_of = np.unique(links, return_inverse=True)[1]
-    return ThetaClasses(_groups(class_of), tuple(class_of.tolist()))
+    return links
 
 
 def validate_coarser(

@@ -57,3 +57,42 @@ def kink_patterns(draw, max_h=7):
         )
     )
     return h, "".join(pattern)
+
+
+@st.composite
+def pendant_graphs(draw, max_n=18):
+    """Graphs with trees hanging off them, under a random vertex numbering.
+
+    The base is a random tree (n = 1 and n = 2 included), a star, a path, a
+    cycle, K_n, or two cycles joined by a path (whose bridges lie between
+    two cycles, so they stay in the 2-core).  Random trees are then attached:
+    each new vertex hangs from any earlier one.
+    """
+    kind = draw(st.sampled_from(["tree", "star", "path", "cycle", "complete", "two_cycles"]))
+    if kind in ("tree", "star", "path"):
+        n = draw(st.integers(1, max_n))
+        parent = {
+            "tree": lambda v: draw(st.integers(0, v - 1)),
+            "star": lambda v: 0,
+            "path": lambda v: v - 1,
+        }[kind]
+        edges = [(parent(v), v) for v in range(1, n)]
+    elif kind == "cycle":
+        n = draw(st.integers(3, 8))
+        edges = [(v, (v + 1) % n) for v in range(n)]
+    elif kind == "complete":
+        n = draw(st.integers(3, 5))
+        edges = list(combinations(range(n), 2))
+    else:
+        a, b, joint = draw(st.integers(3, 5)), draw(st.integers(3, 5)), draw(st.integers(1, 3))
+        edges = [(v, (v + 1) % a) for v in range(a)]
+        edges += [(a + v, a + (v + 1) % b) for v in range(b)]
+        path = [0] + list(range(a + b, a + b + joint - 1)) + [a]
+        edges += list(zip(path, path[1:]))
+        n = a + b + joint - 1
+    if kind in ("cycle", "complete", "two_cycles"):
+        hanging = draw(st.integers(0, max(max_n - n, 0)))
+        edges += [(draw(st.integers(0, v - 1)), v) for v in range(n, n + hanging)]
+        n += hanging
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])

@@ -31,7 +31,7 @@ from topocut.graph import (
 from topocut.indices import DoubleWeightedGraph, _wiener_double, wiener_weighted
 from topocut.theta import is_partial_cube, quotient, theta_star_classes, validate_coarser
 
-from strategies import connected_graphs, trees
+from strategies import connected_graphs, pendant_graphs, trees
 
 
 def product_of_completes(a: int, b: int) -> Graph:
@@ -103,6 +103,49 @@ def test_engine_matches_oracle(kind, g, data):
         assert dict(zip(terms, got)) == want
 
 
+@pytest.mark.parametrize("kind", sorted(WEIGHTS))
+@settings(max_examples=60)
+@given(g=pendant_graphs(), data=st.data())
+def test_engine_with_pendant_trees_matches_oracle(kind, g, data):
+    # the pendant blocks' closed sums and the folded core against the
+    # oracle, and block for block against the whole contraction
+    a = data.draw(st.tuples(*[WEIGHTS[kind]] * g.n))
+    b = data.draw(st.tuples(*[WEIGHTS[kind]] * g.n))
+    terms = index_terms(g, a, b)
+    engine = CutEngine(g)
+    assert dict(zip(terms, engine.values(list(terms.values())))) == oracle_values(g, a, b)
+    whole = CutEngine(g, validate_coarser(g, engine.partition.blocks))
+    for closed in (False, True):
+        assert engine.block_values(list(terms.values()), closed=closed) == whole.block_values(
+            list(terms.values()), closed=closed
+        )
+    assert_engine_matches_dfs(engine)
+
+
+def test_fractions_on_pendant_vertices_only_stay_fractions():
+    # p/q weights only on the hanging path: every folded core weight is
+    # whole, and the results must still be Fractions, as in the oracle
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6)])
+    a = (1, 2, 3, 4, 5, Fraction(1, 2), Fraction(1, 2))
+    engine = CutEngine(g)
+    assert engine.sizes == (5, 2, 2)
+    got = engine.values([(a, None), (a, (1,) * 7)])
+    assert got == [wiener_weighted(g, a), _wiener_double(g, a, (1,) * 7)]
+    assert all(isinstance(v, Fraction) for v in got)
+    assert all(isinstance(v, Fraction) for row in engine.block_values([(a, None)]) for v in row)
+
+
+def test_given_classes_that_join_a_pendant_edge_are_contracted_whole():
+    # a caller's classes with a pendant edge in a larger block skip the peel
+    g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    merged = theta_module.ThetaClasses(((0, 1, 2), (3, 4)), (0, 0, 0, 1, 1))
+    engine = CutEngine(g, classes=merged)
+    assert engine.sizes == (3, 3)
+    assert_engine_matches_dfs(engine)
+    ones = (1,) * g.n
+    assert engine.values([(ones, None)]) == [wiener_weighted(g, ones)]
+
+
 def test_int64_guard_falls_back_to_python_ints():
     # (n - 1) * sum(w) passes 2**62, so int64 would wrap; Python ints do not
     g = random_connected_graph(30, 60, seed=3)
@@ -149,10 +192,16 @@ def test_closed_values_are_the_hamming_bound():
 
 
 def test_commands_run_theta_once_and_no_per_block_pass(tmp_path, capsys, monkeypatch):
-    # compute, verify and hamming build one engine: theta* once, no DFS per
-    # block, and at most ceil(log2 k) contraction labellings
-    calls = {"theta": 0, "labels": 0, "per_block": 0}
+    # compute, verify and hamming build one engine: one peel, theta* once, no
+    # DFS per block, and ceil(log2 k) contraction labellings for the k classes
+    # of the 2-core (the random graph's pendant edges are 4 of its 5 classes)
+    calls = {"theta": 0, "labels": 0, "per_block": 0, "peel": 0}
     real_theta, real_labels = cut_method.theta_star_classes, cut_method.component_labels
+    real_peel = graph_module.pendant_peel
+
+    def peel(*args):
+        calls["peel"] += 1
+        return real_peel(*args)
 
     def theta(g, *args):
         calls["theta"] += 1
@@ -167,23 +216,24 @@ def test_commands_run_theta_once_and_no_per_block_pass(tmp_path, capsys, monkeyp
         raise AssertionError("per-block pass over the whole graph")
 
     monkeypatch.setattr(cut_method, "theta_star_classes", theta)
+    monkeypatch.setattr(graph_module, "pendant_peel", peel)
     monkeypatch.setattr(cut_method, "component_labels", labels)
     monkeypatch.setattr(cut_method, "quotient", per_block)
     monkeypatch.setattr(theta_module, "components_after_deletion", per_block)
     for g, method in ((hypercube_graph(4), "hamming"), (random_connected_graph(30, 50, 1), "cuts")):
-        k = len(real_theta(g))
+        k = len(real_theta(g)) - len(g.peel.order)
         f = tmp_path / "g.txt"
         f.write_text(format_edge_list(g))
         for argv in (["compute", str(f), "--json"], ["compute", str(f)], ["verify", str(f)],
                      ["hamming", str(f), "--json"]):
-            calls.update(theta=0, labels=0, per_block=0)
+            calls.update(theta=0, labels=0, per_block=0, peel=0)
             assert main(argv) == 0
             out = capsys.readouterr().out
             if argv[-1] == "--json" and argv[0] == "compute":
                 assert f'"method": "{method}"' in out
-            assert calls["theta"] == 1
+            assert calls["theta"] == calls["peel"] == 1
             assert calls["per_block"] == 0
-            assert 0 < calls["labels"] <= (k - 1).bit_length()
+            assert calls["labels"] == (k - 1).bit_length()
 
 
 # Block counts for the contraction: powers of two, which fill every range,
@@ -242,6 +292,11 @@ def test_contraction_block_counts(k):
 def assert_contraction_matches_dfs(g, blocks):
     engine = CutEngine(g, validate_coarser(g, blocks))
     assert len(engine.sizes) == len(engine.complete) == len(blocks)
+    assert_engine_matches_dfs(engine)
+
+
+def assert_engine_matches_dfs(engine):
+    g = engine.g
     for i, block in enumerate(engine.partition.blocks):
         q = quotient(g, block)  # the DFS reference
         assert engine.sizes[i] == q.graph.n

@@ -1,11 +1,14 @@
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
+import topocut.cut_method as cut_method
+import topocut.graph as graph_module
 import topocut.theta as theta
 
-from topocut.graph import all_pairs_distances, components_after_deletion
+from topocut.cut_method import CutEngine, index_terms
+from topocut.graph import Graph, all_pairs_distances, components_after_deletion
 from topocut.theta import (
     PartitionError,
     ThetaClasses,
@@ -26,7 +29,7 @@ from topocut.families import (
     windmill_graph,
 )
 
-from strategies import connected_graphs, trees
+from strategies import connected_graphs, pendant_graphs, trees
 
 
 def _theta_closure_oracle(g):
@@ -161,6 +164,53 @@ def test_array_theta_star_equals_pairwise_loop(g):
 )
 def test_array_theta_star_equals_pairwise_loop_larger(g):
     assert theta_star_classes(g) == _theta_star_pairwise(g)
+
+
+@settings(max_examples=200)
+@given(pendant_graphs())
+def test_theta_star_with_pendant_trees_equals_pairwise_loop(g):
+    # the peeled edges are singletons; theta* runs on the 2-core alone
+    assert theta_star_classes(g) == _theta_star_pairwise(g)
+    assert theta_star_classes(g, all_pairs_distances(g)) == _theta_star_pairwise(g)
+
+
+@given(st.one_of(connected_graphs(min_n=1, max_n=14), pendant_graphs()))
+def test_theta_star_classes_partition_the_edges(g):
+    classes = theta_star_classes(g)
+    edges = sorted(e for cls in classes.classes for e in cls)
+    assert edges == list(range(g.m))  # no edge repeated, none missing
+    assert all(list(cls) == sorted(cls) for cls in classes.classes)
+    assert [cls[0] for cls in classes.classes] == sorted(cls[0] for cls in classes.classes)
+    assert all(classes.class_of[e] == i for i, cls in enumerate(classes.classes) for e in cls)
+
+
+def _count_distance_matrices(monkeypatch) -> list:
+    """Record the vertex count of every graph given to ``distance_matrix``."""
+    sizes = []
+    real = graph_module.distance_matrix
+
+    def spy(g):
+        sizes.append(g.n)
+        return real(g)
+
+    for module in (graph_module, theta, cut_method):
+        monkeypatch.setattr(module, "distance_matrix", spy)
+    return sizes
+
+
+def test_pendant_trees_need_no_distances(monkeypatch):
+    sizes = _count_distance_matrices(monkeypatch)
+    for g in (random_connected_graph(300, seed=4), path_graph(40), Graph(1, []), path_graph(2)):
+        assert theta_star_classes(g).classes == tuple((e,) for e in range(g.m))
+        CutEngine(g).values(list(index_terms(g).values()))
+    assert sizes == []
+    # an odd cycle with paths hanging: theta* and the one non-complete
+    # quotient both see the 9-vertex core only
+    edges = [(v, (v + 1) % 9) for v in range(9)]
+    edges += [(0, 9), (9, 10), (10, 11), (4, 12), (12, 13), (12, 14)]
+    g = Graph(15, edges)
+    CutEngine(g).values(list(index_terms(g).values()))
+    assert sizes == [9, 9]
 
 
 @given(trees(min_n=2, max_n=12))
