@@ -1,5 +1,10 @@
 """Command-line interface: compute, inspect, verify, generate, reduce.
 
+Every index is a weight pair over named vertex vectors (``INDEX_TERMS``).
+``ROUTES`` maps each method to one function that evaluates an input's term
+list; ``auto`` only picks a route.  ``compute --check`` and ``verify``, which
+runs every route that applies, hold the routes to the oracle by one helper.
+
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 method not
 applicable to the input, 4 verification mismatch.
 """
@@ -12,15 +17,15 @@ import json
 import random
 import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
-from .graph import Graph, GraphError, ParseError, degree_vector, format_edge_list, parse_edge_list
+from .graph import Graph, GraphError, ParseError, format_edge_list, parse_edge_list
 from .indices import (
     DoubleWeightedGraph,
     Weight,
@@ -34,17 +39,25 @@ from .indices import (
     wiener_weighted,
 )
 from .theta import PartitionError, format_classes, quotient, theta_star_classes, trusted_partition
-from .cut_method import CutEngine, Term, index_terms
+from .cut_method import INDEX_TERMS, CutEngine, Term, TermNames, index_terms
 from .phenylene import (
     BenzenoidPlacement,
     Phenylene,
     PlacementError,
     build_phenylene,
+    component_sums,
+    format_placement,
     parse_placement,
     quotient_trees,
 )
-from .reduction import collapse_plan, reduce_fully
-from .families import gen_basic, gen_house, gen_phenylene_chain, phe6_placement
+from .reduction import ReductionStep, collapse_plan, reduce_fully
+from .families import (
+    complete_bipartite_graph,
+    gen_basic,
+    gen_phenylene_chain,
+    phe6_placement,
+    random_connected_graph,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,26 +81,34 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class LoadedInput:
-    """A loaded input; a phenylene's Graph is built only when ``graph`` is read."""
+    """A loaded input: a graph, or a phenylene whose Graph is built only when
+    ``graph`` is read.  The cut engine (one theta* run) is built on first
+    use and shared by every route."""
 
-    _graph: Graph | None
+    source: Graph | Phenylene  # either has n and m
     descriptor: str
-    placement: BenzenoidPlacement | None = None
-    phenylene: Phenylene | None = None
     a: tuple[Weight, ...] | None = None
     b: tuple[Weight, ...] | None = None
 
     @property
+    def phenylene(self) -> Phenylene | None:
+        return self.source if isinstance(self.source, Phenylene) else None
+
+    @property
     def graph(self) -> Graph:
-        return self.phenylene.graph if self.phenylene is not None else self._graph
+        return self.source.graph if isinstance(self.source, Phenylene) else self.source
+
+    @functools.cached_property
+    def engine(self) -> CutEngine:
+        return CutEngine(self.graph)
 
     @property
-    def n(self) -> int:
-        return self.phenylene.n if self.phenylene is not None else self._graph.n
+    def terms(self) -> TermNames:
+        """The indices to report: the weighted ones only with weights."""
+        return {k: t for k, t in INDEX_TERMS.items() if self.a is not None or "a" not in t}
 
-    @property
-    def m(self) -> int:
-        return self.phenylene.m if self.phenylene is not None else self._graph.m
+
+_LABELS = dict(zip(INDEX_TERMS, ("W", "DD", "Gut", "W*(a)", "W+(a)", "W(a,b)")))
 
 
 @dataclass
@@ -120,20 +141,9 @@ class Report:
         )
 
     def to_text(self) -> str:
-        lines = [
-            f"input: {self.input}  (n={self.n}, m={self.m})",
-            f"method: {self.method}",
-        ]
-        labels = {
-            "wiener": "W",
-            "degree_distance": "DD",
-            "gutman": "Gut",
-            "wiener_weighted": "W*(a)",
-            "wiener_plus": "W+(a)",
-            "wiener_double": "W(a,b)",
-        }
+        lines = [f"input: {self.input}  (n={self.n}, m={self.m})", f"method: {self.method}"]
         for key, value in self.indices.items():
-            lines.append(f"  {labels.get(key, key):7s} = {value}")
+            lines.append(f"  {_LABELS.get(key, key):7s} = {value}")
         for row in self.breakdown:
             parts = " ".join(f"{k}={v}" for k, v in row.items())
             lines.append(f"    {parts}")
@@ -141,15 +151,16 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _json_default(v) -> str | int:
+    """``json.dumps``'s fallback: a Fraction as a string, a numpy int as an int."""
+    return str(v) if isinstance(v, Fraction) else int(v)
+
+
 def _json_scalar(v) -> str:
     """One report value as JSON: a string, a Fraction (as a string) or an int."""
-    if type(v) is int:
-        return int.__repr__(v)
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if isinstance(v, Fraction):
-        return encode_basestring_ascii(str(v))
-    return int.__repr__(int(v))
+    if type(v) is not int and not isinstance(v, str):
+        v = _json_default(v)
+    return int.__repr__(v) if type(v) is int else encode_basestring_ascii(v)
 
 
 def _json_objects(objects: Sequence[dict[str, Any]], pad: str) -> list[str]:
@@ -169,14 +180,6 @@ def _json_objects(objects: Sequence[dict[str, Any]], pad: str) -> list[str]:
     return out
 
 
-def _num(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
-
-
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", nargs="?", help="edge-list file (optional first line 'n m')")
     p.add_argument("--family", help="generate the input: path|cycle|complete|hypercube|"
@@ -188,47 +191,37 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weights", help="weights file ('v a [b]' per line)")
 
 
+def _source(args) -> tuple[Graph | BenzenoidPlacement, str]:
+    """The one input source of ``args``, a graph or a placement, and its descriptor."""
+    if len([s for s in (args.graph, args.family, args.cells) if s]) != 1:
+        raise UsageError("give exactly one of: a graph file, --family, or --cells")
+    if args.cells:
+        return parse_placement(Path(args.cells).read_text()), f"cells:{args.cells}"
+    if args.graph:
+        return parse_edge_list(Path(args.graph).read_text()), args.graph
+    fam = args.family.lower()
+    if fam == "phe6":
+        return phe6_placement(), "family:phe6"
+    if fam == "chain":
+        placement = gen_phenylene_chain(_int_arg(args.n, "chain"), args.kinks)
+        return placement, f"family:chain(h={args.n}, kinks={args.kinks or 'linear'})"
+    if fam == "complete_bipartite" and args.n and "," in args.n:
+        p, q = (int(x) for x in args.n.split(","))
+        return complete_bipartite_graph(p, q), f"family:K_{p},{q}"
+    return gen_basic(fam, _int_arg(args.n, fam), seed=args.seed), f"family:{fam}(n={args.n})"
+
+
 def _load_input(args) -> LoadedInput:
     """The one input source of ``args``, with the ``--weights`` file attached
     whatever the source."""
-    sources = [s for s in (args.graph, args.family, args.cells) if s]
-    if len(sources) != 1:
-        raise UsageError("give exactly one of: a graph file, --family, or --cells")
-    placement = None
-    if args.cells:
-        placement = parse_placement(Path(args.cells).read_text())
-        descriptor = f"cells:{args.cells}"
-    elif args.family:
-        fam = args.family.lower()
-        if fam == "phe6":
-            placement = phe6_placement()
-            descriptor = "family:phe6"
-        elif fam == "chain":
-            placement = gen_phenylene_chain(_int_arg(args.n, "chain"), args.kinks)
-            descriptor = f"family:chain(h={args.n}, kinks={args.kinks or 'linear'})"
-        elif fam == "house":
-            loaded = LoadedInput(gen_house(_int_arg(args.n, "house")), f"family:house(n={args.n})")
-        elif fam == "complete_bipartite" and args.n and "," in args.n:
-            from .families import complete_bipartite_graph
-
-            p, q = (int(x) for x in args.n.split(","))
-            loaded = LoadedInput(complete_bipartite_graph(p, q), f"family:K_{p},{q}")
-        else:
-            g = gen_basic(fam, _int_arg(args.n, fam), seed=args.seed)
-            loaded = LoadedInput(g, f"family:{fam}(n={args.n})")
-    else:
-        loaded = LoadedInput(parse_edge_list(Path(args.graph).read_text()), args.graph)
-    if placement is not None:
-        ph = build_phenylene(placement)
-        loaded = LoadedInput(None, descriptor, placement=placement, phenylene=ph)
-    return _attach_weights(loaded, args)
-
-
-def _attach_weights(loaded: LoadedInput, args) -> LoadedInput:
+    source, descriptor = _source(args)
+    if not isinstance(source, Graph):
+        source = build_phenylene(source)
+    loaded = LoadedInput(source, descriptor)
     if getattr(args, "weights", None):
-        a, b = parse_weights(Path(args.weights).read_text(), loaded.n)
-        check_weights(loaded, a)  # every method needs positive weights
-        check_weights(loaded, b)
+        a, b = parse_weights(Path(args.weights).read_text(), source.n)
+        check_weights(source, a)  # every method needs positive weights
+        check_weights(source, b)
         loaded.a, loaded.b = a, b
     return loaded
 
@@ -242,101 +235,10 @@ def _int_arg(value, what) -> int:
         raise UsageError(f"--n must be an integer for family {what!r}") from None
 
 
+# ---------------------------------------------------------------- routes
+
 # Indices the closed-form route reports; cuts report every index.
 HAMMING_INDICES = ("wiener", "degree_distance", "gutman", "wiener_weighted")
-
-
-def _compute_report(loaded: LoadedInput, method: str) -> Report:
-    if method == "auto" and loaded.phenylene is not None:
-        method = "trees"
-    indices: dict[str, Weight] = {}
-    breakdown: list[dict[str, Any]] = []
-    if method == "trees":
-        if loaded.phenylene is None:
-            raise MethodNotApplicable(
-                "method 'trees' needs a phenylene input (--cells or --family chain/phe6); "
-                "edge lists carry no hexagon structure"
-            )
-        trees = quotient_trees(loaded.phenylene)
-        sums = [t.split_sums() for t in trees]  # per tree: DD, Gut and W shares
-        indices["wiener"] = sum(w for _, _, w in sums)
-        indices["degree_distance"] = sum(dd for dd, _, _ in sums)
-        indices["gutman"] = sum(gut for _, gut, _ in sums)
-        for i, (t, (dd, gut, _)) in enumerate(zip(trees, sums), start=1):
-            breakdown.append({"tree": i, "vertices": t.n, "W_double": dd, "W_single": gut})
-        return Report(loaded.descriptor, loaded.n, loaded.m, method, indices, breakdown)
-    g = loaded.graph
-    if g.n == 1 and method == "reduce":  # zero degrees are no weights; every sum is empty
-        indices = {"wiener": 0, "degree_distance": 0, "gutman": 0}
-        if loaded.a is not None:
-            indices.update(wiener_weighted=0, wiener_plus=0, wiener_double=0)
-        return Report(loaded.descriptor, 1, 0, method, indices, [])
-
-    if method == "oracle":
-        indices["wiener"] = wiener(g)
-        indices["degree_distance"] = degree_distance(g)
-        indices["gutman"] = gutman(g)
-        if loaded.a is not None:
-            indices["wiener_weighted"] = wiener_weighted(g, loaded.a)
-            indices["wiener_plus"] = wiener_plus(g, loaded.a)
-            indices["wiener_double"] = wiener_double(
-                DoubleWeightedGraph(g, loaded.a, loaded.b)
-            )
-    elif method in ("auto", "cuts", "hamming"):
-        # One theta* run and one contraction of its classes serve detection and
-        # every index; hamming is cuts restricted to partial Hamming graphs.
-        engine = CutEngine(g)
-        if method == "auto":
-            method = "hamming" if engine.partial_hamming else "cuts"
-        elif method == "hamming" and not engine.partial_hamming:
-            raise MethodNotApplicable(
-                "method 'hamming' needs a partial Hamming graph; detection failed "
-                "(some theta*-class quotient is not complete)"
-            )
-        terms = index_terms(g, loaded.a, loaded.b)
-        if method == "hamming":
-            terms = {k: t for k, t in terms.items() if k in HAMMING_INDICES}
-        blocks = engine.block_values(list(terms.values()))
-        indices = {name: sum(row[k] for row in blocks) for k, name in enumerate(terms)}
-        for i, (edges, row) in enumerate(zip(engine.partition.blocks, blocks)):
-            breakdown.append(
-                {"block": i, "edges": len(edges), "W": row[0], "DD": row[1], "Gut": row[2]}
-            )
-    elif method == "reduce":
-        # One collapse plan serves every weight pair; the reduced pairs share
-        # one distance matrix of the reduced graph.  DD's step log is the
-        # breakdown.
-        plan = collapse_plan(g)
-        terms = index_terms(g, loaded.a, loaded.b)
-        dd, _, steps = reduce_fully(DoubleWeightedGraph(g, *terms["degree_distance"]), plan)
-        reduced = [
-            (dd.a, dd.b, [s.correction for s in steps]) if name == "degree_distance"
-            else plan.apply(a, b)
-            for name, (a, b) in terms.items()
-        ]
-        values = _reduced_values(plan.graph, [(a, b) for a, b, _ in reduced])
-        for name, value, (_, _, corrections) in zip(terms, values, reduced):
-            indices[name] = value + sum(corrections)
-        for step in steps:
-            breakdown.append(
-                {
-                    "kind": step.kind,
-                    "class_size": len(step.members),
-                    "representative": step.representative,
-                    "correction": step.correction,
-                }
-            )
-    else:
-        raise UsageError(f"unknown method {method!r}")
-    return Report(loaded.descriptor, g.n, g.m, method, indices, breakdown)
-
-
-def _reduced_values(g: Graph, terms: list[Term]) -> list[Weight]:
-    """Every term on a reduced graph: a cut engine over one block of all
-    edges, i.e. one distance matrix under the engine's exactness guard."""
-    if g.n == 1:
-        return [0] * len(terms)
-    return CutEngine(g, trusted_partition(g, [range(g.m)])).values(terms)
 
 
 def _oracle_indices(loaded: LoadedInput) -> dict[str, Weight]:
@@ -353,21 +255,135 @@ def _oracle_indices(loaded: LoadedInput) -> dict[str, Weight]:
     return out
 
 
+def _cuts_route(loaded: LoadedInput, terms: TermNames):
+    """Every term on the theta*-class quotients of the input's one engine."""
+    resolved = index_terms(loaded.graph, loaded.a, loaded.b)
+    blocks = loaded.engine.block_values([resolved[k] for k in terms])
+    indices = {name: sum(row[k] for row in blocks) for k, name in enumerate(terms)}
+    breakdown = [
+        {"block": i, "edges": len(edges), "W": row[0], "DD": row[1], "Gut": row[2]}
+        for i, (edges, row) in enumerate(zip(loaded.engine.partition.blocks, blocks))
+    ]
+    return indices, breakdown
+
+
+def _hamming_route(loaded: LoadedInput, terms: TermNames):
+    """The cuts route restricted to partial Hamming graphs and HAMMING_INDICES."""
+    if not loaded.engine.partial_hamming:
+        raise MethodNotApplicable(
+            "method 'hamming' needs a partial Hamming graph; detection failed "
+            "(some theta*-class quotient is not complete)"
+        )
+    return _cuts_route(loaded, {k: t for k, t in terms.items() if k in HAMMING_INDICES})
+
+
+def _reduce(
+    g: Graph, terms: dict[str, Term], logged: str
+) -> tuple[Graph, dict[str, tuple[Weight, Weight]], tuple[ReductionStep, ...]]:
+    """Every term through one collapse plan of g: the reduced graph, each term's
+    (value on it, total correction) and the ``logged`` term's step log.  The
+    reduced terms share one distance matrix: one cut engine block of all edges."""
+    plan = collapse_plan(g)
+    log, _, steps = reduce_fully(DoubleWeightedGraph(g, *terms[logged]), plan)
+    mapped = {k: plan.apply(*t) for k, t in terms.items() if k != logged}
+    mapped[logged] = log.a, log.b, [step.correction for step in steps]
+    reduced, pairs = plan.graph, [(a, b) for a, b, _ in mapped.values()]
+    if reduced.n == 1:
+        values = [0] * len(pairs)
+    else:
+        values = CutEngine(reduced, trusted_partition(reduced, [range(reduced.m)])).values(pairs)
+    return reduced, {k: (v, sum(c)) for (k, (_, _, c)), v in zip(mapped.items(), values)}, steps
+
+
+def _reduce_route(loaded: LoadedInput, terms: TermNames):
+    """The R/S twin reductions; DD's step log is the breakdown."""
+    if loaded.source.n == 1:  # zero degrees are no weights; every sum is empty
+        return dict.fromkeys(terms, 0), []
+    resolved = index_terms(loaded.graph, loaded.a, loaded.b)
+    _, values, steps = _reduce(loaded.graph, {k: resolved[k] for k in terms}, "degree_distance")
+    breakdown = [
+        {"kind": step.kind, "class_size": len(step.members),
+         "representative": step.representative, "correction": step.correction}
+        for step in steps
+    ]
+    return {k: values[k][0] + values[k][1] for k in terms}, breakdown
+
+
+def _trees_route(loaded: LoadedInput, terms: TermNames):
+    """The four quotient trees of a phenylene, one Euler tour each over weights
+    summed per tree vertex: the trees carry the degree and vertex-count sums
+    (``a_array``, ``b_array``); ``component_sums`` sums the vertex weights."""
+    if loaded.phenylene is None:
+        raise MethodNotApplicable(
+            "method 'trees' needs a phenylene input (--cells or --family chain/phe6); "
+            "edge lists carry no hexagon structure"
+        )
+    weights = {} if loaded.a is None else {"a": loaded.a, "b": loaded.b}
+    trees = quotient_trees(loaded.phenylene)
+    summed = {v: component_sums(trees, w) for v, w in weights.items()}
+    rows = []
+    for i, t in enumerate(trees):
+        sides = {"deg": t.a_array, "1": t.b_array, **{v: s[i] for v, s in summed.items()}}
+        rows.append(dict(zip(terms, t.term_sums(sides, terms.values()))))
+    breakdown = [
+        {"tree": i, "vertices": t.n, "W_double": row["degree_distance"], "W_single": row["gutman"]}
+        for i, (t, row) in enumerate(zip(trees, rows), start=1)
+    ]
+    return {name: sum(row[name] for row in rows) for name in terms}, breakdown
+
+
+# Each route maps (loaded input, term list) to (indices, breakdown).  The oracle
+# route looks _oracle_indices up on each call, so a replaced oracle takes effect.
+ROUTES = {
+    "oracle": lambda loaded, terms: (_oracle_indices(loaded), []),
+    "cuts": _cuts_route,
+    "hamming": _hamming_route,
+    "reduce": _reduce_route,
+    "trees": _trees_route,
+}
+
+
+def _compute_report(loaded: LoadedInput, method: str) -> Report:
+    if method == "auto" and loaded.phenylene is not None:
+        method = "trees"
+    elif method == "auto":
+        method = "hamming" if loaded.engine.partial_hamming else "cuts"
+    if method not in ROUTES:
+        raise UsageError(f"unknown method {method!r}")
+    indices, breakdown = ROUTES[method](loaded, loaded.terms)
+    return Report(loaded.descriptor, loaded.source.n, loaded.source.m, method, indices, breakdown)
+
+
+def _oracle_rows(loaded: LoadedInput, reports: Sequence[Report] = ()) -> list[tuple[str, bool]]:
+    """A line for every index of every report, held to the oracle, and whether
+    they agree: equal and printed alike in JSON (a Fraction prints as a string,
+    even a whole one).  With no ``reports`` every route that applies runs."""
+    if not reports:
+        reports = []
+        for method in [m for m in ROUTES if m != "oracle"]:
+            with suppress(MethodNotApplicable):
+                reports.append(_compute_report(loaded, method))
+    oracle = _oracle_indices(loaded)
+    rows = []
+    for r in reports:
+        for key, value in r.indices.items():
+            want = oracle[key]
+            agree = _json_scalar(value) == _json_scalar(want)
+            status = "ok" if agree else "MISMATCH"
+            rows.append((f"{key}({r.method}): oracle={want} route={value} [{status}]", agree))
+    return rows
+
+
 def cmd_compute(args) -> int:
     start = time.perf_counter()  # timing_ms covers loading, detection and every index
     loaded = _load_input(args)
     report = _compute_report(loaded, args.method)
     report.timing_ms = (time.perf_counter() - start) * 1000.0
     if args.check:
-        oracle = _oracle_indices(loaded)
-        for key, value in report.indices.items():
-            if key in oracle and oracle[key] != value:
-                print(
-                    f"MISMATCH: {key} {value} (method {report.method}) "
-                    f"!= {oracle[key]} (oracle)",
-                    file=sys.stderr,
-                )
-                return EXIT_MISMATCH
+        mismatches = [line for line, agree in _oracle_rows(loaded, [report]) if not agree]
+        if mismatches:
+            print("\n".join(mismatches), file=sys.stderr)
+            return EXIT_MISMATCH
     print(report.to_json() if args.json else report.to_text(), end="")
     return EXIT_OK
 
@@ -376,9 +392,7 @@ def cmd_classes(args) -> int:
     loaded = _load_input(args)
     classes = theta_star_classes(loaded.graph)
     if args.json:
-        payload = [
-            [list(loaded.graph.edges[e]) for e in cls] for cls in classes.classes
-        ]
+        payload = [[list(loaded.graph.edges[e]) for e in cls] for cls in classes.classes]
         print(json.dumps({"input": loaded.descriptor, "classes": payload}, indent=2))
     else:
         print(format_classes(loaded.graph, classes), end="")
@@ -430,105 +444,60 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Every applicable route against the oracle, on the input or on random graphs."""
+    for loaded in _random_inputs(args) if args.random else [_load_input(args)]:
+        rows = _oracle_rows(loaded)
+        for line, agree in rows:
+            if not (args.random and agree):
+                print(line)
+        if not all(agree for _, agree in rows):
+            print(f"verification failed on {loaded.descriptor}", file=sys.stderr)
+            if args.random:
+                print(format_edge_list(loaded.graph), file=sys.stderr, end="")
+            return EXIT_MISMATCH
     if args.random:
-        return _verify_random(args)
-    loaded = _load_input(args)
-    return _verify_one(loaded, args)
-
-
-def _verify_one(loaded: LoadedInput, args) -> int:
-    g = loaded.graph
-    if g.n == 1:
-        print("trivial graph: all indices 0 [ok]")
-        return EXIT_OK
-    oracle = _oracle_indices(loaded)
-    terms = index_terms(g)
-    blocks = CutEngine(g).block_values([terms["degree_distance"], terms["gutman"]])
-    dd_blocks = [dd for dd, _ in blocks]
-    gut_blocks = [gut for _, gut in blocks]
-    rows = [
-        ("degree_distance", oracle["degree_distance"], sum(dd_blocks), dd_blocks),
-        ("gutman", oracle["gutman"], sum(gut_blocks), gut_blocks),
-    ]
-    if loaded.phenylene is not None:
-        sums = [t.split_sums() for t in quotient_trees(loaded.phenylene)]
-        dd_t = [dd for dd, _, _ in sums]
-        gut_t = [gut for _, gut, _ in sums]
-        rows.append(("degree_distance(trees)", oracle["degree_distance"], sum(dd_t), dd_t))
-        rows.append(("gutman(trees)", oracle["gutman"], sum(gut_t), gut_t))
-    ok = True
-    for name, want, got, blocks in rows:
-        status = "ok" if want == got else "MISMATCH"
-        ok = ok and want == got
-        print(f"{name}: oracle={want} cut={got} [{status}]")
-        print(f"  per-block: {' '.join(str(b) for b in blocks)}")
-    if not ok:
-        print(f"verification failed on {loaded.descriptor}", file=sys.stderr)
-        return EXIT_MISMATCH
+        print(f"verified {args.random} random graphs (max n {args.max_n}): all agree")
     return EXIT_OK
 
 
-def _verify_random(args) -> int:
+def _random_inputs(args):
+    """``--random`` connected graphs with weights 1..9, smallest first."""
     rng = random.Random(args.seed)
-    from .families import random_connected_graph
-
     cases = []
-    for i in range(args.random):
+    for _ in range(args.random):
         n = rng.randint(4, args.max_n)
         m = rng.randint(n - 1, min(n * (n - 1) // 2, 3 * n))
         cases.append((n, m, rng.randrange(10**9)))
-    cases.sort()  # smallest witness first
-    for n, m, seed in cases:
+    for n, m, seed in sorted(cases):  # smallest witness first
+        a, b = (tuple(rng.randint(1, 9) for _ in range(n)) for _ in "ab")
         g = random_connected_graph(n, m, seed)
-        a = tuple(rng.randint(1, 9) for _ in range(n))
-        b = tuple(rng.randint(1, 9) for _ in range(n))
-        want = wiener_double(DoubleWeightedGraph(g, a, b))
-        dd_want = degree_distance(g)
-        got, dd_got = CutEngine(g).values([(a, b), index_terms(g)["degree_distance"]])
-        if want != got or dd_want != dd_got:
-            print(
-                f"MISMATCH on n={n} m={m} seed={seed}: "
-                f"W(a,b) oracle={want} cut={got}; DD oracle={dd_want} cut={dd_got}",
-                file=sys.stderr,
-            )
-            print(format_edge_list(g), file=sys.stderr, end="")
-            return EXIT_MISMATCH
-    print(f"verified {args.random} random graphs (max n {args.max_n}): all agree")
-    return EXIT_OK
+        yield LoadedInput(g, f"random graph n={n} m={m} seed={seed}", a=a, b=b)
 
 
 def cmd_reduce(args) -> int:
     loaded = _load_input(args)
     g = loaded.graph
-    a = loaded.a if loaded.a is not None else degree_vector(g)
-    b = loaded.b if loaded.b is not None else (1,) * g.n
-    dwg, total, steps = reduce_fully(DoubleWeightedGraph(g, a, b))
-    running: Weight = 0
-    rows = []
-    for i, step in enumerate(steps, start=1):
-        running += step.correction
-        rows.append(
-            {
-                "step": i,
-                "kind": step.kind,
-                "members": list(step.members),
-                "representative": step.representative,
-                "correction": step.correction,
-                "running_total": running,
-            }
-        )
-    (reduced_value,) = _reduced_values(dwg.g, [(dwg.a, dwg.b)])
+    name = "wiener_double" if loaded.a is not None else "degree_distance"
+    reduced, values, steps = _reduce(g, {name: index_terms(g, loaded.a, loaded.b)[name]}, name)
+    reduced_value, total = values[name]
+    running = accumulate(step.correction for step in steps)
+    rows = [
+        {"step": i, "kind": step.kind, "members": list(step.members),
+         "representative": step.representative, "correction": step.correction,
+         "running_total": total_so_far}
+        for i, (step, total_so_far) in enumerate(zip(steps, running), start=1)
+    ]
     if args.json:
         payload = {
             "input": loaded.descriptor,
-            "steps": [{k: _num_deep(v) for k, v in r.items()} for r in rows],
-            "reduced_n": dwg.g.n,
-            "reduced_m": dwg.g.m,
-            "reduced_wiener_double": _num(reduced_value),
-            "total_correction": _num(total),
-            "wiener_double": _num(reduced_value + total),
+            "steps": rows,
+            "reduced_n": reduced.n,
+            "reduced_m": reduced.m,
+            "reduced_wiener_double": reduced_value,
+            "total_correction": total,
+            "wiener_double": reduced_value + total,
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, default=_json_default))
     else:
         print(f"input: {loaded.descriptor}  (n={g.n}, m={g.m})")
         for r in rows:
@@ -538,77 +507,45 @@ def cmd_reduce(args) -> int:
                 f"rep {r['representative']}, correction {r['correction']}, "
                 f"running total {r['running_total']}"
             )
-        print(f"reduced graph: n={dwg.g.n}, m={dwg.g.m}")
+        print(f"reduced graph: n={reduced.n}, m={reduced.m}")
         print(f"W(a,b) = {reduced_value} + {total} = {reduced_value + total}")
     return EXIT_OK
 
 
-def _num_deep(v):
-    if isinstance(v, list):
-        return [_num_deep(x) for x in v]
-    return _num(v)
-
-
 def cmd_generate(args) -> int:
-    if args.cells:
-        placement = parse_placement(Path(args.cells).read_text())
-        print(format_edge_list(build_phenylene(placement).graph), end="")
-        return EXIT_OK
-    if not args.family:
+    if not (args.family or args.cells):
         raise UsageError("generate needs --family or --cells")
-    fam = args.family.lower()
-    if fam in ("chain", "phe6"):
-        placement = (
-            phe6_placement()
-            if fam == "phe6"
-            else gen_phenylene_chain(_int_arg(args.n, "chain"), args.kinks)
-        )
-        if args.as_graph:
-            print(format_edge_list(build_phenylene(placement).graph), end="")
-        else:
-            from .phenylene import format_placement
-
-            print(format_placement(placement), end="")
-        return EXIT_OK
-    if fam == "house":
-        g = gen_house(_int_arg(args.n, "house"))
-    elif fam == "complete_bipartite" and args.n and "," in args.n:
-        from .families import complete_bipartite_graph
-
-        p, q = (int(x) for x in args.n.split(","))
-        g = complete_bipartite_graph(p, q)
-    else:
-        g = gen_basic(fam, _int_arg(args.n, fam), seed=args.seed)
-    print(format_edge_list(g), end="")
+    source, _ = _source(args)
+    if not isinstance(source, Graph) and (args.cells or args.as_graph):
+        source = build_phenylene(source).graph  # a placement file always prints as a graph
+    text = format_edge_list(source) if isinstance(source, Graph) else format_placement(source)
+    print(text, end="")
     return EXIT_OK
 
 
 def cmd_hamming(args) -> int:
     loaded = _load_input(args)
-    g = loaded.graph
-    engine = CutEngine(g)
-    verdict = engine.partial_hamming
-    terms = index_terms(g)
-    wanted = [terms["wiener"], terms["gutman"]]
+    g, engine = loaded.graph, loaded.engine
+    wanted = [index_terms(g)[k] for k in ("wiener", "gutman")]
     bound, gut_bound = engine.values(wanted, closed=True)
     exact, gut_exact = engine.values(wanted)
     sizes = list(engine.sizes)
     if args.json:
         payload = {
             "input": loaded.descriptor,
-            "partial_hamming": verdict,
+            "partial_hamming": engine.partial_hamming,
             "class_quotient_sizes": sizes,
-            "wiener_bound": _num(bound),
-            "wiener": _num(exact),
-            "wiener_gap": _num(exact - bound),
-            "gutman_bound": _num(gut_bound),
-            "gutman": _num(gut_exact),
-            "gutman_gap": _num(gut_exact - gut_bound),
+            "wiener_bound": bound,
+            "wiener": exact,
+            "wiener_gap": exact - bound,
+            "gutman_bound": gut_bound,
+            "gutman": gut_exact,
+            "gutman_gap": gut_exact - gut_bound,
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, default=_json_default))
     else:
         print(f"input: {loaded.descriptor}  (n={g.n}, m={g.m})")
-        print(f"partial Hamming: {'yes' if verdict else 'no'}")
+        print(f"partial Hamming: {'yes' if engine.partial_hamming else 'no'}")
         print(f"theta*-classes: {len(sizes)}, quotient sizes {sizes}")
         print(f"W  bound {bound}  exact {exact}  gap {exact - bound}")
         print(f"Gut bound {gut_bound}  exact {gut_exact}  gap {gut_exact - gut_bound}")
@@ -619,62 +556,45 @@ def cmd_hamming(args) -> int:
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="topocut", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("compute", help="compute the indices of a graph")
-    _add_input_args(p)
+    commands = {}
+    for name, func, help_text in (
+        ("compute", cmd_compute, "compute the indices of a graph"),
+        ("classes", cmd_classes, "print the theta*-classes"),
+        ("quotient", cmd_quotient, "print the quotient by a class or edge set"),
+        ("verify", cmd_verify, "every applicable route against the oracle"),
+        ("reduce", cmd_reduce, "collapse R/S classes with a step log"),
+        ("generate", cmd_generate, "emit a generated family"),
+        ("hamming", cmd_hamming, "partial Hamming verdict, bound, and gap"),
+    ):
+        p = commands[name] = sub.add_parser(name, help=help_text)
+        _add_input_args(p)
+        p.set_defaults(func=func)
+        if name not in ("verify", "generate"):
+            p.add_argument("--json", action="store_true")
+    p = commands["compute"]
     p.add_argument(
         "--method",
         default="auto",
         choices=["oracle", "cuts", "trees", "reduce", "hamming", "auto"],
     )
-    p.add_argument("--json", action="store_true")
     p.add_argument("--check", action="store_true", help="cross-check against the oracle")
-    p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("classes", help="print the theta*-classes")
-    _add_input_args(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classes)
-
-    p = sub.add_parser("quotient", help="print the quotient by a class or edge set")
-    _add_input_args(p)
+    p = commands["quotient"]
     p.add_argument("--class-index", type=int, help="theta*-class index")
     p.add_argument("--edges", help="comma-separated edges 'u-v,u-v'")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_quotient)
-
-    p = sub.add_parser("verify", help="oracle vs cut-method comparison")
-    _add_input_args(p)
+    p = commands["verify"]
     p.add_argument("--random", type=int, help="verify N seeded random graphs instead")
     p.add_argument("--max-n", type=int, default=40)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("reduce", help="collapse R/S classes with a step log")
-    _add_input_args(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("generate", help="emit a generated family")
-    _add_input_args(p)
-    p.add_argument(
+    commands["generate"].add_argument(
         "--as-graph",
         action="store_true",
         help="for chain/phe6: emit the phenylene edge list instead of the placement",
     )
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("hamming", help="partial Hamming verdict, bound, and gap")
-    _add_input_args(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_hamming)
-
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

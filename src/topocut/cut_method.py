@@ -54,26 +54,32 @@ Term = tuple[Sequence[Weight], Sequence[Weight] | None]
 _INT64_LIMIT = 1 << 62
 
 
+# Every reported index as a weight pair (x, y) over named vertex vectors, in
+# report order: "1" all ones, "deg" the degrees, "a" and "b" the vertex
+# weights, and y None for W*(x).  W = W*(1), DD = W(deg, 1), Gut = W*(deg);
+# with vertex weights also W*(a), W+(a) = W(a, 1) and W(a, b).
+TermNames = dict[str, tuple[str, str | None]]
+INDEX_TERMS: TermNames = {
+    "wiener": ("1", None),
+    "degree_distance": ("deg", "1"),
+    "gutman": ("deg", None),
+    "wiener_weighted": ("a", None),
+    "wiener_plus": ("a", "1"),
+    "wiener_double": ("a", "b"),
+}
+
+
 def index_terms(
     g: Graph, a: Sequence[Weight] | None = None, b: Sequence[Weight] | None = None
 ) -> dict[str, Term]:
-    """The reported indices as weight pairs, in report order.
-
-    W = W*(1), DD = W(deg, 1), Gut = W*(deg); with vertex weights also
-    W*(a), W+(a) = W(a, 1) and W(a, b).
-    """
-    ones = (1,) * g.n
-    degs = degree_vector(g)
-    terms: dict[str, Term] = {
-        "wiener": (ones, None),
-        "degree_distance": (degs, ones),
-        "gutman": (degs, None),
+    """The reported indices as weight pairs of vectors, in report order;
+    the weighted ones (``INDEX_TERMS`` over "a") only when ``a`` is given."""
+    vectors = {"1": (1,) * g.n, "deg": degree_vector(g), "a": a, "b": b}
+    return {
+        name: (vectors[x], None if y is None else vectors[y])
+        for name, (x, y) in INDEX_TERMS.items()
+        if a is not None or "a" not in (x, y)
     }
-    if a is not None:
-        terms["wiener_weighted"] = (a, None)
-        terms["wiener_plus"] = (a, ones)
-        terms["wiener_double"] = (a, b)
-    return terms
 
 
 def _check_partition(g: Graph, partition: EdgePartition) -> None:
@@ -87,6 +93,8 @@ def _check_partition(g: Graph, partition: EdgePartition) -> None:
 def _scaled(w: Sequence[Weight]) -> tuple[list[int], int, bool]:
     """Integer weights w * L with L the LCM of the denominators, L, and
     whether some weight is a Fraction (even a whole-valued one)."""
+    if all(type(x) is int for x in w):  # skips the per-weight ABC check below
+        return list(w), 1, False
     denominators = [x.denominator for x in w if isinstance(x, Fraction)]
     scale = lcm(*denominators)
     if scale == 1:

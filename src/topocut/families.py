@@ -182,6 +182,7 @@ _BASIC = {
     "hypercube": hypercube_graph,
     "star": star_graph,
     "windmill": windmill_graph,
+    "house": gen_house,
 }
 
 

@@ -14,8 +14,9 @@ The phenylene route is array code from end to end: a placement is parsed
 into an (h, 2) array, validated by sorting and neighbour lookups, and built
 as edge arrays (vertex 6i+k is corner k of hexagon i).  The phenylene's
 ``Graph`` is built only when something asks for it.  Each quotient tree is
-evaluated by one Euler-tour kernel, ``_tree_split_sums``, that yields the
-W(a,b), W*(a) and W*(b) split sums together in exact integer arithmetic.
+evaluated by one Euler-tour kernel, ``_tree_term_sums``, that yields the
+split sums of a whole term list (W(a,b), W*(a), ...) from one tour in exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -349,20 +350,20 @@ def _squeeze_arrays(deg_b: np.ndarray, deg_t: np.ndarray) -> tuple[np.ndarray, .
 # --------------------------------------------------------------- tree kernel
 
 # The int64 kernel runs only while T * T stays below this, where T is the
-# larger of sum|a| and sum|b|: every subtree sum is then at most T and every
-# per-edge term at most 4 T^2 < 2^62 in absolute value.  Past it the kernel
-# runs on object arrays.
+# largest sum|w| of the weights in use: every subtree sum is then at most T
+# and every per-edge term at most 4 T^2 < 2^62 in absolute value.  Past it
+# the kernel runs on object arrays.
 _INT64_SQUARE_LIMIT = 1 << 60
 
 
-def _int64_bound(a: np.ndarray, b: np.ndarray) -> int | None:
-    """T = max(sum|a|, sum|b|) when the int64 kernel is safe, else None."""
-    if a.dtype != np.int64 or b.dtype != np.int64:
+def _int64_bound(*ws: np.ndarray) -> int | None:
+    """T = the largest sum|w| when the int64 kernel is safe, else None."""
+    if any(w.dtype != np.int64 for w in ws):
         return None
-    peak = max(int(a.max()), -int(a.min()), int(b.max()), -int(b.min()))
-    if len(a) * peak >= 1 << 63:  # sum|w| itself could overflow
+    peak = max((max(int(w.max()), -int(w.min())) for w in ws), default=0)
+    if max(map(len, ws), default=0) * peak >= 1 << 63:  # sum|w| itself could overflow
         return None
-    total = max(int(np.abs(a).sum()), int(np.abs(b).sum()))
+    total = max((int(np.abs(w).sum()) for w in ws), default=0)
     return total if total * total < _INT64_SQUARE_LIMIT else None
 
 
@@ -378,12 +379,25 @@ def _exact_sum(terms: np.ndarray, bound: int) -> int:
 def _tree_split_sums(
     ncomp: int, qu: np.ndarray, qv: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[Weight, Weight, Weight]:
+    """W(a, b), W*(a) and W*(b) of a tree (see ``_tree_term_sums``): a
+    quotient tree's shares of DD, Gut and W at once."""
+    terms = [("a", "b"), ("a", None), ("b", None)]
+    return tuple(_tree_term_sums(ncomp, qu, qv, {"a": a, "b": b}, terms))
+
+
+def _tree_term_sums(
+    ncomp: int,
+    qu: np.ndarray,
+    qv: np.ndarray,
+    weights: dict[str, np.ndarray],
+    terms: Iterable[tuple[str, str | None]],
+) -> list[Weight]:
     """Split sums of the tree on vertices 0..ncomp-1 with edges (qu, qv).
 
-    Returns the sums over edges of a(S1) b(S2) + a(S2) b(S1), a(S1) a(S2)
-    and b(S1) b(S2), where S1, S2 are the two sides of the edge: W(a, b),
-    W*(a) and W*(b) of the tree, so a quotient tree's shares of DD, Gut and
-    W at once.
+    Each term (x, y) names two arrays of ``weights``, one value per tree
+    vertex, and gives the sum over edges of x(S1) y(S2) + x(S2) y(S1), where
+    S1, S2 are the two sides of the edge: W(x, y) of the tree.  A term
+    (x, None) gives the sum of x(S1) x(S2), which is W*(x).
 
     One Euler tour gives every subtree.  The 2(n-1) arcs are laid out in
     CSR order by tail, each with its twin; the tour follows an arc u->v
@@ -398,8 +412,9 @@ def _tree_split_sums(
     Exact: int64 arrays only under ``_INT64_SQUARE_LIMIT``, object arrays of
     Python ints or Fractions otherwise; no float is involved.
     """
+    terms = list(terms)
     if ncomp == 1:
-        return 0, 0, 0
+        return [0] * len(terms)
     m = ncomp - 1
     if qu.size != m:
         raise NotATreeError(f"graph has {qu.size} edges on {ncomp} vertices, not a tree")
@@ -431,31 +446,36 @@ def _tree_split_sums(
     down = np.flatnonzero(later > np.arange(arcs, dtype=idx))  # preorder -> rank
     child = head[tour[down]]
     stop = np.arange(1, m + 1) + (later[down] - down - 1) // 2
-    bound = _int64_bound(a, b)
-    if bound is None:
-        a, b = a.astype(object), b.astype(object)
-    sums = []
-    for w in (a, b):
+    used = {v: weights[v] for term in terms for v in term if v is not None}
+    bound = _int64_bound(*used.values())
+    sides = {}  # per weight: every edge's subtree side and the rest
+    for v, w in used.items():
+        if bound is None:
+            w = w.astype(object)
         prefix = np.zeros(m + 1, dtype=w.dtype)
         prefix[1:] = w[child]
         np.cumsum(prefix, out=prefix)
-        sums.append(prefix[stop] - prefix[:-1])
-    sa, sb = sums
-    ta, tb = a.sum(), b.sum()
-    terms = (sa * (tb - sb) + (ta - sa) * sb, sa * (ta - sa), sb * (tb - sb))
-    if bound is None:
-        return tuple(t.sum() for t in terms)
-    return tuple(_exact_sum(t, 4 * bound * bound) for t in terms)
+        below = prefix[stop] - prefix[:-1]
+        sides[v] = below, w.sum() - below
+    out = []
+    for x, y in terms:
+        (sx, rx), (sy, ry) = sides[x], sides[x if y is None else y]
+        edges = sx * rx if y is None else sx * ry + rx * sy
+        out.append(edges.sum() if bound is None else _exact_sum(edges, 4 * bound * bound))
+    return out
 
 
 def _weight_array(w: Sequence[Weight]) -> np.ndarray:
-    """Weights as int64 when all are integers that fit, else as objects."""
-    if all(isinstance(x, (int, np.integer)) for x in w):
-        try:
-            return np.array([int(x) for x in w], dtype=np.int64)
-        except OverflowError:
-            return np.array([int(x) for x in w], dtype=object)
-    return np.array(list(w), dtype=object)
+    """Weights as int64 when all are integers and every sum of them fits
+    (len(w) max|w| < 2^63), else as objects: Python ints or Fractions."""
+    if all(type(x) is int for x in w):  # the usual case, with no isinstance per weight
+        ints = list(w)
+    elif all(isinstance(x, (int, np.integer)) for x in w):
+        ints = [int(x) for x in w]
+    else:
+        return np.array(list(w), dtype=object)
+    dtype = np.int64 if len(ints) * max(map(abs, ints), default=0) < 1 << 63 else object
+    return np.array(ints, dtype=dtype)
 
 
 def _graph_split_sums(
@@ -524,8 +544,9 @@ def _quotient(
 
 
 def _component_sums(labels: np.ndarray, ncomp: int, w: np.ndarray) -> np.ndarray:
-    """Per-component totals of w in w's own dtype.  The structural weights
-    summed here are small multiples of degrees, far inside int64."""
+    """Per-component totals of w in w's own dtype; an int64 w must keep
+    len(w) max|w| below 2^63 (the structural weights are small multiples of
+    degrees)."""
     out = np.zeros(ncomp, dtype=w.dtype)
     np.add.at(out, labels, w)
     return out
@@ -587,6 +608,12 @@ class QuotientTree:
         """W(a, b), W*(a) and W*(b) of the tree: its shares of DD, Gut and W."""
         return _tree_split_sums(self.n, self.qu, self.qv, self.a_array, self.b_array)
 
+    def term_sums(
+        self, weights: dict[str, np.ndarray], terms: Iterable[tuple[str, str | None]]
+    ) -> list[Weight]:
+        """Every term over named per-tree-vertex weights (``_tree_term_sums``)."""
+        return _tree_term_sums(self.n, self.qu, self.qv, weights, terms)
+
 
 # Cutting the two class-c edges of a hexagon (c = 1..3) leaves two paths of
 # three corners; _HALF[c][k] is the path of corner k, 0 for the one holding
@@ -638,6 +665,13 @@ def quotient_trees(
         size4, qu4, qv4, a4, np.full(h, 6, dtype=np.int64), labels4[:, None], _HALF[4]
     ))
     return tuple(trees)
+
+
+def component_sums(trees: Sequence[QuotientTree], w: Sequence[Weight]) -> list[np.ndarray]:
+    """Each tree's totals per tree vertex (``component_of``) of a weight on
+    the phenylene's vertices, exact in the dtype of ``_weight_array``."""
+    arr = _weight_array(w)
+    return [_component_sums(t.component_of, t.n, arr) for t in trees]
 
 
 def dd_gut_via_trees(ph: Phenylene) -> tuple[int, int]:

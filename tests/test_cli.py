@@ -1,17 +1,25 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import topocut.cli as cli
 from topocut.cli import main
+from topocut.cut_method import CutEngine
 from topocut.graph import format_edge_list, parse_edge_list
-from topocut.families import cycle_graph
+from topocut.families import cycle_graph, gen_phenylene_chain
+from topocut.phenylene import format_placement
+
+from strategies import connected_graphs, kink_patterns, pendant_graphs
 
 
 def run(capsys, *argv):
@@ -268,11 +276,14 @@ def reference_json(report):
         "n": report.n,
         "m": report.m,
         "method": report.method,
-        "indices": {k: cli._num(v) for k, v in report.indices.items()},
-        "breakdown": [{k: cli._num(v) for k, v in row.items()} for row in report.breakdown],
+        "indices": report.indices,
+        "breakdown": report.breakdown,
         "timing_ms": report.timing_ms,
     }
-    return json.dumps(payload, indent=2)
+    # Fractions print as strings, numpy ints as ints
+    return json.dumps(
+        payload, indent=2, default=lambda v: str(v) if isinstance(v, Fraction) else int(v)
+    )
 
 
 def loaded_inputs(tmp_path):
@@ -376,3 +387,163 @@ def test_bad_weights_file_exits_2_for_every_input_source(tmp_path, capsys, sourc
     code, out, err = run(capsys, "compute", *argv, "--weights", str(bad))
     assert code == 2 and out == ""
     assert "line 1: cannot parse weight 'x'" in err
+
+
+# ------------------------------------------------------------------
+# Every route over one term list: the trees route with weights, verify over
+# every applicable route, and a cross-route comparison on drawn inputs.
+
+
+def test_trees_route_reports_weighted_indices_like_the_oracle(tmp_path):
+    checked = 0
+    for loaded, _ in loaded_inputs(tmp_path):
+        if loaded.phenylene is None or loaded.a is None:
+            continue
+        oracle = cli._oracle_indices(loaded)
+        for method in ("trees", "auto"):
+            report = cli._compute_report(loaded, method)
+            assert report.method == "trees"
+            assert report.indices == oracle
+            assert [type(v) for v in report.indices.values()] == [type(v) for v in oracle.values()]
+            checked += 1
+    assert checked == 2
+
+
+@pytest.mark.parametrize("kind", ["int", "pq", "huge"])
+@pytest.mark.parametrize("source", ["cells", "chain"])
+def test_trees_route_weights_match_the_oracle_on_every_placement_source(
+    tmp_path, capsys, source, kind
+):
+    argv, n = source_argv(tmp_path, source)
+    values = {
+        "int": lambda v: f"{v % 4 + 1} {9 - v % 5}",
+        "pq": lambda v: f"{v % 5 + 1}/{v % 3 + 1} {v % 2 + 1}/7",
+        "huge": lambda v: f"{2**63 + v} {2**64 - v}",
+    }[kind]
+    w = tmp_path / "w.txt"
+    w.write_text("".join(f"{v} {values(v)}\n" for v in range(n)))
+    reports = {}
+    for method in ("oracle", "trees", "auto"):
+        code, out, err = run(capsys, "compute", *argv, "--weights", str(w), "--method", method,
+                             "--check", "--json")
+        assert code == 0, err
+        reports[method] = json.loads(out)["indices"]
+    assert len(reports["oracle"]) == 6
+    assert reports["trees"] == reports["auto"] == reports["oracle"]
+
+
+def test_trees_route_stays_on_arrays(tmp_path, capsys, monkeypatch):
+    # neither the phenylene's Graph nor any quotient tree's Graph is built,
+    # with or without weights, and every index of the term list is reported
+    made = []
+
+    def spy(real):
+        def wrapped(*args):
+            made.append(real(*args))
+            return made[-1]
+        return wrapped
+
+    monkeypatch.setattr(cli, "build_phenylene", spy(cli.build_phenylene))
+    monkeypatch.setattr(cli, "quotient_trees", spy(cli.quotient_trees))
+    cells = tmp_path / "bent.cells"
+    cells.write_text("0 0\n1 0\n1 1\n2 1\n")
+    w = tmp_path / "w.txt"
+    w.write_text("".join(f"{v} {v % 5 + 1}/{v % 3 + 1} {v + 1}\n" for v in range(24)))
+    plain = ["wiener", "degree_distance", "gutman"]
+    weighted = plain + ["wiener_weighted", "wiener_plus", "wiener_double"]
+    for method in ("trees", "auto"):
+        for weights, keys in (([], plain), (["--weights", str(w)], weighted)):
+            made.clear()
+            code, out, err = run(capsys, "compute", "--cells", str(cells), "--method", method,
+                                 "--json", *weights)
+            assert code == 0, err
+            ph, trees = made
+            assert "graph" not in ph.__dict__
+            assert len(trees) == 4 and all("tree" not in t.__dict__ for t in trees)
+            assert list(json.loads(out)["indices"]) == keys
+
+
+def test_verify_runs_every_applicable_route(tmp_path, capsys):
+    w = tmp_path / "w.txt"
+    w.write_text("".join(f"{v} {v % 5 + 1}/{v % 3 + 1}\n" for v in range(36)))
+    code, out, _ = run(capsys, "verify", "--family", "phe6", "--weights", str(w))
+    assert code == 0
+    lines = out.splitlines()
+    routes = {"cuts": 6, "hamming": 4, "reduce": 6, "trees": 6}  # phenylenes are partial cubes
+    assert len(lines) == sum(routes.values())
+    for method, count in routes.items():
+        assert sum(f"({method}): oracle=" in line for line in lines) == count
+    assert all(line.endswith("[ok]") for line in lines)
+    assert "wiener_double(trees): oracle=" in out
+    code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "5")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"{k}({m})" for m in ("cuts", "reduce") for k in ("wiener", "degree_distance", "gutman")
+    ]
+
+
+def _weight_token(kind, draw):
+    if kind == "int":
+        return str(draw(st.integers(1, 9)))
+    if kind == "pq":
+        return f"{draw(st.integers(1, 9))}/{draw(st.integers(1, 4))}"
+    base = 2**53 if kind == "2^53" else 2**63
+    return str(base + draw(st.integers(-3, 3)))
+
+
+@st.composite
+def route_inputs(draw):
+    """(file name, text, compute arguments, n): an edge list or a small
+    placement, with no weights or int, p/q, near-2^53 or near-2^63 ones."""
+    if draw(st.booleans()):
+        g = draw(st.one_of(connected_graphs(max_n=9), pendant_graphs(max_n=10)))
+        name, text, n = "g.edges", format_edge_list(g), g.n
+        argv = ["@g.edges"]
+    else:
+        h, kinks = draw(kink_patterns(max_h=4))
+        placement = gen_phenylene_chain(h, kinks or None)
+        name, text, n = "p.cells", format_placement(placement), 6 * h
+        argv = ["--cells", "@p.cells"]
+    files = {name: text}
+    kind = draw(st.sampled_from([None, "int", "pq", "2^53", "2^63"]))
+    if kind:
+        files["w.txt"] = "".join(
+            f"{v} {_weight_token(kind, draw)} {_weight_token(kind, draw)}\n" for v in range(n)
+        )
+        argv += ["--weights", "@w.txt"]
+    return files, argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(route_inputs())
+def test_every_route_agrees_with_the_oracle_in_value_and_json_type(case):
+    files, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        argv = [str(Path(tmp, a[1:])) if a.startswith("@") else a for a in argv]
+        loaded = cli._load_input(cli.make_parser().parse_args(["compute", *argv]))
+        hamming = CutEngine(loaded.graph).partial_hamming
+        methods = ["oracle", "cuts", "reduce", "auto", "hamming"]
+        if loaded.phenylene is not None:
+            methods.append("trees")
+        reports = {}
+        for method in methods:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["compute", *argv, "--method", method, "--json"])
+            if method == "hamming" and not hamming:
+                assert code == 3
+                continue
+            assert code == 0, method
+            reports[method] = json.loads(out.getvalue())
+    oracle = reports.pop("oracle")["indices"]
+    assert len(oracle) == (6 if loaded.a is not None else 3)
+    for method, report in reports.items():
+        indices = report["indices"]
+        if report["method"] == "hamming":
+            assert list(indices) == [k for k in cli.HAMMING_INDICES if k in oracle]
+        else:
+            assert list(indices) == list(oracle), method
+        for key, value in indices.items():
+            assert value == oracle[key] and type(value) is type(oracle[key]), (method, key)

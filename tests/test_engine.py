@@ -184,6 +184,32 @@ def test_whole_valued_fractions_stay_fractions():
     assert value == 15 and type(value) is int
 
 
+def test_scaled_skips_the_fraction_scan_for_plain_ints(monkeypatch):
+    # plain ints take no isinstance(x, Fraction) check (an ABC check per
+    # weight); any other vector keeps the scan, and a whole-valued Fraction
+    # still marks the term fractional
+    checks = []
+
+    class Counting(type):
+        def __instancecheck__(cls, obj):
+            checks.append(obj)
+            return isinstance(obj, Fraction)
+
+    class CountedFraction(metaclass=Counting):
+        pass
+
+    monkeypatch.setattr(cut_method, "Fraction", CountedFraction)
+    assert cut_method._scaled((3, 1, 2**70)) == ([3, 1, 2**70], 1, False)
+    assert checks == []
+    assert cut_method._scaled((1, Fraction(2), 3)) == ([1, 2, 3], 1, True)
+    assert cut_method._scaled((True, 2)) == ([1, 2], 1, False)
+    assert len(checks) == 5
+    monkeypatch.undo()
+    assert cut_method._scaled((1, Fraction(1, 2), Fraction(2, 3))) == ([6, 3, 4], 6, True)
+    (value,) = CutEngine(path_graph(3)).values([((1, Fraction(2), 1), None)])
+    assert value == 6 and isinstance(value, Fraction)
+
+
 def test_closed_values_are_the_hamming_bound():
     g = cycle_graph(5)  # one class, quotient C5: the pair sum undercounts
     engine = CutEngine(g)
