@@ -45,10 +45,9 @@ from .phenylene import (
     Phenylene,
     PlacementError,
     build_phenylene,
-    component_sums,
     format_placement,
     parse_placement,
-    quotient_trees,
+    tree_term_values,
 )
 from .reduction import ReductionStep, collapse_plan, reduce_fully
 from .families import (
@@ -206,7 +205,10 @@ def _source(args) -> tuple[Graph | BenzenoidPlacement, str]:
         placement = gen_phenylene_chain(_int_arg(args.n, "chain"), args.kinks)
         return placement, f"family:chain(h={args.n}, kinks={args.kinks or 'linear'})"
     if fam == "complete_bipartite" and args.n and "," in args.n:
-        p, q = (int(x) for x in args.n.split(","))
+        sides = args.n.split(",")
+        if len(sides) != 2:
+            raise UsageError("--n must be 'p,q' or one integer for family 'complete_bipartite'")
+        p, q = (_int_arg(x, fam) for x in sides)
         return complete_bipartite_graph(p, q), f"family:K_{p},{q}"
     return gen_basic(fam, _int_arg(args.n, fam), seed=args.seed), f"family:{fam}(n={args.n})"
 
@@ -310,24 +312,19 @@ def _reduce_route(loaded: LoadedInput, terms: TermNames):
 
 
 def _trees_route(loaded: LoadedInput, terms: TermNames):
-    """The four quotient trees of a phenylene, one Euler tour each over weights
-    summed per tree vertex: the trees carry the degree and vertex-count sums
-    (``a_array``, ``b_array``); ``component_sums`` sums the vertex weights."""
+    """The four quotient trees of a phenylene, one Euler tour each for the
+    whole term list (``tree_term_values``)."""
     if loaded.phenylene is None:
         raise MethodNotApplicable(
             "method 'trees' needs a phenylene input (--cells or --family chain/phe6); "
             "edge lists carry no hexagon structure"
         )
     weights = {} if loaded.a is None else {"a": loaded.a, "b": loaded.b}
-    trees = quotient_trees(loaded.phenylene)
-    summed = {v: component_sums(trees, w) for v, w in weights.items()}
-    rows = []
-    for i, t in enumerate(trees):
-        sides = {"deg": t.a_array, "1": t.b_array, **{v: s[i] for v, s in summed.items()}}
-        rows.append(dict(zip(terms, t.term_sums(sides, terms.values()))))
+    per_tree = tree_term_values(loaded.phenylene, list(terms.values()), weights)
+    rows = [dict(zip(terms, values)) for _, values in per_tree]
     breakdown = [
-        {"tree": i, "vertices": t.n, "W_double": row["degree_distance"], "W_single": row["gutman"]}
-        for i, (t, row) in enumerate(zip(trees, rows), start=1)
+        {"tree": i, "vertices": n, "W_double": row["degree_distance"], "W_single": row["gutman"]}
+        for i, ((n, _), row) in enumerate(zip(per_tree, rows), start=1)
     ]
     return {name: sum(row[name] for row in rows) for name in terms}, breakdown
 

@@ -13,24 +13,21 @@ It finds every other block quotient at once by contracting the 2-core's
 edges in ceil(log2 k) halving levels of its k blocks, with no pass over
 the whole graph per block.  It sums the weights of every quotient through
 the same levels, evaluates the complete quotients in closed form all
-together and gives every other quotient one distance matrix.  Two guards
-keep it exact: the component and subtree sums and D B products run in
-int64 only while (n - 1) sum|w| < 2^62, and the closed sums' products only
-while sum|a| sum|b| < 2^62; past either, the arrays hold Python ints.  The
-``QuotientGraph`` objects are built only on request
-(``CutEngine.quotients``).
+together and gives every other quotient one distance matrix.  The weights
+are scaled to integers and every array runs under the int64 guard of
+:mod:`topocut.exact`.  The ``QuotientGraph`` objects are built only on
+request (``CutEngine.quotients``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 from typing import Sequence
 
 import numpy as np
 
+from .exact import _exact_dtype, _exact_quotient, _scaled
 from .graph import Graph, GraphError, component_labels, degree_vector, distance_matrix
 from .indices import DoubleWeightedGraph, Weight, check_weights
 from .theta import (
@@ -39,19 +36,14 @@ from .theta import (
     PartitionError,
     QuotientGraph,
     ThetaClasses,
+    _groups,
     is_partial_cube,
-    quotient,
     theta_star_classes,
     validate_coarser,
 )
 
 # A term (a, b) is W(a, b); (a, None) is W*(a) = W(a, a) / 2.
 Term = tuple[Sequence[Weight], Sequence[Weight] | None]
-
-# Integer kernels run in int64 only while (n - 1) * sum|w| stays below this,
-# which bounds every aggregated weight and every entry of D @ B (quotient
-# distances are at most n - 1); past it they run on Python ints.
-_INT64_LIMIT = 1 << 62
 
 
 # Every reported index as a weight pair (x, y) over named vertex vectors, in
@@ -90,18 +82,6 @@ def _check_partition(g: Graph, partition: EdgePartition) -> None:
         )
 
 
-def _scaled(w: Sequence[Weight]) -> tuple[list[int], int, bool]:
-    """Integer weights w * L with L the LCM of the denominators, L, and
-    whether some weight is a Fraction (even a whole-valued one)."""
-    if all(type(x) is int for x in w):  # skips the per-weight ABC check below
-        return list(w), 1, False
-    denominators = [x.denominator for x in w if isinstance(x, Fraction)]
-    scale = lcm(*denominators)
-    if scale == 1:
-        return [int(x) for x in w], 1, bool(denominators)
-    return [int(x * scale) for x in w], scale, True
-
-
 class CutEngine:
     """An edge partition of one graph with every block quotient's shape
     found by one contraction pass.
@@ -133,9 +113,9 @@ class CutEngine:
     kept, never a k x n table.
 
     ``sizes`` and ``complete`` give each quotient's vertex count and
-    whether it is complete.  ``quotients`` (built on first use with
-    :func:`~topocut.theta.quotient`) is for callers that want the
-    ``QuotientGraph`` objects; the indices never need them.
+    whether it is complete.  ``quotients`` (built on first use) is for
+    callers that want the ``QuotientGraph`` objects; the indices never need
+    them.
     """
 
     def __init__(
@@ -252,8 +232,19 @@ class CutEngine:
 
     @cached_property
     def quotients(self) -> tuple[QuotientGraph, ...]:
-        """Every block's quotient graph, built on first use."""
-        return tuple(quotient(self.g, block) for block in self.partition.blocks)
+        """Every block's quotient graph, built on first use from
+        ``component_of`` and ``quotient_edges``."""
+        labels = [self.component_of(i) for i in range(len(self.sizes))]
+        return tuple(
+            QuotientGraph(self._quotient_graph(i), tuple(c.tolist()), _groups(c))
+            for i, c in enumerate(labels)
+        )
+
+    def _quotient_graph(self, i: int) -> Graph:
+        """G/F_i as a Graph of ``quotient_edges``, which are unique,
+        (lo, hi)-ordered and connect the quotient whenever G is connected."""
+        return Graph(self.sizes[i], self.quotient_edges(i), require_connected=False,
+                     validate=not self.g.connected)
 
     def component_of(self, i: int) -> np.ndarray:
         """The vertex of G/F_i that holds each vertex of G."""
@@ -326,14 +317,10 @@ class CutEngine:
         every quotient, which gives the partial-Hamming lower bound instead
         of the exact value.
 
-        Exact for int and Fraction weights: each weight vector is scaled to
-        integers by the LCM of its denominators and the result divided back,
-        a Fraction whenever some weight of the term is one, as in the
-        oracle's sums.  The component and subtree sums and D B run in int64
-        only under ``_INT64_LIMIT``, the products A_c B_c only while
-        sum|a| sum|b| < ``_INT64_LIMIT``, each on object arrays of Python
-        ints otherwise; every value leaves numpy by ``tolist`` before it
-        meets a weight.
+        Exact for int and Fraction weights (:mod:`topocut.exact`): the sums
+        and D B pass the bound (n - 1) sum|w| to the int64 guard, the closed
+        sums also sum|a| sum|b|; every value leaves numpy by ``tolist``
+        before it meets a weight.
         """
         slots: dict[tuple[Weight, ...], int] = {}
         pairs = []
@@ -343,7 +330,10 @@ class CutEngine:
             pairs.append((i, j, b is None))
         scaled, scales, fractional = zip(*map(_scaled, slots))
         bounds = [sum(map(abs, w)) for w in scaled]
-        dtype = np.int64 if max(self.g.n - 1, 1) * max(bounds) < _INT64_LIMIT else object
+        # quotient distances are at most n - 1: this bounds every component
+        # and subtree sum and every entry of D B
+        sum_bound = max(self.g.n - 1, 1) * max(bounds)
+        dtype = _exact_dtype(sum_bound)
         totals = [sum(w) for w in scaled]
         agg = self._leaf_sums(scaled, totals, dtype)
         sizes = np.array(self.sizes, dtype=np.int64)
@@ -355,7 +345,7 @@ class CutEngine:
             seams = np.cumsum(sizes[chosen]) - sizes[chosen]
             blocks = np.flatnonzero(chosen).tolist()
             for i, j, _ in pairs:
-                exact = _product_dtype(dtype, bounds[i], bounds[j])
+                exact = _exact_dtype(max(sum_bound, bounds[i] * bounds[j]))
                 a, b = (rows[:, c].astype(exact) for c in (i, j))
                 within = np.add.reduceat(a * b, seams).tolist()
                 for block, s in zip(blocks, within):
@@ -363,31 +353,14 @@ class CutEngine:
         rights = sorted({j for _, j, _ in pairs})
         for block in np.flatnonzero(~chosen).tolist():
             part = agg[self._rows[block]:self._rows[block + 1]]
-            if self.sizes[block] == self.g.n:  # F_i = E: the quotient is G itself
-                qg = self.g
-            else:
-                # the contraction's edges are unique, (lo, hi)-ordered and
-                # connect the quotient whenever G is connected
-                qg = Graph(
-                    self.sizes[block],
-                    self.quotient_edges(block),
-                    require_connected=False,
-                    validate=not self.g.connected,
-                )
-            dist = distance_matrix(qg).astype(dtype)
+            dist = distance_matrix(self._quotient_graph(block)).astype(dtype)
             products = dict(zip(rights, (dist @ part[:, rights]).T.tolist()))
             cols = part.T.tolist()
             values[block] = [sum(map(mul, cols[i], products[j])) for i, j, _ in pairs]
         # W*(a) is W(a, a) / 2 in both kernels
-        return [
-            tuple(
-                _exact_quotient(
-                    v, 2 if half else 1, scales[i] * scales[j], fractional[i] or fractional[j]
-                )
-                for v, (i, j, half) in zip(row, pairs)
-            )
-            for row in values
-        ]
+        divisors = [(1 + half, scales[i] * scales[j], fractional[i] or fractional[j])
+                    for i, j, half in pairs]
+        return [tuple(_exact_quotient(v, *d) for v, d in zip(row, divisors)) for row in values]
 
     def values(self, terms: Sequence[Term], *, closed: bool = False) -> list[Weight]:
         """Every term summed over the blocks."""
@@ -395,20 +368,6 @@ class CutEngine:
         for row in self.block_values(terms, closed=closed):
             totals = [t + v for t, v in zip(totals, row)]
         return totals
-
-
-def _product_dtype(dtype: type, bound_a: int, bound_b: int) -> type:
-    """int64 for the products A_c B_c and their sums while
-    sum|a| sum|b| < ``_INT64_LIMIT`` bounds them, else Python ints."""
-    return np.int64 if dtype is np.int64 and bound_a * bound_b < _INT64_LIMIT else object
-
-
-def _exact_quotient(value: int, half: int, scale: int, fraction: bool) -> Weight:
-    """value / (half * scale): an int for integer weights (x^T D x is even),
-    a Fraction when some weight was a Fraction."""
-    if not fraction:
-        return value // half
-    return Fraction(value, half * scale)
 
 
 def distance_matrix_via_quotients(g: Graph, partition: EdgePartition) -> np.ndarray:

@@ -1,0 +1,160 @@
+"""Exact integer arithmetic shared by the cut engine and the phenylene route.
+
+Weights are scaled to integers by the LCM of their ``Fraction``
+denominators and every result is divided back.  One guard,
+``_exact_dtype``, picks the dtype of every array kernel from the bound of
+the largest value the kernel forms: int64 below ``_INT64_LIMIT``, object
+arrays of Python ints past it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+from typing import Iterable, Sequence
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
+
+from .indices import Weight
+
+# Every value an int64 kernel forms stays below this in absolute value, so
+# the sum of two of them cannot wrap either.
+_INT64_LIMIT = 1 << 62
+
+
+class NotATreeError(ValueError):
+    """A graph handed to a tree-only routine is not a tree."""
+
+
+def _exact_dtype(bound: int) -> type:
+    """int64 for a kernel whose every value is at most ``bound`` in absolute
+    value while ``bound`` < ``_INT64_LIMIT``; Python ints (object) otherwise."""
+    return np.int64 if bound < _INT64_LIMIT else object
+
+
+def _scaled(w: Sequence[Weight]) -> tuple[list[int], int, bool]:
+    """Integer weights w * L with L the LCM of the denominators, L, and
+    whether some weight is a Fraction (even a whole-valued one)."""
+    if all(type(x) is int for x in w):  # skips the per-weight ABC check below
+        return list(w), 1, False
+    denominators = [x.denominator for x in w if isinstance(x, Fraction)]
+    scale = lcm(*denominators)
+    if scale == 1:
+        return [int(x) for x in w], 1, bool(denominators)
+    return [int(x * scale) for x in w], scale, True
+
+
+# A weight scaled to integers: w * L as an array under the guard, L, and
+# whether some weight was a Fraction.
+ScaledWeight = tuple[np.ndarray, int, bool]
+
+
+def _scaled_array(w: Sequence[Weight]) -> ScaledWeight:
+    """``_scaled`` as an array: every sum of the weights is at most sum|w|."""
+    ints, scale, fraction = _scaled(w)
+    return np.array(ints, dtype=_exact_dtype(sum(map(abs, ints)))), scale, fraction
+
+
+def _exact_quotient(value: int, half: int, scale: int, fraction: bool) -> Weight:
+    """value / (half * scale): an int for integer weights (x^T D x is even),
+    a Fraction when some weight was a Fraction."""
+    if not fraction:
+        return value // half
+    return Fraction(value, half * scale)
+
+
+def _exact_sum(terms: np.ndarray, bound: int) -> int:
+    """Exact sum of fewer than 2^31 int64 entries of absolute value at most
+    ``bound`` < 2^62.  When the plain sum could overflow, the high and the
+    low 31 bits of the entries are summed apart, and neither sum can."""
+    if len(terms) * bound < 1 << 63:
+        return int(terms.sum())
+    return (int(np.sum(terms >> 31)) << 31) + int(np.sum(terms & 0x7FFFFFFF))
+
+
+def _tree_term_sums(
+    ncomp: int,
+    qu: np.ndarray,
+    qv: np.ndarray,
+    weights: dict[str, ScaledWeight],
+    terms: Iterable[tuple[str, str | None]],
+) -> list[Weight]:
+    """Split sums of the tree on vertices 0..ncomp-1 with edges (qu, qv).
+
+    Each term (x, y) names two ``weights``, one value per tree vertex, and
+    gives the sum over edges of x(S1) y(S2) + x(S2) y(S1), where
+    S1, S2 are the two sides of the edge: W(x, y) of the tree.  A term
+    (x, None) gives the sum of x(S1) x(S2), which is W*(x).
+
+    One Euler tour gives every subtree.  The 2(n-1) arcs are laid out in
+    CSR order by tail, each with its twin; the tour follows an arc u->v
+    with the arc after v->u in v's row, cyclically.  ``breadth_first_order``
+    walks that cycle from the root's first arc in O(n); a tour shorter than
+    2(n-1) arcs means the edges do not form a tree.  Of an edge's two arcs
+    the earlier goes down to a child, the down arcs in tour order list the
+    children in preorder, and a child's subtree is the next (rank of up arc
+    - rank of down arc + 1) / 2 preorder places, so one prefix sum over the
+    preorder gives every subtree sum.
+
+    Each weight is scaled: an int64 array whose sum|w| fits in int64, or an
+    object array of Python ints, with its scale.  With T the sum|w| of a
+    weight, every subtree sum of x is at most T_x and every per-edge term at
+    most T_x T_y, the bound handed to ``_exact_dtype``.  Each sum is divided
+    back by its scales; a tree without edges has the empty sum, the int 0.
+    """
+    terms = list(terms)
+    if ncomp == 1:
+        return [0] * len(terms)
+    m = ncomp - 1
+    if qu.size != m:
+        raise NotATreeError(f"graph has {qu.size} edges on {ncomp} vertices, not a tree")
+    arcs = 2 * m  # arc x runs qu[x] -> qv[x] for x < m, and arc x + m back
+    idx = np.int32 if arcs < 1 << 31 else np.int64
+    tail = np.concatenate((qu, qv), dtype=idx)
+    counts = np.bincount(tail, minlength=ncomp)
+    if not counts.all():  # an isolated vertex
+        raise NotATreeError("graph is disconnected, not a tree")
+    order = np.argsort(tail, kind="stable").astype(idx)  # CSR position -> arc
+    where = np.empty(arcs, dtype=idx)  # arc -> CSR position
+    where[order] = np.arange(arcs, dtype=idx)
+    order += m  # now the twin arc of each position
+    order[order >= arcs] -= arcs
+    head = tail[order]
+    twin = where[order]
+    # the tour goes on at the position after the twin, cyclically in its row
+    ends = np.cumsum(counts)
+    succ = np.arange(1, arcs + 1, dtype=idx)
+    succ[ends - 1] = ends - counts
+    succ = succ[twin]
+    cycle = csr_matrix((np.ones(arcs), succ, np.arange(arcs + 1, dtype=idx)), shape=(arcs, arcs))
+    tour = breadth_first_order(cycle, 0, directed=True, return_predecessors=False)
+    if tour.size != arcs:
+        raise NotATreeError("graph is disconnected, not a tree")
+    rank = np.empty(arcs, dtype=idx)
+    rank[tour] = np.arange(arcs, dtype=idx)
+    later = rank[twin[tour]]
+    down = np.flatnonzero(later > np.arange(arcs, dtype=idx))  # preorder -> rank
+    child = head[tour[down]]
+    stop = np.arange(1, m + 1) + (later[down] - down - 1) // 2
+    used = {v: weights[v] for term in terms for v in term if v is not None}
+    totals = {v: int(np.abs(w).sum()) for v, (w, _, _) in used.items()}
+    bound = max((totals[x] * totals[x if y is None else y] for x, y in terms), default=0)
+    dtype = _exact_dtype(bound)
+    sides = {}  # per weight: every edge's subtree side and the rest
+    for v, (w, _, _) in used.items():
+        w = w.astype(dtype, copy=False)
+        prefix = np.zeros(m + 1, dtype=dtype)
+        prefix[1:] = w[child]
+        np.cumsum(prefix, out=prefix)
+        below = prefix[stop] - prefix[:-1]
+        sides[v] = below, w.sum() - below
+    out = []
+    for x, y in terms:
+        (sx, rx), (sy, ry) = sides[x], sides[x if y is None else y]
+        edges = sx * rx if y is None else sx * ry + rx * sy
+        value = edges.sum() if dtype is object else _exact_sum(edges, bound)
+        (_, scale_x, frac_x), (_, scale_y, frac_y) = used[x], used[x if y is None else y]
+        out.append(_exact_quotient(value, 1, scale_x * scale_y, frac_x or frac_y))
+    return out

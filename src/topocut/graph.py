@@ -340,12 +340,16 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return dist
 
 
-def first_seen_labels(labels: np.ndarray) -> np.ndarray:
-    """Relabel so that labels number their groups in order of first position."""
-    first = np.unique(labels, return_index=True)[1]
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[labels]
+def first_seen_labels(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number equal keys by the position of their first occurrence.
+
+    Returns the number of every key and, per number, that first position.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(order.size, dtype=np.int64)
+    number[order] = np.arange(order.size)
+    return number[inverse], first[order]
 
 
 def component_labels(n: int, eu: np.ndarray, ev: np.ndarray) -> tuple[int, np.ndarray]:
@@ -362,7 +366,7 @@ def component_labels(n: int, eu: np.ndarray, ev: np.ndarray) -> tuple[int, np.nd
     ncomp, labels = connected_components(graph, directed=False)
     # scipy numbers components in first-appearance order; renumber otherwise
     if labels[0] != 0 or np.any(np.diff(np.maximum.accumulate(labels)) > 1):
-        labels = first_seen_labels(labels)
+        labels = first_seen_labels(labels)[0]
     return int(ncomp), labels.astype(np.int64)  # int32 would wrap lo * ncomp + hi past 46341
 
 

@@ -14,9 +14,11 @@ The phenylene route is array code from end to end: a placement is parsed
 into an (h, 2) array, validated by sorting and neighbour lookups, and built
 as edge arrays (vertex 6i+k is corner k of hexagon i).  The phenylene's
 ``Graph`` is built only when something asks for it.  Each quotient tree is
-evaluated by one Euler-tour kernel, ``_tree_term_sums``, that yields the
-split sums of a whole term list (W(a,b), W*(a), ...) from one tour in exact
-integer arithmetic.
+evaluated by the Euler-tour kernel ``_tree_term_sums`` of
+:mod:`topocut.exact`, which yields the split sums of a whole term list
+(W(a,b), W*(a), ...) from one tour.  Vertex weights are scaled to integers
+and the results divided back as in the cut engine, under the same int64
+guard.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
-from .graph import Graph, ParseError, component_labels, degree_vector, read_int_table
+from .cut_method import INDEX_TERMS
+from .exact import NotATreeError, _scaled_array, _tree_term_sums
+from .graph import (
+    Graph, ParseError, component_labels, degree_vector, first_seen_labels, read_int_table
+)
 from .indices import Weight, check_weights
 
 # Corner k of a cell centred at (X, Y) is (X, Y) + CORNER_OFFSETS[k].
@@ -44,10 +48,6 @@ NEIGHBOR_OFFSETS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 class PlacementError(ValueError):
     """A set of lattice cells that is not a catacondensed benzenoid system."""
-
-
-class NotATreeError(ValueError):
-    """A graph handed to a tree-only routine is not a tree."""
 
 
 def _cell_array(cells: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -183,7 +183,6 @@ class Phenylene:
     edge_class: np.ndarray
     _eu: np.ndarray
     _ev: np.ndarray
-    _degrees: np.ndarray
     _con_hexagon: np.ndarray
     _con_corner: np.ndarray
 
@@ -202,12 +201,6 @@ class Phenylene:
     @property
     def hexagon_count(self) -> int:
         return len(self.placement)
-
-    def hexagon_of_vertex(self, v: int) -> int:
-        return v // 6
-
-    def is_connector(self, edge_index: int) -> bool:
-        return int(self.edge_class[edge_index]) == 4
 
 
 def _cell_corners(q: int, r: int) -> list[tuple[int, int]]:
@@ -260,18 +253,6 @@ def _validated_dual(
     return di, dj, dk
 
 
-def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number equal keys by the position of their first occurrence.
-
-    Returns the number of every key and, per number, that first position.
-    """
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty(order.size, dtype=np.int64)
-    number[order] = np.arange(order.size)
-    return number[inverse], first[order]
-
-
 _CORNER_DX = np.array([dx for dx, _ in CORNER_OFFSETS], dtype=np.int64)
 _CORNER_DY = np.array([dy for _, dy in CORNER_OFFSETS], dtype=np.int64)
 
@@ -284,11 +265,11 @@ def build_benzenoid(cells: Iterable[tuple[int, int]]) -> Benzenoid:
     # the corner points on the compact grid, y shifted to start at 0
     x = (3 * q)[:, None] + _CORNER_DX
     y = (2 * r + q)[:, None] + _CORNER_DY + 1
-    vertex, first_corner = _first_appearance((x * (int(y.max()) + 1) + y).ravel())
+    vertex, first_corner = first_seen_labels((x * (int(y.max()) + 1) + y).ravel())
     ends = vertex.reshape(-1, 6)
     u, v = ends.ravel(), np.roll(ends, -1, axis=1).ravel()  # edge k: corners k, k+1
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    _, first_edge = _first_appearance(lo * first_corner.size + hi)
+    _, first_edge = first_seen_labels(lo * first_corner.size + hi)
     return Benzenoid(
         placement, lo[first_edge], hi[first_edge], first_edge % 3 + 1, (di, dj), first_corner
     )
@@ -325,8 +306,7 @@ def build_phenylene(cells: Iterable[tuple[int, int]]) -> Phenylene:
     eu = np.concatenate(((base + _HEX_U).ravel(), con_u))
     ev = np.concatenate(((base + _HEX_V).ravel(), con_v))
     ecls = np.concatenate((np.tile(_HEX_CLASS, h), np.full(con_u.size, 4, dtype=np.int64)))
-    degs = np.bincount(np.concatenate((eu, ev)), minlength=6 * h)
-    return Phenylene(placement, ecls, eu, ev, degs, con_hexagon, con_corner)
+    return Phenylene(placement, ecls, eu, ev, con_hexagon, con_corner)
 
 
 def squeeze_weights(
@@ -347,147 +327,7 @@ def _squeeze_arrays(deg_b: np.ndarray, deg_t: np.ndarray) -> tuple[np.ndarray, .
     return 4 * deg_b - 6, deg_b - 1, 2 * deg_t + 12, np.full(len(deg_t), 6, dtype=np.int64)
 
 
-# --------------------------------------------------------------- tree kernel
-
-# The int64 kernel runs only while T * T stays below this, where T is the
-# largest sum|w| of the weights in use: every subtree sum is then at most T
-# and every per-edge term at most 4 T^2 < 2^62 in absolute value.  Past it
-# the kernel runs on object arrays.
-_INT64_SQUARE_LIMIT = 1 << 60
-
-
-def _int64_bound(*ws: np.ndarray) -> int | None:
-    """T = the largest sum|w| when the int64 kernel is safe, else None."""
-    if any(w.dtype != np.int64 for w in ws):
-        return None
-    peak = max((max(int(w.max()), -int(w.min())) for w in ws), default=0)
-    if max(map(len, ws), default=0) * peak >= 1 << 63:  # sum|w| itself could overflow
-        return None
-    total = max((int(np.abs(w).sum()) for w in ws), default=0)
-    return total if total * total < _INT64_SQUARE_LIMIT else None
-
-
-def _exact_sum(terms: np.ndarray, bound: int) -> int:
-    """Exact sum of fewer than 2^31 int64 entries of absolute value at most
-    ``bound`` < 2^62.  When the plain sum could overflow, the high and the
-    low 31 bits of the entries are summed apart, and neither sum can."""
-    if len(terms) * bound < 1 << 63:
-        return int(terms.sum())
-    return (int(np.sum(terms >> 31)) << 31) + int(np.sum(terms & 0x7FFFFFFF))
-
-
-def _tree_split_sums(
-    ncomp: int, qu: np.ndarray, qv: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[Weight, Weight, Weight]:
-    """W(a, b), W*(a) and W*(b) of a tree (see ``_tree_term_sums``): a
-    quotient tree's shares of DD, Gut and W at once."""
-    terms = [("a", "b"), ("a", None), ("b", None)]
-    return tuple(_tree_term_sums(ncomp, qu, qv, {"a": a, "b": b}, terms))
-
-
-def _tree_term_sums(
-    ncomp: int,
-    qu: np.ndarray,
-    qv: np.ndarray,
-    weights: dict[str, np.ndarray],
-    terms: Iterable[tuple[str, str | None]],
-) -> list[Weight]:
-    """Split sums of the tree on vertices 0..ncomp-1 with edges (qu, qv).
-
-    Each term (x, y) names two arrays of ``weights``, one value per tree
-    vertex, and gives the sum over edges of x(S1) y(S2) + x(S2) y(S1), where
-    S1, S2 are the two sides of the edge: W(x, y) of the tree.  A term
-    (x, None) gives the sum of x(S1) x(S2), which is W*(x).
-
-    One Euler tour gives every subtree.  The 2(n-1) arcs are laid out in
-    CSR order by tail, each with its twin; the tour follows an arc u->v
-    with the arc after v->u in v's row, cyclically.  ``breadth_first_order``
-    walks that cycle from the root's first arc in O(n); a tour shorter than
-    2(n-1) arcs means the edges do not form a tree.  Of an edge's two arcs
-    the earlier goes down to a child, the down arcs in tour order list the
-    children in preorder, and a child's subtree is the next (rank of up arc
-    - rank of down arc + 1) / 2 preorder places, so one prefix sum over the
-    preorder gives every subtree sum.
-
-    Exact: int64 arrays only under ``_INT64_SQUARE_LIMIT``, object arrays of
-    Python ints or Fractions otherwise; no float is involved.
-    """
-    terms = list(terms)
-    if ncomp == 1:
-        return [0] * len(terms)
-    m = ncomp - 1
-    if qu.size != m:
-        raise NotATreeError(f"graph has {qu.size} edges on {ncomp} vertices, not a tree")
-    arcs = 2 * m  # arc x runs qu[x] -> qv[x] for x < m, and arc x + m back
-    idx = np.int32 if arcs < 1 << 31 else np.int64
-    tail = np.concatenate((qu, qv), dtype=idx)
-    counts = np.bincount(tail, minlength=ncomp)
-    if not counts.all():  # an isolated vertex
-        raise NotATreeError("graph is disconnected, not a tree")
-    order = np.argsort(tail, kind="stable").astype(idx)  # CSR position -> arc
-    where = np.empty(arcs, dtype=idx)  # arc -> CSR position
-    where[order] = np.arange(arcs, dtype=idx)
-    order += m  # now the twin arc of each position
-    order[order >= arcs] -= arcs
-    head = tail[order]
-    twin = where[order]
-    # the tour goes on at the position after the twin, cyclically in its row
-    ends = np.cumsum(counts)
-    succ = np.arange(1, arcs + 1, dtype=idx)
-    succ[ends - 1] = ends - counts
-    succ = succ[twin]
-    cycle = csr_matrix((np.ones(arcs), succ, np.arange(arcs + 1, dtype=idx)), shape=(arcs, arcs))
-    tour = breadth_first_order(cycle, 0, directed=True, return_predecessors=False)
-    if tour.size != arcs:
-        raise NotATreeError("graph is disconnected, not a tree")
-    rank = np.empty(arcs, dtype=idx)
-    rank[tour] = np.arange(arcs, dtype=idx)
-    later = rank[twin[tour]]
-    down = np.flatnonzero(later > np.arange(arcs, dtype=idx))  # preorder -> rank
-    child = head[tour[down]]
-    stop = np.arange(1, m + 1) + (later[down] - down - 1) // 2
-    used = {v: weights[v] for term in terms for v in term if v is not None}
-    bound = _int64_bound(*used.values())
-    sides = {}  # per weight: every edge's subtree side and the rest
-    for v, w in used.items():
-        if bound is None:
-            w = w.astype(object)
-        prefix = np.zeros(m + 1, dtype=w.dtype)
-        prefix[1:] = w[child]
-        np.cumsum(prefix, out=prefix)
-        below = prefix[stop] - prefix[:-1]
-        sides[v] = below, w.sum() - below
-    out = []
-    for x, y in terms:
-        (sx, rx), (sy, ry) = sides[x], sides[x if y is None else y]
-        edges = sx * rx if y is None else sx * ry + rx * sy
-        out.append(edges.sum() if bound is None else _exact_sum(edges, 4 * bound * bound))
-    return out
-
-
-def _weight_array(w: Sequence[Weight]) -> np.ndarray:
-    """Weights as int64 when all are integers and every sum of them fits
-    (len(w) max|w| < 2^63), else as objects: Python ints or Fractions."""
-    if all(type(x) is int for x in w):  # the usual case, with no isinstance per weight
-        ints = list(w)
-    elif all(isinstance(x, (int, np.integer)) for x in w):
-        ints = [int(x) for x in w]
-    else:
-        return np.array(list(w), dtype=object)
-    dtype = np.int64 if len(ints) * max(map(abs, ints), default=0) < 1 << 63 else object
-    return np.array(ints, dtype=dtype)
-
-
-def _graph_split_sums(
-    tree: Graph, a: Sequence[Weight], b: Sequence[Weight]
-) -> tuple[Weight, Weight, Weight]:
-    """``_tree_split_sums`` of a tree given as a Graph with weight sequences."""
-    if tree.m != tree.n - 1:
-        raise NotATreeError(f"graph has {tree.m} edges on {tree.n} vertices, not a tree")
-    check_weights(tree, a)
-    check_weights(tree, b)
-    ends = tree.edge_array.astype(np.int64)
-    return _tree_split_sums(tree.n, ends[:, 0], ends[:, 1], _weight_array(a), _weight_array(b))
+# ------------------------------------------------------------- plain trees
 
 
 def tree_wiener_double_linear(
@@ -497,14 +337,22 @@ def tree_wiener_double_linear(
 
     Every tree edge is its own theta-class, so the index is the sum over
     edges of a(S1) b(S2) + a(S2) b(S1) for the two sides S1, S2 of the edge;
-    ``_tree_split_sums`` gives all splits from one Euler tour.
+    ``_tree_term_sums`` gives all splits from one Euler tour.
     """
-    return _graph_split_sums(tree, a, b)[0]
+    check_weights(tree, a)
+    check_weights(tree, b)
+    weights = {"a": _scaled_array(a), "b": _scaled_array(b)}
+    ends = tree.edge_array
+    return _tree_term_sums(tree.n, *ends.T, weights, [INDEX_TERMS["wiener_double"]])[0]
 
 
 def tree_wiener_linear(tree: Graph, w: Sequence[Weight]) -> Weight:
     """Product-weighted Wiener index of a tree: sum of w(S1) w(S2) over edges."""
-    return _graph_split_sums(tree, w, w)[1]
+    check_weights(tree, w)
+    ends = tree.edge_array
+    return _tree_term_sums(
+        tree.n, *ends.T, {"a": _scaled_array(w)}, [INDEX_TERMS["wiener_weighted"]]
+    )[0]
 
 
 # ------------------------------------------------------ structural quotients
@@ -545,28 +393,11 @@ def _quotient(
 
 def _component_sums(labels: np.ndarray, ncomp: int, w: np.ndarray) -> np.ndarray:
     """Per-component totals of w in w's own dtype; an int64 w must keep
-    len(w) max|w| below 2^63 (the structural weights are small multiples of
-    degrees)."""
+    sum|w| below 2^63 (``_scaled_array`` keeps it below 2^62, and the
+    structural weights are small multiples of degrees)."""
     out = np.zeros(ncomp, dtype=w.dtype)
     np.add.at(out, labels, w)
     return out
-
-
-def _class_split_sums(
-    n: int,
-    eu: np.ndarray,
-    ev: np.ndarray,
-    in_class: np.ndarray,
-    a_vec: np.ndarray,
-    b_vec: np.ndarray,
-) -> tuple[Weight, Weight, Weight]:
-    """Split sums of one edge class's quotient tree, weighted by the
-    component totals of a_vec and b_vec."""
-    keep = ~in_class
-    (ncomp,), labels, qu, qv = _quotient(n, eu[keep], ev[keep], eu[in_class], ev[in_class])
-    a = _component_sums(labels, ncomp, a_vec)
-    b = _component_sums(labels, ncomp, b_vec)
-    return _tree_split_sums(ncomp, qu, qv, a, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -603,16 +434,6 @@ class QuotientTree:
     def component_of(self) -> np.ndarray:
         """Original vertex -> tree vertex."""
         return self.node_labels[:, self.corner_node].ravel()
-
-    def split_sums(self) -> tuple[Weight, Weight, Weight]:
-        """W(a, b), W*(a) and W*(b) of the tree: its shares of DD, Gut and W."""
-        return _tree_split_sums(self.n, self.qu, self.qv, self.a_array, self.b_array)
-
-    def term_sums(
-        self, weights: dict[str, np.ndarray], terms: Iterable[tuple[str, str | None]]
-    ) -> list[Weight]:
-        """Every term over named per-tree-vertex weights (``_tree_term_sums``)."""
-        return _tree_term_sums(self.n, self.qu, self.qv, weights, terms)
 
 
 # Cutting the two class-c edges of a hexagon (c = 1..3) leaves two paths of
@@ -667,17 +488,34 @@ def quotient_trees(
     return tuple(trees)
 
 
-def component_sums(trees: Sequence[QuotientTree], w: Sequence[Weight]) -> list[np.ndarray]:
-    """Each tree's totals per tree vertex (``component_of``) of a weight on
-    the phenylene's vertices, exact in the dtype of ``_weight_array``."""
-    arr = _weight_array(w)
-    return [_component_sums(t.component_of, t.n, arr) for t in trees]
+def tree_term_values(
+    ph: Phenylene,
+    terms: Sequence[tuple[str, str | None]],
+    weights: dict[str, Sequence[Weight]],
+) -> list[tuple[int, list[Weight]]]:
+    """Every term on each of the four quotient trees, with the tree's vertex
+    count.
+
+    Terms name vectors as ``INDEX_TERMS`` does: "deg" and "1" are the
+    degree and vertex-count sums that each tree carries (``a_array``,
+    ``b_array``), any other name a weight on the phenylene's vertices,
+    scaled once and summed onto each tree's vertices through
+    ``component_of``.
+    """
+    scaled = {v: _scaled_array(w) for v, w in weights.items()}
+    out = []
+    for t in quotient_trees(ph):
+        sides = {"deg": (t.a_array, 1, False), "1": (t.b_array, 1, False)}
+        for v, (w, scale, fraction) in scaled.items():
+            sides[v] = _component_sums(t.component_of, t.n, w), scale, fraction
+        out.append((t.n, _tree_term_sums(t.n, t.qu, t.qv, sides, terms)))
+    return out
 
 
 def dd_gut_via_trees(ph: Phenylene) -> tuple[int, int]:
     """Degree distance and Gutman index from the four quotient trees (O(n))."""
-    sums = [t.split_sums() for t in quotient_trees(ph)]
-    return sum(s[0] for s in sums), sum(s[1] for s in sums)
+    per_tree = tree_term_values(ph, [INDEX_TERMS["degree_distance"], INDEX_TERMS["gutman"]], {})
+    return sum(dd for _, (dd, _) in per_tree), sum(gut for _, (_, gut) in per_tree)
 
 
 def dd_gut_via_squeeze(cells: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -694,9 +532,16 @@ def dd_gut_via_squeeze(cells: Iterable[tuple[int, int]]) -> tuple[int, int]:
         np.bincount(np.concatenate((eu, ev)), minlength=n),
         np.bincount(np.concatenate((di, dj)), minlength=h),
     )
-    dd, gut, _ = _tree_split_sums(h, di, dj, w3, w4)
+    # W(x, w) and W*(x) are the DD and Gut terms with x as "deg", w as "1"
+    terms = [INDEX_TERMS["degree_distance"], INDEX_TERMS["gutman"]]
+    dd, gut = _tree_term_sums(h, di, dj, {"deg": (w3, 1, False), "1": (w4, 1, False)}, terms)
     for c in (1, 2, 3):
-        dd_c, gut_c, _ = _class_split_sums(n, eu, ev, benz._direction == c, w1, w2)
+        cut = benz._direction == c
+        (ncomp,), labels, qu, qv = _quotient(n, eu[~cut], ev[~cut], eu[cut], ev[cut])
+        sums = {
+            v: (_component_sums(labels, ncomp, w), 1, False) for v, w in (("deg", w1), ("1", w2))
+        }
+        dd_c, gut_c = _tree_term_sums(ncomp, qu, qv, sums, terms)
         dd += dd_c
         gut += gut_c
     return dd, gut

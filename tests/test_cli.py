@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import topocut.cli as cli
+import topocut.phenylene as phenylene
 from topocut.cli import main
 from topocut.cut_method import CutEngine
 from topocut.graph import format_edge_list, parse_edge_list
@@ -184,6 +185,12 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1  # missing --n
     code, _, err = run(capsys, "compute", "--family", "nope", "--n", "3")
     assert code in (1, 2)
+
+
+@pytest.mark.parametrize("sizes", ["2,x", "2,3,4", "2,", ",3"])
+def test_complete_bipartite_bad_sizes_are_usage_errors(sizes, capsys):
+    code, out, err = run(capsys, "compute", "--family", "complete_bipartite", "--n", sizes)
+    assert (code, out) == (1, "") and err.startswith("usage error: --n must be")
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):
@@ -444,7 +451,7 @@ def test_trees_route_stays_on_arrays(tmp_path, capsys, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(cli, "build_phenylene", spy(cli.build_phenylene))
-    monkeypatch.setattr(cli, "quotient_trees", spy(cli.quotient_trees))
+    monkeypatch.setattr(phenylene, "quotient_trees", spy(phenylene.quotient_trees))
     cells = tmp_path / "bent.cells"
     cells.write_text("0 0\n1 0\n1 1\n2 1\n")
     w = tmp_path / "w.txt"

@@ -8,10 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import topocut.cut_method as cut_method
+import topocut.exact as exact
 import topocut.graph as graph_module
 import topocut.theta as theta_module
 from topocut.cli import main
-from topocut.cut_method import CutEngine, index_terms, wiener_double_via_cuts
+from topocut.cut_method import (
+    CutEngine,
+    distance_matrix_via_quotients,
+    index_terms,
+    wiener_double_via_cuts,
+)
 from topocut.families import (
     complete_graph,
     cycle_graph,
@@ -21,6 +27,7 @@ from topocut.families import (
     random_connected_graph,
     windmill_graph,
 )
+from topocut.hamming import canonical_embedding
 from topocut.graph import (
     Graph,
     all_pairs_distances,
@@ -159,6 +166,28 @@ def test_int64_guard_falls_back_to_python_ints():
     ]
 
 
+@pytest.mark.parametrize("past", [0, 1])
+def test_db_products_across_the_int64_guard(past, monkeypatch):
+    # C5 is one class whose quotient is C5 itself, so D B runs; its entries
+    # and the component sums are bounded by (n - 1) sum|w| = 4 sum|a|, which
+    # is 2**62 - 4 (int64) or 2**62 (Python ints)
+    g = cycle_graph(5)
+    a = (2**60 - 5 + past, 1, 1, 1, 1)
+    b = (1, 2, 3, 4, 5)
+    assert (4 * sum(a) < 2**62) != past
+    dtypes = []
+
+    def recorded(bound):
+        dtypes.append(exact._exact_dtype(bound))
+        return dtypes[-1]
+
+    monkeypatch.setattr(cut_method, "_exact_dtype", recorded)
+    engine = CutEngine(g)
+    assert not engine.partial_hamming
+    assert engine.values([(a, b), (a, None)]) == [_wiener_double(g, a, b), wiener_weighted(g, a)]
+    assert dtypes == [object if past else np.int64]
+
+
 def test_fraction_results_keep_their_type():
     g = cycle_graph(5)
     a = (Fraction(1, 2), 1, Fraction(3, 4), 2, 5)
@@ -198,14 +227,14 @@ def test_scaled_skips_the_fraction_scan_for_plain_ints(monkeypatch):
     class CountedFraction(metaclass=Counting):
         pass
 
-    monkeypatch.setattr(cut_method, "Fraction", CountedFraction)
-    assert cut_method._scaled((3, 1, 2**70)) == ([3, 1, 2**70], 1, False)
+    monkeypatch.setattr(exact, "Fraction", CountedFraction)
+    assert exact._scaled((3, 1, 2**70)) == ([3, 1, 2**70], 1, False)
     assert checks == []
-    assert cut_method._scaled((1, Fraction(2), 3)) == ([1, 2, 3], 1, True)
-    assert cut_method._scaled((True, 2)) == ([1, 2], 1, False)
+    assert exact._scaled((1, Fraction(2), 3)) == ([1, 2, 3], 1, True)
+    assert exact._scaled((True, 2)) == ([1, 2], 1, False)
     assert len(checks) == 5
     monkeypatch.undo()
-    assert cut_method._scaled((1, Fraction(1, 2), Fraction(2, 3))) == ([6, 3, 4], 6, True)
+    assert exact._scaled((1, Fraction(1, 2), Fraction(2, 3))) == ([6, 3, 4], 6, True)
     (value,) = CutEngine(path_graph(3)).values([((1, Fraction(2), 1), None)])
     assert value == 6 and isinstance(value, Fraction)
 
@@ -244,7 +273,7 @@ def test_commands_run_theta_once_and_no_per_block_pass(tmp_path, capsys, monkeyp
     monkeypatch.setattr(cut_method, "theta_star_classes", theta)
     monkeypatch.setattr(graph_module, "pendant_peel", peel)
     monkeypatch.setattr(cut_method, "component_labels", labels)
-    monkeypatch.setattr(cut_method, "quotient", per_block)
+    monkeypatch.setattr(theta_module, "quotient", per_block)
     monkeypatch.setattr(theta_module, "components_after_deletion", per_block)
     for g, method in ((hypercube_graph(4), "hamming"), (random_connected_graph(30, 50, 1), "cuts")):
         k = len(real_theta(g)) - len(g.peel.order)
@@ -260,6 +289,25 @@ def test_commands_run_theta_once_and_no_per_block_pass(tmp_path, capsys, monkeyp
             assert calls["theta"] == calls["peel"] == 1
             assert calls["per_block"] == 0
             assert calls["labels"] == (k - 1).bit_length()
+
+
+def test_quotients_come_from_the_contraction(monkeypatch):
+    # CutEngine.quotients reads component_of and quotient_edges, so the
+    # canonical embedding and the distances via quotients run no DFS per block
+    g = random_connected_graph(30, 50, 1)  # pendant and core blocks
+    classes = theta_star_classes(g)
+    want = [quotient(g, block) for block in classes.classes]  # the DFS reference
+
+    def per_block(*args):
+        raise AssertionError("per-block DFS")
+
+    monkeypatch.setattr(theta_module, "components_after_deletion", per_block)
+    got = canonical_embedding(g, classes).quotients
+    assert [(q.graph.edges, q.component_of, q.members) for q in got] == [
+        (q.graph.edges, q.component_of, q.members) for q in want
+    ]
+    partition = theta_module.EdgePartition(classes.classes)
+    assert (distance_matrix_via_quotients(g, partition) == distance_matrix(g)).all()
 
 
 # Block counts for the contraction: powers of two, which fill every range,
@@ -335,12 +383,13 @@ def assert_engine_matches_dfs(engine):
 
 
 def test_product_guard_boundary():
-    # the products A_c B_c run in int64 only while sum|a| sum|b| < 2**62
+    # the products A_c B_c run in int64 only while sum|a| sum|b| < 2**62, and
+    # only when the component sums do ((n - 1) sum|w| < 2**62)
     assert 2**31 * (2**31 - 1) < 2**62 == 2**31 * 2**31
-    assert cut_method._product_dtype(np.int64, 2**31, 2**31 - 1) is np.int64
-    assert cut_method._product_dtype(np.int64, 2**31, 2**31) is object
-    assert cut_method._product_dtype(np.int64, 2**31 + 1, 2**31) is object
-    assert cut_method._product_dtype(object, 1, 1) is object
+    assert exact._exact_dtype(2**31 * (2**31 - 1)) is np.int64
+    assert exact._exact_dtype(2**31 * 2**31) is object
+    assert exact._exact_dtype((2**31 + 1) * 2**31) is object
+    assert exact._exact_dtype(max(2**62, 1 * 1)) is object
 
 
 @pytest.mark.parametrize(

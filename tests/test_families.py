@@ -166,7 +166,7 @@ def test_phe6_is_the_one_isomer_with_the_frozen_tree_values():
     from itertools import product
 
     from topocut.families import PHE6_CELLS
-    from topocut.phenylene import NEIGHBOR_OFFSETS, build_phenylene, quotient_trees
+    from topocut.phenylene import NEIGHBOR_OFFSETS, build_phenylene, tree_term_values
 
     step = NEIGHBOR_OFFSETS
     seen, matches = set(), set()
@@ -183,10 +183,10 @@ def test_phe6_is_the_one_isomer_with_the_frozen_tree_values():
         try:
             # a valid system has exactly the five dual edges drawn, so its
             # inner dual has the wanted shape
-            trees = quotient_trees(build_phenylene(cells))
+            per_tree = tree_term_values(build_phenylene(cells), [("deg", "1"), ("deg", None)], {})
         except PlacementError:
             continue
-        dd, gut, _ = zip(*(t.split_sums() for t in trees))
+        dd, gut = zip(*(values for _, values in per_tree))
         if (sorted(dd[:3]), dd[3], sorted(gut[:3]), gut[3]) == (
             [2976, 4416, 5208], 5784, [3600, 5520, 6484], 7252
         ):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+import topocut.exact as exact_module
 import topocut.phenylene as phenylene_module
 from topocut import cli
+from topocut.exact import _exact_dtype, _scaled_array, _tree_term_sums
 
 from topocut.graph import (
     Graph,
@@ -28,12 +30,9 @@ from topocut.phenylene import (
     NEIGHBOR_OFFSETS,
     PlacementError,
     _cell_corners,
-    _class_split_sums,
-    _int64_bound,
+    _component_sums,
     _quotient,
-    _tree_split_sums,
     _validated_dual,
-    _weight_array,
     build_benzenoid,
     build_phenylene,
     dd_gut_via_squeeze,
@@ -444,6 +443,17 @@ def labelled_trees(draw, max_n=200):
     return n, [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)]
 
 
+# W(a, b), W*(a), W*(b): the order of reference_split_sums
+SPLIT_TERMS = [("a", "b"), ("a", None), ("b", None)]
+
+
+def kernel_split_sums(n, qu, qv, a, b):
+    """The kernel's W(a, b), W*(a), W*(b) for integer arrays, or for scaled
+    weights (``_scaled_array``)."""
+    a, b = (w if isinstance(w, tuple) else (w, 1, False) for w in (a, b))
+    return _tree_term_sums(n, np.asarray(qu), np.asarray(qv), {"a": a, "b": b}, SPLIT_TERMS)
+
+
 TREE_WEIGHTS = {
     "int": st.integers(1, 9),
     "fraction": st.builds(Fraction, st.integers(1, 20), st.integers(1, 7)),
@@ -460,28 +470,38 @@ def test_tree_kernel_matches_reference_loop(kind, tree, data):
     b = data.draw(st.lists(TREE_WEIGHTS[kind], min_size=n, max_size=n))
     want = reference_split_sums(n, edges, a, b)
     ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    got = _tree_split_sums(n, ends[:, 0], ends[:, 1], _weight_array(a), _weight_array(b))
-    assert got == want
+    got = kernel_split_sums(n, ends[:, 0], ends[:, 1], _scaled_array(a), _scaled_array(b))
+    assert got == list(want)
     g = Graph(n, edges)
     double = tree_wiener_double_linear(g, a, b)
     single = tree_wiener_linear(g, a)
-    assert (double, single) == want[:2]
+    assert (double, single, tree_wiener_linear(g, b)) == want
     # a Fraction weight makes a Fraction sum, as in the loop
     assert type(double) is type(want[0]) and type(single) is type(want[1])
 
 
-def test_int64_guard_boundary():
-    # T = max(sum|a|, sum|b|) must satisfy T * T < 2**60 for the int64 kernel
-    below = np.array([2**29 - 1, 2**29], dtype=np.int64)
-    at = np.array([2**29, 2**29], dtype=np.int64)
+def test_int64_guard_boundary(monkeypatch):
+    # the per-edge terms are bounded by T_x T_y with T = sum|w|; with the
+    # term W*(a), T_a^2 is the largest: 2**62 - 2**32 + 1 runs in int64 and
+    # adds its terms by _exact_sum, 2**62 runs on Python ints
+    below = np.array([2**30, 2**30 - 1], dtype=np.int64)
+    at = np.array([2**30, 2**30], dtype=np.int64)
     ones = np.ones(2, dtype=np.int64)
-    assert _int64_bound(below, ones) == 2**30 - 1
-    assert _int64_bound(at, ones) is None
-    assert _int64_bound(np.array([-(2**63), 1]), ones) is None  # sum|a| overflows
-    for w in (below, at):
-        assert _tree_split_sums(2, np.array([0]), np.array([1]), w, ones) == (
+    assert _exact_dtype(int(below.sum()) ** 2) is np.int64
+    assert _exact_dtype(int(at.sum()) ** 2) is object
+    real, summed = exact_module._exact_sum, []
+
+    def counted(*args):
+        summed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exact_module, "_exact_sum", counted)
+    for w, calls in ((below, 3), (at, 0)):
+        summed.clear()
+        assert kernel_split_sums(2, [0], [1], w, ones) == list(
             reference_split_sums(2, [(0, 1)], w.tolist(), [1, 1])
         )
+        assert len(summed) == calls
 
 
 def test_int64_kernel_sums_past_int64_exactly():
@@ -491,11 +511,11 @@ def test_int64_kernel_sums_past_int64_exactly():
     a = [2**30 // n - 1] * n
     b = [2**30 // n - 2] * n
     edges = [(v - 1, v) for v in range(1, n)]
-    assert _int64_bound(np.array(a), np.array(b)) is not None
+    assert _exact_dtype(sum(a) * sum(a)) is np.int64  # T_a^2 is the largest bound
     want = reference_split_sums(n, edges, a, b)
     assert min(want) >= 2**63
     ends = np.array(edges)
-    assert _tree_split_sums(n, ends[:, 0], ends[:, 1], np.array(a), np.array(b)) == want
+    assert kernel_split_sums(n, ends[:, 0], ends[:, 1], np.array(a), np.array(b)) == list(want)
 
 
 def test_tree_kernel_rejects_non_trees():
@@ -507,7 +527,7 @@ def test_tree_kernel_rejects_non_trees():
     for n, qu, qv, message in cases:
         ones = np.ones(n, dtype=np.int64)
         with pytest.raises(NotATreeError, match=message):
-            _tree_split_sums(n, np.array(qu), np.array(qv), ones, ones)
+            kernel_split_sums(n, qu, qv, ones, ones)
 
 
 def test_labels_past_int32_products():
@@ -521,11 +541,11 @@ def test_labels_past_int32_products():
     (ncomp,), labels, qu, qv = _quotient(2 * pairs, eu[keep], ev[keep], eu[in_class], ev[in_class])
     assert ncomp == pairs and ncomp * ncomp > 2**31
     assert qu.tolist() == list(range(pairs - 1)) and qv.tolist() == list(range(1, pairs))
-    ones = np.ones(2 * pairs, dtype=np.int64)
+    sums = _component_sums(labels, ncomp, np.ones(2 * pairs, dtype=np.int64))
     # a path of 50001 components of two vertices each
     k = np.arange(1, pairs, dtype=object)
     w = int(np.sum(4 * k * (pairs - k)))
-    assert _class_split_sums(2 * pairs, eu, ev, in_class, ones, ones) == (2 * w, w, w)
+    assert kernel_split_sums(ncomp, qu, qv, sums, sums) == [2 * w, w, w]
 
 
 NB = NEIGHBOR_OFFSETS
@@ -565,7 +585,6 @@ def test_array_builds_match_loop_builders(cells):
     assert list(zip(ph._eu.tolist(), ph._ev.tolist())) == edges
     assert ph.edge_class.tolist() == ecls
     assert ph.graph.edges == tuple(edges)
-    assert tuple(ph._degrees.tolist()) == degree_vector(ph.graph)
     want = (degree_distance(ph.graph), gutman(ph.graph))
     assert dd_gut_via_trees(ph) == want
     coords, bedges, directions, dual = reference_benzenoid(cells)
