@@ -49,7 +49,7 @@ from .phenylene import (
     parse_placement,
     tree_term_values,
 )
-from .reduction import ReductionStep, collapse_plan, reduce_fully
+from .reduction import CollapsePlan, collapse_plan
 from .families import (
     complete_bipartite_graph,
     gen_basic,
@@ -279,36 +279,31 @@ def _hamming_route(loaded: LoadedInput, terms: TermNames):
     return _cuts_route(loaded, {k: t for k, t in terms.items() if k in HAMMING_INDICES})
 
 
-def _reduce(
-    g: Graph, terms: dict[str, Term], logged: str
-) -> tuple[Graph, dict[str, tuple[Weight, Weight]], tuple[ReductionStep, ...]]:
-    """Every term through one collapse plan of g: the reduced graph, each term's
-    (value on it, total correction) and the ``logged`` term's step log.  The
-    reduced terms share one distance matrix: one cut engine block of all edges."""
+def _reduce(g: Graph, terms: dict[str, Term]) -> tuple[CollapsePlan, dict[str, tuple[Weight, tuple]]]:
+    """Every term through one collapse plan of g: the plan and each term's
+    (value on the reduced graph, step corrections).  The reduced terms share
+    one distance matrix: one cut engine block of all edges."""
     plan = collapse_plan(g)
-    log, _, steps = reduce_fully(DoubleWeightedGraph(g, *terms[logged]), plan)
-    mapped = {k: plan.apply(*t) for k, t in terms.items() if k != logged}
-    mapped[logged] = log.a, log.b, [step.correction for step in steps]
+    mapped = dict(zip(terms, plan.apply_terms(list(terms.values()))))
     reduced, pairs = plan.graph, [(a, b) for a, b, _ in mapped.values()]
     if reduced.n == 1:
         values = [0] * len(pairs)
     else:
         values = CutEngine(reduced, trusted_partition(reduced, [range(reduced.m)])).values(pairs)
-    return reduced, {k: (v, sum(c)) for (k, (_, _, c)), v in zip(mapped.items(), values)}, steps
+    return plan, {k: (v, c) for (k, (_, _, c)), v in zip(mapped.items(), values)}
 
 
 def _reduce_route(loaded: LoadedInput, terms: TermNames):
-    """The R/S twin reductions; DD's step log is the breakdown."""
+    """The R/S twin reductions; DD's corrections are the breakdown."""
     if loaded.source.n == 1:  # zero degrees are no weights; every sum is empty
         return dict.fromkeys(terms, 0), []
     resolved = index_terms(loaded.graph, loaded.a, loaded.b)
-    _, values, steps = _reduce(loaded.graph, {k: resolved[k] for k in terms}, "degree_distance")
+    plan, values = _reduce(loaded.graph, {k: resolved[k] for k in terms})
     breakdown = [
-        {"kind": step.kind, "class_size": len(step.members),
-         "representative": step.representative, "correction": step.correction}
-        for step in steps
+        {"kind": kind, "class_size": size, "representative": rep, "correction": corr}
+        for kind, size, rep, corr in zip(*plan.step_table, values["degree_distance"][1])
     ]
-    return {k: values[k][0] + values[k][1] for k in terms}, breakdown
+    return {k: values[k][0] + sum(values[k][1]) for k in terms}, breakdown
 
 
 def _trees_route(loaded: LoadedInput, terms: TermNames):
@@ -475,8 +470,9 @@ def cmd_reduce(args) -> int:
     loaded = _load_input(args)
     g = loaded.graph
     name = "wiener_double" if loaded.a is not None else "degree_distance"
-    reduced, values, steps = _reduce(g, {name: index_terms(g, loaded.a, loaded.b)[name]}, name)
-    reduced_value, total = values[name]
+    plan, values = _reduce(g, {name: index_terms(g, loaded.a, loaded.b)[name]})
+    reduced, (reduced_value, corrections) = plan.graph, values[name]
+    steps, total = plan.log(corrections), sum(corrections)
     running = accumulate(step.correction for step in steps)
     rows = [
         {"step": i, "kind": step.kind, "members": list(step.members),

@@ -249,13 +249,36 @@ class CutEngine:
     def component_of(self, i: int) -> np.ndarray:
         """The vertex of G/F_i that holds each vertex of G."""
         c = self._core_block[i]
-        if c < 0:  # a pendant edge: the two sides of the bridge
-            keep = np.arange(self.g.m) != self.partition.blocks[i][0]
-            return component_labels(self.g.n, *self.g.edge_array[keep].T)[1]
+        if c < 0:  # a pendant edge: the subtree below it, and the rest
+            pre, start, stop = self._subtrees
+            below = (pre >= start[i]) & (pre < stop[i])
+            return (below != below[0]).astype(np.int64)  # vertex 0's side is 0
         vertex = self._core_of
         for level, (_, labels) in enumerate(self._maps):
             vertex = labels[2 * vertex + ((c >> (self._depth - level - 1)) & 1)]
         return self._position[vertex] - self._starts[c]
+
+    @cached_property
+    def _subtrees(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every vertex's place in one preorder of the pendant trees, each
+        rooted at its core vertex, and per pendant block the places
+        [start, stop) of the subtree below its edge."""
+        size = [1] * self.g.n
+        for v, p in self._fold:  # each vertex before the one it hangs from
+            size[p] += size[v]
+        pre, free = [0] * self.g.n, [0] * self.g.n  # free: a vertex's next place below
+        place = 0
+        for r in self._core_vertices.tolist():
+            pre[r], free[r], place = place, place + 1, place + size[r]
+        for v, p in reversed(self._fold):
+            pre[v], free[v] = free[p], free[p] + 1
+            free[p] += size[v]
+        pre, size = np.array(pre), np.array(size)
+        start = np.zeros(len(self.sizes), dtype=np.int64)
+        start[self._core_block < 0] = pre[self._pendant_vertex]
+        stop = start.copy()
+        stop[self._core_block < 0] += size[self._pendant_vertex]
+        return pre, start, stop
 
     def quotient_edges(self, i: int) -> np.ndarray:
         """The edges (lo, hi) of G/F_i as an array of rows, sorted."""

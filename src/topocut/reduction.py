@@ -6,21 +6,26 @@ two; vertices with the same closed neighbourhood (S-classes) at distance one.
 Collapsing a class onto one representative with summed weights changes the
 double-weighted Wiener index by an explicitly computable correction, so
 large instances shrink without losing exactness.  Which vertices collapse
-depends only on the graph: :func:`collapse_plan` finds them once, and
-:meth:`CollapsePlan.apply` maps any number of weight pairs through it.
+depends only on the graph: :func:`collapse_plan` finds them once on the edge
+arrays (hashed rows, verified elementwise), and :meth:`CollapsePlan.apply`
+maps any number of weight pairs through it with segment sums under the int64
+guard of :mod:`topocut.exact`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from fractions import Fraction
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
+from .cut_method import Term
+from .exact import _exact_dtype, _exact_quotient, _scaled
 from .graph import Graph, GraphError
 from .indices import DoubleWeightedGraph, Weight, WeightedGraph
-from .indices import pairwise_mixed_sum, pairwise_product_sum
 
 
 @dataclass(frozen=True)
@@ -38,84 +43,191 @@ class ReductionStep:
     correction: Weight
 
 
-# The neighbourhood that makes twins, from the adjacency tuples: open N(v)
-# for R, closed N[v] for S.
-_KEY = {
-    "R": lambda adj, v: adj[v],
-    "S": lambda adj, v: tuple(sorted(adj[v] + (v,))),
-}
+def _vertex_keys(n: int, attempt: int) -> np.ndarray:
+    """Fixed-seed uint64 keys of 0..n-1: splitmix64 of attempt * 2^32 + v."""
+    z = np.arange(n, dtype=np.uint64) + np.uint64(((attempt << 32) + 0x9E3779B97F4A7C15) % (1 << 64))
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9  # uint64 arrays wrap mod 2^64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
 
 
-def _classes(g: Graph, kind: str) -> tuple[tuple[int, ...], ...]:
-    key, adj = _KEY[kind], g.adj
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(key(adj, v), []).append(v)
-    # a group enters the dict at its smallest member, so this is that order
-    return tuple(map(tuple, groups.values()))
+def _twin_labels(n: int, ends: np.ndarray, closed: bool) -> np.ndarray:
+    """Each vertex's class of equal open (``closed``: closed) neighbourhoods,
+    named by its smallest member.
+
+    The rows are the sorted codes tail * n + head, with the loops v * n + v
+    when closed.  A row's hash is the sum of its vertices' keys mod 2^64;
+    one ``lexsort`` groups the unsettled vertices by (degree, hash), and each
+    is compared elementwise with its group's smallest vertex.  Those equal
+    to it are its class; the rest are grouped again under fresh keys.  Each
+    round settles every group's smallest vertex with its whole class, so
+    the classes are exact whatever the keys.
+    """
+    tail, head = ends.ravel(), ends[:, ::-1].ravel()
+    if closed:
+        tail, head = np.concatenate((tail, np.arange(n))), np.concatenate((head, np.arange(n)))
+    codes = np.sort(tail * n + head)
+    row = codes // n
+    heads = codes - row * n
+    degree = np.bincount(row, minlength=n)
+    starts = np.cumsum(degree) - degree
+    position, filled = np.arange(codes.size), np.flatnonzero(degree)
+    labels, todo, attempt = np.arange(n), np.arange(n), 0
+    while todo.size:
+        hashed = np.zeros(n, dtype=np.uint64)
+        if filled.size:
+            hashed[filled] = np.add.reduceat(_vertex_keys(n, attempt)[heads], starts[filled])
+        order = todo[np.lexsort((hashed[todo], degree[todo]))]  # stable: ascending in a group
+        d, h = degree[order], hashed[order]
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (d[1:] != d[:-1]) | (h[1:] != h[:-1])
+        candidate = labels.copy()  # a settled vertex's row equals its label's
+        candidate[order] = order[np.flatnonzero(new)[np.cumsum(new) - 1]]
+        shift = starts[candidate] - starts  # each entry against its candidate's
+        differs = np.zeros(n, dtype=bool)
+        differs[row[heads != heads[position + shift[row]]]] = True
+        unsettled = differs[todo]
+        settled = todo[~unsettled]
+        labels[settled] = candidate[settled]
+        todo, attempt = todo[unsettled], attempt + 1
+    return labels
+
+
+def _by_class(labels: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``vertices`` by class (by smallest member), ascending within each,
+    and where each class starts."""
+    vertices = vertices[np.argsort(labels[vertices], kind="stable")]
+    return vertices, np.flatnonzero(np.diff(labels[vertices], prepend=-1))
+
+
+def _classes(g: Graph, closed: bool) -> tuple[tuple[int, ...], ...]:
+    order, starts = _by_class(_twin_labels(g.n, g.edge_array, closed), np.arange(g.n))
+    return tuple(tuple(c.tolist()) for c in np.split(order, starts[1:]))
 
 
 def r_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Equivalence classes of N(x) = N(y), ordered by smallest member."""
-    return _classes(g, "R")
+    return _classes(g, False)
 
 
 def s_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Equivalence classes of N[x] = N[y], ordered by smallest member."""
-    return _classes(g, "S")
+    return _classes(g, True)
 
 
-def _collapse(g: Graph, drop: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Delete ``drop``; return the reindexed graph and the kept old labels.
-    Each dropped vertex has a kept twin, so the graph stays connected; the
-    monotone reindexing keeps edges (min, max)-ordered."""
-    kept = np.ones(g.n, dtype=bool)
-    kept[list(drop)] = False
-    new_of = np.cumsum(kept) - 1
-    ends = g.edge_array
-    edges = new_of[ends[kept[ends].all(axis=1)]]
-    keep = tuple(np.flatnonzero(kept).tolist())
-    return Graph(len(keep), edges, validate=False), keep
+def _collapse(ends: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The edges left without the vertices outside ``kept``, relabelled
+    monotonically, so still (min, max)-ordered.  Each dropped vertex has a
+    kept twin, so the graph stays connected."""
+    return (np.cumsum(kept) - 1)[ends[kept[ends].all(axis=1)]]
 
 
-@dataclass(frozen=True)
+# A phase: (kind, members by class with the representative first, each
+# class's start in members, the kept mask), in the phase's starting labels.
+Phase = tuple[str, np.ndarray, np.ndarray, np.ndarray]
+# A term's reduced weights and its correction for each step.
+Mapped = tuple[tuple[Weight, ...], tuple[Weight, ...] | None, tuple[Weight, ...]]
+
+
+def _map_weights(phases: Sequence[Phase], terms: Sequence[Term]) -> list[Mapped]:
+    """:meth:`CollapsePlan.apply` of every term, each distinct vector one row."""
+    vectors = list({id(v): v for term in terms for v in term if v is not None}.values())
+    rows = {id(v): r for r, v in enumerate(vectors)}
+    pairs = [(rows[id(a)], rows[id(a if b is None else b)], b is None) for a, b in terms]
+    ints, scales, fractional = zip(*map(_scaled, vectors))
+    totals = [sum(map(abs, w)) for w in ints]  # f sum|a| sum|b| bounds every value
+    ws = np.array(ints, dtype=_exact_dtype(2 * max(totals[i] * totals[j] for i, j, _ in pairs)))
+    flags = np.zeros(ws.shape, dtype=bool)  # a sum is a Fraction iff a term is
+    for r in np.flatnonzero(fractional).tolist():
+        flags[r] = [isinstance(x, Fraction) for x in vectors[r]]
+    values: list[list[int]] = [[] for _ in pairs]
+    typed: list[list[bool]] = [[] for _ in pairs]
+    for kind, members, starts, kept in phases:
+        f = 2 if kind == "R" else 1  # the members' mutual distance
+        part, has = ws[:, members], np.logical_or.reduceat(flags[:, members], starts, axis=1)
+        sums = np.add.reduceat(part, starts, axis=1)
+        for t, (i, j, half) in enumerate(pairs):
+            corr = f * (sums[i] * sums[j] - np.add.reduceat(part[i] * part[j], starts))
+            values[t] += (corr // 2 if half else corr).tolist()
+            typed[t] += (has[i] | has[j]).tolist()
+        first = members[starts]
+        ws[:, first], flags[:, first] = sums, has
+        ws, flags = ws[:, kept], flags[:, kept]
+    reduced = [  # divided back by the scales, each value typed as its Python sum
+        [_exact_quotient(v, s, 1, t) for v, t in zip(w.tolist(), x.tolist())] if frac else w.tolist()
+        for w, s, frac, x in zip(ws, scales, fractional, flags)
+    ]
+    out = []
+    for (i, j, half), vals, types in zip(pairs, values, typed):
+        if fractional[i] or fractional[j]:
+            vals = [_exact_quotient(v, scales[i] * scales[j], 1, t) for v, t in zip(vals, types)]
+        out.append((tuple(reduced[i]), None if half else tuple(reduced[j]), tuple(vals)))
+    return out
+
+
+@dataclass(frozen=True, eq=False)  # arrays: compared and hashed by identity
 class CollapsePlan:
     """The weight-free R/S collapse sequence of one graph.
 
-    ``graph`` is the fully reduced graph.  Each phase is (kind, classes,
-    keep): its nontrivial classes in the labels the phase started from,
-    representative first, and the labels it keeps.  ``steps`` is (kind,
-    members, representative) for every collapse, in the labels the graph had
-    just before that collapse.
+    ``graph`` is the fully reduced graph and ``arrays`` one :data:`Phase`
+    per phase.  Built on first use: ``phases``, (kind, classes, keep) per
+    phase in the labels it started from; ``steps``, (kind, members,
+    representative) per collapse in the labels just before it; and
+    ``step_table``, each step's kind, class size and representative.
     """
 
     graph: Graph
-    phases: tuple[tuple[str, tuple[tuple[int, ...], ...], tuple[int, ...]], ...]
-    steps: tuple[tuple[str, tuple[int, ...], int], ...]
+    arrays: tuple[Phase, ...]
 
-    def apply(
-        self, a: Sequence[Weight], b: Sequence[Weight] | None = None
-    ) -> tuple[tuple[Weight, ...], tuple[Weight, ...] | None, tuple[Weight, ...]]:
+    def apply(self, a: Sequence[Weight], b: Sequence[Weight] | None = None) -> Mapped:
         """Reduced weights of W(a, b), or of W*(a) when ``b`` is None, and
         each step's correction: the input's index is the reduced one plus
         the corrections.  A class collapses onto its first member, which
         takes the member sums, and adds f sum (a_i b_j + a_j b_i) over member
-        pairs (f sum a_i a_j for W*), with f = 2 for R and 1 for S."""
-        corrections: list[Weight] = []
-        for kind, classes, keep in self.phases:
-            f = 2 if kind == "R" else 1  # the members' mutual distance
-            a, b = list(a), (None if b is None else list(b))
-            for cls in classes:  # disjoint: each reads phase-start weights
-                if b is None:  # W*(a) = W(a, a) / 2
-                    corr = pairwise_product_sum([a[x] for x in cls])
-                else:
-                    corr = pairwise_mixed_sum([a[x] for x in cls], [b[x] for x in cls])
-                    b[cls[0]] = sum(b[x] for x in cls)
-                corrections.append(f * corr)
-                a[cls[0]] = sum(a[x] for x in cls)
-            a = [a[v] for v in keep]
-            b = None if b is None else [b[v] for v in keep]
-        return tuple(a), (None if b is None else tuple(b)), tuple(corrections)
+        pairs (f sum a_i a_j for W*), with f = 2 for R and 1 for S.
+
+        Per phase, ``np.add.reduceat`` sums every class at once; the
+        corrections are f (sum a sum b - sum a_i b_i) and
+        f ((sum a)^2 - sum a_i^2) / 2.  The weights are scaled to integers
+        under the int64 guard with the bound f sum|a| sum|b|, and a value is
+        divided back to a Fraction iff one of its terms was a Fraction.
+        """
+        return _map_weights(self.arrays, [(a, b)])[0]
+
+    def apply_terms(self, terms: Sequence[Term]) -> list[Mapped]:
+        """:meth:`apply` of every term, each distinct vector mapped once."""
+        return _map_weights(self.arrays, terms)
+
+    @cached_property
+    def phases(self) -> tuple[tuple[str, tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
+        return tuple(
+            (kind, tuple(tuple(c.tolist()) for c in np.split(members, starts[1:])),
+             tuple(np.flatnonzero(kept).tolist()))
+            for kind, members, starts, kept in self.arrays
+        )
+
+    @cached_property
+    def steps(self) -> tuple[tuple[str, tuple[int, ...], int], ...]:
+        out = []
+        for kind, classes, _ in self.phases:
+            dropped: list[int] = []  # this phase's drops so far, ascending
+            for cls in classes:
+                members = tuple(x - bisect_left(dropped, x) for x in cls)
+                out.append((kind, members, members[0]))
+                for x in cls[1:]:
+                    insort(dropped, x)
+        return tuple(out)
+
+    @cached_property
+    def step_table(self) -> tuple[list[str], list[int], list[int]]:
+        # classes go by smallest member: the drops before a step are those below it
+        kinds, sizes, reps = [], [], []
+        for kind, members, starts, kept in self.arrays:
+            first = members[starts]
+            kinds += [kind] * starts.size
+            sizes += np.diff(starts, append=members.size).tolist()
+            reps += (first - np.searchsorted(np.flatnonzero(~kept), first)).tolist()
+        return kinds, sizes, reps
 
     def log(self, corrections: Sequence[Weight]) -> tuple[ReductionStep, ...]:
         """The step log with one weight pair's corrections."""
@@ -125,56 +237,48 @@ class CollapsePlan:
 def collapse_plan(g: Graph) -> CollapsePlan:
     """Collapse R- then S-classes, alternating, to a fixed point.
 
-    Each phase scans the classes of one kind once and collapses every
-    nontrivial class at once.  That is exact.  Take an R-class {c, x, ...}
-    and delete x: only vertices y in N(x) = N(c) lose a neighbour.  For y
-    and z with N(y) = N(z), x in N(y) iff c in N(y) iff x in N(z), so no
-    class splits.  Nor do two merge: if N(y) and N(z) differed only in x,
-    with x in N(y), then y in N(x) = N(c) puts c in N(y), hence in N(z),
-    and z in N(c) = N(x) puts x in N(z).  The same holds for S-classes with
-    N[.].  So one scan finds exactly the classes that a collapse-one-and-
-    rescan loop finds one at a time, in the same order (by smallest member),
-    and leaves its kind clean.  Phases stop once both kinds are clean.
+    Each phase finds the classes of one kind once (:func:`_twin_labels`)
+    and collapses every nontrivial class at once.  That is exact.  Take an
+    R-class {c, x, ...} and delete x: only vertices y in N(x) = N(c) lose a
+    neighbour.  For y and z with N(y) = N(z), x in N(y) iff c in N(y) iff
+    x in N(z), so no class splits.  Nor do two merge: if N(y) and N(z)
+    differed only in x, with x in N(y), then y in N(x) = N(c) puts c in
+    N(y), hence in N(z), and z in N(c) = N(x) puts x in N(z).  The same
+    holds for S-classes with N[.].  So one scan finds exactly the classes
+    that a collapse-one-and-rescan loop finds one at a time, in the same
+    order (by smallest member), and leaves its kind clean.  Phases stop once
+    both kinds are clean.  Only the reduced graph is built as a Graph.
     """
     if not g.connected:
         raise GraphError("twin reductions need a connected graph")
-    phases, steps = [], []
+    n, ends, phases = g.n, g.edge_array, []
     kind, clean = "R", 0
     while clean < 2:
-        scan = r_classes(g) if kind == "R" else s_classes(g)
-        classes = tuple(c for c in scan if len(c) > 1)
-        if classes:
-            dropped: list[int] = []  # this phase's drops so far, ascending
-            for cls in classes:
-                members = tuple(x - bisect_left(dropped, x) for x in cls)
-                steps.append((kind, members, members[0]))
-                for x in cls[1:]:
-                    insort(dropped, x)
-            g, keep = _collapse(g, dropped)
-            phases.append((kind, classes, keep))
-        clean = 1 if classes else clean + 1  # a phase leaves its own kind clean
+        labels = _twin_labels(n, ends, kind == "S")
+        kept = labels == np.arange(n)
+        collapses = not kept.all()
+        if collapses:
+            in_class = np.flatnonzero(np.bincount(labels, minlength=n)[labels] > 1)
+            phases.append((kind, *_by_class(labels, in_class), kept))
+            n, ends = int(kept.sum()), _collapse(ends, kept)
+        clean = 1 if collapses else clean + 1  # a phase leaves its own kind clean
         kind = "S" if kind == "R" else "R"
-    return CollapsePlan(g, tuple(phases), tuple(steps))
+    return CollapsePlan(Graph(n, ends, validate=False) if phases else g, tuple(phases))
 
 
-def reduce_fully(
-    dwg: DoubleWeightedGraph, plan: CollapsePlan | None = None
-) -> tuple[DoubleWeightedGraph, Weight, tuple[ReductionStep, ...]]:
+def reduce_fully(dwg: DoubleWeightedGraph, plan: CollapsePlan | None = None):
     """Collapse R- and S-classes to a fixed point (see :func:`collapse_plan`).
 
     Returns the reduced graph, the total correction, and the step log;
     the double-weighted Wiener index of the input equals that of the output
     plus the total correction.  ``plan`` reuses a plan of ``dwg.g``.
     """
-    if plan is None:
-        plan = collapse_plan(dwg.g)
+    plan = plan or collapse_plan(dwg.g)
     a, b, corrections = plan.apply(dwg.a, dwg.b)
     return DoubleWeightedGraph(plan.graph, a, b), sum(corrections), plan.log(corrections)
 
 
-def reduce_fully_single(
-    wg: WeightedGraph,
-) -> tuple[WeightedGraph, Weight, tuple[ReductionStep, ...]]:
+def reduce_fully_single(wg: WeightedGraph):
     """Single-weight analogue of :func:`reduce_fully`, for W*(w)."""
     plan = collapse_plan(wg.g)
     w, _, corrections = plan.apply(wg.w)
@@ -185,18 +289,15 @@ def _reduce_once(wgraph, c: int, kind: str):
     g = wgraph.g
     if not 0 <= c < g.n:
         raise GraphError(f"vertex {c} out of range")
-    key, adj = _KEY[kind], g.adj
-    mine = key(adj, c)
-    twins = tuple(v for v in range(g.n) if v != c and key(adj, v) == mine)
-    if not twins:
+    labels = _twin_labels(g.n, g.edge_array, kind == "S")
+    kept = (labels != labels[c]) | (np.arange(g.n) == c)
+    if kept.all():
         return wgraph, 0
-    reduced, keep = _collapse(g, twins)
-    plan = CollapsePlan(reduced, ((kind, ((c, *twins),), keep),), ((kind, (c, *twins), c),))
-    if isinstance(wgraph, WeightedGraph):
-        w, _, (corr,) = plan.apply(wgraph.w)
-        return WeightedGraph(reduced, w), corr
-    a, b, (corr,) = plan.apply(wgraph.a, wgraph.b)
-    return DoubleWeightedGraph(reduced, a, b), corr
+    members = np.concatenate(([c], np.flatnonzero(~kept)))
+    reduced = Graph(int(kept.sum()), _collapse(g.edge_array, kept), validate=False)
+    vectors = (wgraph.w, None) if isinstance(wgraph, WeightedGraph) else (wgraph.a, wgraph.b)
+    ((a, b, (corr,)),) = _map_weights([(kind, members, np.zeros(1, dtype=np.intp), kept)], [vectors])
+    return (WeightedGraph(reduced, a) if b is None else DoubleWeightedGraph(reduced, a, b)), corr
 
 
 def reduce_once_r(wgraph, c: int):

@@ -11,7 +11,9 @@ throughout; the CLI layer converts "u-v" spellings.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -216,18 +218,21 @@ def trusted_partition(g: Graph, blocks: Iterable[Iterable[int]]) -> EdgePartitio
 
 
 def _check_is_partition(g: Graph, blocks: tuple[tuple[int, ...], ...]) -> None:
-    seen: set[int] = set()
-    total = 0
+    """Every index names an edge and every edge lies in exactly one block;
+    the blocks are sorted and free of repeats, so one range test per block
+    and one ``bincount`` decide it."""
+    m = g.m
     for block in blocks:
-        for e in block:
-            if not (0 <= e < g.m):
-                raise PartitionError(f"unknown edge index {e}")
-        total += len(block)
-        seen.update(block)
-    if total != g.m or len(seen) != g.m:
+        if block and not (0 <= block[0] and block[-1] < m):
+            bad = block[0] if block[0] < 0 else block[bisect_left(block, m)]
+            raise PartitionError(f"unknown edge index {bad}")
+    total = sum(map(len, blocks))
+    flat = np.fromiter(chain.from_iterable(blocks), dtype=np.int64, count=total)
+    distinct = int(np.count_nonzero(np.bincount(flat, minlength=m)))
+    if total != m or distinct != m:
         raise PartitionError(
             f"blocks do not partition the edge set ({total} entries, "
-            f"{len(seen)} distinct, {g.m} edges)"
+            f"{distinct} distinct, {m} edges)"
         )
 
 

@@ -310,6 +310,21 @@ def test_quotients_come_from_the_contraction(monkeypatch):
     assert (distance_matrix_via_quotients(g, partition) == distance_matrix(g)).all()
 
 
+@settings(max_examples=80)
+@given(st.one_of(pendant_graphs(), trees(min_n=2, max_n=30)))
+def test_pendant_sides_match_component_labels(g):
+    # a pendant block's two sides come from the peel's preorder intervals;
+    # deleting its edge and labelling the components must agree
+    engine = CutEngine(g)
+    pendant = [i for i, block in enumerate(engine.partition.blocks)
+               if engine._core_block[i] < 0]
+    for i in pendant:
+        keep = np.arange(g.m) != engine.partition.blocks[i][0]
+        want = graph_module.component_labels(g.n, *g.edge_array[keep].T)[1]
+        got = engine.component_of(i)
+        assert got.dtype == want.dtype and (got == want).all()
+
+
 # Block counts for the contraction: powers of two, which fill every range,
 # and one past them, which adds a level whose ranges are nearly all empty.
 BLOCK_COUNTS = (1, 2, 3, 4, 5, 8, 9, 16, 17)

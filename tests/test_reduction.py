@@ -1,7 +1,9 @@
 import json
 import random
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -247,11 +249,14 @@ def test_random_suite_conservation():
 
 
 def _ref_classes(g, closed):
+    """The twin classes from a dict of adjacency tuples: open N(v), or closed
+    N[v], as keys.  A group enters the dict at its smallest member, so the
+    classes come out ordered by smallest member."""
     groups = {}
     for v in range(g.n):
         key = tuple(sorted(g.adj[v] + (v,))) if closed else g.adj[v]
         groups.setdefault(key, []).append(v)
-    return tuple(sorted((tuple(vs) for vs in groups.values()), key=lambda c: c[0]))
+    return tuple(map(tuple, groups.values()))
 
 
 def _ref_collapse(g, members, c):
@@ -425,3 +430,120 @@ def test_reduce_with_fraction_weights_equals_oracle(tmp_path, capsys):
         reports[method] = json.loads(capsys.readouterr().out)["indices"]
     assert len(reports["reduce"]) == 6
     assert reports["reduce"] == reports["oracle"]
+
+
+@st.composite
+def blowups(draw):
+    """Open and closed blow-ups of ``random_connected_graph`` bases of up to
+    30 vertices, larger than ``twin_graphs``' bases."""
+    n = draw(st.integers(2, 30))
+    m = draw(st.integers(n - 1, min(2 * n, n * (n - 1) // 2)))
+    base = random_connected_graph(n, m, seed=draw(st.integers(0, 10**6)))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return blowup(base, sizes, closed=draw(st.booleans()))
+
+
+@given(st.one_of(twin_graphs(), blowups()))
+def test_array_classes_equal_the_dict_reference(g):
+    assert r_classes(g) == _ref_classes(g, closed=False)
+    assert s_classes(g) == _ref_classes(g, closed=True)
+
+
+def _constant_keys(rounds):
+    def keys(n, attempt):
+        rounds.append(attempt)
+        return np.ones(n, dtype=np.uint64)
+    return keys
+
+
+@given(st.one_of(twin_graphs(), blowups()))
+def test_classes_are_exact_when_every_key_collides(g):
+    """With one key for every vertex each row hashes to its degree, so the
+    elementwise check must split every degree's group into its classes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_vertex_keys", _constant_keys([]))
+        assert r_classes(g) == _ref_classes(g, closed=False)
+        assert s_classes(g) == _ref_classes(g, closed=True)
+
+
+def test_each_round_settles_the_smallest_vertex_of_each_group():
+    # C6: six degree-2 vertices, no two with one neighbourhood.  Distinct keys
+    # settle them in one round; one shared key, one vertex per round.
+    rounds = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_vertex_keys", _constant_keys(rounds))
+        assert r_classes(cycle_graph(6)) == tuple((v,) for v in range(6))
+    assert rounds == [0, 1, 2, 3, 4, 5]
+    spy = []
+    keys = reduction._vertex_keys
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_vertex_keys", lambda n, attempt: spy.append(attempt) or keys(n, attempt))
+        assert r_classes(cycle_graph(6)) == tuple((v,) for v in range(6))
+    assert spy == [0]
+
+
+def _assert_matches_reference(g, a, b):
+    for wg, ours in (
+        (DoubleWeightedGraph(g, a, b), reduce_fully),
+        (WeightedGraph(g, a), reduce_fully_single),
+    ):
+        want_g, want_total, want_steps = reference_reduce_fully(wg)
+        got_g, got_total, got_steps = ours(wg)
+        assert _typed(got_steps) == _typed(want_steps)
+        assert _typed(got_total) == _typed(want_total)
+        weights = (lambda x: (x.w,)) if isinstance(wg, WeightedGraph) else (lambda x: (x.a, x.b))
+        assert _typed(weights(got_g)) == _typed(weights(want_g))
+
+
+# Per vertex: an int, a p/q Fraction or a whole-valued Fraction, so one
+# class may mix them, and a and b may differ in kind.
+MIXED = st.one_of(WEIGHTS["int"], WEIGHTS["fraction"], st.builds(Fraction, st.integers(1, 9)))
+
+
+@given(data=st.data())
+def test_plan_keeps_the_type_of_each_python_sum(data):
+    g = data.draw(twin_graphs())
+    a = tuple(data.draw(MIXED) for _ in range(g.n))
+    b = tuple(data.draw(st.one_of(MIXED, WEIGHTS["int"])) for _ in range(g.n))
+    _assert_matches_reference(g, a, b)
+    _assert_matches_reference(g, (1,) * g.n, b)  # only b holds Fractions
+
+
+_GUARD_GRAPH = blowup(random_connected_graph(5, 6, seed=2), [2, 3, 1, 2, 2], closed=True)
+# uniform weights w with 2 (n w)^2 just below and at or past 2^62
+_BELOW = isqrt((2**62 - 1) // 2) // _GUARD_GRAPH.n
+
+
+@pytest.mark.parametrize("w, dtype", [
+    (2**62 - 7, object),  # the weights themselves near 2^62
+    (2**40 + 3, object),  # sums inside the guard, products past it
+    (_BELOW, np.int64),
+    (_BELOW + 1, object),
+])
+def test_int64_guard_in_the_weight_map(w, dtype, monkeypatch):
+    """The weight map's dtype follows the bound 2 sum|a| sum|b|, and either
+    dtype matches the per-step reference in value and type."""
+    chosen = []
+    guard = reduction._exact_dtype
+    monkeypatch.setattr(reduction, "_exact_dtype", lambda bound: chosen.append(guard(bound)) or chosen[-1])
+    g = _GUARD_GRAPH
+    _assert_matches_reference(g, (w,) * g.n, (w,) * g.n)
+    rng = random.Random(w)
+    sign = 1 if dtype is object else -1  # stay on the same side of the guard
+    _assert_matches_reference(g, tuple(w + sign * rng.randint(0, 9) for _ in range(g.n)), (w,) * g.n)
+    assert set(chosen) == {dtype}
+
+
+def test_compute_finds_classes_once_per_phase(tmp_path, monkeypatch, capsys):
+    """``compute --method reduce`` hashes the rows a bounded number of times
+    per phase and builds one Graph for the reduced graph."""
+    base = random_connected_graph(60, 90, seed=4)
+    g = blowup(base, [1 + v % 3 for v in range(base.n)], closed=True)
+    phases = len(collapse_plan(g).phases)
+    f = tmp_path / "blow.edges"
+    f.write_text(format_edge_list(g))
+    calls = []
+    labels = reduction._twin_labels
+    monkeypatch.setattr(reduction, "_twin_labels", lambda *args: calls.append(1) or labels(*args))
+    assert main(["compute", str(f), "--method", "reduce"]) == 0
+    assert phases >= 1 and len(calls) <= phases + 2

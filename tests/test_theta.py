@@ -253,6 +253,21 @@ def test_validate_coarser_rejects_non_partition():
         validate_coarser(g, [[0, 3, 99], [1, 4], [2, 5]])
 
 
+@pytest.mark.parametrize("blocks, message", [
+    # the first index out of range, in block order
+    ([[0, 3], [1, 4, -2, 7], [2, 5, 99]], "unknown edge index -2"),
+    ([[0, 3, 6, 9], [1, 4], [2, 5]], "unknown edge index 6"),
+    # an edge in two blocks
+    ([[0, 3], [0, 1, 4], [2, 5]], r"blocks do not partition the edge set \(7 entries, 6 distinct, 6 edges\)"),
+    # an edge in none
+    ([[0, 3], [1, 4], [2]], r"blocks do not partition the edge set \(5 entries, 5 distinct, 6 edges\)"),
+])
+def test_partition_check_messages(blocks, message):
+    # trusted_partition runs only the partition check, without theta*
+    with pytest.raises(PartitionError, match=f"^{message}$"):
+        theta.trusted_partition(cycle_graph(6), blocks)
+
+
 def test_quotient_c6_by_one_class():
     g = cycle_graph(6)
     q = quotient(g, [0, 3])
