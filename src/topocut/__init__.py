@@ -8,13 +8,11 @@ against brute-force definitions.
 """
 
 from .graph import (
-    Components,
     Graph,
     GraphError,
     ParseError,
     all_pairs_distances,
     build_graph,
-    components_after_deletion,
     degree_vector,
     format_edge_list,
     parse_edge_list,
@@ -25,9 +23,7 @@ from .theta import (
     PartitionError,
     QuotientGraph,
     ThetaClasses,
-    is_partial_cube,
     quotient,
-    theta_related,
     theta_star_classes,
     trusted_partition,
     validate_coarser,
@@ -44,8 +40,7 @@ from .indices import (
 )
 from .cut_method import (
     degree_distance_via_cuts,
-    distance_matrix_via_quotients,
-    distance_via_quotients,
+    is_partial_cube,
     partial_cube_double_wiener,
     wiener_double_via_cuts,
     wiener_weighted_via_cuts,
@@ -78,9 +73,7 @@ from .reduction import (
     s_classes,
 )
 from .hamming import (
-    CanonicalEmbedding,
     NotPartialHammingError,
-    canonical_embedding,
     gutman_exact_hamming,
     gutman_lower_bound,
     is_partial_hamming,

@@ -15,8 +15,7 @@ the whole graph per block.  It sums the weights of every quotient through
 the same levels, evaluates the complete quotients in closed form all
 together and gives every other quotient one distance matrix.  The weights
 are scaled to integers and every array runs under the int64 guard of
-:mod:`topocut.exact`.  The ``QuotientGraph`` objects are built only on
-request (``CutEngine.quotients``).
+:mod:`topocut.exact`.
 """
 
 from __future__ import annotations
@@ -28,16 +27,13 @@ from typing import Sequence
 import numpy as np
 
 from .exact import _exact_dtype, _exact_quotient, _scaled
-from .graph import Graph, GraphError, component_labels, degree_vector, distance_matrix
+from .graph import Graph, component_labels, degree_vector, distance_matrix
 from .indices import DoubleWeightedGraph, Weight, check_weights
 from .theta import (
     EdgePartition,
     NotPartialCubeError,
     PartitionError,
-    QuotientGraph,
     ThetaClasses,
-    _groups,
-    is_partial_cube,
     theta_star_classes,
     validate_coarser,
 )
@@ -113,9 +109,8 @@ class CutEngine:
     kept, never a k x n table.
 
     ``sizes`` and ``complete`` give each quotient's vertex count and
-    whether it is complete.  ``quotients`` (built on first use) is for
-    callers that want the ``QuotientGraph`` objects; the indices never need
-    them.
+    whether it is complete; ``component_of`` and ``quotient_edges`` give
+    one quotient's vertex labels and edges.
     """
 
     def __init__(
@@ -229,22 +224,6 @@ class CutEngine:
         """Every block quotient is complete; over the theta*-classes this is
         exactly the partial Hamming graphs."""
         return all(self.complete)
-
-    @cached_property
-    def quotients(self) -> tuple[QuotientGraph, ...]:
-        """Every block's quotient graph, built on first use from
-        ``component_of`` and ``quotient_edges``."""
-        labels = [self.component_of(i) for i in range(len(self.sizes))]
-        return tuple(
-            QuotientGraph(self._quotient_graph(i), tuple(c.tolist()), _groups(c))
-            for i, c in enumerate(labels)
-        )
-
-    def _quotient_graph(self, i: int) -> Graph:
-        """G/F_i as a Graph of ``quotient_edges``, which are unique,
-        (lo, hi)-ordered and connect the quotient whenever G is connected."""
-        return Graph(self.sizes[i], self.quotient_edges(i), require_connected=False,
-                     validate=not self.g.connected)
 
     def component_of(self, i: int) -> np.ndarray:
         """The vertex of G/F_i that holds each vertex of G."""
@@ -376,7 +355,11 @@ class CutEngine:
         rights = sorted({j for _, j, _ in pairs})
         for block in np.flatnonzero(~chosen).tolist():
             part = agg[self._rows[block]:self._rows[block + 1]]
-            dist = distance_matrix(self._quotient_graph(block)).astype(dtype)
+            # quotient edges are unique, (lo, hi)-ordered and connect the
+            # quotient whenever G is connected
+            quotient = Graph(self.sizes[block], self.quotient_edges(block),
+                             require_connected=False, validate=not self.g.connected)
+            dist = distance_matrix(quotient).astype(dtype)
             products = dict(zip(rights, (dist @ part[:, rights]).T.tolist()))
             cols = part.T.tolist()
             values[block] = [sum(map(mul, cols[i], products[j])) for i, j, _ in pairs]
@@ -391,26 +374,6 @@ class CutEngine:
         for row in self.block_values(terms, closed=closed):
             totals = [t + v for t, v in zip(totals, row)]
         return totals
-
-
-def distance_matrix_via_quotients(g: Graph, partition: EdgePartition) -> np.ndarray:
-    """All-pairs distances recovered as sums of quotient distances: each
-    block's quotient and its distance matrix are built once."""
-    total = np.zeros((g.n, g.n), dtype=np.int64)
-    for q in CutEngine(g, partition).quotients:
-        comp = np.array(q.component_of)
-        total += distance_matrix(q.graph)[np.ix_(comp, comp)]
-    return total
-
-
-def distance_via_quotients(
-    g: Graph, partition: EdgePartition, u: int, v: int
-) -> int:
-    """d(u,v) recovered as the sum of quotient distances over the blocks."""
-    _check_partition(g, partition)
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise GraphError(f"vertex pair ({u}, {v}) out of range")
-    return int(distance_matrix_via_quotients(g, partition)[u, v])
 
 
 def wiener_weighted_block_values(
@@ -447,17 +410,21 @@ def degree_distance_via_cuts(g: Graph, partition: EdgePartition) -> int:
     return CutEngine(g, partition).values([index_terms(g)["degree_distance"]])[0]
 
 
+def is_partial_cube(g: Graph, classes: ThetaClasses | None = None) -> bool:
+    """True iff every theta*-class quotient is K2: the partial Hamming graphs
+    whose quotients are all K2 (P. Winkler, Discrete Appl. Math. 7, 1984)."""
+    return all(size == 2 for size in CutEngine(g, classes=classes).sizes)
+
+
 def partial_cube_double_wiener(dwg: DoubleWeightedGraph) -> Weight:
     """Double-weighted Wiener index of a partial cube from its theta-classes.
 
     Each class deletion leaves exactly two sides, so every class quotient is
     K2 and the index is the sum of A_1 B_2 + A_2 B_1 over classes, where
-    A_j, B_j are the side totals of the two weight vectors.  One distance
-    matrix serves theta* and the partial-cube test.
+    A_j, B_j are the side totals of the two weight vectors.  One cut engine
+    serves the partial-cube test and the sum.
     """
-    g = dwg.g
-    d = distance_matrix(g)
-    classes = theta_star_classes(g, d)
-    if not is_partial_cube(g, classes, d):
+    engine = CutEngine(dwg.g)
+    if any(size != 2 for size in engine.sizes):
         raise NotPartialCubeError("graph is not a partial cube")
-    return CutEngine(g, classes=classes).values([(dwg.a, dwg.b)])[0]
+    return engine.values([(dwg.a, dwg.b)])[0]

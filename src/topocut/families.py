@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
+
 from .graph import Graph, GraphError
 from .phenylene import NEIGHBOR_OFFSETS, BenzenoidPlacement, PlacementError
 
@@ -71,13 +73,19 @@ def random_connected_graph(n: int, m: int | None = None, seed: int = 0) -> Graph
     if not (n - 1 <= m <= n * (n - 1) // 2):
         raise GraphError(f"m={m} out of range for n={n}")
     if m == n - 1:
-        # sampling 0 of the absent pairs draws nothing, so skipping their
-        # O(n^2) list leaves every seeded graph as it was
         return Graph(n, tree)
-    present = set(tree)
-    non_edges = [e for e in combinations(range(n), 2) if e not in present]
-    extra = rng.sample(non_edges, m - (n - 1))
-    return Graph(n, tree + extra)
+    # rng.sample draws positions in the list of absent pairs, in
+    # combinations(range(n), 2) order, reading only its length; each
+    # position is then unranked past the tree pairs' ranks, never listing
+    # the O(n^2) absent pairs
+    tree = np.array(tree)
+    starts = np.arange(n) * (2 * n - np.arange(n) - 1) // 2  # rank of (u, u + 1)
+    taken = np.sort(starts[tree[:, 0]] + tree[:, 1] - tree[:, 0] - 1)
+    picks = np.array(rng.sample(range(n * (n - 1) // 2 - (n - 1)), m - (n - 1)))
+    ranks = picks + np.searchsorted(taken - np.arange(n - 1), picks, side="right")
+    u = np.searchsorted(starts, ranks, side="right") - 1
+    extra = np.stack((u, ranks - starts[u] + u + 1), axis=1)
+    return Graph(n, np.concatenate((tree, extra)))
 
 
 def gen_house(n: int) -> Graph:

@@ -128,9 +128,6 @@ class Graph:
         except KeyError:
             raise GraphError(f"unknown edge ({u}, {v})") from None
 
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -368,55 +365,6 @@ def component_labels(n: int, eu: np.ndarray, ev: np.ndarray) -> tuple[int, np.nd
     if labels[0] != 0 or np.any(np.diff(np.maximum.accumulate(labels)) > 1):
         labels = first_seen_labels(labels)[0]
     return int(ncomp), labels.astype(np.int64)  # int32 would wrap lo * ncomp + hi past 46341
-
-
-@dataclass(frozen=True)
-class Components:
-    """Connected components of an edge-deleted graph.
-
-    Components are numbered by their smallest contained vertex, ascending,
-    so the labelling is deterministic.
-    """
-
-    component_of: tuple[int, ...]
-    count: int
-    members: tuple[tuple[int, ...], ...]
-
-
-def components_after_deletion(g: Graph, removed: Iterable[int]) -> Components:
-    """Components of ``g`` with the edges at indices ``removed`` deleted.
-
-    A depth-first search over ``g.adj`` that skips the deleted edges; only
-    vertices incident to a deleted edge pay for filtering their neighbours.
-    """
-    cut: dict[int, set[int]] = {}
-    for i in removed:
-        if not (0 <= i < g.m):
-            raise GraphError(f"unknown edge index {i}")
-        u, v = g.edges[i]
-        cut.setdefault(u, set()).add(v)
-        cut.setdefault(v, set()).add(u)
-    adj = g.adj
-    comp = [-1] * g.n
-    members = []
-    for start in range(g.n):
-        if comp[start] >= 0:
-            continue
-        cid = len(members)
-        comp[start] = cid
-        group = [start]
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            gone = cut.get(u)
-            for v in adj[u]:
-                if comp[v] < 0 and not (gone and v in gone):
-                    comp[v] = cid
-                    group.append(v)
-                    stack.append(v)
-        group.sort()
-        members.append(tuple(group))
-    return Components(tuple(comp), len(members), tuple(members))
 
 
 # Byte classes of the integer-table reader: 0 for a byte it leaves to the

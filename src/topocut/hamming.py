@@ -1,5 +1,5 @@
-"""Partial Hamming graphs: detection, canonical embedding, and the closed
-lower bound for product-weighted Wiener indices.
+"""Partial Hamming graphs: detection and the closed lower bound for
+product-weighted Wiener indices.
 
 A connected graph embeds isometrically into a Cartesian product of complete
 graphs exactly when every quotient by a theta*-class is complete.  For any
@@ -11,41 +11,16 @@ formula there (e.g. for the Gutman index with degree weights).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .cut_method import CutEngine
 from .graph import Graph, GraphError, degree_vector
 from .indices import Weight, check_weights
-from .theta import QuotientGraph, ThetaClasses, theta_star_classes
+from .theta import ThetaClasses
 
 
 class NotPartialHammingError(ValueError):
     """Raised by exact-formula routines that require a partial Hamming graph."""
-
-
-@dataclass(frozen=True)
-class CanonicalEmbedding:
-    """Coordinates of each vertex across all theta*-class quotients.
-
-    Coordinate i of vertex u is the component of u after deleting class i;
-    summing the quotient distances coordinate-wise recovers graph distance.
-    """
-
-    classes: ThetaClasses
-    quotients: tuple[QuotientGraph, ...]
-    coordinates: tuple[tuple[int, ...], ...]
-
-
-def canonical_embedding(g: Graph, classes: ThetaClasses | None = None) -> CanonicalEmbedding:
-    """Embed g into the product of its theta*-class quotients."""
-    if classes is None:
-        classes = theta_star_classes(g)
-    quotients = CutEngine(g, classes=classes).quotients
-    coordinates = tuple(
-        tuple(q.component_of[u] for q in quotients) for u in range(g.n)
-    )
-    return CanonicalEmbedding(classes, quotients, coordinates)
 
 
 def is_partial_hamming(g: Graph, classes: ThetaClasses | None = None) -> bool:

@@ -134,28 +134,6 @@ def gutman(g: Graph) -> int:
     return wiener_weighted(g, degree_vector(g))
 
 
-def pairwise_product_sum(values: Sequence[Weight]) -> Weight:
-    """Sum of x_i x_j over unordered index pairs i < j, exactly."""
-    total: Weight = 0
-    acc: Weight = 0
-    for x in values:
-        total += acc * x
-        acc += x
-    return total
-
-
-def pairwise_mixed_sum(a: Sequence[Weight], b: Sequence[Weight]) -> Weight:
-    """Sum of (a_i b_j + a_j b_i) over unordered index pairs i < j, exactly."""
-    total: Weight = 0
-    sa: Weight = 0
-    sb: Weight = 0
-    for x, y in zip(a, b):
-        total += sa * y + sb * x
-        sa += x
-        sb += y
-    return total
-
-
 def parse_weight(token: str) -> Weight:
     """Parse an exact weight: integer, fraction "p/q", or decimal string."""
     try:

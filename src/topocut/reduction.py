@@ -170,10 +170,10 @@ class CollapsePlan:
     """The weight-free R/S collapse sequence of one graph.
 
     ``graph`` is the fully reduced graph and ``arrays`` one :data:`Phase`
-    per phase.  Built on first use: ``phases``, (kind, classes, keep) per
-    phase in the labels it started from; ``steps``, (kind, members,
-    representative) per collapse in the labels just before it; and
-    ``step_table``, each step's kind, class size and representative.
+    per phase, in the labels the phase started from.  Built on first use:
+    ``steps``, (kind, members, representative) per collapse in the labels
+    just before it; and ``step_table``, each step's kind, class size and
+    representative.
     """
 
     graph: Graph
@@ -199,21 +199,14 @@ class CollapsePlan:
         return _map_weights(self.arrays, terms)
 
     @cached_property
-    def phases(self) -> tuple[tuple[str, tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
-        return tuple(
-            (kind, tuple(tuple(c.tolist()) for c in np.split(members, starts[1:])),
-             tuple(np.flatnonzero(kept).tolist()))
-            for kind, members, starts, kept in self.arrays
-        )
-
-    @cached_property
     def steps(self) -> tuple[tuple[str, tuple[int, ...], int], ...]:
         out = []
-        for kind, classes, _ in self.phases:
+        for kind, members, starts, _ in self.arrays:
             dropped: list[int] = []  # this phase's drops so far, ascending
-            for cls in classes:
-                members = tuple(x - bisect_left(dropped, x) for x in cls)
-                out.append((kind, members, members[0]))
+            for cls in np.split(members, starts[1:]):
+                cls = cls.tolist()
+                renumbered = tuple(x - bisect_left(dropped, x) for x in cls)
+                out.append((kind, renumbered, renumbered[0]))
                 for x in cls[1:]:
                     insort(dropped, x)
         return tuple(out)

@@ -20,12 +20,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .graph import (
-    Graph,
-    GraphError,
-    components_after_deletion,
-    distance_matrix,
-)
+from .graph import Graph, GraphError, component_labels, distance_matrix
 
 
 class PartitionError(ValueError):
@@ -74,20 +69,6 @@ class QuotientGraph:
     graph: Graph
     component_of: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
-
-
-def theta_related(
-    g: Graph,
-    d: Sequence[Sequence[int]],
-    e1: tuple[int, int],
-    e2: tuple[int, int],
-) -> bool:
-    """Djokovic-Winkler test on two edges given the distance matrix."""
-    g.index_of_edge(*e1)
-    g.index_of_edge(*e2)
-    u1, v1 = min(e1), max(e1)
-    u2, v2 = min(e2), max(e2)
-    return d[u1][u2] + d[v1][v2] != d[u1][v2] + d[v1][u2]
 
 
 def _groups(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -237,57 +218,19 @@ def _check_is_partition(g: Graph, blocks: tuple[tuple[int, ...], ...]) -> None:
 
 
 def quotient(g: Graph, f: Iterable[int]) -> QuotientGraph:
-    """Quotient graph g/F: components of g minus F, adjacent via cross edges."""
+    """Quotient graph g/F: the components of g minus F, numbered by smallest
+    vertex, adjacent when an edge of F joins them."""
     f = sorted(set(f))
-    comp = components_after_deletion(g, f)
-    qedges = set()
-    for i in f:
-        u, v = g.edges[i]
-        cu, cv = comp.component_of[u], comp.component_of[v]
-        if cu != cv:
-            qedges.add((cu, cv) if cu < cv else (cv, cu))
-    qg = Graph(comp.count, sorted(qedges), require_connected=g.connected)
-    return QuotientGraph(qg, comp.component_of, comp.members)
-
-
-def is_partial_cube(
-    g: Graph,
-    classes: ThetaClasses | None = None,
-    d: np.ndarray | None = None,
-) -> bool:
-    """Bipartite and every theta*-class is pairwise theta-related.
-
-    ``d`` is the distance matrix when the caller already has it.
-    """
-    if not _is_bipartite(g):
-        return False
-    d = distance_matrix(g) if d is None else np.asarray(d)
-    if classes is None:
-        classes = theta_star_classes(g, d)
-    ends = g.edge_array
-    for cls in classes.classes:
-        u, v = ends[list(cls)].T
-        delta = d[u] - d[v]
-        if not (delta[:, u] != delta[:, v]).all():
-            return False
-    return True
-
-
-def _is_bipartite(g: Graph) -> bool:
-    adj = g.adj
-    colour = [-1] * g.n
-    colour[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        cu = colour[u]
-        for v in adj[u]:
-            if colour[v] < 0:
-                colour[v] = 1 - cu
-                stack.append(v)
-            elif colour[v] == cu:
-                return False
-    return True
+    if f and not (0 <= f[0] and f[-1] < g.m):
+        bad = f[0] if f[0] < 0 else f[bisect_left(f, g.m)]
+        raise GraphError(f"unknown edge index {bad}")
+    keep = np.ones(g.m, dtype=bool)
+    keep[f] = False
+    count, labels = component_labels(g.n, *g.edge_array[keep].T)
+    lo, hi = np.sort(labels[g.edge_array[f]].reshape(-1, 2), axis=1).T
+    codes = np.unique((lo * count + hi)[lo != hi])  # cross edges, sorted, once each
+    qg = Graph(count, np.column_stack(np.divmod(codes, count)), require_connected=g.connected)
+    return QuotientGraph(qg, tuple(labels.tolist()), _groups(labels))
 
 
 def format_classes(g: Graph, classes: ThetaClasses) -> str:

@@ -1,0 +1,86 @@
+"""Golden outputs of the CLI: every inspection command and every general
+``compute`` method on a fixed set of inputs, text and ``--json``, held byte
+for byte to ``data/cli_golden.json`` with the timings masked.
+
+Regenerate the file (only when an output is meant to change) with
+``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from topocut.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "cli_golden.json"
+
+# name -> (input arguments, an edge set for ``quotient --edges``); paths are
+# relative to DATA, as the graph file's path is part of the output.
+INPUTS = {
+    "c5": (["--family", "cycle", "--n", "5"], "0-1,1-2"),
+    "c6": (["--family", "cycle", "--n", "6"], "0-1,1-2"),
+    "k23": (["--family", "complete_bipartite", "--n", "2,3"], "0-2,1-2"),
+    "q3": (["--family", "hypercube", "--n", "3"], "0-1,2-3"),
+    "house6": (["--family", "house", "--n", "6"], "0-1,0-2"),
+    "random30": (["random_n30_m50_seed1.txt"], "0-1,0-2"),
+    "windmill4": (["--family", "windmill", "--n", "4", "--weights", "windmill4.w"], "0-1,1-2"),
+}
+
+COMMANDS = {
+    "classes": ["classes"],
+    "quotient_class0": ["quotient", "--class-index", "0"],
+    "quotient_class1": ["quotient", "--class-index", "1"],
+    "quotient_edges": ["quotient", "--edges", None],
+    "hamming": ["hamming"],
+    "reduce": ["reduce"],
+    **{f"compute_{m}": ["compute", "--method", m] for m in ("oracle", "cuts", "hamming", "reduce")},
+}
+
+
+def cases():
+    for inp, (args, edges) in INPUTS.items():
+        for cmd, argv in COMMANDS.items():
+            argv = [edges if a is None else a for a in argv] + args
+            yield f"{inp}/{cmd}", argv
+            yield f"{inp}/{cmd}/json", argv + ["--json"]
+
+
+def _mask(text: str) -> str:
+    text = re.sub(r'"timing_ms": [^\n]*', '"timing_ms": <masked>', text)
+    return re.sub(r"^time: .* ms$", "time: <masked> ms", text, flags=re.M)
+
+
+def run_case(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"exit": code, "stdout": _mask(out.getvalue()), "stderr": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_corpus_covers_every_case(golden):
+    assert sorted(golden) == sorted(name for name, _ in cases())
+
+
+@pytest.mark.parametrize("name,argv", list(cases()), ids=[name for name, _ in cases()])
+def test_cli_output_is_byte_identical(name, argv, golden, monkeypatch):
+    monkeypatch.chdir(DATA)
+    assert run_case(argv) == golden[name]
+
+
+if __name__ == "__main__":
+    os.chdir(DATA)
+    record = {name: run_case(argv) for name, argv in cases()}
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(record)} cases to {GOLDEN}", file=sys.stderr)

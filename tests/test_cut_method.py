@@ -1,12 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 
 from topocut.cut_method import (
     degree_distance_via_cuts,
-    distance_matrix_via_quotients,
-    distance_via_quotients,
     partial_cube_double_wiener,
     wiener_double_via_cuts,
     wiener_weighted_via_cuts,
@@ -14,8 +13,8 @@ from topocut.cut_method import (
 from topocut.graph import (
     all_pairs_distances,
     build_graph,
-    components_after_deletion,
     degree_vector,
+    distance_matrix,
 )
 from topocut.indices import (
     DoubleWeightedGraph,
@@ -29,6 +28,7 @@ from topocut.theta import (
     EdgePartition,
     NotPartialCubeError,
     PartitionError,
+    quotient,
     theta_star_classes,
     trusted_partition,
     validate_coarser,
@@ -59,17 +59,27 @@ def merged(g, seed):
     return validate_coarser(g, [b for b in blocks if b])
 
 
+def distances_via_quotients(g, partition):
+    """All-pairs distances as the sums of every block quotient's distances."""
+    total = np.zeros((g.n, g.n), dtype=np.int64)
+    for block in partition.blocks:
+        q = quotient(g, block)
+        labels = np.array(q.component_of)
+        total += distance_matrix(q.graph)[np.ix_(labels, labels)]
+    return total
+
+
 def test_distance_via_quotients_examples():
     c6 = cycle_graph(6)
-    part = finest(c6)
-    assert distance_via_quotients(c6, part, 2, 2) == 0
-    assert distance_via_quotients(c6, part, 0, 3) == 3  # one hop per quotient K2
+    d = distances_via_quotients(c6, finest(c6))
+    assert d[2, 2] == 0
+    assert d[0, 3] == 3  # one hop per quotient K2
 
 
 @given(trees(min_n=2, max_n=10))
 def test_distance_via_quotients_on_trees(g):
     # the whole matrix at once: every vertex pair is compared
-    d = distance_matrix_via_quotients(g, finest(g))
+    d = distances_via_quotients(g, finest(g))
     assert d.tolist() == [list(row) for row in all_pairs_distances(g)]
 
 
@@ -77,14 +87,7 @@ def test_distance_via_quotients_on_trees(g):
 def test_distance_decomposition_exhaustive(g):
     want = [list(row) for row in all_pairs_distances(g)]
     for part in (finest(g), coarsest(g), merged(g, 5)):
-        assert distance_matrix_via_quotients(g, part).tolist() == want
-
-
-def test_distance_via_quotients_is_the_matrix_entry():
-    g = cycle_graph(7)
-    part = merged(g, 3)
-    d = distance_matrix_via_quotients(g, part)
-    assert [distance_via_quotients(g, part, 2, v) for v in range(7)] == d[2].tolist()
+        assert distances_via_quotients(g, part).tolist() == want
 
 
 def test_wiener_weighted_via_cuts_c6():
@@ -107,8 +110,7 @@ def test_tree_cuts_match_edge_split_oracle(g):
     # independent oracle: classic sum of n1(e) n2(e) over edges
     split_sum = 0
     for e in range(g.m):
-        comp = components_after_deletion(g, [e])
-        n1, n2 = (len(ms) for ms in comp.members)
+        n1, n2 = (len(ms) for ms in quotient(g, [e]).members)
         split_sum += n1 * n2
     assert wiener_weighted_via_cuts(g, (1,) * g.n, finest(g)) == split_sum == wiener(g)
 

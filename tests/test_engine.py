@@ -1,7 +1,6 @@
 """The cut engine's contraction and array kernels against the pure-Python references."""
 
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -12,12 +11,7 @@ import topocut.exact as exact
 import topocut.graph as graph_module
 import topocut.theta as theta_module
 from topocut.cli import main
-from topocut.cut_method import (
-    CutEngine,
-    distance_matrix_via_quotients,
-    index_terms,
-    wiener_double_via_cuts,
-)
+from topocut.cut_method import CutEngine, index_terms, is_partial_cube, wiener_double_via_cuts
 from topocut.families import (
     complete_graph,
     cycle_graph,
@@ -27,16 +21,9 @@ from topocut.families import (
     random_connected_graph,
     windmill_graph,
 )
-from topocut.hamming import canonical_embedding
-from topocut.graph import (
-    Graph,
-    all_pairs_distances,
-    components_after_deletion,
-    distance_matrix,
-    format_edge_list,
-)
+from topocut.graph import Graph, GraphError, all_pairs_distances, distance_matrix, format_edge_list
 from topocut.indices import DoubleWeightedGraph, _wiener_double, wiener_weighted
-from topocut.theta import is_partial_cube, quotient, theta_star_classes, validate_coarser
+from topocut.theta import quotient, theta_star_classes, validate_coarser
 
 from strategies import connected_graphs, pendant_graphs, trees
 
@@ -248,7 +235,7 @@ def test_closed_values_are_the_hamming_bound():
 
 def test_commands_run_theta_once_and_no_per_block_pass(tmp_path, capsys, monkeypatch):
     # compute, verify and hamming build one engine: one peel, theta* once, no
-    # DFS per block, and ceil(log2 k) contraction labellings for the k classes
+    # quotient per block, and ceil(log2 k) contraction labellings for the k classes
     # of the 2-core (the random graph's pendant edges are 4 of its 5 classes)
     calls = {"theta": 0, "labels": 0, "per_block": 0, "peel": 0}
     real_theta, real_labels = cut_method.theta_star_classes, cut_method.component_labels
@@ -274,7 +261,6 @@ def test_commands_run_theta_once_and_no_per_block_pass(tmp_path, capsys, monkeyp
     monkeypatch.setattr(graph_module, "pendant_peel", peel)
     monkeypatch.setattr(cut_method, "component_labels", labels)
     monkeypatch.setattr(theta_module, "quotient", per_block)
-    monkeypatch.setattr(theta_module, "components_after_deletion", per_block)
     for g, method in ((hypercube_graph(4), "hamming"), (random_connected_graph(30, 50, 1), "cuts")):
         k = len(real_theta(g)) - len(g.peel.order)
         f = tmp_path / "g.txt"
@@ -291,23 +277,21 @@ def test_commands_run_theta_once_and_no_per_block_pass(tmp_path, capsys, monkeyp
             assert calls["labels"] == (k - 1).bit_length()
 
 
-def test_quotients_come_from_the_contraction(monkeypatch):
-    # CutEngine.quotients reads component_of and quotient_edges, so the
-    # canonical embedding and the distances via quotients run no DFS per block
-    g = random_connected_graph(30, 50, 1)  # pendant and core blocks
-    classes = theta_star_classes(g)
-    want = [quotient(g, block) for block in classes.classes]  # the DFS reference
-
-    def per_block(*args):
-        raise AssertionError("per-block DFS")
-
-    monkeypatch.setattr(theta_module, "components_after_deletion", per_block)
-    got = canonical_embedding(g, classes).quotients
-    assert [(q.graph.edges, q.component_of, q.members) for q in got] == [
-        (q.graph.edges, q.component_of, q.members) for q in want
-    ]
-    partition = theta_module.EdgePartition(classes.classes)
-    assert (distance_matrix_via_quotients(g, partition) == distance_matrix(g)).all()
+def test_quotients_come_from_the_contraction():
+    # the contraction's labels and edges are quotient()'s, pendant and core
+    # blocks alike, and their distances sum to the graph's
+    g = random_connected_graph(30, 50, 1)
+    engine = CutEngine(g)
+    total = np.zeros((g.n, g.n), dtype=np.int64)
+    for i, block in enumerate(engine.partition.blocks):
+        q = quotient(g, block)
+        labels = engine.component_of(i)
+        assert tuple(labels.tolist()) == q.component_of
+        assert list(map(tuple, engine.quotient_edges(i).tolist())) == list(q.graph.edges)
+        total += distance_matrix(Graph(engine.sizes[i], engine.quotient_edges(i)))[
+            np.ix_(labels, labels)
+        ]
+    assert (total == distance_matrix(g)).all()
 
 
 @settings(max_examples=80)
@@ -387,14 +371,11 @@ def assert_contraction_matches_dfs(g, blocks):
 def assert_engine_matches_dfs(engine):
     g = engine.g
     for i, block in enumerate(engine.partition.blocks):
-        q = quotient(g, block)  # the DFS reference
+        q = quotient(g, block)  # one labelling of G - F_i: the reference
         assert engine.sizes[i] == q.graph.n
         assert tuple(engine.component_of(i).tolist()) == q.component_of
         assert list(map(tuple, engine.quotient_edges(i).tolist())) == list(q.graph.edges)
         assert engine.complete[i] == (2 * q.graph.m == q.graph.n * (q.graph.n - 1))
-    assert [(q.component_of, q.graph.edges) for q in engine.quotients] == [
-        (q.component_of, q.graph.edges) for q in map(partial(quotient, g), engine.partition.blocks)
-    ]
 
 
 def test_product_guard_boundary():
@@ -509,16 +490,31 @@ def _components_reference(g, removed):
     return tuple(comp), len(members), tuple(members)
 
 
-@given(connected_graphs(min_n=1, max_n=14), st.data())
-def test_components_after_deletion_matches_reference(g, data):
-    removed = data.draw(st.lists(st.integers(0, g.m - 1), max_size=g.m)) if g.m else []
-    comp = components_after_deletion(g, removed)
-    assert (comp.component_of, comp.count, comp.members) == _components_reference(g, removed)
+def _quotient_edges_reference(g, removed, component_of):
+    """The distinct component pairs that the deleted edges join, sorted."""
+    pairs = {tuple(sorted((component_of[u], component_of[v])))
+             for u, v in (g.edges[i] for i in removed)}
+    return sorted((a, b) for a, b in pairs if a != b)
+
+
+@settings(max_examples=100)
+@given(st.one_of(connected_graphs(min_n=1, max_n=14), pendant_graphs()), st.data())
+def test_quotient_matches_components_reference(g, data):
+    # any edge set, repeats allowed; then the empty and the full set
+    removed = data.draw(st.lists(st.integers(0, g.m - 1), max_size=2 * g.m)) if g.m else []
+    for f in (removed, [], list(range(g.m))):
+        q = quotient(g, f)
+        component_of, count, members = _components_reference(g, f)
+        assert (q.component_of, q.graph.n, q.members) == (component_of, count, members)
+        assert list(q.graph.edges) == _quotient_edges_reference(g, set(f), component_of)
+    for bad in (-1, g.m):
+        with pytest.raises(GraphError, match=f"unknown edge index {bad}"):
+            quotient(g, removed + [bad])
 
 
 @given(connected_graphs(min_n=2, max_n=12))
-def test_is_partial_cube_reuses_given_distances(g):
+def test_is_partial_cube_reuses_given_classes(g):
     d = distance_matrix(g)
     classes = theta_star_classes(g, d)
-    assert is_partial_cube(g, classes, d) == is_partial_cube(g)
+    assert is_partial_cube(g, classes) == is_partial_cube(g)
     assert theta_star_classes(g, all_pairs_distances(g)) == classes

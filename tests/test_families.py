@@ -2,9 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from topocut.graph import Graph, GraphError, components_after_deletion, degree_vector
-from topocut.theta import theta_star_classes
+from topocut.graph import Graph, GraphError, degree_vector
+from topocut.theta import quotient, theta_star_classes
 from topocut.phenylene import PlacementError, build_benzenoid
 from topocut.families import (
     complete_bipartite_graph,
@@ -63,7 +64,7 @@ def test_random_connected_deterministic():
 
 
 def _random_connected_reference(n, m=None, seed=0):
-    """The generator before trees skipped the list of absent pairs."""
+    """The list-based draw: every absent pair listed, then sampled."""
     rng = random.Random(seed)
     tree = [(rng.randrange(v), v) for v in range(1, n)]
     if m is None:
@@ -77,11 +78,26 @@ def _random_connected_reference(n, m=None, seed=0):
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("n, extra", [(1, 0), (2, 0), (9, 0), (40, 0), (9, 5), (40, 1), (40, 60)])
 def test_random_connected_matches_reference(seed, n, extra):
-    # trees skip the O(n^2) list of absent pairs; every seeded graph stays
+    # no list of absent pairs is built; every seeded graph stays
     want = _random_connected_reference(n, n - 1 + extra, seed)
     assert random_connected_graph(n, n - 1 + extra, seed).edges == want.edges
     if not extra:
         assert random_connected_graph(n, seed=seed).edges == want.edges
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 30), st.floats(0, 1), st.integers(0, 10**6))
+def test_random_connected_unranks_the_sampled_pairs(n, share, seed):
+    # any m from a tree to the complete graph: the same edges in the same
+    # order as the list-based draw
+    top = n * (n - 1) // 2
+    m = n - 1 + round(share * (top - (n - 1)))
+    assert random_connected_graph(n, m, seed).edges == _random_connected_reference(n, m, seed).edges
+
+
+@pytest.mark.parametrize("n, m, seed", [(200, 250, 1), (300, 44850, 2), (400, 2000, 3), (500, 501, 4)])
+def test_random_connected_matches_reference_larger(n, m, seed):
+    assert random_connected_graph(n, m, seed).edges == _random_connected_reference(n, m, seed).edges
 
 
 def test_house_counts_and_classes():
@@ -99,8 +115,7 @@ def test_house_merged_class_component_degree_sums():
         degs = degree_vector(hn)
         merged = max(classes.classes, key=len)  # triangle plus all rungs
         assert len(merged) == n + 2
-        comp = components_after_deletion(hn, merged)
-        sums = sorted(sum(degs[v] for v in ms) for ms in comp.members)
+        sums = sorted(sum(degs[v] for v in ms) for ms in quotient(hn, merged).members)
         assert sums == [2, 3 * n - 1, 3 * n - 1]
 
 

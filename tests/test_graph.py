@@ -7,11 +7,12 @@ from topocut.graph import (
     ParseError,
     all_pairs_distances,
     build_graph,
-    components_after_deletion,
     degree_vector,
     format_edge_list,
     parse_edge_list,
 )
+
+from topocut.theta import quotient
 
 from strategies import connected_graphs
 
@@ -136,29 +137,29 @@ def test_degree_sum_is_twice_edges(g):
 
 def test_components_c4_horizontal_pair():
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    comp = components_after_deletion(c4, [c4.index_of_edge(0, 1), c4.index_of_edge(2, 3)])
-    assert comp.count == 2
-    assert comp.members == ((0, 3), (1, 2))
-    assert comp.component_of == (0, 1, 1, 0)
+    q = quotient(c4, [c4.index_of_edge(0, 1), c4.index_of_edge(2, 3)])
+    assert q.graph.n == 2
+    assert q.members == ((0, 3), (1, 2))
+    assert q.component_of == (0, 1, 1, 0)
 
 
 def test_components_trivial_cases():
     p3 = build_graph(3, [(0, 1), (1, 2)])
-    assert components_after_deletion(p3, []).count == 1
-    full = components_after_deletion(p3, [0, 1])
-    assert full.count == 3
+    assert quotient(p3, []).graph.n == 1
+    full = quotient(p3, [0, 1])
+    assert full.graph.n == 3
     assert full.members == ((0,), (1,), (2,))
 
 
 def test_components_unknown_edge():
     p3 = build_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(GraphError, match="unknown edge"):
-        components_after_deletion(p3, [5])
+        quotient(p3, [5])
 
 
 @given(connected_graphs())
 def test_components_empty_deletion_single(g):
-    assert components_after_deletion(g, []).count == 1
+    assert quotient(g, []).graph.n == 1
 
 
 def test_parse_edge_list_with_header():

@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given
 
-from topocut.graph import all_pairs_distances, build_graph
+from topocut.cut_method import CutEngine
+from topocut.graph import Graph, all_pairs_distances, build_graph
 from topocut.indices import gutman, wiener, wiener_weighted
 from topocut.hamming import (
     NotPartialHammingError,
-    canonical_embedding,
     gutman_exact_hamming,
     gutman_lower_bound,
     is_partial_hamming,
@@ -24,44 +24,54 @@ from topocut.phenylene import build_phenylene
 from strategies import connected_graphs, trees, weighted_graphs
 
 
+def embedding(g):
+    """The canonical embedding into the product of the theta*-class
+    quotients, read from the cut engine: the quotient graphs and each
+    vertex's coordinates, its component of g minus each class."""
+    engine = CutEngine(g)
+    quotients = [Graph(size, engine.quotient_edges(i)) for i, size in enumerate(engine.sizes)]
+    labels = [engine.component_of(i).tolist() for i in range(len(quotients))]
+    return quotients, tuple(zip(*labels))
+
+
 def test_canonical_embedding_k2():
-    emb = canonical_embedding(build_graph(2, [(0, 1)]))
-    assert len(emb.quotients) == 1
-    assert emb.coordinates == ((0,), (1,))
+    quotients, coordinates = embedding(build_graph(2, [(0, 1)]))
+    assert len(quotients) == 1
+    assert coordinates == ((0,), (1,))
 
 
 def test_canonical_embedding_c6():
-    emb = canonical_embedding(cycle_graph(6))
-    assert len(emb.quotients) == 3
-    assert all(q.graph.n == 2 for q in emb.quotients)
-    assert len(set(emb.coordinates)) == 6
+    quotients, coordinates = embedding(cycle_graph(6))
+    assert len(quotients) == 3
+    assert all(q.n == 2 for q in quotients)
+    assert len(set(coordinates)) == 6
 
 
 def test_canonical_embedding_c5():
-    emb = canonical_embedding(cycle_graph(5))
-    assert len(emb.quotients) == 1
-    assert emb.quotients[0].graph.n == 5
+    quotients, _ = embedding(cycle_graph(5))
+    assert len(quotients) == 1
+    assert quotients[0].n == 5
 
 
 @given(connected_graphs(min_n=2, max_n=10))
 def test_embedding_is_isometric(g):
-    emb = canonical_embedding(g)
+    quotients, coordinates = embedding(g)
     d = all_pairs_distances(g)
-    dq = [all_pairs_distances(q.graph) for q in emb.quotients]
+    dq = [all_pairs_distances(q) for q in quotients]
     for u in range(g.n):
-        cu = emb.coordinates[u]
+        cu = coordinates[u]
         for v in range(u + 1, g.n):
-            cv = emb.coordinates[v]
+            cv = coordinates[v]
             assert d[u][v] == sum(dm[x][y] for dm, x, y in zip(dq, cu, cv))
 
 
 @given(connected_graphs(min_n=2, max_n=10))
 def test_embedding_is_irredundant(g):
-    emb = canonical_embedding(g)
-    for i, q in enumerate(emb.quotients):
-        used = {c[i] for c in emb.coordinates}
-        assert q.graph.n >= 2
-        assert used == set(range(q.graph.n))
+    quotients, coordinates = embedding(g)
+    for i, q in enumerate(quotients):
+        used = {c[i] for c in coordinates}
+        assert q.n >= 2
+        assert used == set(range(q.n))
 
 
 def test_is_partial_hamming_fixed_cases():
@@ -123,11 +133,9 @@ def test_gutman_exact_hamming_rejects_c5():
 def test_hamming_distance_equals_graph_distance(g):
     if not is_partial_hamming(g):
         return
-    emb = canonical_embedding(g)
+    _, coordinates = embedding(g)
     d = all_pairs_distances(g)
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            differ = sum(
-                x != y for x, y in zip(emb.coordinates[u], emb.coordinates[v])
-            )
+            differ = sum(x != y for x, y in zip(coordinates[u], coordinates[v]))
             assert differ == d[u][v]

@@ -8,8 +8,6 @@ from topocut.indices import (
     DoubleWeightedGraph,
     degree_distance,
     gutman,
-    pairwise_mixed_sum,
-    pairwise_product_sum,
     parse_weights,
     wiener,
     wiener_double,
@@ -110,12 +108,6 @@ def test_weight_validation():
         wiener_weighted(p3, (1, 0, 1))
     with pytest.raises(GraphError, match="positive"):
         DoubleWeightedGraph(p3, (1, 1, 1), (1, -2, 1))
-
-
-def test_pairwise_helpers():
-    assert pairwise_product_sum([2, 3, 4]) == 2 * 3 + 2 * 4 + 3 * 4
-    assert pairwise_mixed_sum([1, 2], [10, 20]) == 1 * 20 + 2 * 10
-    assert pairwise_product_sum([]) == 0
 
 
 def test_parse_weights():

@@ -13,7 +13,6 @@ from topocut.graph import (
     Graph,
     build_graph,
     component_labels,
-    components_after_deletion,
     degree_vector,
 )
 from topocut.indices import (
@@ -23,7 +22,8 @@ from topocut.indices import (
     wiener_double,
     wiener_weighted,
 )
-from topocut.theta import is_partial_cube, theta_star_classes, validate_coarser
+from topocut.cut_method import is_partial_cube
+from topocut.theta import quotient, theta_star_classes, validate_coarser
 from topocut.phenylene import (
     BenzenoidPlacement,
     NotATreeError,
@@ -52,6 +52,7 @@ from topocut.families import (
 )
 
 from strategies import kink_patterns, trees
+from test_engine import _components_reference
 
 RING6 = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
 
@@ -221,10 +222,10 @@ def test_quotient_tree_weights_are_component_sums():
     degs = degree_vector(ph.graph)
     for c, qt in enumerate(quotient_trees(ph), start=1):
         removed = np.flatnonzero(ph.edge_class == c).tolist()
-        comp = components_after_deletion(ph.graph, removed)
-        assert comp.count == qt.tree.n
-        assert tuple(comp.component_of) == tuple(qt.component_of.tolist())
-        for idx, members in enumerate(comp.members):
+        q = quotient(ph.graph, removed)
+        assert q.graph.n == qt.tree.n
+        assert q.component_of == tuple(qt.component_of.tolist())
+        for idx, members in enumerate(q.members):
             assert qt.a[idx] == sum(degs[v] for v in members)
             assert qt.b[idx] == len(members)
 
@@ -279,10 +280,8 @@ def test_component_labels_match_pure_python():
     for c in (1, 2, 3, 4):
         keep = ph.edge_class != c
         _, labels = component_labels(ph.graph.n, ph._eu[keep], ph._ev[keep])
-        comp = components_after_deletion(
-            ph.graph, np.flatnonzero(~keep).tolist()
-        )
-        assert tuple(labels.tolist()) == comp.component_of
+        component_of, _, _ = _components_reference(ph.graph, np.flatnonzero(~keep).tolist())
+        assert tuple(labels.tolist()) == component_of
 
 
 def test_phenylene_theta_classes_are_elementary_cuts():

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 
 import numpy as np
@@ -14,8 +15,6 @@ from topocut.graph import Graph, GraphError, all_pairs_distances, build_graph, f
 from topocut.indices import (
     DoubleWeightedGraph,
     WeightedGraph,
-    pairwise_mixed_sum,
-    pairwise_product_sum,
     wiener_double,
     wiener_weighted,
 )
@@ -280,10 +279,10 @@ def _ref_reduce_once(wg, members, c, factor):
     g2, new_of = _ref_collapse(wg.g, members, c)
     vectors = [wg.w] if isinstance(wg, WeightedGraph) else [wg.a, wg.b]
     if len(vectors) == 1:
-        corr = factor * pairwise_product_sum([wg.w[x] for x in members])
+        corr = factor * sum(wg.w[x] * wg.w[y] for x, y in combinations(members, 2))
     else:
-        corr = factor * pairwise_mixed_sum(
-            [wg.a[x] for x in members], [wg.b[x] for x in members]
+        corr = factor * sum(
+            wg.a[x] * wg.b[y] + wg.a[y] * wg.b[x] for x, y in combinations(members, 2)
         )
     out = []
     for vec in vectors:
@@ -367,13 +366,13 @@ def test_plan_matches_per_step_reference(kind, data):
 def test_plan_runs_phases_until_both_kinds_are_clean():
     # C4: R collapses each side, leaving P2, whose ends are S-twins
     plan = collapse_plan(cycle_graph(4))
-    assert [kind for kind, _, _ in plan.phases] == ["R", "S"]
+    assert [kind for kind, *_ in plan.arrays] == ["R", "S"]
     assert plan.graph.n == 1
     # windmill: S collapses each blade's pair, leaving a star whose tips are
     # R-twins; collapsing them leaves P2 again
     g = windmill_graph(3)
     plan = collapse_plan(g)
-    assert [kind for kind, _, _ in plan.phases] == ["S", "R", "S"]
+    assert [kind for kind, *_ in plan.arrays] == ["S", "R", "S"]
     ref_steps = reference_reduce_fully(DoubleWeightedGraph(g, (1,) * g.n, (1,) * g.n))[2]
     assert plan.steps == tuple((s.kind, s.members, s.representative) for s in ref_steps)
 
@@ -404,7 +403,7 @@ def test_reduce_cost_is_per_phase_not_per_step(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(reduction, "s_classes", counting(reduction.s_classes, "scans"))
     monkeypatch.setattr(Graph, "__init__", counting(Graph.__init__, "graphs"))
     assert main(["compute", str(f), "--method", "reduce", "--json"]) == 0
-    phases = len(plan.phases)
+    phases = len(plan.arrays)
     # at most two scans find nothing; graphs: parse, one per phase, the
     # reduced graph's one-block quotient
     assert counts["scans"] <= phases + 2
@@ -539,7 +538,7 @@ def test_compute_finds_classes_once_per_phase(tmp_path, monkeypatch, capsys):
     per phase and builds one Graph for the reduced graph."""
     base = random_connected_graph(60, 90, seed=4)
     g = blowup(base, [1 + v % 3 for v in range(base.n)], closed=True)
-    phases = len(collapse_plan(g).phases)
+    phases = len(collapse_plan(g).arrays)
     f = tmp_path / "blow.edges"
     f.write_text(format_edge_list(g))
     calls = []

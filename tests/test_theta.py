@@ -7,14 +7,12 @@ import topocut.cut_method as cut_method
 import topocut.graph as graph_module
 import topocut.theta as theta
 
-from topocut.cut_method import CutEngine, index_terms
-from topocut.graph import Graph, all_pairs_distances, components_after_deletion
+from topocut.cut_method import CutEngine, index_terms, is_partial_cube
+from topocut.graph import Graph, all_pairs_distances, distance_matrix
 from topocut.theta import (
     PartitionError,
     ThetaClasses,
-    is_partial_cube,
     quotient,
-    theta_related,
     theta_star_classes,
     validate_coarser,
 )
@@ -23,13 +21,25 @@ from topocut.families import (
     complete_graph,
     cycle_graph,
     gen_house,
+    gen_phenylene_chain,
     hypercube_graph,
     path_graph,
     random_connected_graph,
     windmill_graph,
 )
+from topocut.phenylene import build_benzenoid, build_phenylene
 
-from strategies import connected_graphs, pendant_graphs, trees
+from strategies import connected_graphs, kink_patterns, pendant_graphs, trees
+
+
+def theta_related(g, d, e1, e2):
+    """The Djokovic-Winkler relation of two edges, given the distance
+    matrix: d(u1,u2) + d(v1,v2) != d(u1,v2) + d(v1,u2)."""
+    g.index_of_edge(*e1)
+    g.index_of_edge(*e2)
+    u1, v1 = min(e1), max(e1)
+    u2, v2 = min(e2), max(e2)
+    return d[u1][u2] + d[v1][v2] != d[u1][v2] + d[v1][u2]
 
 
 def _theta_closure_oracle(g):
@@ -70,12 +80,16 @@ def test_c4_opposite_edges_related():
     d = all_pairs_distances(g)
     assert theta_related(g, d, (0, 1), (2, 3))
     assert not theta_related(g, d, (0, 1), (1, 2))
+    class_of = theta_star_classes(g).class_of
+    index = g.index_of_edge
+    assert class_of[index(0, 1)] == class_of[index(2, 3)] != class_of[index(1, 2)]
 
 
 def test_p3_edges_unrelated():
     g = path_graph(3)
     d = all_pairs_distances(g)
     assert not theta_related(g, d, (0, 1), (1, 2))
+    assert theta_star_classes(g).classes == ((0,), (1,))
 
 
 def test_theta_unknown_edge():
@@ -300,6 +314,69 @@ def test_is_partial_cube_fixed_cases():
     assert not is_partial_cube(cycle_graph(5))
     assert is_partial_cube(hypercube_graph(3))
     assert not is_partial_cube(complete_bipartite_graph(2, 3))
+    assert is_partial_cube(Graph(1, []))
+
+
+def _is_bipartite(g):
+    colour = [-1] * g.n
+    colour[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in g.adj[u]:
+            if colour[v] < 0:
+                colour[v] = 1 - colour[u]
+                stack.append(v)
+            elif colour[v] == colour[u]:
+                return False
+    return True
+
+
+def partial_cube_reference(g):
+    """Bipartite, and every theta*-class pairwise theta-related: the
+    former bipartite DFS plus delta-matrix test."""
+    if not _is_bipartite(g):
+        return False
+    d = distance_matrix(g)
+    ends = g.edge_array
+    for cls in theta_star_classes(g, d).classes:
+        u, v = ends[list(cls)].T
+        delta = d[u] - d[v]
+        if not (delta[:, u] != delta[:, v]).all():
+            return False
+    return True
+
+
+@st.composite
+def bipartite_graphs(draw, max_side=7):
+    """Random connected bipartite graphs with cycles on the sides 0..p-1 and
+    p..p+q-1: the edge (0, p), each other vertex joined to an earlier one
+    across, in a random order, then any further cross edges."""
+    p, q = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    side = [v < p for v in range(p + q)]
+    placed = [0, p]
+    edges = {(0, p)}
+    for v in draw(st.permutations([v for v in range(1, p + q) if v != p])):
+        u = draw(st.sampled_from([u for u in placed if side[u] != side[v]]))
+        edges.add((min(u, v), max(u, v)))
+        placed.append(v)
+    cross = [(u, v) for u in range(p) for v in range(p, p + q)]
+    edges |= set(draw(st.lists(st.sampled_from(cross), unique=True, max_size=p + q)))
+    return Graph(p + q, sorted(edges))
+
+
+@st.composite
+def phenylene_graphs(draw):
+    """Phenylene and benzenoid chains of up to five hexagons."""
+    placement = gen_phenylene_chain(*draw(kink_patterns(max_h=5)))
+    build = draw(st.sampled_from([build_phenylene, build_benzenoid]))
+    return build(placement).graph
+
+
+@settings(max_examples=150)
+@given(st.one_of(connected_graphs(min_n=1, max_n=12), bipartite_graphs(), phenylene_graphs()))
+def test_is_partial_cube_matches_bipartite_delta_reference(g):
+    assert is_partial_cube(g) == partial_cube_reference(g)
 
 
 def test_q3_has_three_classes_of_four():
@@ -318,7 +395,7 @@ def test_partial_cube_classes_leave_two_components(g):
     if not is_partial_cube(g, classes):
         return
     for cls in classes.classes:
-        assert components_after_deletion(g, cls).count == 2
+        assert quotient(g, cls).graph.n == 2
 
 
 def test_odd_cycle_edges_single_class():
