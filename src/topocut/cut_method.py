@@ -12,9 +12,13 @@ edge of a pendant tree as a K2 block with the subtree sums as its sides.
 It finds every other block quotient at once by contracting the 2-core's
 edges in ceil(log2 k) halving levels of its k blocks, with no pass over
 the whole graph per block.  It sums the weights of every quotient through
-the same levels, evaluates the complete quotients in closed form all
-together and gives every other quotient one distance matrix.  The weights
-are scaled to integers and every array runs under the int64 guard of
+the same levels and evaluates the complete quotients in closed form all
+together.  Over theta*'s own classes the core blocks sum to the 2-core's
+double-weighted Wiener sum, on the core distance matrix theta* built, so
+the largest non-complete quotient is that sum minus the other core blocks;
+every other quotient gets one distance matrix.  So a graph with one
+non-complete class builds one distance matrix in all.  The weights are
+scaled to integers and every array runs under the int64 guard of
 :mod:`topocut.exact`.
 """
 
@@ -27,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import _exact_dtype, _exact_quotient, _scaled
-from .graph import Graph, component_labels, degree_vector, distance_matrix
+from .graph import ROW_CHUNK, Graph, component_labels, degree_vector, distance_matrix
 from .indices import DoubleWeightedGraph, Weight, check_weights
 from .theta import (
     EdgePartition,
@@ -83,7 +87,9 @@ class CutEngine:
     found by one contraction pass.
 
     Without ``partition`` the blocks are the theta*-classes: theta* runs
-    once, or ``classes`` is used and validated.  The pendant trees then
+    once and its core distance matrix is kept for :meth:`block_values`, or
+    ``classes`` is used after a theta* run validates it as coarser than the
+    theta*-classes.  The pendant trees then
     stay out of the contraction (``Graph.peel``).  Each of their edges is a
     bridge and a class of its own, so its quotient is K2, with sides the
     subtree below the edge and the rest.  The contraction runs on the
@@ -121,12 +127,14 @@ class CutEngine:
     ):
         n, ends = g.n, g.edge_array
         peel = None
+        self._core_distances = None  # theta*'s, rows in g.peel.core order
         if partition is None:
             if classes is None:
                 classes = theta_star_classes(g)
                 partition = EdgePartition(classes.classes)
+                self._core_distances = classes.core_distances
             else:
-                partition = validate_coarser(g, classes.classes, classes)
+                partition = validate_coarser(g, classes.classes)
             # a bridge's quotient is K2 only in a connected graph
             peel = g.peel if g.connected else None
         else:
@@ -268,38 +276,39 @@ class CutEngine:
         ends = np.stack((self._edge_lo[span], self._edge_hi[span]), axis=1)
         return ends - self._starts[c]
 
-    def _leaf_sums(
-        self, columns: Sequence[list[int]], totals: list[int], dtype: type
-    ) -> np.ndarray:
-        """Component sums of the weight columns on every quotient, one row
-        per quotient vertex in block order.
-
-        Each column is first folded into the core along the peel order, so
-        every pendant vertex holds the sum S of its subtree and every core
-        vertex its own subtree's.  A pendant block's rows are S and T - S,
-        with T the column total.  The core weights are replayed through the
-        level maps.
-        """
+    def _folded(self, columns: Sequence[list[int]], dtype: type) -> np.ndarray:
+        """The weight columns as an n x len(columns) array, folded into the
+        core along the peel order: every pendant vertex holds the sum of its
+        subtree and every core vertex its own subtree's."""
         if self._fold:
             columns = [list(col) for col in columns]
             for col in columns:
                 for v, p in self._fold:
                     col[p] += col[v]
-        weights = np.array(columns, dtype=dtype).T
+        return np.array(columns, dtype=dtype).T
+
+    def _leaf_sums(self, weights: np.ndarray, totals: list[int]) -> np.ndarray:
+        """Component sums of the folded weight columns on every quotient,
+        one row per quotient vertex in block order.
+
+        The core weights are replayed through the level maps.  A pendant
+        block's rows are S and T - S, with S the sums over the subtree below
+        its edge and T the column totals.
+        """
         sums = weights[self._core_vertices]
         for count, labels in self._maps:
-            merged = np.zeros((count, sums.shape[1]), dtype=dtype)
+            merged = np.zeros((count, sums.shape[1]), dtype=weights.dtype)
             np.add.at(merged, labels[0::2], sums)
             np.add.at(merged, labels[1::2], sums)
             sums = merged
         sums = sums[self._order[: self._starts[-1]]]
         if not self._fold:
             return sums
-        rows = np.empty((self._rows[-1], len(columns)), dtype=dtype)
+        rows = np.empty((self._rows[-1], weights.shape[1]), dtype=weights.dtype)
         rows[~self._pendant_rows] = sums
         below = weights[self._pendant_vertex]
-        above = np.array(totals, dtype=dtype) - below
-        rows[self._pendant_rows] = np.stack((below, above), axis=1).reshape(-1, len(columns))
+        above = np.array(totals, dtype=weights.dtype) - below
+        rows[self._pendant_rows] = np.stack((below, above), axis=1).reshape(-1, weights.shape[1])
         return rows
 
     def block_values(
@@ -314,15 +323,21 @@ class CutEngine:
         once.  A pendant edge's K2 has the sides S(v) and T - S(v), with S(v)
         the sums over the subtree below it, so W(a, b) is
         S_a(v) (T_b - S_b(v)) + (T_a - S_a(v)) S_b(v).  Any other quotient
-        takes one distance matrix D, with W(a, b) = sum_u A_u (D B)_u and one
-        D B product per distinct B.  ``closed`` applies the closed sums to
-        every quotient, which gives the partial-Hamming lower bound instead
-        of the exact value.
+        takes a distance matrix D, with W(a, b) = sum_u A_u (D B)_u and one
+        D B product per distinct B.  When the engine ran theta* itself, the
+        largest such quotient takes none of its own: the core blocks sum to
+        sum_{u,v} a'_u b'_v d(u, v) over the 2-core, with a' and b' the
+        weights folded onto it, so one D B on theta*'s core matrix gives the
+        sum, and the block is the sum minus every other core block.  Every
+        other non-complete quotient gets its own matrix.  ``closed`` applies
+        the closed sums to every quotient, which gives the partial-Hamming
+        lower bound instead of the exact value.
 
         Exact for int and Fraction weights (:mod:`topocut.exact`): the sums
         and D B pass the bound (n - 1) sum|w| to the int64 guard, the closed
-        sums also sum|a| sum|b|; every value leaves numpy by ``tolist``
-        before it meets a weight.
+        sums also sum|a| sum|b|; D B casts D to the guard's dtype one chunk
+        of rows at a time, and every value leaves numpy by ``tolist`` before
+        it meets a weight.
         """
         slots: dict[tuple[Weight, ...], int] = {}
         pairs = []
@@ -332,12 +347,13 @@ class CutEngine:
             pairs.append((i, j, b is None))
         scaled, scales, fractional = zip(*map(_scaled, slots))
         bounds = [sum(map(abs, w)) for w in scaled]
-        # quotient distances are at most n - 1: this bounds every component
-        # and subtree sum and every entry of D B
+        # distances are at most n - 1: this bounds every component and
+        # subtree sum and every entry of D B
         sum_bound = max(self.g.n - 1, 1) * max(bounds)
         dtype = _exact_dtype(sum_bound)
         totals = [sum(w) for w in scaled]
-        agg = self._leaf_sums(scaled, totals, dtype)
+        weights = self._folded(scaled, dtype)
+        agg = self._leaf_sums(weights, totals)
         sizes = np.array(self.sizes, dtype=np.int64)
         chosen = np.ones(len(sizes), dtype=bool) if closed else np.array(self.complete, dtype=bool)
         values: list[list[int]] = [[] for _ in sizes]
@@ -352,17 +368,24 @@ class CutEngine:
                 within = np.add.reduceat(a * b, seams).tolist()
                 for block, s in zip(blocks, within):
                     values[block].append(totals[i] * totals[j] - s)
-        rights = sorted({j for _, j, _ in pairs})
-        for block in np.flatnonzero(~chosen).tolist():
-            part = agg[self._rows[block]:self._rows[block + 1]]
+        others = np.flatnonzero(~chosen)
+        largest = None
+        if self._core_distances is not None and others.size:
+            largest = int(others[np.argmax(sizes[others])])
+        for block in others.tolist():
+            if block == largest:
+                continue
             # quotient edges are unique, (lo, hi)-ordered and connect the
             # quotient whenever G is connected
             quotient = Graph(self.sizes[block], self.quotient_edges(block),
                              require_connected=False, validate=not self.g.connected)
-            dist = distance_matrix(quotient).astype(dtype)
-            products = dict(zip(rights, (dist @ part[:, rights]).T.tolist()))
-            cols = part.T.tolist()
-            values[block] = [sum(map(mul, cols[i], products[j])) for i, j, _ in pairs]
+            part = agg[self._rows[block]:self._rows[block + 1]]
+            values[block] = _distance_sums(distance_matrix(quotient), part, pairs)
+        if largest is not None:
+            core = _distance_sums(self._core_distances, weights[self.g.peel.core], pairs)
+            core_blocks = np.flatnonzero(self._core_block >= 0).tolist()
+            rest = [values[b] for b in core_blocks if b != largest]
+            values[largest] = [c - sum(r[t] for r in rest) for t, c in enumerate(core)]
         # W*(a) is W(a, a) / 2 in both kernels
         divisors = [(1 + half, scales[i] * scales[j], fractional[i] or fractional[j])
                     for i, j, half in pairs]
@@ -374,6 +397,22 @@ class CutEngine:
         for row in self.block_values(terms, closed=closed):
             totals = [t + v for t, v in zip(totals, row)]
         return totals
+
+
+def _distance_sums(
+    dist: np.ndarray, weights: np.ndarray, pairs: Sequence[tuple[int, int, bool]]
+) -> list[int]:
+    """sum_u A_u (D B)_u for every pair (i, j, _), with A and B the columns
+    i and j of ``weights`` and D the distance matrix ``dist``; D B is formed
+    once per distinct column j, in the dtype of ``weights``."""
+    rights = sorted({j for _, j, _ in pairs})
+    right = weights[:, rights]
+    products = np.empty(right.shape, dtype=weights.dtype)
+    for lo in range(0, len(dist), ROW_CHUNK):  # never a whole int64 or object copy of D
+        products[lo:lo + ROW_CHUNK] = dist[lo:lo + ROW_CHUNK].astype(weights.dtype) @ right
+    by_column = dict(zip(rights, products.T.tolist()))
+    cols = weights.T.tolist()
+    return [sum(map(mul, cols[i], by_column[j])) for i, j, _ in pairs]
 
 
 def wiener_weighted_block_values(

@@ -2,9 +2,9 @@
 and the integer-table reader behind every input format.
 
 Vertices are dense integer indices 0..n-1.  A graph is stored as its edge
-array, one (min, max) row per edge in input order; the ``edges`` and ``adj``
-tuples are built from it on first use.  Graphs are immutable after
-construction and safe to share between threads.
+array, one (min, max) row per edge in input order; the ``csr`` arrays and
+the ``edges`` and ``adj`` tuples are built from it on first use.  Graphs
+are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1, connected by default.
 
     The graph is its edge array: ``edge_array`` holds the m edges as rows
-    (u, v) with u < v, in input order.  ``edges``, ``adj`` and
+    (u, v) with u < v, in input order.  ``csr``, ``edges``, ``adj`` and
     ``edge_index`` are built from it on first use.  ``edges`` may be given
     as an iterable of pairs or as an (m, 2) integer array.  Validation
     runs on the arrays: range and self-loops elementwise, duplicates by
@@ -40,12 +40,13 @@ class Graph:
     Attributes:
         n:         vertex count
         edges:     tuple of (u, v) pairs with u < v, in input order
+        csr:       the adjacency as CSR arrays (indptr, indices)
         adj:       per-vertex tuple of neighbours, sorted ascending
         connected: whether the graph is connected
         peel:      the pendant trees and the 2-core, as a :class:`Peel`
     """
 
-    __slots__ = ("n", "connected", "_ends", "_edges", "_adj", "_edge_index", "_peel")
+    __slots__ = ("n", "connected", "_ends", "_csr", "_edges", "_adj", "_edge_index", "_peel")
 
     def __init__(
         self,
@@ -78,7 +79,7 @@ class Graph:
         self.n = n
         self._ends = np.array(ends, dtype=np.intp)
         self._ends.flags.writeable = False
-        self._edges = self._adj = self._edge_index = self._peel = None
+        self._csr = self._edges = self._adj = self._edge_index = self._peel = None
 
     @property
     def m(self) -> int:
@@ -96,14 +97,25 @@ class Graph:
         return self._edges
 
     @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        if self._adj is None:
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency as CSR arrays (indptr, indices): the neighbours of
+        v, ascending, are ``indices[indptr[v]:indptr[v + 1]]``."""
+        if self._csr is None:
             n, tail = self.n, self._ends.ravel()
             # codes tail * n + head sort by tail, then head; they are exact,
-            # as n tuples of neighbours fit in memory only for n far below 2^31
-            heads = (np.sort(tail * n + self._ends[:, ::-1].ravel()) % n).tolist()
-            bounds = np.cumsum(np.bincount(tail, minlength=n)).tolist()
-            self._adj = tuple(tuple(heads[lo:hi]) for lo, hi in zip([0] + bounds[:-1], bounds))
+            # as an n + 1 long indptr fits in memory only for n far below 2^31
+            indices = np.sort(tail * n + self._ends[:, ::-1].ravel()) % n
+            indptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+            self._csr = (indptr, indices)
+        return self._csr
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        if self._adj is None:
+            indptr, indices = self.csr
+            heads, bounds = indices.tolist(), indptr.tolist()
+            self._adj = tuple(tuple(heads[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
         return self._adj
 
     @property
@@ -263,14 +275,6 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(bfs_distances(g, s)) for s in range(g.n))
 
 
-def adjacency_matrix(g: Graph) -> csr_matrix:
-    """Symmetric boolean adjacency matrix in CSR form."""
-    e = g.edge_array
-    rows = np.concatenate((e[:, 0], e[:, 1]))
-    cols = np.concatenate((e[:, 1], e[:, 0]))
-    return csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(g.n, g.n))
-
-
 # Eccentricity of vertex 0 above which scipy's Dijkstra replaces the
 # all-sources bit-packed BFS, whose cost grows with the number of levels.
 # Measured on a 2-core Xeon VM (numpy 2.4, scipy 1.17): on paths, cycles and
@@ -282,9 +286,29 @@ def adjacency_matrix(g: Graph) -> csr_matrix:
 # graphs that do are 2-cores and the quotients of their classes.
 _FRONTIER_ECCENTRICITY = 24
 
+# Rows of an n x n array that a kernel unpacks or casts at a time, so that
+# it forms no n x n temporary beside its result.
+ROW_CHUNK = 1024
+
+
+def _eccentricity_exceeds(indptr: np.ndarray, indices: np.ndarray, bound: int) -> bool:
+    """Whether some vertex lies farther than ``bound`` from vertex 0, by a
+    breadth-first search from vertex 0 over the CSR rows (none of them
+    empty) that stops after level ``bound + 1``."""
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    frontier = seen.copy()
+    frontier[0] = True
+    for _ in range(bound + 1):
+        seen |= frontier
+        frontier = np.logical_or.reduceat(frontier[indices], indptr[:-1]) & ~seen
+        if not frontier.any():
+            return False
+    return True
+
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs hop distances as an n x n array.
+    """All-pairs hop distances as an n x n array, from the graph's cached
+    CSR arrays (``Graph.csr``).
 
     Small-diameter graphs run a breadth-first search from every source at
     once on bit-packed rows: bit s of ``seen[v]`` (word s >> 6) says that
@@ -294,10 +318,13 @@ def distance_matrix(g: Graph) -> np.ndarray:
     and masks them by ``~seen``.  The distances stay bit-packed too, as bit
     planes: level l ORs its frontier into plane b for every bit b set in l,
     so the n x n result is unpacked once per bit of the diameter, not once
-    per level.  Long graphs run scipy's Dijkstra instead.  The dtype is
-    the narrowest signed integer type that holds n - 1, so differences of
-    rows stay exact.  Requires a connected graph; ``all_pairs_distances`` is
-    the pure-Python reference.
+    per level, and ``ROW_CHUNK`` rows at a time.  A numpy breadth-first
+    search from vertex 0 probes the eccentricity first and stops past
+    ``_FRONTIER_ECCENTRICITY``; graphs longer than that run scipy's
+    Dijkstra instead, the one sparse matrix built here.  The dtype is the
+    narrowest signed integer type that holds n - 1, so differences of rows
+    stay exact.  Requires a connected graph; ``all_pairs_distances`` is the
+    pure-Python reference.
     """
     if not g.connected:
         raise GraphError("distances are defined for connected graphs only")
@@ -305,12 +332,13 @@ def distance_matrix(g: Graph) -> np.ndarray:
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= n - 1)
     if n == 1:
         return np.zeros((1, 1), dtype=dtype)
-    adj = adjacency_matrix(g)
-    if shortest_path(adj, unweighted=True, indices=0).max() > _FRONTIER_ECCENTRICITY:
-        return shortest_path(adj, unweighted=True).astype(dtype)
+    indptr, indices = g.csr
     # reduceat returns a segment's first element, not 0, for an empty
     # segment; in a connected graph with n >= 2 every row has a neighbour.
-    assert np.all(np.diff(adj.indptr) > 0)
+    assert np.all(np.diff(indptr) > 0)
+    if _eccentricity_exceeds(indptr, indices, _FRONTIER_ECCENTRICITY):
+        adj = csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n))
+        return shortest_path(adj, unweighted=True).astype(dtype)
     source = np.arange(n)
     seen = np.zeros((n, (n + 63) >> 6), dtype=np.uint64)
     seen[source, source >> 6] = np.left_shift(np.uint64(1), (source & 63).astype(np.uint64))
@@ -318,7 +346,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     planes: list[np.ndarray] = []  # plane b: sources at a distance with bit b set
     level = 0
     while True:
-        frontier = np.bitwise_or.reduceat(frontier[adj.indices], adj.indptr[:-1], axis=0)
+        frontier = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
         frontier &= ~seen
         if not frontier.any():
             break
@@ -331,9 +359,12 @@ def distance_matrix(g: Graph) -> np.ndarray:
                 else:
                     planes[b] |= frontier
     dist = np.zeros((n, n), dtype=dtype)
-    for b, plane in enumerate(planes):
-        bits = np.unpackbits(plane.view(np.uint8), axis=1, count=n, bitorder="little")
-        dist |= np.left_shift(bits, b, dtype=dtype)
+    for lo in range(0, n, ROW_CHUNK):  # no n x n temporary beside the result
+        rows = dist[lo:lo + ROW_CHUNK]
+        for b, plane in enumerate(planes):
+            bits = np.unpackbits(plane[lo:lo + ROW_CHUNK].view(np.uint8), axis=1, count=n,
+                                 bitorder="little")
+            rows |= np.left_shift(bits, b, dtype=dtype)
     return dist
 
 

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .graph import Graph, GraphError, component_labels, distance_matrix
 
@@ -36,11 +34,14 @@ class ThetaClasses:
     """The theta*-partition of the edge set.
 
     Classes are ordered by their smallest edge index; edge indices within a
-    class ascend.
+    class ascend.  ``core_distances`` is the distance matrix that theta* ran
+    on, the 2-core's with rows and columns in ``Graph.peel.core`` order, or
+    None when the core has no edge; it takes no part in comparisons.
     """
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
+    core_distances: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -96,6 +97,7 @@ def theta_star_classes(
     the core's own distance matrix, or ``d`` restricted to the core.  The
     core is isometric, as no shortest path between two core vertices enters
     a pendant tree.  A tree's core is one vertex, and it needs no distances.
+    The core's matrix is kept as ``core_distances``, for the cut engine.
 
     Theta* is the transitive closure of theta restricted to pairs with one
     edge in a fixed spanning tree T (T. Feder, "Product graph
@@ -103,7 +105,7 @@ def theta_star_classes(
     tree edge xy gives delta(w) = d(x,w) - d(y,w), and an edge uv is
     theta-related to xy iff delta(u) != delta(v).  The test runs on whole
     rows of the distance matrix: (n - 1) x m entries in all, in blocks of
-    tree edges.  After each block, ``connected_components`` merges its
+    tree edges.  After each block, one ``component_labels`` call merges its
     relation pairs with the classes so far, each edge linked to the first
     edge of its class, so the pairs of only one block are ever held.  Pairs
     whose two edges already share a class are dropped first, and a block
@@ -122,12 +124,13 @@ def theta_star_classes(
         h = Graph(core.size, local[g.edge_array[core_edges]], validate=False)
         if d is not None:
             d = np.asarray(d)[np.ix_(core, core)]
+    core_distances = None
     if h.m:
-        d = distance_matrix(h) if d is None else np.asarray(d)
-        links[core_edges] = core_edges[_feder_links(h.edge_array, d)]
+        core_distances = distance_matrix(h) if d is None else np.asarray(d)
+        links[core_edges] = core_edges[_feder_links(h.edge_array, core_distances)]
     # classes numbered by their smallest edge
     class_of = np.unique(links, return_inverse=True)[1]
-    return ThetaClasses(_groups(class_of), tuple(class_of.tolist()))
+    return ThetaClasses(_groups(class_of), tuple(class_of.tolist()), core_distances)
 
 
 def _feder_links(ends: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -155,8 +158,7 @@ def _feder_links(ends: np.ndarray, d: np.ndarray) -> np.ndarray:
             continue
         rows = np.concatenate((tree[lo + i[unsettled]], edges))
         cols = np.concatenate((j[unsettled], links))
-        relation = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(m, m))
-        labels = connected_components(relation, directed=False)[1]
+        labels = component_labels(m, rows, cols)[1]
         links = np.unique(labels, return_index=True)[1][labels]
     return links
 

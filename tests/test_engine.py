@@ -22,8 +22,9 @@ from topocut.families import (
     windmill_graph,
 )
 from topocut.graph import Graph, GraphError, all_pairs_distances, distance_matrix, format_edge_list
+from topocut.hamming import is_partial_hamming
 from topocut.indices import DoubleWeightedGraph, _wiener_double, wiener_weighted
-from topocut.theta import quotient, theta_star_classes, validate_coarser
+from topocut.theta import PartitionError, quotient, theta_star_classes, validate_coarser
 
 from strategies import connected_graphs, pendant_graphs, trees
 
@@ -138,6 +139,110 @@ def test_given_classes_that_join_a_pendant_edge_are_contracted_whole():
     assert_engine_matches_dfs(engine)
     ones = (1,) * g.n
     assert engine.values([(ones, None)]) == [wiener_weighted(g, ones)]
+
+
+def test_given_classes_are_checked_against_theta_star():
+    # one "class" per edge of C5 splits its one theta*-class: the cut sum
+    # would read 0 (W is 15) and C5 would pass as partial Hamming
+    g = cycle_graph(5)
+    bad = theta_module.ThetaClasses(tuple((e,) for e in range(5)), tuple(range(5)))
+    with pytest.raises(PartitionError, match="theta\\*-class 0"):
+        CutEngine(g, classes=bad)
+    with pytest.raises(PartitionError):
+        is_partial_hamming(g, bad)
+
+
+@st.composite
+def open_block_graphs(draw):
+    """Two to four odd cycles (C5, C7 or C9: each one theta*-class whose
+    quotient is itself, so not complete), with maybe a random connected
+    graph among them, each glued to an earlier one at a shared vertex or by
+    a path of bridges; then pendant trees, under a random numbering."""
+    parts = [("cycle", 2 * draw(st.integers(2, 4)) + 1)
+             for _ in range(draw(st.integers(2, 4)))]
+    if draw(st.booleans()):
+        parts.insert(draw(st.integers(0, len(parts))), ("random", None))
+    edges, n = [], 0
+    for i, (kind, size) in enumerate(parts):
+        if kind == "cycle":
+            part = [(v, (v + 1) % size) for v in range(size)]
+        else:
+            h = draw(connected_graphs(min_n=2, max_n=8))
+            size, part = h.n, list(h.edges)
+        if i == 0:
+            end, n = 0, 1
+        else:
+            path = [draw(st.integers(0, n - 1))]
+            path += list(range(n, n + draw(st.integers(0, 2))))
+            edges += list(zip(path, path[1:]))
+            end, n = path[-1], n + len(path) - 1
+        # the part's vertex 0 is the path's end: the anchor when it is alone
+        relabel = [end] + list(range(n, n + size - 1))
+        n += size - 1
+        edges += [(relabel[u], relabel[v]) for u, v in part]
+    hanging = draw(st.integers(0, 8))
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(n, n + hanging)]
+    n += hanging
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTS))
+@settings(max_examples=40)
+@given(g=open_block_graphs(), data=st.data())
+def test_subtracted_block_matches_its_quotient(kind, g, data):
+    # the largest non-complete block is the core sum minus the other core
+    # blocks; block for block it must equal its own quotient's D B, which
+    # the whole contraction of the same blocks computes
+    a = data.draw(st.tuples(*[WEIGHTS[kind]] * g.n))
+    b = data.draw(st.tuples(*[WEIGHTS[kind]] * g.n))
+    terms = list(index_terms(g, a, b).values())
+    sizes = []
+    real = cut_method.distance_matrix
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cut_method, "distance_matrix", lambda q: sizes.append(q.n) or real(q))
+        engine = CutEngine(g)
+        got = engine.block_values(terms)
+    open_blocks = engine.complete.count(False)
+    assert open_blocks >= 2
+    assert len(sizes) == open_blocks - 1  # every open block but the largest
+    whole = CutEngine(g, validate_coarser(g, engine.partition.blocks))
+    assert got == whole.block_values(terms)
+    assert [sum(col) for col in zip(*got)] == list(oracle_values(g, a, b).values())
+
+
+def _two_pentagons_with_trees() -> Graph:
+    """Two C5s joined by a bridge, with three pendant edges: two open
+    blocks and four K2 blocks, one of them in the 2-core."""
+    edges = [(v, (v + 1) % 5) for v in range(5)] + [(5 + v, 5 + (v + 1) % 5) for v in range(5)]
+    edges += [(2, 7), (0, 10), (10, 11), (8, 12)]
+    return Graph(13, edges)
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_core_db_across_the_int64_guard(past, monkeypatch):
+    # the largest weight sits on a pendant vertex, so it reaches the core
+    # D B folded; (n - 1) sum|a| is just below 2**62 (int64) or at it
+    # (Python ints)
+    g = _two_pentagons_with_trees()
+    x = (2**62 - 1) // (g.n - 1) - (g.n - 1) + past  # sum(a) = x + 12
+    a = (1,) * 11 + (x,) + (1,)  # vertex 11 ends the path 0-10-11
+    b = tuple(range(1, g.n + 1))
+    assert ((g.n - 1) * sum(a) < 2**62) != past
+    dtypes = []
+
+    def recorded(bound):
+        dtypes.append(exact._exact_dtype(bound))
+        return dtypes[-1]
+
+    monkeypatch.setattr(cut_method, "_exact_dtype", recorded)
+    engine = CutEngine(g)
+    assert engine.complete.count(False) == 2
+    terms = [(a, b), (a, None)]
+    got = engine.block_values(terms)
+    assert dtypes[0] is (object if past else np.int64)
+    assert got == CutEngine(g, validate_coarser(g, engine.partition.blocks)).block_values(terms)
+    assert [sum(col) for col in zip(*got)] == [_wiener_double(g, a, b), wiener_weighted(g, a)]
 
 
 def test_int64_guard_falls_back_to_python_ints():
