@@ -307,8 +307,8 @@ def _reduce_route(loaded: LoadedInput, terms: TermNames):
 
 
 def _trees_route(loaded: LoadedInput, terms: TermNames):
-    """The four quotient trees of a phenylene, one Euler tour each for the
-    whole term list (``tree_term_values``)."""
+    """The four quotient trees of a phenylene, from one Euler tour of the
+    inner dual for the whole term list (``tree_term_values``)."""
     if loaded.phenylene is None:
         raise MethodNotApplicable(
             "method 'trees' needs a phenylene input (--cells or --family chain/phe6); "

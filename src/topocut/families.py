@@ -124,44 +124,74 @@ def parse_kinks(pattern: str) -> list[str]:
     return tokens
 
 
+_TURNS = {"L": 0, "A+": 1, "A-": -1}
+_STEPS = np.array(NEIGHBOR_OFFSETS, dtype=np.int64)
+
+
 def gen_phenylene_chain(h: int, kinks: str | None = None) -> BenzenoidPlacement:
     """Catacondensed chain of h hexagons.
 
     The first two cells run east; from the third cell on, the kink pattern
     (length h-2) chooses the attachment: L keeps the direction, A+ and A-
     turn by one lattice direction.  Patterns that make the chain collide
-    with or touch itself are rejected.
+    with or touch itself are rejected, naming the first cell that does.
+    The directions are a cumulative sum of the turns, and the cells a
+    cumulative sum of the steps.
     """
     if h < 1:
         raise GraphError("chain needs h >= 1")
-    pattern = parse_kinks(kinks) if kinks else ["L"] * max(h - 2, 0)
-    if len(pattern) != max(h - 2, 0):
+    pattern = parse_kinks(kinks) if kinks else []
+    if kinks and len(pattern) != max(h - 2, 0):
         raise PlacementError(
             f"kink pattern has length {len(pattern)}, expected {max(h - 2, 0)}"
         )
-    cells = [(0, 0)]
-    direction = 0
-    if h >= 2:
-        cells.append(NEIGHBOR_OFFSETS[0])
-    occupied = set(cells)
-    for step, kink in enumerate(pattern):
-        if kink == "A+":
-            direction = (direction + 1) % 6
-        elif kink == "A-":
-            direction = (direction - 1) % 6
-        q, r = cells[-1]
-        dq, dr = NEIGHBOR_OFFSETS[direction]
-        nxt = (q + dq, r + dr)
-        if nxt in occupied:
-            raise PlacementError(f"kink pattern collides at cell {step + 3}")
-        touching = sum(
-            (nxt[0] + oq, nxt[1] + orr) in occupied for oq, orr in NEIGHBOR_OFFSETS
-        )
-        if touching != 1:
-            raise PlacementError(f"kink pattern makes cell {step + 3} touch the chain")
-        occupied.add(nxt)
-        cells.append(nxt)
-    return BenzenoidPlacement.of(cells)
+    direction = np.zeros(h - 1, dtype=np.int64)  # of the step into cell t + 1
+    if pattern:
+        direction[1:] = np.cumsum([_TURNS[kink] for kink in pattern]) % 6
+    cells = np.zeros((h, 2), dtype=np.int64)
+    np.cumsum(_STEPS[direction], axis=0, out=cells[1:])
+    fault = _chain_fault(cells)
+    if fault is not None:
+        t, repeats = fault
+        if repeats:
+            raise PlacementError(f"kink pattern collides at cell {t + 1}")
+        raise PlacementError(f"kink pattern makes cell {t + 1} touch the chain")
+    return BenzenoidPlacement._from_array(cells)
+
+
+def _chain_fault(cells: np.ndarray) -> tuple[int, bool] | None:
+    """The first cell, in chain order, that repeats an earlier cell or
+    touches an earlier cell other than its predecessor, and whether it
+    repeats one; None for a valid chain.
+
+    One stable sort of the cells' keys serves both tests: a cell repeats an
+    earlier one when it is not first among its equal keys, and a binary
+    search finds, per cell and per direction, the earliest cell next to it.
+    Three directions find every neighbouring pair once.  A pair whose later
+    cell is not the earlier one's successor makes the later cell touch.
+    """
+    q = cells[:, 0] - cells[:, 0].min() + 1
+    r = cells[:, 1] - cells[:, 1].min() + 1
+    width = int(r.max()) + 2
+    keys = q * width + r
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeats = np.zeros(len(keys), dtype=bool)
+    repeats[order[1:][ordered[1:] == ordered[:-1]]] = True
+    late = [np.flatnonzero(repeats)]
+    cell = np.arange(len(keys))
+    for dq, dr in NEIGHBOR_OFFSETS[:3]:
+        wanted = keys + dq * width + dr
+        at = np.minimum(np.searchsorted(ordered, wanted), len(keys) - 1)
+        found = ordered[at] == wanted
+        a, b = cell[found], order[at[found]]
+        later = np.maximum(a, b)
+        late.append(later[np.minimum(a, b) < later - 1])
+    late = np.concatenate(late)
+    if not late.size:
+        return None
+    t = int(late.min())
+    return t, bool(repeats[t])
 
 
 # Frozen six-hexagon reference system: inner dual is a five-vertex path with a

@@ -12,13 +12,15 @@ what makes the O(n) route work.
 
 The phenylene route is array code from end to end: a placement is parsed
 into an (h, 2) array, validated by sorting and neighbour lookups, and built
-as edge arrays (vertex 6i+k is corner k of hexagon i).  The phenylene's
-``Graph`` is built only when something asks for it.  Each quotient tree is
-evaluated by the Euler-tour kernel ``_tree_term_sums`` of
-:mod:`topocut.exact`, which yields the split sums of a whole term list
-(W(a,b), W*(a), ...) from one tour.  Vertex weights are scaled to integers
-and the results divided back as in the cut engine, under the same int64
-guard.
+as its connectors alone (vertex 6i+k is corner k of hexagon i); the edge
+arrays and the phenylene's ``Graph`` are built only when something asks
+for them.  All four quotient trees come from one Euler tour of the inner
+dual and one labelling of its runs (``_Runs``): every dual edge is a run
+edge of one direction class, every run is one edge of that class's tree,
+and the dual's subtree sums give every split.  The term evaluator of
+:mod:`topocut.exact` turns the splits into the sums of a whole term list
+(W(a,b), W*(a), ...).  Vertex weights are scaled to integers and the
+results divided back as in the cut engine, under the same int64 guard.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cut_method import INDEX_TERMS
-from .exact import NotATreeError, _scaled_array, _tree_term_sums
+from .exact import (
+    NotATreeError, _euler_tour, _scaled_array, _split_plan, _split_term_sums, _subtree_sums,
+    _tree_term_sums,
+)
 from .graph import (
     Graph, ParseError, component_labels, degree_vector, first_seen_labels, read_int_table
 )
@@ -167,24 +172,48 @@ class Benzenoid:
         return tuple(_cell_corners(*cells[f // 6])[f % 6] for f in self._first_corner.tolist())
 
 
+# Hexagon i's six edges, in order: corners (k, k+1) for k < 5, then (0, 5).
+_HEX_U = np.array([0, 1, 2, 3, 4, 0], dtype=np.int64)
+_HEX_V = np.array([1, 2, 3, 4, 5, 5], dtype=np.int64)
+_HEX_CLASS = np.array([1, 2, 3, 1, 2, 3], dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Phenylene:
     """A phenylene: 6h vertices (six per hexagon), 8h-2 edges.
 
-    Vertex 6i+k is corner k of hexagon i.  ``edge_class`` holds 1..3 for
-    hexagon edges (the direction of the corresponding benzenoid edge) and 4
-    for the connector edges of the separating squares.  ``_eu``, ``_ev``
-    are the edge ends in ``graph.edges`` order; ``graph`` is built on first
-    use only.  The connectors come last; ``_con_hexagon`` and
-    ``_con_corner`` (rows: lower and higher end) say where their ends sit.
+    Vertex 6i+k is corner k of hexagon i.  Only the connectors are stored:
+    ``_con_hexagon`` and ``_con_corner`` (rows: lower and higher end) say
+    where the ends of each connector sit, two connectors per inner-dual
+    edge.  The edge arrays are built on first use: ``_eu``, ``_ev`` hold
+    the edge ends in ``graph.edges`` order (the six edges of each hexagon,
+    then the connectors), ``edge_class`` holds 1..3 for hexagon edges (the
+    direction of the corresponding benzenoid edge) and 4 for connectors,
+    and ``graph`` is the phenylene's ``Graph``.  The trees route reads none
+    of them.
     """
 
     placement: BenzenoidPlacement
-    edge_class: np.ndarray
-    _eu: np.ndarray
-    _ev: np.ndarray
     _con_hexagon: np.ndarray
     _con_corner: np.ndarray
+
+    def _edge_ends(self, hexagon_corners: np.ndarray, row: int) -> np.ndarray:
+        base = 6 * np.arange(self.hexagon_count, dtype=np.int64)[:, None]
+        connectors = 6 * self._con_hexagon[row] + self._con_corner[row]
+        return np.concatenate(((base + hexagon_corners).ravel(), connectors))
+
+    @cached_property
+    def _eu(self) -> np.ndarray:
+        return self._edge_ends(_HEX_U, 0)
+
+    @cached_property
+    def _ev(self) -> np.ndarray:
+        return self._edge_ends(_HEX_V, 1)
+
+    @cached_property
+    def edge_class(self) -> np.ndarray:
+        connectors = np.full(self._con_hexagon.shape[1], 4, dtype=np.int64)
+        return np.concatenate((np.tile(_HEX_CLASS, self.hexagon_count), connectors))
 
     @cached_property
     def graph(self) -> Graph:
@@ -196,7 +225,7 @@ class Phenylene:
 
     @property
     def m(self) -> int:
-        return len(self._eu)
+        return 6 * len(self.placement) + self._con_hexagon.shape[1]
 
     @property
     def hexagon_count(self) -> int:
@@ -210,15 +239,29 @@ def _cell_corners(q: int, r: int) -> list[tuple[int, int]]:
 
 def _neighbours(grid: np.ndarray) -> np.ndarray:
     """(h, 6) index of the neighbour of each cell in each direction, -1 if
-    absent; a binary search over the sorted cells' encoded positions."""
+    absent.
+
+    The cells are sorted by (q, r), so their keys (q+1) width + (r+1)
+    increase.  The neighbours (0, 1) and (0, -1) can then only be the next
+    and the previous cell, and (1, 0) can only sit just after (1, -1), and
+    (-1, 1) just after (-1, 0): two binary searches find all six.
+    """
     q, r = grid[:, 0], grid[:, 1]
     width = int(r.max()) + 3
     keys = (q + 1) * width + (r + 1)
-    offsets = np.array([dq * width + dr for dq, dr in NEIGHBOR_OFFSETS], dtype=np.int64)
-    wanted = keys[:, None] + offsets
-    order = np.argsort(keys, kind="stable")  # the identity for sorted placements
-    found = np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)
-    return np.where(keys[order[found]] == wanted, order[found], -1)
+    padded = np.concatenate(([-1], keys, [-1]))  # no key is -1
+    cell = np.arange(len(keys))
+    nbr = np.empty((len(keys), 6), dtype=np.int64)
+    nbr[:, 1] = np.where(padded[2:] == keys + 1, cell + 1, -1)
+    nbr[:, 4] = np.where(padded[:-2] == keys - 1, cell - 1, -1)
+    for first, second, delta in ((5, 0, width - 1), (3, 2, -width)):
+        wanted = keys + delta
+        at = np.searchsorted(keys, wanted)  # at most h, where padded holds -1
+        hit = padded[at + 1] == wanted
+        nbr[:, first] = np.where(hit, at, -1)
+        at += hit
+        nbr[:, second] = np.where(padded[at + 1] == wanted + 1, at, -1)
+    return nbr
 
 
 def _validated_dual(
@@ -236,9 +279,9 @@ def _validated_dual(
     # Corner k of cell i also lies in its neighbours k-1 and k; it is
     # internal when both exist, and a scan first sees it in three cells at
     # the cell of largest index.
-    left = np.roll(nbr, 1, axis=1)
     cell = np.arange(h)[:, None]
-    third = (nbr >= 0) & (left >= 0) & (nbr < cell) & (left < cell)
+    earlier = (nbr >= 0) & (nbr < cell)
+    third = earlier & np.roll(earlier, 1, axis=1)
     if third.any():
         i, k = divmod(int(np.flatnonzero(third.ravel())[0]), 6)
         raise PlacementError(
@@ -275,38 +318,26 @@ def build_benzenoid(cells: Iterable[tuple[int, int]]) -> Benzenoid:
     )
 
 
-# Hexagon i's six edges, in order: corners (k, k+1) for k < 5, then (0, 5).
-_HEX_U = np.array([0, 1, 2, 3, 4, 0], dtype=np.int64)
-_HEX_V = np.array([1, 2, 3, 4, 5, 5], dtype=np.int64)
-_HEX_CLASS = np.array([1, 2, 3, 1, 2, 3], dtype=np.int64)
-
-
 def build_phenylene(cells: Iterable[tuple[int, int]]) -> Phenylene:
     """Build the phenylene of a catacondensed placement.
 
     Each hexagon gets its own six vertex copies; every shared benzenoid edge
     becomes a square via two connector edges between the copies of its
     endpoints.  Edges come in order: the six edges of each hexagon, then
-    two connectors per inner-dual edge.
+    two connectors per inner-dual edge; only the connectors are built here.
     """
     placement = BenzenoidPlacement.of(cells)
     di, dj, dk = _validated_dual(placement)
-    h = len(placement)
-    base = 6 * np.arange(h, dtype=np.int64)[:, None]
     # neighbour k's corners k+4 and k+3 meet this cell's corners k and k+1;
     # row 0 holds the connectors' ends in cell i, row 1 those in cell j.
     # int32 while every vertex number fits: the quotients read these arrays.
-    small = np.int32 if 6 * h < 1 << 31 else np.int64
+    small = np.int32 if 6 * len(placement) < 1 << 31 else np.int64
     con_hexagon = np.stack((np.repeat(di, 2), np.repeat(dj, 2))).astype(small)
     con_corner = np.stack((
         np.column_stack((dk, (dk + 1) % 6)).ravel(),
         np.column_stack(((dk + 4) % 6, (dk + 3) % 6)).ravel(),
     )).astype(small)
-    con_u, con_v = 6 * con_hexagon + con_corner
-    eu = np.concatenate(((base + _HEX_U).ravel(), con_u))
-    ev = np.concatenate(((base + _HEX_V).ravel(), con_v))
-    ecls = np.concatenate((np.tile(_HEX_CLASS, h), np.full(con_u.size, 4, dtype=np.int64)))
-    return Phenylene(placement, ecls, eu, ev, con_hexagon, con_corner)
+    return Phenylene(placement, con_hexagon, con_corner)
 
 
 def squeeze_weights(
@@ -400,23 +431,177 @@ def _component_sums(labels: np.ndarray, ncomp: int, w: np.ndarray) -> np.ndarray
     return out
 
 
+# Cutting the two class-c edges of a hexagon (c = 1..3) leaves two halves,
+# paths of three corners: half 1 holds corners c, c+1, c+2 (mod 6), half 0
+# the other three.  _HALF[c][k] is the half of corner k.  The connector
+# class cuts no hexagon.
+_HALF = {c: np.array([(k - c) % 6 < 3 for k in range(6)], dtype=np.int32) for c in (1, 2, 3)}
+_HALF[4] = np.zeros(6, dtype=np.int32)
+_HALF_OF = np.array([_HALF[c] for c in (1, 2, 3)], dtype=bool)  # [c - 1, k]
+# A dual edge (i, j, k) is a run edge of class k % 3 + 1 and meets one half
+# of each end in the other two: _NON_RUN[k] lists those classes (0-based),
+# and _MEETS[2k + end][t] the half it meets in class _NON_RUN[k][t] at end
+# i (end 0) or j (end 1), whose corners are k, k+1 and k+4, k+3.
+_NON_RUN = np.array([[(k + 1) % 3, (k + 2) % 3] for k in range(6)], dtype=np.intp)
+_MEETS = np.array(
+    [[_HALF_OF[c, (k + 4 * end) % 6] for c in _NON_RUN[k]] for k in range(6) for end in (0, 1)]
+)
+# Bit d of a hexagon's direction mask: a neighbour in direction d, whose
+# connectors end at corners d and d+1.  _DEGREE_SUMS[c - 1, mask] is the
+# degree sum of half 1 of class c (two per corner and one per connector
+# end), and _DEGREE_SUMS[3, mask] that of the hexagon.
+_BIT = np.array([1 << d for d in range(6)], dtype=np.uint8)
+_ENDS_IN_HALF_ONE = _HALF_OF.astype(np.int64) + np.roll(_HALF_OF, -1, axis=1)  # [c - 1, d]
+_DEGREE_SUMS = np.array(
+    [[6 + sum(ends[d] for d in range(6) if mask >> d & 1) for mask in range(64)]
+     for ends in _ENDS_IN_HALF_ONE]
+    + [[12 + 2 * mask.bit_count() for mask in range(64)]],
+    dtype=np.int64,
+)
+
+
+@dataclass(frozen=True, eq=False)
+class _Runs:
+    """The split structure of a phenylene's four quotient trees: what their
+    split sums need that no weight changes.
+
+    Every inner-dual edge (i, j, k) is a run edge of exactly one direction
+    class, c = k % 3 + 1: the hexagon edges of its square have class c, and
+    its two connectors join half s of hexagon i to half s of hexagon j, for
+    s = 0 and 1.  A run is a component of class c's run edges, and its
+    class-c hexagon edges are the one edge of quotient tree c between the
+    run's halves 0 and the run's halves 1; tree c has a vertex more than
+    runs.  Every other dual edge joins one half of each end.
+
+    Root the inner dual at hexagon 0.  A run's top hexagon is the one
+    nearest the root, and the run's far half is the half of its hexagons at
+    the same s as the top's half away from its dual parent (half 0 for the
+    root's runs).  The far side of the run's edge holds the run's far
+    halves and every dual subtree hanging from them by a non-run edge.  So
+    with S1 the sum over the run's halves 1 and the subtrees hanging from
+    them, the far side is S1 when the far half is 1, and otherwise the sum
+    over the top's subtree minus S1.  Node (c-1) h + x stands for hexagon
+    x in class c.
+
+    ``child``, ``stop``: the dual's Euler tour (``_euler_tour``).
+    ``bounds``: the first run label of classes 1..3, then the run count.
+    ``run``: per node, its run.  ``hang_place``, ``hang_run``: the tour
+    places of the subtrees hanging from a half 1, and that half's run.
+    ``far_one``, ``top_place``: per run, whether its far half is half 1,
+    and the tour place of its top (the edge count for the root's runs).
+    ``degree``: the phenylene's vertex degrees summed on every node's half 1
+    and on every hexagon.
+    """
+
+    child: np.ndarray
+    stop: np.ndarray
+    bounds: np.ndarray
+    run: np.ndarray
+    hang_place: np.ndarray
+    hang_run: np.ndarray
+    far_one: np.ndarray
+    top_place: np.ndarray
+    degree: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def of(cls, ph: Phenylene) -> "_Runs":
+        h = ph.hexagon_count
+        di, dj = ph._con_hexagon[:, ::2]  # the dual edges (i, j, k), k the direction i -> j
+        dk = ph._con_corner[0, ::2]
+        edge, child, stop = _euler_tour(h, di, dj)
+        # one labelling of 3h nodes: each dual edge joins its ends in its class
+        run_class = (dk % 3).astype(np.intp) * h
+        nruns, run = component_labels(3 * h, run_class + di, run_class + dj)
+        # per tour place and non-run class: the half that the edge to the
+        # place's child meets in the child (end 0 or 1) and in the parent
+        k = dk[edge].astype(np.intp)
+        in_j = child == dj[edge]
+        meets = 2 * k + in_j  # ^ 1 for the parent's end
+        node = _NON_RUN[k] * h
+        tops = run[node + child[:, None]]  # the runs that the place's child tops
+        far_one = np.zeros(nruns, dtype=bool)
+        far_one[tops] = ~_MEETS[meets]
+        top_place = np.full(nruns, edge.size, dtype=np.intp)
+        top_place[tops] = np.arange(edge.size)[:, None]
+        hangs = _MEETS[meets ^ 1]
+        parents = (node + np.where(in_j, di[edge], dj[edge])[:, None])[hangs]
+        directions = np.zeros(h, dtype=np.uint8)
+        np.add.at(directions, di, _BIT[dk])
+        np.add.at(directions, dj, _BIT[(dk + 3) % 6])
+        return cls(
+            child, stop, np.append(run[::h], nruns),  # runs are numbered class by class
+            run, np.nonzero(hangs)[0], run[parents], far_one, top_place,
+            (_DEGREE_SUMS[:3, directions].ravel(), _DEGREE_SUMS[3, directions]),
+        )
+
+    def sides(self, half_one: np.ndarray, hexagon: np.ndarray) -> list[np.ndarray]:
+        """Every split of the four trees for a vertex weight given by its
+        sums on every node's half 1 and on every hexagon, int64 or object:
+        per tree, the far side of each edge."""
+        below = _subtree_sums(hexagon, self.child, self.stop)
+        ones = np.zeros(self.bounds[-1], dtype=hexagon.dtype)  # S1 per run
+        np.add.at(ones, self.run, half_one)
+        np.add.at(ones, self.hang_run, below[self.hang_place])
+        far = np.where(self.far_one, ones, np.append(below, hexagon.sum())[self.top_place] - ones)
+        return [far[lo:hi] for lo, hi in zip(self.bounds[:-1], self.bounds[1:])] + [below]
+
+
+def _halves(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A vertex weight's sum on every half 1 (node (c-1) h + x: corners c,
+    c+1, c+2 of hexagon x) and on every hexagon."""
+    corners = w.reshape(-1, 6)
+    half_one = [corners[:, c] + corners[:, c + 1] + corners[:, c + 2] for c in (1, 2, 3)]
+    return np.concatenate(half_one), half_one[2] + corners[:, 0] + corners[:, 1] + corners[:, 2]
+
+
 @dataclass(frozen=True, eq=False)
 class QuotientTree:
-    """One double vertex-weighted quotient tree of a structural edge class.
+    """The double vertex-weighted quotient tree of one structural edge class
+    ``cls`` (1..3: a hexagon-edge direction, 4: the connectors).
 
-    The tree is held in arrays: ``n`` vertices, the edges (``qu`` < ``qv``,
-    sorted) and the weights (``a_array``: component degree sums,
-    ``b_array``: component vertex counts).  ``tree``, ``a``, ``b`` and
-    ``component_of`` are built from them on first use.
+    ``n`` is its vertex count and ``runs`` the split structure that the
+    four trees share; the trees route reads only these.  The tree itself is
+    built on first use, by a labelling of the hexagon halves
+    (``_quotient``), for the API and the tests: the edges (``qu`` < ``qv``, sorted), the weights
+    (``a_array``: component degree sums, ``b_array``: component vertex
+    counts), ``node_labels`` ((hexagon, half) -> tree vertex),
+    ``component_of`` (phenylene vertex -> tree vertex), and from those
+    ``tree``, ``a`` and ``b``.
     """
 
     n: int
-    qu: np.ndarray
-    qv: np.ndarray
-    a_array: np.ndarray
-    b_array: np.ndarray
-    node_labels: np.ndarray = field(repr=False)  # (hexagon, node) -> tree vertex
-    corner_node: np.ndarray = field(repr=False)  # corner -> node of its hexagon
+    cls: int
+    phenylene: Phenylene = field(repr=False)
+    runs: _Runs = field(repr=False)
+
+    @cached_property
+    def _labelled(self) -> tuple[np.ndarray, ...]:
+        """node_labels, qu, qv, a_array, b_array.  The parts that the class
+        leaves whole are contracted first: each half of a hexagon for
+        classes 1..3 (node 2i + _HALF[c][k] holds corner k of hexagon i),
+        each hexagon for class 4.  Only connectors join these nodes, and
+        nodes are numbered in the order of their smallest vertex, so the
+        components are numbered as on the vertices."""
+        ph = self.phenylene
+        h = ph.hexagon_count
+        hexagon, corner = ph._con_hexagon, ph._con_corner
+        if self.cls == 4:  # class 4 leaves no edge between hexagons
+            _, labels, qu, qv = _quotient(h, hexagon[0, :0], hexagon[1, :0], *hexagon)
+            a = 12 + np.bincount(hexagon.ravel(), minlength=h)
+            return labels[:, None], qu, qv, a, np.full(h, 6, dtype=np.int64)
+        halves = 2 * hexagon + _HALF[self.cls][corner]
+        pairs = 2 * np.arange(h, dtype=hexagon.dtype)
+        (size,), labels, qu, qv = _quotient(2 * h, halves[0], halves[1], pairs, pairs + 1)
+        # a node's degree sum: two per vertex from the hexagon edges, one per connector end
+        a = _component_sums(labels, size, 6 + np.bincount(halves.ravel(), minlength=2 * h))
+        b = _component_sums(labels, size, np.full(2 * h, 3, dtype=np.int64))
+        return labels.reshape(h, 2), qu, qv, a, b
+
+    node_labels = property(lambda self: self._labelled[0])
+    qu = property(lambda self: self._labelled[1])
+    qv = property(lambda self: self._labelled[2])
+    a_array = property(lambda self: self._labelled[3])
+    b_array = property(lambda self: self._labelled[4])
 
     @cached_property
     def tree(self) -> Graph:
@@ -433,14 +618,7 @@ class QuotientTree:
     @cached_property
     def component_of(self) -> np.ndarray:
         """Original vertex -> tree vertex."""
-        return self.node_labels[:, self.corner_node].ravel()
-
-
-# Cutting the two class-c edges of a hexagon (c = 1..3) leaves two paths of
-# three corners; _HALF[c][k] is the path of corner k, 0 for the one holding
-# corner 0.  The connector class cuts no hexagon.
-_HALF = {c: np.array([(k - c) % 6 < 3 for k in range(6)], dtype=np.int32) for c in (1, 2, 3)}
-_HALF[4] = np.zeros(6, dtype=np.int32)
+        return self.node_labels[:, _HALF[self.cls]].ravel()
 
 
 def quotient_trees(
@@ -449,43 +627,23 @@ def quotient_trees(
     """The four double vertex-weighted quotient trees of a phenylene.
 
     Trees 1..3 quotient by the hexagon-edge direction classes, tree 4 by the
-    connector class; tree 4 is isomorphic to the inner dual of the squeeze.
-    Weights: a = component degree sums, b = component vertex counts.
+    connector class; tree 4 is the inner dual.  Weights: a = component
+    degree sums, b = component vertex counts.  One Euler tour of the inner
+    dual and one labelling of its runs (``_Runs``) give every tree's vertex
+    count and split structure; the trees' edges are built only when read.
 
-    The parts that a class leaves whole are contracted first: each half of
-    a hexagon for classes 1..3, each hexagon for class 4.  Only connectors
-    join these nodes.  The three direction classes are labelled in one
-    pass, side by side: class c's node 2h(c-1) + 2i + _HALF[c][k] holds
-    corner k of hexagon i.  Nodes are numbered in the order of their
-    smallest vertex, so the components are numbered as on the vertices.
+    Every quotient is a tree, with no check at run time: ``_validated_dual``
+    has proved the inner dual a tree.  The half graph of a class (hexagon
+    halves joined by connectors) is then a forest, whose edges lie over
+    dual edges, and no component holds both halves of a hexagon; the run
+    structure above is exactly that forest's contraction.
     """
     h = ph.hexagon_count
-    hexagon, corner = ph._con_hexagon, ph._con_corner  # the connectors' ends
-    halves = np.concatenate(
-        [2 * h * (c - 1) + 2 * hexagon + _HALF[c][corner] for c in (1, 2, 3)], axis=1
+    runs = _Runs.of(ph)
+    sizes = np.diff(runs.bounds).tolist()
+    return tuple(
+        QuotientTree(n, c, ph, runs) for c, n in zip((1, 2, 3, 4), [s + 1 for s in sizes] + [h])
     )
-    pairs = 2 * np.arange(3 * h, dtype=hexagon.dtype)
-    sizes, labels, qu, qv = _quotient(
-        6 * h, halves[0], halves[1], pairs, pairs + 1, (0, 2 * h, 4 * h)
-    )
-    # class 4 leaves no edge between hexagons: each is its own component
-    (size4,), labels4, qu4, qv4 = _quotient(h, hexagon[0, :0], hexagon[1, :0], *hexagon)
-    # a node's degree sum: two per vertex from the hexagon edges, one per connector end
-    a = _component_sums(labels, sum(sizes), 6 + np.bincount(halves.ravel(), minlength=6 * h))
-    b = _component_sums(labels, sum(sizes), np.full(6 * h, 3, dtype=np.int64))
-    a4 = 12 + np.bincount(hexagon.ravel(), minlength=h)
-    trees = []
-    for c, first, size in zip((1, 2, 3), np.cumsum(sizes) - sizes, sizes):
-        edges = slice(*np.searchsorted(qu, [first, first + size]))
-        comps = slice(first, first + size)
-        nodes = labels[2 * h * (c - 1):2 * h * c].reshape(h, 2) - first
-        trees.append(QuotientTree(
-            size, qu[edges] - first, qv[edges] - first, a[comps], b[comps], nodes, _HALF[c]
-        ))
-    trees.append(QuotientTree(
-        size4, qu4, qv4, a4, np.full(h, 6, dtype=np.int64), labels4[:, None], _HALF[4]
-    ))
-    return tuple(trees)
 
 
 def tree_term_values(
@@ -497,19 +655,32 @@ def tree_term_values(
     count.
 
     Terms name vectors as ``INDEX_TERMS`` does: "deg" and "1" are the
-    degree and vertex-count sums that each tree carries (``a_array``,
-    ``b_array``), any other name a weight on the phenylene's vertices,
-    scaled once and summed onto each tree's vertices through
-    ``component_of``.
+    phenylene's vertex degrees and ones (their sums over a tree vertex are
+    the tree's ``a_array`` and ``b_array``), any other name a weight on the
+    phenylene's vertices, scaled once.  Each vector is summed onto the
+    splits of all four trees at once (``_Runs.sides``) under the one
+    int64/object guard of ``_split_plan``: every side is a sum of the
+    vector's own values, so its sum|w| bounds them all.  The degree sums of
+    the halves and hexagons come with the runs (``_Runs.degree``), and the
+    ones sum to 3 per half and 6 per hexagon.
     """
-    scaled = {v: _scaled_array(w) for v, w in weights.items()}
-    out = []
-    for t in quotient_trees(ph):
-        sides = {"deg": (t.a_array, 1, False), "1": (t.b_array, 1, False)}
-        for v, (w, scale, fraction) in scaled.items():
-            sides[v] = _component_sums(t.component_of, t.n, w), scale, fraction
-        out.append((t.n, _tree_term_sums(t.n, t.qu, t.qv, sides, terms)))
-    return out
+    trees = quotient_trees(ph)
+    runs, h = trees[0].runs, ph.hexagon_count
+    halves = {
+        "deg": runs.degree,
+        "1": (np.broadcast_to(np.int64(3), (3 * h,)), np.broadcast_to(np.int64(6), (h,))),
+    }
+    # the hexagon sums carry each structural vector's sum|w| to the guard
+    vectors = {v: (halves[v][1], 1, False) for v in halves}
+    vectors.update((v, _scaled_array(w)) for v, w in weights.items())
+    used, bound, dtype = _split_plan(vectors, terms)
+    sides = [{} for _ in trees]
+    for v, (w, _, _) in used.items():
+        half_one, hexagon = (p.astype(dtype, copy=False) for p in halves.get(v) or _halves(w))
+        total = hexagon.sum()
+        for per_tree, side in zip(sides, runs.sides(half_one, hexagon)):
+            per_tree[v] = side, total
+    return [(t.n, _split_term_sums(s, used, terms, bound)) for t, s in zip(trees, sides)]
 
 
 def dd_gut_via_trees(ph: Phenylene) -> tuple[int, int]:

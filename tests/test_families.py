@@ -1,13 +1,17 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from topocut.graph import Graph, GraphError, degree_vector
 from topocut.theta import quotient, theta_star_classes
-from topocut.phenylene import PlacementError, build_benzenoid
+from topocut.phenylene import (
+    NEIGHBOR_OFFSETS, BenzenoidPlacement, PlacementError, build_benzenoid
+)
 from topocut.families import (
+    _chain_fault,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -142,6 +146,85 @@ def test_chain_kink_errors():
         gen_phenylene_chain(5, "A+")
     with pytest.raises(PlacementError, match="bad kink"):
         parse_kinks("LAX")
+
+
+def reference_phenylene_chain(h, kinks=None):
+    """The former chain generator: one cell at a time, with set lookups."""
+    if h < 1:
+        raise GraphError("chain needs h >= 1")
+    pattern = parse_kinks(kinks) if kinks else ["L"] * max(h - 2, 0)
+    if len(pattern) != max(h - 2, 0):
+        raise PlacementError(f"kink pattern has length {len(pattern)}, expected {max(h - 2, 0)}")
+    cells = [(0, 0)]
+    direction = 0
+    if h >= 2:
+        cells.append(NEIGHBOR_OFFSETS[0])
+    occupied = set(cells)
+    for step, kink in enumerate(pattern):
+        if kink == "A+":
+            direction = (direction + 1) % 6
+        elif kink == "A-":
+            direction = (direction - 1) % 6
+        q, r = cells[-1]
+        dq, dr = NEIGHBOR_OFFSETS[direction]
+        nxt = (q + dq, r + dr)
+        if nxt in occupied:
+            raise PlacementError(f"kink pattern collides at cell {step + 3}")
+        touching = sum((nxt[0] + oq, nxt[1] + orr) in occupied for oq, orr in NEIGHBOR_OFFSETS)
+        if touching != 1:
+            raise PlacementError(f"kink pattern makes cell {step + 3} touch the chain")
+        occupied.add(nxt)
+        cells.append(nxt)
+    return BenzenoidPlacement.of(cells)
+
+
+def _chain_outcome(generate, h, kinks):
+    try:
+        return generate(h, kinks).cells
+    except (GraphError, PlacementError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def drawn_kinks(draw):
+    """A chain length and a kink pattern, of the right length or one off,
+    with turns weighted so that many patterns curl into the chain."""
+    h = draw(st.integers(0, 40))
+    bias = draw(st.sampled_from([["L"], ["L", "A+", "A-"], ["A+", "A+", "L"], ["A-", "A-", "A+"]]))
+    size = max(h - 2, 0) + draw(st.sampled_from([0, 0, 0, 1]))
+    tokens = draw(st.lists(st.sampled_from(bias), min_size=size, max_size=size))
+    return h, draw(st.sampled_from(["".join(tokens), ",".join(tokens).lower(), None]))
+
+
+@settings(max_examples=400)
+@given(drawn_kinks())
+def test_chain_generator_matches_loop(case):
+    h, kinks = case
+    assert _chain_outcome(gen_phenylene_chain, h, kinks) == _chain_outcome(
+        reference_phenylene_chain, h, kinks
+    )
+
+
+def test_chain_generator_matches_loop_on_failures():
+    rng = random.Random(3)
+    failures = 0
+    for _ in range(300):
+        h = rng.randint(3, 60)
+        kinks = "".join(rng.choice(["A+", "A+", "L", "A-"]) for _ in range(h - 2))
+        want = _chain_outcome(reference_phenylene_chain, h, kinks)
+        failures += isinstance(want[0], type)
+        assert _chain_outcome(gen_phenylene_chain, h, kinks) == want
+    assert failures > 50
+
+
+def test_chain_fault_names_a_repeat_before_a_touch():
+    # a kink pattern touches the chain before it can repeat a cell, so the
+    # repeat is tested on a cell array directly: cell 3 repeats cell 0 and
+    # also touches cell 1
+    cells = np.array([(0, 0), (1, 0), (5, 5), (0, 0)])
+    assert _chain_fault(cells) == (3, True)
+    assert _chain_fault(cells[:3]) is None
+    assert _chain_fault(np.array([(0, 0), (1, 0), (1, 1), (0, 1)])) == (3, False)
 
 
 def test_parse_kinks_formats():

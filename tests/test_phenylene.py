@@ -8,6 +8,7 @@ import topocut.exact as exact_module
 import topocut.phenylene as phenylene_module
 from topocut import cli
 from topocut.exact import _exact_dtype, _scaled_array, _tree_term_sums
+from topocut.cut_method import INDEX_TERMS
 
 from topocut.graph import (
     Graph,
@@ -31,6 +32,7 @@ from topocut.phenylene import (
     PlacementError,
     _cell_corners,
     _component_sums,
+    _neighbours,
     _quotient,
     _validated_dual,
     build_benzenoid,
@@ -41,6 +43,7 @@ from topocut.phenylene import (
     format_placement,
     quotient_trees,
     squeeze_weights,
+    tree_term_values,
     tree_wiener_double_linear,
     tree_wiener_linear,
 )
@@ -660,3 +663,132 @@ def test_trees_route_builds_no_graph(monkeypatch, capsys):
     assert cli.main(["compute", "--family", "chain", "--n", "30", "--kinks", KINKS]) == 0
     out = capsys.readouterr().out
     assert f"DD      = {want[0]}" in out and f"Gut     = {want[1]}" in out
+
+
+def reference_neighbours(grid):
+    """The former neighbour lookup: one binary search for each of the six
+    neighbours of every cell, through an argsort of the keys."""
+    q, r = grid[:, 0], grid[:, 1]
+    width = int(r.max()) + 3
+    keys = (q + 1) * width + (r + 1)
+    offsets = np.array([dq * width + dr for dq, dr in NEIGHBOR_OFFSETS], dtype=np.int64)
+    wanted = keys[:, None] + offsets
+    order = np.argsort(keys, kind="stable")
+    found = np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)
+    return np.where(keys[order[found]] == wanted, order[found], -1)
+
+
+@st.composite
+def distinct_cells(draw):
+    """Sets of distinct cells, valid placements or not: single cells, dense
+    clusters, and clusters split by wide gaps or shifted past 2^61."""
+    cells = draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=30, unique=True
+    ))
+    far = draw(st.sampled_from([0, 50, 10**6, 2**61, 2**62, -(2**63), 10**30]))
+    axis = draw(st.sampled_from([0, 1]))
+    split = draw(st.integers(0, len(cells)))
+    return [
+        (q + far, r) if axis == 0 and i < split else (q, r + far) if i < split else (q, r)
+        for i, (q, r) in enumerate(cells)
+    ]
+
+
+@given(distinct_cells())
+@example([(0, 0)])
+@example([(2**61, 5), (2**61 + 1, 4), (-(2**61), 0)])
+def test_neighbours_match_indirect_search(cells):
+    placement = BenzenoidPlacement.of(cells)
+    if any(max(abs(q), abs(r)) > 2 * len(cells) for q, r in cells):
+        assert placement.grid.max() <= 4 * len(cells)  # _grid_axis closed the gaps
+    assert np.array_equal(_neighbours(placement.grid), reference_neighbours(placement.grid))
+
+
+# The runs kernel against the trees it stands for.  "near31" weights bring
+# sum|w| near 2^31, so that the largest per-edge bound, T^2 of W*(a),
+# falls on either side of the int64 guard at 2^62.
+RUN_WEIGHTS = {
+    "int": lambda h: st.integers(1, 9),
+    "fraction": lambda h: st.builds(Fraction, st.integers(1, 20), st.integers(1, 7)),
+    "near31": lambda h: st.integers(2**31 // (6 * h) - 2, 2**31 // (6 * h) + 2),
+    "near53": lambda h: st.integers(2**53 - 50, 2**53 + 50),
+    "near63": lambda h: st.integers(2**63 - 50, 2**63 + 50),
+}
+
+
+def explicit_tree_values(t, terms, weights):
+    """The terms on one materialised quotient tree: its edges, its weights
+    summed through ``component_of``, and the plain tree kernel."""
+    sides = {"deg": (t.a_array, 1, False), "1": (t.b_array, 1, False)}
+    for v, w in weights.items():
+        scaled, scale, fraction = _scaled_array(w)
+        sides[v] = _component_sums(t.component_of, t.n, scaled), scale, fraction
+    return _tree_term_sums(t.n, t.qu, t.qv, sides, terms)
+
+
+@pytest.mark.parametrize("kind", sorted(RUN_WEIGHTS))
+@given(
+    cells=st.one_of(branched_placements(), chain_placements_drawn(), st.just([(0, 0)])),
+    data=st.data(),
+)
+def test_runs_kernel_matches_explicit_trees(kind, cells, data):
+    ph = build_phenylene(cells)
+    n = ph.n
+    weights = {
+        v: data.draw(st.lists(RUN_WEIGHTS[kind](len(cells)), min_size=n, max_size=n))
+        for v in "ab"
+    }
+    terms = list(INDEX_TERMS.values())
+    got = tree_term_values(ph, terms, weights)
+    trees = quotient_trees(ph)
+    want = [(t.tree.n, explicit_tree_values(t, terms, weights)) for t in trees]
+    assert got == want
+    assert [[type(v) for v in values] for _, values in got] == [
+        [type(v) for v in values] for _, values in want
+    ]
+    assert [t.n for t in trees] == [t.tree.n for t in trees]
+
+
+def test_runs_kernel_guard_sides():
+    # sum|a| = 2^31 - 1 keeps W*(a) on int64, 2^31 sends it to Python ints;
+    # both agree with the explicit trees
+    ph = build_phenylene(gen_phenylene_chain(4, "A+L"))
+    terms = [INDEX_TERMS["wiener_weighted"], INDEX_TERMS["wiener_double"]]
+    for total, dtype in ((2**31 - 1, np.int64), (2**31, object)):
+        a = [total // ph.n] * ph.n
+        a[0] += total - sum(a)
+        assert _exact_dtype(total * total) is dtype
+        weights = {"a": a, "b": [1] * ph.n}
+        want = [(t.n, explicit_tree_values(t, terms, weights)) for t in quotient_trees(ph)]
+        assert tree_term_values(ph, terms, weights) == want
+
+
+def test_trees_solve_tours_the_dual_once(monkeypatch):
+    # one Euler tour, of the h-vertex dual, and one labelling of at most
+    # 3h nodes; the trees' own labelling runs only when their edges are read
+    h = 30
+    ph = build_phenylene(gen_phenylene_chain(h, KINKS))
+    tours, labels = [], []
+
+    def spy(log, real):
+        def wrapped(n, *args):
+            log.append(n)
+            return real(n, *args)
+        return wrapped
+
+    tour = spy(tours, exact_module._euler_tour)
+    monkeypatch.setattr(exact_module, "_euler_tour", tour)
+    monkeypatch.setattr(phenylene_module, "_euler_tour", tour)
+    monkeypatch.setattr(phenylene_module, "component_labels", spy(labels, component_labels))
+    want = dd_gut_via_trees(ph)
+    assert (tours, labels) == ([h], [3 * h])
+    trees = quotient_trees(ph)
+    assert [t.n for t in trees] == [t.tree.n for t in trees]
+    assert want == (degree_distance(ph.graph), gutman(ph.graph))
+
+
+def test_lazy_edge_arrays_and_edge_count():
+    ph = build_phenylene(gen_phenylene_chain(6, "A+A-LA+"))
+    assert ph.m == 8 * 6 - 2
+    assert not {"_eu", "_ev", "edge_class", "graph"} & set(vars(ph))
+    assert ph.m == len(ph._eu) == len(ph._ev) == len(ph.edge_class) == ph.graph.m
