@@ -15,9 +15,11 @@ into an (h, 2) array, validated by sorting and neighbour lookups, and built
 as its connectors alone (vertex 6i+k is corner k of hexagon i); the edge
 arrays and the phenylene's ``Graph`` are built only when something asks
 for them.  All four quotient trees come from one Euler tour of the inner
-dual and one labelling of its runs (``_Runs``): every dual edge is a run
-edge of one direction class, every run is one edge of that class's tree,
-and the dual's subtree sums give every split.  The term evaluator of
+dual and its runs (``_Runs``): every dual edge is a run edge of one
+direction class, every run is one edge of that class's tree, and the
+dual's subtree sums give every split.  The runs are straight segments
+along lattice lines, numbered by one sort of each class's dual edges
+(``_sorted_runs``), with no component labelling.  The term evaluator of
 :mod:`topocut.exact` turns the splits into the sums of a whole term list
 (W(a,b), W*(a), ...).  Vertex weights are scaled to integers and the
 results divided back as in the cut engine, under the same int64 guard.
@@ -468,7 +470,8 @@ class _Runs:
     Every inner-dual edge (i, j, k) is a run edge of exactly one direction
     class, c = k % 3 + 1: the hexagon edges of its square have class c, and
     its two connectors join half s of hexagon i to half s of hexagon j, for
-    s = 0 and 1.  A run is a component of class c's run edges, and its
+    s = 0 and 1.  A run is a component of class c's run edges, a maximal
+    straight segment of cells on one lattice line (``_sorted_runs``), and its
     class-c hexagon edges are the one edge of quotient tree c between the
     run's halves 0 and the run's halves 1; tree c has a vertex more than
     runs.  Every other dual edge joins one half of each end.
@@ -509,9 +512,8 @@ class _Runs:
         di, dj = ph._con_hexagon[:, ::2]  # the dual edges (i, j, k), k the direction i -> j
         dk = ph._con_corner[0, ::2]
         edge, child, stop = _euler_tour(h, di, dj)
-        # one labelling of 3h nodes: each dual edge joins its ends in its class
-        run_class = (dk % 3).astype(np.intp) * h
-        nruns, run = component_labels(3 * h, run_class + di, run_class + dj)
+        run, bounds = _sorted_runs(ph.placement.grid, di, dj, dk)
+        nruns = int(bounds[-1])
         # per tour place and non-run class: the half that the edge to the
         # place's child meets in the child (end 0 or 1) and in the parent
         k = dk[edge].astype(np.intp)
@@ -529,7 +531,7 @@ class _Runs:
         np.add.at(directions, di, _BIT[dk])
         np.add.at(directions, dj, _BIT[(dk + 3) % 6])
         return cls(
-            child, stop, np.append(run[::h], nruns),  # runs are numbered class by class
+            child, stop, bounds,
             run, np.nonzero(hangs)[0], run[parents], far_one, top_place,
             (_DEGREE_SUMS[:3, directions].ravel(), _DEGREE_SUMS[3, directions]),
         )
@@ -544,6 +546,47 @@ class _Runs:
         np.add.at(ones, self.hang_run, below[self.hang_place])
         far = np.where(self.far_one, ones, np.append(below, hexagon.sum())[self.top_place] - ones)
         return [far[lo:hi] for lo, hi in zip(self.bounds[:-1], self.bounds[1:])] + [below]
+
+
+def _sorted_runs(
+    grid: np.ndarray, di: np.ndarray, dj: np.ndarray, dk: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of a phenylene from the dual edges (i, j, k) of
+    ``_validated_dual``: per node (c-1) h + x, the run of hexagon x in class
+    c, and the first run of classes 1..3, then the run count.
+
+    Cell j follows cell i in (q, r) order, so k is 0, 1 or 5, one direction
+    per class, and class c's run edges lie along the lattice lines of
+    constant r, q or q + r.  Every two cells at consecutive positions on a
+    line are adjacent, so a run is a maximal set of consecutive positions
+    on one line: one sort of each class's edges by (line, position) on the
+    compact grid, whose steps of 1 are the input's, numbers them.  A cell on
+    no edge of the class is a run of its own.  The runs of a class are
+    consecutive numbers, in no particular order.
+    """
+    h = len(grid)
+    q, r = grid[:, 0], grid[:, 1]
+    run = np.empty(3 * h, dtype=np.int64)
+    bounds = [0]
+    cls = (dk % 3).astype(np.int8)
+    by_class = np.argsort(cls, kind="stable")  # a radix sort on int8
+    ends = np.cumsum(np.bincount(cls, minlength=3)).tolist()
+    for c, (line, pos) in enumerate(((r, q), (q, r), (q + r, q))):
+        edges = by_class[ends[c - 1] if c else 0:ends[c]]
+        i, j = di[edges], dj[edges]
+        key = line[i] * (int(pos.max()) + 2) + pos[i]
+        order = np.argsort(key, kind="stable")
+        start = np.diff(key[order], prepend=-2) != 1  # keys are >= 0
+        edge_run = np.cumsum(start) + (bounds[-1] - 1)
+        nodes = run[c * h:(c + 1) * h]
+        nodes.fill(-1)
+        nodes[i[order]] = edge_run
+        nodes[j[order]] = edge_run
+        alone = np.flatnonzero(nodes < 0)
+        first = bounds[-1] + int(np.count_nonzero(start))
+        nodes[alone] = np.arange(first, first + alone.size)
+        bounds.append(first + alone.size)
+    return run, np.array(bounds, dtype=np.int64)
 
 
 def _halves(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -629,8 +672,9 @@ def quotient_trees(
     Trees 1..3 quotient by the hexagon-edge direction classes, tree 4 by the
     connector class; tree 4 is the inner dual.  Weights: a = component
     degree sums, b = component vertex counts.  One Euler tour of the inner
-    dual and one labelling of its runs (``_Runs``) give every tree's vertex
-    count and split structure; the trees' edges are built only when read.
+    dual and one sort of its runs along lattice lines (``_Runs``) give every
+    tree's vertex count and split structure; the trees' edges are built,
+    by a labelling of the hexagon halves, only when read.
 
     Every quotient is a tree, with no check at run time: ``_validated_dual``
     has proved the inner dual a tree.  The half graph of a class (hexagon

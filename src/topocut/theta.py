@@ -107,9 +107,11 @@ def theta_star_classes(
     rows of the distance matrix: (n - 1) x m entries in all, in blocks of
     tree edges.  After each block, one ``component_labels`` call merges its
     relation pairs with the classes so far, each edge linked to the first
-    edge of its class, so the pairs of only one block are ever held.  Pairs
-    whose two edges already share a class are dropped first, and a block
-    left with none skips the merge.
+    edge of its class, so the pairs of only one block are ever held.  The
+    labels are numbered by smallest edge, so the first edges are where
+    their running maximum steps up, with no sort.  Pairs whose two edges
+    already share a class are dropped first, and a block left with none
+    skips the merge.
     ``d`` may be given as the distance matrix of G or its rows.
     """
     if not g.connected:
@@ -159,7 +161,9 @@ def _feder_links(ends: np.ndarray, d: np.ndarray) -> np.ndarray:
         rows = np.concatenate((tree[lo + i[unsettled]], edges))
         cols = np.concatenate((j[unsettled], links))
         labels = component_labels(m, rows, cols)[1]
-        links = np.unique(labels, return_index=True)[1][labels]
+        # labels are numbered by smallest edge, so each label's first edge
+        # is where their running maximum steps up
+        links = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))[labels]
     return links
 
 

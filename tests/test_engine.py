@@ -1,5 +1,6 @@
 """The cut engine's contraction and array kernels against the pure-Python references."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -380,6 +381,27 @@ def test_commands_run_theta_once_and_no_per_block_pass(tmp_path, capsys, monkeyp
             assert calls["theta"] == calls["peel"] == 1
             assert calls["per_block"] == 0
             assert calls["labels"] == (k - 1).bit_length()
+
+
+def test_solves_label_components_without_scipy(tmp_path, capsys, monkeypatch):
+    # components come from numpy alone: no topocut module holds scipy's
+    # connected_components, and solves on graphs of small eccentricity (no
+    # Dijkstra) build no csr_matrix, on the hamming and the cuts route
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "topocut"]
+    assert not [m for m in modules if hasattr(m, "connected_components")]
+
+    def no_sparse(*args, **kwargs):
+        raise AssertionError("a solve built a scipy sparse matrix")
+
+    patched = [m for m in modules if hasattr(m, "csr_matrix")]
+    assert graph_module in patched
+    for m in patched:
+        monkeypatch.setattr(m, "csr_matrix", no_sparse)
+    for g, method in ((hypercube_graph(4), "hamming"), (random_connected_graph(30, 50, 1), "cuts")):
+        f = tmp_path / "g.txt"
+        f.write_text(format_edge_list(g))
+        assert main(["compute", str(f), "--json"]) == 0
+        assert f'"method": "{method}"' in capsys.readouterr().out
 
 
 def test_quotients_come_from_the_contraction():

@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings, strategies as st
 
 from topocut.graph import (
     Graph,
@@ -7,6 +8,7 @@ from topocut.graph import (
     ParseError,
     all_pairs_distances,
     build_graph,
+    component_labels,
     degree_vector,
     format_edge_list,
     parse_edge_list,
@@ -160,6 +162,88 @@ def test_components_unknown_edge():
 @given(connected_graphs())
 def test_components_empty_deletion_single(g):
     assert quotient(g, []).graph.n == 1
+
+
+def union_find_labels(n, eu, ev):
+    """Component count and labels by a pure-Python union-find, numbered by
+    smallest vertex."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in zip(eu, ev):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    number = {}
+    labels = [number.setdefault(find(v), len(number)) for v in range(n)]
+    return len(number), labels
+
+
+def check_component_labels(n, eu, ev):
+    count, labels = component_labels(n, np.asarray(eu, dtype=np.int64),
+                                     np.asarray(ev, dtype=np.int64))
+    assert labels.dtype == np.int64
+    assert (count, labels.tolist()) == union_find_labels(n, list(eu), list(ev))
+    # numbered by smallest vertex: the first vertex of each label ascends
+    assert (np.diff(np.unique(labels, return_index=True)[1]) > 0).all()
+
+
+@st.composite
+def multigraphs(draw):
+    """Vertex counts and edge lists with loops, repeated edges and isolated
+    vertices."""
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=80))
+    edges += [(v, v) for v in draw(st.lists(vertex, max_size=3))]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
+    return n, draw(st.permutations(edges))
+
+
+@given(multigraphs())
+@example((1, []))
+@example((7, []))
+@example((3, [(2, 2), (1, 2), (2, 1), (1, 2)]))
+def test_component_labels_match_union_find(case):
+    n, edges = case
+    check_component_labels(n, [u for u, _ in edges], [v for _, v in edges])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 10**4),
+    st.sampled_from(["sorted", "reversed", "permuted", "relabelled"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(10**4, "sorted", 0)
+@example(10**4, "reversed", 0)
+def test_component_labels_on_paths(n, order, seed):
+    # sorted and reversed edge orders make the longest pointer chains
+    rng = np.random.default_rng(seed)
+    step = np.arange(n - 1)
+    if order == "reversed":
+        step = step[::-1]
+    elif order == "permuted":
+        step = rng.permutation(step)
+    vertex = rng.permutation(n) if order == "relabelled" else np.arange(n)
+    eu, ev = vertex[step], vertex[step + 1]
+    flip = rng.random(n - 1) < 0.5 if order != "sorted" else np.zeros(n - 1, dtype=bool)
+    eu, ev = np.where(flip, ev, eu), np.where(flip, eu, ev)
+    check_component_labels(n, eu.tolist(), ev.tolist())
+
+
+@given(st.integers(1, 300), st.data())
+def test_component_labels_on_stars(n, data):
+    centre = data.draw(st.integers(0, n - 1))
+    leaves = data.draw(st.permutations([v for v in range(n) if v != centre]))
+    outward = data.draw(st.lists(st.booleans(), min_size=len(leaves), max_size=len(leaves)))
+    edges = [(centre, v) if out else (v, centre) for v, out in zip(leaves, outward)]
+    check_component_labels(n, [u for u, _ in edges], [v for _, v in edges])
 
 
 def test_parse_edge_list_with_header():

@@ -30,6 +30,7 @@ from topocut.phenylene import (
     NotATreeError,
     NEIGHBOR_OFFSETS,
     PlacementError,
+    _Runs,
     _cell_corners,
     _component_sums,
     _neighbours,
@@ -749,6 +750,38 @@ def test_runs_kernel_matches_explicit_trees(kind, cells, data):
     assert [t.n for t in trees] == [t.tree.n for t in trees]
 
 
+def labelled_runs(ph):
+    """The runs by the former labelling: one ``component_labels`` over 3h
+    nodes, node (c-1) h + x for hexagon x in class c, each dual edge
+    joining its ends in its class; and the first run of each class, then
+    the run count."""
+    h = ph.hexagon_count
+    di, dj = ph._con_hexagon[:, ::2]
+    dk = ph._con_corner[0, ::2]
+    run_class = (dk % 3).astype(np.intp) * h
+    nruns, run = component_labels(3 * h, run_class + di, run_class + dj)
+    return run, np.append(run[::h], nruns)
+
+
+@given(st.one_of(
+    branched_placements(), chain_placements_drawn(), st.integers(1, 60), st.just([(0, 0)])
+))
+@example(60)
+@example([(q + 2**62, r - 2**62) for q, r in gen_phenylene_chain(9, "A+LA-A-LA+L").cells])
+def test_sorted_runs_match_labelled_runs(cells):
+    # the runs from one sort along lattice lines are the labelled runs, up
+    # to their numbering inside a class; an integer is a linear chain
+    ph = build_phenylene(gen_phenylene_chain(cells) if isinstance(cells, int) else cells)
+    h = ph.hexagon_count
+    runs = _Runs.of(ph)
+    want_run, want_bounds = labelled_runs(ph)
+    assert runs.bounds.tolist() == want_bounds.tolist()
+    got = runs.run.tolist()
+    assert len(set(zip(got, want_run.tolist()))) == len(set(got)) == len(set(want_run.tolist()))
+    for c, (lo, hi) in enumerate(zip(want_bounds[:-1], want_bounds[1:])):
+        assert all(lo <= x < hi for x in got[c * h:(c + 1) * h])
+
+
 def test_runs_kernel_guard_sides():
     # sum|a| = 2^31 - 1 keeps W*(a) on int64, 2^31 sends it to Python ints;
     # both agree with the explicit trees
@@ -764,8 +797,8 @@ def test_runs_kernel_guard_sides():
 
 
 def test_trees_solve_tours_the_dual_once(monkeypatch):
-    # one Euler tour, of the h-vertex dual, and one labelling of at most
-    # 3h nodes; the trees' own labelling runs only when their edges are read
+    # one Euler tour, of the h-vertex dual, and no labelling: the runs come
+    # from a sort; the trees' own labelling runs only when their edges are read
     h = 30
     ph = build_phenylene(gen_phenylene_chain(h, KINKS))
     tours, labels = [], []
@@ -781,7 +814,7 @@ def test_trees_solve_tours_the_dual_once(monkeypatch):
     monkeypatch.setattr(phenylene_module, "_euler_tour", tour)
     monkeypatch.setattr(phenylene_module, "component_labels", spy(labels, component_labels))
     want = dd_gut_via_trees(ph)
-    assert (tours, labels) == ([h], [3 * h])
+    assert (tours, labels) == ([h], [])
     trees = quotient_trees(ph)
     assert [t.n for t in trees] == [t.tree.n for t in trees]
     assert want == (degree_distance(ph.graph), gutman(ph.graph))
