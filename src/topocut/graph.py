@@ -2,8 +2,10 @@
 and the integer-table reader behind every input format.
 
 Components are labelled in numpy by ``component_labels``, a hook-and-jump
-on the edge arrays; scipy serves only the Dijkstra fallback of
-``distance_matrix``.
+on the edge arrays, and ``distance_matrix`` is a bit-packed breadth-first
+search in numpy.  scipy serves only its Dijkstra branch, for graphs whose
+vertex 0 is too eccentric for the search to pay, and is imported on that
+branch: importing this module loads no scipy.
 
 Vertices are dense integer indices 0..n-1.  A graph is stored as its edge
 array, one (min, max) row per edge in input order; the ``csr`` arrays and
@@ -18,8 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 
 class GraphError(ValueError):
@@ -279,56 +279,113 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(bfs_distances(g, s)) for s in range(g.n))
 
 
-# Eccentricity of vertex 0 above which scipy's Dijkstra replaces the
-# all-sources bit-packed BFS, whose cost grows with the number of levels.
-# Measured on a 2-core Xeon VM (numpy 2.4, scipy 1.17): on paths, cycles and
-# ladders with n <= 57 the BFS is within 0.1 ms of Dijkstra up to
-# eccentricity 24 and falls behind past it (house of 200 rungs: 20 ms
-# against 7 ms); random trees with n = 1000 to 5000 (eccentricity 18 to 21)
-# ran 5 to 10 times faster in the BFS.  Trees do not reach this function
-# through theta* or the cut engine, which peel them to one vertex; the
-# graphs that do are 2-cores and the quotients of their classes.
-_FRONTIER_ECCENTRICITY = 24
-
 # Rows of an n x n array that a kernel unpacks or casts at a time, so that
 # it forms no n x n temporary beside its result.
 ROW_CHUNK = 1024
 
+# The degree slots of ``_slot_spread`` of fewer than ``_SLOT_WORDS`` words
+# join one ``reduceat`` of the highest-degree vertices.  Measured on a
+# 2-core Xeon VM (numpy 2.4): two hubs of degree 1002 on a cycle of 200
+# took 34 ms with the shared reduceat and 267 ms with a call per slot
+# (degree 62: 1.2 against 6.2 ms); 128 to 512 words changed none of the
+# times on houses, grids and random 2-cores.
+_SLOT_WORDS = 256
 
-def _eccentricity_exceeds(indptr: np.ndarray, indices: np.ndarray, bound: int) -> bool:
-    """Whether some vertex lies farther than ``bound`` from vertex 0, by a
-    breadth-first search from vertex 0 over the CSR rows (none of them
-    empty) that stops after level ``bound + 1``."""
-    seen = np.zeros(len(indptr) - 1, dtype=bool)
-    frontier = seen.copy()
-    frontier[0] = True
-    for _ in range(bound + 1):
-        seen |= frontier
-        frontier = np.logical_or.reduceat(frontier[indices], indptr[:-1]) & ~seen
-        if not frontier.any():
-            return False
-    return True
+
+def _eccentricity_of_0(indptr: np.ndarray, indices: np.ndarray, limit: int) -> int:
+    """Vertex 0's eccentricity, or ``limit`` + 1 if it exceeds ``limit``, by
+    a breadth-first search over the CSR rows of a connected graph that
+    stops after level ``limit`` + 1.  Plain Python lists: the long graphs
+    it must tell apart have levels a few vertices wide and hundreds deep,
+    where a numpy search would pay several calls per level."""
+    bounds, heads = indptr.tolist(), indices.tolist()
+    seen = [False] * (len(bounds) - 1)
+    seen[0] = True
+    frontier = [0]
+    level = 0
+    while level <= limit:
+        reached = []
+        for u in frontier:
+            for v in heads[bounds[u]:bounds[u + 1]]:
+                if not seen[v]:
+                    seen[v] = True
+                    reached.append(v)
+        if not reached:
+            return level
+        frontier = reached
+        level += 1
+    return level
+
+
+def _slot_spread(indptr: np.ndarray, indices: np.ndarray, words: int):
+    """The degree-slot OR of ``distance_matrix``: a vertex order, its
+    inverse, and a function from a bit-packed frontier whose rows follow
+    that order to the OR of each row's neighbour rows.
+
+    The vertices are ordered by descending degree, so the vertices with a
+    j-th neighbour are the first k_j, and slot j lists those neighbours'
+    rows.  A level is one ``np.take`` per slot into a preallocated buffer
+    and an OR into the first k_j rows of the result: the same words as
+    ``bitwise_or.reduceat`` over the CSR rows, with one contiguous gather
+    per slot in place of a segmented reduction over every arc.  The slots
+    of fewer than ``_SLOT_WORDS`` words, those of the few vertices of
+    highest degree, are gathered at once and ORed by one ``reduceat``, so
+    a level costs a bounded number of calls whatever the largest degree.
+    """
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    order = np.argsort(-degree, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    first = indptr[order]
+    # k_j = n minus the number of vertices with at most j neighbours
+    sizes = n - np.cumsum(np.bincount(degree))[:-1]
+    kept = int(np.count_nonzero(sizes * words >= _SLOT_WORDS)) or 1
+    slots = [rank[indices[first[:k] + j]] for j, k in enumerate(sizes[:kept].tolist())]
+    hubs = int(sizes[kept]) if kept < len(sizes) else 0
+    if hubs:  # the rest of the rows of the first `hubs` vertices, one segment each
+        rest = degree[order[:hubs]] - kept
+        starts = np.cumsum(rest) - rest
+        tail = rank[indices[np.repeat(first[:hubs] + kept - starts, rest) + np.arange(rest.sum())]]
+    buffer = np.empty((len(slots[1]) if kept > 1 else 0, words), dtype=np.uint64)
+    parts = [(slot, buffer[:len(slot)]) for slot in slots[1:]]
+
+    def spread(frontier: np.ndarray, out: np.ndarray) -> None:
+        frontier.take(slots[0], axis=0, out=out, mode="clip")  # slot 0 holds every vertex
+        for slot, part in parts:
+            frontier.take(slot, axis=0, out=part, mode="clip")
+            out[:len(slot)] |= part
+        if hubs:
+            out[:hubs] |= np.bitwise_or.reduceat(frontier[tail], starts, axis=0)
+
+    return order, rank, spread
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs hop distances as an n x n array, from the graph's cached
     CSR arrays (``Graph.csr``).
 
-    Small-diameter graphs run a breadth-first search from every source at
-    once on bit-packed rows: bit s of ``seen[v]`` (word s >> 6) says that
-    source s has reached v, and ``frontier[v]`` holds the sources that
-    reached v in the last level.  A level ORs the frontier words of each
-    vertex's neighbours with one ``bitwise_or.reduceat`` over the CSR rows
-    and masks them by ``~seen``.  The distances stay bit-packed too, as bit
+    A breadth-first search from every source at once on bit-packed rows:
+    bit s of ``unseen[v]`` (word s >> 6) says that source s has not reached
+    v yet, and ``frontier[v]`` holds the sources that reached v in the last
+    level.  A level ORs the frontier words of each vertex's neighbours and
+    masks them by ``unseen``.  The distances stay bit-packed too, as bit
     planes: level l ORs its frontier into plane b for every bit b set in l,
     so the n x n result is unpacked once per bit of the diameter, not once
-    per level, and ``ROW_CHUNK`` rows at a time.  A numpy breadth-first
-    search from vertex 0 probes the eccentricity first and stops past
-    ``_FRONTIER_ECCENTRICITY``; graphs longer than that run scipy's
-    Dijkstra instead, the one sparse matrix built here.  The dtype is the
-    narrowest signed integer type that holds n - 1, so differences of rows
-    stay exact.  Requires a connected graph; ``all_pairs_distances`` is the
-    pure-Python reference.
+    per level, and ``ROW_CHUNK`` rows at a time.
+
+    A level's neighbour OR is the degree-slot OR of ``_slot_spread``, on
+    rows ordered by descending degree and returned to vertex order at the
+    end.  One plain breadth-first search from vertex 0 decides before any
+    of it runs whether the search pays: it does while vertex 0's
+    eccentricity is at most B = (n + 2m) // ceil(n / 64), the words of one
+    Dijkstra source's work over the words of one bit-packed row.  Past B,
+    on long, thin graphs, scipy's Dijkstra runs instead, the one sparse
+    matrix built here; scipy is imported only on this branch.
+
+    The dtype is the narrowest signed integer type that holds n - 1, so
+    differences of rows stay exact.  Requires a connected graph;
+    ``all_pairs_distances`` is the pure-Python reference.
     """
     if not g.connected:
         raise GraphError("distances are defined for connected graphs only")
@@ -337,31 +394,42 @@ def distance_matrix(g: Graph) -> np.ndarray:
     if n == 1:
         return np.zeros((1, 1), dtype=dtype)
     indptr, indices = g.csr
-    # reduceat returns a segment's first element, not 0, for an empty
-    # segment; in a connected graph with n >= 2 every row has a neighbour.
-    assert np.all(np.diff(indptr) > 0)
-    if _eccentricity_exceeds(indptr, indices, _FRONTIER_ECCENTRICITY):
+    words = (n + 63) >> 6
+    # Measured at e = B on a 2-core Xeon VM (numpy 2.4, scipy 1.17), the
+    # slots took 0.88 of Dijkstra's time on a grid 4 wide (n = 1200), 0.95
+    # to 1.08 on one 10 wide (n = 3000, two runs) and 0.26 on a broom
+    # (n = 3000).  No eccentricity exceeds n - 1, so the probe runs only
+    # when B < n - 1: never while n <= 64 (B >= 3n - 2), nor on dense graphs.
+    longest = (n + len(indices)) // words
+    if n - 1 > longest and _eccentricity_of_0(indptr, indices, longest) > longest:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
+
         adj = csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n))
         return shortest_path(adj, unweighted=True).astype(dtype)
-    source = np.arange(n)
-    seen = np.zeros((n, (n + 63) >> 6), dtype=np.uint64)
-    seen[source, source >> 6] = np.left_shift(np.uint64(1), (source & 63).astype(np.uint64))
-    frontier = seen
+    order, rank, spread = _slot_spread(indptr, indices, words)
+    frontier = np.zeros((n, words), dtype=np.uint64)  # row i: vertex order[i]
+    frontier[np.arange(n), order >> 6] = np.left_shift(np.uint64(1), (order & 63).astype(np.uint64))
+    unseen = ~frontier
+    spare = np.empty_like(frontier)
     planes: list[np.ndarray] = []  # plane b: sources at a distance with bit b set
     level = 0
     while True:
-        frontier = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
-        frontier &= ~seen
-        if not frontier.any():
+        spread(frontier, spare)
+        frontier, spare = spare, frontier
+        frontier &= unseen
+        if not np.count_nonzero(frontier):
             break
         level += 1
-        seen |= frontier
+        unseen ^= frontier
         for b in range(level.bit_length()):
             if level >> b & 1:
                 if b == len(planes):
                     planes.append(frontier.copy())
                 else:
                     planes[b] |= frontier
+    for b, plane in enumerate(planes):  # rows back to vertex order
+        planes[b] = plane[rank]
     dist = np.zeros((n, n), dtype=dtype)
     for lo in range(0, n, ROW_CHUNK):  # no n x n temporary beside the result
         rows = dist[lo:lo + ROW_CHUNK]

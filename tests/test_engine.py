@@ -1,7 +1,11 @@
 """The cut engine's contraction and array kernels against the pure-Python references."""
 
+import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,25 +387,76 @@ def test_commands_run_theta_once_and_no_per_block_pass(tmp_path, capsys, monkeyp
             assert calls["labels"] == (k - 1).bit_length()
 
 
-def test_solves_label_components_without_scipy(tmp_path, capsys, monkeypatch):
-    # components come from numpy alone: no topocut module holds scipy's
-    # connected_components, and solves on graphs of small eccentricity (no
-    # Dijkstra) build no csr_matrix, on the hamming and the cuts route
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "topocut"]
-    assert not [m for m in modules if hasattr(m, "connected_components")]
+def _child_modules(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter with topocut on its path, then
+    report the scipy modules it loaded and the topocut modules that hold
+    scipy's ``connected_components``; ``code`` may set ``result``."""
+    probe = code + """
+import json, sys
+print(json.dumps({
+    "result": globals().get("result"),
+    "scipy": sorted(name for name in sys.modules if name.startswith("scipy")),
+    "components": sorted(name for name, m in list(sys.modules.items())
+                         if name.startswith("topocut") and hasattr(m, "connected_components")),
+}))
+"""
+    src = str(Path(graph_module.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
 
-    def no_sparse(*args, **kwargs):
-        raise AssertionError("a solve built a scipy sparse matrix")
 
-    patched = [m for m in modules if hasattr(m, "csr_matrix")]
-    assert graph_module in patched
-    for m in patched:
-        monkeypatch.setattr(m, "csr_matrix", no_sparse)
-    for g, method in ((hypercube_graph(4), "hamming"), (random_connected_graph(30, 50, 1), "cuts")):
-        f = tmp_path / "g.txt"
-        f.write_text(format_edge_list(g))
-        assert main(["compute", str(f), "--json"]) == 0
-        assert f'"method": "{method}"' in capsys.readouterr().out
+def test_import_loads_no_scipy():
+    assert _child_modules("import topocut.cli")["scipy"] == []
+
+
+def test_solves_label_components_without_scipy(tmp_path):
+    # components come from numpy alone, and a solve whose distances take the
+    # bit-packed BFS loads no scipy module: on the hamming and the cuts route,
+    # a house of 200 rungs (vertex 0's eccentricity 200, the degree slots)
+    # and the reductions
+    inputs = {"q4.txt": hypercube_graph(4), "random.txt": random_connected_graph(30, 50, 1)}
+    for name, g in inputs.items():
+        (tmp_path / name).write_text(format_edge_list(g))
+    runs = [
+        ([str(tmp_path / "q4.txt")], "hamming"),
+        ([str(tmp_path / "random.txt")], "cuts"),
+        (["--family", "house", "--n", "200"], "hamming"),
+        (["--family", "windmill", "--n", "20", "--method", "reduce"], "reduce"),
+    ]
+    child = _child_modules(f"""
+import contextlib, io, json
+from topocut.cli import main
+result = []
+for argv in {[argv for argv, _ in runs]!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["compute", *argv, "--json"])
+    result.append((code, json.loads(out.getvalue())["method"]))
+""")
+    assert child["result"] == [[0, method] for _, method in runs]
+    assert child["scipy"] == []
+    assert child["components"] == []
+
+
+def test_chain_matches_the_oracle_in_a_fresh_interpreter():
+    # the trees route's Euler tour imports scipy on its first call
+    child = _child_modules("""
+import contextlib, io, json
+from topocut.cli import main
+result = {}
+for method in ("auto", "oracle"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["compute", "--family", "chain", "--n", "12", "--method", method, "--json"]) == 0
+    report = json.loads(out.getvalue())
+    result[report["method"]] = report["indices"]
+""")
+    assert child["result"]["trees"] == child["result"]["oracle"]
+    assert len(child["result"]["oracle"]) == 3
 
 
 def test_quotients_come_from_the_contraction():
@@ -542,15 +597,23 @@ def test_distance_matrix_matches_bfs_rows(g):
 
 
 def _count_dijkstra(monkeypatch) -> dict:
-    """Count the all-sources Dijkstra runs of ``distance_matrix``."""
-    runs = {"all": 0}
-    real = graph_module.shortest_path
+    """Count the all-sources Dijkstra runs (``all``) and the degree-slot
+    kernels (``slots``) of ``distance_matrix``."""
+    import scipy.sparse.csgraph as csgraph
 
-    def spy(adj, *args, **kwargs):
+    runs = {"all": 0, "slots": 0}
+    real_path, real_slots = csgraph.shortest_path, graph_module._slot_spread
+
+    def path_spy(adj, *args, **kwargs):
         runs["all"] += kwargs.get("indices") is None
-        return real(adj, *args, **kwargs)
+        return real_path(adj, *args, **kwargs)
 
-    monkeypatch.setattr(graph_module, "shortest_path", spy)
+    def slot_spy(*args):
+        runs["slots"] += 1
+        return real_slots(*args)
+
+    monkeypatch.setattr(csgraph, "shortest_path", path_spy)
+    monkeypatch.setattr(graph_module, "_slot_spread", slot_spy)
     return runs
 
 
@@ -560,7 +623,7 @@ def test_distance_matrix_across_word_boundaries(n, monkeypatch):
     for seed, m in enumerate((n - 1, n + 10, 3 * n)):
         g = random_connected_graph(n, m, seed)
         assert distance_matrix(g).tolist() == [list(r) for r in all_pairs_distances(g)]
-    assert runs["all"] == 0  # every one took the bit-packed BFS
+    assert runs["all"] == 0  # every one took a bit-packed BFS
 
 
 def broom(handle: int, bristles: int) -> Graph:
@@ -571,16 +634,86 @@ def broom(handle: int, bristles: int) -> Graph:
     return Graph(handle + 1 + bristles, edges)
 
 
-@pytest.mark.parametrize("bristles", [0, 1, 60, 110])
+def _dijkstra_eccentricity(n: int, m: int) -> int:
+    """B = (n + 2m) // ceil(n / 64): the largest eccentricity of vertex 0 that
+    ``distance_matrix`` runs as a bit-packed BFS."""
+    return (n + 2 * m) // -(-n // 64)
+
+
+@pytest.mark.parametrize(
+    "switch, size",
+    [pytest.param("short", b, id=str(b)) for b in (0, 1, 60, 110)]
+    + [pytest.param("dijkstra", n, id=f"dijkstra-n{n}") for n in (193, 256, 257, 320)],
+)
 @pytest.mark.parametrize("past", [0, 1])
-def test_distance_matrix_at_the_eccentricity_switch(bristles, past, monkeypatch):
-    # vertex 0's eccentricity is the threshold itself (BFS) or one past it
-    # (Dijkstra); the bristles carry n across the 64-bit word boundaries
+def test_distance_matrix_at_the_eccentricity_switch(switch, size, past, monkeypatch):
+    # dijkstra: on a broom of ``size`` vertices vertex 0's eccentricity is B
+    # (degree slots) or B + 1 (Dijkstra), and n, hence B, stays fixed.
+    # short: a handle of 24 + ``past`` and ``size`` bristles, which carry n
+    # across the 64-bit word boundaries and, past a few, make the handle's
+    # second-last vertex a hub of the slots' shared reduceat; far below B,
+    # so the degree slots run
     runs = _count_dijkstra(monkeypatch)
-    g = broom(graph_module._FRONTIER_ECCENTRICITY + past, bristles)
-    assert max(all_pairs_distances(g)[0]) == graph_module._FRONTIER_ECCENTRICITY + past
-    assert distance_matrix(g).tolist() == [list(r) for r in all_pairs_distances(g)]
-    assert runs["all"] == past
+    if switch == "short":
+        handle = 24 + past
+        g = broom(handle, size)
+        expected = {"all": 0, "slots": 1}
+    else:
+        handle = _dijkstra_eccentricity(size, size - 1) + past  # a broom has m = n - 1
+        g = broom(handle, size - 1 - handle)
+        assert g.n == size and handle - past == _dijkstra_eccentricity(g.n, g.m)
+        expected = {"all": past, "slots": 1 - past}
+    rows = [list(r) for r in all_pairs_distances(g)]
+    assert max(rows[0]) == handle
+    assert distance_matrix(g).tolist() == rows
+    assert runs == expected
+
+
+@st.composite
+def long_graphs(draw):
+    """A broom, a ladder (a house for odd n), a cycle with up to three chords
+    over 2 or 3 steps, or a cycle with a K_2,b on one edge, on n = 63..65 or
+    127..129 vertices.  Vertex 0 lies more than 24 levels and at most B from
+    some vertex, so ``distance_matrix`` runs many levels of the degree slots;
+    the other vertices are numbered at random, so the slots' degree order is
+    too."""
+    n = draw(st.sampled_from([63, 64, 65, 127, 128, 129]))
+    kind = draw(st.sampled_from(["broom", "ladder", "chords", "fan"]))
+    if kind == "broom":  # vertex 0 ends the handle
+        handle = draw(st.integers(26, n - 1))
+        edges = list(broom(handle, n - 1 - handle).edges)
+    elif kind == "ladder":  # vertex 0 is a corner, n // 2 steps from the far end
+        k = n // 2
+        edges = [(2 * j, 2 * j + 1) for j in range(k)]
+        edges += [(2 * j + s, 2 * j + 2 + s) for j in range(k - 1) for s in (0, 1)]
+        if n % 2:
+            edges += [(2 * k - 2, 2 * k), (2 * k - 1, 2 * k)]
+    elif kind == "chords":  # each chord saves at most 2 of the n // 2 steps
+        chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([2, 3])), max_size=3))
+        edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+        edges |= {(min(i, (i + s) % n), max(i, (i + s) % n)) for i, s in chords}
+        edges = sorted(edges)
+    else:  # b >= 8 vertices on the two ends of one cycle edge: two hubs
+        b = draw(st.integers(8, n - 52))
+        c = n - b
+        x = draw(st.integers(0, c - 1))
+        edges = [(i, (i + 1) % c) for i in range(c)]
+        edges += [(y, c + j) for j in range(b) for y in (x, (x + 1) % c)]
+        edges = [(min(u, v), max(u, v)) for u, v in edges]
+    label = [0, *draw(st.permutations(range(1, n)))]
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@given(long_graphs())
+def test_distance_matrix_degree_slots_on_long_graphs(g):
+    with pytest.MonkeyPatch.context() as mp:
+        runs = _count_dijkstra(mp)
+        d = distance_matrix(g)
+    rows = [list(r) for r in all_pairs_distances(g)]
+    assert 24 < max(rows[0]) <= _dijkstra_eccentricity(g.n, g.m)
+    assert runs == {"all": 0, "slots": 1}
+    assert d.tolist() == rows
+    assert d.dtype == (np.int8 if g.n <= 128 else np.int16)
 
 
 @pytest.mark.parametrize(
