@@ -25,7 +25,6 @@ from .theta import (
     ThetaClasses,
     quotient,
     theta_star_classes,
-    trusted_partition,
     validate_coarser,
 )
 from .indices import (

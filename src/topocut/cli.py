@@ -38,7 +38,7 @@ from .indices import (
     wiener_plus,
     wiener_weighted,
 )
-from .theta import PartitionError, format_classes, quotient, theta_star_classes, trusted_partition
+from .theta import EdgePartition, PartitionError, format_classes, quotient, theta_star_classes
 from .cut_method import INDEX_TERMS, CutEngine, Term, TermNames, index_terms
 from .phenylene import (
     BenzenoidPlacement,
@@ -289,7 +289,7 @@ def _reduce(g: Graph, terms: dict[str, Term]) -> tuple[CollapsePlan, dict[str, t
     if reduced.n == 1:
         values = [0] * len(pairs)
     else:
-        values = CutEngine(reduced, trusted_partition(reduced, [range(reduced.m)])).values(pairs)
+        values = CutEngine(reduced, EdgePartition((tuple(range(reduced.m)),))).values(pairs)
     return plan, {k: (v, c) for (k, (_, _, c)), v in zip(mapped.items(), values)}
 
 
@@ -437,6 +437,11 @@ def cmd_quotient(args) -> int:
 
 def cmd_verify(args) -> int:
     """Every applicable route against the oracle, on the input or on random graphs."""
+    if args.random is not None:
+        if args.random < 1:
+            raise UsageError("--random must be at least 1")
+        if args.max_n < 4:
+            raise UsageError("--max-n must be at least 4")
     for loaded in _random_inputs(args) if args.random else [_load_input(args)]:
         rows = _oracle_rows(loaded)
         for line, agree in rows:

@@ -24,7 +24,6 @@ scaled to integers and every array runs under the int64 guard of
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import mul
 from typing import Sequence
 
@@ -115,8 +114,9 @@ class CutEngine:
     kept, never a k x n table.
 
     ``sizes`` and ``complete`` give each quotient's vertex count and
-    whether it is complete; ``component_of`` and ``quotient_edges`` give
-    one quotient's vertex labels and edges.
+    whether it is complete, and ``quotient_edges`` one quotient's edges.
+    The components reach :meth:`block_values` only as the component sums
+    of ``_leaf_sums``.
     """
 
     def __init__(
@@ -172,14 +172,13 @@ class CutEngine:
             self._core_vertices = peel.core[np.argsort(low[peel.core])]
             rank = np.empty(n, dtype=np.int64)
             rank[self._core_vertices] = np.arange(peel.core.size)
-            self._core_of = rank[anchor]
             eu, ev = rank[ends[peel.core_edges]].T
             block_of = self._core_block[block_of[peel.core_edges]]
         else:
             self._core_block = np.arange(k)
-            self._core_vertices = self._core_of = np.arange(n)
+            self._core_vertices = np.arange(n)
             eu, ev = (e.astype(np.int64) for e in ends.T)
-        self._depth = depth = max(core_k - 1, 0).bit_length()  # ceil(log2 k)
+        depth = max(core_k - 1, 0).bit_length()  # ceil(log2 k)
         # the block range of each super-vertex
         ranges = np.zeros(self._core_vertices.size, dtype=np.int64)
         self._maps = []  # per level: the child super-vertex of copy 2s + c
@@ -232,40 +231,6 @@ class CutEngine:
         """Every block quotient is complete; over the theta*-classes this is
         exactly the partial Hamming graphs."""
         return all(self.complete)
-
-    def component_of(self, i: int) -> np.ndarray:
-        """The vertex of G/F_i that holds each vertex of G."""
-        c = self._core_block[i]
-        if c < 0:  # a pendant edge: the subtree below it, and the rest
-            pre, start, stop = self._subtrees
-            below = (pre >= start[i]) & (pre < stop[i])
-            return (below != below[0]).astype(np.int64)  # vertex 0's side is 0
-        vertex = self._core_of
-        for level, (_, labels) in enumerate(self._maps):
-            vertex = labels[2 * vertex + ((c >> (self._depth - level - 1)) & 1)]
-        return self._position[vertex] - self._starts[c]
-
-    @cached_property
-    def _subtrees(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every vertex's place in one preorder of the pendant trees, each
-        rooted at its core vertex, and per pendant block the places
-        [start, stop) of the subtree below its edge."""
-        size = [1] * self.g.n
-        for v, p in self._fold:  # each vertex before the one it hangs from
-            size[p] += size[v]
-        pre, free = [0] * self.g.n, [0] * self.g.n  # free: a vertex's next place below
-        place = 0
-        for r in self._core_vertices.tolist():
-            pre[r], free[r], place = place, place + 1, place + size[r]
-        for v, p in reversed(self._fold):
-            pre[v], free[v] = free[p], free[p] + 1
-            free[p] += size[v]
-        pre, size = np.array(pre), np.array(size)
-        start = np.zeros(len(self.sizes), dtype=np.int64)
-        start[self._core_block < 0] = pre[self._pendant_vertex]
-        stop = start.copy()
-        stop[self._core_block < 0] += size[self._pendant_vertex]
-        return pre, start, stop
 
     def quotient_edges(self, i: int) -> np.ndarray:
         """The edges (lo, hi) of G/F_i as an array of rows, sorted."""
@@ -415,31 +380,19 @@ def _distance_sums(
     return [sum(map(mul, cols[i], by_column[j])) for i, j, _ in pairs]
 
 
-def wiener_weighted_block_values(
-    g: Graph, w: Sequence[Weight], partition: EdgePartition
-) -> list[Weight]:
-    """Per-block W*(G/F_i, w_i) with w_i the component sums of w."""
-    check_weights(g, w)
-    return [v for (v,) in CutEngine(g, partition).block_values([(w, None)])]
-
-
 def wiener_weighted_via_cuts(
     g: Graph, w: Sequence[Weight], partition: EdgePartition
 ) -> Weight:
-    """Product-weighted Wiener index as a sum over quotient graphs."""
-    return sum(wiener_weighted_block_values(g, w, partition))
-
-
-def wiener_double_block_values(
-    dwg: DoubleWeightedGraph, partition: EdgePartition
-) -> list[Weight]:
-    """Per-block W(G/F_i, a_i, b_i) with component-aggregated weights."""
-    return [v for (v,) in CutEngine(dwg.g, partition).block_values([(dwg.a, dwg.b)])]
+    """Product-weighted Wiener index as a sum over quotient graphs: the sum
+    of W*(G/F_i, w_i) with w_i the component sums of w."""
+    check_weights(g, w)
+    return CutEngine(g, partition).values([(w, None)])[0]
 
 
 def wiener_double_via_cuts(dwg: DoubleWeightedGraph, partition: EdgePartition) -> Weight:
-    """Double-weighted Wiener index as a sum over quotient graphs."""
-    return sum(wiener_double_block_values(dwg, partition))
+    """Double-weighted Wiener index as a sum over quotient graphs: the sum
+    of W(G/F_i, a_i, b_i) with component-aggregated weights."""
+    return CutEngine(dwg.g, partition).values([(dwg.a, dwg.b)])[0]
 
 
 def degree_distance_via_cuts(g: Graph, partition: EdgePartition) -> int:

@@ -292,31 +292,6 @@ ROW_CHUNK = 1024
 _SLOT_WORDS = 256
 
 
-def _eccentricity_of_0(indptr: np.ndarray, indices: np.ndarray, limit: int) -> int:
-    """Vertex 0's eccentricity, or ``limit`` + 1 if it exceeds ``limit``, by
-    a breadth-first search over the CSR rows of a connected graph that
-    stops after level ``limit`` + 1.  Plain Python lists: the long graphs
-    it must tell apart have levels a few vertices wide and hundreds deep,
-    where a numpy search would pay several calls per level."""
-    bounds, heads = indptr.tolist(), indices.tolist()
-    seen = [False] * (len(bounds) - 1)
-    seen[0] = True
-    frontier = [0]
-    level = 0
-    while level <= limit:
-        reached = []
-        for u in frontier:
-            for v in heads[bounds[u]:bounds[u + 1]]:
-                if not seen[v]:
-                    seen[v] = True
-                    reached.append(v)
-        if not reached:
-            return level
-        frontier = reached
-        level += 1
-    return level
-
-
 def _slot_spread(indptr: np.ndarray, indices: np.ndarray, words: int):
     """The degree-slot OR of ``distance_matrix``: a vertex order, its
     inverse, and a function from a bit-packed frontier whose rows follow
@@ -376,12 +351,13 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
     A level's neighbour OR is the degree-slot OR of ``_slot_spread``, on
     rows ordered by descending degree and returned to vertex order at the
-    end.  One plain breadth-first search from vertex 0 decides before any
-    of it runs whether the search pays: it does while vertex 0's
-    eccentricity is at most B = (n + 2m) // ceil(n / 64), the words of one
-    Dijkstra source's work over the words of one bit-packed row.  Past B,
-    on long, thin graphs, scipy's Dijkstra runs instead, the one sparse
-    matrix built here; scipy is imported only on this branch.
+    end.  One plain breadth-first search from vertex 0, the oracle's
+    ``bfs_distances``, decides before any of it runs whether the search
+    pays: it does while vertex 0's eccentricity is at most
+    B = (n + 2m) // ceil(n / 64), the words of one Dijkstra source's work
+    over the words of one bit-packed row.  Past B, on long, thin graphs,
+    scipy's Dijkstra runs instead, the one sparse matrix built here; scipy
+    is imported only on this branch.
 
     The dtype is the narrowest signed integer type that holds n - 1, so
     differences of rows stay exact.  Requires a connected graph;
@@ -401,7 +377,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     # (n = 3000).  No eccentricity exceeds n - 1, so the probe runs only
     # when B < n - 1: never while n <= 64 (B >= 3n - 2), nor on dense graphs.
     longest = (n + len(indices)) // words
-    if n - 1 > longest and _eccentricity_of_0(indptr, indices, longest) > longest:
+    if n - 1 > longest and max(bfs_distances(g, 0)) > longest:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import shortest_path
 

@@ -42,6 +42,7 @@ from .graph import (
     Graph, ParseError, component_labels, degree_vector, first_seen_labels, read_int_table
 )
 from .indices import Weight, check_weights
+from .theta import QuotientGraph, quotient
 
 # Corner k of a cell centred at (X, Y) is (X, Y) + CORNER_OFFSETS[k].
 # Hexagon edge k joins corners k and k+1 (mod 6) and has direction k % 3 + 1.
@@ -435,11 +436,9 @@ def _component_sums(labels: np.ndarray, ncomp: int, w: np.ndarray) -> np.ndarray
 
 # Cutting the two class-c edges of a hexagon (c = 1..3) leaves two halves,
 # paths of three corners: half 1 holds corners c, c+1, c+2 (mod 6), half 0
-# the other three.  _HALF[c][k] is the half of corner k.  The connector
-# class cuts no hexagon.
-_HALF = {c: np.array([(k - c) % 6 < 3 for k in range(6)], dtype=np.int32) for c in (1, 2, 3)}
-_HALF[4] = np.zeros(6, dtype=np.int32)
-_HALF_OF = np.array([_HALF[c] for c in (1, 2, 3)], dtype=bool)  # [c - 1, k]
+# the other three.  _HALF_OF[c - 1, k] says whether corner k is in half 1.
+# The connector class cuts no hexagon.
+_HALF_OF = np.array([[(k - c) % 6 < 3 for k in range(6)] for c in (1, 2, 3)])
 # A dual edge (i, j, k) is a run edge of class k % 3 + 1 and meets one half
 # of each end in the other two: _NON_RUN[k] lists those classes (0-based),
 # and _MEETS[2k + end][t] the half it meets in class _NON_RUN[k][t] at end
@@ -603,13 +602,11 @@ class QuotientTree:
     ``cls`` (1..3: a hexagon-edge direction, 4: the connectors).
 
     ``n`` is its vertex count and ``runs`` the split structure that the
-    four trees share; the trees route reads only these.  The tree itself is
-    built on first use, by a labelling of the hexagon halves
-    (``_quotient``), for the API and the tests: the edges (``qu`` < ``qv``, sorted), the weights
-    (``a_array``: component degree sums, ``b_array``: component vertex
-    counts), ``node_labels`` ((hexagon, half) -> tree vertex),
-    ``component_of`` (phenylene vertex -> tree vertex), and from those
-    ``tree``, ``a`` and ``b``.
+    four trees share; the trees route reads only these.  For the API and
+    the tests, the tree itself comes on first use from ``theta.quotient``
+    of the phenylene's graph by the class's edges: ``tree``,
+    ``component_of`` (phenylene vertex -> tree vertex), ``a`` (component
+    degree sums) and ``b`` (component vertex counts).
     """
 
     n: int
@@ -618,50 +615,27 @@ class QuotientTree:
     runs: _Runs = field(repr=False)
 
     @cached_property
-    def _labelled(self) -> tuple[np.ndarray, ...]:
-        """node_labels, qu, qv, a_array, b_array.  The parts that the class
-        leaves whole are contracted first: each half of a hexagon for
-        classes 1..3 (node 2i + _HALF[c][k] holds corner k of hexagon i),
-        each hexagon for class 4.  Only connectors join these nodes, and
-        nodes are numbered in the order of their smallest vertex, so the
-        components are numbered as on the vertices."""
+    def _quotient_graph(self) -> QuotientGraph:
         ph = self.phenylene
-        h = ph.hexagon_count
-        hexagon, corner = ph._con_hexagon, ph._con_corner
-        if self.cls == 4:  # class 4 leaves no edge between hexagons
-            _, labels, qu, qv = _quotient(h, hexagon[0, :0], hexagon[1, :0], *hexagon)
-            a = 12 + np.bincount(hexagon.ravel(), minlength=h)
-            return labels[:, None], qu, qv, a, np.full(h, 6, dtype=np.int64)
-        halves = 2 * hexagon + _HALF[self.cls][corner]
-        pairs = 2 * np.arange(h, dtype=hexagon.dtype)
-        (size,), labels, qu, qv = _quotient(2 * h, halves[0], halves[1], pairs, pairs + 1)
-        # a node's degree sum: two per vertex from the hexagon edges, one per connector end
-        a = _component_sums(labels, size, 6 + np.bincount(halves.ravel(), minlength=2 * h))
-        b = _component_sums(labels, size, np.full(2 * h, 3, dtype=np.int64))
-        return labels.reshape(h, 2), qu, qv, a, b
+        return quotient(ph.graph, np.flatnonzero(ph.edge_class == self.cls).tolist())
 
-    node_labels = property(lambda self: self._labelled[0])
-    qu = property(lambda self: self._labelled[1])
-    qv = property(lambda self: self._labelled[2])
-    a_array = property(lambda self: self._labelled[3])
-    b_array = property(lambda self: self._labelled[4])
-
-    @cached_property
+    @property
     def tree(self) -> Graph:
-        return Graph(self.n, np.column_stack((self.qu, self.qv)), validate=False)
-
-    @cached_property
-    def a(self) -> tuple[int, ...]:
-        return tuple(self.a_array.tolist())
-
-    @cached_property
-    def b(self) -> tuple[int, ...]:
-        return tuple(self.b_array.tolist())
+        return self._quotient_graph.graph
 
     @cached_property
     def component_of(self) -> np.ndarray:
         """Original vertex -> tree vertex."""
-        return self.node_labels[:, _HALF[self.cls]].ravel()
+        return np.array(self._quotient_graph.component_of, dtype=np.intp)
+
+    @cached_property
+    def a(self) -> tuple[int, ...]:
+        degrees = np.bincount(self.phenylene.graph.edge_array.ravel(), minlength=self.phenylene.n)
+        return tuple(_component_sums(self.component_of, self.n, degrees).tolist())
+
+    @cached_property
+    def b(self) -> tuple[int, ...]:
+        return tuple(map(len, self._quotient_graph.members))
 
 
 def quotient_trees(
@@ -673,8 +647,8 @@ def quotient_trees(
     connector class; tree 4 is the inner dual.  Weights: a = component
     degree sums, b = component vertex counts.  One Euler tour of the inner
     dual and one sort of its runs along lattice lines (``_Runs``) give every
-    tree's vertex count and split structure; the trees' edges are built,
-    by a labelling of the hexagon halves, only when read.
+    tree's vertex count and split structure; the trees' edges and weights
+    are built, by ``theta.quotient``, only when read.
 
     Every quotient is a tree, with no check at run time: ``_validated_dual``
     has proved the inner dual a tree.  The half graph of a class (hexagon
@@ -700,7 +674,7 @@ def tree_term_values(
 
     Terms name vectors as ``INDEX_TERMS`` does: "deg" and "1" are the
     phenylene's vertex degrees and ones (their sums over a tree vertex are
-    the tree's ``a_array`` and ``b_array``), any other name a weight on the
+    the tree's ``a`` and ``b``), any other name a weight on the
     phenylene's vertices, scaled once.  Each vector is summed onto the
     splits of all four trees at once (``_Runs.sides``) under the one
     int64/object guard of ``_split_plan``: every side is a sum of the

@@ -10,7 +10,6 @@ throughout; the CLI layer converts "u-v" spellings.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
@@ -51,9 +50,10 @@ class ThetaClasses:
 class EdgePartition:
     """A partition of the edge set into blocks of whole theta*-classes.
 
-    Build through :func:`validate_coarser` (full check) or
-    :func:`trusted_partition` (structural partitions known coarser by
-    construction).
+    Build through :func:`validate_coarser` (full check), or directly when
+    the blocks are coarser by construction, as the single block of every
+    edge is; :class:`~topocut.cut_method.CutEngine` still checks that the
+    blocks cover the m edges.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -188,19 +188,6 @@ def validate_coarser(
             raise PartitionError(
                 f"theta*-class {ci} ({edges}) is split across blocks {sorted(owners)}"
             )
-    return EdgePartition(blocks)
-
-
-def trusted_partition(g: Graph, blocks: Iterable[Iterable[int]]) -> EdgePartition:
-    """Accept a structurally-derived partition without the theta* check.
-
-    The partition property itself is still verified.  Setting the environment
-    variable TOPOCUT_VALIDATE_TRUSTED forces the full check (debug mode).
-    """
-    if os.environ.get("TOPOCUT_VALIDATE_TRUSTED"):
-        return validate_coarser(g, blocks)
-    blocks = tuple(tuple(sorted(set(b))) for b in blocks)
-    _check_is_partition(g, blocks)
     return EdgePartition(blocks)
 
 

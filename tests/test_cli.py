@@ -125,6 +125,17 @@ def test_verify_fixed_and_random(capsys):
     assert "all agree" in out
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--random", "0"], "--random"),
+    (["--random", "-2"], "--random"),
+    (["--random", "3", "--max-n", "2"], "--max-n"),
+    (["--random", "3", "--max-n", "3"], "--max-n"),
+])
+def test_verify_random_bounds_are_usage_errors(argv, flag, capsys):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (1, "") and err.startswith(f"usage error: {flag} must be at least")
+
+
 def test_verify_reports_mismatch(capsys, monkeypatch):
     # force a bogus oracle to exercise the mismatch exit path
     real = cli._oracle_indices

@@ -25,12 +25,10 @@ from topocut.indices import (
     wiener_weighted,
 )
 from topocut.theta import (
-    EdgePartition,
     NotPartialCubeError,
     PartitionError,
     quotient,
     theta_star_classes,
-    trusted_partition,
     validate_coarser,
 )
 from topocut.families import cycle_graph, hypercube_graph, path_graph, phe6_placement
@@ -210,16 +208,3 @@ def test_invalid_partition_cannot_sneak_past_validation():
     c6 = cycle_graph(6)
     with pytest.raises(PartitionError):
         validate_coarser(c6, [[0], [1, 2, 3, 4, 5]])
-
-
-def test_trusted_partition_skips_class_check(monkeypatch):
-    c6 = cycle_graph(6)
-    bad = [[0], [1, 2, 3, 4, 5]]  # splits the class {0, 3}
-    part = trusted_partition(c6, bad)
-    assert isinstance(part, EdgePartition)
-    monkeypatch.setenv("TOPOCUT_VALIDATE_TRUSTED", "1")
-    with pytest.raises(PartitionError, match="split"):
-        trusted_partition(c6, bad)
-    with pytest.raises(PartitionError, match="partition"):
-        monkeypatch.delenv("TOPOCUT_VALIDATE_TRUSTED")
-        trusted_partition(c6, [[0, 3]])  # still must cover the edge set

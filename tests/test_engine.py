@@ -459,15 +459,32 @@ for method in ("auto", "oracle"):
     assert len(child["result"]["oracle"]) == 3
 
 
+def engine_labels(engine):
+    """Each block's component of every vertex, read from the leaf sums that
+    ``block_values`` reads: with one indicator column per vertex, a block's
+    rows hold the 1 of each vertex in the row of its component.  The rows
+    are renumbered by smallest vertex, as quotient() numbers components; a
+    pendant block's rows are the side below its edge, then the rest."""
+    n = engine.g.n
+    sums = engine._leaf_sums(engine._folded(np.eye(n, dtype=np.int64).tolist(), np.int64), [1] * n)
+    labels = []
+    for lo, hi in zip(engine._rows[:-1], engine._rows[1:]):
+        part = sums[lo:hi]
+        assert np.isin(part, (0, 1)).all() and (part.sum(axis=0) == 1).all()
+        rank = np.empty(hi - lo, dtype=np.int64)
+        rank[np.argsort(part.argmax(axis=1))] = np.arange(hi - lo)  # by first vertex
+        labels.append(rank[part.argmax(axis=0)])
+    return labels
+
+
 def test_quotients_come_from_the_contraction():
     # the contraction's labels and edges are quotient()'s, pendant and core
     # blocks alike, and their distances sum to the graph's
     g = random_connected_graph(30, 50, 1)
     engine = CutEngine(g)
     total = np.zeros((g.n, g.n), dtype=np.int64)
-    for i, block in enumerate(engine.partition.blocks):
+    for i, (block, labels) in enumerate(zip(engine.partition.blocks, engine_labels(engine))):
         q = quotient(g, block)
-        labels = engine.component_of(i)
         assert tuple(labels.tolist()) == q.component_of
         assert list(map(tuple, engine.quotient_edges(i).tolist())) == list(q.graph.edges)
         total += distance_matrix(Graph(engine.sizes[i], engine.quotient_edges(i)))[
@@ -479,16 +496,17 @@ def test_quotients_come_from_the_contraction():
 @settings(max_examples=80)
 @given(st.one_of(pendant_graphs(), trees(min_n=2, max_n=30)))
 def test_pendant_sides_match_component_labels(g):
-    # a pendant block's two sides come from the peel's preorder intervals;
-    # deleting its edge and labelling the components must agree
+    # a pendant block's two sides are the subtree below its edge and the
+    # rest; deleting its edge and labelling the components must agree
     engine = CutEngine(g)
-    pendant = [i for i, block in enumerate(engine.partition.blocks)
-               if engine._core_block[i] < 0]
+    labels = engine_labels(engine)
+    peeled = set(g.peel.edge.tolist())
+    pendant = [i for i, block in enumerate(engine.partition.blocks) if block[0] in peeled]
+    assert len(pendant) == len(peeled)
     for i in pendant:
         keep = np.arange(g.m) != engine.partition.blocks[i][0]
         want = graph_module.component_labels(g.n, *g.edge_array[keep].T)[1]
-        got = engine.component_of(i)
-        assert got.dtype == want.dtype and (got == want).all()
+        assert labels[i].tolist() == want.tolist()
 
 
 # Block counts for the contraction: powers of two, which fill every range,
@@ -552,10 +570,10 @@ def assert_contraction_matches_dfs(g, blocks):
 
 def assert_engine_matches_dfs(engine):
     g = engine.g
-    for i, block in enumerate(engine.partition.blocks):
+    for i, (block, labels) in enumerate(zip(engine.partition.blocks, engine_labels(engine))):
         q = quotient(g, block)  # one labelling of G - F_i: the reference
         assert engine.sizes[i] == q.graph.n
-        assert tuple(engine.component_of(i).tolist()) == q.component_of
+        assert tuple(labels.tolist()) == q.component_of
         assert list(map(tuple, engine.quotient_edges(i).tolist())) == list(q.graph.edges)
         assert engine.complete[i] == (2 * q.graph.m == q.graph.n * (q.graph.n - 1))
 

@@ -22,6 +22,7 @@ from topocut.families import (
 from topocut.phenylene import build_phenylene
 
 from strategies import connected_graphs, trees, weighted_graphs
+from test_engine import engine_labels
 
 
 def embedding(g):
@@ -30,8 +31,7 @@ def embedding(g):
     vertex's coordinates, its component of g minus each class."""
     engine = CutEngine(g)
     quotients = [Graph(size, engine.quotient_edges(i)) for i, size in enumerate(engine.sizes)]
-    labels = [engine.component_of(i).tolist() for i in range(len(quotients))]
-    return quotients, tuple(zip(*labels))
+    return quotients, tuple(zip(*(labels.tolist() for labels in engine_labels(engine))))
 
 
 def test_canonical_embedding_k2():

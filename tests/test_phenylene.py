@@ -24,7 +24,7 @@ from topocut.indices import (
     wiener_weighted,
 )
 from topocut.cut_method import is_partial_cube
-from topocut.theta import quotient, theta_star_classes, validate_coarser
+from topocut.theta import theta_star_classes, validate_coarser
 from topocut.phenylene import (
     BenzenoidPlacement,
     NotATreeError,
@@ -56,7 +56,7 @@ from topocut.families import (
 )
 
 from strategies import kink_patterns, trees
-from test_engine import _components_reference
+from test_engine import _components_reference, _quotient_edges_reference
 
 RING6 = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
 
@@ -219,19 +219,6 @@ def test_quotient_tree_4_is_inner_dual():
         dual = build_benzenoid(placement).inner_dual
         assert t4.n == dual.n
         assert sorted(len(a) for a in t4.adj) == sorted(len(a) for a in dual.adj)
-
-
-def test_quotient_tree_weights_are_component_sums():
-    ph = build_phenylene(phe6_placement())
-    degs = degree_vector(ph.graph)
-    for c, qt in enumerate(quotient_trees(ph), start=1):
-        removed = np.flatnonzero(ph.edge_class == c).tolist()
-        q = quotient(ph.graph, removed)
-        assert q.graph.n == qt.tree.n
-        assert q.component_of == tuple(qt.component_of.tolist())
-        for idx, members in enumerate(q.members):
-            assert qt.a[idx] == sum(degs[v] for v in members)
-            assert qt.b[idx] == len(members)
 
 
 def test_tree_wiener_linear_examples():
@@ -582,6 +569,25 @@ def chain_placements_drawn(draw):
 
 
 @given(st.one_of(branched_placements(), chain_placements_drawn()))
+@example(list(phe6_placement().cells))
+@example([(q + 2**62, r - 2**62) for q, r in gen_phenylene_chain(9, "A+LA-A-LA+L").cells])
+def test_quotient_tree_weights_are_component_sums(cells):
+    # the API trees against the definition: the components of G - F by a
+    # plain search, an edge wherever F joins two, their degree sums and sizes
+    ph = build_phenylene(cells)
+    degs = degree_vector(ph.graph)
+    for c, qt in enumerate(quotient_trees(ph), start=1):
+        removed = np.flatnonzero(ph.edge_class == c).tolist()
+        component_of, count, members = _components_reference(ph.graph, removed)
+        assert qt.n == qt.tree.n == count
+        assert tuple(qt.component_of.tolist()) == component_of
+        assert list(qt.tree.edges) == _quotient_edges_reference(ph.graph, removed, component_of)
+        assert qt.a == tuple(sum(degs[v] for v in group) for group in members)
+        assert qt.b == tuple(map(len, members))
+        assert all(type(x) is int for x in qt.a + qt.b)
+
+
+@given(st.one_of(branched_placements(), chain_placements_drawn()))
 def test_array_builds_match_loop_builders(cells):
     edges, ecls = reference_phenylene(cells)
     ph = build_phenylene(cells)
@@ -720,11 +726,11 @@ RUN_WEIGHTS = {
 def explicit_tree_values(t, terms, weights):
     """The terms on one materialised quotient tree: its edges, its weights
     summed through ``component_of``, and the plain tree kernel."""
-    sides = {"deg": (t.a_array, 1, False), "1": (t.b_array, 1, False)}
+    sides = {v: (np.array(x, dtype=np.int64), 1, False) for v, x in (("deg", t.a), ("1", t.b))}
     for v, w in weights.items():
         scaled, scale, fraction = _scaled_array(w)
         sides[v] = _component_sums(t.component_of, t.n, scaled), scale, fraction
-    return _tree_term_sums(t.n, t.qu, t.qv, sides, terms)
+    return _tree_term_sums(t.n, *t.tree.edge_array.T, sides, terms)
 
 
 @pytest.mark.parametrize("kind", sorted(RUN_WEIGHTS))

@@ -277,9 +277,9 @@ def test_validate_coarser_rejects_non_partition():
     ([[0, 3], [1, 4], [2]], r"blocks do not partition the edge set \(5 entries, 5 distinct, 6 edges\)"),
 ])
 def test_partition_check_messages(blocks, message):
-    # trusted_partition runs only the partition check, without theta*
+    # validate_coarser runs the partition check before theta*
     with pytest.raises(PartitionError, match=f"^{message}$"):
-        theta.trusted_partition(cycle_graph(6), blocks)
+        validate_coarser(cycle_graph(6), blocks)
 
 
 def test_quotient_c6_by_one_class():
