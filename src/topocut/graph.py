@@ -336,6 +336,11 @@ def _slot_spread(indptr: np.ndarray, indices: np.ndarray, words: int):
     return order, rank, spread
 
 
+def _distance_dtype(diameter: int) -> type:
+    """The narrowest signed integer type that holds ``diameter``."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= diameter)
+
+
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs hop distances as an n x n array, from the graph's cached
     CSR arrays (``Graph.csr``).
@@ -359,16 +364,18 @@ def distance_matrix(g: Graph) -> np.ndarray:
     scipy's Dijkstra runs instead, the one sparse matrix built here; scipy
     is imported only on this branch.
 
-    The dtype is the narrowest signed integer type that holds n - 1, so
-    differences of rows stay exact.  Requires a connected graph;
+    The dtype is the narrowest signed integer type that holds the diameter,
+    which the search knows as its level count before it unpacks the planes
+    (Dijkstra's branch takes its own maximum), so differences of rows stay
+    exact too: they lie within plus or minus the diameter.  Every consumer
+    that sums or multiplies widens first.  Requires a connected graph;
     ``all_pairs_distances`` is the pure-Python reference.
     """
     if not g.connected:
         raise GraphError("distances are defined for connected graphs only")
     n = g.n
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= n - 1)
     if n == 1:
-        return np.zeros((1, 1), dtype=dtype)
+        return np.zeros((1, 1), dtype=np.int8)
     indptr, indices = g.csr
     words = (n + 63) >> 6
     # Measured at e = B on a 2-core Xeon VM (numpy 2.4, scipy 1.17), the
@@ -382,7 +389,8 @@ def distance_matrix(g: Graph) -> np.ndarray:
         from scipy.sparse.csgraph import shortest_path
 
         adj = csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n))
-        return shortest_path(adj, unweighted=True).astype(dtype)
+        dist = shortest_path(adj, unweighted=True)
+        return dist.astype(_distance_dtype(int(dist.max())))
     order, rank, spread = _slot_spread(indptr, indices, words)
     frontier = np.zeros((n, words), dtype=np.uint64)  # row i: vertex order[i]
     frontier[np.arange(n), order >> 6] = np.left_shift(np.uint64(1), (order & 63).astype(np.uint64))
@@ -406,13 +414,15 @@ def distance_matrix(g: Graph) -> np.ndarray:
                     planes[b] |= frontier
     for b, plane in enumerate(planes):  # rows back to vertex order
         planes[b] = plane[rank]
+    dtype = _distance_dtype(level)
     dist = np.zeros((n, n), dtype=dtype)
     for lo in range(0, n, ROW_CHUNK):  # no n x n temporary beside the result
         rows = dist[lo:lo + ROW_CHUNK]
         for b, plane in enumerate(planes):
             bits = np.unpackbits(plane[lo:lo + ROW_CHUNK].view(np.uint8), axis=1, count=n,
                                  bitorder="little")
-            rows |= np.left_shift(bits, b, dtype=dtype)
+            # as int8: numpy casts uint8 to int8 by its slow unsafe-cast loop
+            rows |= np.left_shift(bits.view(np.int8), b, dtype=dtype)
     return dist
 
 

@@ -81,7 +81,12 @@ def _groups(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 # Entries of the relation test per block of tree edges, which bounds its
 # temporaries (a few bytes per entry) whatever the size of the graph.
-_RELATION_BLOCK = 1 << 16
+_RELATION_BLOCK = 1 << 18
+
+# Tree edges in the first relation block; each block after it is
+# ``_BLOCK_GROWTH`` times larger, up to the entry budget.
+_FIRST_BLOCK = 8
+_BLOCK_GROWTH = 4
 
 
 def theta_star_classes(
@@ -105,13 +110,8 @@ def theta_star_classes(
     tree edge xy gives delta(w) = d(x,w) - d(y,w), and an edge uv is
     theta-related to xy iff delta(u) != delta(v).  The test runs on whole
     rows of the distance matrix: (n - 1) x m entries in all, in blocks of
-    tree edges.  After each block, one ``component_labels`` call merges its
-    relation pairs with the classes so far, each edge linked to the first
-    edge of its class, so the pairs of only one block are ever held.  The
-    labels are numbered by smallest edge, so the first edges are where
-    their running maximum steps up, with no sort.  Pairs whose two edges
-    already share a class are dropped first, and a block left with none
-    skips the merge.
+    tree edges (``_feder_links``), each edge linked to the first edge of
+    its class, so that only pairs not yet settled reach a merge.
     ``d`` may be given as the distance matrix of G or its rows.
     """
     if not g.connected:
@@ -138,7 +138,18 @@ def theta_star_classes(
 def _feder_links(ends: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Each edge's link to the smallest edge of its theta*-class, by
     Feder's test on the distance matrix ``d`` of the connected graph with
-    edge rows ``ends``."""
+    edge rows ``ends``.
+
+    The tree edges run in blocks that start at ``_FIRST_BLOCK`` and grow
+    by ``_BLOCK_GROWTH``, up to ``_RELATION_BLOCK`` entries of the
+    relation test, gathered from the block's rows of ``d`` alone.  A pair
+    counts only while its two edges' links differ: the first small block
+    settles most classes, and every later block hands on only the pairs
+    that still merge something.  One ``component_labels`` call over those
+    pairs of links merges whole classes, and each link moves to the first
+    edge of its new class, so the work of a block follows the merges it
+    makes, not the related pairs.
+    """
     m = len(ends)
     u, v = ends[:, 0], ends[:, 1]
     # BFS tree from vertex 0: the first edge into each vertex from a vertex
@@ -148,22 +159,23 @@ def _feder_links(ends: np.ndarray, d: np.ndarray) -> np.ndarray:
     child = np.where(du[down] > dv[down], u[down], v[down])
     tree = down[np.unique(child, return_index=True)[1]]
     x, y = u[tree], v[tree]
-    edges = np.arange(m)
-    links = edges
-    step = max(1, _RELATION_BLOCK // m)
-    for lo in range(0, len(tree), step):
-        delta = d[x[lo:lo + step]] - d[y[lo:lo + step]]
-        i, j = np.nonzero(delta[:, u] != delta[:, v])
-        # a pair whose edges already share a class merges nothing
-        unsettled = links[j] != links[tree[lo + i]]
-        if not unsettled.any():
-            continue
-        rows = np.concatenate((tree[lo + i[unsettled]], edges))
-        cols = np.concatenate((j[unsettled], links))
-        labels = component_labels(m, rows, cols)[1]
-        # labels are numbered by smallest edge, so each label's first edge
-        # is where their running maximum steps up
-        links = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))[labels]
+    links = np.arange(m)
+    widest = max(1, _RELATION_BLOCK // m)
+    lo, step = 0, _FIRST_BLOCK
+    while lo < len(tree):
+        hi = min(lo + step, lo + widest, len(tree))
+        # one row per vertex, so the gathers below take whole rows
+        delta = (d[x[lo:hi]] - d[y[lo:hi]]).T.copy()
+        related = delta[u] != delta[v]
+        related &= links[:, None] != links[tree[lo:hi]]  # settled pairs merge nothing
+        j, i = np.divmod(np.flatnonzero(related), hi - lo)
+        if i.size:
+            labels = component_labels(m, links[tree[lo + i]], links[j])[1]
+            # labels are numbered by smallest edge, so each label's first
+            # edge is where their running maximum steps up
+            first = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
+            links = first[labels[links]]
+        lo, step = hi, step * _BLOCK_GROWTH
     return links
 
 

@@ -731,16 +731,36 @@ def test_distance_matrix_degree_slots_on_long_graphs(g):
     assert 24 < max(rows[0]) <= _dijkstra_eccentricity(g.n, g.m)
     assert runs == {"all": 0, "slots": 1}
     assert d.tolist() == rows
-    assert d.dtype == (np.int8 if g.n <= 128 else np.int16)
+    # the narrowest dtype that holds the diameter
+    assert d.dtype == (np.int8 if max(map(max, rows)) <= 127 else np.int16)
 
 
 @pytest.mark.parametrize(
     "g", [path_graph(200), gen_house(60), cycle_graph(129), hypercube_graph(7)]
 )
 def test_distance_matrix_long_graphs_and_dtype(g):
+    # path_graph(200) takes Dijkstra's branch (diameter 199), the rest the
+    # degree slots; cycle_graph(129) has diameter 64
     d = distance_matrix(g)
-    assert d.tolist() == [list(r) for r in all_pairs_distances(g)]
-    assert d.dtype == (np.int8 if g.n <= 128 else np.int16)
+    rows = [list(r) for r in all_pairs_distances(g)]
+    assert d.tolist() == rows
+    assert d.dtype == (np.int8 if max(map(max, rows)) <= 127 else np.int16)
+
+
+def test_weighted_core_sums_widen_the_int8_distances(monkeypatch):
+    # theta*'s core distances are int8, and D B reaches about 10^10 per
+    # entry: the product is formed in the weights' dtype, never the matrix's
+    g = random_connected_graph(60, 90, seed=5)
+    a = tuple(1000 + v for v in range(g.n))
+    b = tuple(10**8 + 7 * v for v in range(g.n))
+    dtypes = []
+    real_sums = cut_method._distance_sums
+    monkeypatch.setattr(
+        cut_method, "_distance_sums", lambda dist, *rest: dtypes.append(dist.dtype) or real_sums(dist, *rest)
+    )
+    got = CutEngine(g).values([(a, b), (a, None)])
+    assert np.int8 in dtypes
+    assert got == [_wiener_double(g, a, b), wiener_weighted(g, a)]
 
 
 def _components_reference(g, removed):

@@ -1,5 +1,6 @@
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -186,6 +187,66 @@ def test_theta_star_with_pendant_trees_equals_pairwise_loop(g):
     # the peeled edges are singletons; theta* runs on the 2-core alone
     assert theta_star_classes(g) == _theta_star_pairwise(g)
     assert theta_star_classes(g, all_pairs_distances(g)) == _theta_star_pairwise(g)
+
+
+def _ladder(k):
+    """The 2 x k grid, diameter k: vertex 0 is a corner."""
+    edges = [(2 * j, 2 * j + 1) for j in range(k)]
+    edges += [(2 * j + s, 2 * j + 2 + s) for j in range(k - 1) for s in (0, 1)]
+    return Graph(2 * k, edges)
+
+
+@pytest.mark.parametrize(
+    "g, diameter",
+    [
+        (path_graph(128), 127),  # B = 191
+        (path_graph(129), 128),  # e = B = 128
+        (cycle_graph(255), 127),
+        (cycle_graph(256), 128),
+        (_ladder(127), 127),
+        (_ladder(128), 128),
+    ],
+    ids=["path128", "path129", "cycle255", "cycle256", "ladder127", "ladder128"],
+)
+def test_distances_on_each_side_of_the_int8_limit(g, diameter, monkeypatch):
+    # every graph takes the bit-packed search, whose level count picks the dtype
+    slots = []
+    real_slots = graph_module._slot_spread
+    monkeypatch.setattr(graph_module, "_slot_spread", lambda *a: slots.append(1) or real_slots(*a))
+    d = distance_matrix(g)
+    assert slots == [1]
+    assert d.tolist() == [list(r) for r in all_pairs_distances(g)]
+    assert int(d.max()) == diameter
+    assert d.dtype == (np.int8 if diameter <= 127 else np.int16)
+    assert theta_star_classes(g) == _theta_star_pairwise(g)
+
+
+def test_feder_hands_on_only_unsettled_pairs(monkeypatch):
+    # the pairs that reach the labelling are a small share of the related
+    # (tree edge, edge) pairs: the first block settles almost every class
+    g = random_connected_graph(300, 450, seed=11)
+    d = distance_matrix(g)
+    u, v = g.edge_array.T
+    into = {}  # the BFS tree of _feder_links: each vertex's first edge from one level up
+    for e, (a, b) in enumerate(g.edges):
+        if d[0, a] != d[0, b]:
+            into.setdefault(a if d[0, a] > d[0, b] else b, e)
+    x, y = g.edge_array[sorted(into.values())].T
+    delta = d[x].astype(int) - d[y]
+    related = int(np.count_nonzero(delta[:, u] != delta[:, v]))
+    handed = []
+    real_labels = theta.component_labels
+    monkeypatch.setattr(
+        theta, "component_labels", lambda n, a, b: handed.append(len(a)) or real_labels(n, a, b)
+    )
+    links = theta._feder_links(g.edge_array, d)
+    assert 0 < sum(handed) < related / 4
+    expected = _theta_star_pairwise(g)
+    assert np.unique(links, return_inverse=True)[1].tolist() == list(expected.class_of)
+    # blocks of one tree edge, and blocks that only their growth bounds
+    for block in (1, len(x) * g.m + 1):
+        monkeypatch.setattr(theta, "_RELATION_BLOCK", block)
+        assert theta_star_classes(g) == expected
 
 
 @given(st.one_of(connected_graphs(min_n=1, max_n=14), pendant_graphs()))
