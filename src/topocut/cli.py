@@ -1,8 +1,9 @@
 """Command-line interface: compute, inspect, verify, generate, reduce.
 
-Every index is a weight pair over named vertex vectors (``INDEX_TERMS``).
-``ROUTES`` maps each method to one function that evaluates an input's term
-list; ``auto`` only picks a route.  ``compute --check`` and ``verify``, which
+Every index is a weight pair over named vertex vectors (``INDEX_TERMS``),
+the rows of one scaled weight matrix per solve.  ``ROUTES`` maps each
+method to one function that evaluates an input's term list; ``auto`` only
+picks a route.  ``compute --check`` and ``verify``, which
 runs every route that applies, hold the routes to the oracle by one helper.
 
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 method not
@@ -25,21 +26,32 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
+from .exact import Weights, weights_of
 from .graph import Graph, GraphError, ParseError, format_edge_list, parse_edge_list
 from .indices import (
     DoubleWeightedGraph,
     Weight,
-    check_weights,
+    check_positive,
     degree_distance,
     gutman,
-    parse_weights,
+    read_weights,
     wiener,
     wiener_double,
     wiener_plus,
     wiener_weighted,
 )
 from .theta import EdgePartition, PartitionError, format_classes, quotient, theta_star_classes
-from .cut_method import INDEX_TERMS, CutEngine, Term, TermNames, index_terms
+from .cut_method import (
+    INDEX_TERMS,
+    CutEngine,
+    Pair,
+    TermNames,
+    column_sums,
+    column_values,
+    index_terms,
+)
 from .phenylene import (
     BenzenoidPlacement,
     Phenylene,
@@ -49,7 +61,7 @@ from .phenylene import (
     parse_placement,
     tree_term_values,
 )
-from .reduction import CollapsePlan, collapse_plan
+from .reduction import collapse_plan, step_corrections
 from .families import (
     complete_bipartite_graph,
     gen_basic,
@@ -78,16 +90,42 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The rows of a solve's weight matrix, as ``INDEX_TERMS`` names them.
+ROWS = {"1": 0, "deg": 1, "a": 2, "b": 3}
+
+
+def _pairs(terms: TermNames) -> list[Pair]:
+    """Each term as a pair of rows of the solve's weight matrix."""
+    return [(ROWS[x], ROWS[x if y is None else y], y is None) for x, y in terms.values()]
+
+
 @dataclass
 class LoadedInput:
     """A loaded input: a graph, or a phenylene whose Graph is built only when
-    ``graph`` is read.  The cut engine (one theta* run) is built on first
-    use and shared by every route."""
+    ``graph`` is read, with its vertex weights ``weights`` (rows a and b)
+    if any.  The cut engine (one theta* run) and the solve's weight matrix
+    are built on first use and shared by every route."""
 
     source: Graph | Phenylene  # either has n and m
     descriptor: str
-    a: tuple[Weight, ...] | None = None
-    b: tuple[Weight, ...] | None = None
+    weights: Weights | None = None
+
+    @property
+    def a(self) -> tuple[Weight, ...] | None:
+        return None if self.weights is None else self.weights.values(0)
+
+    @property
+    def b(self) -> tuple[Weight, ...] | None:
+        return None if self.weights is None else self.weights.values(1)
+
+    @functools.cached_property
+    def matrix(self) -> Weights:
+        """The rows of ``ROWS``: all ones, the degrees, then a and b."""
+        g = self.graph
+        rows = np.ones((2, g.n), dtype=np.int64)
+        rows[1] = np.bincount(g.edge_array.ravel(), minlength=g.n)
+        structural = Weights(rows, (1, 1), (g.n, 2 * g.m))  # whole, with sums n and 2m
+        return structural if self.weights is None else Weights.stack((structural, self.weights))
 
     @property
     def phenylene(self) -> Phenylene | None:
@@ -104,10 +142,34 @@ class LoadedInput:
     @property
     def terms(self) -> TermNames:
         """The indices to report: the weighted ones only with weights."""
-        return {k: t for k, t in INDEX_TERMS.items() if self.a is not None or "a" not in t}
+        return {k: t for k, t in INDEX_TERMS.items() if self.weights is not None or "a" not in t}
 
 
 _LABELS = dict(zip(INDEX_TERMS, ("W", "DD", "Gut", "W*(a)", "W+(a)", "W(a,b)")))
+
+
+def _is_int_array(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind in "iu"
+
+
+class Columns:
+    """A breakdown as named columns of equal length, printed without a
+    dict per row: a column that is an integer array prints through one
+    ``%d`` per value.  Iterating gives the rows as dicts."""
+
+    def __init__(self, **columns: Sequence[Any]):
+        self.columns = columns
+
+    def lists(self, scalar=None) -> list[list]:
+        """The columns as lists: an integer array's Python ints, any other
+        column's values mapped through ``scalar`` if given."""
+        return [
+            col.tolist() if _is_int_array(col) else list(map(scalar, col) if scalar else col)
+            for col in self.columns.values()
+        ]
+
+    def __iter__(self):
+        return (dict(zip(self.columns, row)) for row in zip(*self.lists()))
 
 
 @dataclass
@@ -117,7 +179,7 @@ class Report:
     m: int
     method: str
     indices: dict[str, Weight]
-    breakdown: list[dict[str, Any]] = field(default_factory=list)
+    breakdown: list[dict[str, Any]] | Columns = field(default_factory=list)
     timing_ms: float = 0.0
 
     def to_json(self) -> str:
@@ -127,7 +189,10 @@ class Report:
         json's own ASCII encoder, ints and ``timing_ms`` through their
         ``__repr__``, and Fractions print as strings."""
         (indices,) = _json_objects([self.indices], "  ")
-        rows = _json_objects(self.breakdown, "    ")
+        if isinstance(self.breakdown, Columns):
+            rows = _json_columns(self.breakdown, "    ")
+        else:
+            rows = _json_objects(self.breakdown, "    ")
         breakdown = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
         return (
             f'{{\n  "input": {_json_scalar(self.input)},\n'
@@ -143,9 +208,13 @@ class Report:
         lines = [f"input: {self.input}  (n={self.n}, m={self.m})", f"method: {self.method}"]
         for key, value in self.indices.items():
             lines.append(f"  {_LABELS.get(key, key):7s} = {value}")
-        for row in self.breakdown:
-            parts = " ".join(f"{k}={v}" for k, v in row.items())
-            lines.append(f"    {parts}")
+        if isinstance(self.breakdown, Columns):
+            template = "    " + " ".join(f"{k}=%s" for k in self.breakdown.columns)
+            lines += [template % row for row in zip(*self.breakdown.lists())]
+        else:
+            for row in self.breakdown:
+                parts = " ".join(f"{k}={v}" for k, v in row.items())
+                lines.append(f"    {parts}")
         lines.append(f"time: {self.timing_ms:.2f} ms")
         return "\n".join(lines) + "\n"
 
@@ -177,6 +246,17 @@ def _json_objects(objects: Sequence[dict[str, Any]], pad: str) -> list[str]:
             template = templates[keys] = f"{{\n{pad}  {fields}\n{pad}}}" if keys else "{}"
         out.append(template % tuple(map(_json_scalar, obj.values())))
     return out
+
+
+def _json_columns(columns: Columns, pad: str) -> list[str]:
+    """``_json_objects`` of the rows of ``columns``: one template for all,
+    with ``%d`` for every integer-array column."""
+    fields = f",\n{pad}  ".join(
+        encode_basestring_ascii(k) + (": %d" if _is_int_array(c) else ": %s")
+        for k, c in columns.columns.items()
+    )
+    template = f"{{\n{pad}  {fields}\n{pad}}}" if columns.columns else "{}"
+    return [template % row for row in zip(*columns.lists(_json_scalar))]
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -221,10 +301,8 @@ def _load_input(args) -> LoadedInput:
         source = build_phenylene(source)
     loaded = LoadedInput(source, descriptor)
     if getattr(args, "weights", None):
-        a, b = parse_weights(Path(args.weights).read_text(), source.n)
-        check_weights(source, a)  # every method needs positive weights
-        check_weights(source, b)
-        loaded.a, loaded.b = a, b
+        loaded.weights = read_weights(Path(args.weights).read_text(), source.n)
+        check_positive(loaded.weights)  # every method needs positive weights
     return loaded
 
 
@@ -250,22 +328,28 @@ def _oracle_indices(loaded: LoadedInput) -> dict[str, Weight]:
         "degree_distance": degree_distance(g),
         "gutman": gutman(g),
     }
-    if loaded.a is not None:
-        out["wiener_weighted"] = wiener_weighted(g, loaded.a)
-        out["wiener_plus"] = wiener_plus(g, loaded.a)
-        out["wiener_double"] = wiener_double(DoubleWeightedGraph(g, loaded.a, loaded.b))
+    if loaded.weights is not None:
+        a, b = loaded.a, loaded.b
+        out["wiener_weighted"] = wiener_weighted(g, a)
+        out["wiener_plus"] = wiener_plus(g, a)
+        out["wiener_double"] = wiener_double(DoubleWeightedGraph(g, a, b))
     return out
 
 
 def _cuts_route(loaded: LoadedInput, terms: TermNames):
-    """Every term on the theta*-class quotients of the input's one engine."""
-    resolved = index_terms(loaded.graph, loaded.a, loaded.b)
-    blocks = loaded.engine.block_values([resolved[k] for k in terms])
-    indices = {name: sum(row[k] for row in blocks) for k, name in enumerate(terms)}
-    breakdown = [
-        {"block": i, "edges": len(edges), "W": row[0], "DD": row[1], "Gut": row[2]}
-        for i, (edges, row) in enumerate(zip(loaded.engine.partition.blocks, blocks))
-    ]
+    """Every term on the theta*-class quotients of the input's one engine:
+    the block values as one array, each index one column sum."""
+    pairs = _pairs(terms)
+    blocks = loaded.engine.block_matrix(loaded.matrix, pairs)
+    indices = dict(zip(terms, column_values(blocks, loaded.matrix, pairs)))
+    sizes = loaded.engine.partition.blocks
+    breakdown = Columns(
+        block=np.arange(len(sizes)),
+        edges=np.fromiter(map(len, sizes), dtype=np.int64, count=len(sizes)),
+        W=blocks[:, 0] // 2,  # W* and Gut are halved W(x, x) sums, each even
+        DD=blocks[:, 1],
+        Gut=blocks[:, 2] // 2,
+    )
     return indices, breakdown
 
 
@@ -279,31 +363,41 @@ def _hamming_route(loaded: LoadedInput, terms: TermNames):
     return _cuts_route(loaded, {k: t for k, t in terms.items() if k in HAMMING_INDICES})
 
 
-def _reduce(g: Graph, terms: dict[str, Term]) -> tuple[CollapsePlan, dict[str, tuple[Weight, tuple]]]:
-    """Every term through one collapse plan of g: the plan and each term's
-    (value on the reduced graph, step corrections).  The reduced terms share
-    one distance matrix: one cut engine block of all edges."""
-    plan = collapse_plan(g)
-    mapped = dict(zip(terms, plan.apply_terms(list(terms.values()))))
-    reduced, pairs = plan.graph, [(a, b) for a, b, _ in mapped.values()]
-    if reduced.n == 1:
-        values = [0] * len(pairs)
+def _reduce(loaded: LoadedInput, pairs: Sequence[Pair]):
+    """Every pair through one collapse plan of the input's graph: the plan,
+    the pairs' undivided sums on the reduced graph, and their per-step
+    corrections with which are Fractions (``CollapsePlan.apply_rows``).
+    The reduced pairs share one distance matrix: one cut engine block of
+    all edges."""
+    plan = collapse_plan(loaded.graph)
+    reduced, corrections, typed = plan.apply_rows(loaded.matrix, pairs)
+    if plan.graph.n == 1:
+        sums = [0] * len(pairs)
     else:
-        values = CutEngine(reduced, EdgePartition((tuple(range(reduced.m)),))).values(pairs)
-    return plan, {k: (v, c) for (k, (_, _, c)), v in zip(mapped.items(), values)}
+        engine = CutEngine(plan.graph, EdgePartition((tuple(range(plan.graph.m)),)))
+        sums = column_sums(engine.block_matrix(reduced, pairs))
+    return plan, sums, corrections, typed
 
 
 def _reduce_route(loaded: LoadedInput, terms: TermNames):
     """The R/S twin reductions; DD's corrections are the breakdown."""
     if loaded.source.n == 1:  # zero degrees are no weights; every sum is empty
         return dict.fromkeys(terms, 0), []
-    resolved = index_terms(loaded.graph, loaded.a, loaded.b)
-    plan, values = _reduce(loaded.graph, {k: resolved[k] for k in terms})
-    breakdown = [
-        {"kind": kind, "class_size": size, "representative": rep, "correction": corr}
-        for kind, size, rep, corr in zip(*plan.step_table, values["degree_distance"][1])
-    ]
-    return {k: values[k][0] + sum(values[k][1]) for k in terms}, breakdown
+    pairs = _pairs(terms)
+    plan, sums, corrections, _ = _reduce(loaded, pairs)
+    steps = column_sums(corrections.T)
+    indices = {
+        k: loaded.matrix.divide(s + c, *pair) for k, s, c, pair in zip(terms, sums, steps, pairs)
+    }
+    kinds, sizes, reps = plan.step_table
+    dd = list(terms).index("degree_distance")  # integer rows, undivided
+    breakdown = Columns(
+        kind=kinds,
+        class_size=np.array(sizes, dtype=np.int64),
+        representative=np.array(reps, dtype=np.int64),
+        correction=corrections[dd],
+    )
+    return indices, breakdown
 
 
 def _trees_route(loaded: LoadedInput, terms: TermNames):
@@ -314,14 +408,18 @@ def _trees_route(loaded: LoadedInput, terms: TermNames):
             "method 'trees' needs a phenylene input (--cells or --family chain/phe6); "
             "edge lists carry no hexagon structure"
         )
-    weights = {} if loaded.a is None else {"a": loaded.a, "b": loaded.b}
+    weights = {}
+    if loaded.weights is not None:
+        weights = {"a": loaded.weights.row(0), "b": loaded.weights.row(1)}
     per_tree = tree_term_values(loaded.phenylene, list(terms.values()), weights)
-    rows = [dict(zip(terms, values)) for _, values in per_tree]
-    breakdown = [
-        {"tree": i, "vertices": n, "W_double": row["degree_distance"], "W_single": row["gutman"]}
-        for i, ((n, _), row) in enumerate(zip(per_tree, rows), start=1)
-    ]
-    return {name: sum(row[name] for row in rows) for name in terms}, breakdown
+    columns = dict(zip(terms, zip(*(values for _, values in per_tree))))
+    breakdown = Columns(
+        tree=np.arange(1, len(per_tree) + 1),
+        vertices=np.array([n for n, _ in per_tree], dtype=np.int64),
+        W_double=columns["degree_distance"],
+        W_single=columns["gutman"],
+    )
+    return {name: sum(column) for name, column in columns.items()}, breakdown
 
 
 # Each route maps (loaded input, term list) to (indices, breakdown).  The oracle
@@ -468,15 +566,19 @@ def _random_inputs(args):
     for n, m, seed in sorted(cases):  # smallest witness first
         a, b = (tuple(rng.randint(1, 9) for _ in range(n)) for _ in "ab")
         g = random_connected_graph(n, m, seed)
-        yield LoadedInput(g, f"random graph n={n} m={m} seed={seed}", a=a, b=b)
+        yield LoadedInput(g, f"random graph n={n} m={m} seed={seed}", weights_of([a, b]))
 
 
 def cmd_reduce(args) -> int:
     loaded = _load_input(args)
     g = loaded.graph
-    name = "wiener_double" if loaded.a is not None else "degree_distance"
-    plan, values = _reduce(g, {name: index_terms(g, loaded.a, loaded.b)[name]})
-    reduced, (reduced_value, corrections) = plan.graph, values[name]
+    name = "wiener_double" if loaded.weights is not None else "degree_distance"
+    (pair,) = _pairs({name: INDEX_TERMS[name]})
+    plan, (reduced_sum,), corrections, typed = _reduce(loaded, [pair])
+    reduced = plan.graph
+    reduced_value = 0 if reduced.n == 1 else loaded.matrix.divide(reduced_sum, *pair)
+    typed = None if typed is None else typed[0]
+    corrections = step_corrections(loaded.matrix, pair, corrections[0], typed)
     steps, total = plan.log(corrections), sum(corrections)
     running = accumulate(step.correction for step in steps)
     rows = [

@@ -1,7 +1,12 @@
-"""Exact integer arithmetic shared by the cut engine and the phenylene route.
+"""Exact integer arithmetic shared by the cut engine, the reductions and the
+phenylene route.
 
-Weights are scaled to integers by the LCM of their ``Fraction``
-denominators and every result is divided back.  One guard,
+Vertex weights live in one :class:`Weights` matrix: each row scaled to
+integers by the LCM of its reduced denominators, built by one scaling
+function (:func:`scale_weights`), whether the values come from the weights
+file's arrays or from Python ints and ``Fraction``s.  The cut engine and
+the reductions keep every sum in arrays and divide each index back once;
+the tree kernel divides each tree's terms.  One guard,
 ``_exact_dtype``, picks the dtype of every array kernel from the bound of
 the largest value the kernel forms: int64 below ``_INT64_LIMIT``, object
 arrays of Python ints past it.
@@ -9,13 +14,15 @@ arrays of Python ints past it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .indices import Weight
+Weight = int | Fraction
 
 # Every value an int64 kernel forms stays below this in absolute value, so
 # the sum of two of them cannot wrap either.
@@ -32,27 +39,135 @@ def _exact_dtype(bound: int) -> type:
     return np.int64 if bound < _INT64_LIMIT else object
 
 
-def _scaled(w: Sequence[Weight]) -> tuple[list[int], int, bool]:
-    """Integer weights w * L with L the LCM of the denominators, L, and
-    whether some weight is a Fraction (even a whole-valued one)."""
-    if all(type(x) is int for x in w):  # skips the per-weight ABC check below
-        return list(w), 1, False
-    denominators = [x.denominator for x in w if isinstance(x, Fraction)]
-    scale = lcm(*denominators)
-    if scale == 1:
-        return [int(x) for x in w], 1, bool(denominators)
-    return [int(x * scale) for x in w], scale, True
+def _abs_sum(row: np.ndarray, top: int) -> int:
+    """sum|row| exactly, for a row whose entries are at most ``top`` in
+    absolute value."""
+    if row.dtype != object and top * len(row) < 1 << 63:
+        return int(np.abs(row).sum())
+    return sum(map(abs, row.tolist()))
 
 
-# A weight scaled to integers: w * L as an array under the guard, L, and
-# whether some weight was a Fraction.
-ScaledWeight = tuple[np.ndarray, int, bool]
+class ScaledWeight(NamedTuple):
+    """One row of :class:`Weights`: w * scale, the scale, and whether some
+    entry is a Fraction (even a whole-valued one)."""
+
+    values: np.ndarray
+    scale: int
+    fraction: bool
 
 
-def _scaled_array(w: Sequence[Weight]) -> ScaledWeight:
-    """``_scaled`` as an array: every sum of the weights is at most sum|w|."""
-    ints, scale, fraction = _scaled(w)
-    return np.array(ints, dtype=_exact_dtype(sum(map(abs, ints)))), scale, fraction
+@dataclass(frozen=True, eq=False)  # arrays: compared and hashed by identity
+class Weights:
+    """Vertex weight vectors as one integer matrix, a row per vector.
+
+    Row r holds w_r * scales[r], with scales[r] the LCM of the reduced
+    denominators of w_r; ``bounds[r]`` is at least sum|rows[r]|.  The matrix
+    is int64 or an object array of Python ints, always the latter once a
+    bound reaches ``_INT64_LIMIT``; each kernel casts it to the dtype its
+    own bound allows.  ``fractions`` marks the entries that are ``Fraction``s (None
+    when none is): a sum is a Fraction exactly when one of its terms is, as
+    in the oracle's Python sums.
+    """
+
+    rows: np.ndarray
+    scales: tuple[int, ...]
+    bounds: tuple[int, ...]
+    fractions: np.ndarray | None = None
+
+    @cached_property
+    def fractional(self) -> tuple[bool, ...]:
+        """Per row: some entry is a Fraction."""
+        if self.fractions is None:
+            return (False,) * len(self.scales)
+        return tuple(self.fractions.any(axis=1).tolist())
+
+    def row(self, r: int) -> ScaledWeight:
+        return ScaledWeight(self.rows[r], self.scales[r], self.fractional[r])
+
+    def values(self, r: int) -> tuple[Weight, ...]:
+        """Row r divided back: an int, or a Fraction where the entry is one."""
+        values, scale = self.rows[r].tolist(), self.scales[r]
+        if not self.fractional[r]:
+            return tuple(values) if scale == 1 else tuple(v // scale for v in values)
+        flags = self.fractions[r].tolist()
+        return tuple(Fraction(v, scale) if f else v // scale for v, f in zip(values, flags))
+
+    def divide(self, value: int, i: int, j: int, half: bool) -> Weight:
+        """A W(a, b) sum over rows i and j, in their scaled units, divided
+        back; ``half`` halves it, for W*(a)."""
+        fraction = self.fractional[i] or self.fractional[j]
+        return _exact_quotient(value, 1 + half, self.scales[i] * self.scales[j], fraction)
+
+    @staticmethod
+    def stack(parts: Sequence[Weights]) -> Weights:
+        """The rows of every part, in order, as one matrix."""
+        rows = np.concatenate([p.rows for p in parts])
+        fractions = None
+        if any(p.fractions is not None for p in parts):
+            fractions = np.concatenate([
+                np.zeros(p.rows.shape, dtype=bool) if p.fractions is None else p.fractions
+                for p in parts
+            ])
+        return Weights(
+            rows,
+            sum((p.scales for p in parts), ()),
+            sum((p.bounds for p in parts), ()),
+            fractions,
+        )
+
+
+def scale_weights(
+    num: np.ndarray, den: np.ndarray | None = None, fractions: np.ndarray | None = None
+) -> Weights:
+    """The rows num / den as one :class:`Weights`: each row times the LCM L
+    of its denominators, ``num * (L // den)``.
+
+    ``num`` and ``den`` are r x n arrays, int64 or object, with every
+    fraction reduced and every denominator positive; ``den`` None means
+    every denominator is 1.  ``fractions`` marks the Fraction entries.  A
+    row stays int64 while |num| L is below ``_INT64_LIMIT``, and the matrix
+    while every row's sum|w L| is.
+    """
+    out, scales, bounds = [], [], []
+    for r, row in enumerate(num):
+        scale = 1 if den is None else lcm(*np.unique(den[r]).tolist())
+        top = 0 if not row.size else max(abs(int(row.max())), abs(int(row.min()))) * scale
+        if row.dtype == object or top >= _INT64_LIMIT:
+            row = row.astype(object)
+        if scale > 1:
+            row = row * (scale // den[r].astype(row.dtype))
+        out.append(row)
+        scales.append(scale)
+        bounds.append(_abs_sum(row, top))
+    rows = np.array(out, dtype=_exact_dtype(max(bounds, default=0))).reshape(num.shape)
+    return Weights(rows, tuple(scales), tuple(bounds), fractions)
+
+
+def _int_array(rows: list) -> np.ndarray:
+    """Python ints as an int64 array, or an object array past int64."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+def weights_of(vectors: Sequence[Sequence[Weight]]) -> Weights:
+    """:func:`scale_weights` of vectors of Python ints and ``Fraction``s.
+    A vector of plain ints takes no per-weight ``isinstance`` check (an ABC
+    check); any other vector is split into numerators and denominators, and
+    a whole-valued Fraction still marks its entry."""
+    n = len(vectors[0]) if vectors else 0
+    if all(type(x) is int for w in vectors for x in w):
+        return scale_weights(_int_array([list(w) for w in vectors]).reshape(len(vectors), n))
+    flags = [[isinstance(x, Fraction) for x in w] for w in vectors]
+    num = [[x.numerator if f else int(x) for x, f in zip(w, fs)] for w, fs in zip(vectors, flags)]
+    den = [[x.denominator if f else 1 for x, f in zip(w, fs)] for w, fs in zip(vectors, flags)]
+    fractions = np.array(flags, dtype=bool).reshape(len(vectors), n)
+    return scale_weights(
+        _int_array(num).reshape(len(vectors), n),
+        _int_array(den).reshape(len(vectors), n),
+        fractions if fractions.any() else None,
+    )
 
 
 def _exact_quotient(value: int, half: int, scale: int, fraction: bool) -> Weight:

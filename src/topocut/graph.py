@@ -476,13 +476,14 @@ def component_labels(n: int, eu: np.ndarray, ev: np.ndarray) -> tuple[int, np.nd
 
 
 # Byte classes of the integer-table reader: 0 for a byte it leaves to the
-# line reader, then blank, line break, digit and sign.
-_BLANK, _BREAK, _DIGIT, _SIGN = 1, 2, 3, 4
+# line reader, then blank, line break, digit, sign and the slash of p/q.
+_BLANK, _BREAK, _DIGIT, _SIGN, _SLASH = 1, 2, 3, 4, 5
 _BYTE_CLASS = np.zeros(256, dtype=np.uint8)
 _BYTE_CLASS[[ord(" "), ord("\t")]] = _BLANK
 _BYTE_CLASS[[ord("\n"), ord("\r")]] = _BREAK  # str.splitlines breaks at both
 _BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
 _BYTE_CLASS[[ord("+"), ord("-")]] = _SIGN
+_BYTE_CLASS[ord("/")] = _SLASH
 
 # The table reader takes values strictly inside +-2^60; a file with a larger
 # one goes to the line reader, whose Python ints are exact at any size.
@@ -500,12 +501,27 @@ def read_int_table(text: str, widths: tuple[int, ...]) -> np.ndarray | None:
     Anything else (comments, other bytes, ``1_0``, a lone sign, a ragged
     line, an empty text, a larger value) gives None, and the caller's line
     reader reads the text and names the offending line.
+    """
+    table = read_ratio_table(text, widths, ratios=False)
+    return None if table is None else table[0]
+
+
+def read_ratio_table(
+    text: str, widths: tuple[int, ...], ratios: bool = True
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """``read_int_table`` that also takes ``p/q`` tokens: an optionally
+    signed run of digits, a slash and a run of digits, as ``Fraction``
+    reads them.  Returns the numerators and the denominators as int64
+    tables; the denominators are None when no token has a slash, and 0 for
+    a token without one.  Every value, numerator or denominator, lies
+    strictly inside +-2^60, and a zero denominator gives None, as does any
+    text ``read_int_table`` would not read; ``ratios`` False takes no slash.
 
     A few passes over the bytes: one class lookup, token starts where a
     digit or sign follows a blank or break, the token count of each line
     from a search of the starts at the line breaks, and numpy's C reader
-    for the values, whose count and range are checked (it clamps a value
-    past int64 rather than failing).
+    for the values with each slash read as a blank, whose count and range
+    are checked (it clamps a value past int64 rather than failing).
     """
     if not text.isascii():
         return None
@@ -524,6 +540,17 @@ def read_int_table(text: str, widths: tuple[int, ...]) -> np.ndarray | None:
         not start[signs].all() or signs[-1] == kind.size - 1 or (kind[signs + 1] != _DIGIT).any()
     ):
         return None
+    slashes = np.flatnonzero(kind == _SLASH)
+    if slashes.size:
+        # a digit on each side, and one slash per token
+        if not ratios or slashes[0] == 0 or slashes[-1] == kind.size - 1:
+            return None
+        if (kind[slashes - 1] != _DIGIT).any() or (kind[slashes + 1] != _DIGIT).any():
+            return None
+        owner = np.searchsorted(starts, slashes, side="right") - 1
+        if (np.diff(owner) == 0).any():
+            return None
+        data = data.replace(b"/", b" ")
     line_ends = np.append(np.flatnonzero(kind == _BREAK), kind.size)
     tokens = np.diff(np.searchsorted(starts, line_ends), prepend=0)
     tokens = tokens[tokens > 0]
@@ -531,9 +558,23 @@ def read_int_table(text: str, widths: tuple[int, ...]) -> np.ndarray | None:
     if width not in widths or (tokens != width).any():
         return None
     values = np.fromstring(data, dtype=np.int64, sep=" ")
-    if values.size != starts.size or values.min() <= -_TABLE_LIMIT or values.max() >= _TABLE_LIMIT:
+    if (
+        values.size != starts.size + slashes.size
+        or values.min() <= -_TABLE_LIMIT
+        or values.max() >= _TABLE_LIMIT
+    ):
         return None
-    return values.reshape(-1, width)
+    if not slashes.size:
+        return values.reshape(-1, width), None
+    # a token's numerator follows the values of the tokens before it
+    ratio = np.zeros(starts.size, dtype=bool)
+    ratio[owner] = True
+    first = np.arange(starts.size) + np.cumsum(ratio) - ratio
+    den = np.zeros(starts.size, dtype=np.int64)
+    den[ratio] = values[first[ratio] + 1]
+    if not den[ratio].all():
+        return None
+    return values[first].reshape(-1, width), den.reshape(-1, width)
 
 
 def parse_edge_list(text: str) -> Graph:

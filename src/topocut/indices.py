@@ -14,16 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
+from .exact import Weight, Weights, scale_weights, weights_of
 from .graph import (
     Graph,
     GraphError,
     ParseError,
     all_pairs_distances,
     degree_vector,
-    read_int_table,
+    read_ratio_table,
 )
-
-Weight = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,16 @@ def check_weights(g: Graph, w: Sequence[Weight]) -> None:
     for u, x in enumerate(w):
         if x <= 0:
             raise GraphError(f"weight of vertex {u} is {x}, must be positive")
+
+
+def check_positive(weights: Weights) -> None:
+    """``check_weights`` of every row, in order, on the scaled arrays: the
+    error names the first vertex of the first row with a weight <= 0."""
+    for r, row in enumerate(weights.rows):
+        bad = np.flatnonzero(row <= 0)
+        if bad.size:
+            u = int(bad[0])
+            raise GraphError(f"weight of vertex {u} is {weights.values(r)[u]}, must be positive")
 
 
 def wiener(g: Graph) -> int:
@@ -150,22 +159,48 @@ def parse_weight(token: str) -> Weight:
 def parse_weights(text: str, n: int) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
     """Parse the weights file format: one "v a [b]" line per vertex, b defaults to 1.
 
-    Every vertex 0..n-1 must appear exactly once.  A text of integer lines
-    that ``read_int_table`` reads, naming every vertex once, is taken from
-    that table; any other text (fractions, decimals, comments, a fault)
+    Every vertex 0..n-1 must appear exactly once.  The weights of
+    :func:`read_weights` as Python values: an int, or a ``Fraction`` when
+    the reduced denominator is above 1 (``parse_weight``).
+    """
+    weights = read_weights(text, n)
+    return weights.values(0), weights.values(1)
+
+
+def read_weights(text: str, n: int) -> Weights:
+    """The weights file as a two-row :class:`~topocut.exact.Weights`, a then b.
+
+    A text of integer and ``p/q`` lines that ``read_ratio_table`` reads,
+    naming every vertex once with a plain integer, is taken from that
+    table: the fractions are reduced in the arrays, and each row is scaled
+    by the LCM of its denominators (``scale_weights``).  Any other text
+    (decimals, zero denominators, values past +-2^60, comments, a fault)
     takes the line reader, whose ``ParseError`` names the offending line.
     """
-    table = read_int_table(text, (2, 3))
-    if table is not None and len(table) == n:
-        vertex = table[:, 0]
+    table = read_ratio_table(text, (2, 3))
+    if table is not None and len(table[0]) == n:
+        values, den = table
+        vertex = values[:, 0]
         # n lines that cover 0..n-1 name each vertex once
-        if vertex.min() >= 0 and vertex.max() < n and np.bincount(vertex, minlength=n).all():
-            a, b = np.empty(n, dtype=np.int64), np.ones(n, dtype=np.int64)
-            a[vertex] = table[:, 1]
-            if table.shape[1] == 3:
-                b[vertex] = table[:, 2]
-            return tuple(a.tolist()), tuple(b.tolist())
-    return _read_weight_lines(text, n)
+        if (
+            (den is None or not den[:, 0].any())
+            and vertex.min() >= 0
+            and vertex.max() < n
+            and np.bincount(vertex, minlength=n).all()
+        ):
+            width = values.shape[1] - 1  # a row and b row, or a row alone
+            num = np.ones((2, n), dtype=np.int64)
+            num[:width, vertex] = values[:, 1:].T
+            if den is None:
+                return scale_weights(num)
+            q = np.ones((2, n), dtype=np.int64)
+            q[:width, vertex] = np.maximum(den[:, 1:], 1).T  # 0 marks a plain integer
+            common = np.gcd(num, q)
+            num //= common
+            q //= common
+            fractions = q > 1
+            return scale_weights(num, q, fractions) if fractions.any() else scale_weights(num)
+    return weights_of(_read_weight_lines(text, n))
 
 
 def _read_weight_lines(text: str, n: int) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:

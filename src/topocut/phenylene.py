@@ -35,8 +35,8 @@ import numpy as np
 
 from .cut_method import INDEX_TERMS
 from .exact import (
-    NotATreeError, _euler_tour, _scaled_array, _split_plan, _split_term_sums, _subtree_sums,
-    _tree_term_sums,
+    NotATreeError, ScaledWeight, _euler_tour, _split_plan, _split_term_sums, _subtree_sums,
+    _tree_term_sums, weights_of,
 )
 from .graph import (
     Graph, ParseError, component_labels, degree_vector, first_seen_labels, read_int_table
@@ -375,7 +375,8 @@ def tree_wiener_double_linear(
     """
     check_weights(tree, a)
     check_weights(tree, b)
-    weights = {"a": _scaled_array(a), "b": _scaled_array(b)}
+    scaled = weights_of([a, b])
+    weights = {"a": scaled.row(0), "b": scaled.row(1)}
     ends = tree.edge_array
     return _tree_term_sums(tree.n, *ends.T, weights, [INDEX_TERMS["wiener_double"]])[0]
 
@@ -385,7 +386,7 @@ def tree_wiener_linear(tree: Graph, w: Sequence[Weight]) -> Weight:
     check_weights(tree, w)
     ends = tree.edge_array
     return _tree_term_sums(
-        tree.n, *ends.T, {"a": _scaled_array(w)}, [INDEX_TERMS["wiener_weighted"]]
+        tree.n, *ends.T, {"a": weights_of([w]).row(0)}, [INDEX_TERMS["wiener_weighted"]]
     )[0]
 
 
@@ -427,7 +428,7 @@ def _quotient(
 
 def _component_sums(labels: np.ndarray, ncomp: int, w: np.ndarray) -> np.ndarray:
     """Per-component totals of w in w's own dtype; an int64 w must keep
-    sum|w| below 2^63 (``_scaled_array`` keeps it below 2^62, and the
+    sum|w| below 2^63 (``Weights`` keeps it below 2^62, and the
     structural weights are small multiples of degrees)."""
     out = np.zeros(ncomp, dtype=w.dtype)
     np.add.at(out, labels, w)
@@ -667,7 +668,7 @@ def quotient_trees(
 def tree_term_values(
     ph: Phenylene,
     terms: Sequence[tuple[str, str | None]],
-    weights: dict[str, Sequence[Weight]],
+    weights: dict[str, Sequence[Weight] | ScaledWeight],
 ) -> list[tuple[int, list[Weight]]]:
     """Every term on each of the four quotient trees, with the tree's vertex
     count.
@@ -675,7 +676,8 @@ def tree_term_values(
     Terms name vectors as ``INDEX_TERMS`` does: "deg" and "1" are the
     phenylene's vertex degrees and ones (their sums over a tree vertex are
     the tree's ``a`` and ``b``), any other name a weight on the
-    phenylene's vertices, scaled once.  Each vector is summed onto the
+    phenylene's vertices: a row of a :class:`~topocut.exact.Weights`
+    matrix, or a sequence that is scaled here.  Each vector is summed onto the
     splits of all four trees at once (``_Runs.sides``) under the one
     int64/object guard of ``_split_plan``: every side is a sum of the
     vector's own values, so its sum|w| bounds them all.  The degree sums of
@@ -690,7 +692,8 @@ def tree_term_values(
     }
     # the hexagon sums carry each structural vector's sum|w| to the guard
     vectors = {v: (halves[v][1], 1, False) for v in halves}
-    vectors.update((v, _scaled_array(w)) for v, w in weights.items())
+    for v, w in weights.items():
+        vectors[v] = w if isinstance(w, ScaledWeight) else weights_of([w]).row(0)
     used, bound, dtype = _split_plan(vectors, terms)
     sides = [{} for _ in trees]
     for v, (w, _, _) in used.items():

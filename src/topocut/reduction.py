@@ -7,8 +7,9 @@ Collapsing a class onto one representative with summed weights changes the
 double-weighted Wiener index by an explicitly computable correction, so
 large instances shrink without losing exactness.  Which vertices collapse
 depends only on the graph: :func:`collapse_plan` finds them once on the edge
-arrays (hashed rows, verified elementwise), and :meth:`CollapsePlan.apply`
-maps any number of weight pairs through it with segment sums under the int64
+arrays (hashed rows, verified elementwise), and
+:meth:`CollapsePlan.apply_rows` maps the rows of one scaled weight matrix
+and any number of weight pairs through it with segment sums under the int64
 guard of :mod:`topocut.exact`.
 """
 
@@ -16,14 +17,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .cut_method import Term
-from .exact import _exact_dtype, _exact_quotient, _scaled
+from .cut_method import Pair, Term, term_pairs
+from .exact import Weights, _exact_dtype, _exact_quotient
 from .graph import Graph, GraphError
 from .indices import DoubleWeightedGraph, Weight, WeightedGraph
 
@@ -129,40 +129,61 @@ Phase = tuple[str, np.ndarray, np.ndarray, np.ndarray]
 Mapped = tuple[tuple[Weight, ...], tuple[Weight, ...] | None, tuple[Weight, ...]]
 
 
-def _map_weights(phases: Sequence[Phase], terms: Sequence[Term]) -> list[Mapped]:
-    """:meth:`CollapsePlan.apply` of every term, each distinct vector one row."""
-    vectors = list({id(v): v for term in terms for v in term if v is not None}.values())
-    rows = {id(v): r for r, v in enumerate(vectors)}
-    pairs = [(rows[id(a)], rows[id(a if b is None else b)], b is None) for a, b in terms]
-    ints, scales, fractional = zip(*map(_scaled, vectors))
-    totals = [sum(map(abs, w)) for w in ints]  # f sum|a| sum|b| bounds every value
-    ws = np.array(ints, dtype=_exact_dtype(2 * max(totals[i] * totals[j] for i, j, _ in pairs)))
-    flags = np.zeros(ws.shape, dtype=bool)  # a sum is a Fraction iff a term is
-    for r in np.flatnonzero(fractional).tolist():
-        flags[r] = [isinstance(x, Fraction) for x in vectors[r]]
-    values: list[list[int]] = [[] for _ in pairs]
-    typed: list[list[bool]] = [[] for _ in pairs]
+def _map_rows(
+    phases: Sequence[Phase], weights: Weights, pairs: Sequence[Pair]
+) -> tuple[Weights, np.ndarray, np.ndarray | None]:
+    """:meth:`CollapsePlan.apply_rows`."""
+    left, right = [i for i, _, _ in pairs], [j for _, j, _ in pairs]
+    # f sum|a| sum|b| bounds every correction, sum|a| every weight sum
+    top = max((weights.bounds[i] * weights.bounds[j] for i, j, _ in pairs), default=0)
+    ws = weights.rows.astype(_exact_dtype(max((2 * top, *weights.bounds))))
+    flags = None if weights.fractions is None else weights.fractions.copy()
+    corrections, typed = [], []
     for kind, members, starts, kept in phases:
         f = 2 if kind == "R" else 1  # the members' mutual distance
-        part, has = ws[:, members], np.logical_or.reduceat(flags[:, members], starts, axis=1)
+        part = ws[:, members]
         sums = np.add.reduceat(part, starts, axis=1)
-        for t, (i, j, half) in enumerate(pairs):
-            corr = f * (sums[i] * sums[j] - np.add.reduceat(part[i] * part[j], starts))
-            values[t] += (corr // 2 if half else corr).tolist()
-            typed[t] += (has[i] | has[j]).tolist()
+        within = np.add.reduceat(part[left] * part[right], starts, axis=1)
+        corrections.append(f * (sums[left] * sums[right] - within))
         first = members[starts]
-        ws[:, first], flags[:, first] = sums, has
-        ws, flags = ws[:, kept], flags[:, kept]
-    reduced = [  # divided back by the scales, each value typed as its Python sum
-        [_exact_quotient(v, s, 1, t) for v, t in zip(w.tolist(), x.tolist())] if frac else w.tolist()
-        for w, s, frac, x in zip(ws, scales, fractional, flags)
-    ]
+        ws[:, first] = sums
+        ws = ws[:, kept]
+        if flags is not None:  # a sum is a Fraction iff a term is
+            has = np.logical_or.reduceat(flags[:, members], starts, axis=1)
+            typed.append(has[left] | has[right])
+            flags[:, first] = has
+            flags = flags[:, kept]
+    reduced = Weights(ws, weights.scales, weights.bounds, flags)
+    if not phases:
+        return reduced, np.zeros((len(pairs), 0), dtype=ws.dtype), None
+    return (
+        reduced,
+        np.concatenate(corrections, axis=1),
+        None if flags is None else np.concatenate(typed, axis=1),
+    )
+
+
+def _map_weights(phases: Sequence[Phase], terms: Sequence[Term]) -> list[Mapped]:
+    """:meth:`CollapsePlan.apply` of every term, each distinct vector one row."""
+    weights, pairs = term_pairs(terms)
+    reduced, corrections, typed = _map_rows(phases, weights, pairs)
     out = []
-    for (i, j, half), vals, types in zip(pairs, values, typed):
-        if fractional[i] or fractional[j]:
-            vals = [_exact_quotient(v, scales[i] * scales[j], 1, t) for v, t in zip(vals, types)]
-        out.append((tuple(reduced[i]), None if half else tuple(reduced[j]), tuple(vals)))
+    for t, (i, j, half) in enumerate(pairs):
+        flags = None if typed is None else typed[t]
+        steps = step_corrections(weights, (i, j, half), corrections[t], flags)
+        out.append((reduced.values(i), None if half else reduced.values(j), steps))
     return out
+
+
+def step_corrections(
+    weights: Weights, pair: Pair, corrections: np.ndarray, typed: np.ndarray | None
+) -> tuple[Weight, ...]:
+    """One pair's corrections of :meth:`CollapsePlan.apply_rows`, each
+    divided back on its own: a Fraction iff one of its terms was."""
+    i, j, half = pair
+    divisor = (1 + half) * weights.scales[i] * weights.scales[j]
+    flags = [False] * len(corrections) if typed is None else typed.tolist()
+    return tuple(_exact_quotient(v, divisor, 1, f) for v, f in zip(corrections.tolist(), flags))
 
 
 @dataclass(frozen=True, eq=False)  # arrays: compared and hashed by identity
@@ -186,17 +207,29 @@ class CollapsePlan:
         takes the member sums, and adds f sum (a_i b_j + a_j b_i) over member
         pairs (f sum a_i a_j for W*), with f = 2 for R and 1 for S.
 
-        Per phase, ``np.add.reduceat`` sums every class at once; the
-        corrections are f (sum a sum b - sum a_i b_i) and
-        f ((sum a)^2 - sum a_i^2) / 2.  The weights are scaled to integers
-        under the int64 guard with the bound f sum|a| sum|b|, and a value is
-        divided back to a Fraction iff one of its terms was a Fraction.
+        :meth:`apply_rows` of the scaled vectors, each value divided back:
+        to a Fraction iff one of its terms was a Fraction.
         """
         return _map_weights(self.arrays, [(a, b)])[0]
 
     def apply_terms(self, terms: Sequence[Term]) -> list[Mapped]:
         """:meth:`apply` of every term, each distinct vector mapped once."""
         return _map_weights(self.arrays, terms)
+
+    def apply_rows(
+        self, weights: Weights, pairs: Sequence[Pair]
+    ) -> tuple[Weights, np.ndarray, np.ndarray | None]:
+        """Every row of ``weights`` through the collapses, and every pair's
+        corrections, all as arrays: the reduced :class:`Weights` (same
+        scales), a len(pairs) x steps array of undivided W(a, b) corrections
+        (W(a, a) for a halved pair) in the scaled units, and which of them
+        are Fractions (None when no weight is).
+
+        Per phase, ``np.add.reduceat`` sums every class at once; the
+        corrections are f (sum a sum b - sum a_i b_i).  The rows run under
+        the int64 guard with the bound f sum|a| sum|b|.
+        """
+        return _map_rows(self.arrays, weights, pairs)
 
     @cached_property
     def steps(self) -> tuple[tuple[str, tuple[int, ...], int], ...]:

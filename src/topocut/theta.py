@@ -148,7 +148,8 @@ def _feder_links(ends: np.ndarray, d: np.ndarray) -> np.ndarray:
     that still merge something.  One ``component_labels`` call over those
     pairs of links merges whole classes, and each link moves to the first
     edge of its new class, so the work of a block follows the merges it
-    makes, not the related pairs.
+    makes, not the related pairs.  Once every link is edge 0 there is one
+    class, and no later block can change it.
     """
     m = len(ends)
     u, v = ends[:, 0], ends[:, 1]
@@ -162,7 +163,7 @@ def _feder_links(ends: np.ndarray, d: np.ndarray) -> np.ndarray:
     links = np.arange(m)
     widest = max(1, _RELATION_BLOCK // m)
     lo, step = 0, _FIRST_BLOCK
-    while lo < len(tree):
+    while lo < len(tree) and links.any():
         hi = min(lo + step, lo + widest, len(tree))
         # one row per vertex, so the gathers below take whole rows
         delta = (d[x[lo:hi]] - d[y[lo:hi]]).T.copy()

@@ -295,7 +295,7 @@ def reference_json(report):
         "m": report.m,
         "method": report.method,
         "indices": report.indices,
-        "breakdown": report.breakdown,
+        "breakdown": list(report.breakdown),  # a route's Columns iterate as the row dicts
         "timing_ms": report.timing_ms,
     }
     # Fractions print as strings, numpy ints as ints
@@ -565,3 +565,27 @@ def test_every_route_agrees_with_the_oracle_in_value_and_json_type(case):
             assert list(indices) == list(oracle), method
         for key, value in indices.items():
             assert value == oracle[key] and type(value) is type(oracle[key]), (method, key)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_whole_valued_ratio_weights_through_cuts_hamming_and_reduce(tmp_path, capsys, mixed):
+    # "2/1" and "4/2" read as the int 2, as parse_weight reads them; beside
+    # a p/q weight every weighted index prints as a Fraction string, alone
+    # as an int, each as the oracle prints it.  The windmill of 3 triangles
+    # is partial Hamming and collapses by S and R.
+    weights = tmp_path / "w"
+    weights.write_text("".join(
+        f"{v} {'2/1' if v % 2 else '4/2'} {'1/2' if mixed and v == 5 else '6/3'}\n" for v in range(7)
+    ))
+    argv = ["compute", "--family", "windmill", "--n", "3", "--weights", str(weights), "--json"]
+    code, out, _ = run(capsys, *argv, "--method", "oracle")
+    assert code == 0
+    oracle = json.loads(out)["indices"]
+    assert isinstance(oracle["wiener_double"], str) == mixed
+    assert all(type(oracle[k]) is int for k in ("wiener_weighted", "wiener_plus"))
+    for method in ("cuts", "hamming", "reduce"):
+        code, out, _ = run(capsys, *argv, "--method", method)
+        assert code == 0
+        indices = json.loads(out)["indices"]
+        assert {k: oracle[k] for k in indices} == indices, method
+        assert all(type(v) is type(oracle[k]) for k, v in indices.items()), method

@@ -16,7 +16,14 @@ import topocut.exact as exact
 import topocut.graph as graph_module
 import topocut.theta as theta_module
 from topocut.cli import main
-from topocut.cut_method import CutEngine, index_terms, is_partial_cube, wiener_double_via_cuts
+from topocut.cut_method import (
+    CutEngine,
+    column_values,
+    index_terms,
+    is_partial_cube,
+    term_pairs,
+    wiener_double_via_cuts,
+)
 from topocut.families import (
     complete_graph,
     cycle_graph,
@@ -250,6 +257,21 @@ def test_core_db_across_the_int64_guard(past, monkeypatch):
     assert [sum(col) for col in zip(*got)] == [_wiener_double(g, a, b), wiener_weighted(g, a)]
 
 
+@pytest.mark.parametrize("past", [0, 1])
+def test_db_in_int32_across_its_limit(past, monkeypatch):
+    # C5's D B partial sums are at most (q - 1) sum|B| = 4 sum(b): at
+    # 2**31 - 4 D B takes the int32 einsum, at 2**31 the int64 matmul
+    g = cycle_graph(5)
+    a = (1, 2, 3, 4, 5)
+    b = (2**29 - 5 + past, 1, 1, 1, 1)
+    assert (4 * sum(b) < 2**31) != past
+    calls = []
+    real = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args, **kw: calls.append(args[0]) or real(*args, **kw))
+    assert CutEngine(g).values([(a, b), (b, a)]) == [_wiener_double(g, a, b)] * 2
+    assert bool(calls) != past
+
+
 def test_int64_guard_falls_back_to_python_ints():
     # (n - 1) * sum(w) passes 2**62, so int64 would wrap; Python ints do not
     g = random_connected_graph(30, 60, seed=3)
@@ -267,7 +289,9 @@ def test_int64_guard_falls_back_to_python_ints():
 def test_db_products_across_the_int64_guard(past, monkeypatch):
     # C5 is one class whose quotient is C5 itself, so D B runs; its entries
     # and the component sums are bounded by (n - 1) sum|w| = 4 sum|a|, which
-    # is 2**62 - 4 (int64) or 2**62 (Python ints)
+    # is 2**62 - 4 (int64) or 2**62 (Python ints).  The first guard the
+    # engine asks is that one; the block values take a guard of their own
+    # (test_block_values_across_the_int64_guard), past int64 here either way.
     g = cycle_graph(5)
     a = (2**60 - 5 + past, 1, 1, 1, 1)
     b = (1, 2, 3, 4, 5)
@@ -282,7 +306,26 @@ def test_db_products_across_the_int64_guard(past, monkeypatch):
     engine = CutEngine(g)
     assert not engine.partial_hamming
     assert engine.values([(a, b), (a, None)]) == [_wiener_double(g, a, b), wiener_weighted(g, a)]
-    assert dtypes == [object if past else np.int64]
+    assert dtypes[0] is (object if past else np.int64)
+
+
+@pytest.mark.parametrize("past", [0, 1])
+@pytest.mark.parametrize("shape", ["cycle", "path"])
+def test_block_values_across_the_int64_guard(shape, past):
+    # a block value of W(a, b) is at most s T_a T_b, with s the largest D B
+    # quotient's vertex count less one, which bounds its distances: C5 is
+    # its own quotient, so s = 4 (a bound of T_a T_b alone would be wrong),
+    # and a path's blocks are all closed K2 sums, so s = 1.  T_a T_b s is just below 2**62 (int64)
+    # or at it (Python ints), and the sum guard stays int64 on both sides.
+    g, s = (cycle_graph(5), 4) if shape == "cycle" else (path_graph(4), 1)
+    half = 2**31 if s == 1 else 2**30  # T_a = half, T_b = half - 1 + past
+    a = (half - (g.n - 1),) + (1,) * (g.n - 1)
+    b = (half - g.n + past,) + (1,) * (g.n - 1)
+    assert (s * sum(a) * sum(b) < 2**62) != past
+    weights, pairs = term_pairs([(a, b)])
+    values = CutEngine(g).block_matrix(weights, pairs)
+    assert values.dtype == (object if past else np.int64)
+    assert column_values(values, weights, pairs) == [_wiener_double(g, a, b)]
 
 
 def test_fraction_results_keep_their_type():
@@ -324,14 +367,18 @@ def test_scaled_skips_the_fraction_scan_for_plain_ints(monkeypatch):
     class CountedFraction(metaclass=Counting):
         pass
 
+    def scaled(w):
+        weights = exact.weights_of([w])
+        return weights.rows[0].tolist(), weights.scales[0], weights.fractional[0]
+
     monkeypatch.setattr(exact, "Fraction", CountedFraction)
-    assert exact._scaled((3, 1, 2**70)) == ([3, 1, 2**70], 1, False)
+    assert scaled((3, 1, 2**70)) == ([3, 1, 2**70], 1, False)
     assert checks == []
-    assert exact._scaled((1, Fraction(2), 3)) == ([1, 2, 3], 1, True)
-    assert exact._scaled((True, 2)) == ([1, 2], 1, False)
+    assert scaled((1, Fraction(2), 3)) == ([1, 2, 3], 1, True)
+    assert scaled((True, 2)) == ([1, 2], 1, False)
     assert len(checks) == 5
     monkeypatch.undo()
-    assert exact._scaled((1, Fraction(1, 2), Fraction(2, 3))) == ([6, 3, 4], 6, True)
+    assert scaled((1, Fraction(1, 2), Fraction(2, 3))) == ([6, 3, 4], 6, True)
     (value,) = CutEngine(path_graph(3)).values([((1, Fraction(2), 1), None)])
     assert value == 6 and isinstance(value, Fraction)
 
@@ -466,7 +513,10 @@ def engine_labels(engine):
     are renumbered by smallest vertex, as quotient() numbers components; a
     pendant block's rows are the side below its edge, then the rest."""
     n = engine.g.n
-    sums = engine._leaf_sums(engine._folded(np.eye(n, dtype=np.int64).tolist(), np.int64), [1] * n)
+    rows = np.eye(n, dtype=np.int64)  # row v: the indicator of vertex v
+    if engine._peeled is not None:
+        rows = engine._fold(rows)
+    sums = engine._leaf_sums(rows, np.ones(n, dtype=np.int64)).T
     labels = []
     for lo, hi in zip(engine._rows[:-1], engine._rows[1:]):
         part = sums[lo:hi]

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, strategies as st
 import topocut.exact as exact_module
 import topocut.phenylene as phenylene_module
 from topocut import cli
-from topocut.exact import _exact_dtype, _scaled_array, _tree_term_sums
+from topocut.exact import _exact_dtype, _tree_term_sums, weights_of
 from topocut.cut_method import INDEX_TERMS
 
 from topocut.graph import (
@@ -439,7 +439,7 @@ SPLIT_TERMS = [("a", "b"), ("a", None), ("b", None)]
 
 def kernel_split_sums(n, qu, qv, a, b):
     """The kernel's W(a, b), W*(a), W*(b) for integer arrays, or for scaled
-    weights (``_scaled_array``)."""
+    weights (a ``Weights`` row)."""
     a, b = (w if isinstance(w, tuple) else (w, 1, False) for w in (a, b))
     return _tree_term_sums(n, np.asarray(qu), np.asarray(qv), {"a": a, "b": b}, SPLIT_TERMS)
 
@@ -460,7 +460,8 @@ def test_tree_kernel_matches_reference_loop(kind, tree, data):
     b = data.draw(st.lists(TREE_WEIGHTS[kind], min_size=n, max_size=n))
     want = reference_split_sums(n, edges, a, b)
     ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    got = kernel_split_sums(n, ends[:, 0], ends[:, 1], _scaled_array(a), _scaled_array(b))
+    scaled = weights_of([a, b])
+    got = kernel_split_sums(n, ends[:, 0], ends[:, 1], scaled.row(0), scaled.row(1))
     assert got == list(want)
     g = Graph(n, edges)
     double = tree_wiener_double_linear(g, a, b)
@@ -728,7 +729,7 @@ def explicit_tree_values(t, terms, weights):
     summed through ``component_of``, and the plain tree kernel."""
     sides = {v: (np.array(x, dtype=np.int64), 1, False) for v, x in (("deg", t.a), ("1", t.b))}
     for v, w in weights.items():
-        scaled, scale, fraction = _scaled_array(w)
+        scaled, scale, fraction = weights_of([w]).row(0)
         sides[v] = _component_sums(t.component_of, t.n, scaled), scale, fraction
     return _tree_term_sums(t.n, *t.tree.edge_array.T, sides, terms)
 

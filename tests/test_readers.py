@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from topocut.exact import weights_of
 from topocut.graph import Graph, GraphError, ParseError, parse_edge_list, read_int_table
-from topocut.indices import parse_weights
+from topocut.indices import parse_weights, read_weights
 
 
 def reference_graph(n, edges, require_connected=True):
@@ -215,9 +216,27 @@ def weight_texts(draw):
     if draw(st.booleans()):
         vertices = draw(st.lists(st.integers(0, n), max_size=n + 1))
     widths = st.just(draw(st.integers(1, 2))) if draw(st.booleans()) else st.integers(1, 2)
-    value = st.integers(1, 9).map(str)
+    value = st.one_of(st.integers(1, 9).map(str), ratios, st.sampled_from(RATIO_TOKENS))
+    if draw(st.booleans()):
+        value = st.integers(1, 9).map(str)
     rows = [(str(v), *(draw(value) for _ in range(draw(widths)))) for v in vertices]
     return draw(texts(rows)), n
+
+
+# p/q tokens: signs, whole and zero values, zero and signed denominators,
+# underscores, a slash out of place, and values at the table's +-2^60.
+RATIO_TOKENS = [
+    "4/2", "-4/2", "2/1", "6/4", "-0/3", "+0/5", "3/0", "0/0", "3/-4", "+3/4", "-7/3",
+    "1_0/3", "3/1_0", "1/2/3", "/3", "3/", "1//2", "3/+4",
+    f"{2**60 - 1}/3", f"-{2**60 - 1}/3", f"1/{2**60 - 1}", f"{2**60}/3", f"-{2**60}/3",
+    f"1/{2**60}", f"{2**60 - 1}/{2**60 - 2}",
+]
+ratios = st.builds(
+    lambda sign, p, q: f"{sign}{p}/{q}",
+    st.sampled_from(["", "+", "-"]),
+    st.integers(0, 12),
+    st.integers(0, 12),
+)
 
 
 def weight_outcome(parse, text, n):
@@ -227,6 +246,16 @@ def weight_outcome(parse, text, n):
         return "error", str(exc)
     # equal values of equal types: 2 and Fraction(2) must not pass for each other
     return [(type(x), x) for x in a], [(type(x), x) for x in b]
+
+
+def scaled_outcome(text, n):
+    """``read_weights``' matrix as comparable lists, or the error."""
+    try:
+        w = read_weights(text, n)
+    except ParseError as exc:
+        return "error", str(exc)
+    fractions = None if w.fractions is None else w.fractions.tolist()
+    return w.rows.tolist(), w.scales, w.bounds, w.fractional, fractions
 
 
 @given(weight_texts())
@@ -239,9 +268,24 @@ def weight_outcome(parse, text, n):
 @example((f"0 {2**63}\n1 1\n", 2))
 @example((f"0 {2**60 - 1} {-(2**60) + 1}\n1 1 1\n", 2))
 @example(("0 1.5\n1 2/4\n", 2))
+@example(("0 4/2 -0/3\n1 +3/4 6/4\n", 2))
+@example(("0 3/0\n", 1))
+@example(("0 3/-4\n", 1))
+@example(("0 1_0/3\n", 1))
+@example(("1/1 2\n", 2))
+@example((f"0 {2**60 - 1}/3 1/{2**60 - 1}\n", 1))
+@example((f"0 {2**60}/3\n", 1))
+@example((f"0 -{2**60 - 1}/5 7\n", 1))
 def test_weights_reader_matches_line_reader(case):
     text, n = case
-    assert weight_outcome(parse_weights, text, n) == weight_outcome(reference_parse_weights, text, n)
+    want = weight_outcome(reference_parse_weights, text, n)
+    assert weight_outcome(parse_weights, text, n) == want
+    # the table's arrays scale every row as the line reader's values scale
+    if want[0] != "error":
+        reference = weights_of(reference_parse_weights(text, n))
+        fractions = None if reference.fractions is None else reference.fractions.tolist()
+        scaled = reference.rows.tolist(), reference.scales, reference.bounds, reference.fractional
+        assert scaled_outcome(text, n) == (*scaled, fractions)
 
 
 @given(
@@ -278,3 +322,24 @@ def test_table_reader_hands_over_what_it_cannot_hold_exactly():
                  "99999999999999999999 0", "٣ 1", "1\x0c2"]:
         assert read_int_table(text, (2,)) is None, text
     assert read_int_table("0 1 2\n3 4 5\n", (2, 3)).shape == (2, 3)
+
+
+def test_ratio_weights_take_the_table(monkeypatch):
+    # p/q tokens beside integers are read as arrays; the line reader only
+    # sees texts with a fault, a comment, a decimal or a zero denominator
+    import topocut.indices as indices
+
+    lines = []
+    real = indices._read_weight_lines
+    monkeypatch.setattr(indices, "_read_weight_lines", lambda *a: lines.append(a) or real(*a))
+    text = "1 -6/4 2/1\n0 3 +1/3\n2 0/7 5\n"
+    assert parse_weights(text, 3) == ((3, Fraction(-3, 2), 0), (Fraction(1, 3), 2, 5))
+    weights = read_weights(text, 3)
+    assert weights.scales == (2, 3) and weights.rows.tolist() == [[6, -3, 0], [1, 6, 15]]
+    assert weights.fractions.tolist() == [[False, True, False], [True, False, False]]
+    assert lines == []
+    assert parse_weights("0 1.5\n", 1) == ((Fraction(3, 2),), (1,))
+    assert parse_weights("# c\n0 1/2\n", 1) == ((Fraction(1, 2),), (1,))
+    with pytest.raises(ParseError, match="cannot parse weight '3/0'"):
+        read_weights("0 3/0\n", 1)
+    assert len(lines) == 3

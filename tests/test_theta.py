@@ -249,6 +249,59 @@ def test_feder_hands_on_only_unsettled_pairs(monkeypatch):
         assert theta_star_classes(g) == expected
 
 
+class _CountingRows(np.ndarray):
+    """A distance matrix that counts its row gathers: ``_feder_links`` takes
+    the rows of a relation block's tree edges twice, d[x] and d[y]."""
+
+    gathers = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            _CountingRows.gathers += 1
+        return np.asarray(super().__getitem__(key))
+
+
+def _relation_blocks(g) -> int:
+    """The relation blocks of ``_feder_links`` over all n - 1 tree edges."""
+    lo, step, blocks = 0, theta._FIRST_BLOCK, 0
+    while lo < g.n - 1:
+        lo = min(lo + step, lo + max(1, theta._RELATION_BLOCK // g.m), g.n - 1)
+        step, blocks = step * theta._BLOCK_GROWTH, blocks + 1
+    return blocks
+
+
+def _core_graph(g):
+    peel = g.peel
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[peel.core] = np.arange(peel.core.size)
+    return Graph(int(peel.core.size), rank[g.edge_array[peel.core_edges]])
+
+
+@pytest.mark.parametrize(
+    "g, fewer",
+    [
+        (cycle_graph(31), False),
+        (cycle_graph(401), False),
+        (complete_graph(12), False),
+        (complete_graph(40), False),
+        (_core_graph(random_connected_graph(300, 900, seed=1)), True),
+        (_core_graph(random_connected_graph(300, 900, seed=2)), True),
+    ],
+)
+def test_feder_stops_at_one_class(g, fewer, monkeypatch):
+    # single-class cores: once every link is edge 0 the closure stops, and
+    # the one class is still the pairwise closure's.  A random core gets
+    # there before its last relation block; an odd cycle or K_n, whose
+    # last tree edges hold the last merges, only at it.
+    monkeypatch.setattr(_CountingRows, "gathers", 0)
+    links = theta._feder_links(g.edge_array, distance_matrix(g).view(_CountingRows))
+    assert not links.any()
+    assert theta_star_classes(g) == _theta_star_pairwise(g)
+    assert len(_theta_star_pairwise(g).classes) == 1
+    blocks = _CountingRows.gathers // 2
+    assert (blocks < _relation_blocks(g)) == fewer and blocks <= _relation_blocks(g)
+
+
 @given(st.one_of(connected_graphs(min_n=1, max_n=14), pendant_graphs()))
 def test_theta_star_classes_partition_the_edges(g):
     classes = theta_star_classes(g)
