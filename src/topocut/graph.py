@@ -526,7 +526,7 @@ def read_ratio_table(
     if not text.isascii():
         return None
     data = text.encode("ascii")
-    kind = _BYTE_CLASS[np.frombuffer(data, dtype=np.uint8)]
+    kind = _BYTE_CLASS.take(np.frombuffer(data, dtype=np.uint8))
     if not kind.all():
         return None
     word = kind >= _DIGIT

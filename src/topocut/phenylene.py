@@ -11,18 +11,18 @@ union of theta*-classes, and the quotient by each class is a tree, which is
 what makes the O(n) route work.
 
 The phenylene route is array code from end to end: a placement is parsed
-into an (h, 2) array, validated by sorting and neighbour lookups, and built
-as its connectors alone (vertex 6i+k is corner k of hexagon i); the edge
-arrays and the phenylene's ``Graph`` are built only when something asks
-for them.  All four quotient trees come from one Euler tour of the inner
-dual and its runs (``_Runs``): every dual edge is a run edge of one
-direction class, every run is one edge of that class's tree, and the
-dual's subtree sums give every split.  The runs are straight segments
-along lattice lines, numbered by one sort of each class's dual edges
-(``_sorted_runs``), with no component labelling.  The term evaluator of
-:mod:`topocut.exact` turns the splits into the sums of a whole term list
-(W(a,b), W*(a), ...).  Vertex weights are scaled to integers and the
-results divided back as in the cut engine, under the same int64 guard.
+into an (h, 2) array, sorted by one key per cell, validated by one table of
+neighbours and stored as its inner dual (i, j, k) and direction masks
+(vertex 6i+k is corner k of hexagon i); the connectors, the edge arrays and
+the ``Graph`` are built only when read.  All four quotient trees come
+from one Euler tour of the inner dual and its runs (``_Runs``): every dual
+edge is a run edge of one direction class, every run is one edge of that
+class's tree, and the dual's subtree sums give every split.  The runs are
+straight segments along lattice lines, numbered by one sort of each class's
+dual edges (``_sorted_runs``), with no component labelling.  The term
+evaluator of :mod:`topocut.exact` turns the splits into the sums of a whole
+term list (W(a,b), W*(a), ...).  Vertex weights are scaled to integers and
+the results divided back as in the cut engine, under the same int64 guard.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _grid_axis(values: np.ndarray) -> np.ndarray:
     """
     lo = values.min()
     if values.max() - lo <= 2 * len(values):
-        return (values - lo).astype(np.int64)
+        return (values - lo).astype(np.int64, copy=False)
     uniq, inverse = np.unique(values, return_inverse=True)
     steps = np.minimum(np.diff(uniq), 2)
     return np.concatenate(([0], np.cumsum(steps))).astype(np.int64)[inverse]
@@ -108,16 +108,18 @@ class BenzenoidPlacement:
 
     @classmethod
     def _from_array(cls, raw: np.ndarray) -> "BenzenoidPlacement":
-        """Sort an (h, 2) cell array and reject an empty or repeated cell."""
+        """Sort an (h, 2) cell array by one key per cell, (q, r) on the
+        compact grid, and reject an empty or repeated cell."""
         if not len(raw):
             raise PlacementError("placement has no cells")
         q, r = _grid_axis(raw[:, 0]), _grid_axis(raw[:, 1])
-        order = np.lexsort((r, q))
-        raw, q, r = raw[order], q[order], r[order]
-        same = np.flatnonzero((q[1:] == q[:-1]) & (r[1:] == r[:-1]))
+        key = q * (int(r.max()) + 1) + r
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        same = np.flatnonzero(key[1:] == key[:-1])
         if same.size:
-            raise PlacementError(f"duplicate cell {tuple(raw[same[0] + 1].tolist())}")
-        return cls(raw, np.column_stack((q, r)))
+            raise PlacementError(f"duplicate cell {tuple(raw[order[same[0] + 1]].tolist())}")
+        return cls(raw[order], np.column_stack((q[order], r[order])))
 
     @cached_property
     def cells(self) -> tuple[tuple[int, int], ...]:
@@ -179,31 +181,34 @@ class Benzenoid:
 _HEX_U = np.array([0, 1, 2, 3, 4, 0], dtype=np.int64)
 _HEX_V = np.array([1, 2, 3, 4, 5, 5], dtype=np.int64)
 _HEX_CLASS = np.array([1, 2, 3, 1, 2, 3], dtype=np.int64)
+# A dual edge (i, j, k) has connectors from corners k, k+1 of i to k+4, k+3 of j.
+_CONNECTOR_CORNERS = np.array([[0, 1], [4, 3]], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
 class Phenylene:
     """A phenylene: 6h vertices (six per hexagon), 8h-2 edges.
 
-    Vertex 6i+k is corner k of hexagon i.  Only the connectors are stored:
-    ``_con_hexagon`` and ``_con_corner`` (rows: lower and higher end) say
-    where the ends of each connector sit, two connectors per inner-dual
-    edge.  The edge arrays are built on first use: ``_eu``, ``_ev`` hold
-    the edge ends in ``graph.edges`` order (the six edges of each hexagon,
-    then the connectors), ``edge_class`` holds 1..3 for hexagon edges (the
-    direction of the corresponding benzenoid edge) and 4 for connectors,
-    and ``graph`` is the phenylene's ``Graph``.  The trees route reads none
-    of them.
+    Vertex 6i+k is corner k of hexagon i.  Only the inner dual is stored,
+    as ``_validated_dual`` gives it: ``_dual`` holds its edges (i, j, k),
+    two connectors over each, and ``_mask`` each hexagon's direction mask.
+    The trees route reads nothing else.  The edge arrays are built from the
+    dual on first use: ``_eu``, ``_ev`` hold the edge ends in
+    ``graph.edges`` order (the six edges of each hexagon, then the
+    connectors), ``edge_class`` holds 1..3 for hexagon edges (the direction
+    of the corresponding benzenoid edge) and 4 for connectors, and
+    ``graph`` is the phenylene's ``Graph``.
     """
 
     placement: BenzenoidPlacement
-    _con_hexagon: np.ndarray
-    _con_corner: np.ndarray
+    _dual: tuple[np.ndarray, np.ndarray, np.ndarray]
+    _mask: np.ndarray
 
-    def _edge_ends(self, hexagon_corners: np.ndarray, row: int) -> np.ndarray:
+    def _edge_ends(self, hexagon_corners: np.ndarray, end: int) -> np.ndarray:
         base = 6 * np.arange(self.hexagon_count, dtype=np.int64)[:, None]
-        connectors = 6 * self._con_hexagon[row] + self._con_corner[row]
-        return np.concatenate(((base + hexagon_corners).ravel(), connectors))
+        k = self._dual[2][:, None]
+        connectors = 6 * self._dual[end][:, None] + (k + _CONNECTOR_CORNERS[end]) % 6
+        return np.concatenate(((base + hexagon_corners).ravel(), connectors.ravel()))
 
     @cached_property
     def _eu(self) -> np.ndarray:
@@ -215,7 +220,7 @@ class Phenylene:
 
     @cached_property
     def edge_class(self) -> np.ndarray:
-        connectors = np.full(self._con_hexagon.shape[1], 4, dtype=np.int64)
+        connectors = np.full(self.m - self.n, 4, dtype=np.int64)
         return np.concatenate((np.tile(_HEX_CLASS, self.hexagon_count), connectors))
 
     @cached_property
@@ -228,7 +233,7 @@ class Phenylene:
 
     @property
     def m(self) -> int:
-        return 6 * len(self.placement) + self._con_hexagon.shape[1]
+        return 6 * len(self.placement) + 2 * self._dual[0].size
 
     @property
     def hexagon_count(self) -> int:
@@ -240,63 +245,72 @@ def _cell_corners(q: int, r: int) -> list[tuple[int, int]]:
     return [(cx + dx, cy + dy) for dx, dy in CORNER_OFFSETS]
 
 
-def _neighbours(grid: np.ndarray) -> np.ndarray:
-    """(h, 6) index of the neighbour of each cell in each direction, -1 if
-    absent.
+# Cells sorted by (q, r) have their later neighbours in directions 0, 1
+# and 5, and their earlier ones in the opposite directions 3, 4 and 2.
+_LATER = np.array([0, 1, 5], dtype=np.int64)
+
+
+def _later_neighbours(grid: np.ndarray) -> np.ndarray:
+    """(h, 3) index of the neighbour of each cell in directions 0, 1 and 5
+    (``_LATER``), -1 if absent.
 
     The cells are sorted by (q, r), so their keys (q+1) width + (r+1)
-    increase.  The neighbours (0, 1) and (0, -1) can then only be the next
-    and the previous cell, and (1, 0) can only sit just after (1, -1), and
-    (-1, 1) just after (-1, 0): two binary searches find all six.
+    increase.  The neighbour (0, 1) can then only be the next cell, and
+    (1, 0) can only sit just after (1, -1): one binary search finds all
+    three.
     """
     q, r = grid[:, 0], grid[:, 1]
     width = int(r.max()) + 3
     keys = (q + 1) * width + (r + 1)
-    padded = np.concatenate(([-1], keys, [-1]))  # no key is -1
-    cell = np.arange(len(keys))
-    nbr = np.empty((len(keys), 6), dtype=np.int64)
-    nbr[:, 1] = np.where(padded[2:] == keys + 1, cell + 1, -1)
-    nbr[:, 4] = np.where(padded[:-2] == keys - 1, cell - 1, -1)
-    for first, second, delta in ((5, 0, width - 1), (3, 2, -width)):
-        wanted = keys + delta
-        at = np.searchsorted(keys, wanted)  # at most h, where padded holds -1
-        hit = padded[at + 1] == wanted
-        nbr[:, first] = np.where(hit, at, -1)
-        at += hit
-        nbr[:, second] = np.where(padded[at + 1] == wanted + 1, at, -1)
+    padded = np.append(keys, -1)  # no key is -1
+    nbr = np.full((len(keys), 3), -1, dtype=np.int64)
+    nbr[:-1, 1] = np.where(keys[1:] == keys[:-1] + 1, np.arange(1, len(keys)), -1)
+    wanted = keys + (width - 1)
+    at = np.searchsorted(keys, wanted)  # at most h, where padded holds -1
+    hit = padded[at] == wanted
+    nbr[:, 2] = np.where(hit, at, -1)
+    at += hit
+    nbr[:, 0] = np.where(padded[at] == wanted + 1, at, -1)
     return nbr
 
 
 def _validated_dual(
     placement: BenzenoidPlacement,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The inner dual's edges (i, j, k) with i < j and j the neighbour of
-    cell i in direction k, ordered by (i, k).
+    cell i in direction k, ordered by (i, k), and each cell's direction
+    mask (uint8, bit d set when the cell has a neighbour in direction d),
+    both from the one table of ``_later_neighbours``.
 
     Raises for a lattice vertex in three cells (naming the corner at which
     a cell-by-cell, corner-by-corner scan first sees its third cell), a
     disconnected system, or an inner dual that is not a tree.
     """
     h = len(placement)
-    nbr = _neighbours(placement.grid)
-    # Corner k of cell i also lies in its neighbours k-1 and k; it is
-    # internal when both exist, and a scan first sees it in three cells at
-    # the cell of largest index.
-    cell = np.arange(h)[:, None]
-    earlier = (nbr >= 0) & (nbr < cell)
-    third = earlier & np.roll(earlier, 1, axis=1)
+    later = _later_neighbours(placement.grid)
+    flat = np.flatnonzero(later >= 0)
+    di, column = np.divmod(flat, 3)
+    dj, dk = later.ravel()[flat], _LATER[column]
+    present = np.zeros((h, 6), dtype=bool)
+    present[:, _LATER] = later >= 0
+    present[dj, (dk + 3) % 6] = True
+    # Corner k of cell i also lies in its neighbours k-1 and k; a scan first
+    # sees it in three cells at the last of them: corner 3 or 4 of a cell
+    # with earlier neighbours 2, 3 or 3, 4.
+    third = present[:, 2:4] & present[:, 3:5]
     if third.any():
-        i, k = divmod(int(np.flatnonzero(third.ravel())[0]), 6)
+        i, k = divmod(int(np.flatnonzero(third.ravel())[0]), 2)
         raise PlacementError(
-            f"internal lattice vertex at {_cell_corners(*placement.cells[i])[k]}"
+            f"internal lattice vertex at {_cell_corners(*placement.cells[i])[k + 3]}"
         )
-    di, dk = np.nonzero(nbr > cell)
-    dj = nbr[di, dk]
-    if component_labels(h, di, dj)[0] != 1:
+    mask = np.packbits(present, axis=1, bitorder="little").ravel()
+    # Every cell but the first with an earlier neighbour (mask bits 2 to 4)
+    # proves the dual connected: earlier neighbours lead each to the first.
+    if not (mask[1:] & 0b11100).all() and component_labels(h, di, dj)[0] != 1:
         raise PlacementError("cells do not form a connected system")
     if di.size != h - 1:
         raise PlacementError("inner dual is not a tree")
-    return di, dj, dk
+    return di, dj, dk, mask
 
 
 _CORNER_DX = np.array([dx for dx, _ in CORNER_OFFSETS], dtype=np.int64)
@@ -306,7 +320,7 @@ _CORNER_DY = np.array([dy for _, dy in CORNER_OFFSETS], dtype=np.int64)
 def build_benzenoid(cells: Iterable[tuple[int, int]]) -> Benzenoid:
     """Build the benzenoid graph of a catacondensed placement plus its inner dual."""
     placement = BenzenoidPlacement.of(cells)
-    di, dj, _ = _validated_dual(placement)
+    di, dj, _, _ = _validated_dual(placement)
     q, r = placement.grid[:, 0], placement.grid[:, 1]
     # the corner points on the compact grid, y shifted to start at 0
     x = (3 * q)[:, None] + _CORNER_DX
@@ -327,20 +341,12 @@ def build_phenylene(cells: Iterable[tuple[int, int]]) -> Phenylene:
     Each hexagon gets its own six vertex copies; every shared benzenoid edge
     becomes a square via two connector edges between the copies of its
     endpoints.  Edges come in order: the six edges of each hexagon, then
-    two connectors per inner-dual edge; only the connectors are built here.
+    two connectors per inner-dual edge.  Only the validated inner dual and
+    the direction masks are stored; the edges are built when read.
     """
     placement = BenzenoidPlacement.of(cells)
-    di, dj, dk = _validated_dual(placement)
-    # neighbour k's corners k+4 and k+3 meet this cell's corners k and k+1;
-    # row 0 holds the connectors' ends in cell i, row 1 those in cell j.
-    # int32 while every vertex number fits: the quotients read these arrays.
-    small = np.int32 if 6 * len(placement) < 1 << 31 else np.int64
-    con_hexagon = np.stack((np.repeat(di, 2), np.repeat(dj, 2))).astype(small)
-    con_corner = np.stack((
-        np.column_stack((dk, (dk + 1) % 6)).ravel(),
-        np.column_stack(((dk + 4) % 6, (dk + 3) % 6)).ravel(),
-    )).astype(small)
-    return Phenylene(placement, con_hexagon, con_corner)
+    di, dj, dk, mask = _validated_dual(placement)
+    return Phenylene(placement, (di, dj, dk), mask)
 
 
 def squeeze_weights(
@@ -452,7 +458,6 @@ _MEETS = np.array(
 # connectors end at corners d and d+1.  _DEGREE_SUMS[c - 1, mask] is the
 # degree sum of half 1 of class c (two per corner and one per connector
 # end), and _DEGREE_SUMS[3, mask] that of the hexagon.
-_BIT = np.array([1 << d for d in range(6)], dtype=np.uint8)
 _ENDS_IN_HALF_ONE = _HALF_OF.astype(np.int64) + np.roll(_HALF_OF, -1, axis=1)  # [c - 1, d]
 _DEGREE_SUMS = np.array(
     [[6 + sum(ends[d] for d in range(6) if mask >> d & 1) for mask in range(64)]
@@ -493,7 +498,8 @@ class _Runs:
     ``far_one``, ``top_place``: per run, whether its far half is half 1,
     and the tour place of its top (the edge count for the root's runs).
     ``degree``: the phenylene's vertex degrees summed on every node's half 1
-    and on every hexagon.
+    and on every hexagon, looked up by direction mask.  ``of`` reads only
+    the phenylene's stored dual and masks, never its connectors.
     """
 
     child: np.ndarray
@@ -509,8 +515,7 @@ class _Runs:
     @classmethod
     def of(cls, ph: Phenylene) -> "_Runs":
         h = ph.hexagon_count
-        di, dj = ph._con_hexagon[:, ::2]  # the dual edges (i, j, k), k the direction i -> j
-        dk = ph._con_corner[0, ::2]
+        di, dj, dk = ph._dual
         edge, child, stop = _euler_tour(h, di, dj)
         run, bounds = _sorted_runs(ph.placement.grid, di, dj, dk)
         nruns = int(bounds[-1])
@@ -527,13 +532,10 @@ class _Runs:
         top_place[tops] = np.arange(edge.size)[:, None]
         hangs = _MEETS[meets ^ 1]
         parents = (node + np.where(in_j, di[edge], dj[edge])[:, None])[hangs]
-        directions = np.zeros(h, dtype=np.uint8)
-        np.add.at(directions, di, _BIT[dk])
-        np.add.at(directions, dj, _BIT[(dk + 3) % 6])
         return cls(
             child, stop, bounds,
             run, np.nonzero(hangs)[0], run[parents], far_one, top_place,
-            (_DEGREE_SUMS[:3, directions].ravel(), _DEGREE_SUMS[3, directions]),
+            (_DEGREE_SUMS[:3, ph._mask].ravel(), _DEGREE_SUMS[3, ph._mask]),
         )
 
     def sides(self, half_one: np.ndarray, hexagon: np.ndarray) -> list[np.ndarray]:
@@ -568,11 +570,9 @@ def _sorted_runs(
     q, r = grid[:, 0], grid[:, 1]
     run = np.empty(3 * h, dtype=np.int64)
     bounds = [0]
-    cls = (dk % 3).astype(np.int8)
-    by_class = np.argsort(cls, kind="stable")  # a radix sort on int8
-    ends = np.cumsum(np.bincount(cls, minlength=3)).tolist()
+    cls = dk % 3
     for c, (line, pos) in enumerate(((r, q), (q, r), (q + r, q))):
-        edges = by_class[ends[c - 1] if c else 0:ends[c]]
+        edges = np.flatnonzero(cls == c)
         i, j = di[edges], dj[edges]
         key = line[i] * (int(pos.max()) + 2) + pos[i]
         order = np.argsort(key, kind="stable")

@@ -171,6 +171,24 @@ def test_generate_round_trip(tmp_path, capsys):
     assert code == 0
 
 
+def test_compute_cells_is_translation_invariant(tmp_path, capsys):
+    # coordinates past 2^61 take the object-array path through the one-key
+    # sort; the report must not change
+    cells = list(gen_phenylene_chain(28, "A+LA-A-LA+L" * 3 + "A+A-A+A-A+").cells)
+    far = [(q + 2**62, r - 2**62) for q, r in cells]
+    reports = []
+    for name, placement in (("near", cells), ("far", far)):
+        path = tmp_path / name
+        path.write_text("".join(f"{q} {r}\n" for q, r in placement[::-1]))
+        code, out, _ = run(capsys, "compute", "--cells", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("input: cells:") and lines[-1].startswith("time:")
+        reports.append(lines[1:-1])
+    assert reports[0] == reports[1]
+    assert reports[0][0] == "method: trees" and any(line.startswith("  DD ") for line in reports[0])
+
+
 def test_generate_from_cells_emits_phenylene(tmp_path, capsys):
     cells = tmp_path / "cells.txt"
     cells.write_text("0 0\n1 0\n")

@@ -33,7 +33,7 @@ from topocut.phenylene import (
     _Runs,
     _cell_corners,
     _component_sums,
-    _neighbours,
+    _later_neighbours,
     _quotient,
     _validated_dual,
     build_benzenoid,
@@ -627,8 +627,60 @@ def test_placement_errors_match_loop_validation(cells):
         assert str(got.value) == str(exc)
         return
     placement = BenzenoidPlacement.of(cells)
-    di, dj, _ = _validated_dual(placement)
+    di, dj, _, mask = _validated_dual(placement)
     assert (list(placement.cells), list(zip(di.tolist(), dj.tolist()))) == want
+    present = reference_neighbours(placement.grid) >= 0
+    assert mask.tolist() == [sum(1 << d for d in range(6) if row[d]) for row in present]
+
+
+def parent_phenylene_edges(ph):
+    """The edges, as pairs, and the edge classes from the dual (i, j, k)
+    the way ``build_phenylene`` once stored them: two connector rows,
+    (hexagon, corner) per end, then the hexagon edges and connectors
+    concatenated."""
+    di, dj, dk = ph._dual
+    con_hexagon = np.stack((np.repeat(di, 2), np.repeat(dj, 2)))
+    con_corner = np.stack((
+        np.column_stack((dk, (dk + 1) % 6)).ravel(),
+        np.column_stack(((dk + 4) % 6, (dk + 3) % 6)).ravel(),
+    ))
+    base = 6 * np.arange(ph.hexagon_count)[:, None]
+    ends = [
+        np.concatenate(((base + corners).ravel(), 6 * con_hexagon[row] + con_corner[row]))
+        for row, corners in enumerate(([0, 1, 2, 3, 4, 0], [1, 2, 3, 4, 5, 5]))
+    ]
+    classes = [1, 2, 3, 1, 2, 3] * ph.hexagon_count + [4] * con_hexagon.shape[1]
+    return list(zip(ends[0].tolist(), ends[1].tolist())), classes
+
+
+@given(st.one_of(branched_placements(), chain_placements_drawn(), st.just([(0, 0)])))
+def test_lazy_connectors_match_the_stored_connectors(cells):
+    ph = build_phenylene(cells)
+    assert not {"_eu", "_ev", "edge_class", "graph"} & set(vars(ph))
+    edges, classes = parent_phenylene_edges(ph)
+    assert list(ph.graph.edges) == edges
+    assert ph.m == ph.graph.m == len(edges)
+    assert ph.edge_class.tolist() == classes
+
+
+def test_connected_without_labelling_when_every_cell_has_an_earlier_neighbour(monkeypatch):
+    calls = []
+    labels = phenylene_module.component_labels
+
+    def spy(*args):
+        calls.append(args[0])
+        return labels(*args)
+
+    monkeypatch.setattr(phenylene_module, "component_labels", spy)
+    _validated_dual(gen_phenylene_chain(30, KINKS))
+    assert calls == []
+    # a hook: (1, 0), second in (q, r) order, touches only (2, 0), so the
+    # path is labelled to prove it connected
+    hook = [(0, 5), (1, 4), (2, 3), (2, 2), (2, 1), (2, 0), (1, 0)]
+    _validated_dual(BenzenoidPlacement.of(hook))
+    assert calls == [7]
+    with pytest.raises(PlacementError, match="connected"):
+        _validated_dual(BenzenoidPlacement.of([(0, 0), (1, 0), (3, 0)]))
 
 
 PLACEMENT_LINES = [
@@ -709,7 +761,12 @@ def test_neighbours_match_indirect_search(cells):
     placement = BenzenoidPlacement.of(cells)
     if any(max(abs(q), abs(r)) > 2 * len(cells) for q, r in cells):
         assert placement.grid.max() <= 4 * len(cells)  # _grid_axis closed the gaps
-    assert np.array_equal(_neighbours(placement.grid), reference_neighbours(placement.grid))
+    later, want = _later_neighbours(placement.grid), reference_neighbours(placement.grid)
+    assert np.array_equal(later, want[:, [0, 1, 5]])
+    # every earlier neighbour is the cell that has this one as a later one
+    cell, column = np.nonzero(later >= 0)
+    assert np.array_equal(want[later[cell, column], np.array([3, 4, 2])[column]], cell)
+    assert np.count_nonzero(want[:, 2:5] >= 0) == cell.size
 
 
 # The runs kernel against the trees it stands for.  "near31" weights bring
@@ -763,8 +820,7 @@ def labelled_runs(ph):
     joining its ends in its class; and the first run of each class, then
     the run count."""
     h = ph.hexagon_count
-    di, dj = ph._con_hexagon[:, ::2]
-    dk = ph._con_corner[0, ::2]
+    di, dj, dk = ph._dual
     run_class = (dk % 3).astype(np.intp) * h
     nruns, run = component_labels(3 * h, run_class + di, run_class + dj)
     return run, np.append(run[::h], nruns)
