@@ -261,6 +261,8 @@ def _json_columns(columns: Columns, pad: str) -> list[str]:
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", nargs="?", help="edge-list file (optional first line 'n m')")
+    p.add_argument("--header", action=argparse.BooleanOptionalAction, help="read the graph "
+                   "file's first line as 'n m' (or not); default: when m edge lines follow")
     p.add_argument("--family", help="generate the input: path|cycle|complete|hypercube|"
                                     "complete_bipartite|random|star|windmill|house|chain|phe6")
     p.add_argument("--n", help="family size parameter (chain: hexagon count)")
@@ -277,7 +279,7 @@ def _source(args) -> tuple[Graph | BenzenoidPlacement, str]:
     if args.cells:
         return parse_placement(Path(args.cells).read_text()), f"cells:{args.cells}"
     if args.graph:
-        return parse_edge_list(Path(args.graph).read_text()), args.graph
+        return parse_edge_list(Path(args.graph).read_text(), args.header), args.graph
     fam = args.family.lower()
     if fam == "phe6":
         return phe6_placement(), "family:phe6"

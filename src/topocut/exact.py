@@ -39,6 +39,13 @@ def _exact_dtype(bound: int) -> type:
     return np.int64 if bound < _INT64_LIMIT else object
 
 
+def _index_dtype(count: int) -> type:
+    """int32 for an index array whose every value is at most ``count``
+    while ``count`` < 2^31 (scipy's csgraph takes int32 indices as they
+    are); int64 otherwise."""
+    return np.int32 if count < 1 << 31 else np.int64
+
+
 def _abs_sum(row: np.ndarray, top: int) -> int:
     """sum|row| exactly, for a row whose entries are at most ``top`` in
     absolute value."""
@@ -202,53 +209,54 @@ def _euler_tour(
     the tour follows an arc u->v with the arc after v->u in v's row,
     cyclically.  scipy's ``breadth_first_order`` walks that cycle of CSR
     positions from the root's first arc in O(n); a tour shorter than 2(n-1)
-    arcs means the edges do not form a tree.  scipy is imported here, on
-    the first tour of an edge, so that only the trees route loads it; a
-    numpy pointer-doubling list ranking of the cycle ran 10 to 15 times
-    slower on a 2-core Xeon VM (path of 10^5 vertices: 1.45 against
-    22.4 ms).  Of an edge's two arcs the earlier
-    goes down to a child, the down arcs in tour order list the children in
-    preorder, and a child's subtree is the next (rank of up arc - rank of
-    down arc + 1) / 2 preorder places.  Index arrays are int32 while the
-    arc count allows.
+    arcs means the edges do not form a tree.  scipy is imported here, so
+    that only the trees route loads it; a numpy pointer-doubling list
+    ranking of the cycle ran 10 to 15 times slower.  Of an edge's two arcs
+    the earlier goes down to a child, the down arcs in tour order list the
+    children in preorder, and a child's subtree is the next (rank of up arc
+    - rank of down arc + 1) / 2 preorder places.  Every step is a 1-D
+    gather or scatter over index arrays of ``_index_dtype(2(n-1))``.
     """
     m = ncomp - 1
     if qu.size != m:
         raise NotATreeError(f"graph has {qu.size} edges on {ncomp} vertices, not a tree")
     arcs = 2 * m  # arc x runs qu[x] -> qv[x] for x < m, and arc x + m back
-    idx = np.int32 if arcs < 1 << 31 else np.int64
+    idx = _index_dtype(arcs)
     if not m:  # a single vertex
         return (np.zeros(0, dtype=idx),) * 3
     tail = np.concatenate((qu, qv), dtype=idx)
     counts = np.bincount(tail, minlength=ncomp)
     if not counts.all():  # an isolated vertex
         raise NotATreeError("graph is disconnected, not a tree")
-    order = np.argsort(tail, kind="stable").astype(idx)  # CSR position -> arc
+    arc = np.argsort(tail, kind="stable").astype(idx)  # CSR position -> arc
     where = np.empty(arcs, dtype=idx)  # arc -> CSR position
-    where[order] = np.arange(arcs, dtype=idx)
-    order = np.where(order < m, order + m, order - m)  # now the twin arc of each position
-    head = tail[order]
-    twin = where[order]
+    where[arc] = np.arange(arcs, dtype=idx)
+    twin = np.empty(arcs, dtype=idx)  # CSR position -> its twin's position
+    twin[where[:m]] = where[m:]
+    twin[where[m:]] = where[:m]
     # the tour goes on at the position after the twin, cyclically in its row
-    ends = np.cumsum(counts)
+    ends = np.cumsum(counts, dtype=idx)
     succ = np.arange(1, arcs + 1, dtype=idx)
     succ[ends - 1] = ends - counts
-    succ = succ[twin]
+    succ = succ.take(twin)
+    del where, counts, ends  # only the cycle's arrays live through the walk
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
 
     cycle = csr_matrix((np.ones(arcs), succ, np.arange(arcs + 1, dtype=idx)), shape=(arcs, arcs))
     tour = breadth_first_order(cycle, 0, directed=True, return_predecessors=False)
+    del cycle, succ
     if tour.size != arcs:
         raise NotATreeError("graph is disconnected, not a tree")
     rank = np.empty(arcs, dtype=idx)
     rank[tour] = np.arange(arcs, dtype=idx)
-    later = rank[twin[tour]]
+    later = rank.take(twin.take(tour))
     down = np.flatnonzero(later > np.arange(arcs, dtype=idx)).astype(idx)  # preorder -> rank
-    position = tour[down]
-    stop = np.arange(1, m + 1, dtype=idx) + (later[down] - down - 1) // 2
-    edge = order[position]  # the twin arc, on the same edge
-    return np.where(edge < m, edge, edge - m), head[position], stop
+    stop = np.arange(1, m + 1, dtype=idx) + ((later.take(down) - down - 1) >> 1)
+    down = arc.take(tour.take(down))  # preorder -> down arc
+    back = (down >= m).astype(idx)  # 1 for an arc qv -> qu
+    edge = down - m * back
+    return edge, tail.take(edge + m * (1 - back)), stop
 
 
 def _split_plan(
@@ -292,9 +300,9 @@ def _subtree_sums(w: np.ndarray, child: np.ndarray, stop: np.ndarray) -> np.ndar
     """Per preorder place of ``_euler_tour``, the sum of w over the child's
     subtree, in w's dtype."""
     prefix = np.zeros(child.size + 1, dtype=w.dtype)
-    prefix[1:] = w[child]
+    np.take(w, child, out=prefix[1:])
     np.cumsum(prefix, out=prefix)
-    return prefix[stop] - prefix[:-1]
+    return prefix.take(stop) - prefix[:-1]
 
 
 def _tree_term_sums(

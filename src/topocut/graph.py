@@ -577,12 +577,14 @@ def read_ratio_table(
     return values[first].reshape(-1, width), den.reshape(-1, width)
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, header: bool | None = None) -> Graph:
     """Parse the edge-list text format.
 
     Lines hold two whitespace-separated decimal vertex indices; lines starting
-    with '#' are ignored.  An optional first line "n m" fixes the vertex count
-    (it is treated as a header only when exactly m edge lines follow).
+    with '#' are ignored.  An optional first line "n m" fixes the vertex count.
+    ``header`` True reads the first line as that header, which must give
+    n >= 1 and the count m of edge lines after it; False reads it as an
+    edge; None reads it as the header only when it would pass as one.
 
     A text that ``read_int_table`` reads, and whose edges pass the array
     checks of ``Graph``, is built from that table.  Any other text, and any
@@ -591,7 +593,8 @@ def parse_edge_list(text: str) -> Graph:
     """
     table = read_int_table(text, (2,))
     if table is not None:
-        if table[0, 1] == len(table) - 1 and table[0, 0] >= 1:
+        fits = table[0, 1] == len(table) - 1 and table[0, 0] >= 1
+        if fits and header is not False:
             n, ends = int(table[0, 0]), table[1:]
         else:
             n, ends = int(table.max()) + 1, table
@@ -600,12 +603,12 @@ def parse_edge_list(text: str) -> Graph:
         except GraphError:
             pass
         else:
-            if g.connected:
+            if g.connected and (fits or not header):  # else the line reader names the header
                 return g
-    return _read_edge_lines(text)
+    return _read_edge_lines(text, header)
 
 
-def _read_edge_lines(text: str) -> Graph:
+def _read_edge_lines(text: str, header: bool | None = None) -> Graph:
     """The line-by-line edge-list reader: every ``parse_edge_list`` error."""
     rows: list[tuple[int, int, int]] = []  # (lineno, a, b)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -623,7 +626,11 @@ def _read_edge_lines(text: str) -> Graph:
     if not rows:
         raise ParseError("no edges found")
     first_line, first_a, first_b = rows[0]
-    if first_b == len(rows) - 1 and first_a >= 1:
+    fits = first_b == len(rows) - 1 and first_a >= 1
+    if header and not fits:
+        raise ParseError(f"line {first_line}: header needs n >= 1 and the edge count "
+                         f"{len(rows) - 1}, got '{first_a} {first_b}'")
+    if fits and header is not False:
         n, pairs = first_a, rows[1:]
     else:
         n, pairs = max(max(a, b) for _, a, b in rows) + 1, rows

@@ -92,8 +92,9 @@ class BenzenoidPlacement:
 
     ``coords`` holds the cells as an (h, 2) array sorted by (q, r): int64,
     or Python ints when some coordinate reaches 2^61.  ``grid`` holds the
-    same cells, in the same order, on the compact grid of ``_grid_axis``;
-    the array routes work on it.  ``cells``, the cells as a tuple of (q, r)
+    same cells, in the same order, on the compact grid of ``_grid_axis``,
+    stored column by column so that each axis is a contiguous array; the
+    array routes work on it.  ``cells``, the cells as a tuple of (q, r)
     tuples, is built on first use; equality and hashing go by it.
     """
 
@@ -114,12 +115,12 @@ class BenzenoidPlacement:
             raise PlacementError("placement has no cells")
         q, r = _grid_axis(raw[:, 0]), _grid_axis(raw[:, 1])
         key = q * (int(r.max()) + 1) + r
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+        order = np.argsort(key, kind="stable")  # adaptive: cells often come in sorted
+        key = key.take(order)
         same = np.flatnonzero(key[1:] == key[:-1])
         if same.size:
             raise PlacementError(f"duplicate cell {tuple(raw[order[same[0] + 1]].tolist())}")
-        return cls(raw[order], np.column_stack((q[order], r[order])))
+        return cls(raw.take(order, axis=0), np.stack((q.take(order), r.take(order))).T)
 
     @cached_property
     def cells(self) -> tuple[tuple[int, int], ...]:
@@ -257,20 +258,20 @@ def _later_neighbours(grid: np.ndarray) -> np.ndarray:
     The cells are sorted by (q, r), so their keys (q+1) width + (r+1)
     increase.  The neighbour (0, 1) can then only be the next cell, and
     (1, 0) can only sit just after (1, -1): one binary search finds all
-    three.
+    three.  Each column is written as (index + 1) * found - 1.
     """
     q, r = grid[:, 0], grid[:, 1]
     width = int(r.max()) + 3
     keys = (q + 1) * width + (r + 1)
     padded = np.append(keys, -1)  # no key is -1
-    nbr = np.full((len(keys), 3), -1, dtype=np.int64)
-    nbr[:-1, 1] = np.where(keys[1:] == keys[:-1] + 1, np.arange(1, len(keys)), -1)
+    nbr = np.empty((len(keys), 3), dtype=np.int64)
+    nbr[:, 1] = np.arange(2, len(keys) + 2) * (padded[1:] == keys + 1) - 1
     wanted = keys + (width - 1)
     at = np.searchsorted(keys, wanted)  # at most h, where padded holds -1
-    hit = padded[at] == wanted
-    nbr[:, 2] = np.where(hit, at, -1)
+    hit = padded.take(at) == wanted
+    nbr[:, 2] = (at + 1) * hit - 1
     at += hit
-    nbr[:, 0] = np.where(padded[at] == wanted + 1, at, -1)
+    nbr[:, 0] = (at + 1) * (padded.take(at) == wanted + 1) - 1
     return nbr
 
 
@@ -280,30 +281,37 @@ def _validated_dual(
     """The inner dual's edges (i, j, k) with i < j and j the neighbour of
     cell i in direction k, ordered by (i, k), and each cell's direction
     mask (uint8, bit d set when the cell has a neighbour in direction d),
-    both from the one table of ``_later_neighbours``.
+    both from the one table of ``_later_neighbours``, read flat.
 
     Raises for a lattice vertex in three cells (naming the corner at which
     a cell-by-cell, corner-by-corner scan first sees its third cell), a
     disconnected system, or an inner dual that is not a tree.
     """
     h = len(placement)
-    later = _later_neighbours(placement.grid)
-    flat = np.flatnonzero(later >= 0)
+    later = _later_neighbours(placement.grid).ravel()
+    hit = (later >= 0).view(np.uint8)
+    flat = np.flatnonzero(hit)
     di, column = np.divmod(flat, 3)
-    dj, dk = later.ravel()[flat], _LATER[column]
-    present = np.zeros((h, 6), dtype=bool)
-    present[:, _LATER] = later >= 0
-    present[dj, (dk + 3) % 6] = True
+    dj, dk = later.take(flat), _LATER.take(column)
+    # The earlier neighbours are the later ones' other ends: bit 3 of a
+    # direction-0 neighbour, 2 of a direction-5 one, 4 of the cell after a
+    # direction-1 one (slot h takes the writes of the absent ones, -1).
+    mask = np.zeros(h + 1, dtype=np.uint8)
+    mask[later[0::3]] = 1 << 3
+    mask[later[2::3]] |= 1 << 2
+    mask[1:h] |= hit[1::3][:-1] << 4
+    mask = mask[:h]
+    for c, d in enumerate(_LATER.tolist()):
+        mask |= hit[c::3] << d
     # Corner k of cell i also lies in its neighbours k-1 and k; a scan first
     # sees it in three cells at the last of them: corner 3 or 4 of a cell
     # with earlier neighbours 2, 3 or 3, 4.
-    third = present[:, 2:4] & present[:, 3:5]
-    if third.any():
-        i, k = divmod(int(np.flatnonzero(third.ravel())[0]), 2)
-        raise PlacementError(
-            f"internal lattice vertex at {_cell_corners(*placement.cells[i])[k + 3]}"
-        )
-    mask = np.packbits(present, axis=1, bitorder="little").ravel()
+    corner_3, corner_4 = (mask & 0b1100) == 0b1100, (mask & 0b11000) == 0b11000
+    third = np.flatnonzero(corner_3 | corner_4)
+    if third.size:
+        i = int(third[0])
+        corner = _cell_corners(*placement.cells[i])[3 if corner_3[i] else 4]
+        raise PlacementError(f"internal lattice vertex at {corner}")
     # Every cell but the first with an earlier neighbour (mask bits 2 to 4)
     # proves the dual connected: earlier neighbours lead each to the first.
     if not (mask[1:] & 0b11100).all() and component_labels(h, di, dj)[0] != 1:
@@ -447,12 +455,13 @@ def _component_sums(labels: np.ndarray, ncomp: int, w: np.ndarray) -> np.ndarray
 # The connector class cuts no hexagon.
 _HALF_OF = np.array([[(k - c) % 6 < 3 for k in range(6)] for c in (1, 2, 3)])
 # A dual edge (i, j, k) is a run edge of class k % 3 + 1 and meets one half
-# of each end in the other two: _NON_RUN[k] lists those classes (0-based),
-# and _MEETS[2k + end][t] the half it meets in class _NON_RUN[k][t] at end
-# i (end 0) or j (end 1), whose corners are k, k+1 and k+4, k+3.
-_NON_RUN = np.array([[(k + 1) % 3, (k + 2) % 3] for k in range(6)], dtype=np.intp)
+# of each end in the other two, (k + 1 + t) % 3 for t = 0, 1 (0-based).  At
+# end e (0 for i, corners k, k+1; 1 for j, corners k+4, k+3), code 2k + e:
+# _NON_RUN[t][code] is that class and _MEETS[t][code] the half it meets.
+_NON_RUN = np.array([[(code // 2 + 1 + t) % 3 for code in range(12)] for t in (0, 1)])
 _MEETS = np.array(
-    [[_HALF_OF[c, (k + 4 * end) % 6] for c in _NON_RUN[k]] for k in range(6) for end in (0, 1)]
+    [[_HALF_OF[(code // 2 + 1 + t) % 3, (code // 2 + 4 * (code % 2)) % 6] for code in range(12)]
+     for t in (0, 1)]
 )
 # Bit d of a hexagon's direction mask: a neighbour in direction d, whose
 # connectors end at corners d and d+1.  _DEGREE_SUMS[c - 1, mask] is the
@@ -494,12 +503,13 @@ class _Runs:
     ``child``, ``stop``: the dual's Euler tour (``_euler_tour``).
     ``bounds``: the first run label of classes 1..3, then the run count.
     ``run``: per node, its run.  ``hang_place``, ``hang_run``: the tour
-    places of the subtrees hanging from a half 1, and that half's run.
-    ``far_one``, ``top_place``: per run, whether its far half is half 1,
-    and the tour place of its top (the edge count for the root's runs).
-    ``degree``: the phenylene's vertex degrees summed on every node's half 1
-    and on every hexagon, looked up by direction mask.  ``of`` reads only
-    the phenylene's stored dual and masks, never its connectors.
+    places of the subtrees hanging from a half 1, and that half's run, in
+    no particular order (they only feed ``np.add.at``).  ``far_one``,
+    ``top_place``: per run, whether its far half is half 1, and the tour
+    place of its top (the edge count for the root's runs).  ``degree``: the
+    phenylene's vertex degrees summed on every node's half 1 and on every
+    hexagon, taken by direction mask.  ``of`` reads only the stored dual and
+    masks, one non-run class at a time, each step a 1-D gather or scatter.
     """
 
     child: np.ndarray
@@ -518,24 +528,25 @@ class _Runs:
         di, dj, dk = ph._dual
         edge, child, stop = _euler_tour(h, di, dj)
         run, bounds = _sorted_runs(ph.placement.grid, di, dj, dk)
-        nruns = int(bounds[-1])
-        # per tour place and non-run class: the half that the edge to the
-        # place's child meets in the child (end 0 or 1) and in the parent
-        k = dk[edge].astype(np.intp)
-        in_j = child == dj[edge]
-        meets = 2 * k + in_j  # ^ 1 for the parent's end
-        node = _NON_RUN[k] * h
-        tops = run[node + child[:, None]]  # the runs that the place's child tops
-        far_one = np.zeros(nruns, dtype=bool)
-        far_one[tops] = ~_MEETS[meets]
-        top_place = np.full(nruns, edge.size, dtype=np.intp)
-        top_place[tops] = np.arange(edge.size)[:, None]
-        hangs = _MEETS[meets ^ 1]
-        parents = (node + np.where(in_j, di[edge], dj[edge])[:, None])[hangs]
+        # per tour place: its edge's code and its parent
+        j = dj.take(edge)
+        code = 2 * dk.take(edge) + (child == j)
+        parent = di.take(edge) + j - child
+        far_one = np.zeros(int(bounds[-1]), dtype=bool)
+        top_place = np.full(int(bounds[-1]), edge.size, dtype=np.intp)
+        hang_place, hang_run = [], []
+        for non_run, meets in zip(h * _NON_RUN, _MEETS):  # one non-run class at a time
+            node = non_run.take(code)
+            tops = run.take(node + child)  # the runs that the place's child tops
+            far_one[tops] = ~meets.take(code)
+            top_place[tops] = np.arange(edge.size)
+            hangs = np.flatnonzero(meets.take(code ^ 1))  # met at the parent's end
+            hang_place.append(hangs)
+            hang_run.append(run.take(node.take(hangs) + parent.take(hangs)))
+        degree = _DEGREE_SUMS.take(ph._mask, axis=1)
         return cls(
-            child, stop, bounds,
-            run, np.nonzero(hangs)[0], run[parents], far_one, top_place,
-            (_DEGREE_SUMS[:3, ph._mask].ravel(), _DEGREE_SUMS[3, ph._mask]),
+            child, stop, bounds, run, np.concatenate(hang_place), np.concatenate(hang_run),
+            far_one, top_place, (degree[:3].ravel(), degree[3]),
         )
 
     def sides(self, half_one: np.ndarray, hexagon: np.ndarray) -> list[np.ndarray]:
@@ -545,8 +556,10 @@ class _Runs:
         below = _subtree_sums(hexagon, self.child, self.stop)
         ones = np.zeros(self.bounds[-1], dtype=hexagon.dtype)  # S1 per run
         np.add.at(ones, self.run, half_one)
-        np.add.at(ones, self.hang_run, below[self.hang_place])
-        far = np.where(self.far_one, ones, np.append(below, hexagon.sum())[self.top_place] - ones)
+        np.add.at(ones, self.hang_run, below.take(self.hang_place))
+        far = np.append(below, hexagon.sum()).take(self.top_place)
+        far -= ones
+        np.copyto(far, ones, where=self.far_one)
         return [far[lo:hi] for lo, hi in zip(self.bounds[:-1], self.bounds[1:])] + [below]
 
 
@@ -561,27 +574,28 @@ def _sorted_runs(
     per class, and class c's run edges lie along the lattice lines of
     constant r, q or q + r.  Every two cells at consecutive positions on a
     line are adjacent, so a run is a maximal set of consecutive positions
-    on one line: one sort of each class's edges by (line, position) on the
-    compact grid, whose steps of 1 are the input's, numbers them.  A cell on
-    no edge of the class is a run of its own.  The runs of a class are
-    consecutive numbers, in no particular order.
+    on one line: one sort of each class's edges by (line, position) puts
+    every run's edges in a row, and a run goes on while an edge starts at
+    the cell where the one before it ends.  A cell on no edge of the class
+    is a run of its own.  The runs of a class are consecutive numbers, in no
+    particular order.  Every step is a 1-D gather or scatter.
     """
     h = len(grid)
     q, r = grid[:, 0], grid[:, 1]
     run = np.empty(3 * h, dtype=np.int64)
     bounds = [0]
-    cls = dk % 3
-    for c, (line, pos) in enumerate(((r, q), (q, r), (q + r, q))):
-        edges = np.flatnonzero(cls == c)
-        i, j = di[edges], dj[edges]
-        key = line[i] * (int(pos.max()) + 2) + pos[i]
-        order = np.argsort(key, kind="stable")
-        start = np.diff(key[order], prepend=-2) != 1  # keys are >= 0
+    for c, (k, line, pos) in enumerate(zip(_LATER.tolist(), (r, q, q + r), (q, r, q))):
+        edges = np.flatnonzero(dk == k)
+        i, j = di.take(edges), dj.take(edges)
+        order = np.argsort(line.take(i) * (int(pos.max()) + 2) + pos.take(i))  # distinct keys
+        i, j = i.take(order), j.take(order)
+        start = np.ones(i.size, dtype=bool)
+        start[1:] = i[1:] != j[:-1]
         edge_run = np.cumsum(start) + (bounds[-1] - 1)
         nodes = run[c * h:(c + 1) * h]
         nodes.fill(-1)
-        nodes[i[order]] = edge_run
-        nodes[j[order]] = edge_run
+        nodes[i] = edge_run
+        nodes[j] = edge_run
         alone = np.flatnonzero(nodes < 0)
         first = bounds[-1] + int(np.count_nonzero(start))
         nodes[alone] = np.arange(first, first + alone.size)

@@ -231,6 +231,17 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_header_flags(tmp_path, capsys):
+    f = tmp_path / "p.txt"
+    f.write_text("3 2\n0 1\n1 2\n")
+    for flags, want in (((), "(n=3, m=2)"), (("--header",), "(n=3, m=2)"), (("--no-header",), "(n=4, m=3)")):
+        code, out, _ = run(capsys, "compute", str(f), *flags)
+        assert code == 0 and want in out.splitlines()[0]
+    f.write_text("3 5\n0 1\n1 2\n")
+    code, _, err = run(capsys, "compute", str(f), "--header")
+    assert code == 2 and "line 1: header" in err
+
+
 def test_inapplicable_method_exit_3(tmp_path, capsys):
     f = tmp_path / "c6.txt"
     f.write_text(format_edge_list(cycle_graph(6)))

@@ -256,6 +256,26 @@ def test_parse_edge_list_without_header():
     assert (g.n, g.m) == (4, 3)
 
 
+@pytest.mark.parametrize("tail", ["", "\n# note\n"])
+def test_parse_edge_list_header_flag(tail):
+    # "3 2" fits as a header, so the default reads a 3-vertex path; read as
+    # an edge it makes three edges on 4 vertices (the array and the line
+    # reader alike: a comment sends the text down the line reader)
+    text = "3 2\n0 1\n1 2\n" + tail
+    for header, want in ((None, (3, 2)), (True, (3, 2)), (False, (4, 3))):
+        g = parse_edge_list(text, header)
+        assert (g.n, g.m) == want
+
+
+@pytest.mark.parametrize(("text", "line"), [
+    ("2 3\n0 1\n1 2\n", 1), ("# c\n\n3 1\n0 1\n1 2\n", 3), ("0 2\n0 1\n1 2\n", 1),
+])
+def test_parse_edge_list_header_that_does_not_fit(text, line):
+    with pytest.raises(ParseError, match=f"line {line}: header"):
+        parse_edge_list(text, header=True)
+    assert parse_edge_list(text, header=False).m == 3
+
+
 def test_parse_single_vertex_header():
     g = parse_edge_list("1 0\n")
     assert (g.n, g.m) == (1, 0)

@@ -1,3 +1,5 @@
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import assume, example, given, strategies as st
 import topocut.exact as exact_module
 import topocut.phenylene as phenylene_module
 from topocut import cli
-from topocut.exact import _exact_dtype, _tree_term_sums, weights_of
+from topocut.exact import _euler_tour, _exact_dtype, _index_dtype, _tree_term_sums, weights_of
 from topocut.cut_method import INDEX_TERMS
 
 from topocut.graph import (
@@ -30,11 +32,14 @@ from topocut.phenylene import (
     NotATreeError,
     NEIGHBOR_OFFSETS,
     PlacementError,
+    _DEGREE_SUMS,
+    _HALF_OF,
     _Runs,
     _cell_corners,
     _component_sums,
     _later_neighbours,
     _quotient,
+    _sorted_runs,
     _validated_dual,
     build_benzenoid,
     build_phenylene,
@@ -888,3 +893,171 @@ def test_lazy_edge_arrays_and_edge_count():
     assert ph.m == 8 * 6 - 2
     assert not {"_eu", "_ev", "edge_class", "graph"} & set(vars(ph))
     assert ph.m == len(ph._eu) == len(ph._ev) == len(ph.edge_class) == ph.graph.m
+
+
+# The two-column kernels that the flat ones replaced, kept as references:
+# the tour with the twin arc of every CSR position looked up by np.where,
+# the runs keyed by (line, position) differences, and the runs kernel with
+# one (places, 2) lookup for both non-run classes.
+def two_column_tour(ncomp, qu, qv):
+    m = ncomp - 1
+    arcs = 2 * m
+    idx = np.int32 if arcs < 1 << 31 else np.int64
+    if not m:
+        return (np.zeros(0, dtype=idx),) * 3
+    tail = np.concatenate((qu, qv), dtype=idx)
+    counts = np.bincount(tail, minlength=ncomp)
+    order = np.argsort(tail, kind="stable").astype(idx)
+    where = np.empty(arcs, dtype=idx)
+    where[order] = np.arange(arcs, dtype=idx)
+    order = np.where(order < m, order + m, order - m)
+    head = tail[order]
+    twin = where[order]
+    ends = np.cumsum(counts)
+    succ = np.arange(1, arcs + 1, dtype=idx)
+    succ[ends - 1] = ends - counts
+    succ = succ[twin]
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    cycle = csr_matrix((np.ones(arcs), succ, np.arange(arcs + 1, dtype=idx)), shape=(arcs, arcs))
+    tour = breadth_first_order(cycle, 0, directed=True, return_predecessors=False)
+    rank = np.empty(arcs, dtype=idx)
+    rank[tour] = np.arange(arcs, dtype=idx)
+    later = rank[twin[tour]]
+    down = np.flatnonzero(later > np.arange(arcs, dtype=idx)).astype(idx)
+    position = tour[down]
+    stop = np.arange(1, m + 1, dtype=idx) + (later[down] - down - 1) // 2
+    edge = order[position]
+    return np.where(edge < m, edge, edge - m), head[position], stop
+
+
+def keyed_runs(grid, di, dj, dk):
+    h = len(grid)
+    q, r = grid[:, 0], grid[:, 1]
+    run = np.empty(3 * h, dtype=np.int64)
+    bounds = [0]
+    for c, (line, pos) in enumerate(((r, q), (q, r), (q + r, q))):
+        edges = np.flatnonzero(dk % 3 == c)
+        i, j = di[edges], dj[edges]
+        key = line[i] * (int(pos.max()) + 2) + pos[i]
+        order = np.argsort(key, kind="stable")
+        start = np.diff(key[order], prepend=-2) != 1
+        edge_run = np.cumsum(start) + (bounds[-1] - 1)
+        nodes = run[c * h:(c + 1) * h]
+        nodes.fill(-1)
+        nodes[i[order]] = edge_run
+        nodes[j[order]] = edge_run
+        alone = np.flatnonzero(nodes < 0)
+        first = bounds[-1] + int(np.count_nonzero(start))
+        nodes[alone] = np.arange(first, first + alone.size)
+        bounds.append(first + alone.size)
+    return run, np.array(bounds, dtype=np.int64)
+
+
+TWO_COLUMN_NON_RUN = np.array([[(k + 1) % 3, (k + 2) % 3] for k in range(6)], dtype=np.intp)
+TWO_COLUMN_MEETS = np.array([
+    [_HALF_OF[c, (k + 4 * end) % 6] for c in TWO_COLUMN_NON_RUN[k]]
+    for k in range(6) for end in (0, 1)
+])
+
+
+def two_column_runs(ph):
+    h = ph.hexagon_count
+    di, dj, dk = ph._dual
+    edge, child, stop = two_column_tour(h, di, dj)
+    run, bounds = keyed_runs(ph.placement.grid, di, dj, dk)
+    nruns = int(bounds[-1])
+    k = dk[edge].astype(np.intp)
+    in_j = child == dj[edge]
+    meets = 2 * k + in_j
+    node = TWO_COLUMN_NON_RUN[k] * h
+    tops = run[node + child[:, None]]
+    far_one = np.zeros(nruns, dtype=bool)
+    far_one[tops] = ~TWO_COLUMN_MEETS[meets]
+    top_place = np.full(nruns, edge.size, dtype=np.intp)
+    top_place[tops] = np.arange(edge.size)[:, None]
+    hangs = TWO_COLUMN_MEETS[meets ^ 1]
+    parents = (node + np.where(in_j, di[edge], dj[edge])[:, None])[hangs]
+    return {
+        "child": child, "stop": stop, "bounds": bounds, "run": run,
+        "hang_place": np.nonzero(hangs)[0], "hang_run": run[parents],
+        "far_one": far_one, "top_place": top_place,
+        "degree": (_DEGREE_SUMS[:3, ph._mask].ravel(), _DEGREE_SUMS[3, ph._mask]),
+    }
+
+
+def assert_identical(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+@given(st.one_of(branched_placements(), chain_placements_drawn(), st.just([(0, 0)])))
+@example(list(gen_phenylene_chain(60, "A+A-" * 29).cells))
+@example([(q + 2**62, r - 2**62) for q, r in gen_phenylene_chain(9, "A+LA-A-LA+L").cells])
+def test_flat_kernels_match_two_column_references(cells):
+    ph = build_phenylene(cells)
+    di, dj, dk = ph._dual
+    for got, want in zip(_euler_tour(ph.hexagon_count, di, dj), two_column_tour(ph.hexagon_count, di, dj)):
+        assert_identical(got, want)
+    for got, want in zip(_sorted_runs(ph.placement.grid, di, dj, dk), keyed_runs(ph.placement.grid, di, dj, dk)):
+        assert_identical(got, want)
+    runs, want = _Runs.of(ph), two_column_runs(ph)
+    for name in ("child", "stop", "bounds", "run", "far_one", "top_place"):
+        assert_identical(getattr(runs, name), want[name])
+    for got, wanted in zip(runs.degree, want["degree"]):
+        assert_identical(got, wanted)
+    # the hangs only feed np.add.at, so their order is free
+    assert runs.hang_place.dtype == want["hang_place"].dtype
+    assert runs.hang_run.dtype == want["hang_run"].dtype
+    pairs = Counter(zip(runs.hang_place.tolist(), runs.hang_run.tolist()))
+    assert pairs == Counter(zip(want["hang_place"].tolist(), want["hang_run"].tolist()))
+
+
+@given(trees(max_n=40), st.randoms(use_true_random=False))
+def test_flat_tour_matches_two_column_reference_on_trees(tree, rnd):
+    # any tree, with its edges in any order and either way round
+    edges = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in tree.edges]
+    rnd.shuffle(edges)
+    qu, qv = (np.array([e[s] for e in edges], dtype=np.int64).reshape(-1) for s in (0, 1))
+    for got, want in zip(_euler_tour(tree.n, qu, qv), two_column_tour(tree.n, qu, qv)):
+        assert_identical(got, want)
+
+
+def test_tour_index_dtype_across_its_limit(monkeypatch):
+    # 2^31 - 1 arcs keep every index of the tour, the arc count included, in
+    # int32; 2^31 arcs take int64.  Neither tour is built: a spy shows the
+    # tour asks the helper with its arc count and takes the dtype it gets.
+    assert _index_dtype(2**31 - 1) is np.int32
+    assert _index_dtype(2**31) is np.int64
+    assert np.iinfo(np.int32).max == 2**31 - 1
+    asked = []
+
+    def wide(count):
+        asked.append(count)
+        return np.int64
+
+    monkeypatch.setattr(exact_module, "_index_dtype", wide)
+    ph = build_phenylene(gen_phenylene_chain(9, "A+LA-A-LA+L"))
+    out = _euler_tour(ph.hexagon_count, *ph._dual[:2])
+    assert asked == [2 * 8] and {a.dtype for a in out} == {np.dtype(np.int64)}
+    monkeypatch.undo()
+    for got, want in zip(out, _euler_tour(ph.hexagon_count, *ph._dual[:2])):
+        assert want.dtype == np.int32 and np.array_equal(got, want)
+
+
+# The tracemalloc peak of a trees solve on a linear chain of 10^5 hexagons,
+# measured with numpy 2.4 and scipy 1.17 after the flat kernels (14.69 MiB;
+# 15.46 MiB before them), plus 10%.
+TREES_PEAK_BYTES = 16_947_000
+
+
+def test_trees_solve_peak_memory():
+    ph = build_phenylene(gen_phenylene_chain(100_000))
+    want = dd_gut_via_trees(ph)  # warm: scipy loaded, caches built
+    tracemalloc.start()
+    try:
+        assert dd_gut_via_trees(ph) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= TREES_PEAK_BYTES, f"peak {peak} bytes"
