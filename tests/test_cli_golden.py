@@ -1,6 +1,6 @@
-"""Golden outputs of the CLI: every inspection command and every general
-``compute`` method on a fixed set of inputs, text and ``--json``, held byte
-for byte to ``data/cli_golden.json`` with the timings masked.
+"""Golden outputs of the CLI: every inspection command and every
+``compute`` method but ``auto`` on a fixed set of inputs, text and
+``--json``, held byte for byte to ``data/cli_golden.json`` with the timings masked.
 
 Regenerate the file (only when an output is meant to change) with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -31,6 +31,12 @@ INPUTS = {
     "house6": (["--family", "house", "--n", "6"], "0-1,0-2"),
     "random30": (["random_n30_m50_seed1.txt"], "0-1,0-2"),
     "windmill4": (["--family", "windmill", "--n", "4", "--weights", "windmill4.w"], "0-1,1-2"),
+    "phe6": (["--family", "phe6"], "0-1,1-2"),
+    # a kinked chain with p/q weights, some plain and some whole-valued (2/1)
+    "chain12": (
+        ["--family", "chain", "--n", "12", "--kinks", "A+LA-A+A-LA+A-A+L", "--weights", "chain12.w"],
+        "0-1,1-2",
+    ),
 }
 
 COMMANDS = {
@@ -40,7 +46,10 @@ COMMANDS = {
     "quotient_edges": ["quotient", "--edges", None],
     "hamming": ["hamming"],
     "reduce": ["reduce"],
-    **{f"compute_{m}": ["compute", "--method", m] for m in ("oracle", "cuts", "hamming", "reduce")},
+    **{
+        f"compute_{m}": ["compute", "--method", m]
+        for m in ("oracle", "cuts", "hamming", "reduce", "trees")
+    },
 }
 
 
