@@ -1,10 +1,11 @@
 """Command-line interface: compute, inspect, verify, generate, reduce.
 
-Every index is a weight pair over named vertex vectors (``INDEX_TERMS``),
-the rows of one scaled weight matrix per solve.  ``ROUTES`` maps each
-method to one function that evaluates an input's term list; ``auto`` only
-picks a route.  ``compute --check`` and ``verify``, which
-runs every route that applies, hold the routes to the oracle by one helper.
+Every index is a pair of rows of one scaled weight matrix per solve
+(``INDEX_TERMS``, ``index_pairs``): the cuts and trees routes turn the pairs
+into one array of undivided values, a row per block or tree, and divide
+each index back once.  ``ROUTES`` maps each method to one function; ``auto``
+only picks a route.  ``compute --check`` and ``verify``, which runs every
+route that applies, hold the routes to the oracle by one helper.
 
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 method not
 applicable to the input, 4 verification mismatch.
@@ -50,7 +51,7 @@ from .cut_method import (
     TermNames,
     column_sums,
     column_values,
-    index_terms,
+    index_pairs,
 )
 from .phenylene import (
     BenzenoidPlacement,
@@ -59,7 +60,8 @@ from .phenylene import (
     build_phenylene,
     format_placement,
     parse_placement,
-    tree_term_values,
+    quotient_trees,
+    tree_block_matrix,
 )
 from .reduction import collapse_plan, step_corrections
 from .families import (
@@ -90,15 +92,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# The rows of a solve's weight matrix, as ``INDEX_TERMS`` names them.
-ROWS = {"1": 0, "deg": 1, "a": 2, "b": 3}
-
-
-def _pairs(terms: TermNames) -> list[Pair]:
-    """Each term as a pair of rows of the solve's weight matrix."""
-    return [(ROWS[x], ROWS[x if y is None else y], y is None) for x, y in terms.values()]
-
-
 @dataclass
 class LoadedInput:
     """A loaded input: a graph, or a phenylene whose Graph is built only when
@@ -120,7 +113,7 @@ class LoadedInput:
 
     @functools.cached_property
     def matrix(self) -> Weights:
-        """The rows of ``ROWS``: all ones, the degrees, then a and b."""
+        """The rows of ``cut_method.ROWS``: all ones, the degrees, then a and b."""
         g = self.graph
         rows = np.ones((2, g.n), dtype=np.int64)
         rows[1] = np.bincount(g.edge_array.ravel(), minlength=g.n)
@@ -341,7 +334,7 @@ def _oracle_indices(loaded: LoadedInput) -> dict[str, Weight]:
 def _cuts_route(loaded: LoadedInput, terms: TermNames):
     """Every term on the theta*-class quotients of the input's one engine:
     the block values as one array, each index one column sum."""
-    pairs = _pairs(terms)
+    pairs = index_pairs(terms)
     blocks = loaded.engine.block_matrix(loaded.matrix, pairs)
     indices = dict(zip(terms, column_values(blocks, loaded.matrix, pairs)))
     sizes = loaded.engine.partition.blocks
@@ -385,7 +378,7 @@ def _reduce_route(loaded: LoadedInput, terms: TermNames):
     """The R/S twin reductions; DD's corrections are the breakdown."""
     if loaded.source.n == 1:  # zero degrees are no weights; every sum is empty
         return dict.fromkeys(terms, 0), []
-    pairs = _pairs(terms)
+    pairs = index_pairs(terms)
     plan, sums, corrections, _ = _reduce(loaded, pairs)
     steps = column_sums(corrections.T)
     indices = {
@@ -404,24 +397,22 @@ def _reduce_route(loaded: LoadedInput, terms: TermNames):
 
 def _trees_route(loaded: LoadedInput, terms: TermNames):
     """The four quotient trees of a phenylene, from one Euler tour of the
-    inner dual for the whole term list (``tree_term_values``)."""
+    inner dual: the tree values as one array, as in the cuts route."""
     if loaded.phenylene is None:
         raise MethodNotApplicable(
             "method 'trees' needs a phenylene input (--cells or --family chain/phe6); "
             "edge lists carry no hexagon structure"
         )
-    weights = {}
-    if loaded.weights is not None:
-        weights = {"a": loaded.weights.row(0), "b": loaded.weights.row(1)}
-    per_tree = tree_term_values(loaded.phenylene, list(terms.values()), weights)
-    columns = dict(zip(terms, zip(*(values for _, values in per_tree))))
+    pairs = index_pairs(terms)
+    trees = quotient_trees(loaded.phenylene)
+    blocks, hexagons = tree_block_matrix(trees, loaded.weights, pairs)
     breakdown = Columns(
-        tree=np.arange(1, len(per_tree) + 1),
-        vertices=np.array([n for n, _ in per_tree], dtype=np.int64),
-        W_double=columns["degree_distance"],
-        W_single=columns["gutman"],
+        tree=np.arange(1, len(trees) + 1),
+        vertices=np.array([t.n for t in trees], dtype=np.int64),
+        W_double=blocks[:, 1],  # DD, whole
+        W_single=blocks[:, 2] // 2,  # Gut, a halved W(deg, deg)
     )
-    return {name: sum(column) for name, column in columns.items()}, breakdown
+    return dict(zip(terms, column_values(blocks, hexagons, pairs))), breakdown
 
 
 # Each route maps (loaded input, term list) to (indices, breakdown).  The oracle
@@ -575,7 +566,7 @@ def cmd_reduce(args) -> int:
     loaded = _load_input(args)
     g = loaded.graph
     name = "wiener_double" if loaded.weights is not None else "degree_distance"
-    (pair,) = _pairs({name: INDEX_TERMS[name]})
+    (pair,) = index_pairs({name: INDEX_TERMS[name]})
     plan, (reduced_sum,), corrections, typed = _reduce(loaded, [pair])
     reduced = plan.graph
     reduced_value = 0 if reduced.n == 1 else loaded.matrix.divide(reduced_sum, *pair)
@@ -627,10 +618,10 @@ def cmd_generate(args) -> int:
 
 def cmd_hamming(args) -> int:
     loaded = _load_input(args)
-    g, engine = loaded.graph, loaded.engine
-    wanted = [index_terms(g)[k] for k in ("wiener", "gutman")]
-    bound, gut_bound = engine.values(wanted, closed=True)
-    exact, gut_exact = engine.values(wanted)
+    g, engine, matrix = loaded.graph, loaded.engine, loaded.matrix
+    pairs = index_pairs({k: INDEX_TERMS[k] for k in ("wiener", "gutman")})
+    bound, gut_bound = column_values(engine.block_matrix(matrix, pairs, closed=True), matrix, pairs)
+    exact, gut_exact = column_values(engine.block_matrix(matrix, pairs), matrix, pairs)
     sizes = list(engine.sizes)
     if args.json:
         payload = {

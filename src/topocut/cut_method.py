@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import Weights, _exact_dtype, _exact_sum, weights_of
+from .exact import Pair, Weights, _exact_dtype, _exact_sum, weights_of
 from .graph import ROW_CHUNK, Graph, component_labels, degree_vector, distance_matrix
 from .indices import DoubleWeightedGraph, Weight, check_weights
 from .theta import (
@@ -44,9 +44,6 @@ from .theta import (
 
 # A term (a, b) is W(a, b); (a, None) is W*(a) = W(a, a) / 2.
 Term = tuple[Sequence[Weight], Sequence[Weight] | None]
-# A term over the rows of one Weights matrix: (i, j, half) is W(row i,
-# row j), halved for W*(row i) when half is set (then j is i).
-Pair = tuple[int, int, bool]
 
 
 # Every reported index as a weight pair (x, y) over named vertex vectors, in
@@ -62,6 +59,13 @@ INDEX_TERMS: TermNames = {
     "wiener_plus": ("a", "1"),
     "wiener_double": ("a", "b"),
 }
+# The rows of a solve's weight matrix, as ``INDEX_TERMS`` names them.
+ROWS = {"1": 0, "deg": 1, "a": 2, "b": 3}
+
+
+def index_pairs(terms: TermNames) -> list[Pair]:
+    """Each named term as a pair of rows of a solve's weight matrix."""
+    return [(ROWS[x], ROWS[x if y is None else y], y is None) for x, y in terms.values()]
 
 
 def index_terms(

@@ -4,10 +4,10 @@ phenylene route.
 Vertex weights live in one :class:`Weights` matrix: each row scaled to
 integers by the LCM of its reduced denominators, built by one scaling
 function (:func:`scale_weights`), whether the values come from the weights
-file's arrays or from Python ints and ``Fraction``s.  The cut engine and
-the reductions keep every sum in arrays and divide each index back once;
-the tree kernel divides each tree's terms.  One guard,
-``_exact_dtype``, picks the dtype of every array kernel from the bound of
+file's arrays or from Python ints and ``Fraction``s.  Every route takes an
+index as a ``Pair`` of rows, keeps its sums in arrays undivided and divides
+it back once; every tree sums its splits by one kernel, ``_split_sums``.
+One guard, ``_exact_dtype``, picks the dtype of every array kernel from the bound of
 the largest value the kernel forms: int64 below ``_INT64_LIMIT``, object
 arrays of Python ints past it.
 """
@@ -18,11 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 Weight = int | Fraction
+# A term over the rows of one Weights matrix: (i, j, half) is W(row i,
+# row j), halved for W*(row i) when half is set (then j is i).
+Pair = tuple[int, int, bool]
 
 # Every value an int64 kernel forms stays below this in absolute value, so
 # the sum of two of them cannot wrap either.
@@ -54,15 +57,6 @@ def _abs_sum(row: np.ndarray, top: int) -> int:
     return sum(map(abs, row.tolist()))
 
 
-class ScaledWeight(NamedTuple):
-    """One row of :class:`Weights`: w * scale, the scale, and whether some
-    entry is a Fraction (even a whole-valued one)."""
-
-    values: np.ndarray
-    scale: int
-    fraction: bool
-
-
 @dataclass(frozen=True, eq=False)  # arrays: compared and hashed by identity
 class Weights:
     """Vertex weight vectors as one integer matrix, a row per vector.
@@ -87,9 +81,6 @@ class Weights:
         if self.fractions is None:
             return (False,) * len(self.scales)
         return tuple(self.fractions.any(axis=1).tolist())
-
-    def row(self, r: int) -> ScaledWeight:
-        return ScaledWeight(self.rows[r], self.scales[r], self.fractional[r])
 
     def values(self, r: int) -> tuple[Weight, ...]:
         """Row r divided back: an int, or a Fraction where the entry is one."""
@@ -259,41 +250,41 @@ def _euler_tour(
     return edge, tail.take(edge + m * (1 - back)), stop
 
 
-def _split_plan(
-    weights: dict[str, ScaledWeight], terms: Sequence[tuple[str, str | None]]
-) -> tuple[dict[str, ScaledWeight], int, type]:
-    """The weights the terms name, the bound on every per-edge term and the
-    dtype it allows.  With T the sum|w| of a weight, every side of a split
-    of x is at most T_x and every per-edge term at most T_x T_y."""
-    used = {v: weights[v] for term in terms for v in term if v is not None}
-    totals = {v: int(np.abs(w).sum()) for v, (w, _, _) in used.items()}
-    bound = max((totals[x] * totals[x if y is None else y] for x, y in terms), default=0)
-    return used, bound, _exact_dtype(bound)
+def _split_bound(bounds: Sequence[int], pairs: Sequence[Pair]) -> int:
+    """The bound on every per-edge term of ``_split_sums``: T_i T_j for a
+    pair of rows (i, j), with T = sum|w| of a row (``Weights.bounds``).
+    Every side of a split of row i is at most T_i."""
+    return max((bounds[i] * bounds[j] for i, j, _ in pairs), default=0)
 
 
-def _split_term_sums(
-    sides: dict[str, tuple[np.ndarray, int]],
-    used: dict[str, ScaledWeight],
-    terms: Sequence[tuple[str, str | None]],
+def _split_sums(
+    sides: Sequence[Sequence[np.ndarray]],
+    totals: Sequence[Sequence[int]],
+    pairs: Sequence[Pair],
     bound: int,
-) -> list[Weight]:
-    """Every term from the two sides of every split: per weight, one side S1
-    of each edge, in the dtype of ``_split_plan``, and the weight's total T,
-    so that the other side is S2 = T - S1.  A term (x, y) sums
-    x(S1) y(S2) + x(S2) y(S1), a term (x, None) sums x(S1) x(S2); each sum
-    is divided back by its scales.  A tree without edges has the empty sum,
-    the int 0."""
-    out = []
-    for x, y in terms:
-        (sx, tx), (sy, ty) = sides[x], sides[x if y is None else y]
-        if not len(sx):
-            out.append(0)
-            continue
-        edges = sx * (tx - sx) if y is None else sx * (ty - sy) + (tx - sx) * sy
-        value = edges.sum() if edges.dtype == object else _exact_sum(edges, bound)
-        (_, scale_x, frac_x), (_, scale_y, frac_y) = used[x], used[x if y is None else y]
-        out.append(_exact_quotient(value, 1, scale_x * scale_y, frac_x or frac_y))
-    return out
+) -> np.ndarray:
+    """Every pair's W(a, b) on each of a list of trees, from the two sides
+    of every edge: a trees x len(pairs) integer array, undivided, with
+    W(a, a) for a halved pair, as ``CutEngine.block_matrix`` gives one row
+    per block.
+
+    ``sides[r][t]`` holds row r's sum on one side S1 of every edge of tree
+    t, in a dtype that ``_exact_dtype(bound)`` allows, and ``totals[r][t]``
+    its total T, so that the other side is S2 = T - S1.  A pair (i, j)
+    sums S1_i S2_j + S2_i S1_j over the edges: W(i, j) of the tree, and
+    2 S1_i S2_i for i = j.  Each per-edge term is at most ``bound``
+    (``_split_bound``) and the terms are added by ``_exact_sum``; a tree
+    without edges has the empty sum 0.
+    """
+    columns = []
+    for i, j, _ in pairs:
+        column = []
+        for si, sj, ti, tj in zip(sides[i], sides[j], totals[i], totals[j]):
+            edges = si * (ti - si) if i == j else si * (tj - sj) + (ti - si) * sj
+            value = int(edges.sum() if edges.dtype == object else _exact_sum(edges, bound))
+            column.append(2 * value if i == j else value)
+        columns.append(column)
+    return _int_array(columns).T
 
 
 def _subtree_sums(w: np.ndarray, child: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -305,32 +296,19 @@ def _subtree_sums(w: np.ndarray, child: np.ndarray, stop: np.ndarray) -> np.ndar
     return prefix.take(stop) - prefix[:-1]
 
 
-def _tree_term_sums(
-    ncomp: int,
-    qu: np.ndarray,
-    qv: np.ndarray,
-    weights: dict[str, ScaledWeight],
-    terms: Iterable[tuple[str, str | None]],
-) -> list[Weight]:
-    """Split sums of the tree on vertices 0..ncomp-1 with edges (qu, qv).
-
-    Each term (x, y) names two ``weights``, one value per tree vertex, and
-    gives the sum over edges of x(S1) y(S2) + x(S2) y(S1), where
-    S1, S2 are the two sides of the edge: W(x, y) of the tree.  A term
-    (x, None) gives the sum of x(S1) x(S2), which is W*(x).
-
-    One Euler tour (``_euler_tour``) gives every subtree, and one prefix sum
-    over the preorder gives every subtree sum.  Each weight is scaled: an
-    int64 array whose sum|w| fits in int64, or an object array of Python
-    ints, with its scale; the terms are summed under the bound of
-    ``_split_plan`` and divided back by their scales.  A tree without edges
-    has the empty sum, the int 0.
-    """
-    terms = list(terms)
+def _tree_sums(
+    ncomp: int, qu: np.ndarray, qv: np.ndarray, weights: Weights, pairs: Sequence[Pair]
+) -> np.ndarray:
+    """``_split_sums`` of the pairs on the tree on vertices 0..ncomp-1 with
+    edges (qu, qv) and vertex weights ``weights``: a 1 x len(pairs) array,
+    or 0 x len(pairs) for a tree without edges, whose empty sums
+    ``column_values`` gives as the int 0.  One Euler tour
+    (``_euler_tour``) gives every subtree, and one prefix sum per row over
+    the preorder every subtree sum."""
     _, child, stop = _euler_tour(ncomp, qu, qv)
-    used, bound, dtype = _split_plan(weights, terms)
-    sides = {}  # per weight: every edge's subtree side and the total
-    for v, (w, _, _) in used.items():
-        w = w.astype(dtype, copy=False)
-        sides[v] = _subtree_sums(w, child, stop), w.sum()
-    return _split_term_sums(sides, used, terms, bound)
+    if not child.size:
+        return np.zeros((0, len(pairs)), dtype=np.int64)
+    bound = _split_bound(weights.bounds, pairs)
+    rows = weights.rows.astype(_exact_dtype(bound), copy=False)
+    sides = [[_subtree_sums(w, child, stop)] for w in rows]
+    return _split_sums(sides, [[w.sum()] for w in rows], pairs, bound)

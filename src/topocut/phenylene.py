@@ -19,10 +19,10 @@ from one Euler tour of the inner dual and its runs (``_Runs``): every dual
 edge is a run edge of one direction class, every run is one edge of that
 class's tree, and the dual's subtree sums give every split.  The runs are
 straight segments along lattice lines, numbered by one sort of each class's
-dual edges (``_sorted_runs``), with no component labelling.  The term
-evaluator of :mod:`topocut.exact` turns the splits into the sums of a whole
-term list (W(a,b), W*(a), ...).  Vertex weights are scaled to integers and
-the results divided back as in the cut engine, under the same int64 guard.
+dual edges (``_sorted_runs``), with no component labelling.  The split-sum
+kernel of :mod:`topocut.exact` turns the splits into one 4 x pairs array
+over the rows of a solve's weight matrix, a row per tree as the cut engine
+gives a row per block, divided back once per index under the same guard.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cut_method import INDEX_TERMS
+from .cut_method import INDEX_TERMS, column_sums, column_values, index_pairs, term_pairs
 from .exact import (
-    NotATreeError, ScaledWeight, _euler_tour, _split_plan, _split_term_sums, _subtree_sums,
-    _tree_term_sums, weights_of,
+    NotATreeError, Pair, Weights, _euler_tour, _exact_dtype, _split_bound, _split_sums,
+    _subtree_sums, _tree_sums, scale_weights,
 )
 from .graph import (
     Graph, ParseError, component_labels, degree_vector, first_seen_labels, read_int_table
@@ -378,51 +378,41 @@ def _squeeze_arrays(deg_b: np.ndarray, deg_t: np.ndarray) -> tuple[np.ndarray, .
 # ------------------------------------------------------------- plain trees
 
 
+def _tree_value(tree: Graph, a: Sequence[Weight], b: Sequence[Weight] | None) -> Weight:
+    """W(a, b), or W*(a) when ``b`` is None, of a tree in O(n): every tree
+    edge is its own theta-class, so the index is the sum over edges of
+    a(S1) b(S2) + a(S2) b(S1) for the two sides S1, S2 of the edge, and
+    ``_tree_sums`` gives all splits from one Euler tour."""
+    weights, pairs = term_pairs([(a, b)])
+    return column_values(_tree_sums(tree.n, *tree.edge_array.T, weights, pairs), weights, pairs)[0]
+
+
 def tree_wiener_double_linear(
     tree: Graph, a: Sequence[Weight], b: Sequence[Weight]
 ) -> Weight:
-    """Double-weighted Wiener index of a tree in O(n).
-
-    Every tree edge is its own theta-class, so the index is the sum over
-    edges of a(S1) b(S2) + a(S2) b(S1) for the two sides S1, S2 of the edge;
-    ``_tree_term_sums`` gives all splits from one Euler tour.
-    """
+    """Double-weighted Wiener index of a tree in O(n)."""
     check_weights(tree, a)
     check_weights(tree, b)
-    scaled = weights_of([a, b])
-    weights = {"a": scaled.row(0), "b": scaled.row(1)}
-    ends = tree.edge_array
-    return _tree_term_sums(tree.n, *ends.T, weights, [INDEX_TERMS["wiener_double"]])[0]
+    return _tree_value(tree, a, b)
 
 
 def tree_wiener_linear(tree: Graph, w: Sequence[Weight]) -> Weight:
     """Product-weighted Wiener index of a tree: sum of w(S1) w(S2) over edges."""
     check_weights(tree, w)
-    ends = tree.edge_array
-    return _tree_term_sums(
-        tree.n, *ends.T, {"a": weights_of([w]).row(0)}, [INDEX_TERMS["wiener_weighted"]]
-    )[0]
+    return _tree_value(tree, w, None)
 
 
 # ------------------------------------------------------ structural quotients
 
 
 def _quotient(
-    n: int,
-    keep_u: np.ndarray,
-    keep_v: np.ndarray,
-    cut_u: np.ndarray,
-    cut_v: np.ndarray,
-    blocks: Sequence[int] = (0,),
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    n: int, keep_u: np.ndarray, keep_v: np.ndarray, cut_u: np.ndarray, cut_v: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Quotient by the edges (cut_u, cut_v) of the graph on n vertices that
-    also has the edges (keep_u, keep_v), checked to be one tree per block.
-
-    ``blocks`` are the first vertices of consecutive vertex blocks that no
-    edge leaves.  Components are numbered by smallest vertex, so each
-    block's components are consecutive.  Returns the component count of
-    every block, the component of every vertex and the quotient's edges
-    (qu < qv), sorted.
+    also has the edges (keep_u, keep_v), components numbered by smallest
+    vertex.  Returns the component count, the component of every vertex
+    and the quotient's edges (qu < qv), sorted; ``_euler_tour`` checks
+    that they form a tree.
     """
     ncomp, labels = component_labels(n, keep_u, keep_v)
     cu, cv = labels[cut_u], labels[cut_v]
@@ -431,13 +421,7 @@ def _quotient(
     # a stable sort is adaptive: the codes come in nearly sorted
     codes = np.sort(np.minimum(cu, cv) * ncomp + np.maximum(cu, cv), kind="stable")
     codes = codes[np.flatnonzero(np.diff(codes, prepend=-1))]
-    qu, qv = codes // ncomp, codes % ncomp
-    firsts = labels[list(blocks)]
-    sizes = np.diff(firsts, append=ncomp).tolist()
-    for size, count in zip(sizes, np.diff(np.searchsorted(qu, firsts), append=qu.size)):
-        if count != size - 1:
-            raise NotATreeError(f"quotient has {count} edges on {size} components, not a tree")
-    return sizes, labels, qu, qv
+    return ncomp, labels, codes // ncomp, codes % ncomp
 
 
 def _component_sums(labels: np.ndarray, ncomp: int, w: np.ndarray) -> np.ndarray:
@@ -466,12 +450,13 @@ _MEETS = np.array(
 # Bit d of a hexagon's direction mask: a neighbour in direction d, whose
 # connectors end at corners d and d+1.  _DEGREE_SUMS[c - 1, mask] is the
 # degree sum of half 1 of class c (two per corner and one per connector
-# end), and _DEGREE_SUMS[3, mask] that of the hexagon.
+# end), and _DEGREE_SUMS[3:, mask] the sums of the ones and of the degrees
+# on the hexagon, in the order of ``cut_method.ROWS``.
 _ENDS_IN_HALF_ONE = _HALF_OF.astype(np.int64) + np.roll(_HALF_OF, -1, axis=1)  # [c - 1, d]
 _DEGREE_SUMS = np.array(
     [[6 + sum(ends[d] for d in range(6) if mask >> d & 1) for mask in range(64)]
      for ends in _ENDS_IN_HALF_ONE]
-    + [[12 + 2 * mask.bit_count() for mask in range(64)]],
+    + [[6] * 64, [12 + 2 * mask.bit_count() for mask in range(64)]],
     dtype=np.int64,
 )
 
@@ -507,8 +492,9 @@ class _Runs:
     no particular order (they only feed ``np.add.at``).  ``far_one``,
     ``top_place``: per run, whether its far half is half 1, and the tour
     place of its top (the edge count for the root's runs).  ``degree``: the
-    phenylene's vertex degrees summed on every node's half 1 and on every
-    hexagon, taken by direction mask.  ``of`` reads only the stored dual and
+    phenylene's vertex degrees summed on every node's half 1, and the ones
+    and the degrees summed on every hexagon (a 2 x h array), taken by
+    direction mask.  ``of`` reads only the stored dual and
     masks, one non-run class at a time, each step a 1-D gather or scatter.
     """
 
@@ -520,7 +506,7 @@ class _Runs:
     hang_run: np.ndarray
     far_one: np.ndarray
     top_place: np.ndarray
-    degree: tuple[np.ndarray, np.ndarray]
+    degree: tuple[np.ndarray, np.ndarray]  # (3h,), (2, h)
 
     @classmethod
     def of(cls, ph: Phenylene) -> "_Runs":
@@ -546,7 +532,7 @@ class _Runs:
         degree = _DEGREE_SUMS.take(ph._mask, axis=1)
         return cls(
             child, stop, bounds, run, np.concatenate(hang_place), np.concatenate(hang_run),
-            far_one, top_place, (degree[:3].ravel(), degree[3]),
+            far_one, top_place, (degree[:3].ravel(), degree[3:]),
         )
 
     def sides(self, half_one: np.ndarray, hexagon: np.ndarray) -> list[np.ndarray]:
@@ -601,14 +587,6 @@ def _sorted_runs(
         nodes[alone] = np.arange(first, first + alone.size)
         bounds.append(first + alone.size)
     return run, np.array(bounds, dtype=np.int64)
-
-
-def _halves(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A vertex weight's sum on every half 1 (node (c-1) h + x: corners c,
-    c+1, c+2 of hexagon x) and on every hexagon."""
-    corners = w.reshape(-1, 6)
-    half_one = [corners[:, c] + corners[:, c + 1] + corners[:, c + 2] for c in (1, 2, 3)]
-    return np.concatenate(half_one), half_one[2] + corners[:, 0] + corners[:, 1] + corners[:, 2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -679,49 +657,51 @@ def quotient_trees(
     )
 
 
-def tree_term_values(
-    ph: Phenylene,
-    terms: Sequence[tuple[str, str | None]],
-    weights: dict[str, Sequence[Weight] | ScaledWeight],
-) -> list[tuple[int, list[Weight]]]:
-    """Every term on each of the four quotient trees, with the tree's vertex
-    count.
+def tree_block_matrix(
+    trees: Sequence[QuotientTree], weights: Weights | None, pairs: Sequence[Pair]
+) -> tuple[np.ndarray, Weights]:
+    """Every pair on each of the four quotient trees of ``quotient_trees``:
+    a 4 x len(pairs) array of undivided W(x, y), with W(x, x) for a halved
+    pair, as ``CutEngine.block_matrix`` gives one row per block; and the
+    rows it sums, on the hexagons, whose scales divide it back.
 
-    Terms name vectors as ``INDEX_TERMS`` does: "deg" and "1" are the
-    phenylene's vertex degrees and ones (their sums over a tree vertex are
-    the tree's ``a`` and ``b``), any other name a weight on the
-    phenylene's vertices: a row of a :class:`~topocut.exact.Weights`
-    matrix, or a sequence that is scaled here.  Each vector is summed onto the
-    splits of all four trees at once (``_Runs.sides``) under the one
-    int64/object guard of ``_split_plan``: every side is a sum of the
-    vector's own values, so its sum|w| bounds them all.  The degree sums of
-    the halves and hexagons come with the runs (``_Runs.degree``), and the
-    ones sum to 3 per half and 6 per hexagon.
+    The pairs index the rows of a solve's weight matrix (``ROWS``): the
+    ones, the degrees, then the rows of ``weights``, a weight matrix over
+    the phenylene's vertices.  Each row is summed on every half 1 and every
+    hexagon and so onto the splits of all four trees at once
+    (``_Runs.sides``).  No row of the ones or the degrees is built per
+    vertex: their halves sum to 3 and to the degree sums of the runs
+    (``_Runs.degree``), and both are whole, with scale 1.  A hexagon row
+    keeps its vertex row's scale and bound, and is a Fraction where one
+    of its corners is.
     """
-    trees = quotient_trees(ph)
-    runs, h = trees[0].runs, ph.hexagon_count
-    halves = {
-        "deg": runs.degree,
-        "1": (np.broadcast_to(np.int64(3), (3 * h,)), np.broadcast_to(np.int64(6), (h,))),
-    }
-    # the hexagon sums carry each structural vector's sum|w| to the guard
-    vectors = {v: (halves[v][1], 1, False) for v in halves}
-    for v, w in weights.items():
-        vectors[v] = w if isinstance(w, ScaledWeight) else weights_of([w]).row(0)
-    used, bound, dtype = _split_plan(vectors, terms)
-    sides = [{} for _ in trees]
-    for v, (w, _, _) in used.items():
-        half_one, hexagon = (p.astype(dtype, copy=False) for p in halves.get(v) or _halves(w))
-        total = hexagon.sum()
-        for per_tree, side in zip(sides, runs.sides(half_one, hexagon)):
-            per_tree[v] = side, total
-    return [(t.n, _split_term_sums(s, used, terms, bound)) for t, s in zip(trees, sides)]
+    runs, ph = trees[0].runs, trees[0].phenylene
+    h = ph.hexagon_count
+    half_ones = [np.broadcast_to(np.int64(3), (3 * h,)), runs.degree[0]]
+    hexagons = Weights(runs.degree[1], (1, 1), (ph.n, 2 * ph.m))
+    if weights is not None:
+        corners = weights.rows.reshape(len(weights.scales), h, 6)
+        # half 1 of class c, node (c-1) h + x, holds corners c, c+1, c+2 of hexagon x
+        for w in corners:
+            half_ones.append(np.concatenate([w[:, c:c + 3].sum(axis=1) for c in (1, 2, 3)]))
+        flags = weights.fractions
+        flags = None if flags is None else flags.reshape(corners.shape).any(axis=2)
+        summed = Weights(corners.sum(axis=2), weights.scales, weights.bounds, flags)
+        hexagons = Weights.stack((hexagons, summed))
+    bound = _split_bound(hexagons.bounds, pairs)
+    dtype = _exact_dtype(bound)
+    sides, totals = {}, {}
+    for r in {r for i, j, _ in pairs for r in (i, j)}:
+        hexagon = hexagons.rows[r].astype(dtype, copy=False)
+        sides[r] = runs.sides(half_ones[r].astype(dtype, copy=False), hexagon)
+        totals[r] = [hexagon.sum()] * len(trees)
+    return _split_sums(sides, totals, pairs, bound), hexagons
 
 
 def dd_gut_via_trees(ph: Phenylene) -> tuple[int, int]:
     """Degree distance and Gutman index from the four quotient trees (O(n))."""
-    per_tree = tree_term_values(ph, [INDEX_TERMS["degree_distance"], INDEX_TERMS["gutman"]], {})
-    return sum(dd for _, (dd, _) in per_tree), sum(gut for _, (_, gut) in per_tree)
+    pairs = index_pairs({k: INDEX_TERMS[k] for k in ("degree_distance", "gutman")})
+    return tuple(column_values(*tree_block_matrix(quotient_trees(ph), None, pairs), pairs))
 
 
 def dd_gut_via_squeeze(cells: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -738,19 +718,15 @@ def dd_gut_via_squeeze(cells: Iterable[tuple[int, int]]) -> tuple[int, int]:
         np.bincount(np.concatenate((eu, ev)), minlength=n),
         np.bincount(np.concatenate((di, dj)), minlength=h),
     )
-    # W(x, w) and W*(x) are the DD and Gut terms with x as "deg", w as "1"
-    terms = [INDEX_TERMS["degree_distance"], INDEX_TERMS["gutman"]]
-    dd, gut = _tree_term_sums(h, di, dj, {"deg": (w3, 1, False), "1": (w4, 1, False)}, terms)
+    pairs = [(0, 1, False), (0, 0, True)]  # W(x, w) and W(x, x) = 2 W*(x)
+    blocks = [_tree_sums(h, di, dj, scale_weights(np.stack((w3, w4))), pairs)]
     for c in (1, 2, 3):
         cut = benz._direction == c
-        (ncomp,), labels, qu, qv = _quotient(n, eu[~cut], ev[~cut], eu[cut], ev[cut])
-        sums = {
-            v: (_component_sums(labels, ncomp, w), 1, False) for v, w in (("deg", w1), ("1", w2))
-        }
-        dd_c, gut_c = _tree_term_sums(ncomp, qu, qv, sums, terms)
-        dd += dd_c
-        gut += gut_c
-    return dd, gut
+        ncomp, labels, qu, qv = _quotient(n, eu[~cut], ev[~cut], eu[cut], ev[cut])
+        sums = np.stack([_component_sums(labels, ncomp, w) for w in (w1, w2)])
+        blocks.append(_tree_sums(ncomp, qu, qv, scale_weights(sums), pairs))
+    dd, gut = column_sums(np.concatenate(blocks))
+    return dd, gut // 2
 
 
 def parse_placement(text: str) -> BenzenoidPlacement:

@@ -212,10 +212,6 @@ class CollapsePlan:
         """
         return _map_weights(self.arrays, [(a, b)])[0]
 
-    def apply_terms(self, terms: Sequence[Term]) -> list[Mapped]:
-        """:meth:`apply` of every term, each distinct vector mapped once."""
-        return _map_weights(self.arrays, terms)
-
     def apply_rows(
         self, weights: Weights, pairs: Sequence[Pair]
     ) -> tuple[Weights, np.ndarray, np.ndarray | None]:

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import topocut.cli as cli
-import topocut.phenylene as phenylene
 from topocut.cli import main
 from topocut.cut_method import CutEngine
 from topocut.graph import format_edge_list, parse_edge_list
@@ -491,7 +490,7 @@ def test_trees_route_stays_on_arrays(tmp_path, capsys, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(cli, "build_phenylene", spy(cli.build_phenylene))
-    monkeypatch.setattr(phenylene, "quotient_trees", spy(phenylene.quotient_trees))
+    monkeypatch.setattr(cli, "quotient_trees", spy(cli.quotient_trees))
     cells = tmp_path / "bent.cells"
     cells.write_text("0 0\n1 0\n1 1\n2 1\n")
     w = tmp_path / "w.txt"

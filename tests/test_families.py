@@ -264,7 +264,10 @@ def test_phe6_is_the_one_isomer_with_the_frozen_tree_values():
     from itertools import product
 
     from topocut.families import PHE6_CELLS
-    from topocut.phenylene import NEIGHBOR_OFFSETS, build_phenylene, tree_term_values
+    from topocut.cut_method import index_pairs
+    from topocut.phenylene import (
+        NEIGHBOR_OFFSETS, build_phenylene, quotient_trees, tree_block_matrix,
+    )
 
     step = NEIGHBOR_OFFSETS
     seen, matches = set(), set()
@@ -281,10 +284,12 @@ def test_phe6_is_the_one_isomer_with_the_frozen_tree_values():
         try:
             # a valid system has exactly the five dual edges drawn, so its
             # inner dual has the wanted shape
-            per_tree = tree_term_values(build_phenylene(cells), [("deg", "1"), ("deg", None)], {})
+            trees = quotient_trees(build_phenylene(cells))
         except PlacementError:
             continue
-        dd, gut = zip(*(values for _, values in per_tree))
+        pairs = index_pairs({"dd": ("deg", "1"), "gut": ("deg", None)})
+        per_tree = tree_block_matrix(trees, None, pairs)[0]
+        dd, gut = per_tree[:, 0].tolist(), (per_tree[:, 1] // 2).tolist()
         if (sorted(dd[:3]), dd[3], sorted(gut[:3]), gut[3]) == (
             [2976, 4416, 5208], 5784, [3600, 5520, 6484], 7252
         ):

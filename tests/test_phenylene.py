@@ -9,8 +9,10 @@ from hypothesis import assume, example, given, strategies as st
 import topocut.exact as exact_module
 import topocut.phenylene as phenylene_module
 from topocut import cli
-from topocut.exact import _euler_tour, _exact_dtype, _index_dtype, _tree_term_sums, weights_of
-from topocut.cut_method import INDEX_TERMS
+from topocut.exact import (
+    Weights, _euler_tour, _exact_dtype, _index_dtype, _tree_sums, scale_weights, weights_of,
+)
+from topocut.cut_method import INDEX_TERMS, CutEngine, column_values, index_pairs
 
 from topocut.graph import (
     Graph,
@@ -26,7 +28,7 @@ from topocut.indices import (
     wiener_weighted,
 )
 from topocut.cut_method import is_partial_cube
-from topocut.theta import theta_star_classes, validate_coarser
+from topocut.theta import EdgePartition, theta_star_classes, validate_coarser
 from topocut.phenylene import (
     BenzenoidPlacement,
     NotATreeError,
@@ -49,7 +51,7 @@ from topocut.phenylene import (
     format_placement,
     quotient_trees,
     squeeze_weights,
-    tree_term_values,
+    tree_block_matrix,
     tree_wiener_double_linear,
     tree_wiener_linear,
 )
@@ -438,15 +440,17 @@ def labelled_trees(draw, max_n=200):
     return n, [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)]
 
 
-# W(a, b), W*(a), W*(b): the order of reference_split_sums
-SPLIT_TERMS = [("a", "b"), ("a", None), ("b", None)]
+# W(a, b), W*(a), W*(b) over the rows a, b: the order of reference_split_sums
+SPLIT_PAIRS = [(0, 1, False), (0, 0, True), (1, 1, True)]
 
 
-def kernel_split_sums(n, qu, qv, a, b):
-    """The kernel's W(a, b), W*(a), W*(b) for integer arrays, or for scaled
-    weights (a ``Weights`` row)."""
-    a, b = (w if isinstance(w, tuple) else (w, 1, False) for w in (a, b))
-    return _tree_term_sums(n, np.asarray(qu), np.asarray(qv), {"a": a, "b": b}, SPLIT_TERMS)
+def kernel_split_sums(n, qu, qv, weights):
+    """The kernel's W(a, b), W*(a), W*(b) for the two rows a, b of
+    ``weights``, divided back; integer arrays are scaled here."""
+    if not isinstance(weights, Weights):
+        weights = scale_weights(np.stack(weights))
+    values = _tree_sums(n, np.asarray(qu), np.asarray(qv), weights, SPLIT_PAIRS)
+    return column_values(values, weights, SPLIT_PAIRS)
 
 
 TREE_WEIGHTS = {
@@ -466,7 +470,7 @@ def test_tree_kernel_matches_reference_loop(kind, tree, data):
     want = reference_split_sums(n, edges, a, b)
     ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
     scaled = weights_of([a, b])
-    got = kernel_split_sums(n, ends[:, 0], ends[:, 1], scaled.row(0), scaled.row(1))
+    got = kernel_split_sums(n, ends[:, 0], ends[:, 1], scaled)
     assert got == list(want)
     g = Graph(n, edges)
     double = tree_wiener_double_linear(g, a, b)
@@ -474,6 +478,18 @@ def test_tree_kernel_matches_reference_loop(kind, tree, data):
     assert (double, single, tree_wiener_linear(g, b)) == want
     # a Fraction weight makes a Fraction sum, as in the loop
     assert type(double) is type(want[0]) and type(single) is type(want[1])
+
+
+def count_exact_sums(monkeypatch):
+    """Every call of ``exact._exact_sum`` from now on, logged."""
+    real, calls = exact_module._exact_sum, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exact_module, "_exact_sum", counted)
+    return calls
 
 
 def test_int64_guard_boundary(monkeypatch):
@@ -485,16 +501,10 @@ def test_int64_guard_boundary(monkeypatch):
     ones = np.ones(2, dtype=np.int64)
     assert _exact_dtype(int(below.sum()) ** 2) is np.int64
     assert _exact_dtype(int(at.sum()) ** 2) is object
-    real, summed = exact_module._exact_sum, []
-
-    def counted(*args):
-        summed.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(exact_module, "_exact_sum", counted)
+    summed = count_exact_sums(monkeypatch)
     for w, calls in ((below, 3), (at, 0)):
         summed.clear()
-        assert kernel_split_sums(2, [0], [1], w, ones) == list(
+        assert kernel_split_sums(2, [0], [1], (w, ones)) == list(
             reference_split_sums(2, [(0, 1)], w.tolist(), [1, 1])
         )
         assert len(summed) == calls
@@ -511,7 +521,7 @@ def test_int64_kernel_sums_past_int64_exactly():
     want = reference_split_sums(n, edges, a, b)
     assert min(want) >= 2**63
     ends = np.array(edges)
-    assert kernel_split_sums(n, ends[:, 0], ends[:, 1], np.array(a), np.array(b)) == list(want)
+    assert kernel_split_sums(n, ends[:, 0], ends[:, 1], (np.array(a), np.array(b))) == list(want)
 
 
 def test_tree_kernel_rejects_non_trees():
@@ -523,7 +533,7 @@ def test_tree_kernel_rejects_non_trees():
     for n, qu, qv, message in cases:
         ones = np.ones(n, dtype=np.int64)
         with pytest.raises(NotATreeError, match=message):
-            kernel_split_sums(n, qu, qv, ones, ones)
+            kernel_split_sums(n, qu, qv, (ones, ones))
 
 
 def test_labels_past_int32_products():
@@ -534,14 +544,14 @@ def test_labels_past_int32_products():
     ev = np.concatenate((2 * np.arange(pairs) + 1, 2 * np.arange(pairs - 1) + 2))
     in_class = np.arange(eu.size) >= pairs
     keep = ~in_class
-    (ncomp,), labels, qu, qv = _quotient(2 * pairs, eu[keep], ev[keep], eu[in_class], ev[in_class])
+    ncomp, labels, qu, qv = _quotient(2 * pairs, eu[keep], ev[keep], eu[in_class], ev[in_class])
     assert ncomp == pairs and ncomp * ncomp > 2**31
     assert qu.tolist() == list(range(pairs - 1)) and qv.tolist() == list(range(1, pairs))
     sums = _component_sums(labels, ncomp, np.ones(2 * pairs, dtype=np.int64))
     # a path of 50001 components of two vertices each
     k = np.arange(1, pairs, dtype=object)
     w = int(np.sum(4 * k * (pairs - k)))
-    assert kernel_split_sums(ncomp, qu, qv, sums, sums) == [2 * w, w, w]
+    assert kernel_split_sums(ncomp, qu, qv, (sums, sums)) == [2 * w, w, w]
 
 
 NB = NEIGHBOR_OFFSETS
@@ -786,14 +796,22 @@ RUN_WEIGHTS = {
 }
 
 
-def explicit_tree_values(t, terms, weights):
-    """The terms on one materialised quotient tree: its edges, its weights
-    summed through ``component_of``, and the plain tree kernel."""
-    sides = {v: (np.array(x, dtype=np.int64), 1, False) for v, x in (("deg", t.a), ("1", t.b))}
-    for v, w in weights.items():
-        scaled, scale, fraction = weights_of([w]).row(0)
-        sides[v] = _component_sums(t.component_of, t.n, scaled), scale, fraction
-    return _tree_term_sums(t.n, *t.tree.edge_array.T, sides, terms)
+def explicit_tree_values(t, weights, pairs):
+    """The pairs on one materialised quotient tree: its edges, its weights
+    (``b`` for the ones, ``a`` for the degrees, the rows of ``weights``
+    summed through ``component_of``) and the plain tree kernel."""
+    rows = [t.b, t.a] + [_component_sums(t.component_of, t.n, w).tolist() for w in weights.rows]
+    ph = t.phenylene
+    matrix = Weights(np.array(rows, dtype=object), (1, 1) + weights.scales,
+                     (ph.n, 2 * ph.m) + weights.bounds)
+    # a tree without edges gives no row, and 0 for every pair
+    return _tree_sums(t.n, *t.tree.edge_array.T, matrix, pairs).sum(axis=0).tolist()
+
+
+def solve_matrix(ph, weights):
+    """The weight matrix of a solve (``cut_method.ROWS``) on the phenylene's
+    vertices: the ones, the degrees, then ``weights``."""
+    return cli.LoadedInput(ph, "", weights).matrix
 
 
 @pytest.mark.parametrize("kind", sorted(RUN_WEIGHTS))
@@ -804,18 +822,20 @@ def explicit_tree_values(t, terms, weights):
 def test_runs_kernel_matches_explicit_trees(kind, cells, data):
     ph = build_phenylene(cells)
     n = ph.n
-    weights = {
-        v: data.draw(st.lists(RUN_WEIGHTS[kind](len(cells)), min_size=n, max_size=n))
+    weights = weights_of([
+        data.draw(st.lists(RUN_WEIGHTS[kind](len(cells)), min_size=n, max_size=n))
         for v in "ab"
-    }
-    terms = list(INDEX_TERMS.values())
-    got = tree_term_values(ph, terms, weights)
+    ])
+    pairs = index_pairs(INDEX_TERMS)
     trees = quotient_trees(ph)
-    want = [(t.tree.n, explicit_tree_values(t, terms, weights)) for t in trees]
-    assert got == want
-    assert [[type(v) for v in values] for _, values in got] == [
-        [type(v) for v in values] for _, values in want
-    ]
+    got, hexagons = tree_block_matrix(trees, weights, pairs)
+    want = [explicit_tree_values(t, weights, pairs) for t in trees]
+    assert got.tolist() == want
+    # divided back by the hexagon rows' scales as by the vertex rows'
+    got_values = column_values(got, hexagons, pairs)
+    want_values = column_values(np.array(want, dtype=object), solve_matrix(ph, weights), pairs)
+    assert got_values == want_values
+    assert list(map(type, got_values)) == list(map(type, want_values))
     assert [t.n for t in trees] == [t.tree.n for t in trees]
 
 
@@ -850,19 +870,105 @@ def test_sorted_runs_match_labelled_runs(cells):
         assert all(lo <= x < hi for x in got[c * h:(c + 1) * h])
 
 
+def with_total(n, total):
+    """n positive weights that sum to ``total``."""
+    w = [total // n] * n
+    w[0] += total - sum(w)
+    return w
+
+
 def test_runs_kernel_guard_sides():
     # sum|a| = 2^31 - 1 keeps W*(a) on int64, 2^31 sends it to Python ints;
     # both agree with the explicit trees
     ph = build_phenylene(gen_phenylene_chain(4, "A+L"))
-    terms = [INDEX_TERMS["wiener_weighted"], INDEX_TERMS["wiener_double"]]
+    pairs = index_pairs({k: INDEX_TERMS[k] for k in ("wiener_weighted", "wiener_double")})
     for total, dtype in ((2**31 - 1, np.int64), (2**31, object)):
-        a = [total // ph.n] * ph.n
-        a[0] += total - sum(a)
         assert _exact_dtype(total * total) is dtype
-        weights = {"a": a, "b": [1] * ph.n}
-        want = [(t.n, explicit_tree_values(t, terms, weights)) for t in quotient_trees(ph)]
-        assert tree_term_values(ph, terms, weights) == want
+        weights = weights_of([with_total(ph.n, total), [1] * ph.n])
+        trees = quotient_trees(ph)
+        want = [explicit_tree_values(t, weights, pairs) for t in trees]
+        assert tree_block_matrix(trees, weights, pairs)[0].tolist() == want
 
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+@given(
+    cells=st.one_of(branched_placements(), chain_placements_drawn(), st.just([(0, 0)])),
+    data=st.data(),
+)
+def test_trees_blocks_match_the_cut_engine_blocks(kind, cells, data):
+    # the trees route's array is the cut engine's over the four edge
+    # classes, row for row, in the same scaled units; the single hexagon's
+    # connector class is empty, and its dual has the empty sum
+    ph = build_phenylene(cells)
+    weights = weights_of([
+        data.draw(st.lists(RUN_WEIGHTS[kind](len(cells)), min_size=ph.n, max_size=ph.n))
+        for _ in "ab"
+    ])
+    pairs = index_pairs(INDEX_TERMS)
+    matrix = solve_matrix(ph, weights)
+    classes = [np.flatnonzero(ph.edge_class == c) for c in (1, 2, 3, 4)]
+    present = np.array([c.size > 0 for c in classes])
+    engine = CutEngine(ph.graph, EdgePartition(tuple(tuple(c.tolist()) for c in classes if c.size)))
+    want = engine.block_matrix(matrix, pairs)
+    got, hexagons = tree_block_matrix(quotient_trees(ph), weights, pairs)
+    assert got[present].tolist() == want.tolist()
+    assert got[~present].tolist() == [[0] * len(pairs)] * int((~present).sum())
+    assert column_values(got, hexagons, pairs) == column_values(want, matrix, pairs)
+
+
+@pytest.mark.parametrize("totals, dtype", [
+    ((2**31 - 1, 2**31 + 1), np.int64),  # T_a T_b = 2^62 - 1
+    ((2**30, 2**32), object),  # T_a T_b = 2^62
+])
+def test_split_sums_on_each_side_of_the_per_edge_bound(totals, dtype, monkeypatch):
+    # the one pair W(a, b) has the per-edge bound T_a T_b: below 2^62 its
+    # terms are int64 and added by _exact_sum, once per tree; at 2^62 they
+    # are Python ints; the plain tree and the four trees agree with their
+    # references either way
+    assert _exact_dtype(totals[0] * totals[1]) is dtype
+    pairs = [(0, 1, False)]
+    calls = count_exact_sums(monkeypatch)
+    a, b = (with_total(2, t) for t in totals)
+    got = _tree_sums(2, np.array([0]), np.array([1]), weights_of([a, b]), pairs)
+    assert got.tolist() == [[a[0] * b[1] + a[1] * b[0]]]
+    assert len(calls) == (dtype is np.int64)
+    ph = build_phenylene(gen_phenylene_chain(4, "A+L"))
+    weights = weights_of([with_total(ph.n, t) for t in totals])
+    trees = quotient_trees(ph)
+    calls.clear()
+    got, _ = tree_block_matrix(trees, weights, [(2, 3, False)])
+    assert len(calls) == 4 * (dtype is np.int64)
+    assert got.tolist() == [explicit_tree_values(t, weights, [(2, 3, False)]) for t in trees]
+
+
+def test_trees_int64_terms_summed_past_int64():
+    # T_a^2 < 2^62 keeps every per-edge term of W*(a) on int64, but on a
+    # chain of 60 hexagons a tree's terms sum past 2^63: they are added as
+    # two halves, and agree with the explicit trees on Python ints
+    ph = build_phenylene(gen_phenylene_chain(60))
+    weights = weights_of([with_total(ph.n, 2**31 - 1), [1] * ph.n])
+    assert _exact_dtype((2**31 - 1) ** 2) is np.int64
+    pairs = index_pairs({"wiener_weighted": INDEX_TERMS["wiener_weighted"]})
+    trees = quotient_trees(ph)
+    got, _ = tree_block_matrix(trees, weights, pairs)
+    assert got.max() >= 2**63
+    assert got.tolist() == [explicit_tree_values(t, weights, pairs) for t in trees]
+
+
+@pytest.mark.parametrize("a", [[1, 2, 3, 4, 5, 6], [Fraction(k + 1, 2) for k in range(6)]])
+def test_single_hexagon_trees_route(a):
+    # h = 1: the dual has no edge, so tree 4 holds the int 0 for every pair;
+    # every index agrees with the oracle in value and type
+    ph = build_phenylene([(0, 0)])
+    loaded = cli.LoadedInput(ph, "", weights_of([a, [1] * 6]))
+    pairs = index_pairs(loaded.terms)
+    blocks, hexagons = tree_block_matrix(quotient_trees(ph), loaded.weights, pairs)
+    assert [type(v) for v in blocks[3].tolist()] == [int] * len(pairs)
+    assert blocks[3].tolist() == [0] * len(pairs)
+    got = column_values(blocks, hexagons, pairs)
+    want = list(cli._oracle_indices(loaded).values())
+    assert [(v, type(v)) for v in got] == [(v, type(v)) for v in want]
 
 def test_trees_solve_tours_the_dual_once(monkeypatch):
     # one Euler tour, of the h-vertex dual, and no labelling: the runs come
@@ -983,7 +1089,7 @@ def two_column_runs(ph):
         "child": child, "stop": stop, "bounds": bounds, "run": run,
         "hang_place": np.nonzero(hangs)[0], "hang_run": run[parents],
         "far_one": far_one, "top_place": top_place,
-        "degree": (_DEGREE_SUMS[:3, ph._mask].ravel(), _DEGREE_SUMS[3, ph._mask]),
+        "degree": (_DEGREE_SUMS[:3, ph._mask].ravel(), _DEGREE_SUMS[3:, ph._mask]),
     }
 
 
