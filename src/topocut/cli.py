@@ -5,7 +5,9 @@ Every index is a pair of rows of one scaled weight matrix per solve
 into one array of undivided values, a row per block or tree, and divide
 each index back once.  ``ROUTES`` maps each method to one function; ``auto``
 only picks a route.  ``compute --check`` and ``verify``, which runs every
-route that applies, hold the routes to the oracle by one helper.
+route that applies, hold the routes to the oracle by one helper.  Only the
+cut-engine modules load with this one; the phenylene, reduction and family
+modules are imported inside the functions that use them, on first use.
 
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 method not
 applicable to the input, 4 verification mismatch.
@@ -25,12 +27,12 @@ from fractions import Fraction
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from .exact import Weights, weights_of
-from .graph import Graph, GraphError, ParseError, format_edge_list, parse_edge_list
+from .graph import Graph, GraphError, ParseError, PlacementError, format_edge_list, parse_edge_list
 from .indices import (
     DoubleWeightedGraph,
     Weight,
@@ -53,24 +55,9 @@ from .cut_method import (
     column_values,
     index_pairs,
 )
-from .phenylene import (
-    BenzenoidPlacement,
-    Phenylene,
-    PlacementError,
-    build_phenylene,
-    format_placement,
-    parse_placement,
-    quotient_trees,
-    tree_block_matrix,
-)
-from .reduction import collapse_plan, step_corrections
-from .families import (
-    complete_bipartite_graph,
-    gen_basic,
-    gen_phenylene_chain,
-    phe6_placement,
-    random_connected_graph,
-)
+
+if TYPE_CHECKING:  # the phenylene, reduction and family modules load on first use
+    from .phenylene import BenzenoidPlacement, Phenylene
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,11 +109,11 @@ class LoadedInput:
 
     @property
     def phenylene(self) -> Phenylene | None:
-        return self.source if isinstance(self.source, Phenylene) else None
+        return None if isinstance(self.source, Graph) else self.source
 
     @property
     def graph(self) -> Graph:
-        return self.source.graph if isinstance(self.source, Phenylene) else self.source
+        return self.source if isinstance(self.source, Graph) else self.source.graph
 
     @functools.cached_property
     def engine(self) -> CutEngine:
@@ -270,9 +257,13 @@ def _source(args) -> tuple[Graph | BenzenoidPlacement, str]:
     if len([s for s in (args.graph, args.family, args.cells) if s]) != 1:
         raise UsageError("give exactly one of: a graph file, --family, or --cells")
     if args.cells:
+        from .phenylene import parse_placement
+
         return parse_placement(Path(args.cells).read_text()), f"cells:{args.cells}"
     if args.graph:
         return parse_edge_list(Path(args.graph).read_text(), args.header), args.graph
+    from .families import complete_bipartite_graph, gen_basic, gen_phenylene_chain, phe6_placement
+
     fam = args.family.lower()
     if fam == "phe6":
         return phe6_placement(), "family:phe6"
@@ -293,6 +284,8 @@ def _load_input(args) -> LoadedInput:
     whatever the source."""
     source, descriptor = _source(args)
     if not isinstance(source, Graph):
+        from .phenylene import build_phenylene
+
         source = build_phenylene(source)
     loaded = LoadedInput(source, descriptor)
     if getattr(args, "weights", None):
@@ -364,6 +357,8 @@ def _reduce(loaded: LoadedInput, pairs: Sequence[Pair]):
     corrections with which are Fractions (``CollapsePlan.apply_rows``).
     The reduced pairs share one distance matrix: one cut engine block of
     all edges."""
+    from .reduction import collapse_plan
+
     plan = collapse_plan(loaded.graph)
     reduced, corrections, typed = plan.apply_rows(loaded.matrix, pairs)
     if plan.graph.n == 1:
@@ -403,6 +398,8 @@ def _trees_route(loaded: LoadedInput, terms: TermNames):
             "method 'trees' needs a phenylene input (--cells or --family chain/phe6); "
             "edge lists carry no hexagon structure"
         )
+    from .phenylene import quotient_trees, tree_block_matrix
+
     pairs = index_pairs(terms)
     trees = quotient_trees(loaded.phenylene)
     blocks, hexagons = tree_block_matrix(trees, loaded.weights, pairs)
@@ -550,6 +547,8 @@ def cmd_verify(args) -> int:
 
 def _random_inputs(args):
     """``--random`` connected graphs with weights 1..9, smallest first."""
+    from .families import random_connected_graph
+
     rng = random.Random(args.seed)
     cases = []
     for _ in range(args.random):
@@ -563,6 +562,8 @@ def _random_inputs(args):
 
 
 def cmd_reduce(args) -> int:
+    from .reduction import step_corrections
+
     loaded = _load_input(args)
     g = loaded.graph
     name = "wiener_double" if loaded.weights is not None else "degree_distance"
@@ -608,6 +609,8 @@ def cmd_reduce(args) -> int:
 def cmd_generate(args) -> int:
     if not (args.family or args.cells):
         raise UsageError("generate needs --family or --cells")
+    from .phenylene import build_phenylene, format_placement
+
     source, _ = _source(args)
     if not isinstance(source, Graph) and (args.cells or args.as_graph):
         source = build_phenylene(source).graph  # a placement file always prints as a graph

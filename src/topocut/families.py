@@ -7,8 +7,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import Graph, GraphError
-from .phenylene import NEIGHBOR_OFFSETS, BenzenoidPlacement, PlacementError
+from .graph import Graph, GraphError, PlacementError
+from .phenylene import NEIGHBOR_OFFSETS, BenzenoidPlacement
 
 
 def path_graph(n: int) -> Graph:

@@ -30,6 +30,10 @@ class ParseError(ValueError):
     """Malformed input text; the message names the offending line."""
 
 
+class PlacementError(ValueError):
+    """A set of lattice cells that is not a catacondensed benzenoid system."""
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1, connected by default.
 

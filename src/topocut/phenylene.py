@@ -39,7 +39,8 @@ from .exact import (
     _subtree_sums, _tree_sums, scale_weights,
 )
 from .graph import (
-    Graph, ParseError, component_labels, degree_vector, first_seen_labels, read_int_table
+    Graph, ParseError, PlacementError, component_labels, degree_vector, first_seen_labels,
+    read_int_table,
 )
 from .indices import Weight, check_weights
 from .theta import QuotientGraph, quotient
@@ -52,10 +53,6 @@ CORNER_OFFSETS = ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
 # corner k and corner k+1 of this cell, seen by the neighbour as corners
 # (k+4) % 6 and (k+3) % 6 respectively.
 NEIGHBOR_OFFSETS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-
-
-class PlacementError(ValueError):
-    """A set of lattice cells that is not a catacondensed benzenoid system."""
 
 
 def _cell_array(cells: Sequence[tuple[int, int]]) -> np.ndarray:

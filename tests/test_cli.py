@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import topocut
 import topocut.cli as cli
+import topocut.phenylene as phenylene
 from topocut.cli import main
 from topocut.cut_method import CutEngine
 from topocut.graph import format_edge_list, parse_edge_list
@@ -228,6 +230,19 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "line 2" in err
     code, _, err = run(capsys, "compute", str(tmp_path / "missing.txt"))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["compute", "generate"])
+@pytest.mark.parametrize("cells, message", [
+    ("0 0\n1 0\n0 1\n", "internal lattice vertex at (1, 1)"),
+    ("0 0\n5 5\n", "cells do not form a connected system"),
+])
+def test_bad_placements_exit_2(tmp_path, capsys, command, cells, message):
+    # main catches the PlacementError of graph.py, the class phenylene raises
+    assert topocut.PlacementError is phenylene.PlacementError
+    f = tmp_path / "bad.cells"
+    f.write_text(cells)
+    assert run(capsys, command, "--cells", str(f)) == (2, "", f"error: {message}\n")
 
 
 def test_header_flags(tmp_path, capsys):
@@ -489,8 +504,8 @@ def test_trees_route_stays_on_arrays(tmp_path, capsys, monkeypatch):
             return made[-1]
         return wrapped
 
-    monkeypatch.setattr(cli, "build_phenylene", spy(cli.build_phenylene))
-    monkeypatch.setattr(cli, "quotient_trees", spy(cli.quotient_trees))
+    monkeypatch.setattr(phenylene, "build_phenylene", spy(phenylene.build_phenylene))
+    monkeypatch.setattr(phenylene, "quotient_trees", spy(phenylene.quotient_trees))
     cells = tmp_path / "bent.cells"
     cells.write_text("0 0\n1 0\n1 1\n2 1\n")
     w = tmp_path / "w.txt"

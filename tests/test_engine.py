@@ -1,5 +1,6 @@
 """The cut engine's contraction and array kernels against the pure-Python references."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import topocut
 import topocut.cut_method as cut_method
 import topocut.exact as exact
 import topocut.graph as graph_module
@@ -436,13 +438,14 @@ def test_commands_run_theta_once_and_no_per_block_pass(tmp_path, capsys, monkeyp
 
 def _child_modules(code: str) -> dict:
     """Run ``code`` in a fresh interpreter with topocut on its path, then
-    report the scipy modules it loaded and the topocut modules that hold
-    scipy's ``connected_components``; ``code`` may set ``result``."""
+    report the scipy and topocut modules it loaded and the topocut modules
+    that hold scipy's ``connected_components``; ``code`` may set ``result``."""
     probe = code + """
 import json, sys
 print(json.dumps({
     "result": globals().get("result"),
     "scipy": sorted(name for name in sys.modules if name.startswith("scipy")),
+    "topocut": sorted(name for name in sys.modules if name.startswith("topocut")),
     "components": sorted(name for name, m in list(sys.modules.items())
                          if name.startswith("topocut") and hasattr(m, "connected_components")),
 }))
@@ -458,6 +461,76 @@ print(json.dumps({
 
 def test_import_loads_no_scipy():
     assert _child_modules("import topocut.cli")["scipy"] == []
+
+
+ENGINE = ["topocut", "topocut.cli", "topocut.cut_method", "topocut.exact", "topocut.graph",
+          "topocut.indices", "topocut.theta"]
+
+
+def test_each_route_loads_only_its_modules(tmp_path):
+    # the package and the CLI load the cut engine alone; the phenylene,
+    # reduction, family and Hamming modules load when a solve needs them
+    assert _child_modules("import topocut")["topocut"] == ["topocut"]
+    child = _child_modules("import topocut\nresult = topocut.families.__name__")
+    assert child["result"] == "topocut.families" and "topocut.reduction" not in child["topocut"]
+    assert _child_modules("import topocut.cli")["topocut"] == ENGINE
+    graph = tmp_path / "q4.txt"
+    graph.write_text(format_edge_list(hypercube_graph(4)))
+    cells = tmp_path / "chain.cells"
+    cells.write_text("0 0\n1 0\n2 0\n")
+    runs = {
+        "cuts": ([str(graph), "--method", "cuts"], []),
+        "hamming": ([str(graph), "--method", "hamming"], []),
+        "auto": ([str(graph)], []),
+        "trees": (["--cells", str(cells)], ["topocut.phenylene"]),
+        "reduce": ([str(graph), "--method", "reduce"], ["topocut.reduction"]),
+    }
+    for method, (argv, extra) in runs.items():
+        child = _child_modules(f"""
+import contextlib, io
+from topocut.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    result = main(["compute", *{argv!r}, "--json"])
+""")
+        assert child["result"] == 0, method
+        assert child["topocut"] == sorted(ENGINE + extra), method
+
+
+# Every public name of the package, with the module it was first exported
+# from; phenylene re-exports graph's PlacementError and exact's NotATreeError.
+PUBLIC = {
+    "graph": "Graph GraphError ParseError all_pairs_distances build_graph degree_vector "
+             "format_edge_list parse_edge_list",
+    "theta": "EdgePartition NotPartialCubeError PartitionError QuotientGraph ThetaClasses "
+             "quotient theta_star_classes validate_coarser",
+    "indices": "DoubleWeightedGraph WeightedGraph degree_distance gutman wiener wiener_double "
+               "wiener_plus wiener_weighted",
+    "cut_method": "degree_distance_via_cuts is_partial_cube partial_cube_double_wiener "
+                  "wiener_double_via_cuts wiener_weighted_via_cuts",
+    "phenylene": "Benzenoid BenzenoidPlacement NotATreeError Phenylene PlacementError "
+                 "QuotientTree build_benzenoid build_phenylene dd_gut_via_squeeze "
+                 "dd_gut_via_trees quotient_trees squeeze_weights tree_wiener_double_linear "
+                 "tree_wiener_linear",
+    "reduction": "ReductionStep r_classes reduce_fully reduce_fully_single reduce_once_r "
+                 "reduce_once_r_single reduce_once_s reduce_once_s_single s_classes",
+    "hamming": "NotPartialHammingError gutman_exact_hamming gutman_lower_bound "
+               "is_partial_hamming weighted_wiener_lower_bound",
+}
+SUBMODULES = ("cut_method", "exact", "families", "graph", "hamming", "indices", "phenylene",
+              "reduction", "theta")
+
+
+def test_public_names_resolve_to_their_home_objects():
+    names = {name: home for home, names in PUBLIC.items() for name in names.split()}
+    assert len(names) == 57
+    for name, home in names.items():
+        assert getattr(topocut, name) is getattr(importlib.import_module(f"topocut.{home}"), name)
+    for name in SUBMODULES:
+        assert getattr(topocut, name) is importlib.import_module(f"topocut.{name}")
+    assert topocut.__version__ == "0.1.0"
+    assert {*names, *SUBMODULES, "__version__"} <= set(dir(topocut))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        topocut.no_such_name
 
 
 def test_solves_label_components_without_scipy(tmp_path):
