@@ -37,6 +37,13 @@ INPUTS = {
         ["--family", "chain", "--n", "12", "--kinks", "A+LA-A+A-LA+A-A+L", "--weights", "chain12.w"],
         "0-1,1-2",
     ),
+    # the token-line path of each reader: a header-less CRLF edge file with
+    # '#' comments and blank lines, its weights file with comments and a
+    # decimal weight, and a commented placement file
+    "comments": (["comments.edges", "--weights", "comments.w"], "1-2,2-3"),
+    "comments_cells": (["--cells", "comments.cells"], "0-1,1-2"),
+    # an edge repeated, reversed, on a later line: exit 2 on every command
+    "repeat": (["repeat.edges"], "0-1,1-2"),
 }
 
 COMMANDS = {
