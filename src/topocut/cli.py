@@ -135,7 +135,7 @@ def _is_int_array(column) -> bool:
 class Columns:
     """A breakdown as named columns of equal length, printed without a
     dict per row: a column that is an integer array prints through one
-    ``%d`` per value.  Iterating gives the rows as dicts."""
+    ``%d`` per value."""
 
     def __init__(self, **columns: Sequence[Any]):
         self.columns = columns
@@ -148,18 +148,18 @@ class Columns:
             for col in self.columns.values()
         ]
 
-    def __iter__(self):
-        return (dict(zip(self.columns, row)) for row in zip(*self.lists()))
-
 
 @dataclass
 class Report:
+    """A route's indices, in report order, and its breakdown: one row per
+    block, tree or reduction step, or none (the oracle's)."""
+
     input: str
     n: int
     m: int
     method: str
     indices: dict[str, Weight]
-    breakdown: list[dict[str, Any]] | Columns = field(default_factory=list)
+    breakdown: Columns = field(default_factory=Columns)
     timing_ms: float = 0.0
 
     def to_json(self) -> str:
@@ -168,18 +168,15 @@ class Report:
         ``json.dumps`` through the pure-Python encoder.  Strings go through
         json's own ASCII encoder, ints and ``timing_ms`` through their
         ``__repr__``, and Fractions print as strings."""
-        (indices,) = _json_objects([self.indices], "  ")
-        if isinstance(self.breakdown, Columns):
-            rows = _json_columns(self.breakdown, "    ")
-        else:
-            rows = _json_objects(self.breakdown, "    ")
+        indices = _json_columns(Columns(**{k: [v] for k, v in self.indices.items()}), "  ")
+        rows = _json_columns(self.breakdown, "    ")
         breakdown = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
         return (
             f'{{\n  "input": {_json_scalar(self.input)},\n'
             f'  "n": {_json_scalar(self.n)},\n'
             f'  "m": {_json_scalar(self.m)},\n'
             f'  "method": {_json_scalar(self.method)},\n'
-            f'  "indices": {indices},\n'
+            f'  "indices": {indices[0] if indices else "{}"},\n'
             f'  "breakdown": {breakdown},\n'
             f'  "timing_ms": {float.__repr__(self.timing_ms)}\n}}'
         )
@@ -188,13 +185,8 @@ class Report:
         lines = [f"input: {self.input}  (n={self.n}, m={self.m})", f"method: {self.method}"]
         for key, value in self.indices.items():
             lines.append(f"  {_LABELS.get(key, key):7s} = {value}")
-        if isinstance(self.breakdown, Columns):
-            template = "    " + " ".join(f"{k}=%s" for k in self.breakdown.columns)
-            lines += [template % row for row in zip(*self.breakdown.lists())]
-        else:
-            for row in self.breakdown:
-                parts = " ".join(f"{k}={v}" for k, v in row.items())
-                lines.append(f"    {parts}")
+        template = "    " + " ".join(f"{k}=%s" for k in self.breakdown.columns)
+        lines += [template % row for row in zip(*self.breakdown.lists())]
         lines.append(f"time: {self.timing_ms:.2f} ms")
         return "\n".join(lines) + "\n"
 
@@ -211,31 +203,15 @@ def _json_scalar(v) -> str:
     return int.__repr__(v) if type(v) is int else encode_basestring_ascii(v)
 
 
-def _json_objects(objects: Sequence[dict[str, Any]], pad: str) -> list[str]:
-    """Flat dicts of report values as ``json.dumps`` indents them at
-    ``pad``; the dicts of one key sequence share one %-template."""
-    templates: dict[tuple[str, ...], str] = {}
-    out = []
-    for obj in objects:
-        keys = tuple(obj)
-        template = templates.get(keys)
-        if template is None:
-            fields = f",\n{pad}  ".join(
-                encode_basestring_ascii(k) + ": %s" for k in keys
-            )
-            template = templates[keys] = f"{{\n{pad}  {fields}\n{pad}}}" if keys else "{}"
-        out.append(template % tuple(map(_json_scalar, obj.values())))
-    return out
-
-
 def _json_columns(columns: Columns, pad: str) -> list[str]:
-    """``_json_objects`` of the rows of ``columns``: one template for all,
-    with ``%d`` for every integer-array column."""
+    """The rows of ``columns`` as ``json.dumps`` indents flat dicts at
+    ``pad``: one %-template for all, with ``%d`` for every integer-array
+    column."""
     fields = f",\n{pad}  ".join(
         encode_basestring_ascii(k) + (": %d" if _is_int_array(c) else ": %s")
         for k, c in columns.columns.items()
     )
-    template = f"{{\n{pad}  {fields}\n{pad}}}" if columns.columns else "{}"
+    template = f"{{\n{pad}  {fields}\n{pad}}}"
     return [template % row for row in zip(*columns.lists(_json_scalar))]
 
 
@@ -372,7 +348,7 @@ def _reduce(loaded: LoadedInput, pairs: Sequence[Pair]):
 def _reduce_route(loaded: LoadedInput, terms: TermNames):
     """The R/S twin reductions; DD's corrections are the breakdown."""
     if loaded.source.n == 1:  # zero degrees are no weights; every sum is empty
-        return dict.fromkeys(terms, 0), []
+        return dict.fromkeys(terms, 0), Columns()
     pairs = index_pairs(terms)
     plan, sums, corrections, _ = _reduce(loaded, pairs)
     steps = column_sums(corrections.T)
@@ -415,7 +391,7 @@ def _trees_route(loaded: LoadedInput, terms: TermNames):
 # Each route maps (loaded input, term list) to (indices, breakdown).  The oracle
 # route looks _oracle_indices up on each call, so a replaced oracle takes effect.
 ROUTES = {
-    "oracle": lambda loaded, terms: (_oracle_indices(loaded), []),
+    "oracle": lambda loaded, terms: (_oracle_indices(loaded), Columns()),
     "cuts": _cuts_route,
     "hamming": _hamming_route,
     "reduce": _reduce_route,

@@ -36,8 +36,8 @@ from .indices import DoubleWeightedGraph, Weight, check_weights
 from .theta import (
     EdgePartition,
     NotPartialCubeError,
-    PartitionError,
     ThetaClasses,
+    _check_is_partition,
     theta_star_classes,
     validate_coarser,
 )
@@ -108,14 +108,6 @@ def column_sums(values: np.ndarray) -> list[int]:
     return [_exact_sum(col, top) for col in values.T]
 
 
-def _check_partition(g: Graph, partition: EdgePartition) -> None:
-    total = sum(len(b) for b in partition.blocks)
-    if total != g.m:
-        raise PartitionError(
-            f"partition covers {total} edges but the graph has {g.m}"
-        )
-
-
 class CutEngine:
     """An edge partition of one graph with every block quotient's shape
     found by one contraction pass.
@@ -174,7 +166,7 @@ class CutEngine:
             # a bridge's quotient is K2 only in a connected graph
             peel = g.peel if g.connected else None
         else:
-            _check_partition(g, partition)
+            _check_is_partition(g, partition.blocks)
         self.g = g
         self.partition = partition
         k = len(partition.blocks)

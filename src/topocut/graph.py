@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -153,12 +154,26 @@ class Graph:
 
 
 def _checked_ends(n: int, ends: np.ndarray) -> np.ndarray:
-    """The edges as (min, max) rows; raises GraphError for the first edge,
-    in input order, that is a self-loop, out of range or a repeat."""
+    """The edges as (min, max) rows; raises GraphError, in its wording, for
+    the edge that ``_first_bad_edge`` finds."""
     u, v = ends[:, 0], ends[:, 1]
     lo, hi = np.minimum(u, v), np.maximum(u, v)
+    first = _first_bad_edge(n, lo, hi)
+    if first == len(ends):
+        return np.column_stack((lo, hi))
+    a, b = int(u[first]), int(v[first])
+    if a == b:
+        raise GraphError(f"self-loop at vertex {a}")
+    if not (0 <= a < n and 0 <= b < n):
+        raise GraphError(f"edge ({a}, {b}) out of range for n={n}")
+    raise GraphError(f"duplicate edge {(min(a, b), max(a, b))}")
+
+
+def _first_bad_edge(n: int, lo: np.ndarray, hi: np.ndarray) -> int:
+    """The position of the first edge (lo, hi), in input order, that is a
+    self-loop, out of range or a repeat; the edge count if there is none."""
     bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
-    first = int(bad[0]) if bad.size else len(ends)
+    first = int(bad[0]) if bad.size else len(lo)
     # the edges before the first bad one are in range: their codes lo * n + hi
     # are unique per edge, and exact in int64 while n < 2^31
     codes = (lo[:first] if n < 1 << 31 else lo[:first].astype(object)) * n + hi[:first]
@@ -168,14 +183,7 @@ def _checked_ends(n: int, ends: np.ndarray) -> np.ndarray:
         repeat = np.ones(first, dtype=bool)
         repeat[once] = False
         first = int(np.argmax(repeat))
-    if first == len(ends):
-        return np.column_stack((lo, hi))
-    a, b = int(u[first]), int(v[first])
-    if a == b:
-        raise GraphError(f"self-loop at vertex {a}")
-    if not (0 <= a < n and 0 <= b < n):
-        raise GraphError(f"edge ({a}, {b}) out of range for n={n}")
-    raise GraphError(f"duplicate edge {(min(a, b), max(a, b))}")
+    return first
 
 
 @dataclass(frozen=True)
@@ -479,8 +487,8 @@ def component_labels(n: int, eu: np.ndarray, ev: np.ndarray) -> tuple[int, np.nd
     return int(rank[-1]) + 1 if n else 0, rank[parent]
 
 
-# Byte classes of the integer-table reader: 0 for a byte it leaves to the
-# line reader, then blank, line break, digit, sign and the slash of p/q.
+# Byte classes of the integer-table reader: 0 for a byte it leaves to
+# ``token_lines``, then blank, line break, digit, sign and the slash of p/q.
 _BLANK, _BREAK, _DIGIT, _SIGN, _SLASH = 1, 2, 3, 4, 5
 _BYTE_CLASS = np.zeros(256, dtype=np.uint8)
 _BYTE_CLASS[[ord(" "), ord("\t")]] = _BLANK
@@ -490,7 +498,7 @@ _BYTE_CLASS[[ord("+"), ord("-")]] = _SIGN
 _BYTE_CLASS[ord("/")] = _SLASH
 
 # The table reader takes values strictly inside +-2^60; a file with a larger
-# one goes to the line reader, whose Python ints are exact at any size.
+# one goes to ``token_lines``, whose Python ints are exact at any size.
 _TABLE_LIMIT = 1 << 60
 
 
@@ -503,8 +511,8 @@ def read_int_table(text: str, widths: tuple[int, ...]) -> np.ndarray | None:
     digits with a value strictly inside +-2^60: exactly the lines and values
     that ``str.splitlines``, ``str.split`` and ``int`` read from the text.
     Anything else (comments, other bytes, ``1_0``, a lone sign, a ragged
-    line, an empty text, a larger value) gives None, and the caller's line
-    reader reads the text and names the offending line.
+    line, an empty text, a larger value) gives None, and the caller reads
+    the text by ``token_lines`` and names the offending line.
     """
     table = read_ratio_table(text, widths, ratios=False)
     return None if table is None else table[0]
@@ -581,6 +589,15 @@ def read_ratio_table(
     return values[first].reshape(-1, width), den.reshape(-1, width)
 
 
+def token_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, stripped line, its tokens) for every line of ``text``
+    that is neither blank nor a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line, line.split()
+
+
 def parse_edge_list(text: str, header: bool | None = None) -> Graph:
     """Parse the edge-list text format.
 
@@ -590,70 +607,50 @@ def parse_edge_list(text: str, header: bool | None = None) -> Graph:
     n >= 1 and the count m of edge lines after it; False reads it as an
     edge; None reads it as the header only when it would pass as one.
 
-    A text that ``read_int_table`` reads, and whose edges pass the array
-    checks of ``Graph``, is built from that table.  Any other text, and any
-    text with a fault, takes the line reader, whose ``ParseError`` names the
-    offending line.
+    The rows come from ``read_int_table``, or from ``token_lines`` as exact
+    Python ints when it declines; one row check (``_first_bad_edge``) and one
+    connectivity test follow.  A ``ParseError`` names the offending line,
+    looked up only then: row r of either source is the r-th token line.
     """
-    table = read_int_table(text, (2,))
-    if table is not None:
-        fits = table[0, 1] == len(table) - 1 and table[0, 0] >= 1
-        if fits and header is not False:
-            n, ends = int(table[0, 0]), table[1:]
-        else:
-            n, ends = int(table.max()) + 1, table
+    rows = read_int_table(text, (2,))
+    if rows is None:
+        values = []
+        for lineno, line, parts in token_lines(text):
+            try:
+                a, b = map(int, parts)  # a third token fails the unpacking
+            except ValueError:
+                raise ParseError(f"line {lineno}: expected two integers, got {line!r}") from None
+            values.append((a, b))
+        if not values:
+            raise ParseError("no edges found")
         try:
-            g = Graph(n, ends, require_connected=False)
-        except GraphError:
-            pass
-        else:
-            if g.connected and (fits or not header):  # else the line reader names the header
-                return g
-    return _read_edge_lines(text, header)
+            rows = np.array(values, dtype=np.int64)
+        except OverflowError:  # Python ints past int64, exact as objects
+            rows = np.array(values, dtype=object)
 
+    def where(r: int) -> str:  # the line of row r
+        return f"line {next(islice(token_lines(text), r, None))[0]}"
 
-def _read_edge_lines(text: str, header: bool | None = None) -> Graph:
-    """The line-by-line edge-list reader: every ``parse_edge_list`` error."""
-    rows: list[tuple[int, int, int]] = []  # (lineno, a, b)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected two integers, got {line!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected two integers, got {line!r}") from None
-        rows.append((lineno, a, b))
-    if not rows:
-        raise ParseError("no edges found")
-    first_line, first_a, first_b = rows[0]
+    first_a, first_b = rows[0].tolist()
     fits = first_b == len(rows) - 1 and first_a >= 1
     if header and not fits:
-        raise ParseError(f"line {first_line}: header needs n >= 1 and the edge count "
+        raise ParseError(f"{where(0)}: header needs n >= 1 and the edge count "
                          f"{len(rows) - 1}, got '{first_a} {first_b}'")
-    if fits and header is not False:
-        n, pairs = first_a, rows[1:]
-    else:
-        n, pairs = max(max(a, b) for _, a, b in rows) + 1, rows
-    edges = []
-    seen = set()
-    for lineno, a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ParseError(f"line {lineno}: vertex out of range for n={n}")
+    skip = int(fits and header is not False)
+    n = first_a if skip else int(rows.max()) + 1
+    u, v = rows[skip:].T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = _first_bad_edge(n, lo, hi)
+    if bad < len(lo):
+        a, b, at = int(lo[bad]), int(hi[bad]), where(bad + skip)
+        if not (0 <= a and b < n):
+            raise ParseError(f"{at}: vertex out of range for n={n}")
         if a == b:
-            raise ParseError(f"line {lineno}: self-loop at vertex {a}")
-        e = (a, b) if a < b else (b, a)
-        if e in seen:
-            raise ParseError(f"line {lineno}: duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
-    g = Graph(n, edges, require_connected=False)
-    if not g.connected:
+            raise ParseError(f"{at}: self-loop at vertex {a}")
+        raise ParseError(f"{at}: duplicate edge {(a, b)}")
+    if len(lo) < n - 1 or component_labels(n, lo, hi)[0] != 1:
         raise ParseError("graph is disconnected")
-    return g
+    return Graph(n, np.column_stack((lo, hi)), validate=False)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -22,6 +22,7 @@ from .graph import (
     all_pairs_distances,
     degree_vector,
     read_ratio_table,
+    token_lines,
 )
 
 
@@ -175,7 +176,7 @@ def read_weights(text: str, n: int) -> Weights:
     table: the fractions are reduced in the arrays, and each row is scaled
     by the LCM of its denominators (``scale_weights``).  Any other text
     (decimals, zero denominators, values past +-2^60, comments, a fault)
-    takes the line reader, whose ``ParseError`` names the offending line.
+    takes ``_read_weight_lines``, whose ``ParseError`` names the line.
     """
     table = read_ratio_table(text, (2, 3))
     if table is not None and len(table[0]) == n:
@@ -204,14 +205,10 @@ def read_weights(text: str, n: int) -> Weights:
 
 
 def _read_weight_lines(text: str, n: int) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
-    """The line-by-line weights reader: every ``parse_weights`` error."""
+    """The weights file line by line over ``token_lines``: every ``parse_weights`` error."""
     a: list[Weight | None] = [None] * n
     b: list[Weight] = [1] * n
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, line, parts in token_lines(text):
         if len(parts) not in (2, 3):
             raise ParseError(f"line {lineno}: expected 'v a [b]', got {line!r}")
         try:

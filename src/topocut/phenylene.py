@@ -40,7 +40,7 @@ from .exact import (
 )
 from .graph import (
     Graph, ParseError, PlacementError, component_labels, degree_vector, first_seen_labels,
-    read_int_table,
+    read_int_table, token_lines,
 )
 from .indices import Weight, check_weights
 from .theta import QuotientGraph, quotient
@@ -730,34 +730,25 @@ def parse_placement(text: str) -> BenzenoidPlacement:
     """Parse the placement file format: one "q r" cell per line, '#' comments.
 
     A text that ``read_int_table`` reads becomes the placement's cell array
-    directly; any other text takes the line reader, whose errors name the
-    offending line.  Both raise the placement's own faults (no cells, a
-    repeated cell) as ``ParseError``.
+    directly; any other text is read line by line from ``token_lines``,
+    whose errors name the offending line.  Both raise the placement's own
+    faults (no cells, a repeated cell) as ``ParseError``.
     """
     table = read_int_table(text, (2,))
     try:
         if table is not None:
             return BenzenoidPlacement._from_array(table)
-        return BenzenoidPlacement.of(_read_cell_lines(text))
+        cells = []
+        for lineno, line, parts in token_lines(text):
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: expected 'q r', got {line!r}")
+            try:
+                cells.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise ParseError(f"line {lineno}: expected two integers") from None
+        return BenzenoidPlacement.of(cells)
     except PlacementError as exc:
         raise ParseError(str(exc)) from None
-
-
-def _read_cell_lines(text: str) -> list[tuple[int, int]]:
-    """The line-by-line placement reader."""
-    cells = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'q r', got {line!r}")
-        try:
-            cells.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected two integers") from None
-    return cells
 
 
 def format_placement(placement: BenzenoidPlacement) -> str:

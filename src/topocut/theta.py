@@ -52,8 +52,8 @@ class EdgePartition:
 
     Build through :func:`validate_coarser` (full check), or directly when
     the blocks are coarser by construction, as the single block of every
-    edge is; :class:`~topocut.cut_method.CutEngine` still checks that the
-    blocks cover the m edges.
+    edge is; :class:`~topocut.cut_method.CutEngine` still checks that they
+    partition the m edges, though not that they join whole theta*-classes.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -204,21 +204,20 @@ def validate_coarser(
     return EdgePartition(blocks)
 
 
-def _check_is_partition(g: Graph, blocks: tuple[tuple[int, ...], ...]) -> None:
-    """Every index names an edge and every edge lies in exactly one block;
-    the blocks are sorted and free of repeats, so one range test per block
-    and one ``bincount`` decide it."""
+def _check_is_partition(g: Graph, blocks: Sequence[Sequence[int]]) -> None:
+    """Every index names an edge and every edge lies in exactly one block,
+    in blocks of any order: one range test over all entries, then one
+    ``bincount``."""
     m = g.m
-    for block in blocks:
-        if block and not (0 <= block[0] and block[-1] < m):
-            bad = block[0] if block[0] < 0 else block[bisect_left(block, m)]
-            raise PartitionError(f"unknown edge index {bad}")
-    total = sum(map(len, blocks))
-    flat = np.fromiter(chain.from_iterable(blocks), dtype=np.int64, count=total)
-    distinct = int(np.count_nonzero(np.bincount(flat, minlength=m)))
-    if total != m or distinct != m:
+    entries = list(chain.from_iterable(blocks))
+    flat = np.array(entries)  # past int64 numpy picks a dtype exact below 2^53 > m
+    bad = np.flatnonzero((flat < 0) | (flat >= m))
+    if bad.size:
+        raise PartitionError(f"unknown edge index {entries[bad[0]]}")
+    distinct = int(np.count_nonzero(np.bincount(flat.astype(np.int64), minlength=m)))
+    if len(entries) != m or distinct != m:
         raise PartitionError(
-            f"blocks do not partition the edge set ({total} entries, "
+            f"blocks do not partition the edge set ({len(entries)} entries, "
             f"{distinct} distinct, {m} edges)"
         )
 

@@ -232,6 +232,13 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [f"0 {2**63}\n", "0 99999999999999999999"])
+def test_huge_vertex_ids_are_a_parse_error(tmp_path, capsys, text):
+    f = tmp_path / "huge.txt"
+    f.write_text(text)
+    assert run(capsys, "compute", str(f)) == (2, "", "parse error: graph is disconnected\n")
+
+
 @pytest.mark.parametrize("command", ["compute", "generate"])
 @pytest.mark.parametrize("cells, message", [
     ("0 0\n1 0\n0 1\n", "internal lattice vertex at (1, 1)"),
@@ -332,13 +339,14 @@ def test_reduce_keeps_fraction_typing_of_whole_reduced_value(tmp_path, capsys):
 
 
 def reference_json(report):
+    columns = report.breakdown.columns  # the rows as dicts, built here
     payload = {
         "input": report.input,
         "n": report.n,
         "m": report.m,
         "method": report.method,
         "indices": report.indices,
-        "breakdown": list(report.breakdown),  # a route's Columns iterate as the row dicts
+        "breakdown": [dict(zip(columns, row)) for row in zip(*columns.values())],
         "timing_ms": report.timing_ms,
     }
     # Fractions print as strings, numpy ints as ints
@@ -392,16 +400,31 @@ def test_json_writer_matches_json_dumps_on_awkward_values():
         cli.Report(
             'in "q" \\ back, café ☃ tab\t\x01 %s {}', 3, 2, "cuts",
             {"wiener": 2**64 + 1, "gutman": -(2**70), "wiener_double": Fraction(-7, 3)},
-            [
-                {"block": 0, "edges": 1, "W": Fraction(1, 2), "DD": 2**63, "Gut": 0},
-                {"block": 1, "edges": 2, "W": 1, "DD": Fraction(5, 1), "Gut": -3},
-                {"kind": "R", "class_size": 2, "representative": 0, "correction": 2**100},
-            ],
+            cli.Columns(
+                block=np.arange(2),
+                edges=np.array([1, 2], dtype=np.int32),
+                W=[Fraction(1, 2), 1],
+                DD=[2**63, Fraction(5, 1)],
+                Gut=np.array([0, -3]),
+            ),
             0.1,
         ),
-        cli.Report("empty", 1, 0, "reduce", {"wiener": 0}, [], 0.0),
-        cli.Report("nothing", 1, 0, "oracle", {}, [{}], 1e-7),
-        cli.Report("np", 2, 1, "cuts", {"wiener": np.int64(1)}, [{"block": np.int32(0)}], 3.0),
+        cli.Report(
+            "steps", 3, 2, "reduce", {"wiener": 4},
+            cli.Columns(
+                kind=["R", 'S "q" \\ é ☃\t\x01 %d'],
+                class_size=np.array([2, 3]),
+                representative=[np.int64(0), 1],
+                correction=np.array([2**100, -(2**64) - 1], dtype=object),
+            ),
+            2.5,
+        ),
+        cli.Report("empty", 1, 0, "reduce", {"wiener": 0}, cli.Columns(), 0.0),
+        cli.Report("nothing", 1, 0, "oracle", {}, cli.Columns(), 1e-7),
+        cli.Report(
+            "np", 2, 1, "cuts", {"wiener": np.int64(1)},
+            cli.Columns(block=[np.int32(0)], edges=np.array([1], dtype=np.uint8)), 3.0,
+        ),
     ]
     for report in reports:
         assert report.to_json() == reference_json(report)

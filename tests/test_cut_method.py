@@ -25,6 +25,7 @@ from topocut.indices import (
     wiener_weighted,
 )
 from topocut.theta import (
+    EdgePartition,
     NotPartialCubeError,
     PartitionError,
     quotient,
@@ -202,6 +203,21 @@ def test_partition_mismatch_detected():
     part = finest(c4)
     with pytest.raises(PartitionError):
         wiener_weighted_via_cuts(c6, (1,) * 6, part)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    # edge 2 in no block and edge 0 in two: the counts still add up to m
+    (((0, 5, 8, 11), (1, 3, 9, 10), (0, 4, 6, 7)),
+     r"blocks do not partition the edge set \(12 entries, 11 distinct, 12 edges\)"),
+    (((0, 5, 8, 11), (1, 3, 9, 10), (12, 4, 6, 7)), "unknown edge index 12"),
+    (((0, 5, 8, 11), (1, 3, 9, 10), (-1, 4, 6, 7)), "unknown edge index -1"),
+])
+def test_engine_rejects_a_malformed_partition(blocks, message):
+    # an EdgePartition built directly skips validate_coarser; the engine's
+    # own check must still catch a block list that is no partition
+    q3 = hypercube_graph(3)
+    with pytest.raises(PartitionError, match=f"^{message}$"):
+        wiener_weighted_via_cuts(q3, (1,) * 8, EdgePartition(blocks))
 
 
 def test_invalid_partition_cannot_sneak_past_validation():

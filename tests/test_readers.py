@@ -198,6 +198,8 @@ def edge_outcome(parse, text):
 @example("4 3\n0 1\n1 2\n")
 @example("0 1\n1 2\n2 0\n3 4\n")  # disconnected with m = n - 1
 @example("5 4\n0 1\n1 2\n2 0\n3 4\n")
+@example(f"0 {2**63}\n")  # vertex ids past int64: disconnected, not an overflow
+@example("0 99999999999999999999")
 def test_edge_list_reader_matches_line_reader(text):
     want = edge_outcome(reference_parse_edge_list, text)
     assert edge_outcome(parse_edge_list, text) == want
