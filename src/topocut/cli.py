@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -45,7 +44,7 @@ from .indices import (
     wiener_plus,
     wiener_weighted,
 )
-from .theta import EdgePartition, PartitionError, format_classes, quotient, theta_star_classes
+from .theta import PartitionError, format_classes, quotient, theta_star_classes
 from .cut_method import (
     INDEX_TERMS,
     CutEngine,
@@ -53,6 +52,7 @@ from .cut_method import (
     TermNames,
     column_sums,
     column_values,
+    distance_sums,
     index_pairs,
 )
 
@@ -228,6 +228,20 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weights", help="weights file ('v a [b]' per line)")
 
 
+def _read_text(path: str) -> str:
+    """The file at ``path`` as bytes decoded as UTF-8, line ends as written.  An
+    unreadable file is a ``ParseError``, as is a decode error, named by line."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+        return data.decode()
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise ParseError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode() + "?").splitlines())
+        raise ParseError(f"line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
+
+
 def _source(args) -> tuple[Graph | BenzenoidPlacement, str]:
     """The one input source of ``args``, a graph or a placement, and its descriptor."""
     if len([s for s in (args.graph, args.family, args.cells) if s]) != 1:
@@ -235,9 +249,9 @@ def _source(args) -> tuple[Graph | BenzenoidPlacement, str]:
     if args.cells:
         from .phenylene import parse_placement
 
-        return parse_placement(Path(args.cells).read_text()), f"cells:{args.cells}"
+        return parse_placement(_read_text(args.cells)), f"cells:{args.cells}"
     if args.graph:
-        return parse_edge_list(Path(args.graph).read_text(), args.header), args.graph
+        return parse_edge_list(_read_text(args.graph), args.header), args.graph
     from .families import complete_bipartite_graph, gen_basic, gen_phenylene_chain, phe6_placement
 
     fam = args.family.lower()
@@ -265,7 +279,7 @@ def _load_input(args) -> LoadedInput:
         source = build_phenylene(source)
     loaded = LoadedInput(source, descriptor)
     if getattr(args, "weights", None):
-        loaded.weights = read_weights(Path(args.weights).read_text(), source.n)
+        loaded.weights = read_weights(_read_text(args.weights), source.n)
         check_positive(loaded.weights)  # every method needs positive weights
     return loaded
 
@@ -306,10 +320,9 @@ def _cuts_route(loaded: LoadedInput, terms: TermNames):
     pairs = index_pairs(terms)
     blocks = loaded.engine.block_matrix(loaded.matrix, pairs)
     indices = dict(zip(terms, column_values(blocks, loaded.matrix, pairs)))
-    sizes = loaded.engine.partition.blocks
     breakdown = Columns(
-        block=np.arange(len(sizes)),
-        edges=np.fromiter(map(len, sizes), dtype=np.int64, count=len(sizes)),
+        block=np.arange(len(blocks)),
+        edges=np.bincount(loaded.engine.block_of, minlength=len(blocks)),
         W=blocks[:, 0] // 2,  # W* and Gut are halved W(x, x) sums, each even
         DD=blocks[:, 1],
         Gut=blocks[:, 2] // 2,
@@ -331,17 +344,13 @@ def _reduce(loaded: LoadedInput, pairs: Sequence[Pair]):
     """Every pair through one collapse plan of the input's graph: the plan,
     the pairs' undivided sums on the reduced graph, and their per-step
     corrections with which are Fractions (``CollapsePlan.apply_rows``).
-    The reduced pairs share one distance matrix: one cut engine block of
-    all edges."""
+    The reduced pairs share one distance matrix and one guarded D B
+    (``distance_sums``)."""
     from .reduction import collapse_plan
 
     plan = collapse_plan(loaded.graph)
     reduced, corrections, typed = plan.apply_rows(loaded.matrix, pairs)
-    if plan.graph.n == 1:
-        sums = [0] * len(pairs)
-    else:
-        engine = CutEngine(plan.graph, EdgePartition((tuple(range(plan.graph.m)),)))
-        sums = column_sums(engine.block_matrix(reduced, pairs))
+    sums = distance_sums(plan.graph, reduced, pairs).tolist()
     return plan, sums, corrections, typed
 
 
@@ -671,7 +680,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, FileNotFoundError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except MethodNotApplicable as exc:

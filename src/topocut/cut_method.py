@@ -26,6 +26,7 @@ column sum divided back once, all under the int64 guard of
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +39,8 @@ from .theta import (
     NotPartialCubeError,
     ThetaClasses,
     _check_is_partition,
-    theta_star_classes,
+    _groups,
+    _theta_labels,
     validate_coarser,
 )
 
@@ -112,11 +114,12 @@ class CutEngine:
     """An edge partition of one graph with every block quotient's shape
     found by one contraction pass.
 
-    Without ``partition`` the blocks are the theta*-classes: theta* runs
-    once and its core distance matrix is kept for :meth:`block_values`, or
-    ``classes`` is used after a theta* run validates it as coarser than the
-    theta*-classes.  The pendant trees then
-    stay out of the contraction (``Graph.peel``).  Each of their edges is a
+    Without ``partition`` the blocks are the theta*-classes: theta*'s label
+    array is each edge's block (``block_of``), its core distance matrix is
+    kept for :meth:`block_values`, and ``partition`` is built only when
+    read.  Or ``classes`` is used after a theta* run validates it as coarser
+    than the theta*-classes.  The pendant trees then stay out of the
+    contraction (``Graph.peel``).  Each of their edges is a
     bridge and a class of its own, so its quotient is K2, with sides the
     subtree below the edge and the rest.  The contraction runs on the
     2-core's edges and classes only.  A pendant vertex lies in the same
@@ -154,27 +157,19 @@ class CutEngine:
         classes: ThetaClasses | None = None,
     ):
         n, ends = g.n, g.edge_array
-        peel = None
+        # a bridge's quotient is K2 only in a connected graph
+        peel = g.peel if partition is None and g.connected else None
         self._core_distances = None  # theta*'s, rows in g.peel.core order
-        if partition is None:
-            if classes is None:
-                classes = theta_star_classes(g)
-                partition = EdgePartition(classes.classes)
-                self._core_distances = classes.core_distances
-            else:
-                partition = validate_coarser(g, classes.classes)
-            # a bridge's quotient is K2 only in a connected graph
-            peel = g.peel if g.connected else None
+        if partition is None and classes is None:
+            block_of, self._core_distances = _theta_labels(g)
+            k = int(block_of.max(initial=-1)) + 1
         else:
-            _check_is_partition(g, partition.blocks)
+            if partition is None:
+                partition = validate_coarser(g, classes.classes)
+            self.partition = partition
+            block_of, k = _check_is_partition(g, partition.blocks), len(partition.blocks)
         self.g = g
-        self.partition = partition
-        k = len(partition.blocks)
-        block_of = np.empty(g.m, dtype=np.int64)
-        if k:
-            block_of[np.concatenate(partition.blocks)] = np.repeat(
-                np.arange(k), [len(b) for b in partition.blocks]
-            )
+        self.block_of = block_of
         # A pendant block is one pendant edge alone, as in the theta*-classes;
         # given classes that join a pendant edge to others are contracted whole.
         pendant = np.zeros(k, dtype=bool)
@@ -250,6 +245,11 @@ class CutEngine:
         self._sizes, self._complete = sizes, complete
         self.sizes = tuple(sizes.tolist())
         self.complete = tuple(complete.tolist())
+
+    @functools.cached_property
+    def partition(self) -> EdgePartition:
+        """A given partition, or theta*'s labels grouped on first read."""
+        return EdgePartition(_groups(self.block_of))
 
     @property
     def partial_hamming(self) -> bool:
@@ -355,18 +355,6 @@ class CutEngine:
         k = len(self.sizes)
         if not pairs:
             return np.zeros((k, 0), dtype=np.int64)
-        used = sorted({r for i, j, _ in pairs for r in (i, j)})
-        column = {r: c for c, r in enumerate(used)}
-        left = [column[i] for i, _, _ in pairs]
-        right = [column[j] for _, j, _ in pairs]
-        bounds = [weights.bounds[r] for r in used]
-        sum_bound = max(self.g.n - 1, 1) * max(bounds)
-        sum_dtype = _exact_dtype(sum_bound)
-        rows = weights.rows[used].astype(sum_dtype, copy=False)
-        totals = rows.sum(axis=1)
-        if self._peeled is not None:
-            rows = self._fold(rows)
-        agg = self._leaf_sums(rows, totals)
         sizes = self._sizes
         chosen = np.ones(k, dtype=bool) if closed else self._complete
         others = np.flatnonzero(~chosen)
@@ -376,8 +364,11 @@ class CutEngine:
             span = self._core_distances.shape[0] - 1
         else:
             span = int(sizes[others].max(initial=2)) - 1
-        top = max(bounds[i] * bounds[j] for i, j in zip(left, right))
-        dtype = _exact_dtype(max(sum_bound, span * top))
+        rows, left, right, dtype = _pair_rows(weights, pairs, self.g.n, span)
+        totals = rows.sum(axis=1)
+        if self._peeled is not None:
+            rows = self._fold(rows)
+        agg = self._leaf_sums(rows, totals)
         values = np.zeros((k, len(pairs)), dtype=dtype)
         # closed sums over the chosen blocks at once, one segment per block
         if chosen.any():
@@ -421,6 +412,28 @@ class CutEngine:
         so halving the sum equals summing the halves."""
         weights, pairs = term_pairs(terms)
         return column_values(self.block_matrix(weights, pairs, closed=closed), weights, pairs)
+
+
+def _pair_rows(weights: Weights, pairs: Sequence[Pair], n: int, span: int) -> tuple:
+    """The rows ``pairs`` use, in the dtype of their sums over n vertices, at
+    most (n - 1) max T with T = sum|w| of a row; each pair's rows among them,
+    left and right; and the dtype of values up to span max T_a T_b."""
+    used = sorted({r for i, j, _ in pairs for r in (i, j)})
+    column = {r: c for c, r in enumerate(used)}
+    left = [column[i] for i, _, _ in pairs]
+    right = [column[j] for _, j, _ in pairs]
+    bounds = [weights.bounds[r] for r in used]
+    sum_bound = max(n - 1, 1) * max(bounds)
+    rows = weights.rows[used].astype(_exact_dtype(sum_bound), copy=False)
+    top = max(bounds[i] * bounds[j] for i, j in zip(left, right))
+    return rows, left, right, _exact_dtype(max(sum_bound, span * top))
+
+
+def distance_sums(g: Graph, weights: Weights, pairs: Sequence[Pair]) -> np.ndarray:
+    """Every pair's W(a, b) on ``g``, undivided, in the scaled units of
+    ``weights``: one distance matrix and one D B per distinct B, under the
+    guards of :meth:`CutEngine.block_matrix`'s non-complete blocks."""
+    return _distance_sums(distance_matrix(g), *_pair_rows(weights, pairs, g.n, g.n - 1))
 
 
 # D B runs in int32 while every partial sum stays below this in absolute

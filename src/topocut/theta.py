@@ -11,7 +11,7 @@ throughout; the CLI layer converts "u-v" spellings.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -30,17 +30,15 @@ class NotPartialCubeError(ValueError):
 
 @dataclass(frozen=True)
 class ThetaClasses:
-    """The theta*-partition of the edge set.
+    """The theta*-partition of the edge set as tuples, for API callers;
+    the cut engine reads theta*'s label array and core distances instead.
 
     Classes are ordered by their smallest edge index; edge indices within a
-    class ascend.  ``core_distances`` is the distance matrix that theta* ran
-    on, the 2-core's with rows and columns in ``Graph.peel.core`` order, or
-    None when the core has no edge; it takes no part in comparisons.
+    class ascend, and ``class_of`` is each edge's class.
     """
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
-    core_distances: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -51,9 +49,9 @@ class EdgePartition:
     """A partition of the edge set into blocks of whole theta*-classes.
 
     Build through :func:`validate_coarser` (full check), or directly when
-    the blocks are coarser by construction, as the single block of every
-    edge is; :class:`~topocut.cut_method.CutEngine` still checks that they
-    partition the m edges, though not that they join whole theta*-classes.
+    the blocks are coarser by construction; ``CutEngine`` checks that they
+    partition the m edges, not that they join whole classes.  An engine over
+    theta* itself takes its label array and builds this only when read.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -92,8 +90,18 @@ _BLOCK_GROWTH = 4
 def theta_star_classes(
     g: Graph, d: Sequence[Sequence[int]] | np.ndarray | None = None
 ) -> ThetaClasses:
-    """Theta*-classes by Feder's spanning-tree restriction of theta, on the
-    2-core only.
+    """Theta*-classes (:func:`_theta_labels`) as the tuples of a
+    :class:`ThetaClasses`; ``d`` may be the distance matrix of G or its rows."""
+    labels = _theta_labels(g, d)[0]
+    return ThetaClasses(_groups(labels), tuple(labels.tolist()))
+
+
+def _theta_labels(
+    g: Graph, d: Sequence[Sequence[int]] | np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each edge's theta*-class, classes numbered by their smallest edge, by
+    Feder's spanning-tree restriction of theta on the 2-core only; and the
+    core distance matrix it ran on (None when the core has no edge).
 
     Every edge of a pendant tree is a bridge, and a bridge is a theta*-class
     of its own: Theta-related edges lie in one biconnected component
@@ -102,7 +110,6 @@ def theta_star_classes(
     the core's own distance matrix, or ``d`` restricted to the core.  The
     core is isometric, as no shortest path between two core vertices enters
     a pendant tree.  A tree's core is one vertex, and it needs no distances.
-    The core's matrix is kept as ``core_distances``, for the cut engine.
 
     Theta* is the transitive closure of theta restricted to pairs with one
     edge in a fixed spanning tree T (T. Feder, "Product graph
@@ -112,7 +119,6 @@ def theta_star_classes(
     rows of the distance matrix: (n - 1) x m entries in all, in blocks of
     tree edges (``_feder_links``), each edge linked to the first edge of
     its class, so that only pairs not yet settled reach a merge.
-    ``d`` may be given as the distance matrix of G or its rows.
     """
     if not g.connected:
         raise GraphError("theta* is defined for connected graphs only")
@@ -131,8 +137,7 @@ def theta_star_classes(
         core_distances = distance_matrix(h) if d is None else np.asarray(d)
         links[core_edges] = core_edges[_feder_links(h.edge_array, core_distances)]
     # classes numbered by their smallest edge
-    class_of = np.unique(links, return_inverse=True)[1]
-    return ThetaClasses(_groups(class_of), tuple(class_of.tolist()), core_distances)
+    return np.unique(links, return_inverse=True)[1], core_distances
 
 
 def _feder_links(ends: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -181,45 +186,43 @@ def _feder_links(ends: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def validate_coarser(
-    g: Graph,
-    blocks: Iterable[Iterable[int]],
-    classes: ThetaClasses | None = None,
+    g: Graph, blocks: Iterable[Iterable[int]], classes: ThetaClasses | None = None
 ) -> EdgePartition:
-    """Check that ``blocks`` partition E(g) into unions of theta*-classes."""
-    blocks = tuple(tuple(sorted(set(b))) for b in blocks)
-    _check_is_partition(g, blocks)
-    if classes is None:
-        classes = theta_star_classes(g)
-    block_of = [0] * g.m
-    for bi, block in enumerate(blocks):
-        for e in block:
-            block_of[e] = bi
-    for ci, cls in enumerate(classes.classes):
-        owners = {block_of[e] for e in cls}
-        if len(owners) > 1:
-            edges = ", ".join(f"{g.edges[e][0]}-{g.edges[e][1]}" for e in cls)
-            raise PartitionError(
-                f"theta*-class {ci} ({edges}) is split across blocks {sorted(owners)}"
-            )
-    return EdgePartition(blocks)
+    """Check that ``blocks``, as given, partition E(g) into unions of
+    theta*-classes, on theta*'s label array; each block comes back sorted."""
+    blocks = [tuple(b) for b in blocks]
+    block_of = _check_is_partition(g, blocks)
+    labels = _theta_labels(g)[0] if classes is None else np.array(classes.class_of, dtype=np.intp)
+    first = np.unique(labels, return_index=True)[1]  # each class's smallest edge
+    split = labels[block_of != block_of[first][labels]]
+    if split.size:
+        cls = np.flatnonzero(labels == split.min()).tolist()
+        edges = ", ".join(f"{g.edges[e][0]}-{g.edges[e][1]}" for e in cls)
+        raise PartitionError(f"theta*-class {split.min()} ({edges}) is split across "
+                             f"blocks {np.unique(block_of[cls]).tolist()}")
+    return EdgePartition(tuple(tuple(sorted(b)) for b in blocks))
 
 
-def _check_is_partition(g: Graph, blocks: Sequence[Sequence[int]]) -> None:
+def _check_is_partition(g: Graph, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     """Every index names an edge and every edge lies in exactly one block,
     in blocks of any order: one range test over all entries, then one
-    ``bincount``."""
+    ``bincount``.  Returns each edge's block."""
     m = g.m
     entries = list(chain.from_iterable(blocks))
     flat = np.array(entries)  # past int64 numpy picks a dtype exact below 2^53 > m
     bad = np.flatnonzero((flat < 0) | (flat >= m))
     if bad.size:
         raise PartitionError(f"unknown edge index {entries[bad[0]]}")
-    distinct = int(np.count_nonzero(np.bincount(flat.astype(np.int64), minlength=m)))
+    flat = flat.astype(np.intp)
+    distinct = int(np.count_nonzero(np.bincount(flat, minlength=m)))
     if len(entries) != m or distinct != m:
         raise PartitionError(
             f"blocks do not partition the edge set ({len(entries)} entries, "
             f"{distinct} distinct, {m} edges)"
         )
+    block_of = np.empty(m, dtype=np.intp)
+    block_of[flat] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    return block_of
 
 
 def quotient(g: Graph, f: Iterable[int]) -> QuotientGraph:

@@ -232,6 +232,55 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+# an input file whose bytes are no UTF-8, or a path that is no file, is a
+# parse error (exit 2) for every file the readers take; a decode error names
+# the line of the bad byte
+UNREADABLE_INPUTS = {
+    "graph": lambda path, good: [path],
+    "cells": lambda path, good: ["--cells", path],
+    "weights": lambda path, good: [good, "--weights", path],
+}
+
+
+@pytest.mark.parametrize("role", sorted(UNREADABLE_INPUTS))
+@pytest.mark.parametrize("content, message", [
+    (b"0 1\n# caf\xe9\n1 2\n", "parse error: line 2: byte 0xe9 is not UTF-8\n"),
+    (b"# ok\r\n\r\n0 1 \xff\n", "parse error: line 3: byte 0xff is not UTF-8\n"),
+    (b"0 1\r1 2\r\xc3", "parse error: line 3: byte 0xc3 is not UTF-8\n"),
+    (None, "parse error: [Errno 21] Is a directory: "),
+])
+def test_unreadable_inputs_are_parse_errors(tmp_path, capsys, role, content, message):
+    good = tmp_path / "good.txt"
+    good.write_text("0 1\n1 2\n")
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = run(capsys, "compute", *UNREADABLE_INPUTS[role](str(path), str(good)))
+    assert (code, out) == (2, "")
+    assert err == message + (f"{str(path)!r}\n" if content is None else "")
+
+
+def test_line_ends_read_alike(tmp_path, capsys):
+    # files are read as bytes: CRLF and lone CR break lines as LF does, with
+    # a comment, a blank line and a weights file written the same way
+    outputs = []
+    for end in ("\n", "\r\n", "\r"):
+        graph = tmp_path / "g.txt"
+        lines = ["# c4 with a tail", "0 1", "1 2", "", "2 3", "3 0", "3 4", ""]
+        graph.write_bytes(end.join(lines).encode())
+        weights = tmp_path / "w.txt"
+        lines = ["# v a b", *(f"{v} {v + 1} 1/{v + 1}" for v in range(5)), ""]
+        weights.write_bytes(end.join(lines).encode())
+        code, out, err = run(capsys, "compute", str(graph), "--weights", str(weights),
+                             "--method", "cuts", "--json")
+        assert code == 0, err
+        outputs.append(json.loads(out)["indices"])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0]) == 6
+
+
 @pytest.mark.parametrize("text", [f"0 {2**63}\n", "0 99999999999999999999"])
 def test_huge_vertex_ids_are_a_parse_error(tmp_path, capsys, text):
     f = tmp_path / "huge.txt"

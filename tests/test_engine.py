@@ -225,6 +225,98 @@ def test_subtracted_block_matches_its_quotient(kind, g, data):
     assert [sum(col) for col in zip(*got)] == list(oracle_values(g, a, b).values())
 
 
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+@settings(max_examples=40)
+@given(g=st.one_of(open_block_graphs(), pendant_graphs()), data=st.data())
+def test_engine_on_theta_labels_matches_the_validated_classes(kind, g, data):
+    # the engine over theta*'s label array against the same classes handed
+    # over as tuples: pendant trees and bridges inside the 2-core included
+    a = data.draw(st.tuples(*[WEIGHTS[kind]] * g.n))
+    b = data.draw(st.tuples(*[WEIGHTS[kind]] * g.n))
+    classes = theta_star_classes(g)
+    engine = CutEngine(g)
+    given = CutEngine(g, validate_coarser(g, classes.classes))
+    assert engine.partition.blocks == classes.classes
+    assert engine.sizes == given.sizes and engine.complete == given.complete
+    for i in range(len(engine.sizes)):
+        assert engine.quotient_edges(i).tolist() == given.quotient_edges(i).tolist()
+    terms = list(index_terms(g, a, b).values())
+    assert engine.block_values(terms) == given.block_values(terms)
+
+
+def test_compute_builds_no_edge_tuples_and_reduce_no_engine(tmp_path, capsys, monkeypatch):
+    # compute by cuts, hamming and auto hands theta*'s label array to the
+    # engine without grouping it into tuples; the reduce route sums on the
+    # reduced graph without a cut engine
+    def refuse(*args, **kwargs):
+        raise AssertionError("not on the compute path")
+
+    random_file, cube_file = tmp_path / "random.txt", tmp_path / "cube.txt"
+    random_file.write_text(format_edge_list(random_connected_graph(30, 50, 1)))
+    cube_file.write_text(format_edge_list(hypercube_graph(4)))
+    with monkeypatch.context() as patch:
+        patch.setattr(theta_module, "_groups", refuse)
+        patch.setattr(cut_method, "_groups", refuse, raising=False)
+        for path, method in ((random_file, "cuts"), (random_file, "auto"),
+                             (cube_file, "hamming"), (cube_file, "auto")):
+            assert main(["compute", str(path), "--method", method, "--json"]) == 0
+            route = "cuts" if path is random_file else "hamming"
+            assert f'"method": "{route}"' in capsys.readouterr().out
+    monkeypatch.setattr(CutEngine, "__init__", refuse)
+    for path in (random_file, cube_file):
+        assert main(["compute", str(path), "--method", "reduce", "--json"]) == 0
+        assert '"method": "reduce"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_distance_sums_across_the_int32_limit(past, monkeypatch):
+    # P3 with all of b on vertex 2: (D b)_0 = 2 c is the largest partial sum,
+    # and the bound (n - 1) sum|b| = 2 c sits just below 2^31 (int32 einsum)
+    # or at it (the weights' own dtype)
+    g = path_graph(3)
+    c = 2**30 - 1 + past
+    a, b = (1, 1, 1), (0, 0, c)
+    kernels = []
+    real = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: kernels.append("int32") or real(*args))
+    got = cut_method.distance_sums(g, exact.weights_of([a, b]), [(0, 1, False), (1, 1, True)])
+    assert kernels == ([] if past else ["int32"])
+    assert got.tolist() == [_wiener_double(g, a, b), _wiener_double(g, b, b)]
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_distance_sums_across_the_int64_bound(past):
+    # (n - 1) sum|a| sum|b| on P3 just below 2^62 (int64) or at it (Python ints)
+    g = path_graph(3)
+    a, b = (2**31 - 2, 1, 1), (1, 1, 2**30 - 3 + past)
+    got = cut_method.distance_sums(g, exact.weights_of([a, b]), [(0, 1, False)])
+    assert got.dtype == (object if past else np.int64)
+    assert got.tolist() == [_wiener_double(g, a, b)]
+
+
+@pytest.mark.parametrize("big, kernel, dtype", [
+    (2**20, ["int32"], np.int64), (2**27, [], np.int64), (2**40, [], object),
+])
+def test_reduce_route_sums_across_the_guards(tmp_path, capsys, monkeypatch, big, kernel, dtype):
+    # C5 with an open twin of vertex 0 reduces to C5, where (n - 1) sum|b|
+    # passes 2^31 for weights near 2^27 and (n - 1) sum|a| sum|b| passes
+    # 2^62 near 2^40: the route takes the guarded D B and prints the
+    # oracle's indices
+    g = Graph(6, [(v, (v + 1) % 5) for v in range(5)] + [(5, 1), (5, 4)])
+    graph_file, weights_file = tmp_path / "g.txt", tmp_path / "w.txt"
+    graph_file.write_text(format_edge_list(g))
+    weights_file.write_text("".join(f"{v} {big + v} {big - v}\n" for v in range(6)))
+    kernels, dtypes = [], []
+    real_einsum, real_dtype = np.einsum, cut_method._exact_dtype
+    monkeypatch.setattr(np, "einsum", lambda *args: kernels.append("int32") or real_einsum(*args))
+    monkeypatch.setattr(cut_method, "_exact_dtype",
+                        lambda bound: dtypes.append(real_dtype(bound)) or dtypes[-1])
+    argv = ["compute", str(graph_file), "--weights", str(weights_file), "--method", "reduce"]
+    assert main([*argv, "--check", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["indices"]) == 6
+    assert kernels == kernel and dtypes[-1] is dtype
+
+
 def _two_pentagons_with_trees() -> Graph:
     """Two C5s joined by a bridge, with three pendant edges: two open
     blocks and four K2 blocks, one of them in the 2-core."""
@@ -397,7 +489,7 @@ def test_commands_run_theta_once_and_no_per_block_pass(tmp_path, capsys, monkeyp
     # quotient per block, and ceil(log2 k) contraction labellings for the k classes
     # of the 2-core (the random graph's pendant edges are 4 of its 5 classes)
     calls = {"theta": 0, "labels": 0, "per_block": 0, "peel": 0}
-    real_theta, real_labels = cut_method.theta_star_classes, cut_method.component_labels
+    real_theta, real_labels = cut_method._theta_labels, cut_method.component_labels
     real_peel = graph_module.pendant_peel
 
     def peel(*args):
@@ -416,12 +508,12 @@ def test_commands_run_theta_once_and_no_per_block_pass(tmp_path, capsys, monkeyp
         calls["per_block"] += 1
         raise AssertionError("per-block pass over the whole graph")
 
-    monkeypatch.setattr(cut_method, "theta_star_classes", theta)
+    monkeypatch.setattr(cut_method, "_theta_labels", theta)
     monkeypatch.setattr(graph_module, "pendant_peel", peel)
     monkeypatch.setattr(cut_method, "component_labels", labels)
     monkeypatch.setattr(theta_module, "quotient", per_block)
     for g, method in ((hypercube_graph(4), "hamming"), (random_connected_graph(30, 50, 1), "cuts")):
-        k = len(real_theta(g)) - len(g.peel.order)
+        k = len(theta_module.theta_star_classes(g)) - len(g.peel.order)
         f = tmp_path / "g.txt"
         f.write_text(format_edge_list(g))
         for argv in (["compute", str(f), "--json"], ["compute", str(f)], ["verify", str(f)],

@@ -396,6 +396,51 @@ def test_partition_check_messages(blocks, message):
         validate_coarser(cycle_graph(6), blocks)
 
 
+def test_validate_coarser_rejects_a_repeated_index():
+    # the blocks are checked as given: a repeated index is no partition, as
+    # the cut engine's own check of the same blocks says
+    g = cycle_graph(6)
+    message = r"^blocks do not partition the edge set \(7 entries, 6 distinct, 6 edges\)$"
+    with pytest.raises(PartitionError, match=message):
+        validate_coarser(g, [[0, 0, 3], [1, 4], [2, 5]])
+    with pytest.raises(PartitionError, match=message):
+        CutEngine(g, theta.EdgePartition(((0, 0, 3), (1, 4), (2, 5))))
+
+
+def _validate_by_edges(g, blocks, classes):
+    """The whole-class check as a loop over each class's edges."""
+    block_of = {e: bi for bi, block in enumerate(blocks) for e in block}
+    for ci, cls in enumerate(classes.classes):
+        owners = {block_of[e] for e in cls}
+        if len(owners) > 1:
+            edges = ", ".join(f"{g.edges[e][0]}-{g.edges[e][1]}" for e in cls)
+            return f"theta*-class {ci} ({edges}) is split across blocks {sorted(owners)}"
+    return theta.EdgePartition(tuple(tuple(sorted(b)) for b in blocks))
+
+
+@settings(max_examples=60)
+@given(connected_graphs(min_n=2, max_n=10), st.data())
+def test_whole_class_check_on_labels_matches_the_edge_loop(g, data):
+    # blocks drawn per class (whole) or per edge (mostly split), in any order,
+    # checked with theta* run inside and with the classes given
+    classes = theta_star_classes(g)
+    if data.draw(st.booleans()):
+        owner = data.draw(st.lists(st.integers(0, 2), min_size=len(classes), max_size=len(classes)))
+        owner = [owner[c] for c in classes.class_of]
+    else:
+        owner = data.draw(st.lists(st.integers(0, 2), min_size=g.m, max_size=g.m))
+    blocks = [[e for e in range(g.m) if owner[e] == b] for b in range(3)]
+    blocks = [data.draw(st.permutations(block)) for block in blocks]
+    want = _validate_by_edges(g, blocks, classes)
+    for given_classes in (None, classes):
+        if isinstance(want, str):
+            with pytest.raises(PartitionError) as err:
+                validate_coarser(g, blocks, given_classes)
+            assert str(err.value) == want
+        else:
+            assert validate_coarser(g, blocks, given_classes) == want
+
+
 def test_quotient_c6_by_one_class():
     g = cycle_graph(6)
     q = quotient(g, [0, 3])
