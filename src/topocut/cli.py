@@ -432,10 +432,11 @@ def _oracle_rows(loaded: LoadedInput, reports: Sequence[Report] = ()) -> list[tu
     rows = []
     for r in reports:
         for key, value in r.indices.items():
-            want = oracle[key]
-            agree = _json_scalar(value) == _json_scalar(want)
-            status = "ok" if agree else "MISMATCH"
-            rows.append((f"{key}({r.method}): oracle={want} route={value} [{status}]", agree))
+            want, got = _json_scalar(oracle[key]), _json_scalar(value)
+            if want == got:
+                rows.append((f"{key}({r.method}): oracle={oracle[key]} route={value} [ok]", True))
+            else:  # as JSON, so that a type-only disagreement shows
+                rows.append((f"{key}({r.method}): oracle={want} route={got} [MISMATCH]", False))
     return rows
 
 
@@ -453,15 +454,23 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
+def _print(args, payload: dict[str, Any], text: str) -> int:
+    """The inspection commands' one printer: ``payload`` as indented JSON
+    under ``--json`` (Fractions as strings), else ``text``, which ends its
+    own lines."""
+    if args.json:
+        text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+    print(text, end="")
+    return EXIT_OK
+
+
 def cmd_classes(args) -> int:
     loaded = _load_input(args)
-    classes = theta_star_classes(loaded.graph)
-    if args.json:
-        payload = [[list(loaded.graph.edges[e]) for e in cls] for cls in classes.classes]
-        print(json.dumps({"input": loaded.descriptor, "classes": payload}, indent=2))
-    else:
-        print(format_classes(loaded.graph, classes), end="")
-    return EXIT_OK
+    g = loaded.graph
+    classes = theta_star_classes(g)
+    payload = [[list(g.edges[e]) for e in cls] for cls in classes.classes]
+    return _print(args, {"input": loaded.descriptor, "classes": payload},
+                  format_classes(g, classes))
 
 
 def _parse_edge_spec(g: Graph, spec: str) -> list[int]:
@@ -492,20 +501,12 @@ def cmd_quotient(args) -> int:
     else:
         block = _parse_edge_spec(g, args.edges)
     q = quotient(g, block)
-    if args.json:
-        payload = {
-            "input": loaded.descriptor,
-            "n": q.graph.n,
-            "m": q.graph.m,
-            "edges": [list(e) for e in q.graph.edges],
-            "members": [list(ms) for ms in q.members],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_edge_list(q.graph), end="")
-        for i, ms in enumerate(q.members):
-            print(f"# component {i}: {' '.join(map(str, ms))}")
-    return EXIT_OK
+    payload = {"input": loaded.descriptor, "n": q.graph.n, "m": q.graph.m,
+               "edges": [list(e) for e in q.graph.edges], "members": [list(ms) for ms in q.members]}
+    text = format_edge_list(q.graph) + "".join(
+        f"# component {i}: {' '.join(map(str, ms))}\n" for i, ms in enumerate(q.members)
+    )
+    return _print(args, payload, text)
 
 
 def cmd_verify(args) -> int:
@@ -566,29 +567,19 @@ def cmd_reduce(args) -> int:
          "running_total": total_so_far}
         for i, (step, total_so_far) in enumerate(zip(steps, running), start=1)
     ]
-    if args.json:
-        payload = {
-            "input": loaded.descriptor,
-            "steps": rows,
-            "reduced_n": reduced.n,
-            "reduced_m": reduced.m,
-            "reduced_wiener_double": reduced_value,
-            "total_correction": total,
-            "wiener_double": reduced_value + total,
-        }
-        print(json.dumps(payload, indent=2, default=_json_default))
-    else:
-        print(f"input: {loaded.descriptor}  (n={g.n}, m={g.m})")
-        for r in rows:
-            members = ",".join(map(str, r["members"]))
-            print(
-                f"step {r['step']}: {r['kind']}-class {{{members}}} -> "
-                f"rep {r['representative']}, correction {r['correction']}, "
-                f"running total {r['running_total']}"
-            )
-        print(f"reduced graph: n={reduced.n}, m={reduced.m}")
-        print(f"W(a,b) = {reduced_value} + {total} = {reduced_value + total}")
-    return EXIT_OK
+    payload = {"input": loaded.descriptor, "steps": rows, "reduced_n": reduced.n,
+               "reduced_m": reduced.m, "reduced_wiener_double": reduced_value,
+               "total_correction": total, "wiener_double": reduced_value + total}
+    lines = [f"input: {loaded.descriptor}  (n={g.n}, m={g.m})"]
+    lines += [
+        f"step {r['step']}: {r['kind']}-class {{{','.join(map(str, r['members']))}}} -> "
+        f"rep {r['representative']}, correction {r['correction']}, "
+        f"running total {r['running_total']}"
+        for r in rows
+    ]
+    lines.append(f"reduced graph: n={reduced.n}, m={reduced.m}")
+    lines.append(f"W(a,b) = {reduced_value} + {total} = {reduced_value + total}")
+    return _print(args, payload, "\n".join(lines) + "\n")
 
 
 def cmd_generate(args) -> int:
@@ -611,26 +602,18 @@ def cmd_hamming(args) -> int:
     bound, gut_bound = column_values(engine.block_matrix(matrix, pairs, closed=True), matrix, pairs)
     exact, gut_exact = column_values(engine.block_matrix(matrix, pairs), matrix, pairs)
     sizes = list(engine.sizes)
-    if args.json:
-        payload = {
-            "input": loaded.descriptor,
-            "partial_hamming": engine.partial_hamming,
-            "class_quotient_sizes": sizes,
-            "wiener_bound": bound,
-            "wiener": exact,
-            "wiener_gap": exact - bound,
-            "gutman_bound": gut_bound,
-            "gutman": gut_exact,
-            "gutman_gap": gut_exact - gut_bound,
-        }
-        print(json.dumps(payload, indent=2, default=_json_default))
-    else:
-        print(f"input: {loaded.descriptor}  (n={g.n}, m={g.m})")
-        print(f"partial Hamming: {'yes' if engine.partial_hamming else 'no'}")
-        print(f"theta*-classes: {len(sizes)}, quotient sizes {sizes}")
-        print(f"W  bound {bound}  exact {exact}  gap {exact - bound}")
-        print(f"Gut bound {gut_bound}  exact {gut_exact}  gap {gut_exact - gut_bound}")
-    return EXIT_OK
+    payload = {"input": loaded.descriptor, "partial_hamming": engine.partial_hamming,
+               "class_quotient_sizes": sizes, "wiener_bound": bound, "wiener": exact,
+               "wiener_gap": exact - bound, "gutman_bound": gut_bound, "gutman": gut_exact,
+               "gutman_gap": gut_exact - gut_bound}
+    text = (
+        f"input: {loaded.descriptor}  (n={g.n}, m={g.m})\n"
+        f"partial Hamming: {'yes' if engine.partial_hamming else 'no'}\n"
+        f"theta*-classes: {len(sizes)}, quotient sizes {sizes}\n"
+        f"W  bound {bound}  exact {exact}  gap {exact - bound}\n"
+        f"Gut bound {gut_bound}  exact {gut_exact}  gap {gut_exact - gut_bound}\n"
+    )
+    return _print(args, payload, text)
 
 
 @functools.cache  # one parser per process: building it costs milliseconds

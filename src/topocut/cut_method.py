@@ -117,18 +117,16 @@ class CutEngine:
     Without ``partition`` the blocks are the theta*-classes: theta*'s label
     array is each edge's block (``block_of``), its core distance matrix is
     kept for :meth:`block_values`, and ``partition`` is built only when
-    read.  Or ``classes`` is used after a theta* run validates it as coarser
-    than the theta*-classes.  The pendant trees then stay out of the
-    contraction (``Graph.peel``).  Each of their edges is a
-    bridge and a class of its own, so its quotient is K2, with sides the
-    subtree below the edge and the rest.  The contraction runs on the
-    2-core's edges and classes only.  A pendant vertex lies in the same
-    component of G - F_i as its core vertex for every core block i, so a
-    core quotient's component sums are those of the core with each core
-    vertex carrying its hanging subtree (:meth:`_fold`).  Components stay
-    numbered by the smallest original vertex: the core vertices are ranked
-    by the smallest vertex of their subtrees.  A given ``partition`` is
-    contracted whole.
+    read.  The pendant trees then stay out of the contraction
+    (``Graph.peel``).  Each of their edges is a bridge and a class of its
+    own, so its quotient is K2, with sides the subtree below the edge and
+    the rest.  The contraction runs on the 2-core's edges and classes only.
+    A pendant vertex lies in the same component of G - F_i as its core
+    vertex for every core block i, so a core quotient's component sums are
+    those of the core with each core vertex carrying its hanging subtree
+    (:meth:`_fold`).  Components stay numbered by the smallest original
+    vertex: the core vertices are ranked by the smallest vertex of their
+    subtrees.  A given ``partition`` is contracted whole.
 
     The blocks are numbered 0..k-1 and contracted by halving the block range
     in L = ceil(log2 k) levels.  Before level l every range R of blocks (the
@@ -150,38 +148,29 @@ class CutEngine:
     of ``_leaf_sums``.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        partition: EdgePartition | None = None,
-        classes: ThetaClasses | None = None,
-    ):
+    def __init__(self, g: Graph, partition: EdgePartition | None = None):
         n, ends = g.n, g.edge_array
-        # a bridge's quotient is K2 only in a connected graph
-        peel = g.peel if partition is None and g.connected else None
         self._core_distances = None  # theta*'s, rows in g.peel.core order
-        if partition is None and classes is None:
+        if partition is None:
             block_of, self._core_distances = _theta_labels(g)
             k = int(block_of.max(initial=-1)) + 1
         else:
-            if partition is None:
-                partition = validate_coarser(g, classes.classes)
             self.partition = partition
             block_of, k = _check_is_partition(g, partition.blocks), len(partition.blocks)
         self.g = g
         self.block_of = block_of
-        # A pendant block is one pendant edge alone, as in the theta*-classes;
-        # given classes that join a pendant edge to others are contracted whole.
+        # every pendant edge is a theta*-class, and so a block, of its own;
+        # a bridge's quotient is K2 only in a connected graph
         pendant = np.zeros(k, dtype=bool)
         self._peeled = None  # the peeled vertices, when their blocks fold
-        if peel is not None and peel.order.size:
+        if partition is None and g.connected and g.peel.order.size:
+            peel = g.peel
             owner = block_of[peel.edge]
-            if (np.bincount(block_of, minlength=k)[owner] == 1).all():
-                pendant[owner] = True
-                self._peeled = peel.order
-                self._up = np.arange(n)  # each vertex's parent; core vertices their own
-                self._up[peel.order] = peel.parent
-                self._pendant_vertex = peel.order[np.argsort(owner)]  # per pendant block
+            pendant[owner] = True
+            self._peeled = peel.order
+            self._up = np.arange(n)  # each vertex's parent; core vertices their own
+            self._up[peel.order] = peel.parent
+            self._pendant_vertex = peel.order[np.argsort(owner)]  # per pendant block
         core_k = k - int(pendant.sum())
         if self._peeled is not None:
             # core blocks renumbered 0..core_k-1 in order; pendant blocks -1
@@ -497,8 +486,15 @@ def degree_distance_via_cuts(g: Graph, partition: EdgePartition) -> int:
 
 def is_partial_cube(g: Graph, classes: ThetaClasses | None = None) -> bool:
     """True iff every theta*-class quotient is K2: the partial Hamming graphs
-    whose quotients are all K2 (P. Winkler, Discrete Appl. Math. 7, 1984)."""
-    return all(size == 2 for size in CutEngine(g, classes=classes).sizes)
+    whose quotients are all K2 (P. Winkler, Discrete Appl. Math. 7, 1984).
+    Given ``classes`` are checked against theta* first."""
+    return all(size == 2 for size in _engine(g, classes).sizes)
+
+
+def _engine(g: Graph, classes: ThetaClasses | None) -> CutEngine:
+    """The engine over theta*, or over given ``classes`` once a theta* run
+    validates them as coarser than the theta*-classes."""
+    return CutEngine(g, None if classes is None else validate_coarser(g, classes.classes))
 
 
 def partial_cube_double_wiener(dwg: DoubleWeightedGraph) -> Weight:

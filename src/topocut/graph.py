@@ -511,15 +511,16 @@ def read_int_table(text: str, widths: tuple[int, ...]) -> np.ndarray | None:
     digits with a value strictly inside +-2^60: exactly the lines and values
     that ``str.splitlines``, ``str.split`` and ``int`` read from the text.
     Anything else (comments, other bytes, ``1_0``, a lone sign, a ragged
-    line, an empty text, a larger value) gives None, and the caller reads
-    the text by ``token_lines`` and names the offending line.
+    line, an empty text, a larger value, a ``p/q`` token) gives None, and
+    the caller reads the text by ``token_lines`` and names the offending
+    line.
     """
-    table = read_ratio_table(text, widths, ratios=False)
-    return None if table is None else table[0]
+    table = read_ratio_table(text, widths)
+    return None if table is None or table[1] is not None else table[0]
 
 
 def read_ratio_table(
-    text: str, widths: tuple[int, ...], ratios: bool = True
+    text: str, widths: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray | None] | None:
     """``read_int_table`` that also takes ``p/q`` tokens: an optionally
     signed run of digits, a slash and a run of digits, as ``Fraction``
@@ -527,7 +528,7 @@ def read_ratio_table(
     tables; the denominators are None when no token has a slash, and 0 for
     a token without one.  Every value, numerator or denominator, lies
     strictly inside +-2^60, and a zero denominator gives None, as does any
-    text ``read_int_table`` would not read; ``ratios`` False takes no slash.
+    text ``read_int_table`` would not read but for its slashes.
 
     A few passes over the bytes: one class lookup, token starts where a
     digit or sign follows a blank or break, the token count of each line
@@ -555,7 +556,7 @@ def read_ratio_table(
     slashes = np.flatnonzero(kind == _SLASH)
     if slashes.size:
         # a digit on each side, and one slash per token
-        if not ratios or slashes[0] == 0 or slashes[-1] == kind.size - 1:
+        if slashes[0] == 0 or slashes[-1] == kind.size - 1:
             return None
         if (kind[slashes - 1] != _DIGIT).any() or (kind[slashes + 1] != _DIGIT).any():
             return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cut_method import CutEngine
+from .cut_method import CutEngine, _engine
 from .graph import Graph, GraphError, degree_vector
 from .indices import Weight, check_weights
 from .theta import ThetaClasses
@@ -24,8 +24,9 @@ class NotPartialHammingError(ValueError):
 
 
 def is_partial_hamming(g: Graph, classes: ThetaClasses | None = None) -> bool:
-    """True iff every theta*-class quotient is a complete graph."""
-    return CutEngine(g, classes=classes).partial_hamming
+    """True iff every theta*-class quotient is a complete graph.  Given
+    ``classes`` are checked against theta* first."""
+    return _engine(g, classes).partial_hamming
 
 
 def weighted_wiener_lower_bound(
@@ -39,7 +40,7 @@ def weighted_wiener_lower_bound(
     check_weights(g, w)
     if not g.connected:
         raise GraphError("bound is defined for connected graphs only")
-    return CutEngine(g, classes=classes).values([(w, None)], closed=True)[0]
+    return _engine(g, classes).values([(w, None)], closed=True)[0]
 
 
 def gutman_lower_bound(g: Graph, classes: ThetaClasses | None = None) -> int:

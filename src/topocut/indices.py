@@ -157,19 +157,11 @@ def parse_weight(token: str) -> Weight:
     return int(value) if value.denominator == 1 else value
 
 
-def parse_weights(text: str, n: int) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
-    """Parse the weights file format: one "v a [b]" line per vertex, b defaults to 1.
-
-    Every vertex 0..n-1 must appear exactly once.  The weights of
-    :func:`read_weights` as Python values: an int, or a ``Fraction`` when
-    the reduced denominator is above 1 (``parse_weight``).
-    """
-    weights = read_weights(text, n)
-    return weights.values(0), weights.values(1)
-
-
 def read_weights(text: str, n: int) -> Weights:
-    """The weights file as a two-row :class:`~topocut.exact.Weights`, a then b.
+    """The weights file as a two-row :class:`~topocut.exact.Weights`, a then b:
+    one "v a [b]" line per vertex, b defaulting to 1, every vertex 0..n-1
+    exactly once.  ``values(r)`` gives a row as Python values: an int, or a
+    ``Fraction`` when the reduced denominator is above 1 (``parse_weight``).
 
     A text of integer and ``p/q`` lines that ``read_ratio_table`` reads,
     naming every vertex once with a plain integer, is taken from that
@@ -205,7 +197,7 @@ def read_weights(text: str, n: int) -> Weights:
 
 
 def _read_weight_lines(text: str, n: int) -> tuple[tuple[Weight, ...], tuple[Weight, ...]]:
-    """The weights file line by line over ``token_lines``: every ``parse_weights`` error."""
+    """The weights file line by line over ``token_lines``: every ``read_weights`` error."""
     a: list[Weight | None] = [None] * n
     b: list[Weight] = [1] * n
     for lineno, line, parts in token_lines(text):

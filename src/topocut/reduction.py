@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cut_method import Pair, Term, term_pairs
+from .cut_method import Pair, term_pairs
 from .exact import Weights, _exact_dtype, _exact_quotient
 from .graph import Graph, GraphError
 from .indices import DoubleWeightedGraph, Weight, WeightedGraph
@@ -125,54 +125,6 @@ def _collapse(ends: np.ndarray, kept: np.ndarray) -> np.ndarray:
 # A phase: (kind, members by class with the representative first, each
 # class's start in members, the kept mask), in the phase's starting labels.
 Phase = tuple[str, np.ndarray, np.ndarray, np.ndarray]
-# A term's reduced weights and its correction for each step.
-Mapped = tuple[tuple[Weight, ...], tuple[Weight, ...] | None, tuple[Weight, ...]]
-
-
-def _map_rows(
-    phases: Sequence[Phase], weights: Weights, pairs: Sequence[Pair]
-) -> tuple[Weights, np.ndarray, np.ndarray | None]:
-    """:meth:`CollapsePlan.apply_rows`."""
-    left, right = [i for i, _, _ in pairs], [j for _, j, _ in pairs]
-    # f sum|a| sum|b| bounds every correction, sum|a| every weight sum
-    top = max((weights.bounds[i] * weights.bounds[j] for i, j, _ in pairs), default=0)
-    ws = weights.rows.astype(_exact_dtype(max((2 * top, *weights.bounds))))
-    flags = None if weights.fractions is None else weights.fractions.copy()
-    corrections, typed = [], []
-    for kind, members, starts, kept in phases:
-        f = 2 if kind == "R" else 1  # the members' mutual distance
-        part = ws[:, members]
-        sums = np.add.reduceat(part, starts, axis=1)
-        within = np.add.reduceat(part[left] * part[right], starts, axis=1)
-        corrections.append(f * (sums[left] * sums[right] - within))
-        first = members[starts]
-        ws[:, first] = sums
-        ws = ws[:, kept]
-        if flags is not None:  # a sum is a Fraction iff a term is
-            has = np.logical_or.reduceat(flags[:, members], starts, axis=1)
-            typed.append(has[left] | has[right])
-            flags[:, first] = has
-            flags = flags[:, kept]
-    reduced = Weights(ws, weights.scales, weights.bounds, flags)
-    if not phases:
-        return reduced, np.zeros((len(pairs), 0), dtype=ws.dtype), None
-    return (
-        reduced,
-        np.concatenate(corrections, axis=1),
-        None if flags is None else np.concatenate(typed, axis=1),
-    )
-
-
-def _map_weights(phases: Sequence[Phase], terms: Sequence[Term]) -> list[Mapped]:
-    """:meth:`CollapsePlan.apply` of every term, each distinct vector one row."""
-    weights, pairs = term_pairs(terms)
-    reduced, corrections, typed = _map_rows(phases, weights, pairs)
-    out = []
-    for t, (i, j, half) in enumerate(pairs):
-        flags = None if typed is None else typed[t]
-        steps = step_corrections(weights, (i, j, half), corrections[t], flags)
-        out.append((reduced.values(i), None if half else reduced.values(j), steps))
-    return out
 
 
 def step_corrections(
@@ -200,18 +152,6 @@ class CollapsePlan:
     graph: Graph
     arrays: tuple[Phase, ...]
 
-    def apply(self, a: Sequence[Weight], b: Sequence[Weight] | None = None) -> Mapped:
-        """Reduced weights of W(a, b), or of W*(a) when ``b`` is None, and
-        each step's correction: the input's index is the reduced one plus
-        the corrections.  A class collapses onto its first member, which
-        takes the member sums, and adds f sum (a_i b_j + a_j b_i) over member
-        pairs (f sum a_i a_j for W*), with f = 2 for R and 1 for S.
-
-        :meth:`apply_rows` of the scaled vectors, each value divided back:
-        to a Fraction iff one of its terms was a Fraction.
-        """
-        return _map_weights(self.arrays, [(a, b)])[0]
-
     def apply_rows(
         self, weights: Weights, pairs: Sequence[Pair]
     ) -> tuple[Weights, np.ndarray, np.ndarray | None]:
@@ -221,11 +161,40 @@ class CollapsePlan:
         (W(a, a) for a halved pair) in the scaled units, and which of them
         are Fractions (None when no weight is).
 
-        Per phase, ``np.add.reduceat`` sums every class at once; the
-        corrections are f (sum a sum b - sum a_i b_i).  The rows run under
-        the int64 guard with the bound f sum|a| sum|b|.
+        A class collapses onto its first member, which takes the member
+        sums.  Per phase, ``np.add.reduceat`` sums every class at once; the
+        corrections are f (sum a sum b - sum a_i b_i), with f = 2 for R and
+        1 for S.  The rows run under the int64 guard with the bound
+        f sum|a| sum|b|.
         """
-        return _map_rows(self.arrays, weights, pairs)
+        left, right = [i for i, _, _ in pairs], [j for _, j, _ in pairs]
+        # f sum|a| sum|b| bounds every correction, sum|a| every weight sum
+        top = max((weights.bounds[i] * weights.bounds[j] for i, j, _ in pairs), default=0)
+        ws = weights.rows.astype(_exact_dtype(max((2 * top, *weights.bounds))))
+        flags = None if weights.fractions is None else weights.fractions.copy()
+        corrections, typed = [], []
+        for kind, members, starts, kept in self.arrays:
+            f = 2 if kind == "R" else 1  # the members' mutual distance
+            part = ws[:, members]
+            sums = np.add.reduceat(part, starts, axis=1)
+            within = np.add.reduceat(part[left] * part[right], starts, axis=1)
+            corrections.append(f * (sums[left] * sums[right] - within))
+            first = members[starts]
+            ws[:, first] = sums
+            ws = ws[:, kept]
+            if flags is not None:  # a sum is a Fraction iff a term is
+                has = np.logical_or.reduceat(flags[:, members], starts, axis=1)
+                typed.append(has[left] | has[right])
+                flags[:, first] = has
+                flags = flags[:, kept]
+        reduced = Weights(ws, weights.scales, weights.bounds, flags)
+        if not self.arrays:
+            return reduced, np.zeros((len(pairs), 0), dtype=ws.dtype), None
+        return (
+            reduced,
+            np.concatenate(corrections, axis=1),
+            None if flags is None else np.concatenate(typed, axis=1),
+        )
 
     @cached_property
     def steps(self) -> tuple[tuple[str, tuple[int, ...], int], ...]:
@@ -288,23 +257,29 @@ def collapse_plan(g: Graph) -> CollapsePlan:
     return CollapsePlan(Graph(n, ends, validate=False) if phases else g, tuple(phases))
 
 
-def reduce_fully(dwg: DoubleWeightedGraph, plan: CollapsePlan | None = None):
+def _reduce(wgraph, plan: CollapsePlan):
+    """``wgraph``, a WeightedGraph (W*(w)) or a DoubleWeightedGraph (W(a, b)),
+    through ``plan``: the reduced weighted graph and each step's correction."""
+    single = isinstance(wgraph, WeightedGraph)
+    weights, (pair,) = term_pairs([(wgraph.w, None) if single else (wgraph.a, wgraph.b)])
+    reduced, corrections, typed = plan.apply_rows(weights, [pair])
+    steps = step_corrections(weights, pair, corrections[0], None if typed is None else typed[0])
+    a, b = reduced.values(pair[0]), reduced.values(pair[1])
+    out = WeightedGraph(plan.graph, a) if single else DoubleWeightedGraph(plan.graph, a, b)
+    return out, steps
+
+
+def reduce_fully(wgraph, plan: CollapsePlan | None = None):
     """Collapse R- and S-classes to a fixed point (see :func:`collapse_plan`).
 
     Returns the reduced graph, the total correction, and the step log;
-    the double-weighted Wiener index of the input equals that of the output
-    plus the total correction.  ``plan`` reuses a plan of ``dwg.g``.
+    the index of the input, W(a, b) of a DoubleWeightedGraph or W*(w) of a
+    WeightedGraph, equals that of the output plus the total correction.
+    ``plan`` reuses a plan of ``wgraph.g``.
     """
-    plan = plan or collapse_plan(dwg.g)
-    a, b, corrections = plan.apply(dwg.a, dwg.b)
-    return DoubleWeightedGraph(plan.graph, a, b), sum(corrections), plan.log(corrections)
-
-
-def reduce_fully_single(wg: WeightedGraph):
-    """Single-weight analogue of :func:`reduce_fully`, for W*(w)."""
-    plan = collapse_plan(wg.g)
-    w, _, corrections = plan.apply(wg.w)
-    return WeightedGraph(plan.graph, w), sum(corrections), plan.log(corrections)
+    plan = plan or collapse_plan(wgraph.g)
+    reduced, corrections = _reduce(wgraph, plan)
+    return reduced, sum(corrections), plan.log(corrections)
 
 
 def _reduce_once(wgraph, c: int, kind: str):
@@ -317,21 +292,22 @@ def _reduce_once(wgraph, c: int, kind: str):
         return wgraph, 0
     members = np.concatenate(([c], np.flatnonzero(~kept)))
     reduced = Graph(int(kept.sum()), _collapse(g.edge_array, kept), validate=False)
-    vectors = (wgraph.w, None) if isinstance(wgraph, WeightedGraph) else (wgraph.a, wgraph.b)
-    ((a, b, (corr,)),) = _map_weights([(kind, members, np.zeros(1, dtype=np.intp), kept)], [vectors])
-    return (WeightedGraph(reduced, a) if b is None else DoubleWeightedGraph(reduced, a, b)), corr
+    phase = (kind, members, np.zeros(1, dtype=np.intp), kept)
+    out, (correction,) = _reduce(wgraph, CollapsePlan(reduced, (phase,)))
+    return out, correction
 
 
 def reduce_once_r(wgraph, c: int):
-    """Collapse the R-class of c onto c (see :meth:`CollapsePlan.apply`)."""
+    """Collapse the R-class of c onto c (see :meth:`CollapsePlan.apply_rows`)."""
     return _reduce_once(wgraph, c, "R")
 
 
 def reduce_once_s(wgraph, c: int):
-    """Collapse the S-class of c onto c (see :meth:`CollapsePlan.apply`)."""
+    """Collapse the S-class of c onto c (see :meth:`CollapsePlan.apply_rows`)."""
     return _reduce_once(wgraph, c, "S")
 
 
 # On a WeightedGraph the same functions collapse W*(w).
+reduce_fully_single = reduce_fully
 reduce_once_r_single = reduce_once_r
 reduce_once_s_single = reduce_once_s

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import topocut
 import topocut.cli as cli
@@ -262,6 +262,24 @@ def test_unreadable_inputs_are_parse_errors(tmp_path, capsys, role, content, mes
     assert err == message + (f"{str(path)!r}\n" if content is None else "")
 
 
+# a slash the table reader declines (no digit on a side, two in a token, a
+# signed denominator, or any in an edge file) sends the file to the line
+# reader, which names the line
+@pytest.mark.parametrize("graph, weights, message", [
+    ("0 1/2\n", None, "line 1: expected two integers, got '0 1/2'"),
+    *[("0 1\n", f"0 {token}\n1 1\n", f"line 1: cannot parse weight '{token}'")
+      for token in ("/2", "2/", "1//2", "1/2/3", "1/-2")],
+    ("0 1\n", "/0 1\n1 1\n", "line 1: bad vertex index '/0'"),
+])
+def test_slashes_the_table_reader_declines(tmp_path, capsys, graph, weights, message):
+    argv = [str(tmp_path / "g.txt")]
+    (tmp_path / "g.txt").write_text(graph)
+    if weights is not None:
+        (tmp_path / "w.txt").write_text(weights)
+        argv += ["--weights", str(tmp_path / "w.txt")]
+    assert run(capsys, "compute", *argv) == (2, "", f"parse error: {message}\n")
+
+
 def test_line_ends_read_alike(tmp_path, capsys):
     # files are read as bytes: CRLF and lone CR break lines as LF does, with
     # a comment, a blank line and a weights file written the same way
@@ -334,6 +352,19 @@ def test_check_mismatch_exit_4(tmp_path, capsys, monkeypatch):
     f.write_text(format_edge_list(cycle_graph(6)))
     code, _, err = run(capsys, "compute", str(f), "--method", "cuts", "--check")
     assert code == 4 and "MISMATCH" in err
+
+
+def test_mismatch_lines_print_both_values_as_json(capsys, monkeypatch):
+    # a type-only disagreement: the oracle's whole-valued Fractions print as
+    # JSON strings, so the line shows what differs
+    real = cli._oracle_indices
+    monkeypatch.setattr(
+        cli, "_oracle_indices", lambda loaded: {k: Fraction(v) for k, v in real(loaded).items()}
+    )
+    code, out, err = run(capsys, "compute", "--family", "cycle", "--n", "5", "--method", "cuts",
+                         "--check")
+    assert (code, out) == (4, "")
+    assert 'wiener(cuts): oracle="15" route=15 [MISMATCH]' in err.splitlines()
 
 
 @pytest.mark.parametrize("weight", ["0", "-1"])
@@ -649,6 +680,8 @@ def route_inputs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(route_inputs())
+# one vertex: every sum is empty, and every route must print it as the int 0
+@example(({"g.edges": "1 0\n", "w.txt": "0 1/2 3/4\n"}, ["@g.edges", "--weights", "@w.txt"]))
 def test_every_route_agrees_with_the_oracle_in_value_and_json_type(case):
     files, argv = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -36,7 +36,7 @@ from topocut.families import (
     windmill_graph,
 )
 from topocut.graph import Graph, GraphError, all_pairs_distances, distance_matrix, format_edge_list
-from topocut.hamming import is_partial_hamming
+from topocut.hamming import is_partial_hamming, weighted_wiener_lower_bound
 from topocut.indices import DoubleWeightedGraph, _wiener_double, wiener_weighted
 from topocut.theta import PartitionError, quotient, theta_star_classes, validate_coarser
 
@@ -145,14 +145,18 @@ def test_fractions_on_pendant_vertices_only_stay_fractions():
 
 
 def test_given_classes_that_join_a_pendant_edge_are_contracted_whole():
-    # a caller's classes with a pendant edge in a larger block skip the peel
+    # a caller's classes with a pendant edge in a larger block: a given
+    # partition is contracted whole, and the Hamming and partial-cube tests
+    # take given classes as that partition
     g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
     merged = theta_module.ThetaClasses(((0, 1, 2), (3, 4)), (0, 0, 0, 1, 1))
-    engine = CutEngine(g, classes=merged)
+    engine = CutEngine(g, validate_coarser(g, merged.classes))
     assert engine.sizes == (3, 3)
     assert_engine_matches_dfs(engine)
     ones = (1,) * g.n
     assert engine.values([(ones, None)]) == [wiener_weighted(g, ones)]
+    assert engine.complete == (True, False)  # the merged bridges' quotient is P3
+    assert is_partial_hamming(g) and not is_partial_hamming(g, merged)
 
 
 def test_given_classes_are_checked_against_theta_star():
@@ -160,10 +164,10 @@ def test_given_classes_are_checked_against_theta_star():
     # would read 0 (W is 15) and C5 would pass as partial Hamming
     g = cycle_graph(5)
     bad = theta_module.ThetaClasses(tuple((e,) for e in range(5)), tuple(range(5)))
-    with pytest.raises(PartitionError, match="theta\\*-class 0"):
-        CutEngine(g, classes=bad)
-    with pytest.raises(PartitionError):
-        is_partial_hamming(g, bad)
+    for check in (is_partial_hamming, is_partial_cube,
+                  lambda g, c: weighted_wiener_lower_bound(g, (1,) * g.n, c)):
+        with pytest.raises(PartitionError, match="theta\\*-class 0"):
+            check(g, bad)
 
 
 @st.composite

@@ -8,7 +8,7 @@ from topocut.indices import (
     DoubleWeightedGraph,
     degree_distance,
     gutman,
-    parse_weights,
+    read_weights,
     wiener,
     wiener_double,
     wiener_plus,
@@ -111,17 +111,17 @@ def test_weight_validation():
 
 
 def test_parse_weights():
-    a, b = parse_weights("0 2\n1 3 4\n# c\n2 1/2\n", 3)
-    assert a == (2, 3, Fraction(1, 2))
-    assert b == (1, 4, 1)
+    weights = read_weights("0 2\n1 3 4\n# c\n2 1/2\n", 3)
+    assert weights.values(0) == (2, 3, Fraction(1, 2))
+    assert weights.values(1) == (1, 4, 1)
 
 
 def test_parse_weights_errors():
     with pytest.raises(ParseError, match="line 1"):
-        parse_weights("0 x\n1 1\n", 2)
+        read_weights("0 x\n1 1\n", 2)
     with pytest.raises(ParseError, match="twice"):
-        parse_weights("0 1\n0 2\n", 2)
+        read_weights("0 1\n0 2\n", 2)
     with pytest.raises(ParseError, match="missing"):
-        parse_weights("0 1\n", 2)
+        read_weights("0 1\n", 2)
     with pytest.raises(ParseError, match="out of range"):
-        parse_weights("5 1\n", 2)
+        read_weights("5 1\n", 2)

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from topocut.exact import weights_of
 from topocut.graph import Graph, GraphError, ParseError, parse_edge_list, read_int_table
-from topocut.indices import parse_weights, read_weights
+from topocut.indices import read_weights
 
 
 def reference_graph(n, edges, require_connected=True):
@@ -241,6 +241,12 @@ ratios = st.builds(
 )
 
 
+def read_values(text, n):
+    """``read_weights``' rows a and b as Python values."""
+    weights = read_weights(text, n)
+    return weights.values(0), weights.values(1)
+
+
 def weight_outcome(parse, text, n):
     try:
         a, b = parse(text, n)
@@ -281,7 +287,7 @@ def scaled_outcome(text, n):
 def test_weights_reader_matches_line_reader(case):
     text, n = case
     want = weight_outcome(reference_parse_weights, text, n)
-    assert weight_outcome(parse_weights, text, n) == want
+    assert weight_outcome(read_values, text, n) == want
     # the table's arrays scale every row as the line reader's values scale
     if want[0] != "error":
         reference = weights_of(reference_parse_weights(text, n))
@@ -335,13 +341,13 @@ def test_ratio_weights_take_the_table(monkeypatch):
     real = indices._read_weight_lines
     monkeypatch.setattr(indices, "_read_weight_lines", lambda *a: lines.append(a) or real(*a))
     text = "1 -6/4 2/1\n0 3 +1/3\n2 0/7 5\n"
-    assert parse_weights(text, 3) == ((3, Fraction(-3, 2), 0), (Fraction(1, 3), 2, 5))
+    assert read_values(text, 3) == ((3, Fraction(-3, 2), 0), (Fraction(1, 3), 2, 5))
     weights = read_weights(text, 3)
     assert weights.scales == (2, 3) and weights.rows.tolist() == [[6, -3, 0], [1, 6, 15]]
     assert weights.fractions.tolist() == [[False, True, False], [True, False, False]]
     assert lines == []
-    assert parse_weights("0 1.5\n", 1) == ((Fraction(3, 2),), (1,))
-    assert parse_weights("# c\n0 1/2\n", 1) == ((Fraction(1, 2),), (1,))
+    assert read_values("0 1.5\n", 1) == ((Fraction(3, 2),), (1,))
+    assert read_values("# c\n0 1/2\n", 1) == ((Fraction(1, 2),), (1,))
     with pytest.raises(ParseError, match="cannot parse weight '3/0'"):
         read_weights("0 3/0\n", 1)
     assert len(lines) == 3
