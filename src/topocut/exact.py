@@ -219,35 +219,40 @@ def _euler_tour(
     counts = np.bincount(tail, minlength=ncomp)
     if not counts.all():  # an isolated vertex
         raise NotATreeError("graph is disconnected, not a tree")
-    arc = np.argsort(tail, kind="stable").astype(idx)  # CSR position -> arc
+    positions = np.arange(arcs + 1, dtype=idx)  # every arange below is a slice of it
+    arc = tail.argsort(kind="stable").astype(idx)  # CSR position -> arc
     where = np.empty(arcs, dtype=idx)  # arc -> CSR position
-    where[arc] = np.arange(arcs, dtype=idx)
+    where[arc] = positions[:-1]
     twin = np.empty(arcs, dtype=idx)  # CSR position -> its twin's position
     twin[where[:m]] = where[m:]
     twin[where[m:]] = where[:m]
+    del where
     # the tour goes on at the position after the twin, cyclically in its row
-    ends = np.cumsum(counts, dtype=idx)
-    succ = np.arange(1, arcs + 1, dtype=idx)
+    ends = counts.cumsum(dtype=idx)
+    succ = positions[1:].copy()
     succ[ends - 1] = ends - counts
-    succ = succ.take(twin)
-    del where, counts, ends  # only the cycle's arrays live through the walk
+    del counts, ends
+    succ = succ.take(twin)  # only the cycle's arrays live through the walk
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
 
-    cycle = csr_matrix((np.ones(arcs), succ, np.arange(arcs + 1, dtype=idx)), shape=(arcs, arcs))
+    cycle = csr_matrix((np.ones(arcs), succ, positions), shape=(arcs, arcs))
     tour = breadth_first_order(cycle, 0, directed=True, return_predecessors=False)
     del cycle, succ
     if tour.size != arcs:
         raise NotATreeError("graph is disconnected, not a tree")
     rank = np.empty(arcs, dtype=idx)
-    rank[tour] = np.arange(arcs, dtype=idx)
+    rank[tour] = positions[:-1]
     later = rank.take(twin.take(tour))
-    down = np.flatnonzero(later > np.arange(arcs, dtype=idx)).astype(idx)  # preorder -> rank
-    stop = np.arange(1, m + 1, dtype=idx) + ((later.take(down) - down - 1) >> 1)
-    down = arc.take(tour.take(down))  # preorder -> down arc
-    back = (down >= m).astype(idx)  # 1 for an arc qv -> qu
-    edge = down - m * back
-    return edge, tail.take(edge + m * (1 - back)), stop
+    del rank, twin
+    down = (later > positions[:-1]).nonzero()[0].astype(idx)  # preorder -> rank
+    stop = later.take(down)  # place p + (rank of up arc - rank of down arc + 1) / 2
+    stop -= down
+    stop += 1
+    stop >>= 1
+    stop += positions[:m]
+    down = arc.take(tour.take(down))  # preorder -> down arc, whose head is its twin's tail
+    return down % m, tail.take(down + m, mode="wrap"), stop
 
 
 def _split_bound(bounds: Sequence[int], pairs: Sequence[Pair]) -> int:
@@ -257,43 +262,55 @@ def _split_bound(bounds: Sequence[int], pairs: Sequence[Pair]) -> int:
     return max((bounds[i] * bounds[j] for i, j, _ in pairs), default=0)
 
 
+def _gram(sides: np.ndarray, bound: int) -> tuple[list[int], list[list[int]]]:
+    """The row sums and the Gram matrix S S^T of one tree's sides S, an
+    R x edges array whose paired rows' products are at most ``bound`` <
+    2^62 in absolute value, exactly: one int64 einsum each while no sum can
+    wrap (edges * bound < 2^63), else every sum by ``_exact_sum``."""
+    if sides.dtype == object or sides.shape[1] * bound < 1 << 63:
+        dtype = object if sides.dtype == object else np.int64
+        gram = np.einsum("ri,si->rs", sides, sides, dtype=dtype)
+        return sides.sum(axis=1, dtype=dtype).tolist(), gram.tolist()
+    gram = [[_exact_sum(np.multiply(x, y, dtype=np.int64), bound) for y in sides] for x in sides]
+    return [_exact_sum(x, bound) for x in sides], gram
+
+
 def _split_sums(
-    sides: Sequence[Sequence[np.ndarray]],
-    totals: Sequence[Sequence[int]],
-    pairs: Sequence[Pair],
-    bound: int,
+    sides: Sequence[np.ndarray], totals: Sequence[int], pairs: Sequence[Pair], bound: int
 ) -> np.ndarray:
     """Every pair's W(a, b) on each of a list of trees, from the two sides
     of every edge: a trees x len(pairs) integer array, undivided, with
     W(a, a) for a halved pair, as ``CutEngine.block_matrix`` gives one row
     per block.
 
-    ``sides[r][t]`` holds row r's sum on one side S1 of every edge of tree
-    t, in a dtype that ``_exact_dtype(bound)`` allows, and ``totals[r][t]``
-    its total T, so that the other side is S2 = T - S1.  A pair (i, j)
-    sums S1_i S2_j + S2_i S1_j over the edges: W(i, j) of the tree, and
-    2 S1_i S2_i for i = j.  Each per-edge term is at most ``bound``
-    (``_split_bound``) and the terms are added by ``_exact_sum``; a tree
-    without edges has the empty sum 0.
+    ``sides[t]`` is an R x (edges of tree t) array in a dtype that
+    ``_exact_dtype(bound)`` allows: row r holds row r's sum on one side S1
+    of every edge, and ``totals[r]`` its total T, so that the other side is
+    S2 = T - S1.  A pair (i, j) of rows sums S1_i S2_j + S2_i S1_j =
+    T_j S1_i + T_i S1_j - 2 S1_i S1_j over the edges: W(i, j) of the tree,
+    and 2 S1_i S2_i for i = j.  So a tree takes its rows' sums and Gram
+    matrix (``_gram``), each product of two paired sides at most ``bound``
+    (``_split_bound``); a tree without edges has the empty sum 0.
     """
     columns = []
-    for i, j, _ in pairs:
-        column = []
-        for si, sj, ti, tj in zip(sides[i], sides[j], totals[i], totals[j]):
-            edges = si * (ti - si) if i == j else si * (tj - sj) + (ti - si) * sj
-            value = int(edges.sum() if edges.dtype == object else _exact_sum(edges, bound))
-            column.append(2 * value if i == j else value)
-        columns.append(column)
-    return _int_array(columns).T
+    for s in sides:
+        sums, gram = _gram(s, bound)
+        columns.append([
+            totals[j] * sums[i] + totals[i] * sums[j] - 2 * gram[i][j] for i, j, _ in pairs
+        ])
+    return _int_array(columns)
 
 
-def _subtree_sums(w: np.ndarray, child: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Per preorder place of ``_euler_tour``, the sum of w over the child's
-    subtree, in w's dtype."""
-    prefix = np.zeros(child.size + 1, dtype=w.dtype)
-    np.take(w, child, out=prefix[1:])
-    np.cumsum(prefix, out=prefix)
-    return prefix.take(stop) - prefix[:-1]
+def _subtree_sums(w: np.ndarray, child: np.ndarray, stop: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out``, shaped as w with a last axis of child.size + 1, with w's
+    sum over the child's subtree at every preorder place of
+    ``_euler_tour``, then w's total: one prefix sum along the preorder,
+    overwritten in place by the differences."""
+    out[..., 0] = 0
+    w.take(child, axis=-1, out=out[..., 1:], mode="clip")  # valid: "clip" is unbuffered
+    out.cumsum(axis=-1, dtype=out.dtype, out=out)
+    np.subtract(out.take(stop, axis=-1), out[..., :-1], out=out[..., :-1])
+    out[..., -1] += w[..., 0]  # the root, vertex 0, is no place's child
 
 
 def _tree_sums(
@@ -310,5 +327,6 @@ def _tree_sums(
         return np.zeros((0, len(pairs)), dtype=np.int64)
     bound = _split_bound(weights.bounds, pairs)
     rows = weights.rows.astype(_exact_dtype(bound), copy=False)
-    sides = [[_subtree_sums(w, child, stop)] for w in rows]
-    return _split_sums(sides, [[w.sum()] for w in rows], pairs, bound)
+    below = np.empty((len(rows), child.size + 1), dtype=rows.dtype)
+    _subtree_sums(rows, child, stop, below)
+    return _split_sums([below[:, :-1]], below[:, -1].tolist(), pairs, bound)

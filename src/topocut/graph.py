@@ -487,15 +487,15 @@ def component_labels(n: int, eu: np.ndarray, ev: np.ndarray) -> tuple[int, np.nd
     return int(rank[-1]) + 1 if n else 0, rank[parent]
 
 
-# Byte classes of the integer-table reader: 0 for a byte it leaves to
-# ``token_lines``, then blank, line break, digit, sign and the slash of p/q.
+# Byte classes of the integer-table reader, as a ``bytes.translate`` table:
+# 0 for a byte it leaves to ``token_lines``, then blank, line break, digit,
+# sign and the slash of p/q.
 _BLANK, _BREAK, _DIGIT, _SIGN, _SLASH = 1, 2, 3, 4, 5
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[[ord(" "), ord("\t")]] = _BLANK
-_BYTE_CLASS[[ord("\n"), ord("\r")]] = _BREAK  # str.splitlines breaks at both
-_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
-_BYTE_CLASS[[ord("+"), ord("-")]] = _SIGN
-_BYTE_CLASS[ord("/")] = _SLASH
+_BYTE_CLASS = bytes(
+    _BLANK if b in b" \t" else _BREAK if b in b"\n\r"  # str.splitlines breaks at both
+    else _DIGIT if b in b"0123456789" else _SIGN if b in b"+-" else _SLASH if b == ord("/")
+    else 0 for b in range(256)
+)
 
 # The table reader takes values strictly inside +-2^60; a file with a larger
 # one goes to ``token_lines``, whose Python ints are exact at any size.
@@ -507,9 +507,10 @@ def read_int_table(text: str, widths: tuple[int, ...]) -> np.ndarray | None:
     row per non-blank line, or None for a text the table cannot hold exactly.
 
     Every non-blank line must hold the same number of tokens, one of
-    ``widths``, and every token must be an optionally signed run of ASCII
-    digits with a value strictly inside +-2^60: exactly the lines and values
-    that ``str.splitlines``, ``str.split`` and ``int`` read from the text.
+    ``widths`` (each below 256), and every token must be an optionally
+    signed run of ASCII digits with a value strictly inside +-2^60: exactly
+    the lines and values that ``str.splitlines``, ``str.split`` and ``int``
+    read from the text.
     Anything else (comments, other bytes, ``1_0``, a lone sign, a ragged
     line, an empty text, a larger value, a ``p/q`` token) gives None, and
     the caller reads the text by ``token_lines`` and names the offending
@@ -530,60 +531,66 @@ def read_ratio_table(
     strictly inside +-2^60, and a zero denominator gives None, as does any
     text ``read_int_table`` would not read but for its slashes.
 
-    A few passes over the bytes: one class lookup, token starts where a
-    digit or sign follows a blank or break, the token count of each line
-    from a search of the starts at the line breaks, and numpy's C reader
-    for the values with each slash read as a blank, whose count and range
-    are checked (it clamps a value past int64 rather than failing).
+    A few passes over the bytes: one class lookup (``bytes.translate``),
+    token starts where a digit or sign follows a blank or break, the token
+    count of each line by one ``np.add.reduceat`` of the starts from each
+    line break, and numpy's C reader for the values with each slash read as
+    a blank, whose count and range are checked (it clamps a value past
+    int64 rather than failing).
     """
     if not text.isascii():
         return None
     data = text.encode("ascii")
-    kind = _BYTE_CLASS.take(np.frombuffer(data, dtype=np.uint8))
+    kind = np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)
     if not kind.all():
         return None
     word = kind >= _DIGIT
     start = word.copy()
-    start[1:] &= ~word[:-1]
-    starts = np.flatnonzero(start)
-    if not starts.size:
+    np.greater(word[1:], word[:-1], out=start[1:])
+    count = np.count_nonzero(start)
+    if not count:
         return None
-    signs = np.flatnonzero(kind == _SIGN)
-    if signs.size and (
-        not start[signs].all() or signs[-1] == kind.size - 1 or (kind[signs + 1] != _DIGIT).any()
-    ):
-        return None
-    slashes = np.flatnonzero(kind == _SLASH)
-    if slashes.size:
+    if b"+" in data or b"-" in data:
+        signs = np.flatnonzero(kind == _SIGN)  # each starting a token, before a digit
+        if signs[-1] == kind.size - 1 or not start[signs].all():
+            return None
+        if (kind[signs + 1] != _DIGIT).any():
+            return None
+    slashes = np.flatnonzero(kind == _SLASH) if b"/" in data else ()
+    if len(slashes):
         # a digit on each side, and one slash per token
         if slashes[0] == 0 or slashes[-1] == kind.size - 1:
             return None
         if (kind[slashes - 1] != _DIGIT).any() or (kind[slashes + 1] != _DIGIT).any():
             return None
-        owner = np.searchsorted(starts, slashes, side="right") - 1
+        owner = np.searchsorted(np.flatnonzero(start), slashes, side="right") - 1
         if (np.diff(owner) == 0).any():
             return None
         data = data.replace(b"/", b" ")
-    line_ends = np.append(np.flatnonzero(kind == _BREAK), kind.size)
-    tokens = np.diff(np.searchsorted(starts, line_ends), prepend=0)
-    tokens = tokens[tokens > 0]
-    width = int(tokens[0])
-    if width not in widths or (tokens != width).any():
+    # A line runs from its break (a break starts no token) to the next.  Its
+    # count is summed in uint8, modulo 256, with no intp copy of the bytes:
+    # a count that wrapped is below the true one, so the sum of the counts,
+    # width per non-blank line, can reach the true total only if none did.
+    lines = np.equal(kind, _BREAK, out=word)
+    lines[0] = True
+    tokens = np.add.reduceat(start.view(np.uint8), np.flatnonzero(lines), dtype=np.uint8)
+    width = int(tokens.max())
+    if width not in widths or width * np.count_nonzero(tokens) != count:
         return None
     values = np.fromstring(data, dtype=np.int64, sep=" ")
     if (
-        values.size != starts.size + slashes.size
+        values.size != count + len(slashes)
         or values.min() <= -_TABLE_LIMIT
         or values.max() >= _TABLE_LIMIT
     ):
         return None
-    if not slashes.size:
+    if not len(slashes):
         return values.reshape(-1, width), None
     # a token's numerator follows the values of the tokens before it
-    ratio = np.zeros(starts.size, dtype=bool)
+    ratio = np.zeros(count, dtype=bool)
     ratio[owner] = True
-    first = np.arange(starts.size) + np.cumsum(ratio) - ratio
-    den = np.zeros(starts.size, dtype=np.int64)
+    first = np.arange(count) + np.cumsum(ratio) - ratio
+    den = np.zeros(count, dtype=np.int64)
     den[ratio] = values[first[ratio] + 1]
     if not den[ratio].all():
         return None

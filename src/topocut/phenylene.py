@@ -68,8 +68,10 @@ def _cell_array(cells: Sequence[tuple[int, int]]) -> np.ndarray:
     return arr
 
 
-def _grid_axis(values: np.ndarray) -> np.ndarray:
-    """One axis of the cells on a compact int64 grid starting at 0.
+def _grid_axis(values: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """One axis of the cells on a compact int64 grid starting at 0, and the
+    least value when the grid is the axis shifted by it (always for a
+    connected system, whose values leave no gap), else None.
 
     Gaps wider than 2 close to 2.  Cells two or more apart on one axis
     neither touch nor share a corner, and order along the axis is kept, so
@@ -77,26 +79,28 @@ def _grid_axis(values: np.ndarray) -> np.ndarray:
     """
     lo = values.min()
     if values.max() - lo <= 2 * len(values):
-        return (values - lo).astype(np.int64, copy=False)
+        return (values - lo).astype(np.int64, copy=False), int(lo)
     uniq, inverse = np.unique(values, return_inverse=True)
     steps = np.minimum(np.diff(uniq), 2)
-    return np.concatenate(([0], np.cumsum(steps))).astype(np.int64)[inverse]
+    return np.concatenate(([0], np.cumsum(steps))).astype(np.int64)[inverse], None
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class BenzenoidPlacement:
     """A set of hexagon cells in axial coordinates, stored sorted.
 
-    ``coords`` holds the cells as an (h, 2) array sorted by (q, r): int64,
-    or Python ints when some coordinate reaches 2^61.  ``grid`` holds the
-    same cells, in the same order, on the compact grid of ``_grid_axis``,
-    stored column by column so that each axis is a contiguous array; the
-    array routes work on it.  ``cells``, the cells as a tuple of (q, r)
-    tuples, is built on first use; equality and hashing go by it.
+    ``grid`` holds the cells sorted by (q, r), on the compact grid of
+    ``_grid_axis``, stored column by column so that each axis is a
+    contiguous array; the array routes work on it.  ``coords`` holds the
+    same cells in the same order as an (h, 2) array: int64, or Python ints
+    when some coordinate reaches 2^61.  ``_coords`` is that array, or the
+    (q, r) origin that moves the grid onto it, and then ``coords`` is built
+    on first use.  ``cells``, the cells as a tuple of (q, r) tuples, is
+    built on first use; equality and hashing go by it.
     """
 
-    coords: np.ndarray
     grid: np.ndarray
+    _coords: np.ndarray | tuple[int, int]
 
     @classmethod
     def of(cls, cells: Iterable[tuple[int, int]]) -> "BenzenoidPlacement":
@@ -110,14 +114,25 @@ class BenzenoidPlacement:
         compact grid, and reject an empty or repeated cell."""
         if not len(raw):
             raise PlacementError("placement has no cells")
-        q, r = _grid_axis(raw[:, 0]), _grid_axis(raw[:, 1])
+        (q, q0), (r, r0) = _grid_axis(raw[:, 0]), _grid_axis(raw[:, 1])
         key = q * (int(r.max()) + 1) + r
         order = np.argsort(key, kind="stable")  # adaptive: cells often come in sorted
         key = key.take(order)
         same = np.flatnonzero(key[1:] == key[:-1])
         if same.size:
             raise PlacementError(f"duplicate cell {tuple(raw[order[same[0] + 1]].tolist())}")
-        return cls(raw.take(order, axis=0), np.stack((q.take(order), r.take(order))).T)
+        grid = np.stack((q.take(order), r.take(order))).T
+        shifted = q0 is not None and r0 is not None
+        return cls(grid, (q0, r0) if shifted else raw.take(order, axis=0))
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        if isinstance(self._coords, np.ndarray):
+            return self._coords
+        (q0, r0), (q, r) = self._coords, self.grid.max(axis=0).tolist()
+        # the dtype of _cell_array for the same cells
+        dtype = np.int64 if max(abs(q0), abs(q0 + q), abs(r0), abs(r0 + r)) < 1 << 61 else object
+        return self.grid.astype(dtype) + np.array((q0, r0), dtype=dtype)
 
     @cached_property
     def cells(self) -> tuple[tuple[int, int], ...]:
@@ -245,7 +260,7 @@ def _cell_corners(q: int, r: int) -> list[tuple[int, int]]:
 
 # Cells sorted by (q, r) have their later neighbours in directions 0, 1
 # and 5, and their earlier ones in the opposite directions 3, 4 and 2.
-_LATER = np.array([0, 1, 5], dtype=np.int64)
+_LATER = np.array([0, 1, 5], dtype=np.uint8)
 
 
 def _later_neighbours(grid: np.ndarray) -> np.ndarray:
@@ -258,17 +273,24 @@ def _later_neighbours(grid: np.ndarray) -> np.ndarray:
     three.  Each column is written as (index + 1) * found - 1.
     """
     q, r = grid[:, 0], grid[:, 1]
-    width = int(r.max()) + 3
-    keys = (q + 1) * width + (r + 1)
-    padded = np.append(keys, -1)  # no key is -1
-    nbr = np.empty((len(keys), 3), dtype=np.int64)
-    nbr[:, 1] = np.arange(2, len(keys) + 2) * (padded[1:] == keys + 1) - 1
+    h, width = len(grid), int(r.max()) + 3
+    padded = np.empty(h + 1, dtype=np.int64)  # the keys, then -1, which no key is
+    keys = padded[:-1]
+    np.multiply(q, width, out=keys)
+    keys += r
+    keys += width + 1
+    padded[-1] = -1
+    nbr = np.empty((h, 3), dtype=np.int64)
+    np.multiply(np.arange(2, h + 2), padded[1:] - keys == 1, out=nbr[:, 1])
     wanted = keys + (width - 1)
     at = np.searchsorted(keys, wanted)  # at most h, where padded holds -1
     hit = padded.take(at) == wanted
-    nbr[:, 2] = (at + 1) * hit - 1
+    at += 1
+    np.multiply(at, hit, out=nbr[:, 2])
     at += hit
-    nbr[:, 0] = (at + 1) * (padded.take(at) == wanted + 1) - 1
+    wanted += 1
+    np.multiply(at, padded.take(at - 1) == wanted, out=nbr[:, 0])
+    nbr -= 1
     return nbr
 
 
@@ -447,15 +469,23 @@ _MEETS = np.array(
 # Bit d of a hexagon's direction mask: a neighbour in direction d, whose
 # connectors end at corners d and d+1.  _DEGREE_SUMS[c - 1, mask] is the
 # degree sum of half 1 of class c (two per corner and one per connector
-# end), and _DEGREE_SUMS[3:, mask] the sums of the ones and of the degrees
-# on the hexagon, in the order of ``cut_method.ROWS``.
+# end), and _DEGREE_SUMS[3, mask] the degree sum of the hexagon.
 _ENDS_IN_HALF_ONE = _HALF_OF.astype(np.int64) + np.roll(_HALF_OF, -1, axis=1)  # [c - 1, d]
 _DEGREE_SUMS = np.array(
     [[6 + sum(ends[d] for d in range(6) if mask >> d & 1) for mask in range(64)]
      for ends in _ENDS_IN_HALF_ONE]
-    + [[6] * 64, [12 + 2 * mask.bit_count() for mask in range(64)]],
+    + [[12 + 2 * mask.bit_count() for mask in range(64)]],
     dtype=np.int64,
 )
+# The same sums as ``bytes.translate`` tables (every sum is at most 24, so
+# a byte holds it): a lookup by mask makes no intp copy of the masks.
+_DEGREE_BYTES = [bytes(row.tolist() * 4) for row in _DEGREE_SUMS]
+
+
+def _degree_sums(row: int, mask: np.ndarray, dtype: type) -> np.ndarray:
+    """``_DEGREE_SUMS[row, mask]`` in ``dtype``."""
+    sums = mask.tobytes().translate(_DEGREE_BYTES[row])
+    return np.frombuffer(sums, dtype=np.uint8).astype(dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,13 +516,13 @@ class _Runs:
     ``bounds``: the first run label of classes 1..3, then the run count.
     ``run``: per node, its run.  ``hang_place``, ``hang_run``: the tour
     places of the subtrees hanging from a half 1, and that half's run, in
-    no particular order (they only feed ``np.add.at``).  ``far_one``,
+    no particular order (they only feed ``np.subtract.at``).  ``far_one``,
     ``top_place``: per run, whether its far half is half 1, and the tour
-    place of its top (the edge count for the root's runs).  ``degree``: the
-    phenylene's vertex degrees summed on every node's half 1, and the ones
-    and the degrees summed on every hexagon (a 2 x h array), taken by
-    direction mask.  ``of`` reads only the stored dual and
-    masks, one non-run class at a time, each step a 1-D gather or scatter.
+    place of its top (the edge count for the root's runs).  ``mask``: the
+    hexagons' direction masks, from which ``_DEGREE_SUMS`` gives the
+    degree sums of a row when it is summed.  ``of`` reads only the stored
+    dual and masks, one non-run class at a time, each step a 1-D gather or
+    scatter.
     """
 
     child: np.ndarray
@@ -503,7 +533,7 @@ class _Runs:
     hang_run: np.ndarray
     far_one: np.ndarray
     top_place: np.ndarray
-    degree: tuple[np.ndarray, np.ndarray]  # (3h,), (2, h)
+    mask: np.ndarray
 
     @classmethod
     def of(cls, ph: Phenylene) -> "_Runs":
@@ -511,39 +541,45 @@ class _Runs:
         di, dj, dk = ph._dual
         edge, child, stop = _euler_tour(h, di, dj)
         run, bounds = _sorted_runs(ph.placement.grid, di, dj, dk)
-        # per tour place: its edge's code and its parent
+        # per tour place: its edge's code and its parent, each made in place
         j = dj.take(edge)
-        code = 2 * dk.take(edge) + (child == j)
-        parent = di.take(edge) + j - child
+        code = dk.take(edge).astype(np.intp)
+        code *= 2
+        code += child == j
+        parent = di.take(edge)
+        parent += j
+        parent -= child
+        del edge, j
+        # both non-run classes t at once, a row each
+        node = (h * _NON_RUN).take(code, axis=1)
+        t, hang_place = _MEETS[:, np.arange(12) ^ 1].take(code, axis=1).nonzero()  # parent's end
+        hang_run = run.take(node[t, hang_place] + parent.take(hang_place))
+        del t, parent
+        node += child
+        tops = run.take(node)  # the runs that the place's child tops
+        del node
         far_one = np.zeros(int(bounds[-1]), dtype=bool)
-        top_place = np.full(int(bounds[-1]), edge.size, dtype=np.intp)
-        hang_place, hang_run = [], []
-        for non_run, meets in zip(h * _NON_RUN, _MEETS):  # one non-run class at a time
-            node = non_run.take(code)
-            tops = run.take(node + child)  # the runs that the place's child tops
-            far_one[tops] = ~meets.take(code)
-            top_place[tops] = np.arange(edge.size)
-            hangs = np.flatnonzero(meets.take(code ^ 1))  # met at the parent's end
-            hang_place.append(hangs)
-            hang_run.append(run.take(node.take(hangs) + parent.take(hangs)))
-        degree = _DEGREE_SUMS.take(ph._mask, axis=1)
-        return cls(
-            child, stop, bounds, run, np.concatenate(hang_place), np.concatenate(hang_run),
-            far_one, top_place, (degree[:3].ravel(), degree[3:]),
-        )
+        far_one[tops] = (~_MEETS).take(code, axis=1)
+        top_place = np.full(int(bounds[-1]), child.size, dtype=np.intp)
+        top_place[tops] = np.arange(child.size)
+        return cls(child, stop, bounds, run, hang_place, hang_run, far_one, top_place, ph._mask)
 
-    def sides(self, half_one: np.ndarray, hexagon: np.ndarray) -> list[np.ndarray]:
-        """Every split of the four trees for a vertex weight given by its
-        sums on every node's half 1 and on every hexagon, int64 or object:
-        per tree, the far side of each edge."""
-        below = _subtree_sums(hexagon, self.child, self.stop)
-        ones = np.zeros(self.bounds[-1], dtype=hexagon.dtype)  # S1 per run
-        np.add.at(ones, self.run, half_one)
-        np.add.at(ones, self.hang_run, below.take(self.hang_place))
-        far = np.append(below, hexagon.sum()).take(self.top_place)
-        far -= ones
-        np.copyto(far, ones, where=self.far_one)
-        return [far[lo:hi] for lo, hi in zip(self.bounds[:-1], self.bounds[1:])] + [below]
+    def sides(self, below: np.ndarray, half_ones: Iterable, far: np.ndarray) -> None:
+        """The far side of every run edge, per run into ``far``, for a vertex
+        weight given by its ``_subtree_sums`` over the tour (``below``) and,
+        class by class, its sums on every hexagon's half 1 (an array, or
+        one value for every hexagon); ``below`` holds the dual's splits.
+
+        Built in place: the top's subtree sum where the far half is 0, less
+        S1, then negated where the far half is 1."""
+        h = below.size
+        below.take(self.top_place, out=far, mode="clip")  # valid: "clip" is unbuffered
+        np.copyto(far, 0, where=self.far_one)
+        for c, half in enumerate(half_ones):
+            np.subtract.at(far, self.run[c * h:(c + 1) * h], half)
+            del half  # before the next class's sums are made
+        np.subtract.at(far, self.hang_run, below.take(self.hang_place))
+        np.negative(far, out=far, where=self.far_one)
 
 
 def _sorted_runs(
@@ -565,21 +601,30 @@ def _sorted_runs(
     """
     h = len(grid)
     q, r = grid[:, 0], grid[:, 1]
+    width = int(grid.max()) + 2  # above every position
     run = np.empty(3 * h, dtype=np.int64)
     bounds = [0]
-    for c, (k, line, pos) in enumerate(zip(_LATER.tolist(), (r, q, q + r), (q, r, q))):
-        edges = np.flatnonzero(dk == k)
+    # the key line * width + position is a q + b r: line r, q, q + r; position q, r, q
+    for c, (k, a, b) in enumerate(zip(_LATER.tolist(), (1, width, width + 1), (width, 1, width))):
+        edges = (dk == k).nonzero()[0]
+        i = di.take(edges)
+        key = q.take(i)
+        key *= a
+        key += r.take(i) * b
+        del i
+        edges = edges.take(key.argsort())  # distinct keys
+        del key
         i, j = di.take(edges), dj.take(edges)
-        order = np.argsort(line.take(i) * (int(pos.max()) + 2) + pos.take(i))  # distinct keys
-        i, j = i.take(order), j.take(order)
+        del edges
         start = np.ones(i.size, dtype=bool)
-        start[1:] = i[1:] != j[:-1]
-        edge_run = np.cumsum(start) + (bounds[-1] - 1)
+        np.not_equal(i[1:], j[:-1], out=start[1:])
+        edge_run = start.cumsum()
+        edge_run += bounds[-1] - 1
         nodes = run[c * h:(c + 1) * h]
         nodes.fill(-1)
         nodes[i] = edge_run
         nodes[j] = edge_run
-        alone = np.flatnonzero(nodes < 0)
+        alone = (nodes < 0).nonzero()[0]
         first = bounds[-1] + int(np.count_nonzero(start))
         nodes[alone] = np.arange(first, first + alone.size)
         bounds.append(first + alone.size)
@@ -660,39 +705,61 @@ def tree_block_matrix(
     """Every pair on each of the four quotient trees of ``quotient_trees``:
     a 4 x len(pairs) array of undivided W(x, y), with W(x, x) for a halved
     pair, as ``CutEngine.block_matrix`` gives one row per block; and the
-    rows it sums, on the hexagons, whose scales divide it back.
+    totals of the rows it sums, a one-column ``Weights`` whose scales
+    divide it back.
 
     The pairs index the rows of a solve's weight matrix (``ROWS``): the
     ones, the degrees, then the rows of ``weights``, a weight matrix over
-    the phenylene's vertices.  Each row is summed on every half 1 and every
-    hexagon and so onto the splits of all four trees at once
-    (``_Runs.sides``).  No row of the ones or the degrees is built per
-    vertex: their halves sum to 3 and to the degree sums of the runs
-    (``_Runs.degree``), and both are whole, with scale 1.  A hexagon row
-    keeps its vertex row's scale and bound, and is a Fraction where one
-    of its corners is.
+    the phenylene's vertices.  Each row is summed on every hexagon and,
+    class by class, on every half 1, one row at a time, and so onto the
+    splits of all four trees at once (``_Runs.sides``).  No row of the
+    ones or the degrees is built per vertex: the ones sum to 6 on a hexagon
+    and 3 on a half, the degrees to ``_DEGREE_SUMS`` of the direction
+    mask, and both are whole, with scale 1.  A weight row keeps its scale
+    and bound, and its total is a Fraction where one of its entries is.
     """
     runs, ph = trees[0].runs, trees[0].phenylene
     h = ph.hexagon_count
-    half_ones = [np.broadcast_to(np.int64(3), (3 * h,)), runs.degree[0]]
-    hexagons = Weights(runs.degree[1], (1, 1), (ph.n, 2 * ph.m))
+    totals, scales, bounds, flags = [ph.n, 2 * ph.m], (1, 1), (ph.n, 2 * ph.m), None
     if weights is not None:
         corners = weights.rows.reshape(len(weights.scales), h, 6)
-        # half 1 of class c, node (c-1) h + x, holds corners c, c+1, c+2 of hexagon x
-        for w in corners:
-            half_ones.append(np.concatenate([w[:, c:c + 3].sum(axis=1) for c in (1, 2, 3)]))
-        flags = weights.fractions
-        flags = None if flags is None else flags.reshape(corners.shape).any(axis=2)
-        summed = Weights(corners.sum(axis=2), weights.scales, weights.bounds, flags)
-        hexagons = Weights.stack((hexagons, summed))
-    bound = _split_bound(hexagons.bounds, pairs)
+        totals += weights.rows.sum(axis=1).tolist()
+        scales, bounds = scales + weights.scales, bounds + weights.bounds
+        if weights.fractions is not None:
+            flags = np.array([[False], [False]] + [[f] for f in weights.fractional])
+    bound = _split_bound(bounds, pairs)
     dtype = _exact_dtype(bound)
-    sides, totals = {}, {}
-    for r in {r for i, j, _ in pairs for r in (i, j)}:
-        hexagon = hexagons.rows[r].astype(dtype, copy=False)
-        sides[r] = runs.sides(half_ones[r].astype(dtype, copy=False), hexagon)
-        totals[r] = [hexagon.sum()] * len(trees)
-    return _split_sums(sides, totals, pairs, bound), hexagons
+
+    def hexagon_row(r: int) -> np.ndarray:
+        """Row r summed on every hexagon."""
+        if r == 0:
+            return np.broadcast_to(np.array(6, dtype=dtype), (h,))
+        if r == 1:
+            return _degree_sums(3, runs.mask, dtype)
+        return corners[r - 2].sum(axis=1).astype(dtype, copy=False)
+
+    def half_rows(r: int) -> Iterable:
+        """Row r summed, class by class, on every half 1, lazily."""
+        if r == 0:
+            return (np.array(3, dtype=dtype),) * 3
+        if r == 1:
+            return (_degree_sums(c, runs.mask, dtype) for c in range(3))
+        # half 1 of class c, node (c-1) h + x, holds corners c, c+1, c+2 of hexagon x
+        return (corners[r - 2][:, c:c + 3].sum(axis=1).astype(dtype, copy=False) for c in (1, 2, 3))
+
+    used = sorted({r for i, j, _ in pairs for r in (i, j)})
+    below = np.empty((len(used), h), dtype=dtype)
+    for k, r in enumerate(used):
+        _subtree_sums(hexagon_row(r), runs.child, runs.stop, below[k])
+    far = np.empty((len(used), int(runs.bounds[-1])), dtype=dtype)  # after every subtree sum
+    for k, r in enumerate(used):
+        runs.sides(below[k], half_rows(r), far[k])
+    bounds_of = zip(runs.bounds[:-1], runs.bounds[1:])
+    sides = [far[:, lo:hi] for lo, hi in bounds_of] + [below[:, :-1]]
+    local = [(used.index(i), used.index(j), half) for i, j, half in pairs]
+    blocks = _split_sums(sides, [totals[r] for r in used], local, bound)
+    rows = np.array(totals, dtype=_exact_dtype(max(bounds))).reshape(-1, 1)
+    return blocks, Weights(rows, scales, bounds, flags)
 
 
 def dd_gut_via_trees(ph: Phenylene) -> tuple[int, int]:

@@ -37,8 +37,10 @@ from topocut.phenylene import (
     _DEGREE_SUMS,
     _HALF_OF,
     _Runs,
+    _cell_array,
     _cell_corners,
     _component_sums,
+    _degree_sums,
     _later_neighbours,
     _quotient,
     _sorted_runs,
@@ -480,34 +482,52 @@ def test_tree_kernel_matches_reference_loop(kind, tree, data):
     assert type(double) is type(want[0]) and type(single) is type(want[1])
 
 
-def count_exact_sums(monkeypatch):
-    """Every call of ``exact._exact_sum`` from now on, logged."""
-    real, calls = exact_module._exact_sum, []
+def gram_dtypes(monkeypatch):
+    """The dtype of the sides of every call of ``exact._gram`` from now on,
+    logged: one call per tree."""
+    real, calls = exact_module._gram, []
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def logged(sides, bound):
+        calls.append(sides.dtype)
+        return real(sides, bound)
 
-    monkeypatch.setattr(exact_module, "_exact_sum", counted)
+    monkeypatch.setattr(exact_module, "_gram", logged)
     return calls
 
 
 def test_int64_guard_boundary(monkeypatch):
     # the per-edge terms are bounded by T_x T_y with T = sum|w|; with the
-    # term W*(a), T_a^2 is the largest: 2**62 - 2**32 + 1 runs in int64 and
-    # adds its terms by _exact_sum, 2**62 runs on Python ints
+    # term W*(a), T_a^2 is the largest: 2**62 - 2**32 + 1 runs the tree's
+    # Gram matrix in int64, 2**62 runs it on Python ints
     below = np.array([2**30, 2**30 - 1], dtype=np.int64)
     at = np.array([2**30, 2**30], dtype=np.int64)
     ones = np.ones(2, dtype=np.int64)
     assert _exact_dtype(int(below.sum()) ** 2) is np.int64
     assert _exact_dtype(int(at.sum()) ** 2) is object
-    summed = count_exact_sums(monkeypatch)
-    for w, calls in ((below, 3), (at, 0)):
-        summed.clear()
+    grams = gram_dtypes(monkeypatch)
+    for w, dtype in ((below, np.int64), (at, object)):
+        grams.clear()
         assert kernel_split_sums(2, [0], [1], (w, ones)) == list(
             reference_split_sums(2, [(0, 1)], w.tolist(), [1, 1])
         )
-        assert len(summed) == calls
+        assert grams == [np.dtype(dtype)]
+
+
+@pytest.mark.parametrize("length, wraps", [(3, False), (4, True)])
+def test_gram_on_each_side_of_its_sum_bound(length, wraps, monkeypatch):
+    # products of 2^61: three sum below 2^63 in one int64 einsum, four reach
+    # 2^63, where it would wrap to -2^63, so the products go to _exact_sum
+    sides = np.array([[2**31] * length, [-(2**30)] * length], dtype=np.int64)
+    bound = 2**61
+    assert (length * bound >= 2**63) is wraps
+    summed = []
+    real = exact_module._exact_sum
+    monkeypatch.setattr(exact_module, "_exact_sum", lambda t, b: summed.append(b) or real(t, b))
+    sums, gram = exact_module._gram(sides, bound)
+    assert gram[0][1] == gram[1][0] == -length * bound
+    assert sums == [length * 2**31, -length * 2**30]
+    assert bool(summed) is wraps
+    assert exact_module._gram(sides.astype(object), bound)[1][0][1] == -length * bound
 
 
 def test_int64_kernel_sums_past_int64_exactly():
@@ -770,6 +790,19 @@ def distinct_cells(draw):
 
 
 @given(distinct_cells())
+@example([(2**61 - 2, 0), (2**61 - 1, 0)])
+@example([(2**61 - 1, 0), (2**61, 0)])
+@example([(0, 0), (10**30, 1)])
+def test_placement_coords_from_the_grid_or_stored(cells):
+    # the cells come back sorted, as the grid moved by its origin or, where
+    # _grid_axis closed a gap, as the stored array, in _cell_array's dtype
+    placement = BenzenoidPlacement.of(cells)
+    want = _cell_array(sorted(cells))
+    assert placement.coords.dtype == want.dtype and placement.coords.tolist() == want.tolist()
+    assert list(placement.cells) == sorted(cells)
+
+
+@given(distinct_cells())
 @example([(0, 0)])
 @example([(2**61, 5), (2**61 + 1, 4), (-(2**61), 0)])
 def test_neighbours_match_indirect_search(cells):
@@ -922,23 +955,22 @@ def test_trees_blocks_match_the_cut_engine_blocks(kind, cells, data):
     ((2**30, 2**32), object),  # T_a T_b = 2^62
 ])
 def test_split_sums_on_each_side_of_the_per_edge_bound(totals, dtype, monkeypatch):
-    # the one pair W(a, b) has the per-edge bound T_a T_b: below 2^62 its
-    # terms are int64 and added by _exact_sum, once per tree; at 2^62 they
-    # are Python ints; the plain tree and the four trees agree with their
-    # references either way
+    # the one pair W(a, b) has the per-edge bound T_a T_b: below 2^62 each
+    # tree's Gram matrix runs on int64, at 2^62 on Python ints; the
+    # plain tree and the four trees agree with their references either way
     assert _exact_dtype(totals[0] * totals[1]) is dtype
     pairs = [(0, 1, False)]
-    calls = count_exact_sums(monkeypatch)
+    grams = gram_dtypes(monkeypatch)
     a, b = (with_total(2, t) for t in totals)
     got = _tree_sums(2, np.array([0]), np.array([1]), weights_of([a, b]), pairs)
     assert got.tolist() == [[a[0] * b[1] + a[1] * b[0]]]
-    assert len(calls) == (dtype is np.int64)
+    assert grams == [np.dtype(dtype)]
     ph = build_phenylene(gen_phenylene_chain(4, "A+L"))
     weights = weights_of([with_total(ph.n, t) for t in totals])
     trees = quotient_trees(ph)
-    calls.clear()
+    grams.clear()
     got, _ = tree_block_matrix(trees, weights, [(2, 3, False)])
-    assert len(calls) == 4 * (dtype is np.int64)
+    assert grams == [np.dtype(dtype)] * 4
     assert got.tolist() == [explicit_tree_values(t, weights, [(2, 3, False)]) for t in trees]
 
 
@@ -1089,7 +1121,7 @@ def two_column_runs(ph):
         "child": child, "stop": stop, "bounds": bounds, "run": run,
         "hang_place": np.nonzero(hangs)[0], "hang_run": run[parents],
         "far_one": far_one, "top_place": top_place,
-        "degree": (_DEGREE_SUMS[:3, ph._mask].ravel(), _DEGREE_SUMS[3:, ph._mask]),
+        "mask": ph._mask,
     }
 
 
@@ -1108,15 +1140,30 @@ def test_flat_kernels_match_two_column_references(cells):
     for got, want in zip(_sorted_runs(ph.placement.grid, di, dj, dk), keyed_runs(ph.placement.grid, di, dj, dk)):
         assert_identical(got, want)
     runs, want = _Runs.of(ph), two_column_runs(ph)
-    for name in ("child", "stop", "bounds", "run", "far_one", "top_place"):
+    for name in ("child", "stop", "bounds", "run", "far_one", "top_place", "mask"):
         assert_identical(getattr(runs, name), want[name])
-    for got, wanted in zip(runs.degree, want["degree"]):
-        assert_identical(got, wanted)
     # the hangs only feed np.add.at, so their order is free
     assert runs.hang_place.dtype == want["hang_place"].dtype
     assert runs.hang_run.dtype == want["hang_run"].dtype
     pairs = Counter(zip(runs.hang_place.tolist(), runs.hang_run.tolist()))
     assert pairs == Counter(zip(want["hang_place"].tolist(), want["hang_run"].tolist()))
+
+
+@given(st.one_of(branched_placements(), chain_placements_drawn(), st.just([(0, 0)])))
+def test_degree_sums_by_mask_match_the_degrees(cells):
+    # the byte tables hold every degree sum (at most 24, below a byte's
+    # 256) and give the phenylene's degrees summed on every hexagon and on
+    # its half 1 of each class, corners c, c+1, c+2
+    assert 0 <= _DEGREE_SUMS.min() and _DEGREE_SUMS.max() == 24 < 256
+    masks = np.arange(64, dtype=np.uint8)
+    for row in range(4):
+        assert_identical(_degree_sums(row, masks, np.int64), _DEGREE_SUMS[row])
+    ph = build_phenylene(cells)
+    corners = np.bincount(ph.graph.edge_array.ravel(), minlength=ph.n).reshape(-1, 6)
+    assert_identical(_degree_sums(3, ph._mask, np.int64), corners.sum(axis=1))
+    for c in (1, 2, 3):
+        halves = corners[:, [c, (c + 1) % 6, (c + 2) % 6]].sum(axis=1)
+        assert_identical(_degree_sums(c - 1, ph._mask, np.int32), halves.astype(np.int32))
 
 
 @given(trees(max_n=40), st.randoms(use_true_random=False))
@@ -1152,9 +1199,13 @@ def test_tour_index_dtype_across_its_limit(monkeypatch):
 
 
 # The tracemalloc peak of a trees solve on a linear chain of 10^5 hexagons,
-# measured with numpy 2.4 and scipy 1.17 after the flat kernels (14.69 MiB;
-# 15.46 MiB before them), plus 10%.
-TREES_PEAK_BYTES = 16_947_000
+# measured with numpy 2.4 and scipy 1.17 (10.97 MiB, after the per-solve
+# degree table and the per-pair split products went; 15.46 MiB before),
+# plus 10%.
+TREES_PEAK_BYTES = 12_656_000
+# The same for `compute --cells` on a linear chain of 5 * 10^4 hexagons, from
+# the placement text to the printed report (7.11 MiB; 10.45 MiB before).
+CELLS_PEAK_BYTES = 8_205_000
 
 
 def test_trees_solve_peak_memory():
@@ -1167,3 +1218,20 @@ def test_trees_solve_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= TREES_PEAK_BYTES, f"peak {peak} bytes"
+
+
+def test_cells_compute_peak_memory(tmp_path, capsys):
+    path = tmp_path / "chain.cells"
+    path.write_text(format_placement(gen_phenylene_chain(50_000)))
+    argv = ["compute", "--cells", str(path), "--json"]
+    assert cli.main(argv) == 0  # warm: modules loaded
+    want = capsys.readouterr().out
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    got = capsys.readouterr().out
+    assert got.split('"timing_ms"')[0] == want.split('"timing_ms"')[0]
+    assert peak <= CELLS_PEAK_BYTES, f"peak {peak} bytes"

@@ -3,13 +3,17 @@ readers and the per-edge validation loop they replaced, kept here as
 references: equal results, or a ParseError / GraphError with the identical
 message."""
 
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from topocut.exact import weights_of
-from topocut.graph import Graph, GraphError, ParseError, parse_edge_list, read_int_table
+from topocut.graph import (
+    Graph, GraphError, ParseError, parse_edge_list, read_int_table, read_ratio_table, token_lines,
+)
 from topocut.indices import read_weights
 
 
@@ -351,3 +355,98 @@ def test_ratio_weights_take_the_table(monkeypatch):
     with pytest.raises(ParseError, match="cannot parse weight '3/0'"):
         read_weights("0 3/0\n", 1)
     assert len(lines) == 3
+
+
+TABLE_BYTES = set(" \t\r\n0123456789+-/")
+
+
+def reference_ratio_table(text, widths):
+    """``read_ratio_table`` line by line: the numerator and denominator
+    rows of every non-blank line from ``token_lines``, each token read by
+    ``int`` and checked against ``Fraction``, or None for a text the table
+    leaves to the line readers."""
+    if set(text) - TABLE_BYTES:  # comments, other bytes, non-ASCII digits
+        return None
+    rows = [parts for _, _, parts in token_lines(text)]
+    if not rows or len(rows[0]) not in widths or any(len(r) != len(rows[0]) for r in rows):
+        return None
+    num, den = [], []
+    for row in rows:
+        num.append([]), den.append([])
+        for token in row:
+            if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", token):
+                return None
+            p, _, q = token.partition("/")
+            p, q = int(p), int(q or 0)
+            if not (abs(p) < 2**60 and q < 2**60) or "/" in token and not q:
+                return None
+            assert Fraction(token) == Fraction(p, q or 1)
+            num[-1].append(p), den[-1].append(q)
+    return num, den if any("/" in t for r in rows for t in r) else None
+
+
+TABLE_TOKENS = [
+    "0", "7", "-3", "+12", "007", "-0", "3/4", "-6/4", "+0/5", "3/0", "1/2/3", "/3", "3/", "3/+4",
+    "1_0", "٣", "é", "#", "1.5", "-", "+", "--1", "1-2",
+    str(2**60 - 1), str(-(2**60) + 1), str(2**60), str(-(2**60)),
+    f"{2**60 - 1}/3", f"1/{2**60 - 1}", f"1/{2**60}", f"{2**60}/3",
+]
+
+
+@st.composite
+def table_texts(draw):
+    """Rows of drawn tokens, of one width or ragged, mostly small integers,
+    joined by blanks and one line ending, with blank lines now and then."""
+    width = draw(st.integers(1, 3))
+    small = st.integers(-20, 20).map(str)
+    token = st.one_of(small, small, st.sampled_from(TABLE_TOKENS)) if draw(st.booleans()) else small
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        size = width if draw(st.integers(0, 5)) else draw(st.integers(0, 4))
+        rows.append(draw(st.lists(token, min_size=size, max_size=size)))
+    lines = [draw(st.sampled_from(SEPARATORS)).join(r) for r in rows]
+    end = draw(st.sampled_from(LINE_ENDS))
+    pad = st.sampled_from(["", " ", "\t"])
+    return end.join(draw(pad) + ln + draw(pad) for ln in lines) + draw(st.sampled_from(["", end]))
+
+
+@given(table_texts(), st.sampled_from([(2,), (2, 3), (1, 2, 3)]))
+@example("", (2,))
+@example("\r\n\n \t\r", (2,))
+@example("1 2\r\n\r\n+3\t-4\r5 6", (2,))
+@example(f"{2**60 - 1} {-(2**60) + 1}\n", (2,))
+@example(f"{2**60} 1\n", (2,))
+@example(f"1 {-(2**60)}\n", (2,))
+@example(f"1/{2**60 - 1} 2\n", (2,))
+@example(f"1/{2**60} 2\n", (2,))
+@example("3/4 -6/4\n0 1\n", (2,))
+@example("3/0 1\n", (2,))
+@example("1 2\n3 4 5\n", (2, 3))
+@example("1 é\n", (2,))
+@example("1 ٣\n", (2,))
+def test_table_reader_matches_line_reference(text, widths):
+    got = read_ratio_table(text, widths)
+    want = reference_ratio_table(text, widths)
+    if want is None:
+        assert got is None
+        return
+    num, den = got
+    assert num.dtype == np.int64 and num.tolist() == want[0]
+    assert den is None if want[1] is None else den.tolist() == want[1]
+    ints = read_int_table(text, widths)
+    assert (ints is None) if want[1] is not None else ints.tolist() == want[0]
+
+
+@pytest.mark.parametrize("tokens", [255, 256, 257, 258, 511, 512])
+def test_table_reader_counts_long_lines_exactly(tokens):
+    # a line's token count is summed in uint8, modulo 256, and checked
+    # against the total: a line of 256 tokens must not pass for a blank one,
+    # nor one of 258 for a line of 2; a table is at most 255 tokens wide
+    wide = " ".join(["1"] * tokens)
+    for text in (f"1 2\n{wide}\n", f"{wide}\n1 2\n"):
+        assert read_ratio_table(text, (2, tokens % 256)) is None
+    table = read_ratio_table(f"{wide}\r\n{wide}\r\n", (2, tokens % 256, tokens))
+    if tokens < 256:
+        assert table[0].shape == (2, tokens) and table[1] is None
+    else:
+        assert table is None
