@@ -263,10 +263,9 @@ def _split_bound(bounds: Sequence[int], pairs: Sequence[Pair]) -> int:
 
 
 def _gram(sides: np.ndarray, bound: int) -> tuple[list[int], list[list[int]]]:
-    """The row sums and the Gram matrix S S^T of one tree's sides S, an
-    R x edges array whose paired rows' products are at most ``bound`` <
-    2^62 in absolute value, exactly: one int64 einsum each while no sum can
-    wrap (edges * bound < 2^63), else every sum by ``_exact_sum``."""
+    """Exact row sums and Gram matrix S S^T of a tree's R x edges sides S,
+    paired products at most ``bound`` < 2^62: int64 einsum while edges *
+    bound < 2^63, else every sum by ``_exact_sum``."""
     if sides.dtype == object or sides.shape[1] * bound < 1 << 63:
         dtype = object if sides.dtype == object else np.int64
         gram = np.einsum("ri,si->rs", sides, sides, dtype=dtype)
@@ -283,14 +282,13 @@ def _split_sums(
     W(a, a) for a halved pair, as ``CutEngine.block_matrix`` gives one row
     per block.
 
-    ``sides[t]`` is an R x (edges of tree t) array in a dtype that
-    ``_exact_dtype(bound)`` allows: row r holds row r's sum on one side S1
-    of every edge, and ``totals[r]`` its total T, so that the other side is
-    S2 = T - S1.  A pair (i, j) of rows sums S1_i S2_j + S2_i S1_j =
-    T_j S1_i + T_i S1_j - 2 S1_i S1_j over the edges: W(i, j) of the tree,
-    and 2 S1_i S2_i for i = j.  So a tree takes its rows' sums and Gram
-    matrix (``_gram``), each product of two paired sides at most ``bound``
-    (``_split_bound``); a tree without edges has the empty sum 0.
+    Row r of ``sides[t]`` holds row r's sum on one side S1 of every edge
+    of tree t, in a dtype ``_exact_dtype(bound)`` allows, and ``totals[r]``
+    its total T, so the other side is S2 = T - S1.  A pair (i, j) sums
+    S1_i S2_j + S2_i S1_j = T_j S1_i + T_i S1_j - 2 S1_i S1_j over the
+    edges: W(i, j), and 2 S1_i S2_i for i = j, from the tree's row sums and
+    Gram matrix (``_gram``; ``bound`` from ``_split_bound``).  A tree
+    without edges has the empty sum 0.
     """
     columns = []
     for s in sides:
@@ -302,10 +300,9 @@ def _split_sums(
 
 
 def _subtree_sums(w: np.ndarray, child: np.ndarray, stop: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out``, shaped as w with a last axis of child.size + 1, with w's
-    sum over the child's subtree at every preorder place of
-    ``_euler_tour``, then w's total: one prefix sum along the preorder,
-    overwritten in place by the differences."""
+    """Fill ``out`` (w's shape, last axis child.size + 1) with w's sum over
+    the child's subtree at every preorder place of ``_euler_tour``, then
+    w's total: a prefix sum overwritten in place by the differences."""
     out[..., 0] = 0
     w.take(child, axis=-1, out=out[..., 1:], mode="clip")  # valid: "clip" is unbuffered
     out.cumsum(axis=-1, dtype=out.dtype, out=out)

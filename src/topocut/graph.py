@@ -567,10 +567,9 @@ def read_ratio_table(
         if (np.diff(owner) == 0).any():
             return None
         data = data.replace(b"/", b" ")
-    # A line runs from its break (a break starts no token) to the next.  Its
-    # count is summed in uint8, modulo 256, with no intp copy of the bytes:
-    # a count that wrapped is below the true one, so the sum of the counts,
-    # width per non-blank line, can reach the true total only if none did.
+    # Lines run from break to break; their token counts are summed in uint8
+    # (no intp copy), and a wrapped count is short, so width per non-blank
+    # line reaches the true total only if no count wrapped.
     lines = np.equal(kind, _BREAK, out=word)
     lines[0] = True
     tokens = np.add.reduceat(start.view(np.uint8), np.flatnonzero(lines), dtype=np.uint8)
