@@ -226,12 +226,11 @@ def _euler_tour(
     twin = np.empty(arcs, dtype=idx)  # CSR position -> its twin's position
     twin[where[:m]] = where[m:]
     twin[where[m:]] = where[:m]
-    del where
     # the tour goes on at the position after the twin, cyclically in its row
     ends = counts.cumsum(dtype=idx)
     succ = positions[1:].copy()
     succ[ends - 1] = ends - counts
-    del counts, ends
+    del where, counts, ends
     succ = succ.take(twin)  # only the cycle's arrays live through the walk
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
@@ -247,12 +246,11 @@ def _euler_tour(
     del rank, twin
     down = (later > positions[:-1]).nonzero()[0].astype(idx)  # preorder -> rank
     stop = later.take(down)  # place p + (rank of up arc - rank of down arc + 1) / 2
-    stop -= down
-    stop += 1
+    stop -= down - 1
     stop >>= 1
     stop += positions[:m]
     down = arc.take(tour.take(down))  # preorder -> down arc, whose head is its twin's tail
-    return down % m, tail.take(down + m, mode="wrap"), stop
+    return down % m, tail.take(down - m, mode="wrap"), stop
 
 
 def _split_bound(bounds: Sequence[int], pairs: Sequence[Pair]) -> int:
@@ -262,16 +260,16 @@ def _split_bound(bounds: Sequence[int], pairs: Sequence[Pair]) -> int:
     return max((bounds[i] * bounds[j] for i, j, _ in pairs), default=0)
 
 
-def _gram(sides: np.ndarray, bound: int) -> tuple[list[int], list[list[int]]]:
-    """Exact row sums and Gram matrix S S^T of a tree's R x edges sides S,
-    paired products at most ``bound`` < 2^62: int64 einsum while edges *
-    bound < 2^63, else every sum by ``_exact_sum``."""
+def _gram(sides: np.ndarray, pairs: Sequence[Pair], bound: int) -> tuple[list[int], list[int]]:
+    """Exact row sums of a tree's R x edges sides S and S_i.S_j per pair (i, j),
+    products at most ``bound`` < 2^62: from the int64 Gram matrix S S^T while
+    edges * bound < 2^63 (no pair reads an entry that may wrap), else by ``_exact_sum``."""
     if sides.dtype == object or sides.shape[1] * bound < 1 << 63:
         dtype = object if sides.dtype == object else np.int64
-        gram = np.einsum("ri,si->rs", sides, sides, dtype=dtype)
-        return sides.sum(axis=1, dtype=dtype).tolist(), gram.tolist()
-    gram = [[_exact_sum(np.multiply(x, y, dtype=np.int64), bound) for y in sides] for x in sides]
-    return [_exact_sum(x, bound) for x in sides], gram
+        gram = np.einsum("ri,si->rs", sides, sides, dtype=dtype).tolist()
+        return sides.sum(axis=1, dtype=dtype).tolist(), [gram[i][j] for i, j, _ in pairs]
+    dots = [_exact_sum(np.multiply(sides[i], sides[j], dtype=np.int64), bound) for i, j, _ in pairs]
+    return [_exact_sum(x, bound) for x in sides], dots
 
 
 def _split_sums(
@@ -287,15 +285,14 @@ def _split_sums(
     its total T, so the other side is S2 = T - S1.  A pair (i, j) sums
     S1_i S2_j + S2_i S1_j = T_j S1_i + T_i S1_j - 2 S1_i S1_j over the
     edges: W(i, j), and 2 S1_i S2_i for i = j, from the tree's row sums and
-    Gram matrix (``_gram``; ``bound`` from ``_split_bound``).  A tree
-    without edges has the empty sum 0.
+    products (``_gram``; ``bound`` from ``_split_bound``).  A tree without
+    edges has the empty sum 0.
     """
     columns = []
     for s in sides:
-        sums, gram = _gram(s, bound)
-        columns.append([
-            totals[j] * sums[i] + totals[i] * sums[j] - 2 * gram[i][j] for i, j, _ in pairs
-        ])
+        sums, dots = _gram(s, pairs, bound)
+        columns.append([totals[j] * sums[i] + totals[i] * sums[j] - 2 * dot
+                        for (i, j, _), dot in zip(pairs, dots)])
     return _int_array(columns)
 
 

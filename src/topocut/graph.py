@@ -487,9 +487,8 @@ def component_labels(n: int, eu: np.ndarray, ev: np.ndarray) -> tuple[int, np.nd
     return int(rank[-1]) + 1 if n else 0, rank[parent]
 
 
-# Byte classes of the integer-table reader, as a ``bytes.translate`` table:
-# 0 for a byte it leaves to ``token_lines``, then blank, line break, digit,
-# sign and the slash of p/q.
+# Byte classes of the integer-table reader, a ``bytes.translate`` table: 0 for
+# a byte it leaves to ``token_lines``, then blank, line break, digit, sign, slash.
 _BLANK, _BREAK, _DIGIT, _SIGN, _SLASH = 1, 2, 3, 4, 5
 _BYTE_CLASS = bytes(
     _BLANK if b in b" \t" else _BREAK if b in b"\n\r"  # str.splitlines breaks at both
@@ -532,11 +531,10 @@ def read_ratio_table(
     text ``read_int_table`` would not read but for its slashes.
 
     A few passes over the bytes: one class lookup (``bytes.translate``),
-    token starts where a digit or sign follows a blank or break, the token
-    count of each line by one ``np.add.reduceat`` of the starts from each
-    line break, and numpy's C reader for the values with each slash read as
-    a blank, whose count and range are checked (it clamps a value past
-    int64 rather than failing).
+    token starts where a digit or sign follows a blank or break, each line's
+    token count by one ``np.add.reduceat`` of the starts, and numpy's C reader
+    for the values with each slash read as a blank, whose count and range are
+    checked (it clamps a value past int64 rather than failing).
     """
     if not text.isascii():
         return None
@@ -550,12 +548,11 @@ def read_ratio_table(
     count = np.count_nonzero(start)
     if not count:
         return None
-    if b"+" in data or b"-" in data:
-        signs = np.flatnonzero(kind == _SIGN)  # each starting a token, before a digit
-        if signs[-1] == kind.size - 1 or not start[signs].all():
-            return None
-        if (kind[signs + 1] != _DIGIT).any():
-            return None
+    signs = np.flatnonzero(kind == _SIGN) if b"+" in data or b"-" in data else ()
+    if len(signs) and (  # each starting a token, before a digit
+        signs[-1] == kind.size - 1 or not start[signs].all() or (kind[signs + 1] != _DIGIT).any()
+    ):
+        return None
     slashes = np.flatnonzero(kind == _SLASH) if b"/" in data else ()
     if len(slashes):
         # a digit on each side, and one slash per token
@@ -567,14 +564,14 @@ def read_ratio_table(
         if (np.diff(owner) == 0).any():
             return None
         data = data.replace(b"/", b" ")
-    # Lines run from break to break; their token counts are summed in uint8
-    # (no intp copy), and a wrapped count is short, so width per non-blank
-    # line reaches the true total only if no count wrapped.
+    # Token counts per line (break to break) modulo 256, in uint8: no intp copy.
+    # A line that reads width holds at least width tokens, so width per such
+    # line is the total only if each holds width and every other line none.
     lines = np.equal(kind, _BREAK, out=word)
     lines[0] = True
     tokens = np.add.reduceat(start.view(np.uint8), np.flatnonzero(lines), dtype=np.uint8)
     width = int(tokens.max())
-    if width not in widths or width * np.count_nonzero(tokens) != count:
+    if width not in widths or width * np.count_nonzero(tokens == width) != count:
         return None
     values = np.fromstring(data, dtype=np.int64, sep=" ")
     if (

@@ -68,10 +68,8 @@ def _cell_array(cells: Sequence[tuple[int, int]]) -> np.ndarray:
     return arr
 
 
-def _grid_axis(values: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """One axis of the cells on a compact int64 grid starting at 0, and the
-    least value when the grid is the axis shifted by it (always for a
-    connected system, whose values leave no gap), else None.
+def _grid_axis(values: np.ndarray) -> np.ndarray:
+    """One axis of the cells on a compact int64 grid starting at 0.
 
     Gaps wider than 2 close to 2.  Cells two or more apart on one axis
     neither touch nor share a corner, and order along the axis is kept, so
@@ -79,28 +77,26 @@ def _grid_axis(values: np.ndarray) -> tuple[np.ndarray, int | None]:
     """
     lo = values.min()
     if values.max() - lo <= 2 * len(values):
-        return (values - lo).astype(np.int64, copy=False), int(lo)
+        return (values - lo).astype(np.int64, copy=False)
     uniq, inverse = np.unique(values, return_inverse=True)
     steps = np.minimum(np.diff(uniq), 2)
-    return np.concatenate(([0], np.cumsum(steps))).astype(np.int64)[inverse], None
+    return np.concatenate(([0], np.cumsum(steps))).astype(np.int64)[inverse]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class BenzenoidPlacement:
     """A set of hexagon cells in axial coordinates, stored sorted.
 
-    ``grid`` holds the cells sorted by (q, r), on the compact grid of
-    ``_grid_axis``, stored column by column so that each axis is a
-    contiguous array; the array routes work on it.  ``coords`` holds the
-    same cells in the same order as an (h, 2) array: int64, or Python ints
-    when some coordinate reaches 2^61.  ``_coords`` is that array, or the
-    (q, r) origin that moves the grid onto it, and then ``coords`` is built
-    on first use.  ``cells``, the cells as a tuple of (q, r) tuples, is
-    built on first use; equality and hashing go by it.
+    ``coords`` holds the cells as an (h, 2) array sorted by (q, r): int64,
+    or Python ints when some coordinate reaches 2^61.  ``grid`` holds the
+    same cells, in the same order, on the compact grid of ``_grid_axis``,
+    stored column by column so that each axis is a contiguous array; the
+    array routes work on it.  ``cells``, the cells as a tuple of (q, r)
+    tuples, is built on first use; equality and hashing go by it.
     """
 
+    coords: np.ndarray
     grid: np.ndarray
-    _coords: np.ndarray | tuple[int, int]
 
     @classmethod
     def of(cls, cells: Iterable[tuple[int, int]]) -> "BenzenoidPlacement":
@@ -114,25 +110,14 @@ class BenzenoidPlacement:
         compact grid, and reject an empty or repeated cell."""
         if not len(raw):
             raise PlacementError("placement has no cells")
-        (q, q0), (r, r0) = _grid_axis(raw[:, 0]), _grid_axis(raw[:, 1])
+        q, r = _grid_axis(raw[:, 0]), _grid_axis(raw[:, 1])
         key = q * (int(r.max()) + 1) + r
         order = np.argsort(key, kind="stable")  # adaptive: cells often come in sorted
         key = key.take(order)
         same = np.flatnonzero(key[1:] == key[:-1])
         if same.size:
             raise PlacementError(f"duplicate cell {tuple(raw[order[same[0] + 1]].tolist())}")
-        grid = np.stack((q.take(order), r.take(order))).T
-        shifted = q0 is not None and r0 is not None
-        return cls(grid, (q0, r0) if shifted else raw.take(order, axis=0))
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        if isinstance(self._coords, np.ndarray):
-            return self._coords
-        (q0, r0), (q, r) = self._coords, self.grid.max(axis=0).tolist()
-        # the dtype of _cell_array for the same cells
-        dtype = np.int64 if max(abs(q0), abs(q0 + q), abs(r0), abs(r0 + r)) < 1 << 61 else object
-        return self.grid.astype(dtype) + np.array((q0, r0), dtype=dtype)
+        return cls(raw.take(order, axis=0), np.stack((q.take(order), r.take(order))).T)
 
     @cached_property
     def cells(self) -> tuple[tuple[int, int], ...]:
@@ -572,11 +557,12 @@ class _Runs:
 
         Built in place: the top's subtree sum where the far half is 0, less
         S1, then negated where the far half is 1."""
-        h = below.size
+        h, lo = below.size, 0
         below.take(self.top_place, out=far, mode="clip")  # valid: "clip" is unbuffered
         np.copyto(far, 0, where=self.far_one)
-        for c, half in enumerate(half_ones):
-            np.subtract.at(far, self.run[c * h:(c + 1) * h], half)
+        for half in half_ones:  # not enumerate, whose reused tuple keeps the last one
+            np.subtract.at(far, self.run[lo:lo + h], half)
+            lo += h
             del half  # before the next class's sums are made
         np.subtract.at(far, self.hang_run, below.take(self.hang_place))
         np.negative(far, out=far, where=self.far_one)
@@ -704,9 +690,9 @@ def tree_block_matrix(
 ) -> tuple[np.ndarray, Weights]:
     """Every pair on each of the four quotient trees of ``quotient_trees``:
     a 4 x len(pairs) array of undivided W(x, y), with W(x, x) for a halved
-    pair, as ``CutEngine.block_matrix`` gives one row per block; and the
-    totals of the rows it sums, a one-column ``Weights`` whose scales
-    divide it back.
+    pair, as ``CutEngine.block_matrix`` gives one row per block; and a
+    ``Weights`` whose scales and Fraction flags divide it back (its rows,
+    one column of zeros, are not read).
 
     The pairs index the rows of a solve's weight matrix (``ROWS``): the
     ones, the degrees, then the rows of ``weights``, a weight matrix over
@@ -716,14 +702,13 @@ def tree_block_matrix(
     ones or the degrees is built per vertex: the ones sum to 6 on a hexagon
     and 3 on a half, the degrees to ``_DEGREE_SUMS`` of the direction
     mask, and both are whole, with scale 1.  A weight row keeps its scale
-    and bound, and its total is a Fraction where one of its entries is.
+    and bound, and its sums are Fractions where one of its entries is.
     """
     runs, ph = trees[0].runs, trees[0].phenylene
     h = ph.hexagon_count
-    totals, scales, bounds, flags = [ph.n, 2 * ph.m], (1, 1), (ph.n, 2 * ph.m), None
+    scales, bounds, flags = (1, 1), (ph.n, 2 * ph.m), None
     if weights is not None:
         corners = weights.rows.reshape(len(weights.scales), h, 6)
-        totals += weights.rows.sum(axis=1).tolist()
         scales, bounds = scales + weights.scales, bounds + weights.bounds
         if weights.fractions is not None:
             flags = np.array([[False], [False]] + [[f] for f in weights.fractional])
@@ -757,9 +742,8 @@ def tree_block_matrix(
     bounds_of = zip(runs.bounds[:-1], runs.bounds[1:])
     sides = [far[:, lo:hi] for lo, hi in bounds_of] + [below[:, :-1]]
     local = [(used.index(i), used.index(j), half) for i, j, half in pairs]
-    blocks = _split_sums(sides, [totals[r] for r in used], local, bound)
-    rows = np.array(totals, dtype=_exact_dtype(max(bounds))).reshape(-1, 1)
-    return blocks, Weights(rows, scales, bounds, flags)
+    blocks = _split_sums(sides, below[:, -1].tolist(), local, bound)
+    return blocks, Weights(np.zeros((len(scales), 1), dtype=np.int64), scales, bounds, flags)
 
 
 def dd_gut_via_trees(ph: Phenylene) -> tuple[int, int]:

@@ -37,7 +37,6 @@ from topocut.phenylene import (
     _DEGREE_SUMS,
     _HALF_OF,
     _Runs,
-    _cell_array,
     _cell_corners,
     _component_sums,
     _degree_sums,
@@ -487,9 +486,9 @@ def gram_dtypes(monkeypatch):
     logged: one call per tree."""
     real, calls = exact_module._gram, []
 
-    def logged(sides, bound):
+    def logged(sides, pairs, bound):
         calls.append(sides.dtype)
-        return real(sides, bound)
+        return real(sides, pairs, bound)
 
     monkeypatch.setattr(exact_module, "_gram", logged)
     return calls
@@ -523,11 +522,14 @@ def test_gram_on_each_side_of_its_sum_bound(length, wraps, monkeypatch):
     summed = []
     real = exact_module._exact_sum
     monkeypatch.setattr(exact_module, "_exact_sum", lambda t, b: summed.append(b) or real(t, b))
-    sums, gram = exact_module._gram(sides, bound)
-    assert gram[0][1] == gram[1][0] == -length * bound
+    pairs = [(0, 1, False), (1, 0, False)]
+    sums, dots = exact_module._gram(sides, pairs, bound)
+    assert dots == [-length * bound] * 2
     assert sums == [length * 2**31, -length * 2**30]
-    assert bool(summed) is wraps
-    assert exact_module._gram(sides.astype(object), bound)[1][0][1] == -length * bound
+    # past the bound, the two rows and the pairs' products only: S_0 . S_0
+    # (2^62 per edge) is formed by no pair
+    assert len(summed) == (4 if wraps else 0)
+    assert exact_module._gram(sides.astype(object), pairs, bound)[1] == [-length * bound] * 2
 
 
 def test_int64_kernel_sums_past_int64_exactly():
@@ -787,19 +789,6 @@ def distinct_cells(draw):
         (q + far, r) if axis == 0 and i < split else (q, r + far) if i < split else (q, r)
         for i, (q, r) in enumerate(cells)
     ]
-
-
-@given(distinct_cells())
-@example([(2**61 - 2, 0), (2**61 - 1, 0)])
-@example([(2**61 - 1, 0), (2**61, 0)])
-@example([(0, 0), (10**30, 1)])
-def test_placement_coords_from_the_grid_or_stored(cells):
-    # the cells come back sorted, as the grid moved by its origin or, where
-    # _grid_axis closed a gap, as the stored array, in _cell_array's dtype
-    placement = BenzenoidPlacement.of(cells)
-    want = _cell_array(sorted(cells))
-    assert placement.coords.dtype == want.dtype and placement.coords.tolist() == want.tolist()
-    assert list(placement.cells) == sorted(cells)
 
 
 @given(distinct_cells())
@@ -1199,12 +1188,13 @@ def test_tour_index_dtype_across_its_limit(monkeypatch):
 
 
 # The tracemalloc peak of a trees solve on a linear chain of 10^5 hexagons,
-# measured with numpy 2.4 and scipy 1.17 (10.97 MiB, after the per-solve
+# measured with numpy 2.4 and scipy 1.17 (10.21 MiB, after the per-solve
 # degree table and the per-pair split products went; 15.46 MiB before),
 # plus 10%.
-TREES_PEAK_BYTES = 12_656_000
+TREES_PEAK_BYTES = 11_776_000
 # The same for `compute --cells` on a linear chain of 5 * 10^4 hexagons, from
-# the placement text to the printed report (7.11 MiB; 10.45 MiB before).
+# the placement text to the printed report (7.49 MiB; 10.45 MiB before),
+# plus 4%.
 CELLS_PEAK_BYTES = 8_205_000
 
 

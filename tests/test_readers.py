@@ -441,9 +441,11 @@ def test_table_reader_matches_line_reference(text, widths):
 def test_table_reader_counts_long_lines_exactly(tokens):
     # a line's token count is summed in uint8, modulo 256, and checked
     # against the total: a line of 256 tokens must not pass for a blank one,
-    # nor one of 258 for a line of 2; a table is at most 255 tokens wide
+    # nor one of 258 for a line of 2, nor a wrapped line make up for short
+    # ones (2, then 256 lines of 1, then 256 or 258 tokens, totals 2 x 257
+    # and 2 x 258); a table is at most 255 tokens wide
     wide = " ".join(["1"] * tokens)
-    for text in (f"1 2\n{wide}\n", f"{wide}\n1 2\n"):
+    for text in (f"1 2\n{wide}\n", f"{wide}\n1 2\n", "0 1\n" + "1\n" * 256 + wide):
         assert read_ratio_table(text, (2, tokens % 256)) is None
     table = read_ratio_table(f"{wide}\r\n{wide}\r\n", (2, tokens % 256, tokens))
     if tokens < 256:
