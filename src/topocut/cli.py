@@ -90,14 +90,6 @@ class LoadedInput:
     descriptor: str
     weights: Weights | None = None
 
-    @property
-    def a(self) -> tuple[Weight, ...] | None:
-        return None if self.weights is None else self.weights.values(0)
-
-    @property
-    def b(self) -> tuple[Weight, ...] | None:
-        return None if self.weights is None else self.weights.values(1)
-
     @functools.cached_property
     def matrix(self) -> Weights:
         """The rows of ``cut_method.ROWS``: all ones, the degrees, then a and b."""
@@ -307,7 +299,7 @@ def _oracle_indices(loaded: LoadedInput) -> dict[str, Weight]:
         "gutman": gutman(g),
     }
     if loaded.weights is not None:
-        a, b = loaded.a, loaded.b
+        a, b = loaded.weights.values(0), loaded.weights.values(1)
         out["wiener_weighted"] = wiener_weighted(g, a)
         out["wiener_plus"] = wiener_plus(g, a)
         out["wiener_double"] = wiener_double(DoubleWeightedGraph(g, a, b))
@@ -413,8 +405,6 @@ def _compute_report(loaded: LoadedInput, method: str) -> Report:
         method = "trees"
     elif method == "auto":
         method = "hamming" if loaded.engine.partial_hamming else "cuts"
-    if method not in ROUTES:
-        raise UsageError(f"unknown method {method!r}")
     indices, breakdown = ROUTES[method](loaded, loaded.terms)
     return Report(loaded.descriptor, loaded.source.n, loaded.source.m, method, indices, breakdown)
 

@@ -70,19 +70,6 @@ def index_pairs(terms: TermNames) -> list[Pair]:
     return [(ROWS[x], ROWS[x if y is None else y], y is None) for x, y in terms.values()]
 
 
-def index_terms(
-    g: Graph, a: Sequence[Weight] | None = None, b: Sequence[Weight] | None = None
-) -> dict[str, Term]:
-    """The reported indices as weight pairs of vectors, in report order;
-    the weighted ones (``INDEX_TERMS`` over "a") only when ``a`` is given."""
-    vectors = {"1": (1,) * g.n, "deg": degree_vector(g), "a": a, "b": b}
-    return {
-        name: (vectors[x], None if y is None else vectors[y])
-        for name, (x, y) in INDEX_TERMS.items()
-        if a is not None or "a" not in (x, y)
-    }
-
-
 def term_pairs(terms: Sequence[Term]) -> tuple[Weights, list[Pair]]:
     """The terms' vectors as one :class:`Weights`, each distinct vector
     (by identity) one row, and each term as a pair of rows."""
@@ -107,7 +94,7 @@ def column_sums(values: np.ndarray) -> list[int]:
     top = int(np.abs(values).max())
     if len(values) * top < 1 << 63:
         return values.sum(axis=0).tolist()
-    return [_exact_sum(col, top) for col in values.T]
+    return [_exact_sum(col) for col in values.T]
 
 
 class CutEngine:
@@ -116,7 +103,7 @@ class CutEngine:
 
     Without ``partition`` the blocks are the theta*-classes: theta*'s label
     array is each edge's block (``block_of``), its core distance matrix is
-    kept for :meth:`block_values`, and ``partition`` is built only when
+    kept for :meth:`block_matrix`, and ``partition`` is built only when
     read.  The pendant trees then stay out of the contraction
     (``Graph.peel``).  Each of their edges is a bridge and a class of its
     own, so its quotient is K2, with sides the subtree below the edge and
@@ -144,7 +131,7 @@ class CutEngine:
 
     ``sizes`` and ``complete`` give each quotient's vertex count and
     whether it is complete, and ``quotient_edges`` one quotient's edges.
-    The components reach :meth:`block_values` only as the component sums
+    The components reach :meth:`block_matrix` only as the component sums
     of ``_leaf_sums``.
     """
 
@@ -382,19 +369,6 @@ class CutEngine:
             values[largest] = core - values[self._core_block >= 0].sum(axis=0)
         return values
 
-    def block_values(
-        self, terms: Sequence[Term], *, closed: bool = False
-    ) -> list[tuple[Weight, ...]]:
-        """Per block, every term on the quotient with component-summed
-        weights: :meth:`block_matrix` of the terms' vectors, each value
-        divided back (:class:`~topocut.exact.Weights`).  Exact for int and
-        Fraction weights."""
-        weights, pairs = term_pairs(terms)
-        return [
-            tuple(weights.divide(v, *pair) for v, pair in zip(row, pairs))
-            for row in self.block_matrix(weights, pairs, closed=closed).tolist()
-        ]
-
     def values(self, terms: Sequence[Term], *, closed: bool = False) -> list[Weight]:
         """Every term summed over the blocks: one exact column sum and one
         division per term.  Each block value of W*(x) is an even W(x, x),
@@ -481,7 +455,7 @@ def degree_distance_via_cuts(g: Graph, partition: EdgePartition) -> int:
     """Degree distance via quotients: weights a = degrees, b = 1."""
     if g.n == 1:
         return 0
-    return CutEngine(g, partition).values([index_terms(g)["degree_distance"]])[0]
+    return CutEngine(g, partition).values([(degree_vector(g), (1,) * g.n)])[0]
 
 
 def is_partial_cube(g: Graph, classes: ThetaClasses | None = None) -> bool:

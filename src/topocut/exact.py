@@ -176,12 +176,10 @@ def _exact_quotient(value: int, half: int, scale: int, fraction: bool) -> Weight
     return Fraction(value, half * scale)
 
 
-def _exact_sum(terms: np.ndarray, bound: int) -> int:
-    """Exact sum of fewer than 2^31 int64 entries of absolute value at most
-    ``bound`` < 2^62.  When the plain sum could overflow, the high and the
-    low 31 bits of the entries are summed apart, and neither sum can."""
-    if len(terms) * bound < 1 << 63:
-        return int(terms.sum())
+def _exact_sum(terms: np.ndarray) -> int:
+    """Exact sum of fewer than 2^31 int64 entries of absolute value below
+    2^62, whose plain sum may overflow: the high and the low 31 bits of the
+    entries are summed apart, and neither sum can."""
     return (int(np.sum(terms >> 31)) << 31) + int(np.sum(terms & 0x7FFFFFFF))
 
 
@@ -268,8 +266,8 @@ def _gram(sides: np.ndarray, pairs: Sequence[Pair], bound: int) -> tuple[list[in
         dtype = object if sides.dtype == object else np.int64
         gram = np.einsum("ri,si->rs", sides, sides, dtype=dtype).tolist()
         return sides.sum(axis=1, dtype=dtype).tolist(), [gram[i][j] for i, j, _ in pairs]
-    dots = [_exact_sum(np.multiply(sides[i], sides[j], dtype=np.int64), bound) for i, j, _ in pairs]
-    return [_exact_sum(x, bound) for x in sides], dots
+    dots = [_exact_sum(np.multiply(sides[i], sides[j], dtype=np.int64)) for i, j, _ in pairs]
+    return [_exact_sum(x) for x in sides], dots
 
 
 def _split_sums(

@@ -133,8 +133,9 @@ def gen_phenylene_chain(h: int, kinks: str | None = None) -> BenzenoidPlacement:
 
     The first two cells run east; from the third cell on, the kink pattern
     (length h-2) chooses the attachment: L keeps the direction, A+ and A-
-    turn by one lattice direction.  Patterns that make the chain collide
-    with or touch itself are rejected, naming the first cell that does.
+    turn by one lattice direction.  Patterns that make the chain touch
+    itself are rejected, naming the first cell that does; a chain touches
+    itself before it can collide (``_chain_fault``).
     The directions are a cumulative sum of the turns, and the cells a
     cumulative sum of the steps.
     """
@@ -150,25 +151,23 @@ def gen_phenylene_chain(h: int, kinks: str | None = None) -> BenzenoidPlacement:
         direction[1:] = np.cumsum([_TURNS[kink] for kink in pattern]) % 6
     cells = np.zeros((h, 2), dtype=np.int64)
     np.cumsum(_STEPS[direction], axis=0, out=cells[1:])
-    fault = _chain_fault(cells)
-    if fault is not None:
-        t, repeats = fault
-        if repeats:
-            raise PlacementError(f"kink pattern collides at cell {t + 1}")
+    t = _chain_fault(cells)
+    if t is not None:
         raise PlacementError(f"kink pattern makes cell {t + 1} touch the chain")
     return BenzenoidPlacement._from_array(cells)
 
 
-def _chain_fault(cells: np.ndarray) -> tuple[int, bool] | None:
-    """The first cell, in chain order, that repeats an earlier cell or
-    touches an earlier cell other than its predecessor, and whether it
-    repeats one; None for a valid chain.
+def _chain_fault(cells: np.ndarray) -> int | None:
+    """The first cell, in chain order, that touches an earlier cell other
+    than its predecessor; None for a valid chain.
 
-    One stable sort of the cells' keys serves both tests: a cell repeats an
-    earlier one when it is not first among its equal keys, and a binary
-    search finds, per cell and per direction, the earliest cell next to it.
-    Three directions find every neighbouring pair once.  A pair whose later
-    cell is not the earlier one's successor makes the later cell touch.
+    A chain never repeats a cell before some cell touches: if cell t + 1
+    repeats cell s, then cell t lies next to s, and s is not t - 1, since
+    two steps turning by at most 60 degrees never cancel.  So cell t
+    touches first.  One stable sort of the cells' keys and a binary search
+    find, per cell and per direction, the earliest cell next to it; three
+    directions find every neighbouring pair once.  A pair whose later cell
+    is not the earlier one's successor makes the later cell touch.
     """
     q = cells[:, 0] - cells[:, 0].min() + 1
     r = cells[:, 1] - cells[:, 1].min() + 1
@@ -176,10 +175,8 @@ def _chain_fault(cells: np.ndarray) -> tuple[int, bool] | None:
     keys = q * width + r
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
-    repeats = np.zeros(len(keys), dtype=bool)
-    repeats[order[1:][ordered[1:] == ordered[:-1]]] = True
-    late = [np.flatnonzero(repeats)]
     cell = np.arange(len(keys))
+    late = []
     for dq, dr in NEIGHBOR_OFFSETS[:3]:
         wanted = keys + dq * width + dr
         at = np.minimum(np.searchsorted(ordered, wanted), len(keys) - 1)
@@ -188,10 +185,7 @@ def _chain_fault(cells: np.ndarray) -> tuple[int, bool] | None:
         later = np.maximum(a, b)
         late.append(later[np.minimum(a, b) < later - 1])
     late = np.concatenate(late)
-    if not late.size:
-        return None
-    t = int(late.min())
-    return t, bool(repeats[t])
+    return int(late.min()) if late.size else None
 
 
 # Frozen six-hexagon reference system: inner dual is a five-vertex path with a

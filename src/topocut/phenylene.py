@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cut_method import INDEX_TERMS, column_sums, column_values, index_pairs, term_pairs
-from .exact import (
+from .exact import (  # NotATreeError is re-exported: the tree routines raise it
     NotATreeError, Pair, Weights, _euler_tour, _exact_dtype, _split_bound, _split_sums,
     _subtree_sums, _tree_sums, scale_weights,
 )
@@ -43,7 +43,7 @@ from .graph import (
     read_int_table, token_lines,
 )
 from .indices import Weight, check_weights
-from .theta import QuotientGraph, quotient
+from .theta import QuotientGraph, _quotient, quotient
 
 # Corner k of a cell centred at (X, Y) is (X, Y) + CORNER_OFFSETS[k].
 # Hexagon edge k joins corners k and k+1 (mod 6) and has direction k % 3 + 1.
@@ -409,25 +409,6 @@ def tree_wiener_linear(tree: Graph, w: Sequence[Weight]) -> Weight:
 # ------------------------------------------------------ structural quotients
 
 
-def _quotient(
-    n: int, keep_u: np.ndarray, keep_v: np.ndarray, cut_u: np.ndarray, cut_v: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Quotient by the edges (cut_u, cut_v) of the graph on n vertices that
-    also has the edges (keep_u, keep_v), components numbered by smallest
-    vertex.  Returns the component count, the component of every vertex
-    and the quotient's edges (qu < qv), sorted; ``_euler_tour`` checks
-    that they form a tree.
-    """
-    ncomp, labels = component_labels(n, keep_u, keep_v)
-    cu, cv = labels[cut_u], labels[cut_v]
-    if np.any(cu == cv):
-        raise NotATreeError("edge class does not separate its components")
-    # a stable sort is adaptive: the codes come in nearly sorted
-    codes = np.sort(np.minimum(cu, cv) * ncomp + np.maximum(cu, cv), kind="stable")
-    codes = codes[np.flatnonzero(np.diff(codes, prepend=-1))]
-    return ncomp, labels, codes // ncomp, codes % ncomp
-
-
 def _component_sums(labels: np.ndarray, ncomp: int, w: np.ndarray) -> np.ndarray:
     """Per-component totals of w in w's own dtype; an int64 w must keep
     sum|w| below 2^63 (``Weights`` keeps it below 2^62, and the
@@ -769,8 +750,7 @@ def dd_gut_via_squeeze(cells: Iterable[tuple[int, int]]) -> tuple[int, int]:
     pairs = [(0, 1, False), (0, 0, True)]  # W(x, w) and W(x, x) = 2 W*(x)
     blocks = [_tree_sums(h, di, dj, scale_weights(np.stack((w3, w4))), pairs)]
     for c in (1, 2, 3):
-        cut = benz._direction == c
-        ncomp, labels, qu, qv = _quotient(n, eu[~cut], ev[~cut], eu[cut], ev[cut])
+        ncomp, labels, qu, qv = _quotient(n, eu, ev, benz._direction == c)
         sums = np.stack([_component_sums(labels, ncomp, w) for w in (w1, w2)])
         blocks.append(_tree_sums(ncomp, qu, qv, scale_weights(sums), pairs))
     dd, gut = column_sums(np.concatenate(blocks))

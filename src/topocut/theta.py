@@ -87,18 +87,14 @@ _FIRST_BLOCK = 8
 _BLOCK_GROWTH = 4
 
 
-def theta_star_classes(
-    g: Graph, d: Sequence[Sequence[int]] | np.ndarray | None = None
-) -> ThetaClasses:
+def theta_star_classes(g: Graph) -> ThetaClasses:
     """Theta*-classes (:func:`_theta_labels`) as the tuples of a
-    :class:`ThetaClasses`; ``d`` may be the distance matrix of G or its rows."""
-    labels = _theta_labels(g, d)[0]
+    :class:`ThetaClasses`."""
+    labels = _theta_labels(g)[0]
     return ThetaClasses(_groups(labels), tuple(labels.tolist()))
 
 
-def _theta_labels(
-    g: Graph, d: Sequence[Sequence[int]] | np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _theta_labels(g: Graph) -> tuple[np.ndarray, np.ndarray | None]:
     """Each edge's theta*-class, classes numbered by their smallest edge, by
     Feder's spanning-tree restriction of theta on the 2-core only; and the
     core distance matrix it ran on (None when the core has no edge).
@@ -107,9 +103,9 @@ def _theta_labels(
     of its own: Theta-related edges lie in one biconnected component
     (W. Imrich and S. Klavzar, "Product Graphs", 2000).  So the pendant trees
     are peeled first (``Graph.peel``), and theta* runs on the 2-core with
-    the core's own distance matrix, or ``d`` restricted to the core.  The
-    core is isometric, as no shortest path between two core vertices enters
-    a pendant tree.  A tree's core is one vertex, and it needs no distances.
+    the core's own distance matrix.  The core is isometric, as no shortest
+    path between two core vertices enters a pendant tree.  A tree's core is
+    one vertex, and it needs no distances.
 
     Theta* is the transitive closure of theta restricted to pairs with one
     edge in a fixed spanning tree T (T. Feder, "Product graph
@@ -130,11 +126,9 @@ def _theta_labels(
         local = np.empty(g.n, dtype=np.intp)
         local[core] = np.arange(core.size)
         h = Graph(core.size, local[g.edge_array[core_edges]], validate=False)
-        if d is not None:
-            d = np.asarray(d)[np.ix_(core, core)]
     core_distances = None
     if h.m:
-        core_distances = distance_matrix(h) if d is None else np.asarray(d)
+        core_distances = distance_matrix(h)
         links[core_edges] = core_edges[_feder_links(h.edge_array, core_distances)]
     # classes numbered by their smallest edge
     return np.unique(links, return_inverse=True)[1], core_distances
@@ -232,13 +226,27 @@ def quotient(g: Graph, f: Iterable[int]) -> QuotientGraph:
     if f and not (0 <= f[0] and f[-1] < g.m):
         bad = f[0] if f[0] < 0 else f[bisect_left(f, g.m)]
         raise GraphError(f"unknown edge index {bad}")
-    keep = np.ones(g.m, dtype=bool)
-    keep[f] = False
-    count, labels = component_labels(g.n, *g.edge_array[keep].T)
-    lo, hi = np.sort(labels[g.edge_array[f]].reshape(-1, 2), axis=1).T
-    codes = np.unique((lo * count + hi)[lo != hi])  # cross edges, sorted, once each
-    qg = Graph(count, np.column_stack(np.divmod(codes, count)), require_connected=g.connected)
+    cut = np.zeros(g.m, dtype=bool)
+    cut[f] = True
+    count, labels, qu, qv = _quotient(g.n, *g.edge_array.T, cut)
+    qg = Graph(count, np.column_stack((qu, qv)), require_connected=g.connected)
     return QuotientGraph(qg, tuple(labels.tolist()), _groups(labels))
+
+
+def _quotient(
+    n: int, eu: np.ndarray, ev: np.ndarray, cut: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Quotient by the edges where ``cut`` holds of the graph on n vertices
+    with edges (eu, ev): the component count, each vertex's component
+    (numbered by smallest vertex) and the cross edges (qu < qv), sorted and
+    once each."""
+    count, labels = component_labels(n, eu[~cut], ev[~cut])
+    cu, cv = labels[eu[cut]], labels[ev[cut]]
+    codes = np.minimum(cu, cv) * count + np.maximum(cu, cv)
+    # a stable sort is adaptive: the codes often come in nearly sorted
+    codes = np.sort(codes[cu != cv], kind="stable")
+    codes = codes[np.flatnonzero(np.diff(codes, prepend=-1))]
+    return count, labels, codes // count, codes % count
 
 
 def format_classes(g: Graph, classes: ThetaClasses) -> str:

@@ -152,6 +152,43 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     assert "MISMATCH" in out or "MISMATCH" in err
 
 
+def test_verify_random_failure_prints_the_graph(capsys, monkeypatch):
+    # the first random graph whose routes disagree with the oracle ends the
+    # run with exit 4, its descriptor and its edge list on stderr
+    real = cli._oracle_indices
+
+    def bogus(loaded):
+        out = real(loaded)
+        out["wiener"] += 1
+        return out
+
+    monkeypatch.setattr(cli, "_oracle_indices", bogus)
+    code, out, err = run(capsys, "verify", "--random", "3", "--max-n", "8", "--seed", "2")
+    assert code == 4 and "all agree" not in out
+    first, _, edges = err.partition("\n")
+    assert first.startswith("verification failed on random graph n=")
+    n, m = (int(part.split("=")[1]) for part in first.split()[-3:-1])
+    g = parse_edge_list(edges)
+    assert (g.n, g.m) == (n, m)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "give exactly one of --class-index or --edges"),
+    (["--class-index", "0", "--edges", "0-1"], "give exactly one of --class-index or --edges"),
+    (["--edges", "0-x"], "bad edge spec '0-x', expected 'u-v'"),
+])
+def test_quotient_selection_errors_exit_1(argv, message, capsys):
+    code, out, err = run(capsys, "quotient", "--family", "cycle", "--n", "6", *argv)
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
+def test_generate_needs_a_family_or_cells(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text("0 1\n")
+    code, out, err = run(capsys, "generate", str(f))
+    assert (code, out, err) == (1, "", "usage error: generate needs --family or --cells\n")
+
+
 def test_reduce_step_log(capsys):
     code, out, _ = run(capsys, "reduce", "--family", "complete_bipartite", "--n", "2,3")
     assert code == 0
@@ -561,7 +598,7 @@ def test_bad_weights_file_exits_2_for_every_input_source(tmp_path, capsys, sourc
 def test_trees_route_reports_weighted_indices_like_the_oracle(tmp_path):
     checked = 0
     for loaded, _ in loaded_inputs(tmp_path):
-        if loaded.phenylene is None or loaded.a is None:
+        if loaded.phenylene is None or loaded.weights is None:
             continue
         oracle = cli._oracle_indices(loaded)
         for method in ("trees", "auto"):
@@ -704,7 +741,7 @@ def test_every_route_agrees_with_the_oracle_in_value_and_json_type(case):
             assert code == 0, method
             reports[method] = json.loads(out.getvalue())
     oracle = reports.pop("oracle")["indices"]
-    assert len(oracle) == (6 if loaded.a is not None else 3)
+    assert len(oracle) == (6 if loaded.weights is not None else 3)
     for method, report in reports.items():
         indices = report["indices"]
         if report["method"] == "hamming":

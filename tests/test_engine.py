@@ -21,7 +21,6 @@ from topocut.cli import main
 from topocut.cut_method import (
     CutEngine,
     column_values,
-    index_terms,
     is_partial_cube,
     term_pairs,
     wiener_double_via_cuts,
@@ -35,7 +34,9 @@ from topocut.families import (
     random_connected_graph,
     windmill_graph,
 )
-from topocut.graph import Graph, GraphError, all_pairs_distances, distance_matrix, format_edge_list
+from topocut.graph import (
+    Graph, GraphError, all_pairs_distances, degree_vector, distance_matrix, format_edge_list,
+)
 from topocut.hamming import is_partial_hamming, weighted_wiener_lower_bound
 from topocut.indices import DoubleWeightedGraph, _wiener_double, wiener_weighted
 from topocut.theta import PartitionError, quotient, theta_star_classes, validate_coarser
@@ -83,6 +84,26 @@ WEIGHTS = {
 }
 
 
+def report_terms(g, a, b):
+    """The six reported indices as weight pairs of vectors, in report order."""
+    ones, degs = (1,) * g.n, degree_vector(g)
+    return {
+        "wiener": (ones, None),
+        "degree_distance": (degs, ones),
+        "gutman": (degs, None),
+        "wiener_weighted": (a, None),
+        "wiener_plus": (a, ones),
+        "wiener_double": (a, b),
+    }
+
+
+def block_matrices(engines, terms, closed=False):
+    """Each engine's undivided block values of ``terms`` as nested lists,
+    on one ``Weights`` of the terms' vectors."""
+    weights, pairs = term_pairs(terms)
+    return [e.block_matrix(weights, pairs, closed=closed).tolist() for e in engines]
+
+
 def oracle_values(g, a, b):
     d = all_pairs_distances(g)
     degs = tuple(len(r) for r in g.adj)
@@ -102,7 +123,7 @@ def oracle_values(g, a, b):
 def test_engine_matches_oracle(kind, g, data):
     a = data.draw(st.tuples(*[WEIGHTS[kind]] * g.n))
     b = data.draw(st.tuples(*[WEIGHTS[kind]] * g.n))
-    terms = index_terms(g, a, b)
+    terms = report_terms(g, a, b)
     want = oracle_values(g, a, b)
     partitions = [None]
     if g.m:
@@ -120,14 +141,13 @@ def test_engine_with_pendant_trees_matches_oracle(kind, g, data):
     # oracle, and block for block against the whole contraction
     a = data.draw(st.tuples(*[WEIGHTS[kind]] * g.n))
     b = data.draw(st.tuples(*[WEIGHTS[kind]] * g.n))
-    terms = index_terms(g, a, b)
+    terms = report_terms(g, a, b)
     engine = CutEngine(g)
     assert dict(zip(terms, engine.values(list(terms.values())))) == oracle_values(g, a, b)
     whole = CutEngine(g, validate_coarser(g, engine.partition.blocks))
     for closed in (False, True):
-        assert engine.block_values(list(terms.values()), closed=closed) == whole.block_values(
-            list(terms.values()), closed=closed
-        )
+        mine, wanted = block_matrices((engine, whole), list(terms.values()), closed)
+        assert mine == wanted
     assert_engine_matches_dfs(engine)
 
 
@@ -141,7 +161,6 @@ def test_fractions_on_pendant_vertices_only_stay_fractions():
     got = engine.values([(a, None), (a, (1,) * 7)])
     assert got == [wiener_weighted(g, a), _wiener_double(g, a, (1,) * 7)]
     assert all(isinstance(v, Fraction) for v in got)
-    assert all(isinstance(v, Fraction) for row in engine.block_values([(a, None)]) for v in row)
 
 
 def test_given_classes_that_join_a_pendant_edge_are_contracted_whole():
@@ -214,19 +233,19 @@ def test_subtracted_block_matches_its_quotient(kind, g, data):
     # the whole contraction of the same blocks computes
     a = data.draw(st.tuples(*[WEIGHTS[kind]] * g.n))
     b = data.draw(st.tuples(*[WEIGHTS[kind]] * g.n))
-    terms = list(index_terms(g, a, b).values())
+    weights, pairs = term_pairs(list(report_terms(g, a, b).values()))
     sizes = []
     real = cut_method.distance_matrix
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cut_method, "distance_matrix", lambda q: sizes.append(q.n) or real(q))
         engine = CutEngine(g)
-        got = engine.block_values(terms)
+        got = engine.block_matrix(weights, pairs)
     open_blocks = engine.complete.count(False)
     assert open_blocks >= 2
     assert len(sizes) == open_blocks - 1  # every open block but the largest
     whole = CutEngine(g, validate_coarser(g, engine.partition.blocks))
-    assert got == whole.block_values(terms)
-    assert [sum(col) for col in zip(*got)] == list(oracle_values(g, a, b).values())
+    assert got.tolist() == whole.block_matrix(weights, pairs).tolist()
+    assert column_values(got, weights, pairs) == list(oracle_values(g, a, b).values())
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction"])
@@ -244,8 +263,8 @@ def test_engine_on_theta_labels_matches_the_validated_classes(kind, g, data):
     assert engine.sizes == given.sizes and engine.complete == given.complete
     for i in range(len(engine.sizes)):
         assert engine.quotient_edges(i).tolist() == given.quotient_edges(i).tolist()
-    terms = list(index_terms(g, a, b).values())
-    assert engine.block_values(terms) == given.block_values(terms)
+    mine, wanted = block_matrices((engine, given), list(report_terms(g, a, b).values()))
+    assert mine == wanted
 
 
 def test_compute_builds_no_edge_tuples_and_reduce_no_engine(tmp_path, capsys, monkeypatch):
@@ -348,11 +367,12 @@ def test_core_db_across_the_int64_guard(past, monkeypatch):
     monkeypatch.setattr(cut_method, "_exact_dtype", recorded)
     engine = CutEngine(g)
     assert engine.complete.count(False) == 2
-    terms = [(a, b), (a, None)]
-    got = engine.block_values(terms)
+    weights, pairs = term_pairs([(a, b), (a, None)])
+    got = engine.block_matrix(weights, pairs)
     assert dtypes[0] is (object if past else np.int64)
-    assert got == CutEngine(g, validate_coarser(g, engine.partition.blocks)).block_values(terms)
-    assert [sum(col) for col in zip(*got)] == [_wiener_double(g, a, b), wiener_weighted(g, a)]
+    whole = CutEngine(g, validate_coarser(g, engine.partition.blocks))
+    assert got.tolist() == whole.block_matrix(weights, pairs).tolist()
+    assert column_values(got, weights, pairs) == [_wiener_double(g, a, b), wiener_weighted(g, a)]
 
 
 @pytest.mark.parametrize("past", [0, 1])
@@ -677,7 +697,7 @@ for method in ("auto", "oracle"):
 
 def engine_labels(engine):
     """Each block's component of every vertex, read from the leaf sums that
-    ``block_values`` reads: with one indicator column per vertex, a block's
+    ``block_matrix`` reads: with one indicator column per vertex, a block's
     rows hold the 1 of each vertex in the row of its component.  The rows
     are renumbered by smallest vertex, as quotient() numbers components; a
     pendant block's rows are the side below its edge, then the rest."""
@@ -1031,7 +1051,5 @@ def test_quotient_matches_components_reference(g, data):
 
 @given(connected_graphs(min_n=2, max_n=12))
 def test_is_partial_cube_reuses_given_classes(g):
-    d = distance_matrix(g)
-    classes = theta_star_classes(g, d)
+    classes = theta_star_classes(g)
     assert is_partial_cube(g, classes) == is_partial_cube(g)
-    assert theta_star_classes(g, all_pairs_distances(g)) == classes

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -41,6 +41,8 @@ def test_basic_generators():
 def test_gen_basic_dispatch():
     assert gen_basic("cycle", 6).m == 6
     assert gen_basic("complete_bipartite", 2).m == 4
+    for n, seed in ((1, 0), (7, 3), (20, 11)):
+        assert gen_basic("random", n, seed=seed).edges == random_connected_graph(n, seed=seed).edges
     with pytest.raises(GraphError, match="unknown family"):
         gen_basic("mystery", 3)
 
@@ -54,6 +56,15 @@ def test_generator_bounds():
         hypercube_graph(0)
     with pytest.raises(GraphError):
         gen_house(1)
+    for build, message in (
+        (lambda: complete_graph(0), "complete graph needs n >= 1"),
+        (lambda: complete_bipartite_graph(0, 2), "complete bipartite graph needs both sides nonempty"),
+        (lambda: star_graph(1), "star needs n >= 2"),
+        (lambda: windmill_graph(0), "windmill needs k >= 1"),
+        (lambda: random_connected_graph(0), "random graph needs n >= 1"),
+    ):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            build()
 
 
 def test_random_connected_deterministic():
@@ -217,14 +228,24 @@ def test_chain_generator_matches_loop_on_failures():
     assert failures > 50
 
 
-def test_chain_fault_names_a_repeat_before_a_touch():
-    # a kink pattern touches the chain before it can repeat a cell, so the
-    # repeat is tested on a cell array directly: cell 3 repeats cell 0 and
-    # also touches cell 1
-    cells = np.array([(0, 0), (1, 0), (5, 5), (0, 0)])
-    assert _chain_fault(cells) == (3, True)
-    assert _chain_fault(cells[:3]) is None
-    assert _chain_fault(np.array([(0, 0), (1, 0), (1, 1), (0, 1)])) == (3, False)
+def test_chain_fault_names_the_first_touch():
+    # the first touching cell in chain order; a kink pattern touches the
+    # chain before it can repeat a cell (test_chain_faults_by_exhaustion)
+    assert _chain_fault(np.array([(0, 0), (1, 0), (1, 1), (0, 1)])) == 3
+    assert _chain_fault(np.array([(0, 0), (1, 0), (1, 1)])) is None
+
+
+def test_chain_faults_by_exhaustion():
+    # every kink pattern for 3 <= h <= 10 (9,840 patterns) fails or passes
+    # as the cell-by-cell reference does, and none collides before touching
+    outcomes = 0
+    for h in range(3, 11):
+        for kinks in map("".join, product(("L", "A+", "A-"), repeat=h - 2)):
+            got = _chain_outcome(gen_phenylene_chain, h, kinks)
+            assert got == _chain_outcome(reference_phenylene_chain, h, kinks), (h, kinks)
+            assert not (isinstance(got[0], type) and "collides" in got[1]), (h, kinks)
+            outcomes += 1
+    assert outcomes == 9840
 
 
 def test_parse_kinks_formats():

@@ -118,6 +118,14 @@ def test_uniform_class_correction_closed_form():
     assert corr == 2 * k1 * k2 * 4 * 3
 
 
+@pytest.mark.parametrize("reduce_once", [reduce_once_r, reduce_once_s])
+@pytest.mark.parametrize("c", [-1, 4])
+def test_reduce_once_rejects_a_vertex_out_of_range(reduce_once, c):
+    ones = (1,) * 4
+    with pytest.raises(GraphError, match=f"^vertex {c} out of range$"):
+        reduce_once(DoubleWeightedGraph(complete_graph(4), ones, ones), c)
+
+
 def test_reduce_once_s_cliques():
     k3 = complete_graph(3)
     ones3 = (1,) * 3

@@ -8,7 +8,7 @@ import topocut.cut_method as cut_method
 import topocut.graph as graph_module
 import topocut.theta as theta
 
-from topocut.cut_method import CutEngine, index_terms, is_partial_cube
+from topocut.cut_method import CutEngine, is_partial_cube
 from topocut.graph import Graph, all_pairs_distances, distance_matrix
 from topocut.theta import (
     PartitionError,
@@ -186,7 +186,6 @@ def test_array_theta_star_equals_pairwise_loop_larger(g):
 def test_theta_star_with_pendant_trees_equals_pairwise_loop(g):
     # the peeled edges are singletons; theta* runs on the 2-core alone
     assert theta_star_classes(g) == _theta_star_pairwise(g)
-    assert theta_star_classes(g, all_pairs_distances(g)) == _theta_star_pairwise(g)
 
 
 def _ladder(k):
@@ -330,14 +329,14 @@ def test_pendant_trees_need_no_distances(monkeypatch):
     sizes = _count_distance_matrices(monkeypatch)
     for g in (random_connected_graph(300, seed=4), path_graph(40), Graph(1, []), path_graph(2)):
         assert theta_star_classes(g).classes == tuple((e,) for e in range(g.m))
-        CutEngine(g).values(list(index_terms(g).values()))
+        CutEngine(g).values([((1,) * g.n, None)])
     assert sizes == []
     # an odd cycle with paths hanging: theta* sees the 9-vertex core only,
     # and the one non-complete quotient is found from theta*'s core matrix
     edges = [(v, (v + 1) % 9) for v in range(9)]
     edges += [(0, 9), (9, 10), (10, 11), (4, 12), (12, 13), (12, 14)]
     g = Graph(15, edges)
-    CutEngine(g).values(list(index_terms(g).values()))
+    CutEngine(g).values([((1,) * g.n, None)])
     assert sizes == [9]
 
 
@@ -498,7 +497,7 @@ def partial_cube_reference(g):
         return False
     d = distance_matrix(g)
     ends = g.edge_array
-    for cls in theta_star_classes(g, d).classes:
+    for cls in theta_star_classes(g).classes:
         u, v = ends[list(cls)].T
         delta = d[u] - d[v]
         if not (delta[:, u] != delta[:, v]).all():
