@@ -111,9 +111,9 @@ class CutEngine:
     A pendant vertex lies in the same component of G - F_i as its core
     vertex for every core block i, so a core quotient's component sums are
     those of the core with each core vertex carrying its hanging subtree
-    (:meth:`_fold`).  Components stay numbered by the smallest original
-    vertex: the core vertices are ranked by the smallest vertex of their
-    subtrees.  A given ``partition`` is contracted whole.
+    (:meth:`_fold`).  The core keeps theta*'s order (``Peel.core_ends``),
+    and a pendant block's value comes from the folded sums at its vertex
+    alone.  A given ``partition`` is contracted whole.
 
     The blocks are numbered 0..k-1 and contracted by halving the block range
     in L = ceil(log2 k) levels.  Before level l every range R of blocks (the
@@ -125,9 +125,10 @@ class CutEngine:
     child's super-vertices.  A connected range with |E_R| edges has at most
     |E_R| + 1 super-vertices, so a level costs O(m + 2^l) and the pass
     O(m log k).  The leaves' super-vertices are the components of G - F_i,
-    numbered by smallest original vertex, as in
-    :func:`~topocut.theta.quotient`.  Only the per-level label maps are
-    kept, never a k x n table.
+    numbered by smallest contracted vertex: by smallest vertex, as in
+    :func:`~topocut.theta.quotient`, when the whole graph is contracted,
+    and by smallest core vertex otherwise.  Only the per-level label maps
+    are kept, never a k x n table.
 
     ``sizes`` and ``complete`` give each quotient's vertex count and
     whether it is complete, and ``quotient_edges`` one quotient's edges.
@@ -136,7 +137,6 @@ class CutEngine:
     """
 
     def __init__(self, g: Graph, partition: EdgePartition | None = None):
-        n, ends = g.n, g.edge_array
         self._core_distances = None  # theta*'s, rows in g.peel.core order
         if partition is None:
             block_of, self._core_distances = _theta_labels(g)
@@ -155,27 +155,22 @@ class CutEngine:
             owner = block_of[peel.edge]
             pendant[owner] = True
             self._peeled = peel.order
-            self._up = np.arange(n)  # each vertex's parent; core vertices their own
+            self._up = np.arange(g.n)  # each vertex's parent; core vertices their own
             self._up[peel.order] = peel.parent
             self._pendant_vertex = peel.order[np.argsort(owner)]  # per pendant block
-        core_k = k - int(pendant.sum())
-        if self._peeled is not None:
             # core blocks renumbered 0..core_k-1 in order; pendant blocks -1
             self._core_block = np.where(pendant, -1, np.cumsum(~pendant) - 1)
-            # core vertices ranked by the smallest vertex of their subtrees
-            low = self._fold(np.arange(n)[None], np.minimum)[0]
-            self._core_vertices = peel.core[np.argsort(low[peel.core])]
-            rank = np.empty(n, dtype=np.int64)
-            rank[self._core_vertices] = np.arange(peel.core.size)
-            eu, ev = rank[ends[peel.core_edges]].T
+            eu, ev = peel.core_ends.T
             block_of = self._core_block[block_of[peel.core_edges]]
+            vertices = peel.core.size
         else:
             self._core_block = np.arange(k)
-            self._core_vertices = np.arange(n)
-            eu, ev = (e.astype(np.int64) for e in ends.T)
+            eu, ev = g.edge_array.T
+            vertices = g.n
+        self._core_ids = np.flatnonzero(~pendant)  # the block of each core block
+        core_k = self._core_ids.size
         depth = max(core_k - 1, 0).bit_length()  # ceil(log2 k)
-        # the block range of each super-vertex
-        ranges = np.zeros(self._core_vertices.size, dtype=np.int64)
+        ranges = np.zeros(vertices, dtype=np.int64)  # the block range of each super-vertex
         self._maps = []  # per level: the child super-vertex of copy 2s + c
         for level in range(depth):
             bit = (block_of >> (depth - level - 1)) & 1
@@ -189,38 +184,28 @@ class CutEngine:
             child_ranges[labels] = 2 * ranges[copies >> 1] + (copies & 1)
             ranges = child_ranges
         # Within one range, super-vertices are numbered in the order of their
-        # smallest vertex: true of the ranked core vertices, and kept by every
-        # level, as component_labels numbers each child by its smallest copy
-        # 2s + c.  So a stable sort by range lists every block's quotient
-        # vertices in quotient()'s order; ranges past the last core block
-        # hold no block and sort last.
+        # smallest contracted vertex, as every level keeps: component_labels
+        # numbers each child by its smallest copy 2s + c.  So a stable sort
+        # by range lists every block's quotient vertices in that order;
+        # ranges past the last core block hold no block and sort last.
         self._order = np.argsort(ranges, kind="stable")
-        self._position = np.empty(ranges.size, dtype=np.int64)
-        self._position[self._order] = np.arange(ranges.size)
-        core_sizes = np.bincount(ranges, minlength=core_k)[:core_k]
-        self._starts = np.concatenate(([0], np.cumsum(core_sizes)))
+        position = np.empty(ranges.size, dtype=np.int64)
+        position[self._order] = np.arange(ranges.size)
+        sizes = np.bincount(ranges, minlength=core_k)[:core_k]
+        self._starts = np.concatenate(([0], np.cumsum(sizes)))
         # quotient edges: unique (lo, hi) leaf positions without loops,
         # sorted by block, then lo, then hi
-        lo, hi = self._position[eu], self._position[ev]
+        lo, hi = position[eu], position[ev]
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         codes = np.unique((lo * ranges.size + hi)[lo != hi])
         self._edge_lo, self._edge_hi = codes // ranges.size, codes % ranges.size
         edge_block = ranges[self._order][self._edge_lo]
         self._edge_starts = np.searchsorted(edge_block, np.arange(core_k + 1))
-        edge_counts = np.diff(self._edge_starts)
-        sizes = core_sizes
-        complete = 2 * edge_counts == core_sizes * (core_sizes - 1)
-        if self._peeled is not None:  # every pendant block's K2 in its place in block order
-            sizes = np.full(k, 2, dtype=np.int64)
-            sizes[~pendant] = core_sizes
-            core_complete, complete = complete, pendant.copy()
-            complete[~pendant] = core_complete
-            self._pendant_rows = np.repeat(pendant, sizes)
-        # columns of the leaf sums: every block's quotient vertices in block order
-        self._rows = np.concatenate(([0], np.cumsum(sizes)))
-        self._sizes, self._complete = sizes, complete
-        self.sizes = tuple(sizes.tolist())
-        self.complete = tuple(complete.tolist())
+        self._sizes = sizes  # per core block
+        self._complete = 2 * np.diff(self._edge_starts) == sizes * (sizes - 1)
+        # per block; a pendant block's core index -1 reads the appended K2
+        self.sizes = tuple(np.append(sizes, 2)[self._core_block].tolist())
+        self.complete = tuple(np.append(self._complete, True)[self._core_block].tolist())
 
     @functools.cached_property
     def partition(self) -> EdgePartition:
@@ -242,9 +227,9 @@ class CutEngine:
         ends = np.stack((self._edge_lo[span], self._edge_hi[span]), axis=1)
         return ends - self._starts[c]
 
-    def _fold(self, rows: np.ndarray, ufunc: np.ufunc = np.add) -> np.ndarray:
+    def _fold(self, rows: np.ndarray) -> np.ndarray:
         """``rows`` (one per weight, a column per vertex) folded in place into
-        the core along the pendant trees: every vertex takes ``ufunc`` over
+        the core along the pendant trees: every vertex takes the sum over
         its subtree, so a pendant vertex holds its subtree's sum and a core
         vertex the sum of all that hangs from it.
 
@@ -252,7 +237,7 @@ class CutEngine:
         top 2^l levels, and each vertex at least 2^l steps below its core
         vertex hands that on to the vertex 2^l steps up, which then holds
         its top 2^(l+1) levels.  Trees of height h take ceil(log2(h + 1))
-        levels, each one ``ufunc.at`` over the vertices still that deep.
+        levels, each one ``np.add.at`` over the vertices still that deep.
         """
         rows = np.ascontiguousarray(rows)  # folded through a flat view
         jump, src = self._up.copy(), self._peeled
@@ -262,38 +247,26 @@ class CutEngine:
         offsets = len(jump) * np.arange(len(rows))[:, None]
         while src.size:
             dst = jump[src]
-            ufunc.at(flat, (dst + offsets).ravel(), rows[:, src].ravel())
+            np.add.at(flat, (dst + offsets).ravel(), rows[:, src].ravel())
             keep = deep[dst]
             deep[src[~keep]] = False
             src = src[keep]
             jump[src] = jump[jump[src]]
         return rows
 
-    def _leaf_sums(self, rows: np.ndarray, totals: np.ndarray) -> np.ndarray:
-        """Component sums of the folded weight rows on every quotient, one
-        column per quotient vertex in block order.
-
-        The core weights are replayed through the level maps.  A pendant
-        block's columns are S and T - S, with S the sums over the subtree
-        below its edge and T the row totals.
-        """
-        sums = rows[:, self._core_vertices]
+    def _leaf_sums(self, rows: np.ndarray) -> np.ndarray:
+        """Component sums of the weight rows on every core block's quotient,
+        one column per quotient vertex in block order, from ``rows``' columns
+        on the contracted vertices (the folded core, or the whole graph),
+        replayed through the level maps."""
+        sums = rows
         for count, labels in self._maps:
             # each super-vertex's sums go to the children of both its copies
             merged = np.zeros((len(rows), count), dtype=rows.dtype)
             index = (labels + count * np.arange(len(rows))[:, None]).ravel()
             np.add.at(merged.reshape(-1), index, np.repeat(sums, 2, axis=1).ravel())
             sums = merged
-        sums = sums[:, self._order[: self._starts[-1]]]
-        if self._peeled is None:
-            return sums
-        out = np.empty((len(rows), self._rows[-1]), dtype=rows.dtype)
-        out[:, ~self._pendant_rows] = sums
-        below = rows[:, self._pendant_vertex]
-        out[:, self._pendant_rows] = np.stack((below, totals[:, None] - below), axis=2).reshape(
-            len(rows), -1
-        )
-        return out
+        return sums[:, self._order[: self._starts[-1]]]
 
     def block_matrix(
         self, weights: Weights, pairs: Sequence[Pair], *, closed: bool = False
@@ -303,36 +276,37 @@ class CutEngine:
         scaled units of ``weights``, with W(a, a) = 2 W*(a) for a halved
         pair.
 
-        A complete quotient (distance 1 between all components) takes the
-        closed sum W(a, b) = T_a T_b - sum_c A_c B_c, with T the weight
-        totals and A, B the component sums; the sums over c run for every
-        complete block and every pair at once.  A pendant edge's K2 has the
-        sides S(v) and T - S(v), with S(v) the sums over the subtree below
-        it.  Any other quotient takes a distance matrix D, with
-        W(a, b) = sum_u A_u (D B)_u and one D B product per distinct B.
-        When the engine ran theta* itself, the largest such quotient takes
-        none of its own: the core blocks sum to sum_{u,v} a'_u b'_v d(u, v)
-        over the 2-core, with a' and b' the weights folded onto it, so one
-        D B on theta*'s core matrix gives the sum, and the block is the sum
-        minus the column sums of the other core blocks.  Every other
-        non-complete quotient gets its own matrix.  ``closed`` applies the
-        closed sums to every quotient, which gives the partial-Hamming
-        lower bound instead of the exact value.
+        A pendant edge's K2 has the sides S, the folded sums at its vertex,
+        and T - S, with T the totals: its value is S_a (T_b - S_b) +
+        (T_a - S_a) S_b, ``exact._split_sums``' term, for all pendant blocks
+        at once.  A complete core quotient (distance 1 between all
+        components) takes the closed sum W(a, b) = T_a T_b - sum_c A_c B_c,
+        with A, B the component sums, for every complete core block and
+        every pair at once.  Any other quotient takes a
+        distance matrix D, with W(a, b) = sum_u A_u (D B)_u and one D B
+        product per distinct B.  When the engine ran theta* itself, the
+        largest such quotient takes none of its own: the core blocks sum to
+        sum_{u,v} a'_u b'_v d(u, v) over the 2-core, with a' and b' the
+        weights folded onto it, so one D B on theta*'s core matrix gives the
+        sum, and the block is the sum minus the column sums of the other
+        core blocks.  Every other non-complete quotient gets its own matrix.
+        ``closed`` applies the closed sums to every quotient, which gives
+        the partial-Hamming lower bound instead of the exact value.
 
         Two int64 guards (:mod:`topocut.exact`), with T = sum|w| of a row:
         the component and subtree sums and the entries of D B are at most
         (n - 1) max T; a block value of W(a, b) is at most s T_a T_b, where
         s is 1 for a closed sum and the largest D B quotient's size less one
         otherwise (the core's, for the subtracted block), since every
-        quotient distance is at most that.  D B takes one chunk of rows of
-        D at a time, in int32 while that bounds its every partial sum
-        (``_distance_sums``).
+        quotient distance is at most that; so is each term of a pendant
+        block.  D B takes one chunk of rows of D at a time, in int32 while
+        that bounds its every partial sum (``_distance_sums``).
         """
         k = len(self.sizes)
         if not pairs:
             return np.zeros((k, 0), dtype=np.int64)
         sizes = self._sizes
-        chosen = np.ones(k, dtype=bool) if closed else self._complete
+        chosen = np.ones(sizes.size, dtype=bool) if closed else self._complete
         others = np.flatnonzero(~chosen)
         largest = None
         if self._core_distances is not None and others.size:
@@ -341,32 +315,36 @@ class CutEngine:
         else:
             span = int(sizes[others].max(initial=2)) - 1
         rows, left, right, dtype = _pair_rows(weights, pairs, self.g.n, span)
-        totals = rows.sum(axis=1)
+        whole = rows.sum(axis=1).astype(dtype, copy=False)
+        values = np.zeros((k, len(pairs)), dtype=dtype)
+        core = rows
         if self._peeled is not None:
             rows = self._fold(rows)
-        agg = self._leaf_sums(rows, totals)
-        values = np.zeros((k, len(pairs)), dtype=dtype)
+            core = rows[:, self.g.peel.core]
+            below = rows[:, self._pendant_vertex].astype(dtype, copy=False)
+            above = whole[:, None] - below
+            values[self._core_block < 0] = (below[left] * above[right]
+                                            + above[left] * below[right]).T
+        agg = self._leaf_sums(core)
+        blocks = self._core_ids
         # closed sums over the chosen blocks at once, one segment per block
         if chosen.any():
             part = agg[:, np.repeat(chosen, sizes)].astype(dtype, copy=False)
             seams = np.cumsum(sizes[chosen]) - sizes[chosen]
             within = np.add.reduceat(part[left] * part[right], seams, axis=1)
-            whole = totals.astype(dtype, copy=False)
-            values[chosen] = ((whole[left] * whole[right])[:, None] - within).T
-        for block in others.tolist():
-            if block == largest:
+            values[blocks[chosen]] = ((whole[left] * whole[right])[:, None] - within).T
+        for c in others.tolist():
+            if c == largest:
                 continue
             # quotient edges are unique, (lo, hi)-ordered and connect the
             # quotient whenever G is connected
-            quotient = Graph(self.sizes[block], self.quotient_edges(block),
+            quotient = Graph(int(sizes[c]), self.quotient_edges(blocks[c]),
                              require_connected=False, validate=not self.g.connected)
-            part = agg[:, self._rows[block]:self._rows[block + 1]]
-            values[block] = _distance_sums(distance_matrix(quotient), part, left, right, dtype)
+            part = agg[:, self._starts[c]:self._starts[c + 1]]
+            values[blocks[c]] = _distance_sums(distance_matrix(quotient), part, left, right, dtype)
         if largest is not None:
-            core = _distance_sums(
-                self._core_distances, rows[:, self.g.peel.core], left, right, dtype
-            )
-            values[largest] = core - values[self._core_block >= 0].sum(axis=0)
+            total = _distance_sums(self._core_distances, core, left, right, dtype)
+            values[blocks[largest]] = total - values[blocks].sum(axis=0)
         return values
 
     def values(self, terms: Sequence[Term], *, closed: bool = False) -> list[Weight]:

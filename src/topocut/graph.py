@@ -193,7 +193,8 @@ class Peel:
     ``order`` lists the peeled vertices, each before the vertex it hangs
     from; ``parent[i]`` is that vertex for ``order[i]`` and ``edge[i]`` the
     index of the edge between them.  ``core`` and ``core_edges`` hold the
-    ids, ascending, of the vertices and edges left.
+    ids, ascending, of the vertices and edges left; ``core_ends`` has the
+    core edges' ends renumbered to their positions in ``core``.
     """
 
     order: np.ndarray
@@ -201,6 +202,7 @@ class Peel:
     edge: np.ndarray
     core: np.ndarray
     core_edges: np.ndarray
+    core_ends: np.ndarray
 
 
 def pendant_peel(n: int, ends: np.ndarray) -> Peel:
@@ -244,12 +246,15 @@ def pendant_peel(n: int, ends: np.ndarray) -> Peel:
     core[order] = False
     core_edges = np.ones(len(ends), dtype=bool)
     core_edges[edge] = False
+    core_edges = np.flatnonzero(core_edges)
+    core_ends = (np.cumsum(core) - 1)[ends[core_edges]] if order else ends
     return Peel(
         np.array(order, dtype=np.intp),
         np.array(parent, dtype=np.intp),
         np.array(edge, dtype=np.intp),
         np.flatnonzero(core),
-        np.flatnonzero(core_edges),
+        core_edges,
+        core_ends,
     )
 
 
@@ -267,16 +272,25 @@ def degree_vector(g: Graph) -> tuple[int, ...]:
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop distances from one source (-1 for unreachable vertices)."""
-    dist = [-1] * g.n
+    return _bfs(_neighbours(g), source)
+
+
+def _neighbours(g: Graph) -> list[list[int]]:
+    """Each vertex's neighbours, ascending, as lists cut from ``Graph.csr``."""
+    indptr, indices = (a.tolist() for a in g.csr)
+    return [indices[lo:hi] for lo, hi in zip(indptr, indptr[1:])]
+
+
+def _bfs(neighbours: list[list[int]], source: int) -> list[int]:
+    dist = [-1] * len(neighbours)
     dist[source] = 0
     queue = deque([source])
-    adj = g.adj
     while queue:
         u = queue.popleft()
-        du = dist[u]
-        for v in adj[u]:
+        du = dist[u] + 1
+        for v in neighbours[u]:
             if dist[v] < 0:
-                dist[v] = du + 1
+                dist[v] = du
                 queue.append(v)
     return dist
 
@@ -288,7 +302,8 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
     """
     if not g.connected:
         raise GraphError("distances are defined for connected graphs only")
-    return tuple(tuple(bfs_distances(g, s)) for s in range(g.n))
+    neighbours = _neighbours(g)
+    return tuple(tuple(_bfs(neighbours, s)) for s in range(g.n))
 
 
 # Rows of an n x n array that a kernel unpacks or casts at a time, so that

@@ -43,11 +43,11 @@ def weighted_wiener_lower_bound(
     return _engine(g, classes).values([(w, None)], closed=True)[0]
 
 
-def gutman_lower_bound(g: Graph, classes: ThetaClasses | None = None) -> int:
+def gutman_lower_bound(g: Graph) -> int:
     """The lower bound with degree weights; equals Gut(g) on partial Hamming graphs."""
     if g.n == 1:
         return 0
-    return weighted_wiener_lower_bound(g, degree_vector(g), classes)
+    return weighted_wiener_lower_bound(g, degree_vector(g))
 
 
 def gutman_exact_hamming(g: Graph) -> int:

@@ -269,15 +269,14 @@ def _reduce(wgraph, plan: CollapsePlan):
     return out, steps
 
 
-def reduce_fully(wgraph, plan: CollapsePlan | None = None):
+def reduce_fully(wgraph):
     """Collapse R- and S-classes to a fixed point (see :func:`collapse_plan`).
 
     Returns the reduced graph, the total correction, and the step log;
     the index of the input, W(a, b) of a DoubleWeightedGraph or W*(w) of a
     WeightedGraph, equals that of the output plus the total correction.
-    ``plan`` reuses a plan of ``wgraph.g``.
     """
-    plan = plan or collapse_plan(wgraph.g)
+    plan = collapse_plan(wgraph.g)
     reduced, corrections = _reduce(wgraph, plan)
     return reduced, sum(corrections), plan.log(corrections)
 

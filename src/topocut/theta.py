@@ -119,17 +119,12 @@ def _theta_labels(g: Graph) -> tuple[np.ndarray, np.ndarray | None]:
     if not g.connected:
         raise GraphError("theta* is defined for connected graphs only")
     links = np.arange(g.m)  # each edge's link to the smallest edge of its class
-    core, core_edges = g.peel.core, g.peel.core_edges
-    h = g
-    if core.size < g.n:
-        # core vertices renumbered in order, so every core edge stays (min, max)
-        local = np.empty(g.n, dtype=np.intp)
-        local[core] = np.arange(core.size)
-        h = Graph(core.size, local[g.edge_array[core_edges]], validate=False)
+    peel = g.peel
+    h = g if peel.core.size == g.n else Graph(peel.core.size, peel.core_ends, validate=False)
     core_distances = None
     if h.m:
         core_distances = distance_matrix(h)
-        links[core_edges] = core_edges[_feder_links(h.edge_array, core_distances)]
+        links[peel.core_edges] = peel.core_edges[_feder_links(h.edge_array, core_distances)]
     # classes numbered by their smallest edge
     return np.unique(links, return_inverse=True)[1], core_distances
 

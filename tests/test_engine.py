@@ -261,8 +261,10 @@ def test_engine_on_theta_labels_matches_the_validated_classes(kind, g, data):
     given = CutEngine(g, validate_coarser(g, classes.classes))
     assert engine.partition.blocks == classes.classes
     assert engine.sizes == given.sizes and engine.complete == given.complete
+    mine, theirs = engine_labels(engine), engine_labels(given)
     for i in range(len(engine.sizes)):
-        assert engine.quotient_edges(i).tolist() == given.quotient_edges(i).tolist()
+        edges = list(map(tuple, given.quotient_edges(i).tolist()))
+        assert renamed_edges(engine, i, mine[i], theirs[i]) == edges
     mine, wanted = block_matrices((engine, given), list(report_terms(g, a, b).values()))
     assert mine == wanted
 
@@ -289,6 +291,24 @@ def test_compute_builds_no_edge_tuples_and_reduce_no_engine(tmp_path, capsys, mo
     for path in (random_file, cube_file):
         assert main(["compute", str(path), "--method", "reduce", "--json"]) == 0
         assert '"method": "reduce"' in capsys.readouterr().out
+
+
+def test_cut_solve_builds_no_adjacency_tuples(tmp_path, capsys, monkeypatch):
+    # the eccentricity probe of distance_matrix, one BFS from vertex 0,
+    # walks the CSR arrays: this graph's 2-core (237 vertices, 337 edges)
+    # is sparse enough for the probe to run, and no Graph.adj may be built
+    def refuse(self):
+        raise AssertionError("Graph.adj built")
+
+    probes = []
+    real_bfs = graph_module.bfs_distances
+    path = tmp_path / "random.txt"
+    path.write_text(format_edge_list(random_connected_graph(400, 500, 1)))
+    monkeypatch.setattr(Graph, "adj", property(refuse))
+    monkeypatch.setattr(graph_module, "bfs_distances", lambda g, s: probes.append(s) or real_bfs(g, s))
+    assert main(["compute", str(path), "--method", "cuts", "--json"]) == 0
+    assert '"method": "cuts"' in capsys.readouterr().out
+    assert probes == [0]
 
 
 @pytest.mark.parametrize("past", [0, 1])
@@ -696,36 +716,48 @@ for method in ("auto", "oracle"):
 
 
 def engine_labels(engine):
-    """Each block's component of every vertex, read from the leaf sums that
-    ``block_matrix`` reads: with one indicator column per vertex, a block's
-    rows hold the 1 of each vertex in the row of its component.  The rows
-    are renumbered by smallest vertex, as quotient() numbers components; a
-    pendant block's rows are the side below its edge, then the rest."""
+    """Each block's component of every vertex, in the engine's numbering
+    (``quotient_edges``' ends), read from the sums that ``block_matrix``
+    reads, with one indicator row per vertex.  A core block's leaf sums
+    hold each vertex's 1 in the column of its component.  A pendant block
+    splits the vertices by the folded rows at its vertex, the 1s below its
+    edge, and its side with vertex 0 is component 0."""
     n = engine.g.n
     rows = np.eye(n, dtype=np.int64)  # row v: the indicator of vertex v
+    labels = [None] * len(engine.sizes)
+    core = rows
     if engine._peeled is not None:
         rows = engine._fold(rows)
-    sums = engine._leaf_sums(rows, np.ones(n, dtype=np.int64)).T
-    labels = []
-    for lo, hi in zip(engine._rows[:-1], engine._rows[1:]):
+        core = rows[:, engine.g.peel.core]
+        pendant = np.flatnonzero(engine._core_block < 0)
+        for i, below in zip(pendant, rows[:, engine._pendant_vertex].T):
+            labels[i] = (below != below[0]).astype(np.int64)
+    sums = engine._leaf_sums(core).T
+    for i, lo, hi in zip(engine._core_ids, engine._starts[:-1], engine._starts[1:]):
         part = sums[lo:hi]
         assert np.isin(part, (0, 1)).all() and (part.sum(axis=0) == 1).all()
-        rank = np.empty(hi - lo, dtype=np.int64)
-        rank[np.argsort(part.argmax(axis=1))] = np.arange(hi - lo)  # by first vertex
-        labels.append(rank[part.argmax(axis=0)])
+        labels[i] = part.argmax(axis=0)
     return labels
 
 
+def renamed_edges(engine, i, labels, names):
+    """``quotient_edges(i)`` with each component renamed by ``names``, one
+    vertex's name for the component ``labels`` puts it in; every vertex of
+    a component must carry one name, and the names must differ."""
+    rename = np.full(engine.sizes[i], -1, dtype=np.int64)
+    rename[labels] = names
+    assert (rename[labels] == names).all() and len(set(names)) == engine.sizes[i]
+    return sorted(map(tuple, np.sort(rename[engine.quotient_edges(i)], axis=1).tolist()))
+
+
 def test_quotients_come_from_the_contraction():
-    # the contraction's labels and edges are quotient()'s, pendant and core
-    # blocks alike, and their distances sum to the graph's
+    # the contraction's components and edges are quotient()'s, pendant and
+    # core blocks alike, and their distances sum to the graph's
     g = random_connected_graph(30, 50, 1)
     engine = CutEngine(g)
+    assert_engine_matches_dfs(engine)
     total = np.zeros((g.n, g.n), dtype=np.int64)
-    for i, (block, labels) in enumerate(zip(engine.partition.blocks, engine_labels(engine))):
-        q = quotient(g, block)
-        assert tuple(labels.tolist()) == q.component_of
-        assert list(map(tuple, engine.quotient_edges(i).tolist())) == list(q.graph.edges)
+    for i, labels in enumerate(engine_labels(engine)):
         total += distance_matrix(Graph(engine.sizes[i], engine.quotient_edges(i)))[
             np.ix_(labels, labels)
         ]
@@ -808,12 +840,17 @@ def assert_contraction_matches_dfs(g, blocks):
 
 
 def assert_engine_matches_dfs(engine):
+    # Without a peel the engine numbers components by smallest vertex, as
+    # quotient() does.  A peeled engine numbers a core block's components
+    # by smallest core vertex, so its edges are compared renamed.
     g = engine.g
     for i, (block, labels) in enumerate(zip(engine.partition.blocks, engine_labels(engine))):
         q = quotient(g, block)  # one labelling of G - F_i: the reference
         assert engine.sizes[i] == q.graph.n
-        assert tuple(labels.tolist()) == q.component_of
-        assert list(map(tuple, engine.quotient_edges(i).tolist())) == list(q.graph.edges)
+        assert renamed_edges(engine, i, labels, q.component_of) == list(q.graph.edges)
+        if engine._peeled is None:
+            assert tuple(labels.tolist()) == q.component_of
+            assert list(map(tuple, engine.quotient_edges(i).tolist())) == list(q.graph.edges)
         assert engine.complete[i] == (2 * q.graph.m == q.graph.n * (q.graph.n - 1))
 
 
