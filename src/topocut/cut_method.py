@@ -146,11 +146,10 @@ class CutEngine:
             block_of, k = _check_is_partition(g, partition.blocks), len(partition.blocks)
         self.g = g
         self.block_of = block_of
-        # every pendant edge is a theta*-class, and so a block, of its own;
-        # a bridge's quotient is K2 only in a connected graph
+        # every pendant edge is a theta*-class, and so a block, of its own
         pendant = np.zeros(k, dtype=bool)
         self._peeled = None  # the peeled vertices, when their blocks fold
-        if partition is None and g.connected and g.peel.order.size:
+        if partition is None and g.peel.order.size:
             peel = g.peel
             owner = block_of[peel.edge]
             pendant[owner] = True
@@ -336,10 +335,8 @@ class CutEngine:
         for c in others.tolist():
             if c == largest:
                 continue
-            # quotient edges are unique, (lo, hi)-ordered and connect the
-            # quotient whenever G is connected
-            quotient = Graph(int(sizes[c]), self.quotient_edges(blocks[c]),
-                             require_connected=False, validate=not self.g.connected)
+            # quotient edges are unique, (lo, hi)-ordered and connect the quotient
+            quotient = Graph(int(sizes[c]), self.quotient_edges(blocks[c]), validate=False)
             part = agg[:, self._starts[c]:self._starts[c + 1]]
             values[blocks[c]] = _distance_sums(distance_matrix(quotient), part, left, right, dtype)
         if largest is not None:
@@ -431,8 +428,6 @@ def wiener_double_via_cuts(dwg: DoubleWeightedGraph, partition: EdgePartition) -
 
 def degree_distance_via_cuts(g: Graph, partition: EdgePartition) -> int:
     """Degree distance via quotients: weights a = degrees, b = 1."""
-    if g.n == 1:
-        return 0
     return CutEngine(g, partition).values([(degree_vector(g), (1,) * g.n)])[0]
 
 

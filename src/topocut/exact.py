@@ -6,7 +6,8 @@ integers by the LCM of its reduced denominators, built by one scaling
 function (:func:`scale_weights`), whether the values come from the weights
 file's arrays or from Python ints and ``Fraction``s.  Every route takes an
 index as a ``Pair`` of rows, keeps its sums in arrays undivided and divides
-it back once; every tree sums its splits by one kernel, ``_split_sums``.
+it back once.  Every tree sums its splits by ``_split_sums``, except the
+cut engine's pendant blocks, which form the same per-edge term inline.
 One guard, ``_exact_dtype``, picks the dtype of every array kernel from the bound of
 the largest value the kernel forms: int64 below ``_INT64_LIMIT``, object
 arrays of Python ints past it.
@@ -197,14 +198,15 @@ def _euler_tour(
     The 2(n-1) arcs are laid out in CSR order by tail, each with its twin;
     the tour follows an arc u->v with the arc after v->u in v's row,
     cyclically.  scipy's ``breadth_first_order`` walks that cycle of CSR
-    positions from the root's first arc in O(n); a tour shorter than 2(n-1)
-    arcs means the edges do not form a tree.  scipy is imported here, so
-    that only the trees route loads it; a numpy pointer-doubling list
-    ranking of the cycle ran 10 to 15 times slower.  Of an edge's two arcs
-    the earlier goes down to a child, the down arcs in tour order list the
-    children in preorder, and a child's subtree is the next (rank of up arc
-    - rank of down arc + 1) / 2 preorder places.  Every step is a 1-D
-    gather or scatter over index arrays of ``_index_dtype(2(n-1))``.
+    positions from the root's first arc in O(n).  The edges must connect
+    the vertices, as every caller's do; n - 1 of them then form a tree.
+    scipy is imported here, so that only the trees route loads it; a numpy
+    pointer-doubling list ranking of the cycle ran 10 to 15 times slower.
+    Of an edge's two arcs the earlier goes down to a child, the down arcs
+    in tour order list the children in preorder, and a child's subtree is
+    the next (rank of up arc - rank of down arc + 1) / 2 preorder places.
+    Every step is a 1-D gather or scatter over index arrays of
+    ``_index_dtype(2(n-1))``.
     """
     m = ncomp - 1
     if qu.size != m:
@@ -215,8 +217,6 @@ def _euler_tour(
         return (np.zeros(0, dtype=idx),) * 3
     tail = np.concatenate((qu, qv), dtype=idx)
     counts = np.bincount(tail, minlength=ncomp)
-    if not counts.all():  # an isolated vertex
-        raise NotATreeError("graph is disconnected, not a tree")
     positions = np.arange(arcs + 1, dtype=idx)  # every arange below is a slice of it
     arc = tail.argsort(kind="stable").astype(idx)  # CSR position -> arc
     where = np.empty(arcs, dtype=idx)  # arc -> CSR position
@@ -236,8 +236,6 @@ def _euler_tour(
     cycle = csr_matrix((np.ones(arcs), succ, positions), shape=(arcs, arcs))
     tour = breadth_first_order(cycle, 0, directed=True, return_predecessors=False)
     del cycle, succ
-    if tour.size != arcs:
-        raise NotATreeError("graph is disconnected, not a tree")
     rank = np.empty(arcs, dtype=idx)
     rank[tour] = positions[:-1]
     later = rank.take(twin.take(tour))

@@ -36,7 +36,7 @@ class PlacementError(ValueError):
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1, connected by default.
+    """Simple connected undirected graph on vertices 0..n-1.
 
     The graph is its edge array: ``edge_array`` holds the m edges as rows
     (u, v) with u < v, in input order.  ``csr``, ``edges``, ``adj`` and
@@ -51,18 +51,16 @@ class Graph:
         edges:     tuple of (u, v) pairs with u < v, in input order
         csr:       the adjacency as CSR arrays (indptr, indices)
         adj:       per-vertex tuple of neighbours, sorted ascending
-        connected: whether the graph is connected
         peel:      the pendant trees and the 2-core, as a :class:`Peel`
     """
 
-    __slots__ = ("n", "connected", "_ends", "_csr", "_edges", "_adj", "_edge_index", "_peel")
+    __slots__ = ("n", "_ends", "_csr", "_edges", "_adj", "_edge_index", "_peel")
 
     def __init__(
         self,
         n: int,
         edges: Iterable[tuple[int, int]] | np.ndarray,
         *,
-        require_connected: bool = True,
         validate: bool = True,
     ):
         if n < 1:
@@ -79,12 +77,9 @@ class Graph:
             ends = _checked_ends(n, ends)
             # m < n - 1 edges cannot connect n vertices; the test then needs
             # no per-vertex array, however large n is
-            self.connected = len(ends) >= n - 1 and component_labels(n, *ends.T)[0] == 1
-            if require_connected and not self.connected:
+            if len(ends) < n - 1 or component_labels(n, *ends.T)[0] != 1:
                 raise GraphError("graph is disconnected")
-        else:
-            # caller guarantees simple, in-range, (min, max)-ordered, connected
-            self.connected = True
+        # unvalidated, the caller guarantees simple, in-range, (min, max)-ordered, connected
         self.n = n
         self._ends = np.array(ends, dtype=np.intp)
         self._ends.flags.writeable = False
@@ -258,11 +253,9 @@ def pendant_peel(n: int, ends: np.ndarray) -> Peel:
     )
 
 
-def build_graph(
-    n: int, edge_list: Iterable[tuple[int, int]], *, require_connected: bool = True
-) -> Graph:
+def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     """Validate and build a Graph from an edge list."""
-    return Graph(n, edge_list, require_connected=require_connected)
+    return Graph(n, edge_list)
 
 
 def degree_vector(g: Graph) -> tuple[int, ...]:
@@ -271,7 +264,7 @@ def degree_vector(g: Graph) -> tuple[int, ...]:
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Hop distances from one source (-1 for unreachable vertices)."""
+    """Hop distances from one source."""
     return _bfs(_neighbours(g), source)
 
 
@@ -296,12 +289,8 @@ def _bfs(neighbours: list[list[int]], source: int) -> list[int]:
 
 
 def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Exact BFS hop distances between all vertex pairs.
-
-    Requires a connected graph; distances are plain machine integers.
-    """
-    if not g.connected:
-        raise GraphError("distances are defined for connected graphs only")
+    """Exact BFS hop distances between all vertex pairs, as plain machine
+    integers."""
     neighbours = _neighbours(g)
     return tuple(tuple(_bfs(neighbours, s)) for s in range(g.n))
 
@@ -395,11 +384,9 @@ def distance_matrix(g: Graph) -> np.ndarray:
     which the search knows as its level count before it unpacks the planes
     (Dijkstra's branch takes its own maximum), so differences of rows stay
     exact too: they lie within plus or minus the diameter.  Every consumer
-    that sums or multiplies widens first.  Requires a connected graph;
-    ``all_pairs_distances`` is the pure-Python reference.
+    that sums or multiplies widens first.  ``all_pairs_distances`` is the
+    pure-Python reference.
     """
-    if not g.connected:
-        raise GraphError("distances are defined for connected graphs only")
     n = g.n
     if n == 1:
         return np.zeros((1, 1), dtype=np.int8)

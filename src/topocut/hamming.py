@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .cut_method import CutEngine, _engine
-from .graph import Graph, GraphError, degree_vector
+from .graph import Graph, degree_vector
 from .indices import Weight, check_weights
 from .theta import ThetaClasses
 
@@ -38,16 +38,12 @@ def weighted_wiener_lower_bound(
     graph is partial Hamming.
     """
     check_weights(g, w)
-    if not g.connected:
-        raise GraphError("bound is defined for connected graphs only")
     return _engine(g, classes).values([(w, None)], closed=True)[0]
 
 
 def gutman_lower_bound(g: Graph) -> int:
     """The lower bound with degree weights; equals Gut(g) on partial Hamming graphs."""
-    if g.n == 1:
-        return 0
-    return weighted_wiener_lower_bound(g, degree_vector(g))
+    return CutEngine(g).values([(degree_vector(g), None)], closed=True)[0]
 
 
 def gutman_exact_hamming(g: Graph) -> int:

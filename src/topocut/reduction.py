@@ -240,8 +240,6 @@ def collapse_plan(g: Graph) -> CollapsePlan:
     order (by smallest member), and leaves its kind clean.  Phases stop once
     both kinds are clean.  Only the reduced graph is built as a Graph.
     """
-    if not g.connected:
-        raise GraphError("twin reductions need a connected graph")
     n, ends, phases = g.n, g.edge_array, []
     kind, clean = "R", 0
     while clean < 2:

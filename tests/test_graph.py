@@ -54,13 +54,6 @@ def test_construction_errors():
         build_graph(0, [])
 
 
-def test_disconnected_allowed_when_flagged():
-    g = build_graph(4, [(0, 1), (2, 3)], require_connected=False)
-    assert not g.connected
-    with pytest.raises(GraphError):
-        all_pairs_distances(g)
-
-
 def test_unknown_edge_lookup():
     g = build_graph(3, [(0, 1), (1, 2)])
     assert g.index_of_edge(2, 1) == 1

@@ -385,11 +385,6 @@ def test_plan_runs_phases_until_both_kinds_are_clean():
     assert plan.steps == tuple((s.kind, s.members, s.representative) for s in ref_steps)
 
 
-def test_plan_rejects_disconnected_graph():
-    with pytest.raises(GraphError):
-        collapse_plan(Graph(3, [(0, 1)], require_connected=False))
-
-
 def test_reduce_cost_is_per_phase_not_per_step(tmp_path, monkeypatch, capsys):
     """One ``compute --method reduce`` scans classes and builds graphs a
     bounded number of times per phase, however many classes collapse."""
