@@ -17,18 +17,18 @@ __version__ = "0.1.0"
 _HOMES = {
     "graph": "Graph GraphError ParseError PlacementError all_pairs_distances build_graph "
              "degree_vector format_edge_list parse_edge_list",
-    "theta": "EdgePartition NotPartialCubeError PartitionError QuotientGraph ThetaClasses "
-             "quotient theta_star_classes validate_coarser",
+    "theta": "EdgePartition PartitionError QuotientGraph ThetaClasses quotient "
+             "theta_star_classes validate_coarser",
     "indices": "DoubleWeightedGraph WeightedGraph degree_distance gutman wiener wiener_double "
                "wiener_plus wiener_weighted",
-    "cut_method": "degree_distance_via_cuts is_partial_cube partial_cube_double_wiener "
-                  "wiener_double_via_cuts wiener_weighted_via_cuts",
+    "cut_method": "degree_distance_via_cuts is_partial_cube wiener_double_via_cuts "
+                  "wiener_weighted_via_cuts",
     "exact": "NotATreeError",
     "phenylene": "Benzenoid BenzenoidPlacement Phenylene QuotientTree build_benzenoid "
                  "build_phenylene dd_gut_via_squeeze dd_gut_via_trees quotient_trees "
-                 "squeeze_weights tree_wiener_double_linear tree_wiener_linear",
+                 "tree_wiener_double_linear tree_wiener_linear",
     "reduction": "ReductionStep r_classes reduce_fully reduce_fully_single reduce_once_r "
-                 "reduce_once_r_single reduce_once_s reduce_once_s_single s_classes",
+                 "reduce_once_s s_classes",
     "hamming": "NotPartialHammingError gutman_exact_hamming gutman_lower_bound "
                "is_partial_hamming weighted_wiener_lower_bound",
     "families": "",  # a submodule only

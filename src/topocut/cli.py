@@ -93,11 +93,16 @@ class LoadedInput:
     @functools.cached_property
     def matrix(self) -> Weights:
         """The rows of ``cut_method.ROWS``: all ones, the degrees, then a and b."""
-        g = self.graph
+        g, w = self.graph, self.weights
         rows = np.ones((2, g.n), dtype=np.int64)
         rows[1] = np.bincount(g.edge_array.ravel(), minlength=g.n)
-        structural = Weights(rows, (1, 1), (g.n, 2 * g.m))  # whole, with sums n and 2m
-        return structural if self.weights is None else Weights.stack((structural, self.weights))
+        scales, bounds = (1, 1), (g.n, 2 * g.m)  # whole, with sums n and 2m
+        if w is None:
+            return Weights(rows, scales, bounds)
+        flags = w.fractions
+        if flags is not None:  # the structural rows hold no Fraction
+            flags = np.concatenate((np.zeros(rows.shape, dtype=bool), flags))
+        return Weights(np.concatenate((rows, w.rows)), scales + w.scales, bounds + w.bounds, flags)
 
     @property
     def phenylene(self) -> Phenylene | None:

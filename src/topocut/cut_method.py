@@ -26,7 +26,6 @@ column sum divided back once, all under the int64 guard of
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 import numpy as np
@@ -36,10 +35,8 @@ from .graph import ROW_CHUNK, Graph, component_labels, degree_vector, distance_m
 from .indices import DoubleWeightedGraph, Weight, check_weights
 from .theta import (
     EdgePartition,
-    NotPartialCubeError,
     ThetaClasses,
     _check_is_partition,
-    _groups,
     _theta_labels,
     validate_coarser,
 )
@@ -103,8 +100,8 @@ class CutEngine:
 
     Without ``partition`` the blocks are the theta*-classes: theta*'s label
     array is each edge's block (``block_of``), its core distance matrix is
-    kept for :meth:`block_matrix`, and ``partition`` is built only when
-    read.  The pendant trees then stay out of the contraction
+    kept for :meth:`block_matrix`, and ``partition`` stays None.  The
+    pendant trees then stay out of the contraction
     (``Graph.peel``).  Each of their edges is a bridge and a class of its
     own, so its quotient is K2, with sides the subtree below the edge and
     the rest.  The contraction runs on the 2-core's edges and classes only.
@@ -137,12 +134,12 @@ class CutEngine:
     """
 
     def __init__(self, g: Graph, partition: EdgePartition | None = None):
+        self.partition = partition
         self._core_distances = None  # theta*'s, rows in g.peel.core order
         if partition is None:
             block_of, self._core_distances = _theta_labels(g)
             k = int(block_of.max(initial=-1)) + 1
         else:
-            self.partition = partition
             block_of, k = _check_is_partition(g, partition.blocks), len(partition.blocks)
         self.g = g
         self.block_of = block_of
@@ -205,11 +202,6 @@ class CutEngine:
         # per block; a pendant block's core index -1 reads the appended K2
         self.sizes = tuple(np.append(sizes, 2)[self._core_block].tolist())
         self.complete = tuple(np.append(self._complete, True)[self._core_block].tolist())
-
-    @functools.cached_property
-    def partition(self) -> EdgePartition:
-        """A given partition, or theta*'s labels grouped on first read."""
-        return EdgePartition(_groups(self.block_of))
 
     @property
     def partial_hamming(self) -> bool:
@@ -443,16 +435,3 @@ def _engine(g: Graph, classes: ThetaClasses | None) -> CutEngine:
     validates them as coarser than the theta*-classes."""
     return CutEngine(g, None if classes is None else validate_coarser(g, classes.classes))
 
-
-def partial_cube_double_wiener(dwg: DoubleWeightedGraph) -> Weight:
-    """Double-weighted Wiener index of a partial cube from its theta-classes.
-
-    Each class deletion leaves exactly two sides, so every class quotient is
-    K2 and the index is the sum of A_1 B_2 + A_2 B_1 over classes, where
-    A_j, B_j are the side totals of the two weight vectors.  One cut engine
-    serves the partial-cube test and the sum.
-    """
-    engine = CutEngine(dwg.g)
-    if any(size != 2 for size in engine.sizes):
-        raise NotPartialCubeError("graph is not a partial cube")
-    return engine.values([(dwg.a, dwg.b)])[0]

@@ -97,23 +97,6 @@ class Weights:
         fraction = self.fractional[i] or self.fractional[j]
         return _exact_quotient(value, 1 + half, self.scales[i] * self.scales[j], fraction)
 
-    @staticmethod
-    def stack(parts: Sequence[Weights]) -> Weights:
-        """The rows of every part, in order, as one matrix."""
-        rows = np.concatenate([p.rows for p in parts])
-        fractions = None
-        if any(p.fractions is not None for p in parts):
-            fractions = np.concatenate([
-                np.zeros(p.rows.shape, dtype=bool) if p.fractions is None else p.fractions
-                for p in parts
-            ])
-        return Weights(
-            rows,
-            sum((p.scales for p in parts), ()),
-            sum((p.bounds for p in parts), ()),
-            fractions,
-        )
-
 
 def scale_weights(
     num: np.ndarray, den: np.ndarray | None = None, fractions: np.ndarray | None = None

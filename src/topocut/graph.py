@@ -39,12 +39,12 @@ class Graph:
     """Simple connected undirected graph on vertices 0..n-1.
 
     The graph is its edge array: ``edge_array`` holds the m edges as rows
-    (u, v) with u < v, in input order.  ``csr``, ``edges``, ``adj`` and
-    ``edge_index`` are built from it on first use.  ``edges`` may be given
-    as an iterable of pairs or as an (m, 2) integer array.  Validation
-    runs on the arrays: range and self-loops elementwise, duplicates by
-    unique lo * n + hi codes, connectivity by ``component_labels``; the
-    error names the first offending edge in input order.
+    (u, v) with u < v, in input order.  ``csr``, ``edges`` and ``adj`` are
+    built from it on first use.  ``edges`` may be given as an iterable of
+    pairs or as an (m, 2) integer array.  Validation runs on the arrays:
+    range and self-loops elementwise, duplicates by unique lo * n + hi
+    codes, connectivity by ``component_labels``; the error names the first
+    offending edge in input order.
 
     Attributes:
         n:         vertex count
@@ -54,7 +54,7 @@ class Graph:
         peel:      the pendant trees and the 2-core, as a :class:`Peel`
     """
 
-    __slots__ = ("n", "_ends", "_csr", "_edges", "_adj", "_edge_index", "_peel")
+    __slots__ = ("n", "_ends", "_csr", "_edges", "_adj", "_peel")
 
     def __init__(
         self,
@@ -83,7 +83,7 @@ class Graph:
         self.n = n
         self._ends = np.array(ends, dtype=np.intp)
         self._ends.flags.writeable = False
-        self._csr = self._edges = self._adj = self._edge_index = self._peel = None
+        self._csr = self._edges = self._adj = self._peel = None
 
     @property
     def m(self) -> int:
@@ -123,13 +123,6 @@ class Graph:
         return self._adj
 
     @property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map from (min, max) endpoint pair to position in ``edges``."""
-        if self._edge_index is None:
-            self._edge_index = {e: i for i, e in enumerate(self.edges)}
-        return self._edge_index
-
-    @property
     def peel(self) -> Peel:
         """The pendant trees and the 2-core (:func:`pendant_peel`), built on
         first use."""
@@ -138,11 +131,12 @@ class Graph:
         return self._peel
 
     def index_of_edge(self, u: int, v: int) -> int:
-        e = (u, v) if u < v else (v, u)
-        try:
-            return self.edge_index[e]
-        except KeyError:
-            raise GraphError(f"unknown edge ({u}, {v})") from None
+        """The position of edge {u, v} in ``edges``."""
+        lo, hi = self._ends.T
+        found = np.flatnonzero((lo == min(u, v)) & (hi == max(u, v)))
+        if not found.size:
+            raise GraphError(f"unknown edge ({u}, {v})")
+        return int(found[0])
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

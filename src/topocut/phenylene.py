@@ -39,7 +39,7 @@ from .exact import (  # NotATreeError is re-exported: the tree routines raise it
     _subtree_sums, _tree_sums, scale_weights,
 )
 from .graph import (
-    Graph, ParseError, PlacementError, component_labels, degree_vector, first_seen_labels,
+    Graph, ParseError, PlacementError, component_labels, first_seen_labels,
     read_int_table, token_lines,
 )
 from .indices import Weight, check_weights
@@ -144,8 +144,8 @@ class Benzenoid:
 
     Vertices are numbered, and edges ordered, by first appearance in a scan
     of the cells in placement order and of each cell's corners and edges in
-    order.  The arrays are the benzenoid; ``graph``, ``edge_direction``,
-    ``inner_dual`` and ``vertex_coords`` are built from them on first use.
+    order.  The arrays are the benzenoid, and the squeeze route reads them
+    alone; ``graph`` and ``inner_dual`` are built from them on first use.
     """
 
     placement: BenzenoidPlacement
@@ -161,18 +161,9 @@ class Benzenoid:
                      validate=False)
 
     @cached_property
-    def edge_direction(self) -> tuple[int, ...]:  # parallel to graph.edges
-        return tuple(self._direction.tolist())
-
-    @cached_property
     def inner_dual(self) -> Graph:  # one vertex per cell, in placement order
         di, dj = self._dual
         return Graph(len(self.placement), np.column_stack((di, dj)))
-
-    @cached_property
-    def vertex_coords(self) -> tuple[tuple[int, int], ...]:
-        cells = self.placement.cells
-        return tuple(_cell_corners(*cells[f // 6])[f % 6] for f in self._first_corner.tolist())
 
 
 # Hexagon i's six edges, in order: corners (k, k+1) for k < 5, then (0, 5).
@@ -361,21 +352,14 @@ def build_phenylene(cells: Iterable[tuple[int, int]]) -> Phenylene:
     return Phenylene(placement, (di, dj, dk), mask)
 
 
-def squeeze_weights(
-    b: Graph, t: Graph
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The four weight vectors of the squeeze decomposition.
+def _squeeze_arrays(deg_b: np.ndarray, deg_t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four weight vectors of the squeeze decomposition, from the
+    degree arrays of the benzenoid and of the inner dual.
 
     On the benzenoid: w1 = 4 deg - 6 and w2 = deg - 1 (per-vertex totals of
     the phenylene components that collapse onto each lattice vertex).  On the
     inner dual: w3 = 2 deg + 12 and w4 = 6 (per-hexagon totals).
     """
-    degrees = (np.array(degree_vector(g), dtype=np.int64) for g in (b, t))
-    return tuple(tuple(w.tolist()) for w in _squeeze_arrays(*degrees))
-
-
-def _squeeze_arrays(deg_b: np.ndarray, deg_t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The weights of ``squeeze_weights`` from the two degree arrays."""
     return 4 * deg_b - 6, deg_b - 1, 2 * deg_t + 12, np.full(len(deg_t), 6, dtype=np.int64)
 
 
@@ -606,9 +590,8 @@ class QuotientTree:
     ``n`` is its vertex count and ``runs`` the split structure that the
     four trees share; the trees route reads only these.  For the API and
     the tests, the tree itself comes on first use from ``theta.quotient``
-    of the phenylene's graph by the class's edges: ``tree``,
-    ``component_of`` (phenylene vertex -> tree vertex), ``a`` (component
-    degree sums) and ``b`` (component vertex counts).
+    of the phenylene's graph by the class's edges: ``tree``, ``a``
+    (component degree sums) and ``b`` (component vertex counts).
     """
 
     n: int
@@ -626,14 +609,10 @@ class QuotientTree:
         return self._quotient_graph.graph
 
     @cached_property
-    def component_of(self) -> np.ndarray:
-        """Original vertex -> tree vertex."""
-        return np.array(self._quotient_graph.component_of, dtype=np.intp)
-
-    @cached_property
     def a(self) -> tuple[int, ...]:
         degrees = np.bincount(self.phenylene.graph.edge_array.ravel(), minlength=self.phenylene.n)
-        return tuple(_component_sums(self.component_of, self.n, degrees).tolist())
+        labels = np.array(self._quotient_graph.component_of, dtype=np.intp)
+        return tuple(_component_sums(labels, self.n, degrees).tolist())
 
     @cached_property
     def b(self) -> tuple[int, ...]:

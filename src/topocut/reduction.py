@@ -306,5 +306,3 @@ def reduce_once_s(wgraph, c: int):
 
 # On a WeightedGraph the same functions collapse W*(w).
 reduce_fully_single = reduce_fully
-reduce_once_r_single = reduce_once_r
-reduce_once_s_single = reduce_once_s

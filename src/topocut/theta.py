@@ -24,10 +24,6 @@ class PartitionError(ValueError):
     """An edge partition that is not coarser than the theta*-partition."""
 
 
-class NotPartialCubeError(ValueError):
-    """Raised by routines that require a partial cube."""
-
-
 @dataclass(frozen=True)
 class ThetaClasses:
     """The theta*-partition of the edge set as tuples, for API callers;
@@ -51,7 +47,7 @@ class EdgePartition:
     Build through :func:`validate_coarser` (full check), or directly when
     the blocks are coarser by construction; ``CutEngine`` checks that they
     partition the m edges, not that they join whole classes.  An engine over
-    theta* itself takes its label array and builds this only when read.
+    theta* itself takes its label array and builds none.
     """
 
     blocks: tuple[tuple[int, ...], ...]

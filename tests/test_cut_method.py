@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 
 from topocut.cut_method import (
+    CutEngine,
     degree_distance_via_cuts,
-    partial_cube_double_wiener,
     wiener_double_via_cuts,
     wiener_weighted_via_cuts,
 )
@@ -26,7 +26,6 @@ from topocut.indices import (
 )
 from topocut.theta import (
     EdgePartition,
-    NotPartialCubeError,
     PartitionError,
     quotient,
     theta_star_classes,
@@ -172,29 +171,17 @@ def test_cut_equivalence_sixty_vertices():
 
 
 def test_partial_cube_double_wiener_examples():
+    # on a partial cube every theta*-class quotient is K2, and the engine
+    # over theta* gives W(a, b) as the sum of its side products
     p3 = path_graph(3)
-    assert (
-        partial_cube_double_wiener(
-            DoubleWeightedGraph(p3, degree_vector(p3), (1, 1, 1))
-        )
-        == 10
-    )
+    assert CutEngine(p3).values([(degree_vector(p3), (1, 1, 1))]) == [10]
     q3 = hypercube_graph(3)
     ones = (1,) * 8
-    assert partial_cube_double_wiener(DoubleWeightedGraph(q3, ones, ones)) == 2 * wiener(q3)
+    assert CutEngine(q3).values([(ones, ones)]) == [2 * wiener(q3)]
     c6 = cycle_graph(6)
-    assert (
-        partial_cube_double_wiener(
-            DoubleWeightedGraph(c6, degree_vector(c6), (1,) * 6)
-        )
-        == 108
-    )
-
-
-def test_partial_cube_double_wiener_rejects_c5():
-    c5 = cycle_graph(5)
-    with pytest.raises(NotPartialCubeError):
-        partial_cube_double_wiener(DoubleWeightedGraph(c5, (1,) * 5, (1,) * 5))
+    engine = CutEngine(c6)
+    assert engine.sizes == (2, 2, 2)
+    assert engine.values([(degree_vector(c6), (1,) * 6)]) == [108]
 
 
 def test_partition_mismatch_detected():

@@ -144,7 +144,7 @@ def test_engine_with_pendant_trees_matches_oracle(kind, g, data):
     terms = report_terms(g, a, b)
     engine = CutEngine(g)
     assert dict(zip(terms, engine.values(list(terms.values())))) == oracle_values(g, a, b)
-    whole = CutEngine(g, validate_coarser(g, engine.partition.blocks))
+    whole = CutEngine(g, validate_coarser(g, theta_star_classes(g).classes))
     for closed in (False, True):
         mine, wanted = block_matrices((engine, whole), list(terms.values()), closed)
         assert mine == wanted
@@ -243,7 +243,7 @@ def test_subtracted_block_matches_its_quotient(kind, g, data):
     open_blocks = engine.complete.count(False)
     assert open_blocks >= 2
     assert len(sizes) == open_blocks - 1  # every open block but the largest
-    whole = CutEngine(g, validate_coarser(g, engine.partition.blocks))
+    whole = CutEngine(g, validate_coarser(g, theta_star_classes(g).classes))
     assert got.tolist() == whole.block_matrix(weights, pairs).tolist()
     assert column_values(got, weights, pairs) == list(oracle_values(g, a, b).values())
 
@@ -259,7 +259,7 @@ def test_engine_on_theta_labels_matches_the_validated_classes(kind, g, data):
     classes = theta_star_classes(g)
     engine = CutEngine(g)
     given = CutEngine(g, validate_coarser(g, classes.classes))
-    assert engine.partition.blocks == classes.classes
+    assert engine.block_of.tolist() == list(classes.class_of)
     assert engine.sizes == given.sizes and engine.complete == given.complete
     mine, theirs = engine_labels(engine), engine_labels(given)
     for i in range(len(engine.sizes)):
@@ -390,7 +390,7 @@ def test_core_db_across_the_int64_guard(past, monkeypatch):
     weights, pairs = term_pairs([(a, b), (a, None)])
     got = engine.block_matrix(weights, pairs)
     assert dtypes[0] is (object if past else np.int64)
-    whole = CutEngine(g, validate_coarser(g, engine.partition.blocks))
+    whole = CutEngine(g, validate_coarser(g, theta_star_classes(g).classes))
     assert got.tolist() == whole.block_matrix(weights, pairs).tolist()
     assert column_values(got, weights, pairs) == [_wiener_double(g, a, b), wiener_weighted(g, a)]
 
@@ -637,18 +637,17 @@ with contextlib.redirect_stdout(io.StringIO()):
 PUBLIC = {
     "graph": "Graph GraphError ParseError all_pairs_distances build_graph degree_vector "
              "format_edge_list parse_edge_list",
-    "theta": "EdgePartition NotPartialCubeError PartitionError QuotientGraph ThetaClasses "
-             "quotient theta_star_classes validate_coarser",
+    "theta": "EdgePartition PartitionError QuotientGraph ThetaClasses quotient "
+             "theta_star_classes validate_coarser",
     "indices": "DoubleWeightedGraph WeightedGraph degree_distance gutman wiener wiener_double "
                "wiener_plus wiener_weighted",
-    "cut_method": "degree_distance_via_cuts is_partial_cube partial_cube_double_wiener "
-                  "wiener_double_via_cuts wiener_weighted_via_cuts",
+    "cut_method": "degree_distance_via_cuts is_partial_cube wiener_double_via_cuts "
+                  "wiener_weighted_via_cuts",
     "phenylene": "Benzenoid BenzenoidPlacement NotATreeError Phenylene PlacementError "
                  "QuotientTree build_benzenoid build_phenylene dd_gut_via_squeeze "
-                 "dd_gut_via_trees quotient_trees squeeze_weights tree_wiener_double_linear "
-                 "tree_wiener_linear",
+                 "dd_gut_via_trees quotient_trees tree_wiener_double_linear tree_wiener_linear",
     "reduction": "ReductionStep r_classes reduce_fully reduce_fully_single reduce_once_r "
-                 "reduce_once_r_single reduce_once_s reduce_once_s_single s_classes",
+                 "reduce_once_s s_classes",
     "hamming": "NotPartialHammingError gutman_exact_hamming gutman_lower_bound "
                "is_partial_hamming weighted_wiener_lower_bound",
 }
@@ -658,7 +657,8 @@ SUBMODULES = ("cut_method", "exact", "families", "graph", "hamming", "indices", 
 
 def test_public_names_resolve_to_their_home_objects():
     names = {name: home for home, names in PUBLIC.items() for name in names.split()}
-    assert len(names) == 57
+    assert len(names) == 52
+    assert set(topocut.__all__) == {*names, *SUBMODULES}
     for name, home in names.items():
         assert getattr(topocut, name) is getattr(importlib.import_module(f"topocut.{home}"), name)
     for name in SUBMODULES:
@@ -771,11 +771,12 @@ def test_pendant_sides_match_component_labels(g):
     # rest; deleting its edge and labelling the components must agree
     engine = CutEngine(g)
     labels = engine_labels(engine)
+    blocks = theta_star_classes(g).classes
     peeled = set(g.peel.edge.tolist())
-    pendant = [i for i, block in enumerate(engine.partition.blocks) if block[0] in peeled]
+    pendant = [i for i, block in enumerate(blocks) if block[0] in peeled]
     assert len(pendant) == len(peeled)
     for i in pendant:
-        keep = np.arange(g.m) != engine.partition.blocks[i][0]
+        keep = np.arange(g.m) != blocks[i][0]
         want = graph_module.component_labels(g.n, *g.edge_array[keep].T)[1]
         assert labels[i].tolist() == want.tolist()
 
@@ -842,9 +843,11 @@ def assert_contraction_matches_dfs(g, blocks):
 def assert_engine_matches_dfs(engine):
     # Without a peel the engine numbers components by smallest vertex, as
     # quotient() does.  A peeled engine numbers a core block's components
-    # by smallest core vertex, so its edges are compared renamed.
+    # by smallest core vertex, so its edges are compared renamed.  The blocks
+    # are the given partition's, or theta*'s classes.
     g = engine.g
-    for i, (block, labels) in enumerate(zip(engine.partition.blocks, engine_labels(engine))):
+    blocks = theta_star_classes(g).classes if engine.partition is None else engine.partition.blocks
+    for i, (block, labels) in enumerate(zip(blocks, engine_labels(engine))):
         q = quotient(g, block)  # one labelling of G - F_i: the reference
         assert engine.sizes[i] == q.graph.n
         assert renamed_edges(engine, i, labels, q.component_of) == list(q.graph.edges)

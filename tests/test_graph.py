@@ -56,9 +56,11 @@ def test_construction_errors():
 
 def test_unknown_edge_lookup():
     g = build_graph(3, [(0, 1), (1, 2)])
-    assert g.index_of_edge(2, 1) == 1
-    with pytest.raises(GraphError, match="unknown edge"):
-        g.index_of_edge(0, 2)
+    assert g.index_of_edge(2, 1) == g.index_of_edge(1, 2) == 1
+    assert g.index_of_edge(1, 0) == g.index_of_edge(0, 1) == 0
+    for u, v in ((0, 2), (-1, 0), (0, -1), (2**70, 1), (1, 2**70), (2**64, 0), (-1, -1)):
+        with pytest.raises(GraphError, match=rf"^unknown edge \({u}, {v}\)$"):
+            g.index_of_edge(u, v)
 
 
 def test_distances_p3_c4_c5():
@@ -99,7 +101,7 @@ def test_distances_match_floyd_warshall(g):
 @given(connected_graphs(max_n=14))
 def test_distance_matrix_axioms(g):
     d = all_pairs_distances(g)
-    index = g.edge_index
+    index = set(g.edges)
     for u in range(g.n):
         assert d[u][u] == 0
         for v in range(u + 1, g.n):
@@ -114,7 +116,7 @@ def test_distance_matrix_axioms_sixty_vertices():
 
     g = random_connected_graph(60, 110, seed=606)
     d = all_pairs_distances(g)
-    index = g.edge_index
+    index = set(g.edges)
     for u in range(60):
         assert d[u][u] == 0
         for v in range(u + 1, 60):

@@ -42,6 +42,7 @@ from topocut.phenylene import (
     _degree_sums,
     _later_neighbours,
     _sorted_runs,
+    _squeeze_arrays,
     _validated_dual,
     build_benzenoid,
     build_phenylene,
@@ -50,7 +51,6 @@ from topocut.phenylene import (
     parse_placement,
     format_placement,
     quotient_trees,
-    squeeze_weights,
     tree_block_matrix,
     tree_wiener_double_linear,
     tree_wiener_linear,
@@ -166,16 +166,15 @@ def test_structural_classes_are_coarser():
         ]
         validate_coarser(ph.graph, [b for b in blocks if b])
         benz = build_benzenoid(placement)
-        ecls = np.asarray(benz.edge_direction)
-        bblocks = [np.flatnonzero(ecls == c).tolist() for c in (1, 2, 3)]
+        bblocks = [np.flatnonzero(benz._direction == c).tolist() for c in (1, 2, 3)]
         validate_coarser(benz.graph, [b for b in bblocks if b])
 
 
 def test_squeeze_weights_values():
     benz = build_benzenoid(phe6_placement())
-    w1, w2, w3, w4 = squeeze_weights(benz.graph, benz.inner_dual)
     degs_b = degree_vector(benz.graph)
     degs_t = degree_vector(benz.inner_dual)
+    w1, w2, w3, w4 = _squeeze_arrays(np.array(degs_b), np.array(degs_t))
     for u, d in enumerate(degs_b):
         assert w1[u] == {2: 2, 3: 6}[d]
         assert w2[u] == {2: 1, 3: 2}[d]
@@ -609,7 +608,7 @@ def test_quotient_tree_weights_are_component_sums(cells):
         removed = np.flatnonzero(ph.edge_class == c).tolist()
         component_of, count, members = _components_reference(ph.graph, removed)
         assert qt.n == qt.tree.n == count
-        assert tuple(qt.component_of.tolist()) == component_of
+        assert qt._quotient_graph.component_of == component_of
         assert list(qt.tree.edges) == _quotient_edges_reference(ph.graph, removed, component_of)
         assert qt.a == tuple(sum(degs[v] for v in group) for group in members)
         assert qt.b == tuple(map(len, members))
@@ -627,9 +626,11 @@ def test_array_builds_match_loop_builders(cells):
     assert dd_gut_via_trees(ph) == want
     coords, bedges, directions, dual = reference_benzenoid(cells)
     benz = build_benzenoid(cells)
-    assert list(benz.vertex_coords) == coords
+    corners = [_cell_corners(*benz.placement.cells[f // 6])[f % 6]
+               for f in benz._first_corner.tolist()]
+    assert corners == coords
     assert list(benz.graph.edges) == bedges
-    assert list(benz.edge_direction) == directions
+    assert benz._direction.tolist() == directions
     assert list(benz.inner_dual.edges) == dual
     assert dd_gut_via_squeeze(cells) == want
 
@@ -812,8 +813,9 @@ RUN_WEIGHTS = {
 def explicit_tree_values(t, weights, pairs):
     """The pairs on one materialised quotient tree: its edges, its weights
     (``b`` for the ones, ``a`` for the degrees, the rows of ``weights``
-    summed through ``component_of``) and the plain tree kernel."""
-    rows = [t.b, t.a] + [_component_sums(t.component_of, t.n, w).tolist() for w in weights.rows]
+    summed through the quotient's ``component_of``) and the plain tree kernel."""
+    labels = np.array(t._quotient_graph.component_of)
+    rows = [t.b, t.a] + [_component_sums(labels, t.n, w).tolist() for w in weights.rows]
     ph = t.phenylene
     matrix = Weights(np.array(rows, dtype=object), (1, 1) + weights.scales,
                      (ph.n, 2 * ph.m) + weights.bounds)

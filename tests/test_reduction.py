@@ -25,9 +25,7 @@ from topocut.reduction import (
     reduce_fully,
     reduce_fully_single,
     reduce_once_r,
-    reduce_once_r_single,
     reduce_once_s,
-    reduce_once_s_single,
     s_classes,
 )
 from topocut.families import (
@@ -102,7 +100,7 @@ def test_reduce_once_r_singleton_is_identity():
 def test_reduce_once_r_single_star():
     k13 = star_graph(4)
     wg = WeightedGraph(k13, (1, 1, 1, 1))
-    reduced, corr = reduce_once_r_single(wg, 1)
+    reduced, corr = reduce_once_r(wg, 1)
     assert corr == 6  # 2 * 3 pairs
     assert wiener_weighted(reduced.g, reduced.w) + corr == wiener_weighted(k13, wg.w)
     assert wiener_weighted(reduced.g, reduced.w) == 3  # K2 weighted (1, 3)
@@ -140,7 +138,7 @@ def test_reduce_once_s_cliques():
 
 def test_reduce_once_s_single():
     k3 = complete_graph(3)
-    reduced, corr = reduce_once_s_single(WeightedGraph(k3, (1, 1, 1)), 0)
+    reduced, corr = reduce_once_s(WeightedGraph(k3, (1, 1, 1)), 0)
     assert corr == 3 == wiener_weighted(k3, (1, 1, 1))
     assert reduced.g.n == 1
 
