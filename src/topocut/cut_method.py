@@ -99,9 +99,9 @@ class CutEngine:
     found by one contraction pass.
 
     Without ``partition`` the blocks are the theta*-classes: theta*'s label
-    array is each edge's block (``block_of``), its core distance matrix is
-    kept for :meth:`block_matrix`, and ``partition`` stays None.  The
-    pendant trees then stay out of the contraction
+    array is each edge's block (``block_of``), and its core distance matrix
+    is kept for :meth:`block_matrix`.  The pendant trees then stay out of
+    the contraction
     (``Graph.peel``).  Each of their edges is a bridge and a class of its
     own, so its quotient is K2, with sides the subtree below the edge and
     the rest.  The contraction runs on the 2-core's edges and classes only.
@@ -134,7 +134,6 @@ class CutEngine:
     """
 
     def __init__(self, g: Graph, partition: EdgePartition | None = None):
-        self.partition = partition
         self._core_distances = None  # theta*'s, rows in g.peel.core order
         if partition is None:
             block_of, self._core_distances = _theta_labels(g)

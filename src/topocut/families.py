@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 
 from .graph import Graph, GraphError, PlacementError
-from .phenylene import NEIGHBOR_OFFSETS, BenzenoidPlacement
+from .phenylene import NEIGHBOR_OFFSETS, BenzenoidPlacement, _cell_order, _later_neighbours
 
 
 def path_graph(n: int) -> Graph:
@@ -164,27 +164,19 @@ def _chain_fault(cells: np.ndarray) -> int | None:
     A chain never repeats a cell before some cell touches: if cell t + 1
     repeats cell s, then cell t lies next to s, and s is not t - 1, since
     two steps turning by at most 60 degrees never cancel.  So cell t
-    touches first.  One stable sort of the cells' keys and a binary search
-    find, per cell and per direction, the earliest cell next to it; three
-    directions find every neighbouring pair once.  A pair whose later cell
-    is not the earlier one's successor makes the later cell touch.
+    touches first, and the cells before the first repeat hold the first
+    touch.  Sorted as a placement sorts them, their ``_later_neighbours``
+    give every neighbouring pair once; a pair whose later cell, in chain
+    order, is not the earlier one's successor makes the later cell touch.
     """
-    q = cells[:, 0] - cells[:, 0].min() + 1
-    r = cells[:, 1] - cells[:, 1].min() + 1
-    width = int(r.max()) + 2
-    keys = q * width + r
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    cell = np.arange(len(keys))
-    late = []
-    for dq, dr in NEIGHBOR_OFFSETS[:3]:
-        wanted = keys + dq * width + dr
-        at = np.minimum(np.searchsorted(ordered, wanted), len(keys) - 1)
-        found = ordered[at] == wanted
-        a, b = cell[found], order[at[found]]
-        later = np.maximum(a, b)
-        late.append(later[np.minimum(a, b) < later - 1])
-    late = np.concatenate(late)
+    q, r, order, repeats = _cell_order(cells)
+    if repeats.size:
+        order = order[order < order.take(repeats).min()]
+    later = _later_neighbours(np.stack((q.take(order), r.take(order))).T)
+    found = later >= 0
+    a, b = order.take(found.nonzero()[0]), order.take(later[found])
+    late = np.maximum(a, b)
+    late = late[np.minimum(a, b) < late - 1]
     return int(late.min()) if late.size else None
 
 

@@ -434,18 +434,6 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return dist
 
 
-def first_seen_labels(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number equal keys by the position of their first occurrence.
-
-    Returns the number of every key and, per number, that first position.
-    """
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty(order.size, dtype=np.int64)
-    number[order] = np.arange(order.size)
-    return number[inverse], first[order]
-
-
 def component_labels(n: int, eu: np.ndarray, ev: np.ndarray) -> tuple[int, np.ndarray]:
     """Connected components of the graph on vertices 0..n-1 with edges
     (eu, ev): their count and int64 labels numbered by smallest contained

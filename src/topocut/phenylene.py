@@ -1,10 +1,11 @@
 """Catacondensed benzenoid systems on the hexagonal lattice, phenylenes,
 and linear-time computation of their degree distance and Gutman index.
 
-Cells live in axial coordinates (q, r).  A cell's centre is mapped to the
-integer point (3q, 2r + q); its six corners are fixed offsets from the
-centre, so shared corners and edges of adjacent cells coincide exactly with
-no geometric tolerance.  Hexagon edges fall into three parallel direction
+Cells live in axial coordinates (q, r).  Corner k and edge k (corners k
+and k+1) of cell i are slot 6i+k, and neighbour k shares edge k: which
+corners and edges adjacent cells share is read from the inner dual alone,
+with no corner coordinates (``_cell_corners`` places a corner only to name
+it in an error).  Hexagon edges fall into three parallel direction
 classes (1, 2, 3); the squares that separate adjacent hexagons of a
 phenylene contribute the connector class 4.  Each of the four classes is a
 union of theta*-classes, and the quotient by each class is a tree, which is
@@ -39,8 +40,7 @@ from .exact import (  # NotATreeError is re-exported: the tree routines raise it
     _subtree_sums, _tree_sums, scale_weights,
 )
 from .graph import (
-    Graph, ParseError, PlacementError, component_labels, first_seen_labels,
-    read_int_table, token_lines,
+    Graph, ParseError, PlacementError, component_labels, read_int_table, token_lines,
 )
 from .indices import Weight, check_weights
 from .theta import QuotientGraph, _quotient, quotient
@@ -83,6 +83,18 @@ def _grid_axis(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(steps))).astype(np.int64)[inverse]
 
 
+def _cell_order(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """An (h, 2) cell array's axes on the compact grid of ``_grid_axis``,
+    the stable order that sorts the cells by one key per cell, (q, r) on
+    that grid, and the places in that order of every cell equal to the one
+    before it."""
+    q, r = _grid_axis(raw[:, 0]), _grid_axis(raw[:, 1])
+    key = q * (int(r.max()) + 1) + r
+    order = np.argsort(key, kind="stable")  # adaptive: cells often come in sorted
+    key = key.take(order)
+    return q, r, order, np.flatnonzero(key[1:] == key[:-1]) + 1
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class BenzenoidPlacement:
     """A set of hexagon cells in axial coordinates, stored sorted.
@@ -106,17 +118,13 @@ class BenzenoidPlacement:
 
     @classmethod
     def _from_array(cls, raw: np.ndarray) -> "BenzenoidPlacement":
-        """Sort an (h, 2) cell array by one key per cell, (q, r) on the
-        compact grid, and reject an empty or repeated cell."""
+        """Sort an (h, 2) cell array (``_cell_order``) and reject an empty
+        or repeated cell."""
         if not len(raw):
             raise PlacementError("placement has no cells")
-        q, r = _grid_axis(raw[:, 0]), _grid_axis(raw[:, 1])
-        key = q * (int(r.max()) + 1) + r
-        order = np.argsort(key, kind="stable")  # adaptive: cells often come in sorted
-        key = key.take(order)
-        same = np.flatnonzero(key[1:] == key[:-1])
-        if same.size:
-            raise PlacementError(f"duplicate cell {tuple(raw[order[same[0] + 1]].tolist())}")
+        q, r, order, repeats = _cell_order(raw)
+        if repeats.size:
+            raise PlacementError(f"duplicate cell {tuple(raw[order[repeats[0]]].tolist())}")
         return cls(raw.take(order, axis=0), np.stack((q.take(order), r.take(order))).T)
 
     @cached_property
@@ -142,10 +150,12 @@ class BenzenoidPlacement:
 class Benzenoid:
     """A catacondensed benzenoid: lattice graph, edge directions, inner dual.
 
-    Vertices are numbered, and edges ordered, by first appearance in a scan
-    of the cells in placement order and of each cell's corners and edges in
-    order.  The arrays are the benzenoid, and the squeeze route reads them
-    alone; ``graph`` and ``inner_dual`` are built from them on first use.
+    The inner dual identifies the corners and edges that adjacent cells
+    share (``build_benzenoid``).  Vertices are numbered, and edges ordered,
+    by first appearance in a scan of the cells in placement order and of
+    each cell's corners and edges in order.  The arrays are the benzenoid,
+    and the squeeze route reads them alone; ``graph`` and ``inner_dual``
+    are built from them on first use.
     """
 
     placement: BenzenoidPlacement
@@ -316,26 +326,27 @@ def _validated_dual(
     return di, dj, dk, mask
 
 
-_CORNER_DX = np.array([dx for dx, _ in CORNER_OFFSETS], dtype=np.int64)
-_CORNER_DY = np.array([dy for _, dy in CORNER_OFFSETS], dtype=np.int64)
-
-
 def build_benzenoid(cells: Iterable[tuple[int, int]]) -> Benzenoid:
-    """Build the benzenoid graph of a catacondensed placement plus its inner dual."""
-    placement = BenzenoidPlacement.of(cells)
-    di, dj, _, _ = _validated_dual(placement)
-    q, r = placement.grid[:, 0], placement.grid[:, 1]
-    # the corner points on the compact grid, y shifted to start at 0
-    x = (3 * q)[:, None] + _CORNER_DX
-    y = (2 * r + q)[:, None] + _CORNER_DY + 1
-    vertex, first_corner = first_seen_labels((x * (int(y.max()) + 1) + y).ravel())
-    ends = vertex.reshape(-1, 6)
-    u, v = ends.ravel(), np.roll(ends, -1, axis=1).ravel()  # edge k: corners k, k+1
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    _, first_edge = first_seen_labels(lo * first_corner.size + hi)
-    return Benzenoid(
-        placement, lo[first_edge], hi[first_edge], first_edge % 3 + 1, (di, dj), first_corner
+    """Build the benzenoid graph of a catacondensed placement plus its inner dual.
+
+    The benzenoid is the phenylene with its connectors contracted: corner k
+    and edge k of cell i start as slot 6i + k, and a dual edge (i, j, k)
+    joins corners k, k+1 of i to corners k+4, k+3 of j and edge k of i to
+    edge k+3 of j.  One ``component_labels`` call for the corners and one
+    for the edges number them by smallest slot, their first appearance, and
+    each number's first slot is where the running maximum steps up.
+    """
+    ph = build_phenylene(cells)
+    di, dj, dk = ph._dual
+    vertex = component_labels(ph.n, ph._eu[ph.n:], ph._ev[ph.n:])[1]
+    edge = component_labels(ph.n, 6 * di + dk, 6 * dj + (dk + 3) % 6)[1]
+    first_corner, first_edge = (
+        np.flatnonzero(np.diff(np.maximum.accumulate(x), prepend=-1)) for x in (vertex, edge)
     )
+    u = vertex.take(ph._eu[first_edge])  # hexagon edge slot 6i + k joins corners k, k+1
+    v = vertex.take(ph._ev[first_edge])
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    return Benzenoid(ph.placement, lo, hi, first_edge % 3 + 1, (di, dj), first_corner)
 
 
 def build_phenylene(cells: Iterable[tuple[int, int]]) -> Phenylene:

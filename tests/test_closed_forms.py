@@ -4,10 +4,14 @@ used to check each route at sizes the oracle cannot reach.
 A uniform weight c scales every weighted index by a closed factor:
 W*(c) = c^2 W, W+(c) = 2c W and W(c, c + 2) = 2c(c + 2) W.  With c just
 past 2^31, W*(c) passes 2^63 on every input below, so each route's sums
-leave the int64 range.
+leave the int64 range.  With c just below 2^62, an int or c/3 as a
+Fraction, the weights themselves are past the table reader's 2^60: the
+token-line reader reads them into object arrays, and every sum is past
+int64 from the first product.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +23,7 @@ from topocut.indices import degree_distance, gutman, wiener
 from topocut.phenylene import build_phenylene
 
 C = 2**31 + 11
+C62 = 2**62 - 57  # not a multiple of 3
 
 
 def bipartite_forms(p, q):
@@ -66,13 +71,33 @@ def test_closed_forms_match_the_oracle():
     (["--family", "chain", "--n", "100000"], 600000, chain_forms(10**5), "trees"),
 ], ids=["bipartite", "hypercube", "cycle", "chain"])
 def test_routes_past_int64_match_the_closed_forms(tmp_path, capsys, source, n, forms, method):
+    assert_route_matches_the_closed_forms(tmp_path, capsys, source, n, forms, method, C)
+
+
+@pytest.mark.parametrize("c", [C62, Fraction(C62, 3)], ids=["int", "fraction"])
+@pytest.mark.parametrize("source, n, forms, method", [
+    (["--family", "complete_bipartite", "--n", "3,4", "--method", "reduce"], 7,
+     bipartite_forms(3, 4), "reduce"),
+    (["--family", "hypercube", "--n", "4"], 16, hypercube_forms(4), "hamming"),
+    (["--family", "cycle", "--n", "9"], 9, cycle_forms(9), "cuts"),
+    (["--family", "chain", "--n", "50"], 300, chain_forms(50), "trees"),
+], ids=["bipartite", "hypercube", "cycle", "chain"])
+def test_routes_near_2_62_match_the_closed_forms(tmp_path, capsys, source, n, forms, method, c):
+    assert_route_matches_the_closed_forms(tmp_path, capsys, source, n, forms, method, c)
+
+
+def assert_route_matches_the_closed_forms(tmp_path, capsys, source, n, forms, method, c):
+    """compute --json on ``source`` with the uniform weights a = c, b = c + 2
+    against the closed ``forms`` (W, DD, Gut) scaled by c^2, 2c or 2c(c + 2)."""
     weights = tmp_path / "weights.txt"
-    weights.write_text("".join(f"{v} {C} {C + 2}\n" for v in range(n)))
+    weights.write_text("".join(f"{v} {c} {c + 2}\n" for v in range(n)))
     assert main(["compute", *source, "--weights", str(weights), "--json"]) == 0
     r = json.loads(capsys.readouterr().out)
+    indices = {k: Fraction(v) if isinstance(v, str) else v for k, v in r["indices"].items()}
     w, dd, gut = forms
-    want = {"wiener": w, "degree_distance": dd, "gutman": gut, "wiener_weighted": C * C * w}
+    want = {"wiener": w, "degree_distance": dd, "gutman": gut, "wiener_weighted": c * c * w}
     if method != "hamming":  # the hamming route reports W*(a) alone
-        want.update(wiener_plus=2 * C * w, wiener_double=2 * C * (C + 2) * w)
-    assert (r["method"], r["n"], r["indices"]) == (method, n, want)
+        want.update(wiener_plus=2 * c * w, wiener_double=2 * c * (c + 2) * w)
+    assert (r["method"], r["n"], indices) == (method, n, want)
+    assert all(type(indices[k]) is type(v) for k, v in want.items())
     assert want["wiener_weighted"] > 2**63

@@ -144,11 +144,12 @@ def test_engine_with_pendant_trees_matches_oracle(kind, g, data):
     terms = report_terms(g, a, b)
     engine = CutEngine(g)
     assert dict(zip(terms, engine.values(list(terms.values())))) == oracle_values(g, a, b)
-    whole = CutEngine(g, validate_coarser(g, theta_star_classes(g).classes))
+    classes = theta_star_classes(g).classes
+    whole = CutEngine(g, validate_coarser(g, classes))
     for closed in (False, True):
         mine, wanted = block_matrices((engine, whole), list(terms.values()), closed)
         assert mine == wanted
-    assert_engine_matches_dfs(engine)
+    assert_engine_matches_dfs(engine, classes)
 
 
 def test_fractions_on_pendant_vertices_only_stay_fractions():
@@ -169,9 +170,10 @@ def test_given_classes_that_join_a_pendant_edge_are_contracted_whole():
     # take given classes as that partition
     g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
     merged = theta_module.ThetaClasses(((0, 1, 2), (3, 4)), (0, 0, 0, 1, 1))
-    engine = CutEngine(g, validate_coarser(g, merged.classes))
+    partition = validate_coarser(g, merged.classes)
+    engine = CutEngine(g, partition)
     assert engine.sizes == (3, 3)
-    assert_engine_matches_dfs(engine)
+    assert_engine_matches_dfs(engine, partition.blocks)
     ones = (1,) * g.n
     assert engine.values([(ones, None)]) == [wiener_weighted(g, ones)]
     assert engine.complete == (True, False)  # the merged bridges' quotient is P3
@@ -755,7 +757,7 @@ def test_quotients_come_from_the_contraction():
     # core blocks alike, and their distances sum to the graph's
     g = random_connected_graph(30, 50, 1)
     engine = CutEngine(g)
-    assert_engine_matches_dfs(engine)
+    assert_engine_matches_dfs(engine, theta_star_classes(g).classes)
     total = np.zeros((g.n, g.n), dtype=np.int64)
     for i, labels in enumerate(engine_labels(engine)):
         total += distance_matrix(Graph(engine.sizes[i], engine.quotient_edges(i)))[
@@ -835,18 +837,18 @@ def test_contraction_block_counts(k):
 
 
 def assert_contraction_matches_dfs(g, blocks):
-    engine = CutEngine(g, validate_coarser(g, blocks))
+    partition = validate_coarser(g, blocks)
+    engine = CutEngine(g, partition)
     assert len(engine.sizes) == len(engine.complete) == len(blocks)
-    assert_engine_matches_dfs(engine)
+    assert_engine_matches_dfs(engine, partition.blocks)
 
 
-def assert_engine_matches_dfs(engine):
+def assert_engine_matches_dfs(engine, blocks):
     # Without a peel the engine numbers components by smallest vertex, as
     # quotient() does.  A peeled engine numbers a core block's components
-    # by smallest core vertex, so its edges are compared renamed.  The blocks
-    # are the given partition's, or theta*'s classes.
+    # by smallest core vertex, so its edges are compared renamed.  The
+    # blocks are the engine's: its given partition's, or theta*'s classes.
     g = engine.g
-    blocks = theta_star_classes(g).classes if engine.partition is None else engine.partition.blocks
     for i, (block, labels) in enumerate(zip(blocks, engine_labels(engine))):
         q = quotient(g, block)  # one labelling of G - F_i: the reference
         assert engine.sizes[i] == q.graph.n

@@ -30,6 +30,7 @@ from topocut.indices import (
 from topocut.cut_method import is_partial_cube
 from topocut.theta import EdgePartition, _quotient, theta_star_classes, validate_coarser
 from topocut.phenylene import (
+    CORNER_OFFSETS,
     BenzenoidPlacement,
     NotATreeError,
     NEIGHBOR_OFFSETS,
@@ -58,6 +59,7 @@ from topocut.phenylene import (
 from topocut.families import (
     cycle_graph,
     gen_phenylene_chain,
+    parse_kinks,
     path_graph,
     phe6_placement,
 )
@@ -633,6 +635,58 @@ def test_array_builds_match_loop_builders(cells):
     assert benz._direction.tolist() == directions
     assert list(benz.inner_dual.edges) == dual
     assert dd_gut_via_squeeze(cells) == want
+
+
+def first_seen_numbers(keys):
+    """Equal keys numbered by their first position, and per number that
+    position."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(order.size, dtype=np.int64)
+    number[order] = np.arange(order.size)
+    return number[inverse], first[order]
+
+
+def coordinate_benzenoid(placement):
+    """``build_benzenoid``'s arrays from corner coordinates, with no inner
+    dual: a cell's corners are fixed offsets from its centre (3q, 2r + q),
+    equal points are one vertex and equal end pairs one edge, each numbered
+    by its first slot 6i + k."""
+    q, r = placement.grid[:, 0], placement.grid[:, 1]
+    dx, dy = np.array(CORNER_OFFSETS, dtype=np.int64).T
+    x = (3 * q)[:, None] + dx
+    y = (2 * r + q)[:, None] + dy + 1
+    vertex, first_corner = first_seen_numbers((x * (int(y.max()) + 1) + y).ravel())
+    ends = vertex.reshape(-1, 6)
+    u, v = ends.ravel(), np.roll(ends, -1, axis=1).ravel()  # edge k: corners k, k+1
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    first_edge = first_seen_numbers(lo * first_corner.size + hi)[1]
+    return lo[first_edge], hi[first_edge], first_edge % 3 + 1, first_corner
+
+
+@st.composite
+def long_chains(draw):
+    """Chains of up to 60 cells: a random kink pattern, cut to half its
+    length until the chain no longer touches itself."""
+    h, pattern = draw(kink_patterns(max_h=60))
+    kinks = parse_kinks(pattern)
+    while True:
+        try:
+            return list(gen_phenylene_chain(h, "".join(kinks[:max(h - 2, 0)])).cells)
+        except PlacementError:
+            h //= 2
+
+
+@given(st.one_of(branched_placements(max_h=40), chain_placements_drawn(), long_chains()))
+@example(list(phe6_placement().cells))
+@example([(q + 2**62, r - 2**62) for q, r in gen_phenylene_chain(9, "A+LA-A-LA+L").cells])
+def test_benzenoid_numbering_matches_corner_coordinates(cells):
+    # the inner dual's corner and edge numbering against the coordinates'
+    benz = build_benzenoid(cells)
+    got = benz._eu, benz._ev, benz._direction, benz._first_corner
+    for mine, wanted in zip(got, coordinate_benzenoid(benz.placement)):
+        assert mine.dtype == wanted.dtype
+        assert mine.tolist() == wanted.tolist()
 
 
 @st.composite

@@ -291,6 +291,8 @@ def scaled_outcome(text, n):
 @example((f"0 {2**60 - 1}/3 1/{2**60 - 1}\n", 1))
 @example((f"0 {2**60}/3\n", 1))
 @example((f"0 -{2**60 - 1}/5 7\n", 1))
+@example(("0 1\n1\n", 2))  # a line of one token
+@example(("0 1 2 3\n", 1))  # a line of four tokens
 def test_weights_reader_matches_line_reader(case):
     text, n = case
     want = weight_outcome(reference_parse_weights, text, n)
