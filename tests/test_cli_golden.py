@@ -1,6 +1,9 @@
 """Golden outputs of the CLI: every inspection command and every
 ``compute`` method but ``auto`` on a fixed set of inputs, text and
-``--json``, held byte for byte to ``data/cli_golden.json`` with the timings masked.
+``--json``; ``compute --check`` and ``verify`` on a graph, a weighted graph
+and a placement; and the help of ``topocut`` and ``topocut compute`` at 80
+columns.  Each is held byte for byte to ``data/cli_golden.json`` with the
+timings masked.
 
 Regenerate the file (only when an output is meant to change) with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -60,12 +63,25 @@ COMMANDS = {
 }
 
 
+# input -> the method its ``compute --check`` case names (never ``auto``,
+# whose pick may change while every route's output stays)
+CHECKED = {"random30": "cuts", "windmill4": "reduce", "chain12": "trees"}
+
+HELP = {"help/topocut": ["--help"], "help/compute": ["compute", "--help"]}
+
+
 def cases():
     for inp, (args, edges) in INPUTS.items():
         for cmd, argv in COMMANDS.items():
             argv = [edges if a is None else a for a in argv] + args
             yield f"{inp}/{cmd}", argv
             yield f"{inp}/{cmd}/json", argv + ["--json"]
+    for inp, method in CHECKED.items():
+        argv = ["compute", "--check", "--method", method] + INPUTS[inp][0]
+        yield f"{inp}/compute_check_{method}", argv
+        yield f"{inp}/compute_check_{method}/json", argv + ["--json"]
+        yield f"{inp}/verify", ["verify"] + INPUTS[inp][0]
+    yield from HELP.items()
 
 
 def _mask(text: str) -> str:
@@ -76,7 +92,10 @@ def _mask(text: str) -> str:
 def run_case(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
     return {"exit": code, "stdout": _mask(out.getvalue()), "stderr": err.getvalue()}
 
 
@@ -92,11 +111,13 @@ def test_golden_corpus_covers_every_case(golden):
 @pytest.mark.parametrize("name,argv", list(cases()), ids=[name for name, _ in cases()])
 def test_cli_output_is_byte_identical(name, argv, golden, monkeypatch):
     monkeypatch.chdir(DATA)
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
     assert run_case(argv) == golden[name]
 
 
 if __name__ == "__main__":
     os.chdir(DATA)
+    os.environ["COLUMNS"] = "80"
     record = {name: run_case(argv) for name, argv in cases()}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(record)} cases to {GOLDEN}", file=sys.stderr)
