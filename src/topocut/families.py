@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -106,26 +107,25 @@ def gen_house(n: int) -> Graph:
     return Graph(2 * n + 1, edges)
 
 
+_KINKS = re.compile(r"(?:L|A[+-])*")
+_TURNS = np.zeros(128, dtype=np.int64)  # a kink's last character to its turn: L 0, + 1, - -1
+_TURNS[[ord("+"), ord("-")]] = 1, -1
+_STEPS = np.array(NEIGHBOR_OFFSETS, dtype=np.int64)
+
+
+def _kink_string(pattern: str) -> str:
+    """A kink pattern over {L, A+, A-}, with or without commas, as one
+    character per kink (L, + or -), read by one match."""
+    compact = pattern.replace(",", "").replace(" ", "").upper()
+    end = _KINKS.match(compact).end()
+    if end < len(compact):
+        raise PlacementError(f"bad kink pattern {pattern!r} at position {end}")
+    return compact.replace("A", "")
+
+
 def parse_kinks(pattern: str) -> list[str]:
     """Parse a kink pattern over {L, A+, A-}, with or without commas."""
-    tokens = []
-    i = 0
-    compact = pattern.replace(",", "").replace(" ", "").upper()
-    while i < len(compact):
-        ch = compact[i]
-        if ch == "L":
-            tokens.append("L")
-            i += 1
-        elif ch == "A" and i + 1 < len(compact) and compact[i + 1] in "+-":
-            tokens.append("A" + compact[i + 1])
-            i += 2
-        else:
-            raise PlacementError(f"bad kink pattern {pattern!r} at position {i}")
-    return tokens
-
-
-_TURNS = {"L": 0, "A+": 1, "A-": -1}
-_STEPS = np.array(NEIGHBOR_OFFSETS, dtype=np.int64)
+    return [k if k == "L" else "A" + k for k in _kink_string(pattern)]
 
 
 def gen_phenylene_chain(h: int, kinks: str | None = None) -> BenzenoidPlacement:
@@ -141,14 +141,14 @@ def gen_phenylene_chain(h: int, kinks: str | None = None) -> BenzenoidPlacement:
     """
     if h < 1:
         raise GraphError("chain needs h >= 1")
-    pattern = parse_kinks(kinks) if kinks else []
+    pattern = _kink_string(kinks) if kinks else ""
     if kinks and len(pattern) != max(h - 2, 0):
         raise PlacementError(
             f"kink pattern has length {len(pattern)}, expected {max(h - 2, 0)}"
         )
     direction = np.zeros(h - 1, dtype=np.int64)  # of the step into cell t + 1
     if pattern:
-        direction[1:] = np.cumsum([_TURNS[kink] for kink in pattern]) % 6
+        direction[1:] = np.cumsum(_TURNS[np.frombuffer(pattern.encode(), np.uint8)]) % 6
     cells = np.zeros((h, 2), dtype=np.int64)
     np.cumsum(_STEPS[direction], axis=0, out=cells[1:])
     t = _chain_fault(cells)

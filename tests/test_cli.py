@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import topocut
 import topocut.cli as cli
 import topocut.phenylene as phenylene
+import topocut.solve as solve
 from topocut.cli import main
 from topocut.cut_method import CutEngine
 from topocut.graph import format_edge_list, parse_edge_list
@@ -139,14 +140,14 @@ def test_verify_random_bounds_are_usage_errors(argv, flag, capsys):
 
 def test_verify_reports_mismatch(capsys, monkeypatch):
     # force a bogus oracle to exercise the mismatch exit path
-    real = cli._oracle_indices
+    real = solve._oracle_indices
 
     def bogus(loaded):
         out = real(loaded)
         out["degree_distance"] += 1
         return out
 
-    monkeypatch.setattr(cli, "_oracle_indices", bogus)
+    monkeypatch.setattr(solve, "_oracle_indices", bogus)
     code, out, err = run(capsys, "verify", "--family", "cycle", "--n", "6")
     assert code == 4
     assert "MISMATCH" in out or "MISMATCH" in err
@@ -155,14 +156,14 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
 def test_verify_random_failure_prints_the_graph(capsys, monkeypatch):
     # the first random graph whose routes disagree with the oracle ends the
     # run with exit 4, its descriptor and its edge list on stderr
-    real = cli._oracle_indices
+    real = solve._oracle_indices
 
     def bogus(loaded):
         out = real(loaded)
         out["wiener"] += 1
         return out
 
-    monkeypatch.setattr(cli, "_oracle_indices", bogus)
+    monkeypatch.setattr(solve, "_oracle_indices", bogus)
     code, out, err = run(capsys, "verify", "--random", "3", "--max-n", "8", "--seed", "2")
     assert code == 4 and "all agree" not in out
     first, _, edges = err.partition("\n")
@@ -377,14 +378,14 @@ def test_inapplicable_method_exit_3(tmp_path, capsys):
 
 
 def test_check_mismatch_exit_4(tmp_path, capsys, monkeypatch):
-    real = cli._oracle_indices
+    real = solve._oracle_indices
 
     def bogus(loaded):
         out = real(loaded)
         out["gutman"] += 1
         return out
 
-    monkeypatch.setattr(cli, "_oracle_indices", bogus)
+    monkeypatch.setattr(solve, "_oracle_indices", bogus)
     f = tmp_path / "c6.txt"
     f.write_text(format_edge_list(cycle_graph(6)))
     code, _, err = run(capsys, "compute", str(f), "--method", "cuts", "--check")
@@ -394,14 +395,37 @@ def test_check_mismatch_exit_4(tmp_path, capsys, monkeypatch):
 def test_mismatch_lines_print_both_values_as_json(capsys, monkeypatch):
     # a type-only disagreement: the oracle's whole-valued Fractions print as
     # JSON strings, so the line shows what differs
-    real = cli._oracle_indices
+    real = solve._oracle_indices
     monkeypatch.setattr(
-        cli, "_oracle_indices", lambda loaded: {k: Fraction(v) for k, v in real(loaded).items()}
+        solve, "_oracle_indices", lambda loaded: {k: Fraction(v) for k, v in real(loaded).items()}
     )
     code, out, err = run(capsys, "compute", "--family", "cycle", "--n", "5", "--method", "cuts",
                          "--check")
     assert (code, out) == (4, "")
     assert 'wiener(cuts): oracle="15" route=15 [MISMATCH]' in err.splitlines()
+
+
+@pytest.mark.parametrize("replaced", ["cuts", "oracle"])
+def test_every_command_solves_through_the_one_route_table(replaced, capsys, monkeypatch):
+    # compute, compute --check and verify reach every route, the oracle
+    # included, through solve.compute_report: a replaced entry of
+    # solve.ROUTES shows in all three
+    real = solve.ROUTES[replaced]
+
+    def off_by_one(loaded, terms):
+        indices, breakdown = real(loaded, terms)
+        return {**indices, "wiener": indices["wiener"] + 1}, breakdown
+
+    monkeypatch.setitem(solve.ROUTES, replaced, off_by_one)
+    c5 = ["--family", "cycle", "--n", "5"]  # W = 15; not partial Hamming, so auto takes cuts
+    code, out, _ = run(capsys, "compute", *c5, "--method", replaced, "--json")
+    assert code == 0 and json.loads(out)["indices"]["wiener"] == 16
+    oracle, route = (15, 16) if replaced == "cuts" else (16, 15)
+    line = f"wiener(cuts): oracle={oracle} route={route} [MISMATCH]"
+    code, out, err = run(capsys, "compute", *c5, "--check")
+    assert (code, out) == (4, "") and line in err.splitlines()
+    code, out, _ = run(capsys, "verify", *c5)
+    assert code == 4 and line in out.splitlines()
 
 
 @pytest.mark.parametrize("weight", ["0", "-1"])
@@ -505,7 +529,7 @@ def test_json_writer_matches_json_dumps_on_every_method(tmp_path):
     checked = set()
     for loaded, methods in loaded_inputs(tmp_path):
         for method in methods:
-            report = cli._compute_report(loaded, method)
+            report = solve.compute_report(loaded, method)
             report.timing_ms = 12.345678901234567
             assert report.to_json() == reference_json(report), (loaded.descriptor, method)
             checked.add(report.method)
@@ -514,10 +538,10 @@ def test_json_writer_matches_json_dumps_on_every_method(tmp_path):
 
 def test_json_writer_matches_json_dumps_on_awkward_values():
     reports = [
-        cli.Report(
+        solve.Report(
             'in "q" \\ back, café ☃ tab\t\x01 %s {}', 3, 2, "cuts",
             {"wiener": 2**64 + 1, "gutman": -(2**70), "wiener_double": Fraction(-7, 3)},
-            cli.Columns(
+            solve.Columns(
                 block=np.arange(2),
                 edges=np.array([1, 2], dtype=np.int32),
                 W=[Fraction(1, 2), 1],
@@ -526,9 +550,9 @@ def test_json_writer_matches_json_dumps_on_awkward_values():
             ),
             0.1,
         ),
-        cli.Report(
+        solve.Report(
             "steps", 3, 2, "reduce", {"wiener": 4},
-            cli.Columns(
+            solve.Columns(
                 kind=["R", 'S "q" \\ é ☃\t\x01 %d'],
                 class_size=np.array([2, 3]),
                 representative=[np.int64(0), 1],
@@ -536,11 +560,11 @@ def test_json_writer_matches_json_dumps_on_awkward_values():
             ),
             2.5,
         ),
-        cli.Report("empty", 1, 0, "reduce", {"wiener": 0}, cli.Columns(), 0.0),
-        cli.Report("nothing", 1, 0, "oracle", {}, cli.Columns(), 1e-7),
-        cli.Report(
+        solve.Report("empty", 1, 0, "reduce", {"wiener": 0}, solve.Columns(), 0.0),
+        solve.Report("nothing", 1, 0, "oracle", {}, solve.Columns(), 1e-7),
+        solve.Report(
             "np", 2, 1, "cuts", {"wiener": np.int64(1)},
-            cli.Columns(block=[np.int32(0)], edges=np.array([1], dtype=np.uint8)), 3.0,
+            solve.Columns(block=[np.int32(0)], edges=np.array([1], dtype=np.uint8)), 3.0,
         ),
     ]
     for report in reports:
@@ -600,9 +624,9 @@ def test_trees_route_reports_weighted_indices_like_the_oracle(tmp_path):
     for loaded, _ in loaded_inputs(tmp_path):
         if loaded.phenylene is None or loaded.weights is None:
             continue
-        oracle = cli._oracle_indices(loaded)
+        oracle = solve._oracle_indices(loaded)
         for method in ("trees", "auto"):
-            report = cli._compute_report(loaded, method)
+            report = solve.compute_report(loaded, method)
             assert report.method == "trees"
             assert report.indices == oracle
             assert [type(v) for v in report.indices.values()] == [type(v) for v in oracle.values()]
@@ -745,7 +769,7 @@ def test_every_route_agrees_with_the_oracle_in_value_and_json_type(case):
     for method, report in reports.items():
         indices = report["indices"]
         if report["method"] == "hamming":
-            assert list(indices) == [k for k in cli.HAMMING_INDICES if k in oracle]
+            assert list(indices) == [k for k in solve.HAMMING_INDICES if k in oracle]
         else:
             assert list(indices) == list(oracle), method
         for key, value in indices.items():

@@ -602,12 +602,13 @@ def test_import_loads_no_scipy():
 
 
 ENGINE = ["topocut", "topocut.cli", "topocut.cut_method", "topocut.exact", "topocut.graph",
-          "topocut.indices", "topocut.theta"]
+          "topocut.indices", "topocut.solve", "topocut.theta"]
 
 
 def test_each_route_loads_only_its_modules(tmp_path):
-    # the package and the CLI load the cut engine alone; the phenylene,
-    # reduction, family and Hamming modules load when a solve needs them
+    # the package and the CLI load the cut engine and the solve module alone;
+    # the phenylene, reduction, family and Hamming modules load when a solve
+    # needs them
     assert _child_modules("import topocut")["topocut"] == ["topocut"]
     child = _child_modules("import topocut\nresult = topocut.families.__name__")
     assert child["result"] == "topocut.families" and "topocut.reduction" not in child["topocut"]

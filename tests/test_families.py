@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from topocut.graph import Graph, GraphError, degree_vector
 from topocut.theta import quotient, theta_star_classes
@@ -159,11 +159,46 @@ def test_chain_kink_errors():
         parse_kinks("LAX")
 
 
+def reference_parse_kinks(pattern):
+    """The former kink parser: one token at a time."""
+    tokens = []
+    i = 0
+    compact = pattern.replace(",", "").replace(" ", "").upper()
+    while i < len(compact):
+        ch = compact[i]
+        if ch == "L":
+            tokens.append("L")
+            i += 1
+        elif ch == "A" and i + 1 < len(compact) and compact[i + 1] in "+-":
+            tokens.append("A" + compact[i + 1])
+            i += 2
+        else:
+            raise PlacementError(f"bad kink pattern {pattern!r} at position {i}")
+    return tokens
+
+
+def _parse_outcome(parse, pattern):
+    try:
+        return parse(pattern)
+    except PlacementError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400)
+@given(st.text(alphabet="LlAa+-, X\u0131\u00df", max_size=30))
+@example("A+A-LX")
+@example("A")
+@example("LA+a-,  l")
+def test_parse_kinks_matches_the_token_loop(pattern):
+    # the tokens, or the error text with its position, as the loop reads them
+    assert _parse_outcome(parse_kinks, pattern) == _parse_outcome(reference_parse_kinks, pattern)
+
+
 def reference_phenylene_chain(h, kinks=None):
     """The former chain generator: one cell at a time, with set lookups."""
     if h < 1:
         raise GraphError("chain needs h >= 1")
-    pattern = parse_kinks(kinks) if kinks else ["L"] * max(h - 2, 0)
+    pattern = reference_parse_kinks(kinks) if kinks else ["L"] * max(h - 2, 0)
     if len(pattern) != max(h - 2, 0):
         raise PlacementError(f"kink pattern has length {len(pattern)}, expected {max(h - 2, 0)}")
     cells = [(0, 0)]
@@ -209,6 +244,8 @@ def drawn_kinks(draw):
 
 @settings(max_examples=400)
 @given(drawn_kinks())
+@example((5, "LA+X"))
+@example((4, "a-a"))
 def test_chain_generator_matches_loop(case):
     h, kinks = case
     assert _chain_outcome(gen_phenylene_chain, h, kinks) == _chain_outcome(

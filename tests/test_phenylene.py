@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, strategies as st
 
 import topocut.exact as exact_module
 import topocut.phenylene as phenylene_module
-from topocut import cli
+from topocut import cli, solve
 from topocut.exact import (
     Weights, _euler_tour, _exact_dtype, _index_dtype, _tree_sums, scale_weights, weights_of,
 )
@@ -880,7 +880,7 @@ def explicit_tree_values(t, weights, pairs):
 def solve_matrix(ph, weights):
     """The weight matrix of a solve (``cut_method.ROWS``) on the phenylene's
     vertices: the ones, the degrees, then ``weights``."""
-    return cli.LoadedInput(ph, "", weights).matrix
+    return solve.LoadedInput(ph, "", weights).matrix
 
 
 @pytest.mark.parametrize("kind", sorted(RUN_WEIGHTS))
@@ -1029,13 +1029,13 @@ def test_single_hexagon_trees_route(a):
     # h = 1: the dual has no edge, so tree 4 holds the int 0 for every pair;
     # every index agrees with the oracle in value and type
     ph = build_phenylene([(0, 0)])
-    loaded = cli.LoadedInput(ph, "", weights_of([a, [1] * 6]))
-    pairs = index_pairs(loaded.terms)
+    loaded = solve.LoadedInput(ph, "", weights_of([a, [1] * 6]))
+    pairs = index_pairs(INDEX_TERMS)  # weighted: every index
     blocks, hexagons = tree_block_matrix(quotient_trees(ph), loaded.weights, pairs)
     assert [type(v) for v in blocks[3].tolist()] == [int] * len(pairs)
     assert blocks[3].tolist() == [0] * len(pairs)
     got = column_values(blocks, hexagons, pairs)
-    want = list(cli._oracle_indices(loaded).values())
+    want = list(solve._oracle_indices(loaded).values())
     assert [(v, type(v)) for v in got] == [(v, type(v)) for v in want]
 
 def test_trees_solve_tours_the_dual_once(monkeypatch):
