@@ -1,13 +1,17 @@
-"""Command-line interface: compute, inspect, verify, generate, reduce.
+"""Exact Wiener-type indices of graphs and phenylenes: W, DD and Gut, and
+with --weights W*(a), W+(a) and W(a,b).
 
-Every index is a pair of rows of one scaled weight matrix per solve
-(``INDEX_TERMS``, ``index_pairs``): the cuts and trees routes turn the pairs
-into one array of undivided values, a row per block or tree, and divide
-each index back once.  ``ROUTES`` maps each method to one function; ``auto``
-only picks a route.  ``compute --check`` and ``verify``, which runs every
-route that applies, hold the routes to the oracle by one helper.  Only the
-cut-engine modules load with this one; the phenylene, reduction and family
-modules are imported inside the functions that use them, on first use.
+compute prints the indices by one method (auto picks it from the input);
+--check holds them to the brute-force oracle, and verify runs every method
+that applies against it.  classes, quotient and hamming inspect the
+theta*-classes, reduce logs the R/S twin collapses, and generate prints a
+family as an edge list or a placement.
+
+Each command reads one input: a graph file ('u v' per line, optional first
+line 'n m'), a generated --family with --n, or a benzenoid placement by
+--cells ('q r' per line), which is solved as its phenylene.  --weights adds
+vertex weights ('v a [b]' per line) to any of them.  verify --random N
+draws N weighted random graphs instead.
 
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 method not
 applicable to the input, 4 verification mismatch.
@@ -308,7 +312,8 @@ def cmd_hamming(args) -> int:
 
 @functools.cache  # one parser per process: building it costs milliseconds
 def make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="topocut", description=__doc__)
+    parser = _Parser(prog="topocut", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)
     commands = {}
     for name, func, help_text in (
@@ -326,11 +331,8 @@ def make_parser() -> argparse.ArgumentParser:
         if name not in ("verify", "generate"):
             p.add_argument("--json", action="store_true")
     p = commands["compute"]
-    p.add_argument(
-        "--method",
-        default="auto",
-        choices=["oracle", "cuts", "trees", "reduce", "hamming", "auto"],
-    )
+    p.add_argument("--method", default="auto",
+                   choices=["oracle", "cuts", "trees", "reduce", "hamming", "auto"])
     p.add_argument("--check", action="store_true", help="cross-check against the oracle")
     p = commands["quotient"]
     p.add_argument("--class-index", type=int, help="theta*-class index")
@@ -338,11 +340,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = commands["verify"]
     p.add_argument("--random", type=int, help="verify N seeded random graphs instead")
     p.add_argument("--max-n", type=int, default=40)
-    commands["generate"].add_argument(
-        "--as-graph",
-        action="store_true",
-        help="for chain/phe6: emit the phenylene edge list instead of the placement",
-    )
+    commands["generate"].add_argument("--as-graph", action="store_true", help="for chain/phe6: "
+                                      "emit the phenylene edge list instead of the placement")
     return parser
 
 

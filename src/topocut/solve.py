@@ -21,11 +21,8 @@ from .cut_method import (
     INDEX_TERMS, CutEngine, Pair, TermNames, column_sums, column_values, distance_sums, index_pairs,
 )
 from .exact import Weights
-from .graph import Graph
-from .indices import (
-    DoubleWeightedGraph, Weight, degree_distance, gutman, wiener, wiener_double, wiener_plus,
-    wiener_weighted,
-)
+from .graph import Graph, all_pairs_distances, degree_vector
+from .indices import Weight, _wiener_double, wiener_plus, wiener_weighted
 
 if TYPE_CHECKING:  # the phenylene and reduction modules load on first use
     from .phenylene import Phenylene
@@ -163,19 +160,19 @@ def _json_columns(columns: Columns, pad: str) -> list[str]:
     return [template % row for row in zip(*columns.lists(_json_scalar))]
 
 
-# Indices the closed-form route reports; cuts report every index.
-HAMMING_INDICES = ("wiener", "degree_distance", "gutman", "wiener_weighted")
-
-
 def _oracle_indices(loaded: LoadedInput) -> dict[str, Weight]:
+    """Every index by its brute-force definition, over one distance table."""
     g = loaded.graph
-    out: dict[str, Weight] = {"wiener": wiener(g), "degree_distance": degree_distance(g),
-                              "gutman": gutman(g)}
+    d, deg = all_pairs_distances(g), degree_vector(g)
+    out: dict[str, Weight] = {"wiener": wiener_weighted(g, (1,) * g.n, d)}
+    # one vertex has degree 0, which is no weight, and every sum is empty
+    out["degree_distance"] = wiener_plus(g, deg, d) if g.n > 1 else 0
+    out["gutman"] = wiener_weighted(g, deg, d) if g.n > 1 else 0
     if loaded.weights is not None:
         a, b = loaded.weights.values(0), loaded.weights.values(1)
-        out["wiener_weighted"] = wiener_weighted(g, a)
-        out["wiener_plus"] = wiener_plus(g, a)
-        out["wiener_double"] = wiener_double(DoubleWeightedGraph(g, a, b))
+        out["wiener_weighted"] = wiener_weighted(g, a, d)
+        out["wiener_plus"] = wiener_plus(g, a, d)
+        out["wiener_double"] = _wiener_double(g, a, b, d)
     return out
 
 
@@ -196,13 +193,15 @@ def _cuts_route(loaded: LoadedInput, terms: TermNames):
 
 
 def _hamming_route(loaded: LoadedInput, terms: TermNames):
-    """The cuts route restricted to partial Hamming graphs and HAMMING_INDICES."""
+    """The cuts route on a partial Hamming graph.  Every theta*-class quotient
+    is complete there, so each block is a closed sum T_a T_b - sum_c A_c B_c
+    and every index, W(a, b) included, is exact."""
     if not loaded.engine.partial_hamming:
         raise MethodNotApplicable(
             "method 'hamming' needs a partial Hamming graph; detection failed "
             "(some theta*-class quotient is not complete)"
         )
-    return _cuts_route(loaded, {k: t for k, t in terms.items() if k in HAMMING_INDICES})
+    return _cuts_route(loaded, terms)
 
 
 def _reduce(loaded: LoadedInput, pairs: Sequence[Pair]):

@@ -18,8 +18,13 @@ import topocut.phenylene as phenylene
 import topocut.solve as solve
 from topocut.cli import main
 from topocut.cut_method import CutEngine
-from topocut.graph import format_edge_list, parse_edge_list
-from topocut.families import cycle_graph, gen_phenylene_chain
+from topocut.exact import weights_of
+from topocut.graph import all_pairs_distances, format_edge_list, parse_edge_list
+from topocut.families import cycle_graph, gen_phenylene_chain, random_connected_graph
+from topocut.indices import (
+    DoubleWeightedGraph, degree_distance, gutman, wiener, wiener_double, wiener_plus,
+    wiener_weighted,
+)
 from topocut.phenylene import format_placement
 
 from strategies import connected_graphs, kink_patterns, pendant_graphs
@@ -151,6 +156,31 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--family", "cycle", "--n", "6")
     assert code == 4
     assert "MISMATCH" in out or "MISMATCH" in err
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_oracle_builds_one_distance_table(monkeypatch, weighted):
+    # the oracle's indices all read one all-pairs distance table, and each
+    # equals its own brute-force definition, value and type
+    g = random_connected_graph(12, 20, 1)
+    a, b = [Fraction(v + 1, v % 3 + 1) for v in range(g.n)], [v % 4 + 1 for v in range(g.n)]
+    want = {"wiener": wiener(g), "degree_distance": degree_distance(g), "gutman": gutman(g)}
+    if weighted:
+        want.update(wiener_weighted=wiener_weighted(g, a), wiener_plus=wiener_plus(g, a),
+                    wiener_double=wiener_double(DoubleWeightedGraph(g, a, b)))
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return all_pairs_distances(graph)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("topocut")]:
+        if hasattr(module, "all_pairs_distances"):
+            monkeypatch.setattr(module, "all_pairs_distances", counted)
+    loaded = solve.LoadedInput(g, "g", weights_of([a, b]) if weighted else None)
+    got = solve._oracle_indices(loaded)
+    assert calls == [g]
+    assert got == want and [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
 
 def test_verify_random_failure_prints_the_graph(capsys, monkeypatch):
@@ -694,7 +724,7 @@ def test_verify_runs_every_applicable_route(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--family", "phe6", "--weights", str(w))
     assert code == 0
     lines = out.splitlines()
-    routes = {"cuts": 6, "hamming": 4, "reduce": 6, "trees": 6}  # phenylenes are partial cubes
+    routes = {"cuts": 6, "hamming": 6, "reduce": 6, "trees": 6}  # phenylenes are partial cubes
     assert len(lines) == sum(routes.values())
     for method, count in routes.items():
         assert sum(f"({method}): oracle=" in line for line in lines) == count
@@ -743,6 +773,10 @@ def route_inputs(draw):
 @given(route_inputs())
 # one vertex: every sum is empty, and every route must print it as the int 0
 @example(({"g.edges": "1 0\n", "w.txt": "0 1/2 3/4\n"}, ["@g.edges", "--weights", "@w.txt"]))
+# Q3 with p/q weights: auto takes the hamming route, which reports all six
+@example(({"w.txt": "".join(f"{v} {v % 5 + 1}/{v % 3 + 1} {v % 7 + 2}/{v % 4 + 1}\n"
+                            for v in range(8))},
+          ["--family", "hypercube", "--n", "3", "--weights", "@w.txt"]))
 def test_every_route_agrees_with_the_oracle_in_value_and_json_type(case):
     files, argv = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -768,10 +802,7 @@ def test_every_route_agrees_with_the_oracle_in_value_and_json_type(case):
     assert len(oracle) == (6 if loaded.weights is not None else 3)
     for method, report in reports.items():
         indices = report["indices"]
-        if report["method"] == "hamming":
-            assert list(indices) == [k for k in solve.HAMMING_INDICES if k in oracle]
-        else:
-            assert list(indices) == list(oracle), method
+        assert list(indices) == list(oracle), method
         for key, value in indices.items():
             assert value == oracle[key] and type(value) is type(oracle[key]), (method, key)
 

@@ -95,9 +95,8 @@ def assert_route_matches_the_closed_forms(tmp_path, capsys, source, n, forms, me
     r = json.loads(capsys.readouterr().out)
     indices = {k: Fraction(v) if isinstance(v, str) else v for k, v in r["indices"].items()}
     w, dd, gut = forms
-    want = {"wiener": w, "degree_distance": dd, "gutman": gut, "wiener_weighted": c * c * w}
-    if method != "hamming":  # the hamming route reports W*(a) alone
-        want.update(wiener_plus=2 * c * w, wiener_double=2 * c * (c + 2) * w)
+    want = {"wiener": w, "degree_distance": dd, "gutman": gut, "wiener_weighted": c * c * w,
+            "wiener_plus": 2 * c * w, "wiener_double": 2 * c * (c + 2) * w}
     assert (r["method"], r["n"], indices) == (method, n, want)
     assert all(type(indices[k]) is type(v) for k, v in want.items())
     assert want["wiener_weighted"] > 2**63
