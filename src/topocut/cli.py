@@ -60,8 +60,8 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", nargs="?", help="edge-list file (optional first line 'n m')")
     p.add_argument("--header", action=argparse.BooleanOptionalAction, help="read the graph "
                    "file's first line as 'n m' (or not); default: when m edge lines follow")
-    p.add_argument("--family", help="generate the input: path|cycle|complete|hypercube|"
-                                    "complete_bipartite|random|star|windmill|house|chain|phe6")
+    p.add_argument("--family", help="generate the input: path, cycle, complete, "
+                   "hypercube, complete_bipartite, random, star, windmill, house, chain, phe6")
     p.add_argument("--n", help="family size parameter (chain: hexagon count)")
     p.add_argument("--seed", type=int, default=0, help="seed for random family")
     p.add_argument("--kinks", help="chain kink pattern over {L, A+, A-}")
@@ -250,7 +250,7 @@ def cmd_reduce(args) -> int:
     (pair,) = index_pairs({name: INDEX_TERMS[name]})
     plan, (reduced_sum,), corrections, typed = _reduce(loaded, [pair])
     reduced = plan.graph
-    reduced_value = 0 if reduced.n == 1 else loaded.matrix.divide(reduced_sum, *pair)
+    reduced_value = loaded.matrix.divide(reduced_sum, *pair)
     typed = None if typed is None else typed[0]
     corrections = step_corrections(loaded.matrix, pair, corrections[0], typed)
     steps, total = plan.log(corrections), sum(corrections)

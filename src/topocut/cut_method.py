@@ -20,7 +20,7 @@ every other quotient gets one distance matrix.  So a graph with one
 non-complete class builds one distance matrix in all.  The weights come
 as one scaled integer matrix (:class:`~topocut.exact.Weights`), the block
 values leave as one k x terms integer array, and every index is one exact
-column sum divided back once, all under the int64 guard of
+column sum divided back once, all under the dtype rule of
 :mod:`topocut.exact`.
 """
 
@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import Pair, Weights, _exact_dtype, _exact_sum, weights_of
+from .exact import Pair, Weights, _exact_dtype, _narrowest_dtype, column_sums, weights_of
 from .graph import ROW_CHUNK, Graph, component_labels, degree_vector, distance_matrix
 from .indices import DoubleWeightedGraph, Weight, check_weights
 from .theta import (
@@ -79,19 +79,7 @@ def term_pairs(terms: Sequence[Term]) -> tuple[Weights, list[Pair]]:
 def column_values(values: np.ndarray, weights: Weights, pairs: Sequence[Pair]) -> list[Weight]:
     """Every pair's column of undivided block values summed exactly and
     divided back once; no blocks give the int 0."""
-    if not len(values):
-        return [0] * len(pairs)
     return [weights.divide(v, *pair) for v, pair in zip(column_sums(values), pairs)]
-
-
-def column_sums(values: np.ndarray) -> list[int]:
-    """Exact sums of the columns of an int64 or object array."""
-    if values.dtype == object or not values.size:
-        return [sum(col) for col in values.T.tolist()]
-    top = int(np.abs(values).max())
-    if len(values) * top < 1 << 63:
-        return values.sum(axis=0).tolist()
-    return [_exact_sum(col) for col in values.T]
 
 
 class CutEngine:
@@ -283,14 +271,14 @@ class CutEngine:
         ``closed`` applies the closed sums to every quotient, which gives
         the partial-Hamming lower bound instead of the exact value.
 
-        Two int64 guards (:mod:`topocut.exact`), with T = sum|w| of a row:
-        the component and subtree sums and the entries of D B are at most
-        (n - 1) max T; a block value of W(a, b) is at most s T_a T_b, where
+        Two bounds pick the dtypes (:mod:`topocut.exact`), with T = sum|w| of
+        a row: the component and subtree sums and the entries of D B are at
+        most (n - 1) max T; a block value of W(a, b) is at most s T_a T_b, where
         s is 1 for a closed sum and the largest D B quotient's size less one
         otherwise (the core's, for the subtracted block), since every
         quotient distance is at most that; so is each term of a pendant
         block.  D B takes one chunk of rows of D at a time, in int32 while
-        that bounds its every partial sum (``_distance_sums``).
+        int32 holds its every partial sum (``_distance_sums``).
         """
         k = len(self.sizes)
         if not pairs:
@@ -365,13 +353,6 @@ def distance_sums(g: Graph, weights: Weights, pairs: Sequence[Pair]) -> np.ndarr
     return _distance_sums(distance_matrix(g), *_pair_rows(weights, pairs, g.n, g.n - 1))
 
 
-# D B runs in int32 while every partial sum stays below this in absolute
-# value: numpy's int32 einsum along contiguous rows took 0.14 against
-# 0.37 ms for the int64 matmul on a 390-vertex core with three weight rows,
-# and 6.5 against 17 ms on a 2000-vertex one (2-core Xeon VM, numpy 2.4).
-_INT32_LIMIT = 1 << 31
-
-
 def _distance_sums(
     dist: np.ndarray,
     weights: np.ndarray,
@@ -381,15 +362,18 @@ def _distance_sums(
 ) -> np.ndarray:
     """sum_u A_u (D B)_u for every pair of rows (left[t], right[t]) of
     ``weights``, in ``dtype``, with D the distance matrix ``dist``.  D B is
-    formed once per distinct right row B, one chunk of rows of D at a time:
-    in int32 while (q - 1) max sum|B| < 2^31 bounds every partial sum of a
-    q-vertex quotient, in the dtype of ``weights`` otherwise."""
+    formed once per distinct right row B, one chunk of rows of D at a time,
+    in the dtype from int32 on that (q - 1) max sum|B| allows, the bound on
+    every partial sum of a q-vertex quotient (object for object weights).
+    numpy's int32 einsum along contiguous rows took 0.14 against 0.37 ms
+    for the int64 matmul on a 390-vertex core with three weight rows, and
+    6.5 against 17 ms on a 2000-vertex one (2-core Xeon VM, numpy 2.4)."""
     rights = sorted(set(right))
     columns = weights[rights]
-    wide = weights.dtype == object or (
-        (len(dist) - 1) * int(np.abs(columns).sum(axis=1).max()) >= _INT32_LIMIT
+    kind = object if weights.dtype == object else _narrowest_dtype(
+        (len(dist) - 1) * int(np.abs(columns).sum(axis=1).max()), np.int32
     )
-    kind = weights.dtype if wide else np.int32
+    wide = kind is not np.int32
     columns = columns.astype(kind, copy=False)
     products = np.empty((len(rights), len(dist)), dtype=kind)
     for lo in range(0, len(dist), ROW_CHUNK):  # never a whole int64 or object copy of D

@@ -8,9 +8,14 @@ file's arrays or from Python ints and ``Fraction``s.  Every route takes an
 index as a ``Pair`` of rows, keeps its sums in arrays undivided and divides
 it back once.  Every tree sums its splits by ``_split_sums``, except the
 cut engine's pendant blocks, which form the same per-edge term inline.
-One guard, ``_exact_dtype``, picks the dtype of every array kernel from the bound of
-the largest value the kernel forms: int64 below ``_INT64_LIMIT``, object
-arrays of Python ints past it.
+
+Every integer limit is here.  One rule, ``_narrowest_dtype``, picks an
+array's dtype from the bound of its largest value: the first type from a
+start (int8 for distances, int32 for indices and D B, int64 for every other
+kernel, ``_exact_dtype``) whose limit in ``_LIMITS`` is above the bound,
+Python ints (object) when none is.  ``column_sums`` sums exactly, by numpy
+below ``_SUM_LIMIT``, and an empty sum divides back to the int 0.  Table
+readers take values inside ``_TABLE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -28,34 +33,42 @@ Weight = int | Fraction
 # row j), halved for W*(row i) when half is set (then j is i).
 Pair = tuple[int, int, bool]
 
-# Every value an int64 kernel forms stays below this in absolute value, so
-# the sum of two of them cannot wrap either.
-_INT64_LIMIT = 1 << 62
+# Each type holds every value below its limit in absolute value; int64's is
+# 2^62, so the sum of two of its values cannot wrap either.
+_LIMITS = {np.int8: 1 << 7, np.int16: 1 << 15, np.int32: 1 << 31, np.int64: 1 << 62}
+# numpy sums n int64 values of absolute value at most top while n top < this.
+_SUM_LIMIT = 1 << 63
+# Table readers take values inside +-this, and leave larger ones to ``token_lines``.
+_TABLE_LIMIT = 1 << 60
 
 
 class NotATreeError(ValueError):
     """A graph handed to a tree-only routine is not a tree."""
 
 
+def _narrowest_dtype(bound: int, least: type = np.int8) -> type:
+    """The first integer type from ``least`` on whose limit is above
+    ``bound``, the largest absolute value an array holds; Python ints
+    (object) when none is."""
+    types = tuple(_LIMITS)
+    return next((t for t in types[types.index(least):] if bound < _LIMITS[t]), object)
+
+
 def _exact_dtype(bound: int) -> type:
-    """int64 for a kernel whose every value is at most ``bound`` in absolute
-    value while ``bound`` < ``_INT64_LIMIT``; Python ints (object) otherwise."""
-    return np.int64 if bound < _INT64_LIMIT else object
+    """``_narrowest_dtype`` from int64, the start of every weight kernel, as
+    one comparison."""
+    return np.int64 if bound < _LIMITS[np.int64] else object
 
 
-def _index_dtype(count: int) -> type:
-    """int32 for an index array whose every value is at most ``count``
-    while ``count`` < 2^31 (scipy's csgraph takes int32 indices as they
-    are); int64 otherwise."""
-    return np.int32 if count < 1 << 31 else np.int64
-
-
-def _abs_sum(row: np.ndarray, top: int) -> int:
-    """sum|row| exactly, for a row whose entries are at most ``top`` in
-    absolute value."""
-    if row.dtype != object and top * len(row) < 1 << 63:
-        return int(np.abs(row).sum())
-    return sum(map(abs, row.tolist()))
+def column_sums(values: np.ndarray) -> list[int]:
+    """Exact sums of the columns of an int64 or object array: Python sums of
+    an object array, numpy's while rows x max|entry| < ``_SUM_LIMIT``, and
+    ``_exact_sum``'s otherwise.  No rows give the int 0 per column."""
+    if values.dtype == object or not values.size:
+        return [sum(col) for col in values.T.tolist()]
+    if len(values) * int(np.abs(values).max()) < _SUM_LIMIT:
+        return values.sum(axis=0).tolist()
+    return [_exact_sum(col) for col in values.T]
 
 
 @dataclass(frozen=True, eq=False)  # arrays: compared and hashed by identity
@@ -64,11 +77,11 @@ class Weights:
 
     Row r holds w_r * scales[r], with scales[r] the LCM of the reduced
     denominators of w_r; ``bounds[r]`` is at least sum|rows[r]|.  The matrix
-    is int64 or an object array of Python ints, always the latter once a
-    bound reaches ``_INT64_LIMIT``; each kernel casts it to the dtype its
-    own bound allows.  ``fractions`` marks the entries that are ``Fraction``s (None
-    when none is): a sum is a Fraction exactly when one of its terms is, as
-    in the oracle's Python sums.
+    is int64 or an object array of Python ints, always the latter once
+    int64 cannot hold a bound (``_exact_dtype``); each kernel casts it to
+    the dtype its own bound allows.  ``fractions`` marks the entries that
+    are ``Fraction``s (None when none is): a sum is a Fraction exactly when
+    one of its terms is, as in the oracle's Python sums.
     """
 
     rows: np.ndarray
@@ -107,20 +120,20 @@ def scale_weights(
     ``num`` and ``den`` are r x n arrays, int64 or object, with every
     fraction reduced and every denominator positive; ``den`` None means
     every denominator is 1.  ``fractions`` marks the Fraction entries.  A
-    row stays int64 while |num| L is below ``_INT64_LIMIT``, and the matrix
-    while every row's sum|w L| is.
+    row stays int64 while ``_exact_dtype`` allows |num| L, and the matrix
+    while it allows every row's sum|w L|.
     """
     out, scales, bounds = [], [], []
     for r, row in enumerate(num):
         scale = 1 if den is None else lcm(*np.unique(den[r]).tolist())
         top = 0 if not row.size else max(abs(int(row.max())), abs(int(row.min()))) * scale
-        if row.dtype == object or top >= _INT64_LIMIT:
+        if _exact_dtype(top) is object:
             row = row.astype(object)
         if scale > 1:
             row = row * (scale // den[r].astype(row.dtype))
         out.append(row)
         scales.append(scale)
-        bounds.append(_abs_sum(row, top))
+        bounds.append(column_sums(abs(row)[:, None])[0])
     rows = np.array(out, dtype=_exact_dtype(max(bounds, default=0))).reshape(num.shape)
     return Weights(rows, tuple(scales), tuple(bounds), fractions)
 
@@ -153,9 +166,9 @@ def weights_of(vectors: Sequence[Sequence[Weight]]) -> Weights:
 
 
 def _exact_quotient(value: int, half: int, scale: int, fraction: bool) -> Weight:
-    """value / (half * scale): an int for integer weights (x^T D x is even),
-    a Fraction when some weight was a Fraction."""
-    if not fraction:
+    """value / (half * scale): an int for integer weights (x^T D x is even)
+    and for the empty sum 0, a Fraction when some weight was a Fraction."""
+    if not fraction or not value:
         return value // half
     return Fraction(value, half * scale)
 
@@ -189,13 +202,13 @@ def _euler_tour(
     in tour order list the children in preorder, and a child's subtree is
     the next (rank of up arc - rank of down arc + 1) / 2 preorder places.
     Every step is a 1-D gather or scatter over index arrays of
-    ``_index_dtype(2(n-1))``.
+    ``_narrowest_dtype(2(n-1), np.int32)``.
     """
     m = ncomp - 1
     if qu.size != m:
         raise NotATreeError(f"graph has {qu.size} edges on {ncomp} vertices, not a tree")
     arcs = 2 * m  # arc x runs qu[x] -> qv[x] for x < m, and arc x + m back
-    idx = _index_dtype(arcs)
+    idx = _narrowest_dtype(arcs, np.int32)
     if not m:  # a single vertex
         return (np.zeros(0, dtype=idx),) * 3
     tail = np.concatenate((qu, qv), dtype=idx)
@@ -241,9 +254,10 @@ def _split_bound(bounds: Sequence[int], pairs: Sequence[Pair]) -> int:
 
 def _gram(sides: np.ndarray, pairs: Sequence[Pair], bound: int) -> tuple[list[int], list[int]]:
     """Exact row sums of a tree's R x edges sides S and S_i.S_j per pair (i, j),
-    products at most ``bound`` < 2^62: from the int64 Gram matrix S S^T while
-    edges * bound < 2^63 (no pair reads an entry that may wrap), else by ``_exact_sum``."""
-    if sides.dtype == object or sides.shape[1] * bound < 1 << 63:
+    products at most ``bound``, which int64 holds: from the int64 Gram matrix
+    S S^T while edges * bound < ``_SUM_LIMIT`` (no pair reads an entry that
+    may wrap), else by ``_exact_sum``."""
+    if sides.dtype == object or sides.shape[1] * bound < _SUM_LIMIT:
         dtype = object if sides.dtype == object else np.int64
         gram = np.einsum("ri,si->rs", sides, sides, dtype=dtype).tolist()
         return sides.sum(axis=1, dtype=dtype).tolist(), [gram[i][j] for i, j, _ in pairs]

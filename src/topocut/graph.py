@@ -22,6 +22,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .exact import _TABLE_LIMIT, _exact_dtype, _narrowest_dtype
+
 
 class GraphError(ValueError):
     """Invalid graph construction or an operation on an unsuitable graph."""
@@ -164,8 +166,8 @@ def _first_bad_edge(n: int, lo: np.ndarray, hi: np.ndarray) -> int:
     bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
     first = int(bad[0]) if bad.size else len(lo)
     # the edges before the first bad one are in range: their codes lo * n + hi
-    # are unique per edge, and exact in int64 while n < 2^31
-    codes = (lo[:first] if n < 1 << 31 else lo[:first].astype(object)) * n + hi[:first]
+    # are unique per edge, and below n^2
+    codes = lo[:first].astype(_exact_dtype(n * n), copy=False) * n + hi[:first]
     ordered = np.sort(codes)
     if (ordered[1:] == ordered[:-1]).any():
         once = np.unique(codes, return_index=True)[1]  # each code's first edge
@@ -346,11 +348,6 @@ def _slot_spread(indptr: np.ndarray, indices: np.ndarray, words: int):
     return order, rank, spread
 
 
-def _distance_dtype(diameter: int) -> type:
-    """The narrowest signed integer type that holds ``diameter``."""
-    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= diameter)
-
-
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs hop distances as an n x n array, from the graph's cached
     CSR arrays (``Graph.csr``).
@@ -398,7 +395,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
         adj = csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n))
         dist = shortest_path(adj, unweighted=True)
-        return dist.astype(_distance_dtype(int(dist.max())))
+        return dist.astype(_narrowest_dtype(int(dist.max())))
     order, rank, spread = _slot_spread(indptr, indices, words)
     frontier = np.zeros((n, words), dtype=np.uint64)  # row i: vertex order[i]
     frontier[np.arange(n), order >> 6] = np.left_shift(np.uint64(1), (order & 63).astype(np.uint64))
@@ -422,7 +419,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
                     planes[b] |= frontier
     for b, plane in enumerate(planes):  # rows back to vertex order
         planes[b] = plane[rank]
-    dtype = _distance_dtype(level)
+    dtype = _narrowest_dtype(level)
     dist = np.zeros((n, n), dtype=dtype)
     for lo in range(0, n, ROW_CHUNK):  # no n x n temporary beside the result
         rows = dist[lo:lo + ROW_CHUNK]
@@ -479,11 +476,6 @@ _BYTE_CLASS = bytes(
     else _DIGIT if b in b"0123456789" else _SIGN if b in b"+-" else _SLASH if b == ord("/")
     else 0 for b in range(256)
 )
-
-# The table reader takes values strictly inside +-2^60; a file with a larger
-# one goes to ``token_lines``, whose Python ints are exact at any size.
-_TABLE_LIMIT = 1 << 60
-
 
 def read_int_table(text: str, widths: tuple[int, ...]) -> np.ndarray | None:
     """The whitespace-separated integers of ``text`` as an int64 table, one

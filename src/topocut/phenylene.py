@@ -34,10 +34,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cut_method import INDEX_TERMS, column_sums, column_values, index_pairs, term_pairs
+from .cut_method import INDEX_TERMS, column_values, index_pairs, term_pairs
 from .exact import (  # NotATreeError is re-exported: the tree routines raise it
     NotATreeError, Pair, Weights, _euler_tour, _exact_dtype, _split_bound, _split_sums,
-    _subtree_sums, _tree_sums, scale_weights,
+    _subtree_sums, _tree_sums, column_sums, scale_weights,
 )
 from .graph import (
     Graph, ParseError, PlacementError, component_labels, read_int_table, token_lines,
@@ -57,15 +57,14 @@ NEIGHBOR_OFFSETS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 def _cell_array(cells: Sequence[tuple[int, int]]) -> np.ndarray:
     """Cells as an (h, 2) int64 array, or an object array of Python ints
-    when some coordinate reaches 2^61 (so that no difference of two
-    coordinates can overflow int64)."""
+    when int64 cannot hold twice some coordinate (so that no difference of
+    two coordinates can overflow)."""
     try:
         arr = np.array(cells, dtype=np.int64).reshape(-1, 2)
     except OverflowError:
         return np.array(cells, dtype=object).reshape(-1, 2)
-    if arr.size and max(int(arr.max()), -int(arr.min())) >= 1 << 61:
-        return arr.astype(object)
-    return arr
+    top = max(int(arr.max()), -int(arr.min())) if arr.size else 0
+    return arr.astype(_exact_dtype(2 * top), copy=False)
 
 
 def _grid_axis(values: np.ndarray) -> np.ndarray:

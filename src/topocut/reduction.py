@@ -15,7 +15,6 @@ guard of :mod:`topocut.exact`.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -23,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .cut_method import Pair, term_pairs
-from .exact import Weights, _exact_dtype, _exact_quotient
+from .exact import Weights, _exact_dtype, _exact_quotient, _narrowest_dtype
 from .graph import Graph, GraphError
 from .indices import DoubleWeightedGraph, Weight, WeightedGraph
 
@@ -198,15 +197,24 @@ class CollapsePlan:
 
     @cached_property
     def steps(self) -> tuple[tuple[str, tuple[int, ...], int], ...]:
+        # member x of class c is renumbered x less the drops of classes c' < c
+        # below it, counted at the top bit where c' (0) and c (1) differ
         out = []
-        for kind, members, starts, _ in self.arrays:
-            dropped: list[int] = []  # this phase's drops so far, ascending
-            for cls in np.split(members, starts[1:]):
-                cls = cls.tolist()
-                renumbered = tuple(x - bisect_left(dropped, x) for x in cls)
-                out.append((kind, renumbered, renumbered[0]))
-                for x in cls[1:]:
-                    insort(dropped, x)
+        for kind, members, starts, kept in self.arrays:
+            n, ends = kept.size, [*starts.tolist(), members.size]
+            cls = np.repeat(np.arange(starts.size), np.diff(ends))
+            dropped = np.ones(members.size, dtype=bool)
+            dropped[starts] = False
+            below = np.zeros(members.size, dtype=np.int64)
+            for b in range((starts.size - 1).bit_length()):
+                high = (cls >> b & 1).astype(bool)
+                group = (cls >> b + 1).astype(_narrowest_dtype(n * n, np.int64)) * n
+                keys = np.sort((group + members)[dropped & ~high])  # one group's drops in a run
+                group, ask = group[high], members[high]
+                below[high] += np.searchsorted(keys, group + ask) - np.searchsorted(keys, group)
+            renumbered = (members - below).tolist()
+            out += [(kind, tuple(renumbered[lo:hi]), renumbered[lo])
+                    for lo, hi in zip(ends, ends[1:])]
         return tuple(out)
 
     @cached_property

@@ -18,9 +18,9 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from .cut_method import (
-    INDEX_TERMS, CutEngine, Pair, TermNames, column_sums, column_values, distance_sums, index_pairs,
+    INDEX_TERMS, CutEngine, Pair, TermNames, column_values, distance_sums, index_pairs,
 )
-from .exact import Weights
+from .exact import Weights, column_sums
 from .graph import Graph, all_pairs_distances, degree_vector
 from .indices import Weight, _wiener_double, wiener_plus, wiener_weighted
 
@@ -220,8 +220,6 @@ def _reduce(loaded: LoadedInput, pairs: Sequence[Pair]):
 
 def _reduce_route(loaded: LoadedInput, terms: TermNames):
     """The R/S twin reductions; DD's corrections are the breakdown."""
-    if loaded.source.n == 1:  # zero degrees are no weights; every sum is empty
-        return dict.fromkeys(terms, 0), Columns()
     pairs = index_pairs(terms)
     plan, sums, corrections, _ = _reduce(loaded, pairs)
     steps = column_sums(corrections.T)

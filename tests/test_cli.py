@@ -14,6 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import topocut
 import topocut.cli as cli
+import topocut.cut_method as cut_method_module
+import topocut.exact as exact_module
+import topocut.graph as graph_module
+import topocut.indices as indices_module
 import topocut.phenylene as phenylene
 import topocut.solve as solve
 from topocut.cli import main
@@ -769,15 +773,9 @@ def route_inputs(draw):
     return files, argv
 
 
-@settings(max_examples=100, deadline=None)
-@given(route_inputs())
-# one vertex: every sum is empty, and every route must print it as the int 0
-@example(({"g.edges": "1 0\n", "w.txt": "0 1/2 3/4\n"}, ["@g.edges", "--weights", "@w.txt"]))
-# Q3 with p/q weights: auto takes the hamming route, which reports all six
-@example(({"w.txt": "".join(f"{v} {v % 5 + 1}/{v % 3 + 1} {v % 7 + 2}/{v % 4 + 1}\n"
-                            for v in range(8))},
-          ["--family", "hypercube", "--n", "3", "--weights", "@w.txt"]))
-def test_every_route_agrees_with_the_oracle_in_value_and_json_type(case):
+def _assert_every_route_agrees(case):
+    """Every applicable route's ``compute --json`` on ``case`` equals the
+    oracle's in value and JSON type; returns the loaded input."""
     files, argv = case
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
@@ -805,6 +803,93 @@ def test_every_route_agrees_with_the_oracle_in_value_and_json_type(case):
         assert list(indices) == list(oracle), method
         for key, value in indices.items():
             assert value == oracle[key] and type(value) is type(oracle[key]), (method, key)
+    return loaded
+
+
+# one vertex: every sum is empty, and every route must print it as the int 0
+K1 = ({"g.edges": "1 0\n", "w.txt": "0 1/2 3/4\n"}, ["@g.edges", "--weights", "@w.txt"])
+# Q3 with p/q weights: auto takes the hamming route, which reports all six
+WEIGHTED_Q3 = ({"w.txt": "".join(f"{v} {v % 5 + 1}/{v % 3 + 1} {v % 7 + 2}/{v % 4 + 1}\n"
+                                 for v in range(8))},
+               ["--family", "hypercube", "--n", "3", "--weights", "@w.txt"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(route_inputs())
+@example(K1)
+@example(WEIGHTED_Q3)
+def test_every_route_agrees_with_the_oracle_in_value_and_json_type(case):
+    _assert_every_route_agrees(case)
+
+
+def _shrink_limits(profile, mp, seen):
+    """Shrink one profile's integer limits, and spy on the path they send
+    the solves down: each spy appends its name to ``seen`` when that path
+    runs."""
+
+    def spy(module, name, ran=lambda out: True):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            if ran(out):
+                seen.add(f"{module.__name__}.{name}")
+            return out
+
+        mp.setattr(module, name, wrapper)
+
+    if profile == "narrow":
+        # distances in int16 and wider, tours in int64 past 3 arcs, D B wide
+        for t, limit in ((np.int8, 2), (np.int16, 3), (np.int32, 4)):
+            mp.setitem(exact_module._LIMITS, t, limit)
+        spy(graph_module, "_narrowest_dtype", lambda t: t is not np.int8)
+        spy(exact_module, "_narrowest_dtype", lambda t: t is np.int64)
+        spy(cut_method_module, "_narrowest_dtype", lambda t: t is not np.int32)
+    elif profile == "sums":
+        mp.setattr(exact_module, "_SUM_LIMIT", 2)
+        spy(exact_module, "_exact_sum")
+    elif profile == "int64":
+        mp.setitem(exact_module._LIMITS, np.int64, 1)
+    else:  # every reader declines its table and reads token lines
+        mp.setattr(graph_module, "_TABLE_LIMIT", 1)
+        for module in (graph_module, indices_module, phenylene):
+            spy(module, "token_lines")
+
+
+SHRUNK_PATHS = {
+    "narrow": {"topocut.graph._narrowest_dtype", "topocut.exact._narrowest_dtype",
+               "topocut.cut_method._narrowest_dtype"},
+    "sums": {"topocut.exact._exact_sum"},
+    "int64": {"object weights"},
+    "reader": {"topocut.graph.token_lines", "topocut.indices.token_lines",
+               "topocut.phenylene.token_lines"},
+}
+
+
+@pytest.mark.parametrize("profile", list(SHRUNK_PATHS))
+def test_every_route_agrees_with_the_oracle_under_shrunk_limits(profile):
+    # Every wide path on oracle-sized inputs: the integer limits of
+    # topocut.exact shrunk, so the small inputs of the test above take the
+    # paths that only huge ones take otherwise.  A weighted kinked chain of
+    # 4 hexagons has a tour of 6 arcs and a distance matrix past int8.
+    seen = set()
+
+    @settings(max_examples=25, deadline=None)
+    @given(route_inputs())
+    @example(K1)
+    @example(WEIGHTED_Q3)
+    @example(({"p.cells": format_placement(gen_phenylene_chain(4, "A+L")),
+               "w.txt": "".join(f"{v} {v % 5 + 1}/{v % 3 + 1} {v + 1}\n" for v in range(24))},
+              ["--cells", "@p.cells", "--weights", "@w.txt"]))
+    def agrees(case):
+        with pytest.MonkeyPatch.context() as mp:
+            _shrink_limits(profile, mp, seen)
+            loaded = _assert_every_route_agrees(case)
+            if loaded.matrix.rows.dtype == object:
+                seen.add("object weights")
+
+    agrees()
+    assert SHRUNK_PATHS[profile] <= seen
 
 
 @pytest.mark.parametrize("mixed", [False, True])

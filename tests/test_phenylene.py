@@ -10,7 +10,7 @@ import topocut.exact as exact_module
 import topocut.phenylene as phenylene_module
 from topocut import cli, solve
 from topocut.exact import (
-    Weights, _euler_tour, _exact_dtype, _index_dtype, _tree_sums, scale_weights, weights_of,
+    Weights, _euler_tour, _exact_dtype, _narrowest_dtype, _tree_sums, scale_weights, weights_of,
 )
 from topocut.cut_method import INDEX_TERMS, CutEngine, column_values, index_pairs
 
@@ -1214,24 +1214,21 @@ def test_flat_tour_matches_two_column_reference_on_trees(tree, rnd):
 
 def test_tour_index_dtype_across_its_limit(monkeypatch):
     # 2^31 - 1 arcs keep every index of the tour, the arc count included, in
-    # int32; 2^31 arcs take int64.  Neither tour is built: a spy shows the
-    # tour asks the helper with its arc count and takes the dtype it gets.
-    assert _index_dtype(2**31 - 1) is np.int32
-    assert _index_dtype(2**31) is np.int64
+    # int32; 2^31 arcs take int64.  No tour that large is built: with int32's
+    # limit shrunk to just above the arc count the tour stays int32, and at
+    # the arc count it takes int64 and agrees.
+    assert _narrowest_dtype(2**31 - 1, np.int32) is np.int32
+    assert _narrowest_dtype(2**31, np.int32) is np.int64
     assert np.iinfo(np.int32).max == 2**31 - 1
-    asked = []
-
-    def wide(count):
-        asked.append(count)
-        return np.int64
-
-    monkeypatch.setattr(exact_module, "_index_dtype", wide)
     ph = build_phenylene(gen_phenylene_chain(9, "A+LA-A-LA+L"))
-    out = _euler_tour(ph.hexagon_count, *ph._dual[:2])
-    assert asked == [2 * 8] and {a.dtype for a in out} == {np.dtype(np.int64)}
-    monkeypatch.undo()
-    for got, want in zip(out, _euler_tour(ph.hexagon_count, *ph._dual[:2])):
-        assert want.dtype == np.int32 and np.array_equal(got, want)
+    arcs = 2 * (ph.hexagon_count - 1)
+    want = _euler_tour(ph.hexagon_count, *ph._dual[:2])
+    for limit, dtype in ((arcs + 1, np.int32), (arcs, np.int64)):
+        monkeypatch.setitem(exact_module._LIMITS, np.int32, limit)
+        out = _euler_tour(ph.hexagon_count, *ph._dual[:2])
+        assert {a.dtype for a in out} == {np.dtype(dtype)}
+        for got, expected in zip(out, want):
+            assert expected.dtype == np.int32 and np.array_equal(got, expected)
 
 
 # The tracemalloc peak of a trees solve on a linear chain of 10^5 hexagons,
