@@ -55,9 +55,8 @@ def _narrowest_dtype(bound: int, least: type = np.int8) -> type:
 
 
 def _exact_dtype(bound: int) -> type:
-    """``_narrowest_dtype`` from int64, the start of every weight kernel, as
-    one comparison."""
-    return np.int64 if bound < _LIMITS[np.int64] else object
+    """``_narrowest_dtype`` from int64, the start of every weight kernel."""
+    return _narrowest_dtype(bound, np.int64)
 
 
 def column_sums(values: np.ndarray) -> list[int]:

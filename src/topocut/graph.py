@@ -22,7 +22,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .exact import _TABLE_LIMIT, _exact_dtype, _narrowest_dtype
+from . import exact
+from .exact import _exact_dtype, _narrowest_dtype
 
 
 class GraphError(ValueError):
@@ -552,8 +553,8 @@ def read_ratio_table(
     values = np.fromstring(data, dtype=np.int64, sep=" ")
     if (
         values.size != count + len(slashes)
-        or values.min() <= -_TABLE_LIMIT
-        or values.max() >= _TABLE_LIMIT
+        or values.min() <= -exact._TABLE_LIMIT
+        or values.max() >= exact._TABLE_LIMIT
     ):
         return None
     if not len(slashes):

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .cut_method import Pair, term_pairs
-from .exact import Weights, _exact_dtype, _exact_quotient, _narrowest_dtype
+from .exact import Weights, _exact_dtype, _exact_quotient
 from .graph import Graph, GraphError
 from .indices import DoubleWeightedGraph, Weight, WeightedGraph
 
@@ -208,7 +208,7 @@ class CollapsePlan:
             below = np.zeros(members.size, dtype=np.int64)
             for b in range((starts.size - 1).bit_length()):
                 high = (cls >> b & 1).astype(bool)
-                group = (cls >> b + 1).astype(_narrowest_dtype(n * n, np.int64)) * n
+                group = (cls >> b + 1).astype(_exact_dtype(n * n)) * n
                 keys = np.sort((group + members)[dropped & ~high])  # one group's drops in a run
                 group, ask = group[high], members[high]
                 below[high] += np.searchsorted(keys, group + ask) - np.searchsorted(keys, group)

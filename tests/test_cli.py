@@ -827,12 +827,12 @@ def _shrink_limits(profile, mp, seen):
     the solves down: each spy appends its name to ``seen`` when that path
     runs."""
 
-    def spy(module, name, ran=lambda out: True):
+    def spy(module, name, ran=lambda out, *args: True):
         real = getattr(module, name)
 
         def wrapper(*args):
             out = real(*args)
-            if ran(out):
+            if ran(out, *args):
                 seen.add(f"{module.__name__}.{name}")
             return out
 
@@ -842,16 +842,18 @@ def _shrink_limits(profile, mp, seen):
         # distances in int16 and wider, tours in int64 past 3 arcs, D B wide
         for t, limit in ((np.int8, 2), (np.int16, 3), (np.int32, 4)):
             mp.setitem(exact_module._LIMITS, t, limit)
-        spy(graph_module, "_narrowest_dtype", lambda t: t is not np.int8)
-        spy(exact_module, "_narrowest_dtype", lambda t: t is np.int64)
-        spy(cut_method_module, "_narrowest_dtype", lambda t: t is not np.int32)
+        spy(graph_module, "_narrowest_dtype", lambda t, *args: t is not np.int8)
+        # a tour index, which starts at int32 (every kernel starts at int64)
+        spy(exact_module, "_narrowest_dtype",
+            lambda t, bound, least: least is np.int32 and t is np.int64)
+        spy(cut_method_module, "_narrowest_dtype", lambda t, *args: t is not np.int32)
     elif profile == "sums":
         mp.setattr(exact_module, "_SUM_LIMIT", 2)
         spy(exact_module, "_exact_sum")
     elif profile == "int64":
         mp.setitem(exact_module._LIMITS, np.int64, 1)
     else:  # every reader declines its table and reads token lines
-        mp.setattr(graph_module, "_TABLE_LIMIT", 1)
+        mp.setattr(exact_module, "_TABLE_LIMIT", 1)
         for module in (graph_module, indices_module, phenylene):
             spy(module, "token_lines")
 

@@ -1,5 +1,6 @@
 import json
 import random
+from bisect import bisect_left, insort
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -449,6 +450,31 @@ def test_array_classes_equal_the_dict_reference(g):
     assert s_classes(g) == _ref_classes(g, closed=True)
 
 
+def _insort_steps(plan):
+    """``plan.steps`` by a per-member count: each member less this phase's
+    drops so far below it, kept in one sorted list."""
+    out = []
+    for kind, members, starts, _ in plan.arrays:
+        dropped = []
+        for cls in np.split(members, starts[1:]):
+            cls = cls.tolist()
+            renumbered = tuple(x - bisect_left(dropped, x) for x in cls)
+            out.append((kind, renumbered, renumbered[0]))
+            for x in cls[1:]:
+                insort(dropped, x)
+    return tuple(out)
+
+
+@given(st.one_of(twin_graphs(), blowups()), st.data())
+def test_steps_equal_a_sorted_list_count_on_shuffled_labels(g, data):
+    # shuffled labels interleave the classes, so pairs of classes meet at
+    # every bit of the class index that ``steps`` counts by
+    perm = data.draw(st.permutations(range(g.n)))
+    g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    plan = collapse_plan(g)
+    assert plan.steps == _insort_steps(plan)
+
+
 def _constant_keys(rounds):
     def keys(n, attempt):
         rounds.append(attempt)
@@ -524,14 +550,20 @@ def test_int64_guard_in_the_weight_map(w, dtype, monkeypatch):
     """The weight map's dtype follows the bound 2 sum|a| sum|b|, and either
     dtype matches the per-step reference in value and type."""
     chosen = []
-    guard = reduction._exact_dtype
-    monkeypatch.setattr(reduction, "_exact_dtype", lambda bound: chosen.append(guard(bound)) or chosen[-1])
+    real = reduction.CollapsePlan.apply_rows
+
+    def recorded(plan, weights, pairs):
+        out = real(plan, weights, pairs)
+        chosen.append(out[0].rows.dtype)  # the reduced rows, in the map's dtype
+        return out
+
+    monkeypatch.setattr(reduction.CollapsePlan, "apply_rows", recorded)
     g = _GUARD_GRAPH
     _assert_matches_reference(g, (w,) * g.n, (w,) * g.n)
     rng = random.Random(w)
     sign = 1 if dtype is object else -1  # stay on the same side of the guard
     _assert_matches_reference(g, tuple(w + sign * rng.randint(0, 9) for _ in range(g.n)), (w,) * g.n)
-    assert set(chosen) == {dtype}
+    assert set(chosen) == {np.dtype(dtype)}
 
 
 def test_compute_finds_classes_once_per_phase(tmp_path, monkeypatch, capsys):
