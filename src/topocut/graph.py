@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import exact
-from .exact import _exact_dtype, _narrowest_dtype
+from .exact import _exact_dtype, _int_array, _narrowest_dtype
 
 
 class GraphError(ValueError):
@@ -68,14 +68,8 @@ class Graph:
     ):
         if n < 1:
             raise GraphError("graph needs at least one vertex")
-        if isinstance(edges, np.ndarray):
-            ends = edges.reshape(-1, 2)
-        else:
-            pairs = list(edges)
-            try:
-                ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-            except OverflowError:  # such an edge is out of range; name it exactly
-                ends = np.array(pairs, dtype=object).reshape(-1, 2)
+        # an edge past int64 is out of range; _int_array keeps it to name it exactly
+        ends = (edges if isinstance(edges, np.ndarray) else _int_array(list(edges))).reshape(-1, 2)
         if validate:
             ends = _checked_ends(n, ends)
             # m < n - 1 edges cannot connect n vertices; the test then needs
@@ -579,6 +573,25 @@ def token_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
             yield lineno, line, line.split()
 
 
+def read_int_rows(text: str, what: str) -> np.ndarray:
+    """The lines of two integers in ``text`` as an (r, 2) array: the
+    ``read_int_table`` table, or else the ``token_lines`` rows as exact
+    Python ints, int64 while they fit (``_int_array``).  The edge list and
+    the placement read through it; a line that does not hold two integers
+    raises ``ParseError`` naming the line and ``what`` it should hold."""
+    rows = read_int_table(text, (2,))
+    if rows is not None:
+        return rows
+    values = []
+    for lineno, line, parts in token_lines(text):
+        try:
+            a, b = map(int, parts)  # a third token fails the unpacking
+        except ValueError:
+            raise ParseError(f"line {lineno}: expected {what}, got {line!r}") from None
+        values.append((a, b))
+    return _int_array(values).reshape(-1, 2)
+
+
 def parse_edge_list(text: str, header: bool | None = None) -> Graph:
     """Parse the edge-list text format.
 
@@ -588,26 +601,13 @@ def parse_edge_list(text: str, header: bool | None = None) -> Graph:
     n >= 1 and the count m of edge lines after it; False reads it as an
     edge; None reads it as the header only when it would pass as one.
 
-    The rows come from ``read_int_table``, or from ``token_lines`` as exact
-    Python ints when it declines; one row check (``_first_bad_edge``) and one
-    connectivity test follow.  A ``ParseError`` names the offending line,
-    looked up only then: row r of either source is the r-th token line.
+    The rows come from ``read_int_rows``; one row check (``_first_bad_edge``)
+    and one connectivity test follow.  A ``ParseError`` names the offending
+    line, looked up only then: row r of either source is the r-th token line.
     """
-    rows = read_int_table(text, (2,))
-    if rows is None:
-        values = []
-        for lineno, line, parts in token_lines(text):
-            try:
-                a, b = map(int, parts)  # a third token fails the unpacking
-            except ValueError:
-                raise ParseError(f"line {lineno}: expected two integers, got {line!r}") from None
-            values.append((a, b))
-        if not values:
-            raise ParseError("no edges found")
-        try:
-            rows = np.array(values, dtype=np.int64)
-        except OverflowError:  # Python ints past int64, exact as objects
-            rows = np.array(values, dtype=object)
+    rows = read_int_rows(text, "two integers")
+    if not len(rows):
+        raise ParseError("no edges found")
 
     def where(r: int) -> str:  # the line of row r
         return f"line {next(islice(token_lines(text), r, None))[0]}"

@@ -1,9 +1,11 @@
-"""Brute-force definitions of the Wiener-type indices.
+"""Brute-force definitions of the Wiener-type indices, and the weights file.
 
-These are the ground truth for every other computation path: plain sums over
-all unordered vertex pairs, evaluated with exact integer (or Fraction)
-arithmetic.  Nothing here is clever and nothing here is fast beyond O(n m)
-BFS plus O(n^2) pair accumulation.
+The indices are the ground truth for every other computation path: plain
+sums over all unordered vertex pairs, evaluated with exact integer (or
+Fraction) arithmetic, in O(n m) BFS plus O(n^2) pair accumulation.  The
+weights file is read by ``read_weights``: as arrays from the table reader
+(``read_ratio_table``) when the table holds it, or line by line
+(``_read_weight_lines``), which names the offending line.
 """
 
 from __future__ import annotations

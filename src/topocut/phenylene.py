@@ -36,12 +36,10 @@ import numpy as np
 
 from .cut_method import INDEX_TERMS, column_values, index_pairs, term_pairs
 from .exact import (  # NotATreeError is re-exported: the tree routines raise it
-    NotATreeError, Pair, Weights, _euler_tour, _exact_dtype, _split_bound, _split_sums,
-    _subtree_sums, _tree_sums, column_sums, scale_weights,
+    NotATreeError, Pair, Weights, _euler_tour, _exact_dtype, _int_array, _split_bound,
+    _split_sums, _subtree_sums, _tree_sums, column_sums, scale_weights,
 )
-from .graph import (
-    Graph, ParseError, PlacementError, component_labels, read_int_table, token_lines,
-)
+from .graph import Graph, ParseError, PlacementError, component_labels, read_int_rows
 from .indices import Weight, check_weights
 from .theta import QuotientGraph, _quotient, quotient
 
@@ -55,16 +53,12 @@ CORNER_OFFSETS = ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
 NEIGHBOR_OFFSETS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
-def _cell_array(cells: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Cells as an (h, 2) int64 array, or an object array of Python ints
-    when int64 cannot hold twice some coordinate (so that no difference of
-    two coordinates can overflow)."""
-    try:
-        arr = np.array(cells, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        return np.array(cells, dtype=object).reshape(-1, 2)
-    top = max(int(arr.max()), -int(arr.min())) if arr.size else 0
-    return arr.astype(_exact_dtype(2 * top), copy=False)
+def _cell_array(cells: np.ndarray) -> np.ndarray:
+    """An (h, 2) cell array as int64, or as Python ints (object) when int64
+    cannot hold twice some coordinate (so that no difference of two
+    coordinates can overflow)."""
+    top = max(int(cells.max()), -int(cells.min())) if cells.size else 0
+    return cells.astype(_exact_dtype(2 * top), copy=False)
 
 
 def _grid_axis(values: np.ndarray) -> np.ndarray:
@@ -113,7 +107,8 @@ class BenzenoidPlacement:
     def of(cls, cells: Iterable[tuple[int, int]]) -> "BenzenoidPlacement":
         if isinstance(cells, BenzenoidPlacement):
             return cells
-        return cls._from_array(_cell_array([(int(q), int(r)) for q, r in cells]))
+        cells = _int_array([(int(q), int(r)) for q, r in cells]).reshape(-1, 2)
+        return cls._from_array(_cell_array(cells))
 
     @classmethod
     def _from_array(cls, raw: np.ndarray) -> "BenzenoidPlacement":
@@ -749,24 +744,12 @@ def dd_gut_via_squeeze(cells: Iterable[tuple[int, int]]) -> tuple[int, int]:
 def parse_placement(text: str) -> BenzenoidPlacement:
     """Parse the placement file format: one "q r" cell per line, '#' comments.
 
-    A text that ``read_int_table`` reads becomes the placement's cell array
-    directly; any other text is read line by line from ``token_lines``,
-    whose errors name the offending line.  Both raise the placement's own
-    faults (no cells, a repeated cell) as ``ParseError``.
+    The cells come from ``read_int_rows``, whose errors name the offending
+    line; the placement's own faults (no cells, a repeated cell) are raised
+    as ``ParseError`` too.
     """
-    table = read_int_table(text, (2,))
     try:
-        if table is not None:
-            return BenzenoidPlacement._from_array(table)
-        cells = []
-        for lineno, line, parts in token_lines(text):
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected 'q r', got {line!r}")
-            try:
-                cells.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ParseError(f"line {lineno}: expected two integers") from None
-        return BenzenoidPlacement.of(cells)
+        return BenzenoidPlacement._from_array(_cell_array(read_int_rows(text, "'q r'")))
     except PlacementError as exc:
         raise ParseError(str(exc)) from None
 

@@ -854,8 +854,16 @@ def _shrink_limits(profile, mp, seen):
         mp.setitem(exact_module._LIMITS, np.int64, 1)
     else:  # every reader declines its table and reads token lines
         mp.setattr(exact_module, "_TABLE_LIMIT", 1)
-        for module in (graph_module, indices_module, phenylene):
-            spy(module, "token_lines")
+        spy(indices_module, "token_lines")
+        # the two-integer reader's line walk, named by the parser that called the reader
+        real = graph_module.token_lines
+
+        def token_lines(text):
+            reader, parser = sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name
+            seen.add(f"{reader} for {parser}")
+            return real(text)
+
+        mp.setattr(graph_module, "token_lines", token_lines)
 
 
 SHRUNK_PATHS = {
@@ -863,8 +871,8 @@ SHRUNK_PATHS = {
                "topocut.cut_method._narrowest_dtype"},
     "sums": {"topocut.exact._exact_sum"},
     "int64": {"object weights"},
-    "reader": {"topocut.graph.token_lines", "topocut.indices.token_lines",
-               "topocut.phenylene.token_lines"},
+    "reader": {"topocut.indices.token_lines", "read_int_rows for parse_edge_list",
+               "read_int_rows for parse_placement"},
 }
 
 

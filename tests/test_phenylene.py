@@ -413,7 +413,7 @@ def reference_parse(text):
         try:
             cells.append((int(parts[0]), int(parts[1])))
         except ValueError:
-            raise ValueError(f"line {lineno}: expected two integers") from None
+            raise ValueError(f"line {lineno}: expected 'q r', got {line!r}") from None
     return reference_placement(cells)[0]
 
 

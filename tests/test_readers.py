@@ -12,9 +12,11 @@ from hypothesis import example, given, strategies as st
 
 from topocut.exact import weights_of
 from topocut.graph import (
-    Graph, GraphError, ParseError, parse_edge_list, read_int_table, read_ratio_table, token_lines,
+    Graph, GraphError, ParseError, parse_edge_list, read_int_rows, read_int_table,
+    read_ratio_table, token_lines,
 )
 from topocut.indices import read_weights
+from topocut.phenylene import parse_placement
 
 
 def reference_graph(n, edges):
@@ -213,6 +215,50 @@ def test_edge_list_reader_matches_line_reader(text):
     if want[0] != "error":
         g = parse_edge_list(text)
         assert g.adj == reference_graph(g.n, g.edges)[2]
+
+
+def reference_int_rows(text):
+    """The two-integer lines read line by line: (a, b) for every line that
+    is neither blank nor a '#' comment."""
+    rows = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            a, b = line.split()
+            rows.append((int(a), int(b)))
+    return rows
+
+
+# values inside the table's +-2^60, then at and past +-2^60 and +-2^63
+INSIDE = [0, 5, -7, 2**60 - 1, -(2**60) + 1]
+OUTSIDE = [2**60, -(2**60), 2**63 - 1, -(2**63), 2**63, -(2**63) - 1]
+
+
+@pytest.mark.parametrize("end", LINE_ENDS)
+@pytest.mark.parametrize("comment", [False, True])
+@pytest.mark.parametrize("values", [INSIDE, INSIDE + OUTSIDE])
+def test_edge_lists_and_placements_share_the_two_integer_reader(end, comment, values):
+    # a '#' line or a value the table cannot hold sends the text down the
+    # token-line path; either way the rows are the line reader's, int64
+    # while they fit and Python ints past that
+    lines = [f"+{v} {-v}" if v > 0 else f"{v} {v + 1}" for v in values]
+    lines[1:1] = ["", "  \t"]
+    text = end.join((["# cells"] if comment else []) + lines) + end
+    want = reference_int_rows(text)
+    assert (read_int_table(text, (2,)) is None) == (comment or values != INSIDE)
+    rows = read_int_rows(text, "two integers")
+    assert rows.shape == (len(want), 2) and [tuple(r) for r in rows.tolist()] == want
+    fits = all(-(2**63) <= v < 2**63 for row in want for v in row)
+    assert rows.dtype == (np.int64 if fits else object)
+    assert parse_placement(text).cells == tuple(sorted(want))
+    # a bad line is named at its line number, in the words of each format
+    for bad in ["1 2 3", "1 x"]:
+        broken = text + f"0 1{end}{bad}{end}"
+        at = len(broken.splitlines())
+        with pytest.raises(ParseError, match=re.escape(f"line {at}: expected two integers, got {bad!r}")):
+            parse_edge_list(broken)
+        with pytest.raises(ParseError, match=re.escape(f"line {at}: expected 'q r', got {bad!r}")):
+            parse_placement(broken)
 
 
 @st.composite
