@@ -255,10 +255,9 @@ def test_edge_lists_and_placements_share_the_two_integer_reader(end, comment, va
     for bad in ["1 2 3", "1 x"]:
         broken = text + f"0 1{end}{bad}{end}"
         at = len(broken.splitlines())
-        with pytest.raises(ParseError, match=re.escape(f"line {at}: expected two integers, got {bad!r}")):
-            parse_edge_list(broken)
-        with pytest.raises(ParseError, match=re.escape(f"line {at}: expected 'q r', got {bad!r}")):
-            parse_placement(broken)
+        for parse, what in ((parse_edge_list, "two integers"), (parse_placement, "'q r'")):
+            with pytest.raises(ParseError, match=re.escape(f"line {at}: expected {what}, got {bad!r}")):
+                parse(broken)
 
 
 @st.composite
