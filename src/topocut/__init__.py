@@ -24,7 +24,7 @@ _HOMES = {
     "cut_method": "degree_distance_via_cuts is_partial_cube wiener_double_via_cuts "
                   "wiener_weighted_via_cuts",
     "exact": "NotATreeError",
-    "phenylene": "Benzenoid BenzenoidPlacement Phenylene QuotientTree build_benzenoid "
+    "phenylene": "BenzenoidPlacement Phenylene QuotientTree build_benzenoid "
                  "build_phenylene dd_gut_via_squeeze dd_gut_via_trees quotient_trees "
                  "tree_wiener_double_linear tree_wiener_linear",
     "reduction": "ReductionStep r_classes reduce_fully reduce_fully_single reduce_once_r "

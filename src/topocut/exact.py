@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -146,15 +147,15 @@ def _int_array(rows: list) -> np.ndarray:
 
 
 def weights_of(vectors: Sequence[Sequence[Weight]]) -> Weights:
-    """:func:`scale_weights` of vectors of Python ints and ``Fraction``s.
-    A vector of plain ints takes no per-weight ``isinstance`` check (an ABC
-    check); any other vector is split into numerators and denominators, and
-    a whole-valued Fraction still marks its entry."""
+    """:func:`scale_weights` of vectors of integers and ``Fraction``s; any other
+    weight raises TypeError.  A vector of plain ints takes no per-weight
+    ``isinstance`` check (an ABC check); any other vector is split into numerators
+    and denominators, and a whole-valued Fraction still marks its entry."""
     n = len(vectors[0]) if vectors else 0
     if all(type(x) is int for w in vectors for x in w):
         return scale_weights(_int_array([list(w) for w in vectors]).reshape(len(vectors), n))
     flags = [[isinstance(x, Fraction) for x in w] for w in vectors]
-    num = [[x.numerator if f else int(x) for x, f in zip(w, fs)] for w, fs in zip(vectors, flags)]
+    num = [[x.numerator if f else index(x) for x, f in zip(w, fs)] for w, fs in zip(vectors, flags)]
     den = [[x.denominator if f else 1 for x, f in zip(w, fs)] for w, fs in zip(vectors, flags)]
     fractions = np.array(flags, dtype=bool).reshape(len(vectors), n)
     return scale_weights(

@@ -45,9 +45,9 @@ class Graph:
     (u, v) with u < v, in input order.  ``csr``, ``edges`` and ``adj`` are
     built from it on first use.  ``edges`` may be given as an iterable of
     pairs or as an (m, 2) integer array.  Validation runs on the arrays:
-    range and self-loops elementwise, duplicates by unique lo * n + hi
+    self-loops and range elementwise, duplicates by unique lo * n + hi
     codes, connectivity by ``component_labels``; the error names the first
-    offending edge in input order.
+    offending edge in input order.  The edge-list reader adds only the line.
 
     Attributes:
         n:         vertex count
@@ -596,14 +596,15 @@ def parse_edge_list(text: str, header: bool | None = None) -> Graph:
     """Parse the edge-list text format.
 
     Lines hold two whitespace-separated decimal vertex indices; lines starting
-    with '#' are ignored.  An optional first line "n m" fixes the vertex count.
-    ``header`` True reads the first line as that header, which must give
-    n >= 1 and the count m of edge lines after it; False reads it as an
-    edge; None reads it as the header only when it would pass as one.
+    with '#' are ignored.  An optional first line "n m" fixes the vertex count
+    (else n = max(largest id + 1, 1)).  ``header`` True reads the first line
+    as that header, which must give n >= 1 and the count m of edge lines
+    after it; False reads it as an edge; None reads it as the header only
+    when it would pass as one.
 
-    The rows come from ``read_int_rows``; one row check (``_first_bad_edge``)
-    and one connectivity test follow.  A ``ParseError`` names the offending
-    line, looked up only then: row r of either source is the r-th token line.
+    The rows come from ``read_int_rows`` and are checked by ``Graph`` alone.
+    Its error becomes a ``ParseError`` naming the line of the edge that
+    ``_first_bad_edge`` finds then: row r of either source is the r-th token line.
     """
     rows = read_int_rows(text, "two integers")
     if not len(rows):
@@ -618,20 +619,12 @@ def parse_edge_list(text: str, header: bool | None = None) -> Graph:
         raise ParseError(f"{where(0)}: header needs n >= 1 and the edge count "
                          f"{len(rows) - 1}, got '{first_a} {first_b}'")
     skip = int(fits and header is not False)
-    n = first_a if skip else int(rows.max()) + 1
-    u, v = rows[skip:].T
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    bad = _first_bad_edge(n, lo, hi)
-    if bad < len(lo):
-        a, b, at = int(lo[bad]), int(hi[bad]), where(bad + skip)
-        if not (0 <= a and b < n):
-            raise ParseError(f"{at}: vertex out of range for n={n}")
-        if a == b:
-            raise ParseError(f"{at}: self-loop at vertex {a}")
-        raise ParseError(f"{at}: duplicate edge {(a, b)}")
-    if len(lo) < n - 1 or component_labels(n, lo, hi)[0] != 1:
-        raise ParseError("graph is disconnected")
-    return Graph(n, np.column_stack((lo, hi)), validate=False)
+    n = first_a if skip else max(int(rows.max()) + 1, 1)
+    try:
+        return Graph(n, rows[skip:])
+    except GraphError as exc:
+        bad = skip + _first_bad_edge(n, *np.sort(rows[skip:], axis=1).T)
+        raise ParseError(f"{where(bad)}: {exc}" if bad < len(rows) else str(exc)) from None
 
 
 def format_edge_list(g: Graph) -> str:

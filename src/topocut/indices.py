@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +57,8 @@ def check_weights(g: Graph, w: Sequence[Weight]) -> None:
     if len(w) != g.n:
         raise GraphError(f"weight vector has length {len(w)}, expected {g.n}")
     for u, x in enumerate(w):
+        if not isinstance(x, Rational):  # a float is inexact: the routes would truncate it
+            raise GraphError(f"weight of vertex {u} is {x!r}, must be an int or a Fraction")
         if x <= 0:
             raise GraphError(f"weight of vertex {u} is {x}, must be positive")
 

@@ -140,36 +140,6 @@ class BenzenoidPlacement:
         return f"BenzenoidPlacement(cells={self.cells!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class Benzenoid:
-    """A catacondensed benzenoid: lattice graph, edge directions, inner dual.
-
-    The inner dual identifies the corners and edges that adjacent cells
-    share (``build_benzenoid``).  Vertices are numbered, and edges ordered,
-    by first appearance in a scan of the cells in placement order and of
-    each cell's corners and edges in order.  The arrays are the benzenoid,
-    and the squeeze route reads them alone; ``graph`` and ``inner_dual``
-    are built from them on first use.
-    """
-
-    placement: BenzenoidPlacement
-    _eu: np.ndarray
-    _ev: np.ndarray
-    _direction: np.ndarray  # 1..3 per edge
-    _dual: tuple[np.ndarray, np.ndarray]  # inner-dual edges (i, j), i < j
-    _first_corner: np.ndarray  # vertex -> its first occurrence 6 * cell + corner
-
-    @cached_property
-    def graph(self) -> Graph:
-        return Graph(len(self._first_corner), np.column_stack((self._eu, self._ev)),
-                     validate=False)
-
-    @cached_property
-    def inner_dual(self) -> Graph:  # one vertex per cell, in placement order
-        di, dj = self._dual
-        return Graph(len(self.placement), np.column_stack((di, dj)))
-
-
 # Hexagon i's six edges, in order: corners (k, k+1) for k < 5, then (0, 5).
 _HEX_U = np.array([0, 1, 2, 3, 4, 0], dtype=np.int64)
 _HEX_V = np.array([1, 2, 3, 4, 5, 5], dtype=np.int64)
@@ -320,8 +290,10 @@ def _validated_dual(
     return di, dj, dk, mask
 
 
-def build_benzenoid(cells: Iterable[tuple[int, int]]) -> Benzenoid:
-    """Build the benzenoid graph of a catacondensed placement plus its inner dual.
+def _benzenoid(cells: Iterable[tuple[int, int]]) -> tuple[np.ndarray, ...]:
+    """The benzenoid of a catacondensed placement as the squeeze reads it:
+    each vertex's first slot, the edge ends lo < hi, the edge directions
+    1..3 and the inner dual's edges (i, j), i < j.
 
     The benzenoid is the phenylene with its connectors contracted: corner k
     and edge k of cell i start as slot 6i + k, and a dual edge (i, j, k)
@@ -339,8 +311,13 @@ def build_benzenoid(cells: Iterable[tuple[int, int]]) -> Benzenoid:
     )
     u = vertex.take(ph._eu[first_edge])  # hexagon edge slot 6i + k joins corners k, k+1
     v = vertex.take(ph._ev[first_edge])
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    return Benzenoid(ph.placement, lo, hi, first_edge % 3 + 1, (di, dj), first_corner)
+    return first_corner, np.minimum(u, v), np.maximum(u, v), first_edge % 3 + 1, di, dj
+
+
+def build_benzenoid(cells: Iterable[tuple[int, int]]) -> Graph:
+    """The benzenoid graph of a catacondensed placement (``_benzenoid``)."""
+    first_corner, lo, hi = _benzenoid(cells)[:3]
+    return Graph(len(first_corner), np.column_stack((lo, hi)), validate=False)
 
 
 def build_phenylene(cells: Iterable[tuple[int, int]]) -> Phenylene:
@@ -723,10 +700,8 @@ def dd_gut_via_squeeze(cells: Iterable[tuple[int, int]]) -> tuple[int, int]:
     DD = W(B, w1, w2) + W(T, w3, w4) and Gut = W(B, w1) + W(T, w3), with the
     benzenoid terms evaluated over its three direction-class quotient trees.
     """
-    benz = build_benzenoid(cells)
-    n, h = len(benz._first_corner), len(benz.placement)
-    eu, ev = benz._eu, benz._ev
-    di, dj = benz._dual
+    first_corner, eu, ev, direction, di, dj = _benzenoid(cells)
+    n, h = len(first_corner), len(di) + 1  # the inner dual is a tree
     w1, w2, w3, w4 = _squeeze_arrays(
         np.bincount(np.concatenate((eu, ev)), minlength=n),
         np.bincount(np.concatenate((di, dj)), minlength=h),
@@ -734,7 +709,7 @@ def dd_gut_via_squeeze(cells: Iterable[tuple[int, int]]) -> tuple[int, int]:
     pairs = [(0, 1, False), (0, 0, True)]  # W(x, w) and W(x, x) = 2 W*(x)
     blocks = [_tree_sums(h, di, dj, scale_weights(np.stack((w3, w4))), pairs)]
     for c in (1, 2, 3):
-        ncomp, labels, qu, qv = _quotient(n, eu, ev, benz._direction == c)
+        ncomp, labels, qu, qv = _quotient(n, eu, ev, direction == c)
         sums = np.stack([_component_sums(labels, ncomp, w) for w in (w1, w2)])
         blocks.append(_tree_sums(ncomp, qu, qv, scale_weights(sums), pairs))
     dd, gut = column_sums(np.concatenate(blocks))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from topocut.graph import Graph, GraphError, degree_vector
 from topocut.theta import quotient, theta_star_classes
 from topocut.phenylene import (
-    NEIGHBOR_OFFSETS, BenzenoidPlacement, PlacementError, build_benzenoid
+    NEIGHBOR_OFFSETS, BenzenoidPlacement, PlacementError
 )
 from topocut.families import (
     _chain_fault,
@@ -26,6 +26,8 @@ from topocut.families import (
     star_graph,
     windmill_graph,
 )
+
+from test_phenylene import inner_dual
 
 
 def test_basic_generators():
@@ -144,7 +146,7 @@ def test_chain_generator():
     assert len(gen_phenylene_chain(1)) == 1
     assert len(gen_phenylene_chain(2)) == 2
     linear6 = gen_phenylene_chain(6)
-    dual = build_benzenoid(linear6).inner_dual
+    dual = inner_dual(linear6)
     assert sorted(len(a) for a in dual.adj) == [1, 1, 2, 2, 2, 2]  # a path
     kinked = gen_phenylene_chain(5, "A+A-L")
     assert len(kinked) == 5
@@ -293,7 +295,7 @@ def test_parse_kinks_formats():
 def test_phe6_fixture_shape():
     placement = phe6_placement()
     assert len(placement) == 6
-    dual = build_benzenoid(placement).inner_dual
+    dual = inner_dual(placement)
     assert sorted(len(a) for a in dual.adj) == [1, 1, 1, 2, 2, 3]
 
 

@@ -1,11 +1,16 @@
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 
+from topocut.cut_method import CutEngine, wiener_weighted_via_cuts
 from topocut.graph import GraphError, build_graph, degree_vector
+from topocut.hamming import weighted_wiener_lower_bound
 from topocut.indices import (
     DoubleWeightedGraph,
+    WeightedGraph,
     degree_distance,
     gutman,
     read_weights,
@@ -15,6 +20,8 @@ from topocut.indices import (
     wiener_weighted,
 )
 from topocut.graph import ParseError
+from topocut.phenylene import tree_wiener_double_linear, tree_wiener_linear
+from topocut.theta import theta_star_classes, validate_coarser
 from topocut.families import complete_graph, cycle_graph, path_graph, star_graph
 
 from strategies import connected_graphs, double_weighted_graphs, weighted_graphs
@@ -108,6 +115,32 @@ def test_weight_validation():
         wiener_weighted(p3, (1, 0, 1))
     with pytest.raises(GraphError, match="positive"):
         DoubleWeightedGraph(p3, (1, 1, 1), (1, -2, 1))
+
+
+@pytest.mark.parametrize("x", [1.5, np.float64(1.5)], ids=["float", "numpy_float"])
+def test_every_weighted_entry_rejects_a_float_weight(x):
+    # the exact routes would truncate 1.5 to 1: W*(C4) read 8 where the oracle's is 10.0
+    c4, p4, ones = cycle_graph(4), path_graph(4), (1,) * 4
+    w = (x, 1, 1, 1)
+    partition = validate_coarser(c4, theta_star_classes(c4).classes)
+    entries = [
+        lambda: wiener_weighted_via_cuts(c4, w, partition),
+        lambda: weighted_wiener_lower_bound(c4, w),
+        lambda: tree_wiener_linear(p4, w),
+        lambda: tree_wiener_double_linear(p4, ones, w),
+        lambda: WeightedGraph(c4, w),
+        lambda: DoubleWeightedGraph(c4, ones, w),
+        lambda: wiener_weighted(c4, w),
+        lambda: wiener_plus(c4, w),
+    ]
+    for entry in entries:
+        with pytest.raises(GraphError, match=re.escape(f"vertex 0 is {x!r}, must be an int or")):
+            entry()
+    with pytest.raises(TypeError):  # the engine itself takes no float either
+        CutEngine(c4).values([(w, None)])
+    # integers of every kind and Fractions still pass
+    exact = (np.int64(3), True, Fraction(4, 2), 1)
+    assert wiener_weighted_via_cuts(c4, exact, partition) == wiener_weighted(c4, (3, 1, 2, 1))
 
 
 def test_parse_weights():

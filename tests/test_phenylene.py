@@ -38,6 +38,7 @@ from topocut.phenylene import (
     _DEGREE_SUMS,
     _HALF_OF,
     _Runs,
+    _benzenoid,
     _cell_corners,
     _component_sums,
     _degree_sums,
@@ -70,6 +71,13 @@ from test_engine import _components_reference, _quotient_edges_reference
 RING6 = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
 
 
+def inner_dual(cells):
+    """The inner dual as a Graph, one vertex per cell in placement order,
+    from the phenylene's validated dual edges (i, j)."""
+    ph = build_phenylene(cells)
+    return Graph(ph.hexagon_count, np.column_stack(ph._dual[:2]))
+
+
 def chain_placements(max_h=5):
     out = [gen_phenylene_chain(h) for h in range(1, max_h + 1)]
     out.append(gen_phenylene_chain(4, "A+L"))
@@ -88,20 +96,21 @@ def all_test_placements():
 
 def test_single_cell_is_benzene():
     benz = build_benzenoid([(0, 0)])
-    assert (benz.graph.n, benz.graph.m) == (6, 6)
-    assert degree_vector(benz.graph) == (2,) * 6
-    assert (benz.inner_dual.n, benz.inner_dual.m) == (1, 0)
+    assert (benz.n, benz.m) == (6, 6)
+    assert degree_vector(benz) == (2,) * 6
+    dual = inner_dual([(0, 0)])
+    assert (dual.n, dual.m) == (1, 0)
 
 
 def test_two_cells_is_naphthalene():
     benz = build_benzenoid([(0, 0), (1, 0)])
-    assert (benz.graph.n, benz.graph.m) == (10, 11)
-    assert (benz.inner_dual.n, benz.inner_dual.m) == (2, 1)
+    assert (benz.n, benz.m) == (10, 11)
+    dual = inner_dual([(0, 0), (1, 0)])
+    assert (dual.n, dual.m) == (2, 1)
 
 
 def test_phe6_inner_dual_shape():
-    benz = build_benzenoid(phe6_placement())
-    dual = benz.inner_dual
+    dual = inner_dual(phe6_placement())
     assert dual.n == 6 and dual.m == 5
     assert sorted(len(a) for a in dual.adj) == [1, 1, 1, 2, 2, 3]
     branch = max(range(6), key=lambda v: len(dual.adj[v]))
@@ -157,7 +166,7 @@ def test_phenylene_size_formula(hp):
 def test_phenylenes_and_benzenoids_are_partial_cubes():
     for placement in chain_placements(4):
         assert is_partial_cube(build_phenylene(placement).graph)
-        assert is_partial_cube(build_benzenoid(placement).graph)
+        assert is_partial_cube(build_benzenoid(placement))
 
 
 def test_structural_classes_are_coarser():
@@ -167,15 +176,14 @@ def test_structural_classes_are_coarser():
             np.flatnonzero(ph.edge_class == c).tolist() for c in (1, 2, 3, 4)
         ]
         validate_coarser(ph.graph, [b for b in blocks if b])
-        benz = build_benzenoid(placement)
-        bblocks = [np.flatnonzero(benz._direction == c).tolist() for c in (1, 2, 3)]
-        validate_coarser(benz.graph, [b for b in bblocks if b])
+        direction = _benzenoid(placement)[3]
+        bblocks = [np.flatnonzero(direction == c).tolist() for c in (1, 2, 3)]
+        validate_coarser(build_benzenoid(placement), [b for b in bblocks if b])
 
 
 def test_squeeze_weights_values():
-    benz = build_benzenoid(phe6_placement())
-    degs_b = degree_vector(benz.graph)
-    degs_t = degree_vector(benz.inner_dual)
+    degs_b = degree_vector(build_benzenoid(phe6_placement()))
+    degs_t = degree_vector(inner_dual(phe6_placement()))
     w1, w2, w3, w4 = _squeeze_arrays(np.array(degs_b), np.array(degs_t))
     for u, d in enumerate(degs_b):
         assert w1[u] == {2: 2, 3: 6}[d]
@@ -224,7 +232,7 @@ def test_quotient_tree_4_is_inner_dual():
     for placement in chain_placements(4):
         ph = build_phenylene(placement)
         t4 = quotient_trees(ph)[3].tree
-        dual = build_benzenoid(placement).inner_dual
+        dual = inner_dual(placement)
         assert t4.n == dual.n
         assert sorted(len(a) for a in t4.adj) == sorted(len(a) for a in dual.adj)
 
@@ -627,13 +635,13 @@ def test_array_builds_match_loop_builders(cells):
     want = (degree_distance(ph.graph), gutman(ph.graph))
     assert dd_gut_via_trees(ph) == want
     coords, bedges, directions, dual = reference_benzenoid(cells)
-    benz = build_benzenoid(cells)
-    corners = [_cell_corners(*benz.placement.cells[f // 6])[f % 6]
-               for f in benz._first_corner.tolist()]
+    first_corner, _, _, direction, _, _ = _benzenoid(cells)
+    placement = BenzenoidPlacement.of(cells)
+    corners = [_cell_corners(*placement.cells[f // 6])[f % 6] for f in first_corner.tolist()]
     assert corners == coords
-    assert list(benz.graph.edges) == bedges
-    assert benz._direction.tolist() == directions
-    assert list(benz.inner_dual.edges) == dual
+    assert list(build_benzenoid(cells).edges) == bedges
+    assert direction.tolist() == directions
+    assert list(inner_dual(cells).edges) == dual
     assert dd_gut_via_squeeze(cells) == want
 
 
@@ -648,7 +656,7 @@ def first_seen_numbers(keys):
 
 
 def coordinate_benzenoid(placement):
-    """``build_benzenoid``'s arrays from corner coordinates, with no inner
+    """``_benzenoid``'s arrays from corner coordinates, with no inner
     dual: a cell's corners are fixed offsets from its centre (3q, 2r + q),
     equal points are one vertex and equal end pairs one edge, each numbered
     by its first slot 6i + k."""
@@ -682,9 +690,9 @@ def long_chains(draw):
 @example([(q + 2**62, r - 2**62) for q, r in gen_phenylene_chain(9, "A+LA-A-LA+L").cells])
 def test_benzenoid_numbering_matches_corner_coordinates(cells):
     # the inner dual's corner and edge numbering against the coordinates'
-    benz = build_benzenoid(cells)
-    got = benz._eu, benz._ev, benz._direction, benz._first_corner
-    for mine, wanted in zip(got, coordinate_benzenoid(benz.placement)):
+    first_corner, lo, hi, direction, _, _ = _benzenoid(cells)
+    got = lo, hi, direction, first_corner
+    for mine, wanted in zip(got, coordinate_benzenoid(BenzenoidPlacement.of(cells))):
         assert mine.dtype == wanted.dtype
         assert mine.tolist() == wanted.tolist()
 

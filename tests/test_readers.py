@@ -71,14 +71,14 @@ def reference_parse_edge_list(text):
     if first_b == len(rows) - 1 and first_a >= 1:
         n, pairs = first_a, rows[1:]
     else:
-        n, pairs = max(max(a, b) for _, a, b in rows) + 1, rows
+        n, pairs = max(max(max(a, b) for _, a, b in rows) + 1, 1), rows
     edges = []
     seen = set()
-    for lineno, a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ParseError(f"line {lineno}: vertex out of range for n={n}")
+    for lineno, a, b in pairs:  # Graph's wording and order of checks
         if a == b:
             raise ParseError(f"line {lineno}: self-loop at vertex {a}")
+        if not (0 <= a < n and 0 <= b < n):
+            raise ParseError(f"line {lineno}: edge ({a}, {b}) out of range for n={n}")
         e = (a, b) if a < b else (b, a)
         if e in seen:
             raise ParseError(f"line {lineno}: duplicate edge {e}")

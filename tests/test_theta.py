@@ -528,8 +528,7 @@ def bipartite_graphs(draw, max_side=7):
 def phenylene_graphs(draw):
     """Phenylene and benzenoid chains of up to five hexagons."""
     placement = gen_phenylene_chain(*draw(kink_patterns(max_h=5)))
-    build = draw(st.sampled_from([build_phenylene, build_benzenoid]))
-    return build(placement).graph
+    return draw(st.sampled_from([build_phenylene(placement).graph, build_benzenoid(placement)]))
 
 
 @settings(max_examples=150)
